@@ -11,7 +11,7 @@ use std::fmt;
 pub enum AuditError {
     /// An operation received tensors whose shapes cannot combine.
     ShapeMismatch {
-        /// Mirrored graph operation (e.g. `matmul`, `concat_cols`).
+        /// The operation (e.g. `matmul`, `concat_cols`).
         op: &'static str,
         /// Shapes of the operands, in order.
         shapes: Vec<Vec<usize>>,
@@ -20,7 +20,7 @@ pub enum AuditError {
     },
     /// An index-based gather refers past the end of its table.
     IndexOutOfRange {
-        /// Mirrored graph operation (e.g. `index_select0`).
+        /// The operation (e.g. `gather`).
         op: &'static str,
         /// The offending index.
         index: usize,

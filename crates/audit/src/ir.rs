@@ -11,15 +11,15 @@
 //! * buffer-liveness / arena planning ([`crate::liveness`]),
 //! * drift detection against the real runtime tape ([`align_with_graph`]).
 //!
-//! Shape validation is delegated to the existing [`ShapeFlow`] checker:
-//! the builder keeps a shadow `ShapeFlow` tape in lock-step (IR node `i`
-//! is shape-flow var `i`), so every IR op enforces exactly the
-//! precondition the runtime op asserts.
+//! The IR is also the shape checker: [`IrBuilder`] infers every node's
+//! shape from its operands' recorded shapes through one [`OpKind`]-keyed
+//! rule set, enforcing exactly the precondition the runtime op asserts
+//! but returning a typed [`AuditError`] instead of panicking
+//! mid-training. There is no second tape beside it.
 
 use crate::error::AuditError;
 use crate::plan::{ModelPlan, PlanNumerics};
-use crate::shape::{SVar, ShapeFlow};
-use turl_tensor::Graph;
+use turl_tensor::{broadcast_shape, Graph};
 
 /// Handle to one tensor (node) in an [`Ir`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -109,8 +109,11 @@ pub enum OpKind {
     ConcatRows,
     /// Element-preserving reshape.
     Reshape,
-    /// Axis permutation.
-    Permute,
+    /// Axis permutation: output axis `i` is input axis `axes[i]`.
+    Permute {
+        /// A permutation of `0..rank`.
+        axes: Vec<usize>,
+    },
     /// Fused softmax + NLL loss over `[n, c]` logits, yielding `[1]`.
     CrossEntropy,
 }
@@ -134,7 +137,7 @@ impl OpKind {
             OpKind::ConcatCols => "concat_cols",
             OpKind::ConcatRows => "concat_rows",
             OpKind::Reshape => "reshape",
-            OpKind::Permute => "permute",
+            OpKind::Permute { .. } => "permute",
             OpKind::CrossEntropy => "cross_entropy",
         }
     }
@@ -207,24 +210,116 @@ impl Ir {
     }
 }
 
-/// Builds an [`Ir`] while shadowing every op on a [`ShapeFlow`] tape, so
-/// each IR node gets exactly the shape validation its runtime twin would
-/// assert. IR node `i` always corresponds to shape-flow var `i`.
-pub struct IrBuilder {
-    nodes: Vec<IrNode>,
-    flow: ShapeFlow,
+fn mismatch(op: &'static str, shapes: &[&[usize]], detail: String) -> AuditError {
+    AuditError::ShapeMismatch { op, shapes: shapes.iter().map(|s| s.to_vec()).collect(), detail }
 }
 
-impl Default for IrBuilder {
-    fn default() -> Self {
-        Self::new()
+fn require_rank(op: &'static str, s: &[usize], rank: usize) -> Result<(), AuditError> {
+    if s.len() != rank {
+        return Err(mismatch(op, &[s], format!("expected rank {rank}, got {s:?}")));
     }
+    Ok(())
+}
+
+/// The shape rule set: output shape of `kind` over operands of shapes
+/// `ins`, or the typed error for the precondition the runtime op would
+/// panic on. Covers every op whose shape its operands determine;
+/// gather, reshape and cross-entropy also depend on a call argument and
+/// are checked in their [`IrBuilder`] methods.
+fn infer_shape(kind: &OpKind, ins: &[&[usize]]) -> Result<Vec<usize>, AuditError> {
+    let op = kind.name();
+    match (kind, ins) {
+        (OpKind::Add | OpKind::Mask, &[a, b]) => {
+            broadcast_shape(a, b).map_err(|e| mismatch(op, ins, e.to_string()))
+        }
+        (OpKind::Scale { .. } | OpKind::Gelu, &[a]) => Ok(a.to_vec()),
+        (OpKind::Softmax, &[a]) => {
+            if a.is_empty() {
+                return Err(mismatch(op, ins, "rank 0 tensor".into()));
+            }
+            Ok(a.to_vec())
+        }
+        (OpKind::MatMul | OpKind::MatMulNT, &[a, b]) => {
+            require_rank(op, a, 2)?;
+            require_rank(op, b, 2)?;
+            // `[m, k] · [k, n]`, or `[m, k] · [n, k]ᵀ` for the NT form.
+            let (inner, n) = if *kind == OpKind::MatMul { (b[0], b[1]) } else { (b[1], b[0]) };
+            if a[1] != inner {
+                return Err(mismatch(op, ins, format!("inner dims {} vs {inner}", a[1])));
+            }
+            Ok(vec![a[0], n])
+        }
+        (OpKind::Bmm | OpKind::BmmNT, &[a, b]) => {
+            require_rank(op, a, 3)?;
+            require_rank(op, b, 3)?;
+            if a[0] != b[0] {
+                return Err(mismatch(op, ins, format!("batch dims {} vs {}", a[0], b[0])));
+            }
+            let (inner, n) = if *kind == OpKind::Bmm { (b[1], b[2]) } else { (b[2], b[1]) };
+            if a[2] != inner {
+                return Err(mismatch(op, ins, format!("inner dims {} vs {inner}", a[2])));
+            }
+            Ok(vec![a[0], a[1], n])
+        }
+        (OpKind::Permute { axes }, &[a]) => {
+            let mut seen = vec![false; a.len()];
+            let valid = axes.len() == a.len()
+                && axes.iter().all(|&ax| ax < a.len() && !std::mem::replace(&mut seen[ax], true));
+            if !valid {
+                let detail = format!("axes {axes:?} is not a permutation of 0..{}", a.len());
+                return Err(mismatch(op, ins, detail));
+            }
+            Ok(axes.iter().map(|&ax| a[ax]).collect())
+        }
+        (OpKind::LayerNorm { .. }, &[x, gamma, beta]) => {
+            let Some(&d) = x.last() else {
+                return Err(mismatch(op, &[x], "rank 0 input".into()));
+            };
+            for (name, s) in [("gamma", gamma), ("beta", beta)] {
+                if s != [d] {
+                    return Err(mismatch(op, &[x, s], format!("{name} shape {s:?} != [{d}]")));
+                }
+            }
+            Ok(x.to_vec())
+        }
+        (OpKind::ConcatCols | OpKind::ConcatRows, &[first, ..]) => {
+            // Rank-2 parts agreeing on the axis that is not concatenated.
+            let (cat, keep, what) =
+                if *kind == OpKind::ConcatCols { (1, 0, "row counts") } else { (0, 1, "widths") };
+            let mut total = 0;
+            for s in ins {
+                require_rank(op, s, 2)?;
+                if s[keep] != first[keep] {
+                    return Err(mismatch(
+                        op,
+                        ins,
+                        format!("{what} {} vs {}", first[keep], s[keep]),
+                    ));
+                }
+                total += s[cat];
+            }
+            let mut shape = first.to_vec();
+            shape[cat] = total;
+            Ok(shape)
+        }
+        _ => {
+            let detail = format!("no shape rule for {op} over {} operand(s)", ins.len());
+            Err(mismatch(op, ins, detail))
+        }
+    }
+}
+
+/// Builds an [`Ir`] one node at a time, inferring and checking each
+/// node's shape from its operands' recorded shapes.
+#[derive(Default)]
+pub struct IrBuilder {
+    nodes: Vec<IrNode>,
 }
 
 impl IrBuilder {
     /// Empty builder.
     pub fn new() -> Self {
-        Self { nodes: Vec::new(), flow: ShapeFlow::new() }
+        Self::default()
     }
 
     /// Finish, attaching the numeric metadata the analyses interpret
@@ -233,161 +328,78 @@ impl IrBuilder {
         Ir { nodes: self.nodes, numerics }
     }
 
-    fn svar(&self, t: TensorId) -> SVar {
-        // The builder records flow ops and IR nodes in lock-step, so the
-        // tape indices coincide by construction.
-        self.flow.var_at(t.0)
+    fn shape(&self, t: TensorId) -> &[usize] {
+        &self.nodes[t.0].shape
     }
 
-    fn record(&mut self, v: SVar, kind: OpKind, inputs: Vec<TensorId>, label: &str) -> TensorId {
-        let shape = self.flow.shape(v).to_vec();
-        debug_assert_eq!(self.nodes.len(), self.flow.n_ops() - 1, "IR/flow tapes diverged");
+    fn push(
+        &mut self,
+        kind: OpKind,
+        inputs: Vec<TensorId>,
+        shape: Vec<usize>,
+        label: &str,
+    ) -> TensorId {
         self.nodes.push(IrNode { kind, inputs, shape, label: label.to_string() });
         TensorId(self.nodes.len() - 1)
     }
 
     /// Introduce an input tensor.
     pub fn source(&mut self, kind: SourceKind, shape: Vec<usize>, label: &str) -> TensorId {
-        let v = self.flow.source(shape);
-        self.record(v, OpKind::Source(kind), Vec::new(), label)
+        self.push(OpKind::Source(kind), Vec::new(), shape, label)
     }
 
-    /// Gather `indices` rows of `table`.
+    /// Record `kind` applied to `inputs` (in op order), with the output
+    /// shape the rule set infers from theirs. Gather, reshape and
+    /// cross-entropy take a call argument and have their own methods.
+    pub fn op(
+        &mut self,
+        kind: OpKind,
+        inputs: &[TensorId],
+        label: &str,
+    ) -> Result<TensorId, AuditError> {
+        let ins: Vec<&[usize]> = inputs.iter().map(|&t| self.shape(t)).collect();
+        let shape = infer_shape(&kind, &ins)?;
+        Ok(self.push(kind, inputs.to_vec(), shape, label))
+    }
+
+    /// Gather `indices` rows of a rank ≥ 1 `table`.
     pub fn gather(
         &mut self,
         table: TensorId,
         indices: &[usize],
         label: &str,
     ) -> Result<TensorId, AuditError> {
-        let v = self.flow.index_select0(self.svar(table), indices)?;
-        Ok(self.record(v, OpKind::Gather, vec![table], label))
+        let op = OpKind::Gather.name();
+        let s = self.shape(table);
+        let Some(&rows) = s.first() else {
+            return Err(mismatch(op, &[s], "rank 0 input".into()));
+        };
+        if let Some(&index) = indices.iter().find(|&&i| i >= rows) {
+            return Err(AuditError::IndexOutOfRange { op, index, len: rows });
+        }
+        let mut shape = s.to_vec();
+        shape[0] = indices.len();
+        Ok(self.push(OpKind::Gather, vec![table], shape, label))
     }
 
-    /// Broadcasting elementwise sum.
-    pub fn add(&mut self, a: TensorId, b: TensorId, label: &str) -> Result<TensorId, AuditError> {
-        let v = self.flow.add(self.svar(a), self.svar(b))?;
-        Ok(self.record(v, OpKind::Add, vec![a, b], label))
-    }
-
-    /// Apply an additive attention mask (an `add` at runtime, recorded as
-    /// a distinct op so analyses can exempt intentional `-inf` logits).
-    pub fn mask(
-        &mut self,
-        scores: TensorId,
-        mask: TensorId,
-        label: &str,
-    ) -> Result<TensorId, AuditError> {
-        let v = self.flow.add(self.svar(scores), self.svar(mask))?;
-        Ok(self.record(v, OpKind::Mask, vec![scores, mask], label))
-    }
-
-    /// `[m, k] · [k, n]`.
-    pub fn matmul(
-        &mut self,
-        a: TensorId,
-        b: TensorId,
-        label: &str,
-    ) -> Result<TensorId, AuditError> {
-        let v = self.flow.matmul(self.svar(a), self.svar(b))?;
-        Ok(self.record(v, OpKind::MatMul, vec![a, b], label))
-    }
-
-    /// `[m, k] · [n, k]ᵀ`.
-    pub fn matmul_nt(
-        &mut self,
-        a: TensorId,
-        b: TensorId,
-        label: &str,
-    ) -> Result<TensorId, AuditError> {
-        let v = self.flow.matmul_nt(self.svar(a), self.svar(b))?;
-        Ok(self.record(v, OpKind::MatMulNT, vec![a, b], label))
-    }
-
-    /// Batched `[b, m, k] · [b, k, n]`.
-    pub fn bmm(&mut self, a: TensorId, b: TensorId, label: &str) -> Result<TensorId, AuditError> {
-        let v = self.flow.bmm(self.svar(a), self.svar(b))?;
-        Ok(self.record(v, OpKind::Bmm, vec![a, b], label))
-    }
-
-    /// Batched `[b, m, k] · [b, n, k]ᵀ`.
-    pub fn bmm_nt(
-        &mut self,
-        a: TensorId,
-        b: TensorId,
-        label: &str,
-    ) -> Result<TensorId, AuditError> {
-        let v = self.flow.bmm_nt(self.svar(a), self.svar(b))?;
-        Ok(self.record(v, OpKind::BmmNT, vec![a, b], label))
-    }
-
-    /// Multiply by a constant.
-    pub fn scale(&mut self, a: TensorId, factor: f64, label: &str) -> TensorId {
-        let v = self.flow.unary("scale", self.svar(a));
-        self.record(v, OpKind::Scale { factor }, vec![a], label)
-    }
-
-    /// Tanh-approximated GELU.
-    pub fn gelu(&mut self, a: TensorId, label: &str) -> TensorId {
-        let v = self.flow.unary("gelu", self.svar(a));
-        self.record(v, OpKind::Gelu, vec![a], label)
-    }
-
-    /// Softmax over the last axis.
-    pub fn softmax(&mut self, a: TensorId, label: &str) -> Result<TensorId, AuditError> {
-        let v = self.flow.softmax_last(self.svar(a))?;
-        Ok(self.record(v, OpKind::Softmax, vec![a], label))
-    }
-
-    /// Layer norm of `x` with affine `gamma`/`beta` and the runtime eps.
-    pub fn layer_norm(
-        &mut self,
-        x: TensorId,
-        gamma: TensorId,
-        beta: TensorId,
-        eps: f64,
-        label: &str,
-    ) -> Result<TensorId, AuditError> {
-        let v = self.flow.layer_norm(self.svar(x), self.svar(gamma), self.svar(beta))?;
-        Ok(self.record(v, OpKind::LayerNorm { eps }, vec![x, gamma, beta], label))
-    }
-
-    /// Column-wise concatenation.
-    pub fn concat_cols(&mut self, parts: &[TensorId], label: &str) -> Result<TensorId, AuditError> {
-        let svars: Vec<SVar> = parts.iter().map(|&p| self.svar(p)).collect();
-        let v = self.flow.concat_cols(&svars)?;
-        Ok(self.record(v, OpKind::ConcatCols, parts.to_vec(), label))
-    }
-
-    /// Row-wise concatenation.
-    pub fn concat_rows(&mut self, parts: &[TensorId], label: &str) -> Result<TensorId, AuditError> {
-        let svars: Vec<SVar> = parts.iter().map(|&p| self.svar(p)).collect();
-        let v = self.flow.concat_rows(&svars)?;
-        Ok(self.record(v, OpKind::ConcatRows, parts.to_vec(), label))
-    }
-
-    /// Element-preserving reshape.
+    /// Element-preserving reshape: element counts must agree.
     pub fn reshape(
         &mut self,
         a: TensorId,
         shape: Vec<usize>,
         label: &str,
     ) -> Result<TensorId, AuditError> {
-        let v = self.flow.reshape(self.svar(a), shape)?;
-        Ok(self.record(v, OpKind::Reshape, vec![a], label))
+        let s = self.shape(a);
+        let (old, new) = (s.iter().product::<usize>(), shape.iter().product::<usize>());
+        if old != new {
+            let detail = format!("cannot reshape {old} elements into {shape:?} ({new} elements)");
+            return Err(mismatch(OpKind::Reshape.name(), &[s], detail));
+        }
+        Ok(self.push(OpKind::Reshape, vec![a], shape, label))
     }
 
-    /// Axis permutation.
-    pub fn permute(
-        &mut self,
-        a: TensorId,
-        axes: &[usize],
-        label: &str,
-    ) -> Result<TensorId, AuditError> {
-        let v = self.flow.permute(self.svar(a), axes)?;
-        Ok(self.record(v, OpKind::Permute, vec![a], label))
-    }
-
-    /// Cross-entropy over `[n, c]` logits.
+    /// Cross-entropy of `[n, c]` logits against `n_targets` class
+    /// targets, each `< c`; yields a scalar `[1]`.
     pub fn cross_entropy(
         &mut self,
         logits: TensorId,
@@ -395,8 +407,16 @@ impl IrBuilder {
         max_target: Option<usize>,
         label: &str,
     ) -> Result<TensorId, AuditError> {
-        let v = self.flow.cross_entropy(self.svar(logits), n_targets, max_target)?;
-        Ok(self.record(v, OpKind::CrossEntropy, vec![logits], label))
+        let op = OpKind::CrossEntropy.name();
+        let s = self.shape(logits);
+        require_rank(op, s, 2)?;
+        if s[0] != n_targets {
+            return Err(mismatch(op, &[s], format!("{} logit rows vs {n_targets} targets", s[0])));
+        }
+        if let Some(index) = max_target.filter(|&t| t >= s[1]) {
+            return Err(AuditError::IndexOutOfRange { op, index, len: s[1] });
+        }
+        Ok(self.push(OpKind::CrossEntropy, vec![logits], vec![1], label))
     }
 
     // ------------------------------------------------------------------
@@ -419,15 +439,15 @@ impl IrBuilder {
             &format!("{name}.weight"),
         );
         let b = self.source(SourceKind::Bias, vec![d_out], &format!("{name}.bias"));
-        let y = self.matmul(x, w, &format!("{name}.matmul"))?;
-        self.add(y, b, &format!("{name}.out"))
+        let y = self.op(OpKind::MatMul, &[x, w], &format!("{name}.matmul"))?;
+        self.op(OpKind::Add, &[y, b], &format!("{name}.out"))
     }
 
     /// Mirror of `turl_nn::LayerNorm::forward` with fresh affine sources.
     fn ln(&mut self, x: TensorId, d: usize, eps: f64, name: &str) -> Result<TensorId, AuditError> {
         let g = self.source(SourceKind::Gamma, vec![d], &format!("{name}.gamma"));
         let b = self.source(SourceKind::Beta, vec![d], &format!("{name}.beta"));
-        self.layer_norm(x, g, b, eps, &format!("{name}.out"))
+        self.op(OpKind::LayerNorm { eps }, &[x, g, b], &format!("{name}.out"))
     }
 }
 
@@ -464,8 +484,8 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
         let w = b.gather(word_emb, &vec![p.n_words - 1; p.n_tokens], "embed.words")?;
         let t = b.gather(token_type_emb, &vec![1; p.n_tokens], "embed.token_types")?;
         let pos = b.gather(pos_emb, &vec![p.max_position - 1; p.n_tokens], "embed.positions")?;
-        let wt = b.add(w, t, "embed.word_type")?;
-        parts.push(b.add(wt, pos, "embed.tokens")?);
+        let wt = b.op(OpKind::Add, &[w, t], "embed.word_type")?;
+        parts.push(b.op(OpKind::Add, &[wt, pos], "embed.tokens")?);
     }
     if p.n_seq_entities > 0 {
         let ee = b.gather(ent_emb, &vec![p.n_entities; p.n_seq_entities], "embed.entities")?;
@@ -480,17 +500,18 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
                 vec![p.n_seq_entities, p.n_mention_tokens],
                 "embed.mention_avg",
             );
-            b.matmul(avg, rows, "embed.mention_means")?
+            b.op(OpKind::MatMul, &[avg, rows], "embed.mention_means")?
         } else {
             b.source(SourceKind::ZeroConst, vec![p.n_seq_entities, d], "embed.mention_zeros")
         };
-        let cat = b.concat_cols(&[ee, em], "embed.ent_cat")?;
+        let cat = b.op(OpKind::ConcatCols, &[ee, em], "embed.ent_cat")?;
         let fused = b.linear(cat, 2 * d, d, "fuse")?;
         let ent_type_emb = b.source(SourceKind::Table, vec![3, d], "ent_type_emb");
         let te = b.gather(ent_type_emb, &vec![2; p.n_seq_entities], "embed.ent_types")?;
-        parts.push(b.add(fused, te, "embed.ents")?);
+        parts.push(b.op(OpKind::Add, &[fused, te], "embed.ents")?);
     }
-    let x = if parts.len() == 1 { parts[0] } else { b.concat_rows(&parts, "embed.seq")? };
+    let x =
+        if parts.len() == 1 { parts[0] } else { b.op(OpKind::ConcatRows, &parts, "embed.seq")? };
     let mut h = b.ln(x, d, p.numerics.ln_eps, "ln_embed")?;
 
     // ---- Encoder stack (§4.3) ---------------------------------------
@@ -498,6 +519,8 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
     // constant node per pass.
     let mask = p.use_visibility.then(|| b.source(SourceKind::Mask, vec![n, n], "visibility_mask"));
     let inv_sqrt_dh = f64::from(1.0f32 / (dh as f32).sqrt());
+    // Head split and merge are the same swap: [n, h, dh] ⇄ [h, n, dh].
+    let swap_heads = || OpKind::Permute { axes: vec![1, 0, 2] };
     for i in 0..p.n_layers {
         let blk = format!("block{i}");
         // q/k/v are all projected before any head split (runtime order).
@@ -507,25 +530,26 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
         let mut heads = [q, k, v];
         for (t, nm) in heads.iter_mut().zip(["q", "k", "v"]) {
             let r = b.reshape(*t, vec![n, p.n_heads, dh], &format!("{blk}.att.{nm}_split"))?;
-            *t = b.permute(r, &[1, 0, 2], &format!("{blk}.att.{nm}_heads"))?;
+            *t = b.op(swap_heads(), &[r], &format!("{blk}.att.{nm}_heads"))?;
         }
-        let scores = b.bmm_nt(heads[0], heads[1], &format!("{blk}.att.scores"))?;
-        let scaled = b.scale(scores, inv_sqrt_dh, &format!("{blk}.att.scaled"));
+        let scores = b.op(OpKind::BmmNT, &[heads[0], heads[1]], &format!("{blk}.att.scores"))?;
+        let scaled =
+            b.op(OpKind::Scale { factor: inv_sqrt_dh }, &[scores], &format!("{blk}.att.scaled"))?;
         let logits = match mask {
-            Some(m) => b.mask(scaled, m, &format!("{blk}.att.masked"))?,
+            Some(m) => b.op(OpKind::Mask, &[scaled, m], &format!("{blk}.att.masked"))?,
             None => scaled,
         };
-        let probs = b.softmax(logits, &format!("{blk}.att.probs"))?;
-        let ctx = b.bmm(probs, heads[2], &format!("{blk}.att.ctx"))?;
-        let merged = b.permute(ctx, &[1, 0, 2], &format!("{blk}.att.merged"))?;
+        let probs = b.op(OpKind::Softmax, &[logits], &format!("{blk}.att.probs"))?;
+        let ctx = b.op(OpKind::Bmm, &[probs, heads[2]], &format!("{blk}.att.ctx"))?;
+        let merged = b.op(swap_heads(), &[ctx], &format!("{blk}.att.merged"))?;
         let flat = b.reshape(merged, vec![n, d], &format!("{blk}.att.flat"))?;
         let att = b.linear(flat, d, d, &format!("{blk}.att.wo"))?;
-        let res1 = b.add(h, att, &format!("{blk}.res1"))?;
+        let res1 = b.op(OpKind::Add, &[h, att], &format!("{blk}.res1"))?;
         let h1 = b.ln(res1, d, p.numerics.ln_eps, &format!("{blk}.ln1"))?;
         let ff1 = b.linear(h1, d, p.d_intermediate, &format!("{blk}.ffn.lin1"))?;
-        let act = b.gelu(ff1, &format!("{blk}.ffn.gelu"));
+        let act = b.op(OpKind::Gelu, &[ff1], &format!("{blk}.ffn.gelu"))?;
         let ff2 = b.linear(act, p.d_intermediate, d, &format!("{blk}.ffn.lin2"))?;
-        let res2 = b.add(h1, ff2, &format!("{blk}.res2"))?;
+        let res2 = b.op(OpKind::Add, &[h1, ff2], &format!("{blk}.res2"))?;
         h = b.ln(res2, d, p.numerics.ln_eps, &format!("{blk}.ln2"))?;
     }
 
@@ -535,7 +559,7 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
         // MLM rows index token positions (< n_tokens ≤ n).
         let sel = b.gather(h, &vec![p.n_tokens - 1; p.n_mlm_targets], "mlm.rows")?;
         let proj = b.linear(sel, d, d, "mlm.proj")?;
-        let logits = b.matmul_nt(proj, word_emb, "mlm.logits")?;
+        let logits = b.op(OpKind::MatMulNT, &[proj, word_emb], "mlm.logits")?;
         losses.push(b.cross_entropy(logits, p.n_mlm_targets, Some(p.n_words - 1), "mlm.loss")?);
     }
     if p.n_mer_targets > 0 {
@@ -544,7 +568,7 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
         let proj = b.linear(sel, d, d, "mer.proj")?;
         // Candidate ids are shifted by one past the [MASK] row.
         let cand = b.gather(ent_emb, &vec![p.n_entities; p.n_candidates], "mer.candidates")?;
-        let logits = b.matmul_nt(proj, cand, "mer.logits")?;
+        let logits = b.op(OpKind::MatMulNT, &[proj, cand], "mer.logits")?;
         losses.push(b.cross_entropy(
             logits,
             p.n_mer_targets,
@@ -554,7 +578,7 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
     }
     if losses.len() == 2 {
         // The trainer sums the head losses into one backward root.
-        b.add(losses[0], losses[1], "loss")?;
+        b.op(OpKind::Add, &losses, "loss")?;
     }
 
     Ok(b.finish(p.numerics))
@@ -629,6 +653,159 @@ mod tests {
             n_candidates: 64,
             numerics: PlanNumerics::default(),
         }
+    }
+
+    /// A builder holding one source per shape, in order.
+    fn sources(shapes: &[&[usize]]) -> (IrBuilder, Vec<TensorId>) {
+        let mut b = IrBuilder::new();
+        let ids = shapes.iter().map(|s| b.source(SourceKind::Table, s.to_vec(), "t")).collect();
+        (b, ids)
+    }
+
+    fn shape_of(b: &IrBuilder, t: TensorId) -> &[usize] {
+        &b.nodes[t.index()].shape
+    }
+
+    #[test]
+    fn matmul_infers_product_shape() {
+        let (mut b, t) = sources(&[&[4, 312], &[312, 1200], &[12, 4, 26], &[12, 7, 26]]);
+        let c = b.op(OpKind::MatMul, &[t[0], t[1]], "c").expect("shapes compatible");
+        assert_eq!(shape_of(&b, c), &[4, 1200]);
+        let nt = b.op(OpKind::MatMulNT, &[t[0], t[0]], "nt").expect("shared inner dim");
+        assert_eq!(shape_of(&b, nt), &[4, 4]);
+        let scores = b.op(OpKind::BmmNT, &[t[2], t[3]], "scores").expect("shared inner dim");
+        assert_eq!(shape_of(&b, scores), &[12, 4, 7]);
+        let ctx = b.op(OpKind::Bmm, &[scores, t[3]], "ctx").expect("inner dims agree");
+        assert_eq!(shape_of(&b, ctx), &[12, 4, 26]);
+    }
+
+    #[test]
+    fn matmul_rejects_inner_dim_mismatch() {
+        let (mut b, t) = sources(&[&[4, 312], &[300, 1200]]);
+        let err = b.op(OpKind::MatMul, &[t[0], t[1]], "c").expect_err("inner dims differ");
+        match err {
+            AuditError::ShapeMismatch { op, shapes, detail } => {
+                assert_eq!(op, "matmul");
+                assert_eq!(shapes, vec![vec![4, 312], vec![300, 1200]]);
+                assert!(detail.contains("312") && detail.contains("300"));
+            }
+            other => panic!("wrong error: {other}"),
+        }
+        assert!(b.nodes.len() == 2, "a rejected op records no node");
+    }
+
+    #[test]
+    fn every_product_rejects_inner_batch_and_rank_mismatch() {
+        let (mut b, t) =
+            sources(&[&[4, 8], &[5, 9], &[2, 4, 8], &[3, 4, 8], &[2, 5, 9], &[2, 9, 5]]);
+        let mut detail_of = |kind: OpKind, x: usize, y: usize| {
+            let name = kind.name();
+            match b.op(kind, &[t[x], t[y]], "bad").expect_err("operands cannot combine") {
+                AuditError::ShapeMismatch { op, detail, .. } => {
+                    assert_eq!(op, name);
+                    detail
+                }
+                other => panic!("wrong error: {other}"),
+            }
+        };
+        assert!(detail_of(OpKind::MatMulNT, 0, 1).contains("inner dims 8 vs 9"));
+        assert!(detail_of(OpKind::Bmm, 2, 3).contains("batch dims 2 vs 3"));
+        assert!(detail_of(OpKind::BmmNT, 2, 3).contains("batch dims 2 vs 3"));
+        assert!(detail_of(OpKind::Bmm, 2, 4).contains("inner dims 8 vs 5"));
+        assert!(detail_of(OpKind::BmmNT, 2, 5).contains("inner dims 8 vs 5"));
+        assert!(detail_of(OpKind::MatMul, 0, 2).contains("expected rank 2"));
+        assert!(detail_of(OpKind::Bmm, 0, 2).contains("expected rank 3"));
+    }
+
+    #[test]
+    fn broadcast_add_follows_numpy_rules() {
+        let (mut b, t) = sources(&[&[12, 8, 8], &[8, 8], &[7, 8]]);
+        let c = b.op(OpKind::Add, &[t[0], t[1]], "c").expect("broadcastable");
+        assert_eq!(shape_of(&b, c), &[12, 8, 8]);
+        assert!(b.op(OpKind::Add, &[t[0], t[2]], "bad").is_err());
+        // The attention mask is an add: a mask of the wrong shape fails
+        // the same way.
+        let m = b.op(OpKind::Mask, &[t[0], t[1]], "m").expect("[n, n] broadcasts over heads");
+        assert_eq!(shape_of(&b, m), &[12, 8, 8]);
+        assert!(matches!(
+            b.op(OpKind::Mask, &[t[0], t[2]], "bad"),
+            Err(AuditError::ShapeMismatch { op: "mask", .. })
+        ));
+    }
+
+    #[test]
+    fn permute_validates_axes() {
+        let (mut b, t) = sources(&[&[2, 3, 4]]);
+        let p = b.op(OpKind::Permute { axes: vec![1, 0, 2] }, &[t[0]], "p").expect("valid");
+        assert_eq!(shape_of(&b, p), &[3, 2, 4]);
+        assert_eq!(b.nodes[p.index()].kind, OpKind::Permute { axes: vec![1, 0, 2] });
+        for axes in [vec![0, 0, 2], vec![0, 1], vec![0, 1, 3]] {
+            assert!(b.op(OpKind::Permute { axes }, &[t[0]], "bad").is_err());
+        }
+    }
+
+    #[test]
+    fn reshape_checks_element_count() {
+        let (mut b, t) = sources(&[&[6, 4]]);
+        assert!(b.reshape(t[0], vec![8, 3], "ok").is_ok());
+        assert!(matches!(
+            b.reshape(t[0], vec![5, 5], "bad"),
+            Err(AuditError::ShapeMismatch { op: "reshape", .. })
+        ));
+    }
+
+    #[test]
+    fn index_select_rejects_out_of_range_rows() {
+        let (mut b, t) = sources(&[&[10, 312]]);
+        let ok = b.gather(t[0], &[0, 9, 3], "ok").expect("in range");
+        assert_eq!(shape_of(&b, ok), &[3, 312]);
+        match b.gather(t[0], &[0, 10], "bad").expect_err("row 10 invalid") {
+            AuditError::IndexOutOfRange { index, len, .. } => {
+                assert_eq!((index, len), (10, 10));
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn layer_norm_checks_affine_shapes() {
+        let (mut b, t) = sources(&[&[5, 16], &[16], &[15]]);
+        let ln = OpKind::LayerNorm { eps: 1e-5 };
+        let y = b.op(ln.clone(), &[t[0], t[1], t[1]], "y").expect("affine matches last dim");
+        assert_eq!(shape_of(&b, y), &[5, 16]);
+        match b.op(ln, &[t[0], t[1], t[2]], "bad").expect_err("beta is [15]") {
+            AuditError::ShapeMismatch { op, shapes, detail } => {
+                assert_eq!(op, "layer_norm");
+                assert_eq!(shapes, vec![vec![5, 16], vec![15]]);
+                assert!(detail.contains("beta"), "{detail}");
+            }
+            other => panic!("wrong error: {other}"),
+        }
+    }
+
+    #[test]
+    fn cross_entropy_checks_rows_and_target_range() {
+        let (mut b, t) = sources(&[&[5, 100]]);
+        assert!(b.cross_entropy(t[0], 5, Some(99), "ok").is_ok());
+        assert!(matches!(
+            b.cross_entropy(t[0], 4, None, "bad"),
+            Err(AuditError::ShapeMismatch { op: "cross_entropy", .. })
+        ));
+        assert!(matches!(
+            b.cross_entropy(t[0], 5, Some(100), "bad"),
+            Err(AuditError::IndexOutOfRange { index: 100, len: 100, .. })
+        ));
+    }
+
+    #[test]
+    fn concat_validates_partner_dims() {
+        let (mut b, t) = sources(&[&[4, 8], &[4, 3], &[5, 8]]);
+        let cat = b.op(OpKind::ConcatCols, &[t[0], t[1]], "cat").expect("same rows");
+        assert_eq!(shape_of(&b, cat), &[4, 11]);
+        assert!(b.op(OpKind::ConcatCols, &[t[0], t[2]], "bad").is_err());
+        let rows = b.op(OpKind::ConcatRows, &[t[0], t[2]], "rows").expect("same width");
+        assert_eq!(shape_of(&b, rows), &[9, 8]);
+        assert!(b.op(OpKind::ConcatRows, &[t[0], t[1]], "bad").is_err());
     }
 
     #[test]

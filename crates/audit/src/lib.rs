@@ -1,21 +1,21 @@
 //! `turl-audit`: static analysis for the TURL workspace.
 //!
-//! Four auditors, allocation-free with respect to model state (the
-//! parity auditor only reads gradients already held by the stores):
+//! Auditors, allocation-free with respect to model state (the parity
+//! auditor only reads gradients already held by the stores):
 //!
-//! * [`ShapeFlow`] ([`shape`]) — a symbolic twin of the autograd graph
-//!   that pushes *shapes* through every op the runtime supports, and
-//!   [`check_model_plan`] ([`plan`]) which replays an entire TURL forward
-//!   pass (embeddings → masked Transformer stack → MLM/MER heads) from a
-//!   [`ModelPlan`] without allocating a single model-sized tensor.
-//! * [`lower_model_plan`] ([`ir`]) — lowers a plan to a typed dataflow
-//!   IR over which [`analyze_model_plan`] ([`plan`]) runs value-range
-//!   abstract interpretation ([`range`]: intervals + NaN/inf/−0 flags,
-//!   proving masked logits vanish and normalizers stay nonzero) and
+//! * [`lower_model_plan`] ([`ir`]) — lowers a [`ModelPlan`] to a typed
+//!   dataflow IR of an entire TURL forward pass (embeddings → masked
+//!   Transformer stack → MLM/MER heads) without allocating a single
+//!   model-sized tensor. The IR is the one static description of the
+//!   forward: [`IrBuilder`] infers and checks every node's shape from
+//!   its operands as it records them, and over the result
+//!   [`analyze_model_plan`] ([`plan`]) runs value-range abstract
+//!   interpretation ([`range`]: intervals + NaN/inf/−0 flags, proving
+//!   masked logits vanish and normalizers stay nonzero) and
 //!   buffer-liveness arena planning ([`liveness`]: first-def/last-use →
-//!   greedy best-fit [`ArenaPlan`] with an honest `peak_bytes`).
-//!   [`align_with_graph`] pairs the IR against a real autograd tape to
-//!   catch adapter drift.
+//!   greedy best-fit [`ArenaPlan`] with an honest `peak_bytes`);
+//!   [`check_model_plan`] is the pass/fail wrapper. [`align_with_graph`]
+//!   pairs the IR against a real autograd tape to catch drift.
 //! * [`audit_tape`] ([`tape`]) — walks a built `turl_tensor::Graph` and
 //!   verifies the invariants backprop relies on: topological parent
 //!   order, gradient/value shape agreement, no orphaned grad leaves, and
@@ -47,7 +47,6 @@ pub mod parallel;
 pub mod plan;
 pub mod range;
 pub mod resume;
-pub mod shape;
 pub mod tape;
 pub mod visibility;
 
@@ -67,7 +66,6 @@ pub use plan::{
 };
 pub use range::{analyze_ranges, analyze_ranges_with, quantized_range, RangeAnalysis, ValueRange};
 pub use resume::check_value_parity;
-pub use shape::{SVar, ShapeFlow};
 pub use tape::{audit_tape, TapeReport};
 pub use visibility::{
     lint_additive_mask, lint_visibility, validate_masking_config, MaskingRatios, VisibilityReport,

@@ -219,7 +219,7 @@ pub fn plan_arena(ir: &Ir) -> ArenaPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{IrBuilder, SourceKind};
+    use crate::ir::{IrBuilder, OpKind, SourceKind};
     use crate::plan::PlanNumerics;
 
     /// A straight a → b → c → d chain: each tensor dies as soon as its
@@ -228,9 +228,9 @@ mod tests {
         let mut b = IrBuilder::new();
         let src = b.source(SourceKind::Table, vec![4, 8], "t");
         let a = b.gather(src, &[0, 1], "a").unwrap(); // [2, 8]
-        let g1 = b.gelu(a, "g1"); // reads a
-        let g2 = b.gelu(g1, "g2"); // reads g1; a is dead
-        b.gelu(g2, "g3"); // reads g2; g1 dead
+        let g1 = b.op(OpKind::Gelu, &[a], "g1").unwrap(); // reads a
+        let g2 = b.op(OpKind::Gelu, &[g1], "g2").unwrap(); // reads g1; a is dead
+        b.op(OpKind::Gelu, &[g2], "g3").unwrap(); // reads g2; g1 dead
         b.finish(PlanNumerics::default())
     }
 
@@ -259,9 +259,9 @@ mod tests {
         let mut b = IrBuilder::new();
         let src = b.source(SourceKind::Table, vec![4, 4], "t");
         let a = b.gather(src, &[0], "a").unwrap();
-        let x = b.gelu(a, "x");
-        let y = b.gelu(a, "y"); // a still live here
-        b.add(x, y, "z").unwrap(); // x and y live simultaneously
+        let x = b.op(OpKind::Gelu, &[a], "x").unwrap();
+        let y = b.op(OpKind::Gelu, &[a], "y").unwrap(); // a still live here
+        b.op(OpKind::Add, &[x, y], "z").unwrap(); // x and y live simultaneously
         let plan = plan_arena(&b.finish(PlanNumerics::default()));
         // a, x, y all overlap pairwise at some point: ≥ 3 slots.
         assert!(plan.slots.len() >= 3, "{} slots", plan.slots.len());
@@ -321,12 +321,14 @@ mod tests {
     fn best_fit_prefers_the_smallest_free_slot() {
         let mut b = IrBuilder::new();
         let src = b.source(SourceKind::Table, vec![64, 8], "t");
-        let s = b.gather(src, &[0; 2], "s").unwrap(); // 64 B
-        let _gs = b.gelu(s, "gs"); // s dies here; gs is an output
-        let m = b.gather(src, &[0; 4], "m").unwrap(); // 128 B, opens a new slot
-        let _gm = b.gelu(m, "gm"); // m dies here; gm is an output
-                                   // Defined after both the 64 B and the 128 B slot are free: best
-                                   // fit must place it in the 64 B slot, not the larger one.
+        // s (64 B) dies at gs, m (128 B, a new slot) at gm; gs and gm are
+        // outputs.
+        let s = b.gather(src, &[0; 2], "s").unwrap();
+        let _gs = b.op(OpKind::Gelu, &[s], "gs").unwrap();
+        let m = b.gather(src, &[0; 4], "m").unwrap();
+        let _gm = b.op(OpKind::Gelu, &[m], "gm").unwrap();
+        // Defined after both the 64 B and the 128 B slot are free: best
+        // fit must place it in the 64 B slot, not the larger one.
         b.gather(src, &[0; 2], "t_last").unwrap();
         let plan = plan_arena(&b.finish(PlanNumerics::default()));
         let reused_small = plan

@@ -121,7 +121,7 @@ fn bad(field: &'static str, detail: String) -> AuditError {
     AuditError::BadConfig { field, detail }
 }
 
-/// Validate the plan's scalar fields before replaying any ops.
+/// Validate the plan's scalar fields before lowering any ops.
 pub(crate) fn check_plan_fields(p: &ModelPlan) -> Result<(), AuditError> {
     if p.n_layers == 0 {
         return Err(bad("n_layers", "encoder needs at least one block".into()));
@@ -184,7 +184,6 @@ pub fn analyze_model_plan_with(
     plan: &ModelPlan,
     overrides: &[(String, crate::range::ValueRange)],
 ) -> Result<PlanAnalysis, AuditError> {
-    check_plan_fields(plan)?;
     let ir = lower_model_plan(plan)?;
     let ranges = crate::range::analyze_ranges_with(&ir, overrides);
     let arena = plan_arena(&ir);

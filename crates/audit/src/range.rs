@@ -448,7 +448,7 @@ pub fn analyze_ranges_with(ir: &Ir, overrides: &[(String, ValueRange)]) -> Range
                 .unwrap_or_else(|| source_range(ir, kind)),
             // Gathered rows take the table's range; reshapes, permutes
             // and concats move values without changing them.
-            OpKind::Gather | OpKind::Reshape | OpKind::Permute => input(0),
+            OpKind::Gather | OpKind::Reshape | OpKind::Permute { .. } => input(0),
             OpKind::ConcatCols | OpKind::ConcatRows => {
                 let mut acc = input(0);
                 for i in 1..node.inputs.len() {

@@ -2,17 +2,20 @@
 //! forward pass, every concrete value of every intermediate tensor must
 //! lie within the abstract range predicted for the matching IR tensor.
 //!
-//! The harness builds a tiny `TurlModel`, runs the same forward the
+//! The harness builds a `TurlModel`, runs the same forward the
 //! pre-trainer runs (encode + MLM head + MER head + summed loss),
 //! aligns the autograd tape with the lowered IR node-by-node, and
 //! checks containment element-by-element. Any transfer function that
-//! under-approximates (a bound tighter than reality) fails here.
+//! under-approximates (a bound tighter than reality) fails here — and
+//! so does any drift between the `TurlConfig → ModelPlan` adapter, the
+//! lowering and the model: the alignment demands the same op count and
+//! the same shape at every op.
 
 use proptest::prelude::*;
-use proptest::TestCaseError;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use turl_audit::{align_with_graph, analyze_ranges, lower_model_plan};
+use turl_audit::{align_with_graph, analyze_ranges, lower_model_plan, ModelPlan};
+use turl_core::audit::{model_plan, plan_for_input};
 use turl_core::{EncodedInput, EntityInput, TurlConfig, TurlModel};
 use turl_nn::{Forward, ParamStore};
 use turl_tensor::Tensor;
@@ -57,59 +60,53 @@ fn build_input(seed: u64, use_mask: bool) -> EncodedInput {
     }
 }
 
-/// Run the pre-trainer's forward (encode, both heads, summed loss) and
-/// assert every aligned tensor's concrete values sit inside the
-/// abstract prediction.
-fn assert_forward_within_ranges(seed: u64, use_mask: bool) -> Result<(), TestCaseError> {
-    let cfg = TurlConfig { use_visibility: use_mask, ..TurlConfig::tiny(seed) };
+/// Run the pre-trainer's forward (encode, both heads, summed loss) on
+/// `input`, align its tape with the IR lowered from the adapted plan —
+/// same computed-op count, same shape at every op — and assert every
+/// aligned tensor's concrete values sit inside the abstract prediction.
+/// `training` records the tape under `Forward::new` and backpropagates
+/// through it; dropout must then be zero, since the IR does not model
+/// its mask-multiply nodes.
+fn assert_forward_within_ranges(cfg: TurlConfig, seed: u64, input: &EncodedInput, training: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
     let model = TurlModel::new(&mut store, &mut rng, cfg, N_WORDS, N_KB_ENTITIES);
-    let input = build_input(seed, use_mask);
-    let n_mention_tokens: usize = input.entities.iter().map(|e| e.mention.len()).sum();
 
-    let plan = turl_core::audit::model_plan(
-        &cfg,
-        N_WORDS,
-        N_KB_ENTITIES,
-        N_TOKENS,
-        N_SEQ_ENTITIES,
-        n_mention_tokens,
-        N_MLM,
-        N_MER,
-        CANDIDATES.len(),
-    );
-    let ir = lower_model_plan(&plan).expect("tiny plan lowers");
+    let plan = ModelPlan {
+        n_mlm_targets: N_MLM,
+        n_mer_targets: N_MER,
+        n_candidates: CANDIDATES.len(),
+        ..plan_for_input(model_plan(&cfg, N_WORDS, N_KB_ENTITIES), input)
+    };
+    let ir = lower_model_plan(&plan).expect("plan lowers");
     let analysis = analyze_ranges(&ir);
-    prop_assert!(
-        analysis.errors.is_empty(),
-        "tiny plan must analyze clean, got {:?}",
-        analysis.errors
-    );
+    assert!(analysis.errors.is_empty(), "plan must analyze clean, got {:?}", analysis.errors);
 
-    let mut f = Forward::inference(&store);
-    let h = model.encode(&mut f, &store, &mut rng, &input);
+    let mut f = if training { Forward::new(&store) } else { Forward::inference(&store) };
+    let h = model.encode(&mut f, &store, &mut rng, input);
     let mlm_logits = model.mlm_logits(&mut f, &store, h, &[0, 1]);
     let mlm = f.graph.cross_entropy(mlm_logits, &[3, 4]);
     let rows = [input.entity_row(0), input.entity_row(1)];
     let mer_logits = model.mer_logits(&mut f, &store, h, &rows, &CANDIDATES);
     let mer = f.graph.cross_entropy(mer_logits, &[0, 1]);
-    let _loss = f.graph.add(mlm, mer);
+    let loss = f.graph.add(mlm, mer);
+    if training {
+        f.backprop(loss, &mut store);
+    }
 
     let pairs = align_with_graph(&ir, &f.graph).expect("IR aligns with the real tape");
+    assert_eq!(pairs.len(), ir.op_ids().count(), "every computed IR node pairs with a tape op");
     for (tid, var) in pairs {
         let node = ir.node_at(tid.index());
         let range = analysis.ranges[tid.index()];
-        let concrete = f.graph.value(var);
-        for (i, &v) in concrete.data().iter().enumerate() {
-            prop_assert!(
+        for (i, &v) in f.graph.value(var).data().iter().enumerate() {
+            assert!(
                 range.contains(v),
-                "seed {seed} mask {use_mask}: `{}` element {i} = {v:e} escapes {range}",
+                "seed {seed}: `{}` element {i} = {v:e} escapes {range}",
                 node.label
             );
         }
     }
-    Ok(())
 }
 
 proptest! {
@@ -119,7 +116,8 @@ proptest! {
     fn concrete_forward_stays_within_abstract_ranges(
         seed in 0u64..1000, use_mask in any::<bool>()
     ) {
-        assert_forward_within_ranges(seed, use_mask)?;
+        let cfg = TurlConfig { use_visibility: use_mask, ..TurlConfig::tiny(seed) };
+        assert_forward_within_ranges(cfg, seed, &build_input(seed, use_mask), false);
     }
 }
 
@@ -128,42 +126,23 @@ fn empty_mentions_are_sound_too() {
     // All-empty mentions exercise the ZeroConst lowering branch, whose
     // runtime twin is a constant-zeros leaf rather than a matmul.
     let cfg = TurlConfig { use_visibility: false, ..TurlConfig::tiny(7) };
-    let mut rng = StdRng::seed_from_u64(7);
-    let mut store = ParamStore::new();
-    let model = TurlModel::new(&mut store, &mut rng, cfg, N_WORDS, N_KB_ENTITIES);
     let mut input = build_input(7, false);
     for e in &mut input.entities {
         e.mention.clear();
     }
-    let plan = turl_core::audit::model_plan(
-        &cfg,
-        N_WORDS,
-        N_KB_ENTITIES,
-        N_TOKENS,
-        N_SEQ_ENTITIES,
-        0,
-        N_MLM,
-        N_MER,
-        CANDIDATES.len(),
-    );
-    let ir = lower_model_plan(&plan).expect("plan with empty mentions lowers");
-    let analysis = analyze_ranges(&ir);
-    assert!(analysis.errors.is_empty());
+    assert_forward_within_ranges(cfg, 7, &input, false);
+}
 
-    let mut f = Forward::inference(&store);
-    let h = model.encode(&mut f, &store, &mut rng, &input);
-    let mlm_logits = model.mlm_logits(&mut f, &store, h, &[0, 1]);
-    let mlm = f.graph.cross_entropy(mlm_logits, &[3, 4]);
-    let rows = [input.entity_row(0), input.entity_row(1)];
-    let mer_logits = model.mer_logits(&mut f, &store, h, &rows, &CANDIDATES);
-    let mer = f.graph.cross_entropy(mer_logits, &[0, 1]);
-    let _loss = f.graph.add(mlm, mer);
+#[test]
+fn tiny_training_forward_matches_adapted_plan() {
+    // `Forward::new` + backprop: the tape a pre-training step records.
+    let mut cfg = TurlConfig::tiny(3);
+    cfg.encoder.dropout = 0.0;
+    assert_forward_within_ranges(cfg, 3, &build_input(3, true), true);
+}
 
-    let pairs = align_with_graph(&ir, &f.graph).expect("empty-mention IR aligns");
-    for (tid, var) in pairs {
-        let range = analysis.ranges[tid.index()];
-        for &v in f.graph.value(var).data() {
-            assert!(range.contains(v), "{} escapes {range}", ir.node_at(tid.index()).label);
-        }
-    }
+#[test]
+fn small_inference_forward_matches_adapted_plan() {
+    // The experiment harness's config: wider, deeper, more heads.
+    assert_forward_within_ranges(TurlConfig::small(5), 5, &build_input(5, true), false);
 }

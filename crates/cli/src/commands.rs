@@ -587,18 +587,10 @@ fn infer_artifact(s: &Setup, opts: &Options, artifact: &str) -> Result<(), Strin
     // the quantized sources' actual dequantization bounds.
     if n_quant > 0 {
         let (_, enc) = &data[0];
-        let mut plan = turl_core::audit::model_plan(
-            &s.cfg,
-            pt.model.word_emb.vocab,
-            pt.model.n_entities(),
-            enc.token_ids.len(),
-            enc.entities.len(),
-            enc.entities.iter().map(|e| e.mention.len()).sum(),
-            0,
-            0,
-            0,
+        let plan = turl_core::audit::plan_for_input(
+            turl_core::audit::model_plan(&s.cfg, pt.model.word_emb.vocab, pt.model.n_entities()),
+            enc,
         );
-        plan.use_visibility = enc.mask.is_some();
         let overrides = quant_range_overrides(&store);
         let analysis =
             turl_audit::analyze_model_plan_with(&plan, &overrides).map_err(|e| e.to_string())?;
@@ -698,24 +690,15 @@ fn infer_artifact(s: &Setup, opts: &Options, artifact: &str) -> Result<(), Strin
 fn paper_scale_plan(opts: &Options) -> Result<turl_audit::ModelPlan, String> {
     let words = opts.get_usize("words", 30_522)?;
     let entities = opts.get_usize("plan-entities", 926_135)?;
-    let tokens = opts.get_usize("tokens", 24)?;
-    let seq_entities = opts.get_usize("seq-entities", 20)?;
-    let mention_tokens = opts.get_usize("mention-tokens", 40)?;
-    let mlm = opts.get_usize("mlm", 5)?;
-    let mer = opts.get_usize("mer", 12)?;
-    let candidates = opts.get_usize("candidates", 64)?;
-    let cfg = TurlConfig::paper();
-    let mut plan = turl_core::audit::model_plan(
-        &cfg,
-        words,
-        entities,
-        tokens,
-        seq_entities,
-        mention_tokens,
-        mlm,
-        mer,
-        candidates.min(entities.max(1)),
-    );
+    let mut plan = turl_audit::ModelPlan {
+        n_tokens: opts.get_usize("tokens", 24)?,
+        n_seq_entities: opts.get_usize("seq-entities", 20)?,
+        n_mention_tokens: opts.get_usize("mention-tokens", 40)?,
+        n_mlm_targets: opts.get_usize("mlm", 5)?,
+        n_mer_targets: opts.get_usize("mer", 12)?,
+        n_candidates: opts.get_usize("candidates", 64)?.min(entities.max(1)),
+        ..turl_core::audit::model_plan(&TurlConfig::paper(), words, entities)
+    };
     let eps = opts.get("eps", "");
     if !eps.is_empty() {
         plan.numerics.ln_eps =
@@ -731,6 +714,7 @@ fn paper_scale_plan(opts: &Options) -> Result<turl_audit::ModelPlan, String> {
 /// escaping f32, degenerate normalizer) is found.
 pub fn plan(opts: &Options) -> Result<(), String> {
     let plan = paper_scale_plan(opts)?;
+    let ir = turl_audit::lower_model_plan(&plan).map_err(|e| e.to_string())?;
     // --int8-scale S: analyze the quantized-weight variant of the plan,
     // where every embedding table and linear weight dequantizes from
     // int8 blocks with per-block scale ≤ S — i.e. values in ±127·S.
@@ -741,7 +725,6 @@ pub fn plan(opts: &Options) -> Result<(), String> {
         let scale: f64 = scale_s
             .parse()
             .map_err(|_| format!("--int8-scale expects a number, got `{scale_s}`"))?;
-        let ir = turl_audit::lower_model_plan(&plan).map_err(|e| e.to_string())?;
         let r = turl_audit::quantized_range(scale);
         ir.nodes()
             .iter()
@@ -762,16 +745,16 @@ pub fn plan(opts: &Options) -> Result<(), String> {
             overrides.len()
         ));
     }
-    let analysis =
-        turl_audit::analyze_model_plan_with(&plan, &overrides).map_err(|e| e.to_string())?;
+    let analysis = turl_audit::analyze_ranges_with(&ir, &overrides);
+    let arena = turl_audit::plan_arena(&ir);
 
     info(format!(
         "plan: {} layers, d_model {}, {} heads, ln_eps {:e}, mask penalty {:e}",
         plan.n_layers, plan.d_model, plan.n_heads, plan.numerics.ln_eps, plan.numerics.mask_penalty
     ));
-    info(format!("ir: {} nodes", analysis.ir.len()));
+    info(format!("ir: {} nodes", ir.len()));
     info(format!("  {:>4}  {:<26} {:<12} {:<16} value range", "id", "tensor", "op", "shape"));
-    for (i, node) in analysis.ir.nodes().iter().enumerate() {
+    for (i, node) in ir.nodes().iter().enumerate() {
         info(format!(
             "  {:>4}  {:<26} {:<12} {:<16} {}",
             i,
@@ -787,7 +770,6 @@ pub fn plan(opts: &Options) -> Result<(), String> {
              (invisible pairs provably contribute nothing)"
         ));
     }
-    let arena = &analysis.arena;
     info(format!(
         "arena: {} slots | peak {} bytes | naive total {} bytes | reuse factor {:.2}x",
         arena.slots.len(),
@@ -797,7 +779,7 @@ pub fn plan(opts: &Options) -> Result<(), String> {
     ));
     for (i, slot) in arena.slots.iter().enumerate().take(12) {
         let tenants: Vec<&str> =
-            slot.tenants.iter().map(|id| analysis.ir.node_at(id.index()).label.as_str()).collect();
+            slot.tenants.iter().map(|id| ir.node_at(id.index()).label.as_str()).collect();
         info(format!(
             "  slot {:>3}: {:>12} bytes, {} tenant(s): {}",
             i,

@@ -7,6 +7,7 @@
 //! ratio validation that every constructed model must pass.
 
 use crate::config::TurlConfig;
+use crate::input::EncodedInput;
 use turl_audit::{
     check_model_plan, validate_masking_config, AuditError, ModelPlan, PlanNumerics, PlanReport,
 };
@@ -22,21 +23,13 @@ const PROBE_MLM_TARGETS: usize = 2;
 const PROBE_MER_TARGETS: usize = 2;
 const PROBE_CANDIDATES: usize = 8;
 
-/// Build the symbolic forward plan for `cfg` at an explicit sequence
-/// shape. `n_entities` excludes the `[MASK]` row, matching
-/// `TurlModel::new`.
-#[allow(clippy::too_many_arguments)]
-pub fn model_plan(
-    cfg: &TurlConfig,
-    n_words: usize,
-    n_entities: usize,
-    n_tokens: usize,
-    n_seq_entities: usize,
-    n_mention_tokens: usize,
-    n_mlm_targets: usize,
-    n_mer_targets: usize,
-    n_candidates: usize,
-) -> ModelPlan {
+/// The config-level forward plan: every [`ModelPlan`] field `cfg` and
+/// the vocabulary sizes determine, with an empty sequence and no
+/// pre-training heads. `n_entities` excludes the `[MASK]` row, matching
+/// `TurlModel::new`. Callers fill the sequence from an input with
+/// [`plan_for_input`], or name explicit numbers (and head sizes) with
+/// struct update syntax.
+pub fn model_plan(cfg: &TurlConfig, n_words: usize, n_entities: usize) -> ModelPlan {
     ModelPlan {
         n_layers: cfg.encoder.n_layers,
         d_model: cfg.encoder.d_model,
@@ -45,19 +38,32 @@ pub fn model_plan(
         n_words,
         n_entities,
         max_position: cfg.max_position,
-        n_tokens,
-        n_seq_entities,
-        n_mention_tokens,
+        n_tokens: 0,
+        n_seq_entities: 0,
+        n_mention_tokens: 0,
         use_visibility: cfg.use_visibility,
-        n_mlm_targets,
-        n_mer_targets,
-        n_candidates,
+        n_mlm_targets: 0,
+        n_mer_targets: 0,
+        n_candidates: 0,
         numerics: PlanNumerics {
             ln_eps: f64::from(cfg.encoder.ln_eps),
             // The runtime uses -1e9 (see EncodedInput::mask construction);
             // embedding tables keep the default N(0, 0.02) sampler bound.
             ..PlanNumerics::default()
         },
+    }
+}
+
+/// `base` at the sequence shape of `input`. Masking follows the input,
+/// not the config: the runtime applies a visibility mask exactly when
+/// the input carries one.
+pub fn plan_for_input(base: ModelPlan, input: &EncodedInput) -> ModelPlan {
+    ModelPlan {
+        n_tokens: input.token_ids.len(),
+        n_seq_entities: input.entities.len(),
+        n_mention_tokens: input.entities.iter().map(|e| e.mention.len()).sum(),
+        use_visibility: input.mask.is_some(),
+        ..base
     }
 }
 
@@ -75,17 +81,15 @@ pub fn validate_config(
         cfg.pretrain.mer_select_ratio,
         cfg.pretrain.mer_mention_keep_share,
     )?;
-    let plan = model_plan(
-        cfg,
-        n_words,
-        n_entities,
-        PROBE_TOKENS,
-        PROBE_ENTITIES,
-        PROBE_MENTION_TOKENS,
-        PROBE_MLM_TARGETS,
-        PROBE_MER_TARGETS,
-        PROBE_CANDIDATES.min(n_entities.max(1)),
-    );
+    let plan = ModelPlan {
+        n_tokens: PROBE_TOKENS,
+        n_seq_entities: PROBE_ENTITIES,
+        n_mention_tokens: PROBE_MENTION_TOKENS,
+        n_mlm_targets: PROBE_MLM_TARGETS,
+        n_mer_targets: PROBE_MER_TARGETS,
+        n_candidates: PROBE_CANDIDATES.min(n_entities.max(1)),
+        ..model_plan(cfg, n_words, n_entities)
+    };
     check_model_plan(&plan)
 }
 

@@ -16,21 +16,13 @@
 //!
 //! [`Graph`]: turl_tensor::Graph
 
+use crate::audit::{model_plan, plan_for_input};
 use crate::input::EncodedInput;
 use crate::model::TurlModel;
-use turl_audit::{lower_model_plan, SourceKind};
+use turl_audit::{lower_model_plan, ModelPlan, SourceKind};
 use turl_exec::{compile, Arena, CompiledPlan, ExecError, SourceValue};
 use turl_nn::{ParamId, ParamStore};
 use turl_tensor::Tensor;
-
-/// The input-shape signature a compiled plan is specialized to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct PlanKey {
-    n_tokens: usize,
-    n_entities: usize,
-    n_mention_tokens: usize,
-    masked: bool,
-}
 
 /// How one IR source is bound at run time.
 enum SourceBind {
@@ -48,7 +40,9 @@ enum SourceBind {
 /// One compiled specialization: the executable plan plus its resolved
 /// source bindings.
 struct Entry {
-    key: PlanKey,
+    /// The forward plan this entry was compiled from: the model's
+    /// config-level plan at one input's sequence shape and masking.
+    key: ModelPlan,
     plan: CompiledPlan,
     binds: Vec<SourceBind>,
 }
@@ -165,32 +159,16 @@ impl CompiledForward {
                 "empty input: at least one token or entity cell is required".into(),
             ));
         }
-        let key = PlanKey {
-            n_tokens: input.token_ids.len(),
-            n_entities: input.entities.len(),
-            n_mention_tokens: input.entities.iter().map(|e| e.mention.len()).sum(),
-            masked: input.mask.is_some(),
-        };
+        let key =
+            plan_for_input(model_plan(&model.cfg, model.word_emb.vocab, model.n_entities()), input);
         if let Some(i) = self.entries.iter().position(|e| e.key == key) {
             // LRU move-to-front: the hit becomes the most recent entry.
             self.entries[0..=i].rotate_right(1);
             return Ok(0);
         }
 
-        let mut plan = crate::audit::model_plan(
-            &model.cfg,
-            model.word_emb.vocab,
-            model.n_entities(),
-            key.n_tokens,
-            key.n_entities,
-            key.n_mention_tokens,
-            0, // no MLM head: compiled plans are encode-only
-            0, // no MER head
-            0,
-        );
-        // The runtime decides masking per input, not per config.
-        plan.use_visibility = key.masked;
-        let ir = lower_model_plan(&plan)
+        // No heads: compiled plans are encode-only.
+        let ir = lower_model_plan(&key)
             .map_err(|e| ExecError::Unsupported(format!("plan does not lower: {e}")))?;
         let compiled = compile(&ir)?;
 

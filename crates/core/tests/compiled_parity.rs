@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use turl_audit::{align_with_graph, analyze_ranges, lower_model_plan};
+use turl_core::audit::{model_plan, plan_for_input};
 use turl_core::{EncodedInput, EntityInput, TurlConfig, TurlModel};
 use turl_exec::compile;
 use turl_nn::{Forward, ParamStore};
@@ -140,25 +141,15 @@ proptest! {
 /// aligns op-for-op with a real tape forward of the same shape.
 #[test]
 fn compiled_schedule_covers_ir_that_aligns_with_tape() {
-    for (tokens, ents, masked) in [(6, 3, true), (5, 2, false), (0, 4, true)] {
+    // (1, 1): n_heads == seq len, so the head split is a `[2, 2, dh]`
+    // permute whose axes cannot be read off its shapes.
+    for (tokens, ents, masked) in [(6, 3, true), (5, 2, false), (0, 4, true), (1, 1, true)] {
         let case = build_case(7, tokens, ents, 2, 2, 1e-5, masked, false, &[1, 2, 0]);
         let mut store = ParamStore::new();
         let mut rng = StdRng::seed_from_u64(7);
         let model = TurlModel::new(&mut store, &mut rng, case.cfg, N_WORDS, N_KB_ENTITIES);
 
-        let n_mention_tokens: usize = case.input.entities.iter().map(|e| e.mention.len()).sum();
-        let mut plan = turl_core::audit::model_plan(
-            &case.cfg,
-            N_WORDS,
-            N_KB_ENTITIES,
-            tokens,
-            ents,
-            n_mention_tokens,
-            0,
-            0,
-            0,
-        );
-        plan.use_visibility = masked;
+        let plan = plan_for_input(model_plan(&case.cfg, N_WORDS, N_KB_ENTITIES), &case.input);
         let ir = lower_model_plan(&plan).expect("plan lowers");
         let compiled = compile(&ir).expect("plan compiles");
         compiled.verify_covers(&ir).expect("schedule covers IR");
@@ -167,7 +158,7 @@ fn compiled_schedule_covers_ir_that_aligns_with_tape() {
         // inference forward aligns node-for-node.
         let mut f = Forward::inference(&store);
         let mut rng2 = StdRng::seed_from_u64(0);
-        model.encode(&mut f, &store, &mut rng2, &case.input);
+        let h = model.encode(&mut f, &store, &mut rng2, &case.input);
         let pairs = align_with_graph(&ir, &f.graph).expect("IR aligns with tape");
         let computed = ir.nodes().iter().filter(|n| !n.kind.is_source()).count();
         assert_eq!(pairs.len(), computed);
@@ -186,6 +177,14 @@ fn compiled_schedule_covers_ir_that_aligns_with_tape() {
                 step.label
             );
         }
+
+        // And the schedule computes what the tape computed, bit for bit.
+        let got = model.compiled().encode(&model, &store, &case.input).expect("compiled encode");
+        let want = f.graph.value(h);
+        assert_eq!(got.shape(), want.shape());
+        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "({tokens},{ents}) diverges at element {i}");
+        }
     }
 }
 
@@ -201,19 +200,7 @@ fn compiled_outputs_lie_within_statically_analyzed_ranges() {
         let mut rng = StdRng::seed_from_u64(13);
         let model = TurlModel::new(&mut store, &mut rng, case.cfg, N_WORDS, N_KB_ENTITIES);
 
-        let n_mention_tokens: usize = case.input.entities.iter().map(|e| e.mention.len()).sum();
-        let mut plan = turl_core::audit::model_plan(
-            &case.cfg,
-            N_WORDS,
-            N_KB_ENTITIES,
-            tokens,
-            ents,
-            n_mention_tokens,
-            0,
-            0,
-            0,
-        );
-        plan.use_visibility = masked;
+        let plan = plan_for_input(model_plan(&case.cfg, N_WORDS, N_KB_ENTITIES), &case.input);
         let ir = lower_model_plan(&plan).expect("plan lowers");
         let analysis = analyze_ranges(&ir);
         let out_range = &analysis.ranges[ir.len() - 1];

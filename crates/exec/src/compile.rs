@@ -83,14 +83,17 @@ pub struct GatherSpec {
     pub table_rows: usize,
 }
 
-/// The kernel a [`Step`] dispatches to.
+/// The kernel a [`Step`] dispatches to, over operands of type `O`:
+/// [`Operand`]s (arena spans and bound sources) in a finished
+/// [`CompiledPlan`], buffer ids while [`compile`] is still fusing —
+/// one description of every kernel's operands for both.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StepKind {
+pub enum StepKind<O = Operand> {
     /// Row gather from `table` using the caller-bound index list
     /// `gather` (position in [`CompiledPlan::gathers`]).
     Gather {
         /// Gathered table.
-        table: Operand,
+        table: O,
         /// Index-list position in the plan's gather order.
         gather: usize,
         /// Row length.
@@ -100,11 +103,11 @@ pub enum StepKind {
     /// bias+GELU) epilogue absorbed from the following IR ops.
     MatMul {
         /// Left operand.
-        a: Operand,
+        a: O,
         /// Right operand.
-        b: Operand,
+        b: O,
         /// Fused rank-1 bias, added after full accumulation.
-        bias: Option<Operand>,
+        bias: Option<O>,
         /// Apply GELU after the bias (requires `bias`).
         gelu: bool,
         /// Output rows.
@@ -117,11 +120,11 @@ pub enum StepKind {
     /// `out[m,n] = a[m,k] · b[n,k]ᵀ` via an arena scratch panel.
     MatMulNT {
         /// Left operand.
-        a: Operand,
+        a: O,
         /// Right operand (stored transposed).
-        b: Operand,
+        b: O,
         /// Arena span for the `[k, n]` transpose panel.
-        scratch: Operand,
+        scratch: O,
         /// Output rows.
         m: usize,
         /// Inner dimension.
@@ -132,9 +135,9 @@ pub enum StepKind {
     /// Batched `out[bs,m,n] = a[bs,m,k] · b[bs,k,n]`.
     Bmm {
         /// Left operand.
-        a: Operand,
+        a: O,
         /// Right operand.
-        b: Operand,
+        b: O,
         /// Batch count.
         bs: usize,
         /// Output rows per batch.
@@ -147,11 +150,11 @@ pub enum StepKind {
     /// Batched `out[bs,m,n] = a[bs,m,k] · b[bs,n,k]ᵀ` via arena scratch.
     BmmNT {
         /// Left operand.
-        a: Operand,
+        a: O,
         /// Right operand (stored transposed per batch).
-        b: Operand,
+        b: O,
         /// Arena span for the `[bs, k, n]` transpose panels.
-        scratch: Operand,
+        scratch: O,
         /// Batch count.
         bs: usize,
         /// Output rows per batch.
@@ -164,49 +167,49 @@ pub enum StepKind {
     /// Elementwise sum; `b` is cycled when shorter (suffix broadcast).
     Add {
         /// Full-size operand.
-        a: Operand,
+        a: O,
         /// Added operand (same size or a trailing-axes broadcast).
-        b: Operand,
+        b: O,
     },
     /// Fused `scale → (+ mask) → softmax` over rows of `row_len`.
     FusedSoftmax {
         /// Logits.
-        x: Operand,
+        x: O,
         /// Pre-softmax scale factor (1.0 when no scale op was fused).
         scale: f32,
         /// Additive mask, cycled over `x` when shorter.
-        mask: Option<Operand>,
+        mask: Option<O>,
         /// Softmax row length (last axis).
         row_len: usize,
     },
     /// One-pass layer norm (mean/var/normalize/scale/shift).
     FusedLayerNorm {
         /// Normalized input.
-        x: Operand,
+        x: O,
         /// Scale vector; its length is the row width.
-        gamma: Operand,
+        gamma: O,
         /// Shift vector.
-        beta: Operand,
+        beta: O,
         /// Variance epsilon.
         eps: f32,
     },
     /// Standalone elementwise scale (no softmax to fuse into).
     Scale {
         /// Input.
-        x: Operand,
+        x: O,
         /// Factor.
         factor: f32,
     },
     /// Standalone elementwise GELU.
     Gelu {
         /// Input.
-        x: Operand,
+        x: O,
     },
     /// One-copy `reshape ⇄ permute` (or standalone permute): walk
     /// `out_shape` row-major reading `x` through `read_strides`.
     CopyStrided {
         /// Copy source.
-        x: Operand,
+        x: O,
         /// Iteration shape of the copy.
         out_shape: Vec<usize>,
         /// Read strides into `x`, one per `out_shape` axis.
@@ -215,20 +218,114 @@ pub enum StepKind {
     /// Straight copy (a materialized standalone reshape).
     Memcpy {
         /// Copy source.
-        x: Operand,
+        x: O,
     },
     /// Row-wise concatenation: parts copied back to back.
     ConcatRows {
         /// Parts in order.
-        parts: Vec<Operand>,
+        parts: Vec<O>,
     },
     /// Column-wise concatenation of rank-2 parts with shared row count.
     ConcatCols {
         /// `(part, part_cols)` in order.
-        parts: Vec<(Operand, usize)>,
+        parts: Vec<(O, usize)>,
         /// Shared row count.
         rows: usize,
     },
+}
+
+impl<O> StepKind<O> {
+    /// Every operand this step reads, in field order. This is the list
+    /// liveness, the aliasing audit and quantizability are derived from.
+    /// The `*NT` kinds' `scratch` is written, not read, and is not here.
+    pub fn operands(&self) -> Vec<&O> {
+        match self {
+            StepKind::Gather { table: x, .. }
+            | StepKind::Scale { x, .. }
+            | StepKind::Gelu { x }
+            | StepKind::CopyStrided { x, .. }
+            | StepKind::Memcpy { x } => vec![x],
+            StepKind::MatMul { a, b, bias, .. } => [a, b].into_iter().chain(bias).collect(),
+            StepKind::MatMulNT { a, b, .. }
+            | StepKind::Bmm { a, b, .. }
+            | StepKind::BmmNT { a, b, .. }
+            | StepKind::Add { a, b } => vec![a, b],
+            StepKind::FusedSoftmax { x, mask, .. } => std::iter::once(x).chain(mask).collect(),
+            StepKind::FusedLayerNorm { x, gamma, beta, .. } => vec![x, gamma, beta],
+            StepKind::ConcatRows { parts } => parts.iter().collect(),
+            StepKind::ConcatCols { parts, .. } => parts.iter().map(|(p, _)| p).collect(),
+        }
+    }
+
+    /// The same step over another operand type: `f` converts every `O`
+    /// it holds — the operands it reads and, for the `*NT` kinds, the
+    /// scratch it writes — and the first error aborts.
+    pub fn try_map<P, E>(self, mut f: impl FnMut(O) -> Result<P, E>) -> Result<StepKind<P>, E> {
+        Ok(match self {
+            StepKind::Gather { table, gather, row_len } => {
+                StepKind::Gather { table: f(table)?, gather, row_len }
+            }
+            StepKind::MatMul { a, b, bias, gelu, m, k, n } => StepKind::MatMul {
+                a: f(a)?,
+                b: f(b)?,
+                bias: bias.map(f).transpose()?,
+                gelu,
+                m,
+                k,
+                n,
+            },
+            StepKind::MatMulNT { a, b, scratch, m, k, n } => {
+                StepKind::MatMulNT { a: f(a)?, b: f(b)?, scratch: f(scratch)?, m, k, n }
+            }
+            StepKind::Bmm { a, b, bs, m, k, n } => {
+                StepKind::Bmm { a: f(a)?, b: f(b)?, bs, m, k, n }
+            }
+            StepKind::BmmNT { a, b, scratch, bs, m, k, n } => {
+                StepKind::BmmNT { a: f(a)?, b: f(b)?, scratch: f(scratch)?, bs, m, k, n }
+            }
+            StepKind::Add { a, b } => StepKind::Add { a: f(a)?, b: f(b)? },
+            StepKind::FusedSoftmax { x, scale, mask, row_len } => {
+                StepKind::FusedSoftmax { x: f(x)?, scale, mask: mask.map(f).transpose()?, row_len }
+            }
+            StepKind::FusedLayerNorm { x, gamma, beta, eps } => {
+                StepKind::FusedLayerNorm { x: f(x)?, gamma: f(gamma)?, beta: f(beta)?, eps }
+            }
+            StepKind::Scale { x, factor } => StepKind::Scale { x: f(x)?, factor },
+            StepKind::Gelu { x } => StepKind::Gelu { x: f(x)? },
+            StepKind::CopyStrided { x, out_shape, read_strides } => {
+                StepKind::CopyStrided { x: f(x)?, out_shape, read_strides }
+            }
+            StepKind::Memcpy { x } => StepKind::Memcpy { x: f(x)? },
+            StepKind::ConcatRows { parts } => {
+                StepKind::ConcatRows { parts: parts.into_iter().map(f).collect::<Result<_, _>>()? }
+            }
+            StepKind::ConcatCols { parts, rows } => StepKind::ConcatCols {
+                parts: parts.into_iter().map(|(p, c)| Ok((f(p)?, c))).collect::<Result<_, E>>()?,
+                rows,
+            },
+        })
+    }
+
+    /// The transpose scratch of a `*NT` step and its size in elements:
+    /// the `[k, n]` panel, one per batch.
+    fn scratch(&self) -> Option<(&O, usize)> {
+        match self {
+            StepKind::MatMulNT { scratch, k, n, .. } => Some((scratch, k * n)),
+            StepKind::BmmNT { scratch, bs, k, n, .. } => Some((scratch, bs * k * n)),
+            _ => None,
+        }
+    }
+
+    /// Position in [`operands`](StepKind::operands) of the one operand
+    /// `run` has a block-quantized kernel for: a gather's table, a plain
+    /// matmul's rhs.
+    fn quantized_slot(&self) -> Option<usize> {
+        match self {
+            StepKind::Gather { .. } => Some(0),
+            StepKind::MatMul { .. } => Some(1),
+            _ => None,
+        }
+    }
 }
 
 /// One executable unit of the schedule: a kernel, its operands, the
@@ -345,30 +442,10 @@ fn contig_strides(shape: &[usize]) -> Vec<usize> {
     s
 }
 
-/// Recover the axes of a permute node from its input/output shapes.
-///
-/// The IR does not record permute axes, so the compiler accepts exactly
-/// the permutes the plan lowering emits: the rank-3 leading-axis swap
-/// `[1, 0, 2]` used to split and merge attention heads (and trivial
-/// identity permutes). Anything else is a compile error.
-fn infer_permute_axes(in_shape: &[usize], out_shape: &[usize]) -> Result<Vec<usize>, ExecError> {
-    if in_shape.len() == 3
-        && out_shape == [in_shape[1], in_shape[0], in_shape[2]]
-        && in_shape[0] != in_shape[1]
-    {
-        return Ok(vec![1, 0, 2]);
-    }
-    if in_shape == out_shape {
-        // Shape-preserving rank-3 case (n_heads == seq len): the lowering
-        // only ever emits the head swap, never an identity permute.
-        if in_shape.len() == 3 {
-            return Ok(vec![1, 0, 2]);
-        }
-        return Ok((0..in_shape.len()).collect());
-    }
-    Err(ExecError::Unsupported(format!(
-        "permute {in_shape:?} -> {out_shape:?} (axes not recoverable from shapes)"
-    )))
+/// Read strides of a permuted view of a contiguous `in_shape` tensor.
+fn permuted_strides(in_shape: &[usize], axes: &[usize]) -> Vec<usize> {
+    let in_strides = contig_strides(in_shape);
+    axes.iter().map(|&ax| in_strides[ax]).collect()
 }
 
 /// Lower an [`Ir`] into a [`CompiledPlan`].
@@ -386,131 +463,26 @@ pub fn compile(ir: &Ir) -> Result<CompiledPlan, ExecError> {
             readers[inp.index()].push(i);
         }
     }
+    let shape = |i: usize| ir.node_at(i).shape.as_slice();
+    let elems = |i: usize| ir.node_at(i).elements();
+    let last_axis = |i: usize| *shape(i).last().unwrap_or(&1);
     let sole_reader = |i: usize| -> Option<usize> {
         match readers[i].as_slice() {
             [r] => Some(*r),
             _ => None,
         }
     };
+    let softmax_after =
+        |i: usize| sole_reader(i).filter(|&s| ir.node_at(s).kind == OpKind::Softmax);
 
-    // --- source table -------------------------------------------------
-    let mut sources: Vec<SourceSpec> = Vec::new();
-    let mut source_idx: Vec<Option<usize>> = vec![None; n];
-    for (i, node) in ir.nodes().iter().enumerate() {
-        if let OpKind::Source(kind) = &node.kind {
-            source_idx[i] = Some(sources.len());
-            sources.push(SourceSpec {
-                id: TensorId::from_index(i),
-                kind: kind.clone(),
-                label: node.label.clone(),
-                shape: node.shape.clone(),
-                quantizable: true, // narrowed below from final step operands
-            });
-        }
-    }
-
-    // --- fusion pass: build steps with symbolic (TensorId) operands ---
-    /// A step before arena resolution: operands are still TensorIds.
-    struct ProtoStep {
-        kind: ProtoKind,
-        out_id: usize,
-        covered: Vec<usize>,
-        inputs: Vec<usize>,
-        scratch_elems: usize,
-    }
-    enum ProtoKind {
-        Gather {
-            table: usize,
-            gather: usize,
-            row_len: usize,
-        },
-        MatMul {
-            a: usize,
-            b: usize,
-            bias: Option<usize>,
-            gelu: bool,
-            m: usize,
-            k: usize,
-            nn: usize,
-        },
-        MatMulNT {
-            a: usize,
-            b: usize,
-            m: usize,
-            k: usize,
-            nn: usize,
-        },
-        Bmm {
-            a: usize,
-            b: usize,
-            bs: usize,
-            m: usize,
-            k: usize,
-            nn: usize,
-        },
-        BmmNT {
-            a: usize,
-            b: usize,
-            bs: usize,
-            m: usize,
-            k: usize,
-            nn: usize,
-        },
-        Add {
-            a: usize,
-            b: usize,
-        },
-        FusedSoftmax {
-            x: usize,
-            scale: f32,
-            mask: Option<usize>,
-            row_len: usize,
-        },
-        FusedLayerNorm {
-            x: usize,
-            gamma: usize,
-            beta: usize,
-            eps: f32,
-        },
-        Scale {
-            x: usize,
-            factor: f32,
-        },
-        Gelu {
-            x: usize,
-        },
-        CopyStrided {
-            x: usize,
-            out_shape: Vec<usize>,
-            read_strides: Vec<usize>,
-        },
-        Memcpy {
-            x: usize,
-        },
-        ConcatRows {
-            parts: Vec<usize>,
-        },
-        ConcatCols {
-            parts: Vec<(usize, usize)>,
-            rows: usize,
-        },
-    }
-
+    // --- fusion pass --------------------------------------------------
+    // Steps over buffer ids: an IR node index `t < n` names that node's
+    // tensor, and `n + s` names the transpose scratch of step `s` (dead
+    // outside its own step). `covered` starts with the step's own node
+    // and ends with the one it materializes; the rest are fused in.
     let mut gathers: Vec<GatherSpec> = Vec::new();
-    let mut steps: Vec<ProtoStep> = Vec::new();
+    let mut steps: Vec<(StepKind<usize>, Vec<usize>)> = Vec::new();
     let mut absorbed = vec![false; n];
-    let shape = |i: usize| ir.node_at(i).shape.as_slice();
-    let elems = |i: usize| ir.node_at(i).elements();
-
-    // Broadcast-add compatibility: same size, or `b` a trailing-axes
-    // broadcast (its shape a suffix of `a`'s) cycled over `a`.
-    let add_compatible = |a: usize, b: usize| -> bool {
-        let (sa, sb) = (shape(a), shape(b));
-        if sa == sb {
-            return true;
-        }
-        sb.len() <= sa.len() && sa.ends_with(sb) && elems(b) > 0
-    };
 
     for i in 0..n {
         let node = ir.node_at(i);
@@ -518,7 +490,8 @@ pub fn compile(ir: &Ir) -> Result<CompiledPlan, ExecError> {
             continue;
         }
         let input = |slot: usize| node.inputs[slot].index();
-        let proto = match &node.kind {
+        let scratch = n + steps.len();
+        let (kind, covered) = match &node.kind {
             OpKind::Source(_) => unreachable!("sources skipped above"),
             OpKind::CrossEntropy => {
                 return Err(ExecError::Unsupported(format!(
@@ -538,317 +511,154 @@ pub fn compile(ir: &Ir) -> Result<CompiledPlan, ExecError> {
                     row_len,
                     table_rows: ts.first().copied().unwrap_or(0),
                 });
-                ProtoStep {
-                    kind: ProtoKind::Gather { table, gather: gathers.len() - 1, row_len },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![table],
-                    scratch_elems: 0,
-                }
+                (StepKind::Gather { table, gather: gathers.len() - 1, row_len }, vec![i])
             }
             OpKind::MatMul => {
                 let (a, b) = (input(0), input(1));
-                let (m, k) = (shape(a)[0], shape(a)[1]);
-                let nn = shape(b)[1];
+                let (m, k, nn) = (shape(a)[0], shape(a)[1], shape(b)[1]);
                 // Bias epilogue: the matmul's sole reader is an add of a
-                // rank-1 vector matching the output's last axis.
-                let mut covered = vec![i];
-                let mut bias = None;
-                let mut gelu = false;
-                let mut out_id = i;
-                if let Some(r) = sole_reader(i) {
+                // rank-1 vector matching the output's last axis; GELU
+                // epilogue: that add's sole reader.
+                let bias_add = sole_reader(i).filter(|&r| {
                     let rn = ir.node_at(r);
-                    if rn.kind == OpKind::Add
+                    rn.kind == OpKind::Add
                         && rn.inputs[0].index() == i
                         && shape(rn.inputs[1].index()) == [nn]
-                    {
-                        bias = Some(rn.inputs[1].index());
-                        absorbed[r] = true;
-                        covered.push(r);
-                        out_id = r;
-                        if let Some(g) = sole_reader(r) {
-                            if ir.node_at(g).kind == OpKind::Gelu {
-                                gelu = true;
-                                absorbed[g] = true;
-                                covered.push(g);
-                                out_id = g;
-                            }
-                        }
-                    }
-                }
-                let mut inputs = vec![a, b];
-                if let Some(bv) = bias {
-                    inputs.push(bv);
-                }
-                ProtoStep {
-                    kind: ProtoKind::MatMul { a, b, bias, gelu, m, k, nn },
-                    out_id,
-                    covered,
-                    inputs,
-                    scratch_elems: 0,
-                }
+                });
+                let gelu_after =
+                    bias_add.and_then(sole_reader).filter(|&g| ir.node_at(g).kind == OpKind::Gelu);
+                let bias = bias_add.map(|r| ir.node_at(r).inputs[1].index());
+                let covered = [Some(i), bias_add, gelu_after].into_iter().flatten().collect();
+                (StepKind::MatMul { a, b, bias, gelu: gelu_after.is_some(), m, k, n: nn }, covered)
             }
             OpKind::MatMulNT => {
                 let (a, b) = (input(0), input(1));
-                let (m, k) = (shape(a)[0], shape(a)[1]);
-                let nn = shape(b)[0];
-                ProtoStep {
-                    kind: ProtoKind::MatMulNT { a, b, m, k, nn },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![a, b],
-                    scratch_elems: k * nn,
-                }
+                let (m, k, nn) = (shape(a)[0], shape(a)[1], shape(b)[0]);
+                (StepKind::MatMulNT { a, b, scratch, m, k, n: nn }, vec![i])
             }
             OpKind::Bmm => {
                 let (a, b) = (input(0), input(1));
-                let (bs, m, k) = (shape(a)[0], shape(a)[1], shape(a)[2]);
-                let nn = shape(b)[2];
-                ProtoStep {
-                    kind: ProtoKind::Bmm { a, b, bs, m, k, nn },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![a, b],
-                    scratch_elems: 0,
-                }
+                let (bs, m, k, nn) = (shape(a)[0], shape(a)[1], shape(a)[2], shape(b)[2]);
+                (StepKind::Bmm { a, b, bs, m, k, n: nn }, vec![i])
             }
             OpKind::BmmNT => {
                 let (a, b) = (input(0), input(1));
-                let (bs, m, k) = (shape(a)[0], shape(a)[1], shape(a)[2]);
-                let nn = shape(b)[1];
-                ProtoStep {
-                    kind: ProtoKind::BmmNT { a, b, bs, m, k, nn },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![a, b],
-                    scratch_elems: bs * k * nn,
-                }
+                let (bs, m, k, nn) = (shape(a)[0], shape(a)[1], shape(a)[2], shape(b)[1]);
+                (StepKind::BmmNT { a, b, scratch, bs, m, k, n: nn }, vec![i])
             }
             OpKind::Scale { factor } => {
                 // scale → (mask) → softmax fuses into one row pass.
-                let x = input(0);
-                let scale = *factor as f32;
-                let mut chain: Option<ProtoStep> = None;
-                if let Some(r) = sole_reader(i) {
+                let (x, scale) = (input(0), *factor as f32);
+                let masked = sole_reader(i).filter(|&r| {
                     let rn = ir.node_at(r);
-                    if rn.kind == OpKind::Mask && rn.inputs[0].index() == i {
-                        if let Some(s) = sole_reader(r) {
-                            if ir.node_at(s).kind == OpKind::Softmax {
-                                let mask = rn.inputs[1].index();
-                                absorbed[r] = true;
-                                absorbed[s] = true;
-                                let row_len = *shape(s).last().unwrap_or(&1);
-                                chain = Some(ProtoStep {
-                                    kind: ProtoKind::FusedSoftmax {
-                                        x,
-                                        scale,
-                                        mask: Some(mask),
-                                        row_len,
-                                    },
-                                    out_id: s,
-                                    covered: vec![i, r, s],
-                                    inputs: vec![x, mask],
-                                    scratch_elems: 0,
-                                });
-                            }
-                        }
-                    } else if rn.kind == OpKind::Softmax {
-                        absorbed[r] = true;
-                        let row_len = *shape(r).last().unwrap_or(&1);
-                        chain = Some(ProtoStep {
-                            kind: ProtoKind::FusedSoftmax { x, scale, mask: None, row_len },
-                            out_id: r,
-                            covered: vec![i, r],
-                            inputs: vec![x],
-                            scratch_elems: 0,
-                        });
-                    }
+                    rn.kind == OpKind::Mask && rn.inputs[0].index() == i
+                });
+                if let Some((r, s)) = masked.and_then(|r| Some((r, softmax_after(r)?))) {
+                    let mask = Some(ir.node_at(r).inputs[1].index());
+                    (
+                        StepKind::FusedSoftmax { x, scale, mask, row_len: last_axis(s) },
+                        vec![i, r, s],
+                    )
+                } else if let Some(s) = softmax_after(i) {
+                    (
+                        StepKind::FusedSoftmax { x, scale, mask: None, row_len: last_axis(s) },
+                        vec![i, s],
+                    )
+                } else {
+                    (StepKind::Scale { x, factor: scale }, vec![i])
                 }
-                chain.unwrap_or(ProtoStep {
-                    kind: ProtoKind::Scale { x, factor: scale },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![x],
-                    scratch_elems: 0,
-                })
             }
             OpKind::Mask => {
                 let (x, mask) = (input(0), input(1));
-                if let Some(s) = sole_reader(i) {
-                    if ir.node_at(s).kind == OpKind::Softmax {
-                        absorbed[s] = true;
-                        let row_len = *shape(s).last().unwrap_or(&1);
-                        ProtoStep {
-                            kind: ProtoKind::FusedSoftmax {
-                                x,
-                                scale: 1.0,
-                                mask: Some(mask),
-                                row_len,
-                            },
-                            out_id: s,
-                            covered: vec![i, s],
-                            inputs: vec![x, mask],
-                            scratch_elems: 0,
-                        }
-                    } else {
-                        ProtoStep {
-                            kind: ProtoKind::Add { a: x, b: mask },
-                            out_id: i,
-                            covered: vec![i],
-                            inputs: vec![x, mask],
-                            scratch_elems: 0,
-                        }
-                    }
-                } else {
-                    ProtoStep {
-                        kind: ProtoKind::Add { a: x, b: mask },
-                        out_id: i,
-                        covered: vec![i],
-                        inputs: vec![x, mask],
-                        scratch_elems: 0,
-                    }
+                match softmax_after(i) {
+                    Some(s) => (
+                        StepKind::FusedSoftmax {
+                            x,
+                            scale: 1.0,
+                            mask: Some(mask),
+                            row_len: last_axis(s),
+                        },
+                        vec![i, s],
+                    ),
+                    None => (StepKind::Add { a: x, b: mask }, vec![i]),
                 }
             }
-            OpKind::Softmax => {
-                let x = input(0);
-                let row_len = *node.shape.last().unwrap_or(&1);
-                ProtoStep {
-                    kind: ProtoKind::FusedSoftmax { x, scale: 1.0, mask: None, row_len },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![x],
-                    scratch_elems: 0,
-                }
-            }
+            OpKind::Softmax => (
+                StepKind::FusedSoftmax {
+                    x: input(0),
+                    scale: 1.0,
+                    mask: None,
+                    row_len: last_axis(i),
+                },
+                vec![i],
+            ),
             OpKind::Add => {
                 let (a, b) = (input(0), input(1));
-                if !add_compatible(a, b) {
+                // Same size, or `b` a trailing-axes broadcast (its shape
+                // a suffix of `a`'s) cycled over `a`.
+                let (sa, sb) = (shape(a), shape(b));
+                if !(sa == sb || (sa.ends_with(sb) && elems(b) > 0)) {
                     return Err(ExecError::Unsupported(format!(
-                        "add '{}' broadcasts {:?} + {:?} (only trailing-axes broadcast \
+                        "add '{}' broadcasts {sa:?} + {sb:?} (only trailing-axes broadcast \
                          is compiled)",
-                        node.label,
-                        shape(a),
-                        shape(b)
+                        node.label
                     )));
                 }
-                ProtoStep {
-                    kind: ProtoKind::Add { a, b },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![a, b],
-                    scratch_elems: 0,
-                }
+                (StepKind::Add { a, b }, vec![i])
             }
-            OpKind::Gelu => {
-                let x = input(0);
-                ProtoStep {
-                    kind: ProtoKind::Gelu { x },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![x],
-                    scratch_elems: 0,
-                }
-            }
+            OpKind::Gelu => (StepKind::Gelu { x: input(0) }, vec![i]),
             OpKind::LayerNorm { eps } => {
                 let (x, gamma, beta) = (input(0), input(1), input(2));
-                ProtoStep {
-                    kind: ProtoKind::FusedLayerNorm { x, gamma, beta, eps: *eps as f32 },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: vec![x, gamma, beta],
-                    scratch_elems: 0,
-                }
+                (StepKind::FusedLayerNorm { x, gamma, beta, eps: *eps as f32 }, vec![i])
             }
             OpKind::Reshape => {
                 let x = input(0);
                 // reshape → permute collapses into one strided copy of
                 // the (contiguous) reshaped view.
-                if let Some(p) = sole_reader(i) {
-                    if ir.node_at(p).kind == OpKind::Permute {
-                        let axes = infer_permute_axes(&node.shape, shape(p))?;
-                        let in_strides = contig_strides(&node.shape);
-                        let read_strides: Vec<usize> =
-                            axes.iter().map(|&ax| in_strides[ax]).collect();
-                        absorbed[p] = true;
-                        ProtoStep {
-                            kind: ProtoKind::CopyStrided {
-                                x,
-                                out_shape: shape(p).to_vec(),
-                                read_strides,
-                            },
-                            out_id: p,
-                            covered: vec![i, p],
-                            inputs: vec![x],
-                            scratch_elems: 0,
-                        }
-                    } else {
-                        ProtoStep {
-                            kind: ProtoKind::Memcpy { x },
-                            out_id: i,
-                            covered: vec![i],
-                            inputs: vec![x],
-                            scratch_elems: 0,
-                        }
-                    }
-                } else {
-                    ProtoStep {
-                        kind: ProtoKind::Memcpy { x },
-                        out_id: i,
-                        covered: vec![i],
-                        inputs: vec![x],
-                        scratch_elems: 0,
-                    }
+                let permuted = sole_reader(i).and_then(|p| match &ir.node_at(p).kind {
+                    OpKind::Permute { axes } => Some((p, axes)),
+                    _ => None,
+                });
+                match permuted {
+                    Some((p, axes)) => (
+                        StepKind::CopyStrided {
+                            x,
+                            out_shape: shape(p).to_vec(),
+                            read_strides: permuted_strides(&node.shape, axes),
+                        },
+                        vec![i, p],
+                    ),
+                    None => (StepKind::Memcpy { x }, vec![i]),
                 }
             }
-            OpKind::Permute => {
+            OpKind::Permute { axes } => {
                 let x = input(0);
-                let axes = infer_permute_axes(shape(x), &node.shape)?;
-                let in_strides = contig_strides(shape(x));
-                let read_strides: Vec<usize> = axes.iter().map(|&ax| in_strides[ax]).collect();
                 // permute → reshape: the reshape of the materialized
                 // permuted buffer is free (same bytes), so one strided
                 // copy covers both nodes.
-                let mut covered = vec![i];
-                let mut out_id = i;
-                if let Some(r) = sole_reader(i) {
-                    if ir.node_at(r).kind == OpKind::Reshape {
-                        absorbed[r] = true;
-                        covered.push(r);
-                        out_id = r;
-                    }
-                }
-                ProtoStep {
-                    kind: ProtoKind::CopyStrided { x, out_shape: node.shape.clone(), read_strides },
-                    out_id,
-                    covered,
-                    inputs: vec![x],
-                    scratch_elems: 0,
-                }
+                let reshaped = sole_reader(i).filter(|&r| ir.node_at(r).kind == OpKind::Reshape);
+                (
+                    StepKind::CopyStrided {
+                        x,
+                        out_shape: node.shape.clone(),
+                        read_strides: permuted_strides(shape(x), axes),
+                    },
+                    std::iter::once(i).chain(reshaped).collect(),
+                )
             }
-            OpKind::ConcatRows => {
-                let parts: Vec<usize> = node.inputs.iter().map(|t| t.index()).collect();
-                ProtoStep {
-                    kind: ProtoKind::ConcatRows { parts: parts.clone() },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: parts,
-                    scratch_elems: 0,
-                }
-            }
+            OpKind::ConcatRows => (
+                StepKind::ConcatRows { parts: node.inputs.iter().map(|t| t.index()).collect() },
+                vec![i],
+            ),
             OpKind::ConcatCols => {
-                let ids: Vec<usize> = node.inputs.iter().map(|t| t.index()).collect();
-                let rows = node.shape[0];
-                let parts: Vec<(usize, usize)> = ids.iter().map(|&p| (p, shape(p)[1])).collect();
-                ProtoStep {
-                    kind: ProtoKind::ConcatCols { parts, rows },
-                    out_id: i,
-                    covered: vec![i],
-                    inputs: ids,
-                    scratch_elems: 0,
-                }
+                let parts = node.inputs.iter().map(|t| (t.index(), shape(t.index())[1])).collect();
+                (StepKind::ConcatCols { parts, rows: node.shape[0] }, vec![i])
             }
         };
-        steps.push(proto);
+        for &c in &covered[1..] {
+            absorbed[c] = true;
+        }
+        steps.push((kind, covered));
     }
 
     // --- arena planning over the fused step schedule ------------------
@@ -856,56 +666,61 @@ pub fn compile(ir: &Ir) -> Result<CompiledPlan, ExecError> {
     // tensors never materialize, and its inputs stay live until the step
     // that consumes them runs.
     let n_steps = steps.len();
-    let mut def_step: Vec<Option<usize>> = vec![None; n];
-    for (s, st) in steps.iter().enumerate() {
-        def_step[st.out_id] = Some(s);
-    }
+    let out_of = |covered: &[usize]| covered[covered.len() - 1];
     let mut last_use_step: Vec<Option<usize>> = vec![None; n];
-    for (s, st) in steps.iter().enumerate() {
-        for &inp in &st.inputs {
-            let prev = last_use_step[inp].unwrap_or(0);
-            last_use_step[inp] = Some(prev.max(s));
+    for (s, (kind, _)) in steps.iter().enumerate() {
+        for &inp in kind.operands() {
+            last_use_step[inp] = Some(s);
         }
     }
 
     // One request per step output (in step order), then the step's
-    // scratch (dead outside its own step). Request order is nondecreasing
-    // in first_def, as plan_layout requires.
+    // scratch. Request order is nondecreasing in first_def, as
+    // plan_layout requires. `bufs` names each request's buffer id and
+    // length in elements.
     let mut requests: Vec<ArenaRequest> = Vec::new();
-    let mut out_req: Vec<usize> = Vec::with_capacity(n_steps); // step -> request idx
-    let mut scratch_req: Vec<Option<usize>> = Vec::with_capacity(n_steps);
-    for (s, st) in steps.iter().enumerate() {
-        out_req.push(requests.len());
+    let mut bufs: Vec<(usize, usize)> = Vec::new();
+    for (s, (kind, covered)) in steps.iter().enumerate() {
+        let out_id = out_of(covered);
+        bufs.push((out_id, elems(out_id)));
         requests.push(ArenaRequest {
-            bytes: elems(st.out_id) * 4,
+            bytes: elems(out_id) * 4,
             first_def: s,
             // Outputs nothing reads stay live to the end of the schedule.
-            last_use: last_use_step[st.out_id].unwrap_or(n_steps),
+            last_use: last_use_step[out_id].unwrap_or(n_steps),
         });
-        if st.scratch_elems > 0 {
-            scratch_req.push(Some(requests.len()));
-            requests.push(ArenaRequest { bytes: st.scratch_elems * 4, first_def: s, last_use: s });
-        } else {
-            scratch_req.push(None);
+        if let Some((&id, len)) = kind.scratch() {
+            bufs.push((id, len));
+            requests.push(ArenaRequest { bytes: len * 4, first_def: s, last_use: s });
         }
     }
     let layout = plan_layout(&requests);
-    let arena_elems = layout.peak_bytes / 4;
 
-    let span_of_req = |r: usize, len_elems: usize| -> Operand {
-        Operand::Arena { off: layout.offsets[r].unwrap_or(0) / 4, len: len_elems }
-    };
-    let operand_of = |t: usize| -> Result<Operand, ExecError> {
-        if let Some(idx) = source_idx[t] {
-            return Ok(Operand::Source { idx });
+    // --- where every buffer id lives at run time ----------------------
+    let mut sources: Vec<SourceSpec> = Vec::new();
+    let mut resolved: Vec<Option<Operand>> = vec![None; n + n_steps];
+    for (i, node) in ir.nodes().iter().enumerate() {
+        if let OpKind::Source(kind) = &node.kind {
+            resolved[i] = Some(Operand::Source { idx: sources.len() });
+            sources.push(SourceSpec {
+                id: TensorId::from_index(i),
+                kind: kind.clone(),
+                label: node.label.clone(),
+                shape: node.shape.clone(),
+                quantizable: true, // narrowed below from final step operands
+            });
         }
-        let s = def_step[t].ok_or_else(|| {
+    }
+    for (&(id, len), off) in bufs.iter().zip(&layout.offsets) {
+        resolved[id] = Some(Operand::Arena { off: off.unwrap_or(0) / 4, len });
+    }
+    let operand_of = |t: usize| -> Result<Operand, ExecError> {
+        resolved[t].ok_or_else(|| {
             ExecError::Unsupported(format!(
                 "operand '{}' is an interior tensor of a fused chain",
                 ir.node_at(t).label
             ))
-        })?;
-        Ok(span_of_req(out_req[s], elems(t)))
+        })
     };
 
     // --- operand resolution + aliasing audit --------------------------
@@ -919,115 +734,35 @@ pub fn compile(ir: &Ir) -> Result<CompiledPlan, ExecError> {
     };
 
     let mut final_steps: Vec<Step> = Vec::with_capacity(n_steps);
-    for (s, st) in steps.iter().enumerate() {
-        let out = span_of_req(out_req[s], elems(st.out_id));
-        let scratch = scratch_req[s].map(|r| span_of_req(r, st.scratch_elems));
-        let kind = match &st.kind {
-            ProtoKind::Gather { table, gather, row_len } => {
-                StepKind::Gather { table: operand_of(*table)?, gather: *gather, row_len: *row_len }
-            }
-            ProtoKind::MatMul { a, b, bias, gelu, m, k, nn } => StepKind::MatMul {
-                a: operand_of(*a)?,
-                b: operand_of(*b)?,
-                bias: bias.map(operand_of).transpose()?,
-                gelu: *gelu,
-                m: *m,
-                k: *k,
-                n: *nn,
-            },
-            ProtoKind::MatMulNT { a, b, m, k, nn } => StepKind::MatMulNT {
-                a: operand_of(*a)?,
-                b: operand_of(*b)?,
-                scratch: scratch.unwrap_or(Operand::Arena { off: 0, len: 0 }),
-                m: *m,
-                k: *k,
-                n: *nn,
-            },
-            ProtoKind::Bmm { a, b, bs, m, k, nn } => StepKind::Bmm {
-                a: operand_of(*a)?,
-                b: operand_of(*b)?,
-                bs: *bs,
-                m: *m,
-                k: *k,
-                n: *nn,
-            },
-            ProtoKind::BmmNT { a, b, bs, m, k, nn } => StepKind::BmmNT {
-                a: operand_of(*a)?,
-                b: operand_of(*b)?,
-                scratch: scratch.unwrap_or(Operand::Arena { off: 0, len: 0 }),
-                bs: *bs,
-                m: *m,
-                k: *k,
-                n: *nn,
-            },
-            ProtoKind::Add { a, b } => StepKind::Add { a: operand_of(*a)?, b: operand_of(*b)? },
-            ProtoKind::FusedSoftmax { x, scale, mask, row_len } => StepKind::FusedSoftmax {
-                x: operand_of(*x)?,
-                scale: *scale,
-                mask: mask.map(operand_of).transpose()?,
-                row_len: *row_len,
-            },
-            ProtoKind::FusedLayerNorm { x, gamma, beta, eps } => StepKind::FusedLayerNorm {
-                x: operand_of(*x)?,
-                gamma: operand_of(*gamma)?,
-                beta: operand_of(*beta)?,
-                eps: *eps,
-            },
-            ProtoKind::Scale { x, factor } => {
-                StepKind::Scale { x: operand_of(*x)?, factor: *factor }
-            }
-            ProtoKind::Gelu { x } => StepKind::Gelu { x: operand_of(*x)? },
-            ProtoKind::CopyStrided { x, out_shape, read_strides } => StepKind::CopyStrided {
-                x: operand_of(*x)?,
-                out_shape: out_shape.clone(),
-                read_strides: read_strides.clone(),
-            },
-            ProtoKind::Memcpy { x } => StepKind::Memcpy { x: operand_of(*x)? },
-            ProtoKind::ConcatRows { parts } => StepKind::ConcatRows {
-                parts: parts.iter().map(|&p| operand_of(p)).collect::<Result<_, _>>()?,
-            },
-            ProtoKind::ConcatCols { parts, rows } => StepKind::ConcatCols {
-                parts: parts
-                    .iter()
-                    .map(|&(p, c)| Ok((operand_of(p)?, c)))
-                    .collect::<Result<_, ExecError>>()?,
-                rows: *rows,
-            },
-        };
+    for (ids, covered) in steps {
+        let out_id = out_of(&covered);
+        let out = operand_of(out_id)?;
+        let label = ir.node_at(out_id).label.clone();
+        let read_ids: Vec<usize> = ids.operands().into_iter().copied().collect();
+        let kind = ids.try_map(operand_of)?;
         // Aliasing audit: the output span (and scratch) must be disjoint
         // from every input span this step reads.
-        let label = ir.node_at(st.out_id).label.clone();
-        for &inp in &st.inputs {
-            let op = operand_of(inp)?;
-            if overlap(&out, &op) {
-                return Err(ExecError::Alias(format!(
-                    "step '{}' output overlaps live input '{}'",
-                    label,
-                    ir.node_at(inp).label
-                )));
-            }
-            if let Some(sc) = &scratch {
-                if overlap(sc, &op) {
+        let scratch = kind.scratch().map(|(sc, _)| sc);
+        for (&inp, op) in read_ids.iter().zip(kind.operands()) {
+            for (what, span) in [("output", Some(&out)), ("scratch", scratch)] {
+                if span.is_some_and(|sp| overlap(sp, op)) {
                     return Err(ExecError::Alias(format!(
-                        "step '{}' scratch overlaps live input '{}'",
-                        label,
+                        "step '{label}' {what} overlaps live input '{}'",
                         ir.node_at(inp).label
                     )));
                 }
             }
         }
-        if let Some(sc) = &scratch {
-            if overlap(&out, sc) {
-                return Err(ExecError::Alias(format!(
-                    "step '{label}' output overlaps its own scratch"
-                )));
-            }
+        if scratch.is_some_and(|sc| overlap(&out, sc)) {
+            return Err(ExecError::Alias(format!(
+                "step '{label}' output overlaps its own scratch"
+            )));
         }
         final_steps.push(Step {
             kind,
             out,
-            out_id: TensorId::from_index(st.out_id),
-            covered: st.covered.iter().map(|&c| TensorId::from_index(c)).collect(),
+            out_id: TensorId::from_index(out_id),
+            covered: covered.into_iter().map(TensorId::from_index).collect(),
             label,
         });
     }
@@ -1037,50 +772,11 @@ pub fn compile(ir: &Ir) -> Result<CompiledPlan, ExecError> {
     // block-quantized kernel: a gather table or a plain-matmul rhs. Any
     // other position (bias, layer-norm affine, nt/bmm operands, masks,
     // elementwise inputs) demands a dense f32 view.
-    {
-        let mut dense_only = |op: &Operand| {
+    for step in &final_steps {
+        let quantized = step.kind.quantized_slot();
+        for (slot, op) in step.kind.operands().into_iter().enumerate() {
             if let Operand::Source { idx } = op {
-                sources[*idx].quantizable = false;
-            }
-        };
-        for step in &final_steps {
-            match &step.kind {
-                StepKind::Gather { .. } => {}
-                StepKind::MatMul { a, bias, .. } => {
-                    dense_only(a);
-                    if let Some(bv) = bias {
-                        dense_only(bv);
-                    }
-                }
-                StepKind::MatMulNT { a, b, .. } => {
-                    dense_only(a);
-                    dense_only(b);
-                }
-                StepKind::Bmm { a, b, .. } | StepKind::BmmNT { a, b, .. } => {
-                    dense_only(a);
-                    dense_only(b);
-                }
-                StepKind::Add { a, b } => {
-                    dense_only(a);
-                    dense_only(b);
-                }
-                StepKind::FusedSoftmax { x, mask, .. } => {
-                    dense_only(x);
-                    if let Some(m) = mask {
-                        dense_only(m);
-                    }
-                }
-                StepKind::FusedLayerNorm { x, gamma, beta, .. } => {
-                    dense_only(x);
-                    dense_only(gamma);
-                    dense_only(beta);
-                }
-                StepKind::Scale { x, .. }
-                | StepKind::Gelu { x }
-                | StepKind::CopyStrided { x, .. }
-                | StepKind::Memcpy { x } => dense_only(x),
-                StepKind::ConcatRows { parts } => parts.iter().for_each(&mut dense_only),
-                StepKind::ConcatCols { parts, .. } => parts.iter().for_each(|(p, _)| dense_only(p)),
+                sources[*idx].quantizable &= Some(slot) == quantized;
             }
         }
     }
@@ -1097,7 +793,7 @@ pub fn compile(ir: &Ir) -> Result<CompiledPlan, ExecError> {
         gathers,
         output,
         output_shape,
-        arena_elems,
+        arena_elems: layout.peak_bytes / 4,
         peak_bytes: layout.peak_bytes,
         total_bytes: layout.total_bytes,
     };
@@ -1306,12 +1002,5 @@ mod tests {
             }
             other => panic!("expected Unsupported, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn permute_axes_recovery_accepts_only_the_head_swap() {
-        assert_eq!(infer_permute_axes(&[5, 2, 8], &[2, 5, 8]).expect("swap"), vec![1, 0, 2]);
-        assert_eq!(infer_permute_axes(&[2, 2, 8], &[2, 2, 8]).expect("square"), vec![1, 0, 2]);
-        assert!(infer_permute_axes(&[5, 2, 8], &[8, 2, 5]).is_err());
     }
 }

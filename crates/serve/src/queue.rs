@@ -18,9 +18,10 @@ use std::time::{Duration, Instant};
 use turl_core::EncodedInput;
 use turl_obs::StageCell;
 
-/// The shape signature batching coalesces on — identical to the plan
-/// cache's `PlanKey`, so a coalesced batch of `k` same-shape tables
-/// still occupies exactly one plan-cache slot per distinct `k`.
+/// The shape signature batching coalesces on — the four values the plan
+/// cache's key takes from an input, so a coalesced batch of `k`
+/// same-shape tables still occupies exactly one plan-cache slot per
+/// distinct `k`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShapeKey {
     /// Metadata token count.
