@@ -1490,9 +1490,7 @@ pub fn top(opts: &Options) -> Result<(), String> {
         }
 
         out.push_str(&format!("\n{:<22} {:>9} {:>12} {:>12}\n", "stage", "count", "p50", "p99"));
-        for stage in
-            ["decode", "queue_wait", "batch_assemble", "forward", "encode", "write"]
-        {
+        for stage in ["decode", "queue_wait", "batch_assemble", "forward", "encode", "write"] {
             let labels = [("stage", stage)];
             let count =
                 turl_obs::sample_value(&samples, "serve_stage_us_count", &labels).unwrap_or(0.0);

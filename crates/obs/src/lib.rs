@@ -41,14 +41,13 @@ pub use metrics::{
     counter, emit_metrics_events, gauge, histogram, intern_name, quantile_from_buckets,
     snapshot_registry, Counter, Gauge, Histogram, RegistrySnapshot,
 };
-pub use prometheus::{
-    histogram_buckets, histogram_quantile, parse_exposition, render_prometheus,
-    sanitize_metric_name, sample_value, PromSample,
-};
-pub use trace::{next_trace_id, RequestTrace, Stage, StageCell, TraceReservoir};
 pub use profile::{
     emit_profile_events, op_timer, pool_configure, pool_dequeued, pool_helper_run, pool_submitted,
     record_op, register_op, OpId, OpTimer,
+};
+pub use prometheus::{
+    histogram_buckets, histogram_quantile, parse_exposition, render_prometheus, sample_value,
+    sanitize_metric_name, PromSample,
 };
 pub use recorder::{
     emit, flush, info, install_sink, metrics_enabled, now_ns, remove_sink, remove_sinks, set_epoch,
@@ -58,3 +57,4 @@ pub use report::{
     parse_jsonl, render, summarize, HistogramReport, OpProfile, PoolReport, RatioStat, Summary,
 };
 pub use sink::{ConsoleSink, JsonlSink, MemorySink, Sink};
+pub use trace::{next_trace_id, RequestTrace, Stage, StageCell, TraceReservoir};

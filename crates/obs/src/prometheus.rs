@@ -35,9 +35,7 @@ pub fn sanitize_metric_name(name: &str) -> String {
 /// unlabeled instruments.
 fn split_name(name: &str) -> (String, String) {
     match name.split_once('{') {
-        Some((base, rest)) => {
-            (sanitize_metric_name(base), rest.trim_end_matches('}').to_string())
-        }
+        Some((base, rest)) => (sanitize_metric_name(base), rest.trim_end_matches('}').to_string()),
         None => (sanitize_metric_name(name), String::new()),
     }
 }

@@ -247,9 +247,7 @@ pub fn summarize(events: &[Event]) -> Result<Summary, String> {
             "trace" => match RequestTrace::from_event(ev) {
                 Some(pair) => s.traces.push(pair),
                 None => {
-                    return Err(
-                        "trace event is missing required stage/shape fields".to_string()
-                    );
+                    return Err("trace event is missing required stage/shape fields".to_string());
                 }
             },
             "non_finite_skip" => s.non_finite_skips += 1,
@@ -451,16 +449,12 @@ fn render_traces(out: &mut String, s: &Summary) {
     // when the run was too short to fill the uniform reservoir.
     let uniform: Vec<&RequestTrace> =
         s.traces.iter().filter(|(_, tag)| tag == "uniform").map(|(t, _)| t).collect();
-    let basis: Vec<&RequestTrace> = if uniform.is_empty() {
-        s.traces.iter().map(|(t, _)| t).collect()
-    } else {
-        uniform
-    };
+    let basis: Vec<&RequestTrace> =
+        if uniform.is_empty() { s.traces.iter().map(|(t, _)| t).collect() } else { uniform };
 
     let _ = writeln!(out, "  stage            p50          p99");
     for stage in Stage::ALL {
-        let mut vals: Vec<f64> =
-            basis.iter().map(|t| t.stage_ns[stage as usize] as f64).collect();
+        let mut vals: Vec<f64> = basis.iter().map(|t| t.stage_ns[stage as usize] as f64).collect();
         vals.sort_by(f64::total_cmp);
         let _ = writeln!(
             out,
@@ -490,10 +484,8 @@ fn render_traces(out: &mut String, s: &Summary) {
             let _ = writeln!(out, "  batch-occupancy vs latency correlation: r = {r:+.2}");
         }
         None => {
-            let _ = writeln!(
-                out,
-                "  batch-occupancy vs latency correlation: n/a (constant sample)"
-            );
+            let _ =
+                writeln!(out, "  batch-occupancy vs latency correlation: n/a (constant sample)");
         }
     }
 

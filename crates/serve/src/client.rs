@@ -123,8 +123,8 @@ impl Client {
     ) -> Result<(u16, String), String> {
         let addr = self.addr.clone();
         if self.stream.is_none() {
-            let stream = TcpStream::connect(&addr)
-                .map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+            let stream =
+                TcpStream::connect(&addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
             let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
             let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
             self.connects += 1;
@@ -193,8 +193,7 @@ fn write_and_read(
                 content_length = value
                     .parse()
                     .map_err(|_| format!("bad Content-Length from {addr}: `{value}`"))?;
-            } else if name.eq_ignore_ascii_case("connection")
-                && value.eq_ignore_ascii_case("close")
+            } else if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close")
             {
                 server_close = true;
             }

@@ -41,10 +41,7 @@ pub const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(2);
 /// clean end of a keep-alive connection, not an error. Every malformed
 /// input is a typed [`ServeError::BadRequest`] the caller turns into a
 /// 400.
-pub fn read_request(
-    stream: &mut TcpStream,
-    idle: Duration,
-) -> Result<Option<Request>, ServeError> {
+pub fn read_request(stream: &mut TcpStream, idle: Duration) -> Result<Option<Request>, ServeError> {
     let _ = stream.set_read_timeout(Some(idle));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
 

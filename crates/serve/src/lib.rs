@@ -34,11 +34,11 @@ pub mod queue;
 pub mod server;
 pub mod session;
 
+pub use client::Client;
 pub use protocol::{
     ColumnRequest, EncodeResponse, ErrorBody, ErrorEnvelope, HealthResponse, MetricsResponse,
     RankRequest, RankResponse, RelationRequest, ReprResponse, RowPopulationRequest, ServeError,
     TableRequest, MAX_BODY_BYTES,
 };
-pub use client::Client;
 pub use server::{run, start, ServeOptions, ServerHandle};
 pub use session::{Head, Session};

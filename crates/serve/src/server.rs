@@ -28,7 +28,9 @@
 //! are bit-identical with tracing on or off.
 
 use crate::cache::{canonical_bytes, fnv1a, EncodeCache};
-use crate::http::{read_request, write_response, Request, ResponseMeta, IO_TIMEOUT, KEEP_ALIVE_IDLE};
+use crate::http::{
+    read_request, write_response, Request, ResponseMeta, IO_TIMEOUT, KEEP_ALIVE_IDLE,
+};
 use crate::protocol::{HealthResponse, MetricsResponse, ServeError};
 use crate::queue::{BatchQueue, Job, ShapeKey};
 use crate::session::{exec_to_serve, Session};
@@ -183,8 +185,7 @@ impl Instruments {
         let endpoint_latency = ENDPOINTS
             .iter()
             .map(|ep| {
-                let name =
-                    turl_obs::intern_name(&format!("serve.latency_us{{endpoint=\"{ep}\"}}"));
+                let name = turl_obs::intern_name(&format!("serve.latency_us{{endpoint=\"{ep}\"}}"));
                 (*ep, turl_obs::histogram(name, &LATENCY_BOUNDS_US))
             })
             .collect();

@@ -97,8 +97,7 @@ impl Session {
     /// Parameter dtype label for build-info telemetry: `"int8"` when
     /// any parameter is stored quantized, `"f32"` otherwise.
     pub fn dtype(&self) -> &'static str {
-        let quantized =
-            self.store.ids().any(|id| self.store.value(id).quantized().is_some());
+        let quantized = self.store.ids().any(|id| self.store.value(id).quantized().is_some());
         if quantized {
             "int8"
         } else {

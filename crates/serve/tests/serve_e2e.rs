@@ -392,9 +392,8 @@ fn metrics_endpoint_is_valid_prometheus_with_stage_histograms() {
     // exists, and the stages a lone uncached request crosses have
     // observations.
     for stage in ["decode", "queue_wait", "batch_assemble", "forward", "encode", "write"] {
-        let count =
-            turl_obs::sample_value(&samples, "serve_stage_us_count", &[("stage", stage)])
-                .unwrap_or_else(|| panic!("missing serve_stage_us_count for stage {stage}"));
+        let count = turl_obs::sample_value(&samples, "serve_stage_us_count", &[("stage", stage)])
+            .unwrap_or_else(|| panic!("missing serve_stage_us_count for stage {stage}"));
         assert!(count >= 1.0, "stage {stage} has no observations");
     }
     // Per-endpoint latency histogram for the endpoint we hit.
@@ -402,10 +401,13 @@ fn metrics_endpoint_is_valid_prometheus_with_stage_histograms() {
         turl_obs::sample_value(&samples, "serve_latency_us_count", &[("endpoint", "encode")])
             .expect("per-endpoint latency family");
     assert!(count >= 1.0);
-    assert!(
-        turl_obs::histogram_quantile(&samples, "serve_latency_us", &[("endpoint", "encode")], 0.5)
-            .is_some()
-    );
+    assert!(turl_obs::histogram_quantile(
+        &samples,
+        "serve_latency_us",
+        &[("endpoint", "encode")],
+        0.5
+    )
+    .is_some());
     // Build info and uptime gauges.
     let build = samples.iter().find(|s| s.name == "turl_build_info").expect("turl_build_info");
     assert_eq!(build.value, 1.0);
