@@ -78,6 +78,10 @@ impl Deserialize for BenchEntry {
     }
 }
 
+/// Rows of the forward-shape kernel measurements: the benchmark corpus's
+/// median linearized table length.
+const FWD_ROWS: usize = 28;
+
 /// Time `f` and return mean ns/iter: one warmup call, then iterations
 /// until `min_total` elapses (at least 3).
 fn time_ns<F: FnMut()>(mut f: F, min_total_ms: u64) -> u64 {
@@ -172,6 +176,19 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
     let b = normal_init(&mut rng, vec![mm_dim, mm_dim], 0.0, 1.0);
     let ba = normal_init(&mut rng, vec![heads, hd, hd], 0.0, 1.0);
     let bb = normal_init(&mut rng, vec![heads, hd, hd], 0.0, 1.0);
+    // The paper forward's own matmul shapes (§4.3: d=312, FFN 1200) at
+    // the corpus's median table length of 28 rows, dense and int8.
+    // Per shape: the activations `x [28, k]`, the weight `w [k, n]`, and
+    // `w` block-quantized.
+    let fwd_shapes: Vec<(Tensor, Tensor, Tensor)> = [(312, 312), (312, 1200), (1200, 312)]
+        .into_iter()
+        .map(|(k, n)| {
+            let x = normal_init(&mut rng, vec![FWD_ROWS, k], 0.0, 1.0);
+            let w = normal_init(&mut rng, vec![k, n], 0.0, 1.0);
+            let wq = w.quantize_i8();
+            (x, w, wq)
+        })
+        .collect();
 
     let mut world = build_world(quick);
     let batch: Vec<(TableInstance, EncodedInput)> = world.data.iter().take(8).cloned().collect();
@@ -221,6 +238,37 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             );
             out.push(entry(name, kernel_size.clone(), t, ns, mm_dim));
         }
+        for (x, w, wq) in &fwd_shapes {
+            let (k, n) = (w.shape()[0], w.shape()[1]);
+            let size = format!("m={FWD_ROWS},k={k},n={n}");
+            let mut y = vec![0.0f32; FWD_ROWS * n];
+            let ns = time_ns(
+                || {
+                    ops::matmul_into(x.data(), w.data(), &mut y, FWD_ROWS, k, n);
+                    std::hint::black_box(y[0]);
+                },
+                window_ms,
+            );
+            out.push(entry("matmul", size.clone(), t, ns, FWD_ROWS));
+            let blocks = wq.quantized().expect("quantize_i8 yields quantized storage");
+            let ns = time_ns(
+                || {
+                    ops::matmul_q8_into(x.data(), blocks, &mut y, FWD_ROWS, k, n);
+                    std::hint::black_box(y[0]);
+                },
+                window_ms,
+            );
+            out.push(entry_dtyped("matmul", size, "i8b32", t, ns, FWD_ROWS));
+        }
+        // The FFN weight gradient of the training backward: xᵀ · dy.
+        let (x, dy) = (&fwd_shapes[0].0, &fwd_shapes[2].0);
+        let ns = time_ns(
+            || {
+                std::hint::black_box(ops::matmul_tn(x, dy));
+            },
+            window_ms,
+        );
+        out.push(entry("matmul_tn", format!("k={FWD_ROWS},m=312,n=1200"), t, ns, 312));
         let bmm_size = format!("b={heads},m={hd},k={hd},n={hd}");
         let bkernels: [(&str, Kern); 3] =
             [("bmm", ops::bmm), ("bmm_nt", ops::bmm_nt), ("bmm_tn", ops::bmm_tn)];
@@ -610,6 +658,13 @@ mod tests {
         for op in ops {
             assert!(entries.iter().any(|e| e.op == op && e.threads == 1), "missing op {op}");
         }
+        // The forward's own matmul shapes are measured at both dtypes.
+        for dtype in ["f32", "i8b32"] {
+            assert!(entries
+                .iter()
+                .any(|e| e.op == "matmul" && e.size == "m=28,k=312,n=1200" && e.dtype == dtype));
+        }
+        assert!(entries.iter().any(|e| e.op == "matmul_tn" && e.size == "k=28,m=312,n=1200"));
         // The compiled paper-dim encoder is measured at both dtypes.
         assert!(entries
             .iter()

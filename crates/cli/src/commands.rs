@@ -162,7 +162,8 @@ mask ratios on target); it exits non-zero if any invariant is
 violated.
 
 `bench` times the matmul kernel family, encoder forward/backward and
-full pre-training steps across the requested thread counts and writes
+full pre-training steps across the requested thread counts (those above
+the machine's core count are skipped) and writes
 JSON rows {op, size, threads, ns_per_iter, tokens_per_sec}. With
 --baseline it exits non-zero if any matching measurement regressed by
 more than --factor (default 2.0).
@@ -1108,11 +1109,20 @@ pub fn bench(opts: &Options) -> Result<(), String> {
     if thread_counts.is_empty() {
         return Err("--threads list is empty".to_string());
     }
+    // A width above the core count measures oversubscription, not scaling.
+    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let (thread_counts, skipped): (Vec<usize>, Vec<usize>) =
+        thread_counts.into_iter().partition(|&t| t <= cores);
+    if !skipped.is_empty() {
+        warn(format!("skipping thread counts {skipped:?}: only {cores} core(s) available"));
+    }
+    if thread_counts.is_empty() {
+        return Err(format!("no requested thread count fits the {cores} available core(s)"));
+    }
     info(format!(
-        "benchmarking ({}) across {:?} threads on {} available core(s) ...",
+        "benchmarking ({}) across {:?} threads on {cores} available core(s) ...",
         if quick { "quick" } else { "full" },
         thread_counts,
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
     ));
     let entries = turl_bench::throughput::run_suite(quick, &thread_counts);
     info(turl_bench::throughput::summarize(&entries).trim_end());

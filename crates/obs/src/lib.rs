@@ -39,7 +39,7 @@ pub mod trace;
 pub use event::{Event, FieldValue};
 pub use metrics::{
     counter, emit_metrics_events, gauge, histogram, intern_name, quantile_from_buckets,
-    snapshot_registry, Counter, Gauge, Histogram, RegistrySnapshot,
+    snapshot_registry, Counter, Gauge, Histogram, HistogramSnapshot, RegistrySnapshot,
 };
 pub use profile::{
     emit_profile_events, op_timer, pool_configure, pool_dequeued, pool_helper_run, pool_submitted,

@@ -208,6 +208,21 @@ pub fn histogram(name: &'static str, bounds: &[f64]) -> Arc<Histogram> {
     h
 }
 
+/// Point-in-time copy of one histogram.
+#[derive(Debug)]
+pub struct HistogramSnapshot {
+    /// Registered name (labels included).
+    pub name: &'static str,
+    /// Number of observations.
+    pub total: u64,
+    /// Sum of observed values.
+    pub sum: f64,
+    /// Per-bucket counts, the overflow bucket last.
+    pub counts: Vec<u64>,
+    /// Upper bounds of the finite buckets.
+    pub bounds: Vec<f64>,
+}
+
 /// Point-in-time copy of every registered instrument, consumed by the
 /// Prometheus renderer and `emit_metrics_events`.
 #[derive(Debug, Default)]
@@ -216,9 +231,8 @@ pub struct RegistrySnapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// `(name, last value)` per gauge.
     pub gauges: Vec<(&'static str, f64)>,
-    /// `(name, total, sum, per-bucket counts incl. overflow, bounds)`
-    /// per histogram.
-    pub histograms: Vec<(&'static str, u64, f64, Vec<u64>, Vec<f64>)>,
+    /// One entry per histogram.
+    pub histograms: Vec<HistogramSnapshot>,
 }
 
 /// Snapshot every registered instrument (registration order).
@@ -233,7 +247,13 @@ pub fn snapshot_registry() -> RegistrySnapshot {
         histograms: reg
             .histograms
             .iter()
-            .map(|(n, h)| (*n, h.total(), h.sum(), h.counts(), h.bounds().to_vec()))
+            .map(|(n, h)| HistogramSnapshot {
+                name: n,
+                total: h.total(),
+                sum: h.sum(),
+                counts: h.counts(),
+                bounds: h.bounds().to_vec(),
+            })
             .collect(),
     }
 }
@@ -281,7 +301,7 @@ pub fn emit_metrics_events() {
             ],
         );
     }
-    for (name, total, sum, counts, bounds) in snapshot.histograms {
+    for HistogramSnapshot { name, total, sum, counts, bounds } in snapshot.histograms {
         let buckets = counts.iter().map(|c| c.to_string()).collect::<Vec<_>>().join(",");
         let bounds = bounds.iter().map(|b| b.to_string()).collect::<Vec<_>>().join(",");
         emit(

@@ -14,7 +14,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::metrics::{quantile_from_buckets, snapshot_registry};
+use crate::metrics::{quantile_from_buckets, snapshot_registry, HistogramSnapshot};
 
 /// Sanitize a metric base name into the Prometheus charset
 /// (`[a-zA-Z_:][a-zA-Z0-9_:]*`): every other character becomes `_`.
@@ -93,15 +93,14 @@ pub fn render_prometheus() -> String {
         }
     }
 
-    type HistSeries = Vec<(String, u64, f64, Vec<u64>, Vec<f64>)>;
-    let mut hists: BTreeMap<String, HistSeries> = BTreeMap::new();
-    for (name, total, sum, counts, bounds) in snap.histograms {
-        let (base, labels) = split_name(name);
-        hists.entry(base).or_default().push((labels, total, sum, counts, bounds));
+    let mut hists: BTreeMap<String, Vec<(String, HistogramSnapshot)>> = BTreeMap::new();
+    for h in snap.histograms {
+        let (base, labels) = split_name(h.name);
+        hists.entry(base).or_default().push((labels, h));
     }
     for (family, series) in hists {
         out.push_str(&format!("# TYPE {family} histogram\n"));
-        for (labels, total, sum, counts, bounds) in series {
+        for (labels, HistogramSnapshot { total, sum, counts, bounds, .. }) in series {
             let mut cum = 0u64;
             for (i, bound) in bounds.iter().enumerate() {
                 cum += counts.get(i).copied().unwrap_or(0);

@@ -5,17 +5,26 @@
 //!
 //! * [`matmul`]    — `C = A · B`
 //! * [`matmul_nt`] — `C = A · Bᵀ` (B is pre-transposed into a scratch
-//!   panel, then runs through the same register-tiled kernel as `matmul`)
-//! * [`matmul_tn`] — `C = Aᵀ · B` (rank-1 updates)
+//!   panel, then runs through the same block kernel as `matmul`)
+//! * [`matmul_tn`] — `C = Aᵀ · B` (the same block kernel reading `A`
+//!   k-major, so both operand loads are contiguous and `C` is written once)
 //!
-//! The shared microkernel is register-tiled: an `MR × NR` accumulator
-//! block lives in registers across the whole `k` loop, so the inner loop
-//! is `NR`-wide (8 floats — one AVX vector or two SSE vectors) with no
-//! loads or stores of partial sums. Every output element is still
-//! accumulated in ascending-`k` order regardless of tiling or the
-//! [`crate::pool`] row split, so results are bit-identical for every
-//! thread count and tile shape — the invariant the parallel-vs-serial
-//! equivalence tests pin down.
+//! All of them — and [`matmul_q8_into`], whose `B` is dequantized in
+//! register — run one block kernel (`block`) over a rows × columns
+//! rectangle of the output. It is register-tiled: an `R × NR` accumulator
+//! block (`R` ≤ `MR` rows, so the `m mod 4` remainder runs at vector
+//! rate too) lives in registers across the whole `k` loop, and column
+//! panels are walked outermost so a `B` panel is fetched from beyond L1
+//! once and reused by every row tile. On x86-64 the same source body is
+//! compiled a second time with AVX2 enabled and picked at run time.
+//!
+//! The numeric contract (DESIGN §5f): every output element is one
+//! accumulator that starts at `+0.0` and adds `a·b` — multiply, then add,
+//! never fused — in ascending `k`; SIMD lanes run across `n`, never
+//! across `k`. Results are therefore bit-identical to the naive triple
+//! loop for every tile shape, every [`crate::pool`] split (column panels
+//! when `m < n`, row tiles otherwise) and both compiled bodies — the
+//! invariant the parallel-vs-serial equivalence tests pin down.
 //!
 //! The batched variants ([`bmm`], [`bmm_nt`], [`bmm_tn`]) parallelize over
 //! the batch (attention-head) dimension instead, so multi-head attention
@@ -29,9 +38,12 @@
 //! kernel documents its equivalence contract against the unfused op
 //! sequence (all are reassociation-free and therefore bit-exact).
 
-use crate::dtype::{QuantBlocks, QBLOCK_SHIFT};
+use crate::dtype::{QuantBlocks, QBLOCK, QBLOCK_SHIFT};
 use crate::pool;
 use crate::tensor::Tensor;
+use std::array::from_fn;
+use std::marker::PhantomData;
+use std::ops::Range;
 
 /// Time one kernel invocation under a lazily registered op slot.
 /// Expands to an RAII guard binding; costs one atomic load when
@@ -43,15 +55,20 @@ macro_rules! profiled {
     }};
 }
 
-/// Rows per register tile of the shared microkernel.
+/// Rows per full register tile of the block kernel.
 const MR: usize = 4;
-/// Columns per register tile: one 8-wide SIMD vector (two on SSE2).
-/// `MR * NR` accumulators stay in registers across the whole `k` loop.
-const NR: usize = 8;
-/// `k`-tile for the rank-1 (`tn`) kernel: rows of `A`/`B` kept hot.
-const TILE_K: usize = 64;
-/// Minimum `m * k * n` volume before a 2-D kernel fans out to the pool.
+/// Columns per register tile: two 8-wide SIMD vectors, i.e. one whole
+/// cache line of `B` per `k` step (a strided panel walk touches every line
+/// once, not once per half). `MR * NR` accumulators stay in registers
+/// across the whole `k` loop.
+const NR: usize = 16;
+// A tile's columns share one quantization scale per `k` step.
+const _: () = assert!(QBLOCK.is_multiple_of(NR));
+/// Minimum volume, in multiply-adds, before a kernel fans out to the pool.
 const PAR_MIN_VOLUME: usize = 32 * 1024;
+/// What one GELU costs in multiply-adds (its `tanh`), to weigh
+/// [`bias_gelu_inplace`] against [`PAR_MIN_VOLUME`].
+const TANH_MACS: usize = 32;
 /// Below this `m * n` output volume, `matmul_nt` keeps the row-dot-product
 /// path: a `k × n` transpose panel would cost more than it saves.
 const NT_TRANSPOSE_MIN_OUT: usize = 64;
@@ -75,7 +92,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
     let a_slice = a_dense.as_ref().map_or_else(|| a.data(), |t| t.data());
     match b.quantized() {
         Some(q) => matmul_q8_into(a_slice, q, out.data_mut(), m, k, n),
-        None => par_rows(a_slice, b.data(), out.data_mut(), m, k, n, matmul_rows),
+        None => gemm_dense::<RowMajor>(a_slice, b.data(), out.data_mut(), m, k, n),
     }
     out
 }
@@ -83,7 +100,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ`.
 ///
 /// Large problems pre-transpose `B` into a `[k, n]` scratch panel and run
-/// the register-tiled `matmul` kernel (contiguous panel access instead of
+/// the block kernel of `matmul` (contiguous panel access instead of
 /// `n` strided row streams); tiny ones keep the direct row-dot-product
 /// path. Both accumulate each output element in ascending-`k` order, so
 /// the paths are bit-identical to each other and to `matmul(a, bᵀ)`.
@@ -102,13 +119,8 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let a_slice = a_dense.as_ref().map_or_else(|| a.data(), |t| t.data());
     let b_dense = b.as_f32().is_none().then(|| b.dequantize());
     let b_slice = b_dense.as_ref().map_or_else(|| b.data(), |t| t.data());
-    if m * n < NT_TRANSPOSE_MIN_OUT {
-        par_rows(a_slice, b_slice, out.data_mut(), m, k, n, matmul_nt_rows);
-    } else {
-        let mut scratch = vec![0.0f32; k * n];
-        transpose_into(b_slice, &mut scratch, n, k);
-        par_rows(a_slice, &scratch, out.data_mut(), m, k, n, matmul_rows);
-    }
+    let mut scratch = vec![0.0f32; if m * n < NT_TRANSPOSE_MIN_OUT { 0 } else { k * n }];
+    gemm_nt(a_slice, b_slice, out.data_mut(), &mut scratch, m, k, n);
     out
 }
 
@@ -121,7 +133,7 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
     let (k2, n) = (b.shape()[0], b.shape()[1]);
     assert_eq!(k, k2, "matmul_tn inner dims: {:?} x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros(vec![m, n]);
-    par_rows(a.data(), b.data(), out.data_mut(), m, k, n, matmul_tn_rows);
+    gemm_dense::<KMajor>(a.data(), b.data(), out.data_mut(), m, k, n);
     out
 }
 
@@ -135,7 +147,7 @@ pub fn bmm(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(bs, bs2, "bmm batch dims differ");
     assert_eq!(k, k2, "bmm inner dims: {:?} x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros(vec![bs, m, n]);
-    par_batch(a.data(), b.data(), out.data_mut(), bs, m, k, n, m * k, k * n, matmul_full);
+    par_batch::<RowMajor>(a.data(), b.data(), out.data_mut(), bs, m, k, n);
     out
 }
 
@@ -154,20 +166,8 @@ pub fn bmm_nt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(bs, bs2, "bmm_nt batch dims differ");
     assert_eq!(k, k2, "bmm_nt inner dims: {:?} x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros(vec![bs, m, n]);
-    if bs * m * n < NT_TRANSPOSE_MIN_OUT {
-        par_batch(a.data(), b.data(), out.data_mut(), bs, m, k, n, m * k, n * k, matmul_nt_full);
-    } else {
-        let mut scratch = vec![0.0f32; bs * k * n];
-        for i in 0..bs {
-            transpose_into(
-                &b.data()[i * n * k..(i + 1) * n * k],
-                &mut scratch[i * k * n..(i + 1) * k * n],
-                n,
-                k,
-            );
-        }
-        par_batch(a.data(), &scratch, out.data_mut(), bs, m, k, n, m * k, k * n, matmul_full);
-    }
+    let mut scratch = vec![0.0f32; if bs * m * n < NT_TRANSPOSE_MIN_OUT { 0 } else { bs * k * n }];
+    par_batch_nt(a.data(), b.data(), out.data_mut(), &mut scratch, bs, m, k, n);
     out
 }
 
@@ -181,202 +181,399 @@ pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(bs, bs2, "bmm_tn batch dims differ");
     assert_eq!(k, k2, "bmm_tn inner dims: {:?} x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros(vec![bs, m, n]);
-    par_batch(a.data(), b.data(), out.data_mut(), bs, m, k, n, k * m, k * n, matmul_tn_full);
+    par_batch::<KMajor>(a.data(), b.data(), out.data_mut(), bs, m, k, n);
     out
 }
 
 // ---------------------------------------------------------------------
-// Dispatch plumbing
+// Operands and output of the block kernel
 // ---------------------------------------------------------------------
 
-/// Signature shared by the three row-range microkernels: compute output
-/// rows `r0..r1` of `out[m,n]` given full operands.
-type RowKernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize, usize, usize);
+/// How the block kernel reads `A[i, kk]` of an `m × k` left operand.
+trait Lhs<'a>: Copy + Sync {
+    /// View `a` (`m * k` elements in this layout) as the left operand.
+    fn new(a: &'a [f32], m: usize, k: usize) -> Self;
+    /// `[A[i0, kk], …, A[i0 + R - 1, kk]]` for `kk` ascending over `0..k`.
+    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = [f32; R]>;
+}
 
-/// Dispatch a 2-D kernel: serial below [`PAR_MIN_VOLUME`], otherwise the
-/// output rows are split into one contiguous range per pool thread. Each
-/// range touches a disjoint slice of `out`, which is handed out through a
-/// raw base pointer (the ranges never alias).
-fn par_rows(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize, kern: RowKernel) {
+/// `A` stored `[m, k]` row-major (`matmul`, `matmul_nt`, `matmul_q8`).
+#[derive(Clone, Copy)]
+struct RowMajor<'a> {
+    a: &'a [f32],
+    k: usize,
+}
+
+impl<'a> Lhs<'a> for RowMajor<'a> {
+    fn new(a: &'a [f32], m: usize, k: usize) -> Self {
+        assert_eq!(a.len(), m * k, "matmul lhs size");
+        Self { a, k }
+    }
+    #[inline(always)]
+    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = [f32; R]> {
+        let rows: [&[f32]; R] = from_fn(|r| &self.a[(i0 + r) * self.k..][..self.k]);
+        (0..self.k).map(move |kk| from_fn(|r| rows[r][kk]))
+    }
+}
+
+/// `A` stored `[k, m]` (`matmul_tn`): the `R` values of one step are
+/// adjacent in memory.
+#[derive(Clone, Copy)]
+struct KMajor<'a> {
+    a: &'a [f32],
+    m: usize,
+}
+
+impl<'a> Lhs<'a> for KMajor<'a> {
+    fn new(a: &'a [f32], m: usize, k: usize) -> Self {
+        assert_eq!(a.len(), m * k, "matmul_tn lhs size");
+        Self { a, m }
+    }
+    #[inline(always)]
+    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = [f32; R]> {
+        self.a.chunks_exact(self.m).map(move |row| {
+            let vals = &row[i0..i0 + R];
+            from_fn(|r| vals[r])
+        })
+    }
+}
+
+/// How the block kernel obtains the `W`-wide fragment `B[kk, j0..j0 + W]`
+/// of a `k × n` right operand.
+trait Rhs: Copy + Sync {
+    /// The fragments at column `j0` for `kk` ascending over `0..k`.
+    fn steps<const W: usize>(self, j0: usize) -> impl Iterator<Item = [f32; W]>;
+}
+
+/// Dense `B` stored `[k, n]` row-major.
+#[derive(Clone, Copy)]
+struct F32<'a> {
+    b: &'a [f32],
+    n: usize,
+}
+
+impl<'a> F32<'a> {
+    fn new(b: &'a [f32], k: usize, n: usize) -> Self {
+        assert_eq!(b.len(), k * n, "matmul rhs size");
+        Self { b, n }
+    }
+}
+
+impl Rhs for F32<'_> {
+    #[inline(always)]
+    fn steps<const W: usize>(self, j0: usize) -> impl Iterator<Item = [f32; W]> {
+        self.b.chunks_exact(self.n).map(move |row| {
+            let vals = &row[j0..j0 + W];
+            from_fn(|c| vals[c])
+        })
+    }
+}
+
+/// Block-quantized `B`, dequantized in register: `q as f32 * scale` right
+/// before the multiply, which is exactly `dequantize()`'s value. The
+/// kernel's fragments start at a multiple of their width `W`, and every
+/// `W` it uses divides `QBLOCK`, so a fragment never straddles two quant
+/// blocks — one scale per step.
+impl Rhs for &QuantBlocks {
+    #[inline(always)]
+    fn steps<const W: usize>(self, j0: usize) -> impl Iterator<Item = [f32; W]> {
+        let blk = j0 >> QBLOCK_SHIFT;
+        let scales = self.scales().chunks_exact(self.blocks_per_row());
+        self.quants().chunks_exact(self.cols()).zip(scales).map(move |(row, srow)| {
+            let (vals, scale) = (&row[j0..j0 + W], srow[blk]);
+            from_fn(|c| vals[c] as f32 * scale)
+        })
+    }
+}
+
+/// The output matrix as the block kernel sees it: a raw base pointer and
+/// the row stride `n`, copied into every pool task of one call.
+///
+/// Disjointness, stated once for every `unsafe` below: a call partitions
+/// `out[m,n]` into rectangles (one per task: a row range × a column
+/// range) and each rectangle into register tiles, and a tile writes
+/// exactly its own `R × W` cells through [`OutPtr::store`]; nothing is
+/// ever read through the pointer. No two tiles share a cell, so
+/// concurrent tasks never touch the same memory even when a column split
+/// interleaves their cells inside one row, and no `&mut [f32]` over the
+/// output is usable meanwhile: the `'a` borrow keeps the caller's slice
+/// frozen until the last copy of the `OutPtr` is gone, which is after
+/// `parallel_for` has joined.
+#[derive(Clone, Copy)]
+struct OutPtr<'a> {
+    base: *mut f32,
+    len: usize,
+    n: usize,
+    _out: PhantomData<&'a mut [f32]>,
+}
+
+// SAFETY: the pointee is plain `f32` memory that outlives `'a`, and tasks
+// sharing an `OutPtr` write disjoint cells (type docs).
+unsafe impl Send for OutPtr<'_> {}
+unsafe impl Sync for OutPtr<'_> {}
+
+impl<'a> OutPtr<'a> {
+    fn new(out: &'a mut [f32], m: usize, n: usize) -> Self {
+        assert_eq!(out.len(), m * n, "matmul out size");
+        Self { base: out.as_mut_ptr(), len: out.len(), n, _out: PhantomData }
+    }
+
+    /// The `i`-th `[m, n]` matrix of a batched output.
+    fn batch(self, i: usize, m: usize) -> Self {
+        let (start, len) = (i * m * self.n, m * self.n);
+        assert!(start + len <= self.len, "bmm out size");
+        Self { base: self.base.wrapping_add(start), len, ..self }
+    }
+
+    /// Write `vals` to `out[i, j..j + W]` (bounds-checked).
+    ///
+    /// # Safety
+    /// No other task or tile may access those cells (type docs).
+    #[inline(always)]
+    unsafe fn store<const W: usize>(self, i: usize, j: usize, vals: [f32; W]) {
+        assert!(j + W <= self.n && (i + 1) * self.n <= self.len, "tile outside the output");
+        // SAFETY: in bounds by the assert, `f32`-aligned, and exclusively
+        // this tile's cells by the caller's contract.
+        unsafe { self.base.add(i * self.n + j).cast::<[f32; W]>().write(vals) }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The block kernel
+// ---------------------------------------------------------------------
+
+/// One `R × W` register tile of `out` at `(i0, j0)`: the accumulators
+/// start at `+0.0`, stay in registers across the whole `k` loop and take
+/// one multiply and one add per step, lanes running across columns.
+#[inline(always)]
+fn tile<'a, const R: usize, const W: usize, A: Lhs<'a>, B: Rhs>(
+    a: A,
+    b: B,
+    out: OutPtr,
+    i0: usize,
+    j0: usize,
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for (av, bv) in a.steps::<R>(i0).zip(b.steps::<W>(j0)) {
+        for r in 0..R {
+            for c in 0..W {
+                acc[r][c] += av[r] * bv[c];
+            }
+        }
+    }
+    for (r, vals) in acc.into_iter().enumerate() {
+        // SAFETY: the cells belong to this tile alone (`OutPtr` docs).
+        unsafe { out.store(i0 + r, j0, vals) };
+    }
+}
+
+/// All row tiles of one `W`-wide column panel: full `MR`-row tiles, then
+/// the `rows mod MR` remainder as one shorter tile at the same vector rate.
+#[inline(always)]
+fn panel<'a, const W: usize, A: Lhs<'a>, B: Rhs>(
+    a: A,
+    b: B,
+    out: OutPtr,
+    rows: &Range<usize>,
+    j0: usize,
+) {
+    let mut i0 = rows.start;
+    while i0 + MR <= rows.end {
+        tile::<MR, W, A, B>(a, b, out, i0, j0);
+        i0 += MR;
+    }
+    match rows.end - i0 {
+        3 => tile::<3, W, A, B>(a, b, out, i0, j0),
+        2 => tile::<2, W, A, B>(a, b, out, i0, j0),
+        1 => tile::<1, W, A, B>(a, b, out, i0, j0),
+        _ => {}
+    }
+}
+
+/// The block kernel: the `rows × cols` rectangle of `out = A · B`, where
+/// `cols.start` is a multiple of `NR`. Column panels are outermost, so a
+/// `B` panel is fetched once and reused from L1 by every row tile. The
+/// `cols mod NR` fringe takes one half-width panel if it fits; only what
+/// is left (fewer than `NR / 2` columns) runs one column at a time.
+#[inline(always)]
+fn block<'a, A: Lhs<'a>, B: Rhs>(a: A, b: B, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
+    let mut j0 = cols.start;
+    while j0 + NR <= cols.end {
+        panel::<NR, A, B>(a, b, out, &rows, j0);
+        j0 += NR;
+    }
+    if j0 + NR / 2 <= cols.end {
+        panel::<{ NR / 2 }, A, B>(a, b, out, &rows, j0);
+        j0 += NR / 2;
+    }
+    for j in j0..cols.end {
+        panel::<1, A, B>(a, b, out, &rows, j);
+    }
+}
+
+/// [`block`] compiled a second time with AVX2 enabled (8 lanes per
+/// vector instead of 4). FMA stays off and the body is the same source,
+/// so the two compilations are bit-identical.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn block_avx2<'a, A: Lhs<'a>, B: Rhs>(
+    a: A,
+    b: B,
+    out: OutPtr,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    block(a, b, out, rows, cols);
+}
+
+/// Run [`block`] through the widest body this CPU supports.
+fn run_block<'a, A: Lhs<'a>, B: Rhs>(
+    a: A,
+    b: B,
+    out: OutPtr,
+    rows: Range<usize>,
+    cols: Range<usize>,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        // SAFETY: AVX2 was just detected on the running CPU.
+        return unsafe { block_avx2(a, b, out, rows, cols) };
+    }
+    block(a, b, out, rows, cols);
+}
+
+/// Whether a kernel of `volume` multiply-adds should fan out: enough work,
+/// a pool wider than one thread, and not already inside a pool task
+/// (where `parallel_for` would run the split inline anyway).
+fn fans_out(volume: usize) -> bool {
+    volume >= PAR_MIN_VOLUME && pool::n_threads() > 1 && !pool::in_task()
+}
+
+/// The one dispatcher behind every matmul entry point: `out[m,n] = A · B`.
+///
+/// One block unless the call [`fans_out`]. Otherwise the
+/// output is split `T` ways along the axis that makes each thread read
+/// the fewest operand bytes: column panels when `m < n` (every thread
+/// reads all of `A` and `1/T` of `B`: `m·k + k·n/T` elements), `MR`-
+/// aligned row ranges otherwise (`m·k/T + k·n`). Either way each element
+/// is computed by exactly one tile in the same order, so the split never
+/// shows in the result.
+fn gemm<'a, A: Lhs<'a>, B: Rhs>(a: A, b: B, out: OutPtr, m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
     }
-    if pool::n_threads() <= 1 || m * k * n < PAR_MIN_VOLUME {
-        kern(a, b, out, m, k, n, 0, m);
-        return;
+    if !fans_out(m * k * n) {
+        return run_block(a, b, out, 0..m, 0..n);
     }
-    let ranges = pool::split_ranges(m);
-    let base = out.as_mut_ptr() as usize;
-    let len = out.len();
+    let (by_cols, unit, extent) = if m < n { (true, NR, n) } else { (false, MR, m) };
+    let ranges = pool::split_ranges(extent.div_ceil(unit));
     pool::parallel_for(ranges.len(), |t| {
-        let (r0, r1) = ranges[t];
-        // SAFETY: each range writes only rows r0..r1 of `out`; ranges are
-        // disjoint and `parallel_for` joins before `out` is released.
-        let out_all = unsafe { std::slice::from_raw_parts_mut(base as *mut f32, len) };
-        kern(a, b, out_all, m, k, n, r0, r1);
+        let span = ranges[t].0 * unit..(ranges[t].1 * unit).min(extent);
+        if by_cols {
+            run_block(a, b, out, 0..m, span);
+        } else {
+            run_block(a, b, out, span, 0..n);
+        }
     });
 }
 
-/// A full (unsplit) 2-D kernel call: `out[m,n]` from one operand pair.
-type FullKernel = fn(&[f32], &[f32], &mut [f32], usize, usize, usize);
-
-fn matmul_full(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_rows(a, b, out, m, k, n, 0, m);
+/// [`gemm`] over plain slices: `a` in layout `A`, `b` dense `[k, n]`.
+fn gemm_dense<'a, A: Lhs<'a>>(
+    a: &'a [f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    gemm(A::new(a, m, k), F32::new(b, k, n), OutPtr::new(out, m, n), m, k, n);
 }
 
-fn matmul_nt_full(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_nt_rows(a, b, out, m, k, n, 0, m);
-}
-
-fn matmul_tn_full(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    matmul_tn_rows(a, b, out, m, k, n, 0, m);
-}
-
-/// Dispatch a batched kernel across the batch dimension (one task per
-/// batch element, e.g. one attention head each). `m` is the number of
-/// output rows per batch element; operand strides are passed explicitly
-/// because the three layouts slice `a`/`b` differently.
-#[allow(clippy::too_many_arguments)]
-fn par_batch(
+/// `out[m,n] = a[m,k] · b[n,k]ᵀ`: transpose `b` into the `[k, n]` scratch
+/// panel and run [`gemm`]; tiny outputs keep the row-dot-product path
+/// (and leave `scratch` untouched).
+fn gemm_nt(
     a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    scratch: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if m * n < NT_TRANSPOSE_MIN_OUT {
+        matmul_nt_rows(a, b, out, m, k, n);
+    } else {
+        transpose_into(b, scratch, n, k);
+        gemm_dense::<RowMajor>(a, scratch, out, m, k, n);
+    }
+}
+
+/// Dispatch a batched matmul across the batch dimension (one task per
+/// batch element, e.g. one attention head each); `A` names the layout of
+/// each `m × k` left operand, every right operand is dense `[k, n]`.
+/// Each element goes through [`gemm`], which runs it serially when
+/// the batch already occupies the pool.
+fn par_batch<'a, A: Lhs<'a>>(
+    a: &'a [f32],
     b: &[f32],
     out: &mut [f32],
     bs: usize,
     m: usize,
     k: usize,
     n: usize,
-    a_stride: usize,
-    b_stride: usize,
-    kern: FullKernel,
 ) {
-    let run = |i: usize, out_i: &mut [f32]| {
-        kern(
-            &a[i * a_stride..(i + 1) * a_stride],
-            &b[i * b_stride..(i + 1) * b_stride],
-            out_i,
-            m,
-            k,
-            n,
-        );
+    let out = OutPtr::new(out, bs * m, n);
+    let run = |i: usize| {
+        let a_i = A::new(&a[i * m * k..(i + 1) * m * k], m, k);
+        let b_i = F32::new(&b[i * k * n..(i + 1) * k * n], k, n);
+        gemm(a_i, b_i, out.batch(i, m), m, k, n);
     };
-    if pool::n_threads() <= 1 || bs <= 1 || bs * m * k * n < PAR_MIN_VOLUME {
+    if bs > 1 && fans_out(bs * m * k * n) {
+        pool::parallel_for(bs, run);
+    } else {
+        (0..bs).for_each(run);
+    }
+}
+
+/// Batched [`gemm_nt`] with a `[bs, k, n]` scratch: every batch element's
+/// `b` is transposed up front, then the batch runs as a plain `bmm`.
+#[allow(clippy::too_many_arguments)]
+fn par_batch_nt(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    scratch: &mut [f32],
+    bs: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    if bs * m * n < NT_TRANSPOSE_MIN_OUT {
         for i in 0..bs {
-            run(i, &mut out[i * m * n..(i + 1) * m * n]);
+            let (a_i, b_i) = (&a[i * m * k..(i + 1) * m * k], &b[i * n * k..(i + 1) * n * k]);
+            matmul_nt_rows(a_i, b_i, &mut out[i * m * n..(i + 1) * m * n], m, k, n);
         }
         return;
     }
-    let base = out.as_mut_ptr() as usize;
-    pool::parallel_for(bs, |i| {
-        // SAFETY: each batch index owns a disjoint out slice.
-        let out_i =
-            unsafe { std::slice::from_raw_parts_mut((base as *mut f32).add(i * m * n), m * n) };
-        run(i, out_i);
-    });
+    assert_eq!(scratch.len(), bs * k * n, "bmm_nt scratch size");
+    for i in 0..bs {
+        transpose_into(
+            &b[i * n * k..(i + 1) * n * k],
+            &mut scratch[i * k * n..(i + 1) * k * n],
+            n,
+            k,
+        );
+    }
+    par_batch::<RowMajor>(a, scratch, out, bs, m, k, n);
 }
 
-// ---------------------------------------------------------------------
-// Microkernels
-// ---------------------------------------------------------------------
-
-/// Register-tiled kernel over output rows `r0..r1`: each `MR × NR` output
-/// block accumulates in registers across the whole `k` loop (no partial-
-/// sum loads/stores), with an `NR`-wide SIMD-friendly inner loop. Each
-/// output element still sums its products in ascending-`k` order, so the
-/// result is bit-identical to the naive triple loop.
-#[allow(clippy::too_many_arguments)] // fixed by the RowKernel fn-pointer ABI
-fn matmul_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    _m: usize,
-    k: usize,
-    n: usize,
-    r0: usize,
-    r1: usize,
-) {
-    let mut i = r0;
-    while i + MR <= r1 {
-        let mut j = 0usize;
-        while j + NR <= n {
-            tile_mr_nr(a, b, out, k, n, i, j);
-            j += NR;
-        }
-        if j < n {
-            tile_edge(a, b, out, k, n, i, i + MR, j, n);
-        }
-        i += MR;
-    }
-    if i < r1 {
-        tile_edge(a, b, out, k, n, i, r1, 0, n);
-    }
-}
-
-/// One full `MR × NR` register tile of `out` at `(i0, j0)`.
-#[inline(always)]
-fn tile_mr_nr(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize, i0: usize, j0: usize) {
-    let a0 = &a[i0 * k..(i0 + 1) * k];
-    let a1 = &a[(i0 + 1) * k..(i0 + 2) * k];
-    let a2 = &a[(i0 + 2) * k..(i0 + 3) * k];
-    let a3 = &a[(i0 + 3) * k..(i0 + 4) * k];
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let brow = &b[kk * n + j0..kk * n + j0 + NR];
-        let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
-        for r in 0..MR {
-            let accr = &mut acc[r];
-            for c in 0..NR {
-                accr[c] += av[r] * brow[c];
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        out[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR].copy_from_slice(accr);
-    }
-}
-
-/// Remainder tile: scalar accumulators, same ascending-`k` sum order as
-/// the register tile (bit-identical values).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn tile_edge(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
-) {
-    for i in i0..i1 {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in j0..j1 {
-            let mut s = 0.0f32;
-            for (kk, &av) in arow.iter().enumerate() {
-                s += av * b[kk * n + j];
-            }
-            out[i * n + j] = s;
-        }
-    }
-}
-
-/// Row-dot-product kernel over output rows `r0..r1`, unrolled 4-wide
-/// across output columns. Kept as the small-problem path of `matmul_nt`,
-/// where a transpose panel would dominate the cost; each accumulator
-/// still sums in ascending-`k` order (bit-identical to the panel path).
-#[allow(clippy::too_many_arguments)] // fixed by the RowKernel fn-pointer ABI
-fn matmul_nt_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    _m: usize,
-    k: usize,
-    n: usize,
-    r0: usize,
-    r1: usize,
-) {
-    for i in r0..r1 {
+/// Row-dot-product kernel, unrolled 4-wide across output columns. Kept
+/// as the small-problem path of `matmul_nt`, where a transpose panel
+/// would dominate the cost; each accumulator still sums in ascending-`k`
+/// order (bit-identical to the panel path).
+fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         let orow = &mut out[i * n..(i + 1) * n];
         let mut j = 0usize;
@@ -410,40 +607,6 @@ fn matmul_nt_rows(
     }
 }
 
-/// Rank-1-update kernel restricted to output rows `r0..r1`.
-///
-/// `a` is `[k, m]`, `b` is `[k, n]`; `out[i, j] = Σ_kk a[kk, i] · b[kk, j]`.
-/// The `kk` loop stays outermost (ascending, fixed order) so results are
-/// independent of the row split; restricting `i` keeps writes disjoint.
-#[allow(clippy::too_many_arguments)] // fixed by the RowKernel fn-pointer ABI
-fn matmul_tn_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    r0: usize,
-    r1: usize,
-) {
-    let mut k0 = 0usize;
-    while k0 < k {
-        let k1 = (k0 + TILE_K).min(k);
-        for kk in k0..k1 {
-            let arow = &a[kk * m..(kk + 1) * m];
-            let brow = &b[kk * n..(kk + 1) * n];
-            for i in r0..r1 {
-                let av = arow[i];
-                let orow = &mut out[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-        k0 = k1;
-    }
-}
-
 /// Blocked `[rows, cols] → [cols, rows]` transpose: `dst[c * rows + r] =
 /// src[r * cols + c]`. Small square blocks keep both streams cache-
 /// resident. `dst` must hold exactly `rows * cols` elements.
@@ -474,7 +637,7 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
 // The forward-plan executor (`turl-exec`) runs every intermediate out of
 // one pre-sized arena, so each kernel below writes into a caller-provided
 // slice instead of allocating a Tensor. They are thin wrappers over the
-// same microkernels as the Tensor-level ops — bit-identical results.
+// same dispatcher as the Tensor-level ops — bit-identical results.
 // ---------------------------------------------------------------------
 
 /// `out[m,n] = a[m,k] · b[k,n]` into a caller-provided slice.
@@ -483,7 +646,7 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
     assert_eq!(a.len(), m * k, "matmul_into lhs size");
     assert_eq!(b.len(), k * n, "matmul_into rhs size");
     assert_eq!(out.len(), m * n, "matmul_into out size");
-    par_rows(a, b, out, m, k, n, matmul_rows);
+    gemm_dense::<RowMajor>(a, b, out, m, k, n);
 }
 
 /// `out[m,n] = a[m,k] · b[n,k]ᵀ` into a caller-provided slice, using a
@@ -503,12 +666,7 @@ pub fn matmul_nt_into(
     assert_eq!(a.len(), m * k, "matmul_nt_into lhs size");
     assert_eq!(b.len(), n * k, "matmul_nt_into rhs size");
     assert_eq!(out.len(), m * n, "matmul_nt_into out size");
-    if m * n < NT_TRANSPOSE_MIN_OUT {
-        par_rows(a, b, out, m, k, n, matmul_nt_rows);
-    } else {
-        transpose_into(b, scratch, n, k);
-        par_rows(a, scratch, out, m, k, n, matmul_rows);
-    }
+    gemm_nt(a, b, out, scratch, m, k, n);
 }
 
 /// Batched `out[b,m,n] = a[b,m,k] · b[b,k,n]` into a caller-provided slice.
@@ -518,7 +676,7 @@ pub fn bmm_into(a: &[f32], b: &[f32], out: &mut [f32], bs: usize, m: usize, k: u
     assert_eq!(a.len(), bs * m * k, "bmm_into lhs size");
     assert_eq!(b.len(), bs * k * n, "bmm_into rhs size");
     assert_eq!(out.len(), bs * m * n, "bmm_into out size");
-    par_batch(a, b, out, bs, m, k, n, m * k, k * n, matmul_full);
+    par_batch::<RowMajor>(a, b, out, bs, m, k, n);
 }
 
 /// Batched `out[b,m,n] = a[b,m,k] · b[b,n,k]ᵀ` with caller-provided
@@ -538,20 +696,7 @@ pub fn bmm_nt_into(
     assert_eq!(a.len(), bs * m * k, "bmm_nt_into lhs size");
     assert_eq!(b.len(), bs * n * k, "bmm_nt_into rhs size");
     assert_eq!(out.len(), bs * m * n, "bmm_nt_into out size");
-    if bs * m * n < NT_TRANSPOSE_MIN_OUT {
-        par_batch(a, b, out, bs, m, k, n, m * k, n * k, matmul_nt_full);
-    } else {
-        assert_eq!(scratch.len(), bs * k * n, "bmm_nt_into scratch size");
-        for i in 0..bs {
-            transpose_into(
-                &b[i * n * k..(i + 1) * n * k],
-                &mut scratch[i * k * n..(i + 1) * k * n],
-                n,
-                k,
-            );
-        }
-        par_batch(a, scratch, out, bs, m, k, n, m * k, k * n, matmul_full);
-    }
+    par_batch_nt(a, b, out, scratch, bs, m, k, n);
 }
 
 /// Gather rows of `table` (row length `row_len`) into `out`, in index
@@ -569,16 +714,12 @@ pub fn gather_rows_into(table: &[f32], row_len: usize, indices: &[usize], out: &
 // Block-quantized (int8) executor kernels
 //
 // The inference path stores large weight matrices as [`QuantBlocks`]
-// (row-aligned 32-wide blocks, one f32 scale per block). The kernels
-// below dequantize *in register* — each int8 value becomes
-// `q as f32 * scale` right before the multiply-accumulate — and keep
-// the exact ascending-`k` association of the f32 microkernel. The
-// contract, pinned by tests: `matmul_q8(a, qb)` is bit-identical to
-// `matmul(a, dequantize(qb))` at every thread count and tile shape.
-//
-// Because `NR` (8) divides `QBLOCK` (32) and main-path column offsets
-// are multiples of `NR`, an aligned 8-wide b-panel never straddles two
-// quant blocks — one scale load per panel per `k` step.
+// (row-aligned 32-wide blocks, one f32 scale per block). The matmul
+// below is the block kernel over the `&QuantBlocks` right operand, which
+// dequantizes *in register* — each int8 value becomes `q as f32 * scale`
+// right before the multiply-accumulate. The contract, pinned by tests:
+// `matmul_q8(a, qb)` is bit-identical to `matmul(a, dequantize(qb))` at
+// every thread count and tile shape.
 // ---------------------------------------------------------------------
 
 /// `out[m,n] = a[m,k] · dequantize(b)[k,n]` where `b` is block-quantized
@@ -589,124 +730,7 @@ pub fn matmul_q8_into(a: &[f32], b: &QuantBlocks, out: &mut [f32], m: usize, k: 
     assert_eq!(a.len(), m * k, "matmul_q8_into lhs size");
     assert_eq!((b.rows(), b.cols()), (k, n), "matmul_q8_into rhs layout");
     assert_eq!(out.len(), m * n, "matmul_q8_into out size");
-    if m == 0 || n == 0 {
-        return;
-    }
-    if pool::n_threads() <= 1 || m * k * n < PAR_MIN_VOLUME {
-        matmul_q8_rows(a, b, out, k, n, 0, m);
-        return;
-    }
-    let ranges = pool::split_ranges(m);
-    let base = out.as_mut_ptr() as usize;
-    let len = out.len();
-    pool::parallel_for(ranges.len(), |t| {
-        let (r0, r1) = ranges[t];
-        // SAFETY: each range writes only rows r0..r1 of `out`; ranges are
-        // disjoint and `parallel_for` joins before `out` is released.
-        let out_all = unsafe { std::slice::from_raw_parts_mut(base as *mut f32, len) };
-        matmul_q8_rows(a, b, out_all, k, n, r0, r1);
-    });
-}
-
-/// Quantized twin of [`matmul_rows`]: same tiling walk, same sum order.
-fn matmul_q8_rows(
-    a: &[f32],
-    b: &QuantBlocks,
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    r0: usize,
-    r1: usize,
-) {
-    let mut i = r0;
-    while i + MR <= r1 {
-        let mut j = 0usize;
-        while j + NR <= n {
-            tile_q8_mr_nr(a, b, out, k, n, i, j);
-            j += NR;
-        }
-        if j < n {
-            tile_q8_edge(a, b, out, k, n, i, i + MR, j, n);
-        }
-        i += MR;
-    }
-    if i < r1 {
-        tile_q8_edge(a, b, out, k, n, i, r1, 0, n);
-    }
-}
-
-/// One full `MR × NR` register tile over a quantized `b`. The 8-wide
-/// panel at column `j0` (a multiple of `NR`) sits inside one 32-wide
-/// quant block, so a single scale covers the whole panel each `k` step.
-#[inline(always)]
-fn tile_q8_mr_nr(
-    a: &[f32],
-    b: &QuantBlocks,
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    j0: usize,
-) {
-    let a0 = &a[i0 * k..(i0 + 1) * k];
-    let a1 = &a[(i0 + 1) * k..(i0 + 2) * k];
-    let a2 = &a[(i0 + 2) * k..(i0 + 3) * k];
-    let a3 = &a[(i0 + 3) * k..(i0 + 4) * k];
-    let quants = b.quants();
-    let scales = b.scales();
-    let bpr = b.blocks_per_row();
-    let blk = j0 >> QBLOCK_SHIFT;
-    let mut acc = [[0.0f32; NR]; MR];
-    for kk in 0..k {
-        let scale = scales[kk * bpr + blk];
-        let qrow = &quants[kk * n + j0..kk * n + j0 + NR];
-        let mut brow = [0.0f32; NR];
-        for (bf, &q) in brow.iter_mut().zip(qrow.iter()) {
-            *bf = q as f32 * scale;
-        }
-        let av = [a0[kk], a1[kk], a2[kk], a3[kk]];
-        for r in 0..MR {
-            let accr = &mut acc[r];
-            for c in 0..NR {
-                accr[c] += av[r] * brow[c];
-            }
-        }
-    }
-    for (r, accr) in acc.iter().enumerate() {
-        out[(i0 + r) * n + j0..(i0 + r) * n + j0 + NR].copy_from_slice(accr);
-    }
-}
-
-/// Remainder tile over a quantized `b`: scalar accumulators, ascending-`k`
-/// order, per-element scale lookup (edge columns may sit anywhere in a
-/// block).
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn tile_q8_edge(
-    a: &[f32],
-    b: &QuantBlocks,
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
-) {
-    let quants = b.quants();
-    let scales = b.scales();
-    let bpr = b.blocks_per_row();
-    for i in i0..i1 {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in j0..j1 {
-            let blk = j >> QBLOCK_SHIFT;
-            let mut s = 0.0f32;
-            for (kk, &av) in arow.iter().enumerate() {
-                s += av * (quants[kk * n + j] as f32 * scales[kk * bpr + blk]);
-            }
-            out[i * n + j] = s;
-        }
-    }
+    gemm(RowMajor::new(a, m, k), b, OutPtr::new(out, m, n), m, k, n);
 }
 
 /// Gather rows of a block-quantized `table` into dense `f32` `out`, in
@@ -759,15 +783,26 @@ pub fn bias_add_inplace(x: &mut [f32], bias: &[f32]) {
 
 /// Fused bias + GELU epilogue: `x[i, j] = gelu(x[i, j] + bias[j])` in one
 /// pass. Per element this is the same two arithmetic steps as the unfused
-/// `add(bias)` followed by `gelu` (both elementwise), hence bit-exact.
+/// `add(bias)` followed by `gelu` (both elementwise), hence bit-exact —
+/// also across the pool, which large inputs fan their rows out over (a
+/// `tanh` per element makes this the costliest non-matmul step).
 pub fn bias_gelu_inplace(x: &mut [f32], bias: &[f32]) {
     let _t = profiled!("fused.bias_gelu");
     assert!(!bias.is_empty() && x.len().is_multiple_of(bias.len()), "bias size must divide x");
-    for row in x.chunks_mut(bias.len()) {
-        for (o, &b) in row.iter_mut().zip(bias.iter()) {
-            *o = gelu_fwd(*o + b);
+    let gelu_rows = |rows: &mut [f32]| {
+        for row in rows.chunks_mut(bias.len()) {
+            for (o, &b) in row.iter_mut().zip(bias.iter()) {
+                *o = gelu_fwd(*o + b);
+            }
         }
+    };
+    if !fans_out(x.len() * TANH_MACS) {
+        return gelu_rows(x);
     }
+    // Whole rows per task, so every chunk starts at bias column 0.
+    let rows_per_task = (x.len() / bias.len()).div_ceil(pool::n_threads());
+    let mut chunks: Vec<&mut [f32]> = x.chunks_mut(rows_per_task * bias.len()).collect();
+    pool::parallel_for_each_mut(&mut chunks, |_, chunk| gelu_rows(chunk));
 }
 
 /// Elementwise GELU into a caller-provided slice.
@@ -1019,7 +1054,7 @@ mod tests {
         let b = pseudo(&[21, 33], 6);
         let panel = matmul_nt(&a, &b); // 9*21 >= threshold: panel path
         let mut dot = Tensor::zeros(vec![9, 21]);
-        matmul_nt_rows(a.data(), b.data(), dot.data_mut(), 9, 33, 21, 0, 9);
+        matmul_nt_rows(a.data(), b.data(), dot.data_mut(), 9, 33, 21);
         assert_eq!(panel.data(), dot.data());
     }
 
@@ -1199,7 +1234,7 @@ mod tests {
     #[test]
     fn q8_matmul_bit_identical_to_f32_over_dequantized() {
         // Cover full tiles, row remainders, column remainders, and the
-        // parallel row-split path (last case exceeds PAR_MIN_VOLUME).
+        // parallel split (last case exceeds PAR_MIN_VOLUME).
         for (m, k, n) in [(1, 7, 1), (3, 5, 9), (8, 32, 40), (13, 31, 17), (24, 64, 48)] {
             let a = pseudo(&[m, k], (m * 13 + n) as u32);
             let b = pseudo(&[k, n], (k * 7 + m) as u32);
@@ -1211,6 +1246,71 @@ mod tests {
             for (x, y) in fast.iter().zip(reference.data().iter()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "q8 kernel diverged at {m}x{k}x{n}");
             }
+        }
+    }
+
+    /// Run the portable and the AVX2 compilation of the block kernel on
+    /// the same operands (`None` where AVX2 is absent — Miri included).
+    fn both_bodies<'a, A: Lhs<'a>, B: Rhs>(
+        a: A,
+        b: B,
+        m: usize,
+        n: usize,
+    ) -> Option<(Vec<f32>, Vec<f32>)> {
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            let (mut portable, mut avx2) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
+            block(a, b, OutPtr::new(&mut portable, m, n), 0..m, 0..n);
+            // SAFETY: AVX2 was just detected on the running CPU.
+            unsafe { block_avx2(a, b, OutPtr::new(&mut avx2, m, n), 0..m, 0..n) };
+            return Some((portable, avx2));
+        }
+        let _ = (a, b, m, n);
+        None
+    }
+
+    #[test]
+    fn avx2_body_is_bit_identical_to_portable_body() {
+        // Signed zeros, subnormals, infinities and NaN among ordinary
+        // values. A NaN's payload follows operand order, which the
+        // compiler may commute, so NaN outputs only have to be NaN in both.
+        let specials = [
+            0.0,
+            -0.0,
+            1e-40,
+            -1e-40,
+            f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+        ];
+        let spiked = |shape: &[usize], seed: u32| {
+            let mut t = pseudo(shape, seed);
+            for (i, v) in t.data_mut().iter_mut().enumerate().filter(|(i, _)| i % 5 == 0) {
+                *v = specials[(i / 5 + seed as usize) % specials.len()];
+            }
+            t
+        };
+        let same = |(portable, avx2): (Vec<f32>, Vec<f32>), ctx: &str| {
+            for (i, (p, v)) in portable.iter().zip(avx2.iter()).enumerate() {
+                let ok = if p.is_nan() { v.is_nan() } else { p.to_bits() == v.to_bits() };
+                assert!(ok, "{ctx}: element {i}: portable {p:e} vs avx2 {v:e}");
+            }
+        };
+        // Every tile height, the full, half-width and single-column panels.
+        for (m, k, n) in [(4, 9, 16), (7, 33, 45), (13, 5, 27), (2, 64, 8), (5, 0, 19)] {
+            let (a, at) = (spiked(&[m, k], 7), spiked(&[k, m], 8));
+            let b = spiked(&[k, n], 9);
+            // Quantization needs finite input: zeros and a subnormal only.
+            let qb = pseudo(&[k, n], 10).map(|v| if v.abs() < 0.1 { v * 0.0 } else { v });
+            let qb = qb.quantize_i8();
+            let q = qb.quantized().expect("quantized storage");
+            let (lhs, rhs) = (RowMajor::new(a.data(), m, k), F32::new(b.data(), k, n));
+            let Some(f32_pair) = both_bodies(lhs, rhs, m, n) else { return };
+            same(f32_pair, &format!("f32 {m}x{k}x{n}"));
+            same(both_bodies(lhs, q, m, n).expect("avx2"), &format!("q8 {m}x{k}x{n}"));
+            let lhs_t = KMajor::new(at.data(), m, k);
+            same(both_bodies(lhs_t, rhs, m, n).expect("avx2"), &format!("tn {m}x{k}x{n}"));
         }
     }
 

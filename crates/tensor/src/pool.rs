@@ -166,6 +166,13 @@ pub fn n_threads() -> usize {
     pool().width.load(Ordering::Relaxed).max(1)
 }
 
+/// Whether the current thread is executing a pool task, i.e. a
+/// [`parallel_for`] issued here would run inline. Kernels use it to skip
+/// computing a split nobody will run in parallel.
+pub(crate) fn in_task() -> bool {
+    POOL_DEPTH.with(|d| d.get() > 0)
+}
+
 /// Run `f(0..n)` across the pool, blocking until every task completes.
 ///
 /// Tasks are claimed dynamically, so callers should make each index a
@@ -176,8 +183,7 @@ pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
         return;
     }
     let width = n_threads();
-    let nested = POOL_DEPTH.with(|d| d.get() > 0);
-    if width <= 1 || n == 1 || nested {
+    if width <= 1 || n == 1 || in_task() {
         for i in 0..n {
             f(i);
         }

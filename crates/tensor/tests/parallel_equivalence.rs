@@ -1,11 +1,12 @@
 //! Parallel-vs-serial kernel equivalence.
 //!
-//! The blocked kernels in `ops` are *split-invariant*: each output
-//! element is owned by exactly one task and accumulated in ascending-k
-//! order no matter how rows are divided among workers. These tests pin
-//! that guarantee down — every kernel must produce **bit-identical**
-//! results to a naive reference at every pool width, across degenerate
-//! and non-tile-divisible shapes.
+//! The block kernel in `ops` is *split-invariant*: each output element
+//! is owned by exactly one tile of one task and accumulated in
+//! ascending-k order no matter whether the dispatcher divides column
+//! panels (`m < n`) or row tiles among workers. These tests pin that
+//! guarantee down — every kernel must produce **bit-identical** results
+//! to a naive reference at every pool width, across degenerate and
+//! non-tile-divisible shapes.
 
 use std::sync::{Mutex, MutexGuard};
 use turl_tensor::{ops, pool, Tensor};
@@ -86,9 +87,11 @@ fn assert_bits_eq(got: &Tensor, want: &Tensor, ctx: &str) {
     }
 }
 
-/// Shapes chosen to stress the splitter and the tiling: 1x1, single row,
-/// single column, tall-skinny, short-wide, exactly-one-tile, and shapes
-/// not divisible by the 64/128 tile sizes or any thread count.
+/// `(m, k, n)` shapes chosen to stress the splitter and the tiling: 1x1,
+/// single row, single column, tall-skinny, short-wide, exactly-one-tile,
+/// shapes not divisible by any tile size or thread count, and the paper
+/// encoder's own shapes (§4.3: d=312, FFN 1200, head width 26) at table
+/// lengths 28–31 — the last one the `tn` weight-gradient shape.
 const SHAPES: &[(usize, usize, usize)] = &[
     (1, 1, 1),
     (1, 7, 1),
@@ -99,7 +102,27 @@ const SHAPES: &[(usize, usize, usize)] = &[
     (64, 64, 64),
     (65, 130, 67),
     (33, 100, 129),
+    (28, 312, 312),
+    (30, 312, 1200),
+    (29, 1200, 312),
+    (31, 312, 26),
+    (312, 30, 1200),
 ];
+
+/// [`SHAPES`] plus a sweep in which every row remainder (`m mod 4`) meets
+/// every column remainder (`n mod 16`: full panels, the half-width panel
+/// and 0–7 single columns) on both sides of the dispatcher's `m < n`
+/// rule, with `k` large enough that every one of them fans out.
+fn shapes() -> Vec<(usize, usize, usize)> {
+    let mut all = SHAPES.to_vec();
+    for rm in 0..4 {
+        for rn in 0..16 {
+            all.push((4 + rm, 300, 32 + rn)); // m < n: column-panel split
+            all.push((48 + rm, 45, 16 + rn)); // m >= n: row-tile split
+        }
+    }
+    all
+}
 
 const WIDTHS: &[usize] = &[1, 2, 3, 4, 7];
 
@@ -107,7 +130,7 @@ const WIDTHS: &[usize] = &[1, 2, 3, 4, 7];
 fn matmul_matches_naive_at_every_width() {
     let _g = lock();
     let saved = pool::n_threads();
-    for &(m, k, n) in SHAPES {
+    for (m, k, n) in shapes() {
         let a = fill(vec![m, k], 1);
         let b = fill(vec![k, n], 2);
         let want = naive_matmul(&a, &b);
@@ -123,7 +146,7 @@ fn matmul_matches_naive_at_every_width() {
 fn matmul_nt_matches_naive_at_every_width() {
     let _g = lock();
     let saved = pool::n_threads();
-    for &(m, k, n) in SHAPES {
+    for (m, k, n) in shapes() {
         let a = fill(vec![m, k], 3);
         let b = fill(vec![n, k], 4);
         let want = naive_matmul_nt(&a, &b);
@@ -139,7 +162,7 @@ fn matmul_nt_matches_naive_at_every_width() {
 fn matmul_tn_matches_naive_at_every_width() {
     let _g = lock();
     let saved = pool::n_threads();
-    for &(m, k, n) in SHAPES {
+    for (m, k, n) in shapes() {
         let a = fill(vec![k, m], 5);
         let b = fill(vec![k, n], 6);
         let want = naive_matmul_tn(&a, &b);
@@ -193,6 +216,48 @@ fn batched_kernels_match_per_slice_serial_at_every_width() {
             assert_bits_eq(&ops::bmm(&a, &b_nn), &want_nn, &ctx);
             assert_bits_eq(&ops::bmm_nt(&a, &b_nt), &want_nt, &ctx);
             assert_bits_eq(&ops::bmm_tn(&a_tn, &b_nn), &want_tn, &ctx);
+        }
+    }
+    pool::set_threads(saved);
+}
+
+#[test]
+fn matmul_q8_matches_naive_over_dequantized_at_every_width() {
+    let _g = lock();
+    let saved = pool::n_threads();
+    for (m, k, n) in shapes() {
+        let a = fill(vec![m, k], 13);
+        let qb = fill(vec![k, n], 14).quantize_i8();
+        let want = naive_matmul(&a, &qb.dequantize());
+        let blocks = qb.quantized().expect("quantize_i8 yields quantized storage");
+        for &w in WIDTHS {
+            pool::set_threads(w);
+            let mut out = vec![f32::NAN; m * n];
+            ops::matmul_q8_into(a.data(), blocks, &mut out, m, k, n);
+            let got = Tensor::from_vec(vec![m, n], out);
+            assert_bits_eq(&got, &want, &format!("matmul_q8 {m}x{k}x{n} @{w}t"));
+        }
+    }
+    pool::set_threads(saved);
+}
+
+#[test]
+fn bias_gelu_parallel_matches_serial_at_every_width() {
+    let _g = lock();
+    let saved = pool::n_threads();
+    // below and above the fan-out threshold; fewer rows than workers; the
+    // paper FFN activation at 28 rows
+    for &(rows, d) in &[(1usize, 1usize), (3, 5), (2, 600), (5, 257), (28, 1200)] {
+        let x = fill(vec![rows, d], 15);
+        let bias = fill(vec![d], 16);
+        let want: Vec<f32> =
+            (0..rows * d).map(|i| ops::gelu_fwd(x.data()[i] + bias.data()[i % d])).collect();
+        let want = Tensor::from_vec(vec![rows, d], want);
+        for &w in WIDTHS {
+            pool::set_threads(w);
+            let mut got = x.clone();
+            ops::bias_gelu_inplace(got.data_mut(), bias.data());
+            assert_bits_eq(&got, &want, &format!("bias_gelu {rows}x{d} @{w}t"));
         }
     }
     pool::set_threads(saved);
