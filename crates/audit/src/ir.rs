@@ -3,13 +3,14 @@
 //! [`lower_model_plan`] turns a [`ModelPlan`](crate::ModelPlan) into an
 //! explicit op graph: every node is one tensor (a [`SourceKind`] input or
 //! the output of an [`OpKind`] op), edges are [`TensorId`]s, and each node
-//! carries its inferred shape plus a human-readable label. The lowering
-//! mirrors `TurlModel`'s autograd tape **op for op** — same ops, same
-//! order — so one IR serves three analyses at once:
+//! carries its inferred shape plus a human-readable label. The IR is the
+//! only definition of the encoder: `TurlModel::encode` executes it node
+//! by node on the autograd tape (the reference executor) and `turl-exec`
+//! compiles it into a fused arena schedule, so there is no second
+//! description to keep aligned with it. The same graph feeds
 //!
-//! * value-range abstract interpretation ([`crate::range`]),
-//! * buffer-liveness / arena planning ([`crate::liveness`]),
-//! * drift detection against the real runtime tape ([`align_with_graph`]).
+//! * value-range abstract interpretation ([`crate::range`]) and
+//! * buffer-liveness / arena planning ([`crate::liveness`]).
 //!
 //! The IR is also the shape checker: [`IrBuilder`] infers every node's
 //! shape from its operands' recorded shapes through one [`OpKind`]-keyed
@@ -19,7 +20,7 @@
 
 use crate::error::AuditError;
 use crate::plan::{ModelPlan, PlanNumerics};
-use turl_tensor::{broadcast_shape, Graph};
+use turl_tensor::broadcast_shape;
 
 /// Handle to one tensor (node) in an [`Ir`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -173,6 +174,7 @@ impl IrNode {
 #[derive(Debug, Clone)]
 pub struct Ir {
     nodes: Vec<IrNode>,
+    dropout_sites: Vec<TensorId>,
     /// Numeric metadata (init bounds, eps, mask penalty) the value-range
     /// analysis interprets the graph under.
     pub numerics: PlanNumerics,
@@ -197,6 +199,16 @@ impl Ir {
     /// All nodes in tape order.
     pub fn nodes(&self) -> &[IrNode] {
         &self.nodes
+    }
+
+    /// The tensors training-mode dropout applies to, in tape order: the
+    /// embedding layer norm, and each block's attention probabilities
+    /// and feed-forward output. Dropout is not an op of the graph — the
+    /// analyses and the compiler describe the inference function — so
+    /// only the tape executor reads this list, multiplying a site by its
+    /// keep mask right after recording it.
+    pub fn dropout_sites(&self) -> &[TensorId] {
+        &self.dropout_sites
     }
 
     /// Ids of all non-source (computed) nodes, in tape order.
@@ -314,6 +326,7 @@ fn infer_shape(kind: &OpKind, ins: &[&[usize]]) -> Result<Vec<usize>, AuditError
 #[derive(Default)]
 pub struct IrBuilder {
     nodes: Vec<IrNode>,
+    dropout_sites: Vec<TensorId>,
 }
 
 impl IrBuilder {
@@ -325,7 +338,7 @@ impl IrBuilder {
     /// Finish, attaching the numeric metadata the analyses interpret
     /// the graph under.
     pub fn finish(self, numerics: PlanNumerics) -> Ir {
-        Ir { nodes: self.nodes, numerics }
+        Ir { nodes: self.nodes, dropout_sites: self.dropout_sites, numerics }
     }
 
     fn shape(&self, t: TensorId) -> &[usize] {
@@ -346,6 +359,22 @@ impl IrBuilder {
     /// Introduce an input tensor.
     pub fn source(&mut self, kind: SourceKind, shape: Vec<usize>, label: &str) -> TensorId {
         self.push(OpKind::Source(kind), Vec::new(), shape, label)
+    }
+
+    /// The `[rows, d]` embedding table `label`: declared where it is
+    /// first read and shared after that (one parameter leaf per pass),
+    /// so a plan never carries a table nothing reads.
+    fn table(&mut self, rows: usize, d: usize, label: &str) -> TensorId {
+        match self.nodes.iter().position(|n| n.label == label) {
+            Some(i) => TensorId(i),
+            None => self.source(SourceKind::Table, vec![rows, d], label),
+        }
+    }
+
+    /// Mark `t` as a training-mode dropout site (see
+    /// [`Ir::dropout_sites`]).
+    pub fn dropout_site(&mut self, t: TensorId) {
+        self.dropout_sites.push(t);
     }
 
     /// Record `kind` applied to `inputs` (in op order), with the output
@@ -420,12 +449,10 @@ impl IrBuilder {
     }
 
     // ------------------------------------------------------------------
-    // Composite helpers (each expands into the primitives above, matching
-    // the runtime layer's op order exactly)
+    // Composite helpers (each expands into the primitives above)
     // ------------------------------------------------------------------
 
-    /// Mirror of `turl_nn::Linear::forward`: fresh weight + bias sources,
-    /// then `matmul` + `add`.
+    /// `x · W + b` over fresh weight and bias sources.
     fn linear(
         &mut self,
         x: TensorId,
@@ -443,7 +470,7 @@ impl IrBuilder {
         self.op(OpKind::Add, &[y, b], &format!("{name}.out"))
     }
 
-    /// Mirror of `turl_nn::LayerNorm::forward` with fresh affine sources.
+    /// Layer norm of `x` over fresh affine sources.
     fn ln(&mut self, x: TensorId, d: usize, eps: f64, name: &str) -> Result<TensorId, AuditError> {
         let g = self.source(SourceKind::Gamma, vec![d], &format!("{name}.gamma"));
         let b = self.source(SourceKind::Beta, vec![d], &format!("{name}.beta"));
@@ -456,11 +483,10 @@ impl IrBuilder {
 /// (§4.3), the MLM/MER heads (Eqns. 5–6) with their cross-entropy losses,
 /// and the final loss sum when both heads are active.
 ///
-/// The lowering mirrors `TurlModel`'s autograd tape op for op — the same
-/// ops in the same order, including the runtime's quirks (the mention
-/// gather is recorded even when no entity has mention tokens; q/k/v are
-/// all projected before any head split) — so [`align_with_graph`] can
-/// pair every computed IR tensor with its runtime twin.
+/// Node order is execution order for every executor, and for the tape
+/// it is also the order backward replays in reverse — so it is part of
+/// the bit-exactness contract (q/k/v are all projected before any head
+/// split; the token block precedes the entity block).
 pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
     crate::plan::check_plan_fields(plan)?;
     let p = *plan;
@@ -469,18 +495,14 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
     let dh = d / p.n_heads;
     let mut b = IrBuilder::new();
 
-    // Embedding tables, bound once (the runtime binds each parameter leaf
-    // once per pass and reuses the Var).
-    let word_emb = b.source(SourceKind::Table, vec![p.n_words, d], "word_emb");
-    let ent_emb = b.source(SourceKind::Table, vec![p.n_entities + 1, d], "ent_emb");
-
     // ---- Embedding layer (Eqns. 1–3) --------------------------------
     let mut parts = Vec::new();
     if p.n_tokens > 0 {
-        let token_type_emb = b.source(SourceKind::Table, vec![2, d], "token_type_emb");
-        let pos_emb = b.source(SourceKind::Table, vec![p.max_position, d], "pos_emb");
+        let word_emb = b.table(p.n_words, d, "word_emb");
+        let token_type_emb = b.table(2, d, "token_type_emb");
+        let pos_emb = b.table(p.max_position, d, "pos_emb");
         // Worst-case gather indices exercise each table's upper bound;
-        // the runtime clamps positions to max_position - 1.
+        // executors clamp positions to max_position - 1.
         let w = b.gather(word_emb, &vec![p.n_words - 1; p.n_tokens], "embed.words")?;
         let t = b.gather(token_type_emb, &vec![1; p.n_tokens], "embed.token_types")?;
         let pos = b.gather(pos_emb, &vec![p.max_position - 1; p.n_tokens], "embed.positions")?;
@@ -488,13 +510,15 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
         parts.push(b.op(OpKind::Add, &[wt, pos], "embed.tokens")?);
     }
     if p.n_seq_entities > 0 {
+        let ent_emb = b.table(p.n_entities + 1, d, "ent_emb");
         let ee = b.gather(ent_emb, &vec![p.n_entities; p.n_seq_entities], "embed.entities")?;
-        // `TurlModel::mention_means` gathers the flattened mention tokens
-        // *before* its empty-mentions early return, so the gather node is
-        // on the runtime tape even when it is `[0, d]`.
-        let rows =
-            b.gather(word_emb, &vec![p.n_words - 1; p.n_mention_tokens], "embed.mention_words")?;
         let em = if p.n_mention_tokens > 0 {
+            let word_emb = b.table(p.n_words, d, "word_emb");
+            let rows = b.gather(
+                word_emb,
+                &vec![p.n_words - 1; p.n_mention_tokens],
+                "embed.mention_words",
+            )?;
             let avg = b.source(
                 SourceKind::AvgMatrix,
                 vec![p.n_seq_entities, p.n_mention_tokens],
@@ -506,24 +530,23 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
         };
         let cat = b.op(OpKind::ConcatCols, &[ee, em], "embed.ent_cat")?;
         let fused = b.linear(cat, 2 * d, d, "fuse")?;
-        let ent_type_emb = b.source(SourceKind::Table, vec![3, d], "ent_type_emb");
+        let ent_type_emb = b.table(3, d, "ent_type_emb");
         let te = b.gather(ent_type_emb, &vec![2; p.n_seq_entities], "embed.ent_types")?;
         parts.push(b.op(OpKind::Add, &[fused, te], "embed.ents")?);
     }
     let x =
         if parts.len() == 1 { parts[0] } else { b.op(OpKind::ConcatRows, &parts, "embed.seq")? };
     let mut h = b.ln(x, d, p.numerics.ln_eps, "ln_embed")?;
+    b.dropout_site(h);
 
     // ---- Encoder stack (§4.3) ---------------------------------------
-    // One shared mask source, matching the runtime's single shared
-    // constant node per pass.
+    // One mask source shared by every block.
     let mask = p.use_visibility.then(|| b.source(SourceKind::Mask, vec![n, n], "visibility_mask"));
     let inv_sqrt_dh = f64::from(1.0f32 / (dh as f32).sqrt());
     // Head split and merge are the same swap: [n, h, dh] ⇄ [h, n, dh].
     let swap_heads = || OpKind::Permute { axes: vec![1, 0, 2] };
     for i in 0..p.n_layers {
         let blk = format!("block{i}");
-        // q/k/v are all projected before any head split (runtime order).
         let q = b.linear(h, d, d, &format!("{blk}.att.wq"))?;
         let k = b.linear(h, d, d, &format!("{blk}.att.wk"))?;
         let v = b.linear(h, d, d, &format!("{blk}.att.wv"))?;
@@ -540,6 +563,7 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
             None => scaled,
         };
         let probs = b.op(OpKind::Softmax, &[logits], &format!("{blk}.att.probs"))?;
+        b.dropout_site(probs);
         let ctx = b.op(OpKind::Bmm, &[probs, heads[2]], &format!("{blk}.att.ctx"))?;
         let merged = b.op(swap_heads(), &[ctx], &format!("{blk}.att.merged"))?;
         let flat = b.reshape(merged, vec![n, d], &format!("{blk}.att.flat"))?;
@@ -549,6 +573,7 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
         let ff1 = b.linear(h1, d, p.d_intermediate, &format!("{blk}.ffn.lin1"))?;
         let act = b.op(OpKind::Gelu, &[ff1], &format!("{blk}.ffn.gelu"))?;
         let ff2 = b.linear(act, p.d_intermediate, d, &format!("{blk}.ffn.lin2"))?;
+        b.dropout_site(ff2);
         let res2 = b.op(OpKind::Add, &[h1, ff2], &format!("{blk}.res2"))?;
         h = b.ln(res2, d, p.numerics.ln_eps, &format!("{blk}.ln2"))?;
     }
@@ -558,15 +583,17 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
     if p.n_mlm_targets > 0 {
         // MLM rows index token positions (< n_tokens ≤ n).
         let sel = b.gather(h, &vec![p.n_tokens - 1; p.n_mlm_targets], "mlm.rows")?;
-        let proj = b.linear(sel, d, d, "mlm.proj")?;
+        let proj = b.linear(sel, d, d, "mlm_proj")?;
+        let word_emb = b.table(p.n_words, d, "word_emb");
         let logits = b.op(OpKind::MatMulNT, &[proj, word_emb], "mlm.logits")?;
         losses.push(b.cross_entropy(logits, p.n_mlm_targets, Some(p.n_words - 1), "mlm.loss")?);
     }
     if p.n_mer_targets > 0 {
         // MER rows index entity positions (≥ n_tokens, < n).
         let sel = b.gather(h, &vec![n - 1; p.n_mer_targets], "mer.rows")?;
-        let proj = b.linear(sel, d, d, "mer.proj")?;
+        let proj = b.linear(sel, d, d, "mer_proj")?;
         // Candidate ids are shifted by one past the [MASK] row.
+        let ent_emb = b.table(p.n_entities + 1, d, "ent_emb");
         let cand = b.gather(ent_emb, &vec![p.n_entities; p.n_candidates], "mer.candidates")?;
         let logits = b.op(OpKind::MatMulNT, &[proj, cand], "mer.logits")?;
         losses.push(b.cross_entropy(
@@ -582,53 +609,6 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
     }
 
     Ok(b.finish(p.numerics))
-}
-
-/// Pair every computed IR tensor with its twin on a real autograd tape.
-///
-/// Sources are excluded on both sides (IR `Source` nodes vs. graph
-/// leaves): parameter binding order and constant count legitimately
-/// differ between the symbolic plan and a concrete pass. What must match
-/// — op for op, in tape order — are the *computed* nodes: their count and
-/// every shape. A divergence means the `TurlConfig → ModelPlan` adapter
-/// or the lowering has drifted from the model, and is reported as a
-/// typed [`AuditError::ShapeMismatch`] naming the first mismatched pair.
-pub fn align_with_graph(
-    ir: &Ir,
-    graph: &Graph,
-) -> Result<Vec<(TensorId, turl_tensor::Var)>, AuditError> {
-    let ir_ops: Vec<TensorId> = ir.op_ids().collect();
-    let graph_ops: Vec<turl_tensor::Var> = graph.vars().filter(|&v| !graph.is_leaf(v)).collect();
-    if ir_ops.len() != graph_ops.len() {
-        return Err(AuditError::ShapeMismatch {
-            op: "ir_alignment",
-            shapes: Vec::new(),
-            detail: format!(
-                "IR lowers to {} computed ops but the runtime tape recorded {}",
-                ir_ops.len(),
-                graph_ops.len()
-            ),
-        });
-    }
-    for (&t, &v) in ir_ops.iter().zip(&graph_ops) {
-        let node = ir.node_at(t.index());
-        let got = graph.value(v).shape();
-        if node.shape != got {
-            return Err(AuditError::ShapeMismatch {
-                op: "ir_alignment",
-                shapes: vec![node.shape.clone(), got.to_vec()],
-                detail: format!(
-                    "IR `{}` ({}) has shape {:?} but runtime node {} has {:?}",
-                    node.label,
-                    node.kind.name(),
-                    node.shape,
-                    v.index(),
-                    got
-                ),
-            });
-        }
-    }
-    Ok(ir_ops.into_iter().zip(graph_ops).collect())
 }
 
 #[cfg(test)]
@@ -831,19 +811,6 @@ mod tests {
                 assert!(inp.index() < i, "node {i} `{}` reads a later tensor", node.label);
             }
         }
-    }
-
-    #[test]
-    fn empty_mentions_still_record_the_gather() {
-        let plan = ModelPlan { n_mention_tokens: 0, ..paper_plan() };
-        let ir = lower_model_plan(&plan).expect("plan lowers");
-        let gather = ir
-            .nodes()
-            .iter()
-            .find(|n| n.label == "embed.mention_words")
-            .expect("mention gather is always on the tape (runtime records it too)");
-        assert_eq!(gather.shape, vec![0, 312]);
-        assert!(ir.nodes().iter().any(|n| n.label == "embed.mention_zeros"));
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! * [`lower_model_plan`] ([`ir`]) — lowers a [`ModelPlan`] to a typed
 //!   dataflow IR of an entire TURL forward pass (embeddings → masked
 //!   Transformer stack → MLM/MER heads) without allocating a single
-//!   model-sized tensor. The IR is the one static description of the
-//!   forward: [`IrBuilder`] infers and checks every node's shape from
+//!   model-sized tensor. The IR is the one description of the forward —
+//!   `TurlModel::encode` runs it on the autograd tape and `turl-exec`
+//!   compiles it, so nothing has to be kept aligned with it:
+//!   [`IrBuilder`] infers and checks every node's shape from
 //!   its operands as it records them, and over the result
 //!   [`analyze_model_plan`] ([`plan`]) runs value-range abstract
 //!   interpretation ([`range`]: intervals + NaN/inf/−0 flags, proving
 //!   masked logits vanish and normalizers stay nonzero) and
 //!   buffer-liveness arena planning ([`liveness`]: first-def/last-use →
 //!   greedy best-fit [`ArenaPlan`] with an honest `peak_bytes`);
-//!   [`check_model_plan`] is the pass/fail wrapper. [`align_with_graph`]
-//!   pairs the IR against a real autograd tape to catch drift.
+//!   [`check_model_plan`] is the pass/fail wrapper.
 //! * [`audit_tape`] ([`tape`]) — walks a built `turl_tensor::Graph` and
 //!   verifies the invariants backprop relies on: topological parent
 //!   order, gradient/value shape agreement, no orphaned grad leaves, and
@@ -51,9 +52,7 @@ pub mod tape;
 pub mod visibility;
 
 pub use error::AuditError;
-pub use ir::{
-    align_with_graph, lower_model_plan, Ir, IrBuilder, IrNode, OpKind, SourceKind, TensorId,
-};
+pub use ir::{lower_model_plan, Ir, IrBuilder, IrNode, OpKind, SourceKind, TensorId};
 pub use liveness::{
     live_ranges, plan_arena, plan_layout, ArenaLayout, ArenaPlan, ArenaRequest, ArenaSlot,
     LiveRange,

@@ -1,20 +1,21 @@
 //! Soundness of the plan-level abstract interpreter: on a real seeded
-//! forward pass, every concrete value of every intermediate tensor must
-//! lie within the abstract range predicted for the matching IR tensor.
+//! forward pass, every concrete value of every tensor must lie within
+//! the abstract range predicted for its IR node.
 //!
-//! The harness builds a `TurlModel`, runs the same forward the
-//! pre-trainer runs (encode + MLM head + MER head + summed loss),
-//! aligns the autograd tape with the lowered IR node-by-node, and
-//! checks containment element-by-element. Any transfer function that
-//! under-approximates (a bound tighter than reality) fails here — and
-//! so does any drift between the `TurlConfig → ModelPlan` adapter, the
-//! lowering and the model: the alignment demands the same op count and
-//! the same shape at every op.
+//! The harness builds a `TurlModel`, lowers the forward the pre-trainer
+//! runs (encode + MLM head + MER head + summed loss), executes that IR
+//! on the autograd tape with the reference executor
+//! (`TurlModel::run_ir`, which returns one tape var per IR node) and
+//! checks containment element by element — sources included, so the
+//! init-derived parameter bounds are checked too. Any transfer function
+//! that under-approximates (a bound tighter than reality) fails here.
+//! The trainer's hand-written tape heads (`mlm_logits`, `mer_logits`)
+//! are pinned to the IR's head nodes bit for bit on the same pass.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use turl_audit::{align_with_graph, analyze_ranges, lower_model_plan, ModelPlan};
+use turl_audit::{analyze_ranges, lower_model_plan, ModelPlan};
 use turl_core::audit::{model_plan, plan_for_input};
 use turl_core::{EncodedInput, EntityInput, TurlConfig, TurlModel};
 use turl_nn::{Forward, ParamStore};
@@ -60,13 +61,12 @@ fn build_input(seed: u64, use_mask: bool) -> EncodedInput {
     }
 }
 
-/// Run the pre-trainer's forward (encode, both heads, summed loss) on
-/// `input`, align its tape with the IR lowered from the adapted plan —
-/// same computed-op count, same shape at every op — and assert every
-/// aligned tensor's concrete values sit inside the abstract prediction.
-/// `training` records the tape under `Forward::new` and backpropagates
-/// through it; dropout must then be zero, since the IR does not model
-/// its mask-multiply nodes.
+/// Execute the pre-trainer's forward (encode, both heads, summed loss)
+/// for `input` on the tape and assert every node's concrete values sit
+/// inside the abstract prediction. `training` records the tape under
+/// `Forward::new` and backpropagates through it. The ranges describe
+/// the inference function, so a training case keeps dropout at zero:
+/// an active keep mask rescales its site by `1/keep`.
 fn assert_forward_within_ranges(cfg: TurlConfig, seed: u64, input: &EncodedInput, training: bool) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut store = ParamStore::new();
@@ -82,23 +82,23 @@ fn assert_forward_within_ranges(cfg: TurlConfig, seed: u64, input: &EncodedInput
     let analysis = analyze_ranges(&ir);
     assert!(analysis.errors.is_empty(), "plan must analyze clean, got {:?}", analysis.errors);
 
+    let mlm_rows = [0, 1];
+    let mer_rows = [input.entity_row(0), input.entity_row(1)];
+    // Candidate ids sit one past the entity `[MASK]` row.
+    let shifted = CANDIDATES.map(|c| c + 1);
+    let heads: [(&str, &[usize]); 5] = [
+        ("mlm.rows", &mlm_rows),
+        ("mlm.loss", &[3, 4]),
+        ("mer.rows", &mer_rows),
+        ("mer.candidates", &shifted),
+        ("mer.loss", &[0, 1]),
+    ];
     let mut f = if training { Forward::new(&store) } else { Forward::inference(&store) };
-    let h = model.encode(&mut f, &store, &mut rng, input);
-    let mlm_logits = model.mlm_logits(&mut f, &store, h, &[0, 1]);
-    let mlm = f.graph.cross_entropy(mlm_logits, &[3, 4]);
-    let rows = [input.entity_row(0), input.entity_row(1)];
-    let mer_logits = model.mer_logits(&mut f, &store, h, &rows, &CANDIDATES);
-    let mer = f.graph.cross_entropy(mer_logits, &[0, 1]);
-    let loss = f.graph.add(mlm, mer);
-    if training {
-        f.backprop(loss, &mut store);
-    }
+    let vars = model.run_ir(&mut f, &store, &mut rng, &ir, input, &heads);
+    assert_eq!(vars.len(), ir.len(), "one tape var per IR node");
 
-    let pairs = align_with_graph(&ir, &f.graph).expect("IR aligns with the real tape");
-    assert_eq!(pairs.len(), ir.op_ids().count(), "every computed IR node pairs with a tape op");
-    for (tid, var) in pairs {
-        let node = ir.node_at(tid.index());
-        let range = analysis.ranges[tid.index()];
+    for ((node, &var), range) in ir.nodes().iter().zip(&vars).zip(&analysis.ranges) {
+        assert_eq!(f.graph.value(var).shape(), node.shape, "`{}`", node.label);
         for (i, &v) in f.graph.value(var).data().iter().enumerate() {
             assert!(
                 range.contains(v),
@@ -106,6 +106,27 @@ fn assert_forward_within_ranges(cfg: TurlConfig, seed: u64, input: &EncodedInput
                 node.label
             );
         }
+    }
+
+    // The tape heads the trainer calls compute the IR's head nodes.
+    let var_of = |label: &str| {
+        vars[ir.nodes().iter().position(|n| n.label == label).expect("label is in the IR")]
+    };
+    let h = var_of(&format!("block{}.ln2.out", cfg.encoder.n_layers - 1));
+    let mlm = model.mlm_logits(&mut f, &store, h, &mlm_rows);
+    let mer = model.mer_logits(&mut f, &store, h, &mer_rows, &CANDIDATES);
+    for (hand, label) in [(mlm, "mlm.logits"), (mer, "mer.logits")] {
+        let (got, want) = (f.graph.value(hand), f.graph.value(var_of(label)));
+        assert_eq!(got.shape(), want.shape(), "{label}");
+        for (a, b) in got.data().iter().zip(want.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "hand-written {label} diverges from the IR's");
+        }
+    }
+
+    if training {
+        f.backprop(*vars.last().expect("the loss node"), &mut store);
+        let wid = store.find("turl.word_emb.weight").expect("registered");
+        assert!(store.grad(wid).norm() > 0.0, "backward reaches the embeddings");
     }
 }
 
@@ -123,8 +144,8 @@ proptest! {
 
 #[test]
 fn empty_mentions_are_sound_too() {
-    // All-empty mentions exercise the ZeroConst lowering branch, whose
-    // runtime twin is a constant-zeros leaf rather than a matmul.
+    // All-empty mentions exercise the ZeroConst lowering branch: a
+    // constant-zeros source in place of the averaging matmul.
     let cfg = TurlConfig { use_visibility: false, ..TurlConfig::tiny(7) };
     let mut input = build_input(7, false);
     for e in &mut input.entities {
@@ -136,8 +157,8 @@ fn empty_mentions_are_sound_too() {
 #[test]
 fn tiny_training_forward_matches_adapted_plan() {
     // `Forward::new` + backprop: the tape a pre-training step records.
-    let mut cfg = TurlConfig::tiny(3);
-    cfg.encoder.dropout = 0.0;
+    let cfg = TurlConfig::tiny(3);
+    assert_eq!(cfg.encoder.dropout, 0.0, "ranges describe the dropout-free function");
     assert_forward_within_ranges(cfg, 3, &build_input(3, true), true);
 }
 

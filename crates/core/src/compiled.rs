@@ -1,13 +1,14 @@
 //! Graph-free compiled inference for [`TurlModel`].
 //!
-//! [`CompiledForward`] is the inference twin of [`TurlModel::encode`]:
-//! instead of binding parameters into an autograd [`Graph`] and running
-//! one tape op at a time (each allocating its output `Vec` and cloning
-//! every bound parameter), it lowers the model's forward plan once per
-//! input shape through `turl-audit`'s IR and `turl-exec`'s fusing
-//! compiler, then executes the schedule out of a single reused arena —
-//! no tape, no gradient bookkeeping, no parameter clones, and zero
-//! steady-state heap allocation.
+//! [`CompiledForward`] is the second executor of the IR that
+//! [`TurlModel::encode`] runs on an autograd [`Graph`]: instead of
+//! recording one tape op per node (each allocating its output `Vec` and
+//! cloning every bound parameter), it compiles the same IR once per
+//! input shape with `turl-exec`'s fusing compiler, then executes the
+//! schedule out of a single reused arena — no tape, no gradient
+//! bookkeeping, no parameter clones. Both executors read an input
+//! through [`InputBinding`] and name parameters by [`param_name`], so
+//! they differ only in how a node is executed.
 //!
 //! The compiled pass is **bit-exact** against `encode` under an
 //! inference-mode `Forward` (every fused kernel is reassociation-free;
@@ -16,35 +17,24 @@
 //!
 //! [`Graph`]: turl_tensor::Graph
 
-use crate::audit::{model_plan, plan_for_input};
-use crate::input::EncodedInput;
-use crate::model::TurlModel;
-use turl_audit::{lower_model_plan, ModelPlan, SourceKind};
+use crate::input::{EncodedInput, InputBinding};
+use crate::model::{param_name, TurlModel};
+use turl_audit::{lower_model_plan, ModelPlan};
 use turl_exec::{compile, Arena, CompiledPlan, ExecError, SourceValue};
 use turl_nn::{ParamId, ParamStore};
 use turl_tensor::Tensor;
 
-/// How one IR source is bound at run time.
-enum SourceBind {
-    /// A parameter tensor, resolved against the store once at compile.
-    Param(ParamId),
-    /// The input's additive visibility mask.
-    Mask,
-    /// The per-input mention-averaging matrix (Eqn. 3), built into a
-    /// reused scratch buffer.
-    AvgMatrix,
-    /// An all-zeros constant (the no-mention-tokens branch).
-    Zeros(usize),
-}
-
 /// One compiled specialization: the executable plan plus its resolved
-/// source bindings.
+/// parameter bindings.
 struct Entry {
     /// The forward plan this entry was compiled from: the model's
     /// config-level plan at one input's sequence shape and masking.
     key: ModelPlan,
     plan: CompiledPlan,
-    binds: Vec<SourceBind>,
+    /// Per plan source, in plan order: the parameter it reads, resolved
+    /// against the store once at compile, or `None` for a source
+    /// [`InputBinding`] builds per input.
+    params: Vec<Option<ParamId>>,
 }
 
 /// Default [plan-cache](CompiledForward::set_plan_cache_cap) capacity:
@@ -60,22 +50,18 @@ pub const DEFAULT_PLAN_CACHE_CAP: usize = 64;
 /// long-running server fed arbitrary table shapes holds at most `cap`
 /// compiled schedules, recompiling on re-entry after eviction. The
 /// arena and all index/constant scratch buffers are reused across
-/// calls, so the steady state performs no heap allocation beyond the
-/// output tensor (use [`encode_into`](CompiledForward::encode_into) to
-/// eliminate that one too).
+/// calls, so the steady state allocates nothing sized by the model or
+/// the table: per call it builds the two binding lists `run` takes
+/// (one slice per source, one per gather) and the output tensor (use
+/// [`encode_into`](CompiledForward::encode_into) to drop that one).
 pub struct CompiledForward {
     /// MRU-first: index 0 is the most recently used plan.
     entries: Vec<Entry>,
     plan_cache_cap: usize,
     plan_evictions: u64,
     arena: Arena,
-    // Reused per-call binding scratch.
-    positions: Vec<usize>,
-    entity_ids: Vec<usize>,
-    entity_types: Vec<usize>,
-    mention_words: Vec<usize>,
-    avg_matrix: Vec<f32>,
-    zeros: Vec<f32>,
+    /// Reused per-call input binding.
+    bound: InputBinding,
 }
 
 impl Default for CompiledForward {
@@ -85,12 +71,7 @@ impl Default for CompiledForward {
             plan_cache_cap: DEFAULT_PLAN_CACHE_CAP,
             plan_evictions: 0,
             arena: Arena::default(),
-            positions: Vec::new(),
-            entity_ids: Vec::new(),
-            entity_types: Vec::new(),
-            mention_words: Vec::new(),
-            avg_matrix: Vec::new(),
-            zeros: Vec::new(),
+            bound: InputBinding::default(),
         }
     }
 }
@@ -159,8 +140,7 @@ impl CompiledForward {
                 "empty input: at least one token or entity cell is required".into(),
             ));
         }
-        let key =
-            plan_for_input(model_plan(&model.cfg, model.word_emb.vocab, model.n_entities()), input);
+        let key = model.forward_plan(input);
         if let Some(i) = self.entries.iter().position(|e| e.key == key) {
             // LRU move-to-front: the hit becomes the most recent entry.
             self.entries[0..=i].rotate_right(1);
@@ -172,38 +152,25 @@ impl CompiledForward {
             .map_err(|e| ExecError::Unsupported(format!("plan does not lower: {e}")))?;
         let compiled = compile(&ir)?;
 
-        // Resolve every source once: parameters by name, runtime-built
-        // sources (mask, averaging matrix, zeros) by kind.
-        let mut binds = Vec::with_capacity(compiled.sources.len());
-        for spec in &compiled.sources {
-            let bind = match &spec.kind {
-                SourceKind::Table => {
-                    Self::param_bind(store, &format!("turl.{}.weight", spec.label))?
-                }
-                SourceKind::Weight { .. }
-                | SourceKind::Bias
-                | SourceKind::Gamma
-                | SourceKind::Beta => Self::param_bind(store, &format!("turl.{}", spec.label))?,
-                SourceKind::Mask => SourceBind::Mask,
-                SourceKind::AvgMatrix => SourceBind::AvgMatrix,
-                SourceKind::ZeroConst => SourceBind::Zeros(spec.shape.iter().product()),
-            };
-            binds.push(bind);
-        }
-        self.entries.insert(0, Entry { key, plan: compiled, binds });
+        // Resolve every parameter source once, by name.
+        let params = compiled
+            .sources
+            .iter()
+            .map(|spec| match param_name(&spec.kind, &spec.label) {
+                Some(name) => store
+                    .find(&name)
+                    .map(Some)
+                    .ok_or_else(|| ExecError::Binding(format!("parameter '{name}' not in store"))),
+                None => Ok(None),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        self.entries.insert(0, Entry { key, plan: compiled, params });
         while self.entries.len() > self.plan_cache_cap {
             self.entries.pop();
             self.plan_evictions += 1;
         }
         self.publish_cache_metrics();
         Ok(0)
-    }
-
-    fn param_bind(store: &ParamStore, name: &str) -> Result<SourceBind, ExecError> {
-        store
-            .find(name)
-            .map(SourceBind::Param)
-            .ok_or_else(|| ExecError::Binding(format!("parameter '{name}' not in store")))
     }
 
     /// Run the compiled encoder over `input`, returning contextualized
@@ -301,68 +268,18 @@ impl CompiledForward {
         store: &ParamStore,
         input: &EncodedInput,
     ) -> Result<(), ExecError> {
-        // --- gather index lists, reusing scratch buffers --------------
-        self.positions.clear();
-        self.positions.extend(input.token_pos.iter().map(|&p| p.min(model.cfg.max_position - 1)));
-        self.entity_ids.clear();
-        self.entity_ids.extend(input.entities.iter().map(|e| e.emb_index));
-        self.entity_types.clear();
-        self.entity_types.extend(input.entities.iter().map(|e| e.type_idx));
-        self.mention_words.clear();
-        self.mention_words.extend(input.entities.iter().flat_map(|e| e.mention.iter().copied()));
-
+        self.bound.bind(input, &model.cfg);
         let entry = &self.entries[idx];
         let mut gathers: Vec<&[usize]> = Vec::with_capacity(entry.plan.gathers.len());
         for spec in &entry.plan.gathers {
-            let indices: &[usize] = match spec.label.as_str() {
-                "embed.words" => &input.token_ids,
-                "embed.token_types" => &input.token_types,
-                "embed.positions" => &self.positions,
-                "embed.entities" => &self.entity_ids,
-                "embed.mention_words" => &self.mention_words,
-                "embed.ent_types" => &self.entity_types,
-                other => {
-                    return Err(ExecError::Binding(format!(
-                        "no runtime index source for gather '{other}'"
-                    )))
-                }
-            };
-            gathers.push(indices);
+            gathers.push(self.bound.indices(input, &spec.label).ok_or_else(|| {
+                ExecError::Binding(format!("no runtime index source for gather '{}'", spec.label))
+            })?);
         }
-
-        // --- runtime-built sources ------------------------------------
-        // Mention-averaging matrix, exactly as TurlModel::mention_means
-        // builds it: row i holds 1/len(mention_i) over its token span.
-        let total = self.mention_words.len();
-        if total > 0 {
-            self.avg_matrix.clear();
-            self.avg_matrix.resize(input.entities.len() * total, 0.0);
-            let mut off = 0usize;
-            for (i, e) in input.entities.iter().enumerate() {
-                let inv = 1.0 / e.mention.len().max(1) as f32;
-                for _ in 0..e.mention.len() {
-                    self.avg_matrix[i * total + off] = inv;
-                    off += 1;
-                }
-            }
-        }
-        let zeros_needed = entry
-            .binds
-            .iter()
-            .filter_map(|b| match b {
-                SourceBind::Zeros(n) => Some(*n),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        if self.zeros.len() < zeros_needed {
-            self.zeros.resize(zeros_needed, 0.0);
-        }
-
-        let mut sources: Vec<SourceValue> = Vec::with_capacity(entry.binds.len());
-        for bind in &entry.binds {
-            let value: SourceValue = match bind {
-                SourceBind::Param(id) => {
+        let mut sources: Vec<SourceValue> = Vec::with_capacity(entry.params.len());
+        for (spec, param) in entry.plan.sources.iter().zip(&entry.params) {
+            sources.push(match param {
+                Some(id) => {
                     let t = store.value(*id);
                     match t.quantized() {
                         // Quantized params (artifact-loaded weights) bind
@@ -371,21 +288,12 @@ impl CompiledForward {
                         None => SourceValue::F32(t.data()),
                     }
                 }
-                SourceBind::Mask => SourceValue::F32(
-                    input
-                        .mask
-                        .as_ref()
-                        .ok_or_else(|| {
-                            ExecError::Binding(
-                                "plan expects a visibility mask, input has none".into(),
-                            )
-                        })?
-                        .data(),
-                ),
-                SourceBind::AvgMatrix => SourceValue::F32(&self.avg_matrix),
-                SourceBind::Zeros(n) => SourceValue::F32(&self.zeros[..*n]),
-            };
-            sources.push(value);
+                None => {
+                    SourceValue::F32(self.bound.source(input, &spec.kind).ok_or_else(|| {
+                        ExecError::Binding(format!("input has no '{}'", spec.label))
+                    })?)
+                }
+            });
         }
 
         entry.plan.run(&mut self.arena, &sources, &gathers)

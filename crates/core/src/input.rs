@@ -6,6 +6,8 @@
 //! [`crate::MaskPlan`]; fine-tuning tasks construct encodings directly
 //! (possibly with appended `[MASK]` cells or stripped metadata).
 
+use crate::config::TurlConfig;
+use turl_audit::SourceKind;
 use turl_data::{TableInstance, TokenScope, VisibilityMatrix, Vocab};
 use turl_tensor::Tensor;
 
@@ -158,6 +160,92 @@ impl EncodedInput {
             }
         }
         Ok(())
+    }
+}
+
+/// What the forward IR's data-dependent nodes read from one
+/// [`EncodedInput`]: the index list of every embedding gather and the
+/// values of every source that is built per input rather than stored as
+/// a parameter. Both executors — the tape in [`crate::TurlModel::encode`]
+/// and the arena schedule in [`crate::CompiledForward`] — bind through
+/// this one type, so they differ only in how a node is executed.
+///
+/// The buffers are scratch: a long-lived holder re-[`bind`](Self::bind)s
+/// them per input without reallocating.
+#[derive(Debug, Default)]
+pub(crate) struct InputBinding {
+    positions: Vec<usize>,
+    entity_ids: Vec<usize>,
+    entity_types: Vec<usize>,
+    mention_words: Vec<usize>,
+    avg_matrix: Vec<f32>,
+    zeros: Vec<f32>,
+}
+
+impl InputBinding {
+    /// Fill the buffers from `input` for a model configured by `cfg`.
+    pub(crate) fn bind(&mut self, input: &EncodedInput, cfg: &TurlConfig) {
+        self.positions.clear();
+        self.positions.extend(input.token_pos.iter().map(|&p| p.min(cfg.max_position - 1)));
+        self.entity_ids.clear();
+        self.entity_ids.extend(input.entities.iter().map(|e| e.emb_index));
+        self.entity_types.clear();
+        self.entity_types.extend(input.entities.iter().map(|e| e.type_idx));
+        self.mention_words.clear();
+        self.mention_words.extend(input.entities.iter().flat_map(|e| e.mention.iter().copied()));
+
+        // Mention-averaging matrix (Eqn. 3): row i holds 1/len(mention_i)
+        // over its span of the flattened mention tokens, and stays zero
+        // for a mention-less entity.
+        let total = self.mention_words.len();
+        self.avg_matrix.clear();
+        self.avg_matrix.resize(input.entities.len() * total, 0.0);
+        let mut off = 0usize;
+        for (i, e) in input.entities.iter().enumerate() {
+            let inv = 1.0 / e.mention.len().max(1) as f32;
+            for _ in 0..e.mention.len() {
+                self.avg_matrix[i * total + off] = inv;
+                off += 1;
+            }
+        }
+        // With no mention token at all the plan reads `[entities, d]`
+        // zeros in place of the averaged rows.
+        let zeros = if total == 0 { input.entities.len() * cfg.encoder.d_model } else { 0 };
+        self.zeros.clear();
+        self.zeros.resize(zeros, 0.0);
+    }
+
+    /// Index list of the gather node labelled `label`, if it is one of
+    /// the embedding layer's.
+    pub(crate) fn indices<'a>(
+        &'a self,
+        input: &'a EncodedInput,
+        label: &str,
+    ) -> Option<&'a [usize]> {
+        Some(match label {
+            "embed.words" => &input.token_ids,
+            "embed.token_types" => &input.token_types,
+            "embed.positions" => &self.positions,
+            "embed.entities" => &self.entity_ids,
+            "embed.mention_words" => &self.mention_words,
+            "embed.ent_types" => &self.entity_types,
+            _ => return None,
+        })
+    }
+
+    /// The values of a per-input source of `kind`; `None` for a
+    /// parameter source, or a mask the input does not carry.
+    pub(crate) fn source<'a>(
+        &'a self,
+        input: &'a EncodedInput,
+        kind: &SourceKind,
+    ) -> Option<&'a [f32]> {
+        match kind {
+            SourceKind::Mask => input.mask.as_ref().map(Tensor::data),
+            SourceKind::AvgMatrix => Some(&self.avg_matrix),
+            SourceKind::ZeroConst => Some(&self.zeros),
+            _ => None,
+        }
     }
 }
 

@@ -1,11 +1,27 @@
 //! The TURL model: embedding layer, structure-aware encoder, and the
 //! projection heads used by pre-training and fine-tuning.
 
+use crate::audit::{model_plan, plan_for_input};
 use crate::config::TurlConfig;
-use crate::input::EncodedInput;
+use crate::input::{EncodedInput, InputBinding};
 use rand::Rng;
+use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind};
 use turl_nn::{Dropout, Embedding, Forward, LayerNorm, Linear, ParamStore, TransformerBlock};
 use turl_tensor::{Tensor, Var};
+
+/// Store name of the parameter an IR source stands for; `None` for the
+/// sources built per input (mask, mention-averaging matrix, zeros).
+/// This is the one rule tying IR labels to the names [`TurlModel::new`]
+/// registers.
+pub(crate) fn param_name(kind: &SourceKind, label: &str) -> Option<String> {
+    match kind {
+        SourceKind::Table => Some(format!("turl.{label}.weight")),
+        SourceKind::Weight { .. } | SourceKind::Bias | SourceKind::Gamma | SourceKind::Beta => {
+            Some(format!("turl.{label}"))
+        }
+        SourceKind::Mask | SourceKind::AvgMatrix | SourceKind::ZeroConst => None,
+    }
+}
 
 /// TURL: embedding layer (§4.2), visibility-masked Transformer stack
 /// (§4.3) and the MLM/MER projection heads (§4.4).
@@ -26,8 +42,6 @@ pub struct TurlModel {
     pub fuse: Linear,
     /// Embedding layer norm.
     pub ln_embed: LayerNorm,
-    /// Embedding dropout.
-    pub embed_dropout: Dropout,
     /// Encoder blocks.
     pub blocks: Vec<TransformerBlock>,
     /// MLM output projection (Eqn. 5).
@@ -63,7 +77,6 @@ impl TurlModel {
             ent_type_emb: Embedding::new(store, rng, "turl.ent_type_emb", 3, d),
             fuse: Linear::new(store, rng, "turl.fuse", 2 * d, d, true),
             ln_embed: LayerNorm::new(store, "turl.ln_embed", d, cfg.encoder.ln_eps),
-            embed_dropout: Dropout::new(cfg.encoder.dropout),
             blocks,
             mlm_proj: Linear::new(store, rng, "turl.mlm_proj", d, d, true),
             mer_proj: Linear::new(store, rng, "turl.mer_proj", d, d, true),
@@ -109,68 +122,18 @@ impl TurlModel {
         }
     }
 
-    /// Mean mention embedding `e^m` (Eqn. 3) for a batch of mentions,
-    /// computed as an averaging matrix over gathered word embeddings.
-    fn mention_means(&self, f: &mut Forward, store: &ParamStore, mentions: &[Vec<usize>]) -> Var {
-        let flat: Vec<usize> = mentions.iter().flatten().copied().collect();
-        let total = flat.len();
-        let rows = self.word_emb.forward(f, store, &flat); // [total, d]
-        let mut avg = Tensor::zeros(vec![mentions.len(), total.max(1)]);
-        let mut off = 0usize;
-        for (i, m) in mentions.iter().enumerate() {
-            let inv = 1.0 / m.len().max(1) as f32;
-            for _ in 0..m.len() {
-                avg.data_mut()[i * total.max(1) + off] = inv;
-                off += 1;
-            }
-        }
-        if total == 0 {
-            // no mention tokens at all: zero vectors
-            return f.graph.constant(Tensor::zeros(vec![mentions.len(), self.d_model()]));
-        }
-        let a = f.graph.constant(avg);
-        f.graph.matmul(a, rows)
+    /// The encode-only plan of this model at `input`'s shape: what both
+    /// executors lower, and the compiled executor's cache key.
+    pub(crate) fn forward_plan(&self, input: &EncodedInput) -> ModelPlan {
+        plan_for_input(model_plan(&self.cfg, self.word_emb.vocab, self.n_entities()), input)
     }
 
-    /// Embed the input sequence (Eqns. 1–3): token block followed by the
-    /// entity block, layer-normed.
-    fn embed<R: Rng>(
-        &self,
-        f: &mut Forward,
-        store: &ParamStore,
-        rng: &mut R,
-        input: &EncodedInput,
-    ) -> Var {
-        assert!(input.seq_len() > 0, "empty input sequence");
-        let mut parts: Vec<Var> = Vec::new();
-        if !input.token_ids.is_empty() {
-            let w = self.word_emb.forward(f, store, &input.token_ids);
-            let t = self.token_type_emb.forward(f, store, &input.token_types);
-            let pos: Vec<usize> =
-                input.token_pos.iter().map(|&p| p.min(self.cfg.max_position - 1)).collect();
-            let p = self.pos_emb.forward(f, store, &pos);
-            let wt = f.graph.add(w, t);
-            parts.push(f.graph.add(wt, p));
-        }
-        if !input.entities.is_empty() {
-            let ids: Vec<usize> = input.entities.iter().map(|e| e.emb_index).collect();
-            let ee = self.ent_emb.forward(f, store, &ids);
-            let mentions: Vec<Vec<usize>> =
-                input.entities.iter().map(|e| e.mention.clone()).collect();
-            let em = self.mention_means(f, store, &mentions);
-            let cat = f.graph.concat_cols(&[ee, em]);
-            let fused = self.fuse.forward(f, store, cat);
-            let types: Vec<usize> = input.entities.iter().map(|e| e.type_idx).collect();
-            let te = self.ent_type_emb.forward(f, store, &types);
-            parts.push(f.graph.add(fused, te));
-        }
-        let x = if parts.len() == 1 { parts[0] } else { f.graph.concat_rows(&parts) };
-        let normed = self.ln_embed.forward(f, store, x);
-        self.embed_dropout.forward(f, rng, normed)
-    }
-
-    /// Full encoder: embeddings then `N` visibility-masked Transformer
-    /// blocks. Returns contextualized representations `[n, d_model]`.
+    /// Full encoder: embeddings (Eqns. 1–3) then `N` visibility-masked
+    /// Transformer blocks. Returns contextualized representations
+    /// `[n, d_model]`.
+    ///
+    /// The forward is defined once, as the IR `lower_model_plan` gives
+    /// for this model at `input`'s shape; this runs it on the tape.
     pub fn encode<R: Rng>(
         &self,
         f: &mut Forward,
@@ -178,14 +141,91 @@ impl TurlModel {
         rng: &mut R,
         input: &EncodedInput,
     ) -> Var {
-        let mut h = self.embed(f, store, rng, input);
-        // One shared constant node for the visibility mask: every layer
-        // adds the same Var instead of cloning the [n, n] tensor per block.
-        let mask = input.mask.as_ref().map(|m| turl_nn::MultiHeadAttention::bind_mask(f, m));
-        for block in &self.blocks {
-            h = block.forward(f, store, rng, h, mask);
+        assert!(input.seq_len() > 0, "empty input sequence");
+        let ir = lower_model_plan(&self.forward_plan(input))
+            .unwrap_or_else(|e| panic!("forward plan does not lower: {e}"));
+        let vars = self.run_ir(f, store, rng, &ir, input, &[]);
+        *vars.last().expect("a lowered plan has nodes")
+    }
+
+    /// The reference executor: record `ir` on `f`'s tape, one graph op
+    /// per node in IR order, and return the tape var each node's readers
+    /// see (indexed like [`Ir::nodes`]).
+    ///
+    /// Parameters bind by [`param_name`], the embedding layer's gathers
+    /// and per-input sources through [`InputBinding`]; `head_lists` names
+    /// the index list of every other gather or cross-entropy node by its
+    /// label (row selections, shifted candidate ids, targets) and is
+    /// empty for an encode-only plan. In a training-mode pass each of
+    /// [`Ir::dropout_sites`] is multiplied by a fresh keep mask right
+    /// after it is recorded.
+    ///
+    /// # Panics
+    /// Panics when `ir` was not lowered for this model at `input`'s
+    /// shape: a parameter missing from `store`, or a node with no index
+    /// list.
+    pub fn run_ir<R: Rng>(
+        &self,
+        f: &mut Forward,
+        store: &ParamStore,
+        rng: &mut R,
+        ir: &Ir,
+        input: &EncodedInput,
+        head_lists: &[(&str, &[usize])],
+    ) -> Vec<Var> {
+        let mut bound = InputBinding::default();
+        bound.bind(input, &self.cfg);
+        let dropout = Dropout::new(self.cfg.encoder.dropout);
+        let mut sites = ir.dropout_sites().iter().map(|t| t.index()).peekable();
+        let mut vars: Vec<Var> = Vec::with_capacity(ir.len());
+        for (i, node) in ir.nodes().iter().enumerate() {
+            let arg = |slot: usize| vars[node.inputs[slot].index()];
+            let args = || node.inputs.iter().map(|t| vars[t.index()]).collect::<Vec<Var>>();
+            let indices = || {
+                let label = node.label.as_str();
+                bound
+                    .indices(input, label)
+                    .or_else(|| head_lists.iter().find(|(l, _)| *l == label).map(|(_, v)| *v))
+                    .unwrap_or_else(|| panic!("no index list bound for '{label}'"))
+            };
+            let g = &mut f.graph;
+            let mut v = match &node.kind {
+                OpKind::Source(kind) => match param_name(kind, &node.label) {
+                    Some(name) => {
+                        let id = store
+                            .find(&name)
+                            .unwrap_or_else(|| panic!("parameter '{name}' not in store"));
+                        f.param(store, id)
+                    }
+                    None => {
+                        let values = bound
+                            .source(input, kind)
+                            .unwrap_or_else(|| panic!("input has no '{}'", node.label));
+                        g.constant(Tensor::from_vec(node.shape.clone(), values.to_vec()))
+                    }
+                },
+                OpKind::Gather => g.index_select0(arg(0), indices()),
+                OpKind::MatMul => g.matmul(arg(0), arg(1)),
+                OpKind::MatMulNT => g.matmul_nt(arg(0), arg(1)),
+                OpKind::Bmm => g.bmm(arg(0), arg(1)),
+                OpKind::BmmNT => g.bmm_nt(arg(0), arg(1)),
+                OpKind::Add | OpKind::Mask => g.add(arg(0), arg(1)),
+                OpKind::Scale { factor } => g.scale(arg(0), *factor as f32),
+                OpKind::Gelu => g.gelu(arg(0)),
+                OpKind::Softmax => g.softmax_last(arg(0)),
+                OpKind::LayerNorm { eps } => g.layer_norm(arg(0), arg(1), arg(2), *eps as f32),
+                OpKind::ConcatCols => g.concat_cols(&args()),
+                OpKind::ConcatRows => g.concat_rows(&args()),
+                OpKind::Reshape => g.reshape(arg(0), node.shape.clone()),
+                OpKind::Permute { axes } => g.permute(arg(0), axes),
+                OpKind::CrossEntropy => g.cross_entropy(arg(0), indices()),
+            };
+            if sites.next_if_eq(&i).is_some() {
+                v = dropout.forward(f, rng, v);
+            }
+            vars.push(v);
         }
-        h
+        vars
     }
 
     /// MLM logits (Eqn. 5) for the given sequence rows: scores over the
@@ -275,6 +315,37 @@ mod tests {
         let mut f2 = Forward::inference(&store);
         let h2 = model.encode(&mut f2, &store, &mut rng, &input2);
         assert_eq!(f2.graph.value(h2).shape(), &[2, 16]);
+    }
+
+    #[test]
+    fn training_dropout_records_one_mask_multiply_per_site() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut store = ParamStore::new();
+        let mut model = TurlModel::new(&mut store, &mut rng, TurlConfig::small(9), 50, 20);
+        assert!(model.cfg.encoder.dropout > 0.0);
+        let input = toy_input();
+        // (computed ops, leaves, output) of one training-mode encode.
+        let run = |model: &TurlModel, seed: u64| {
+            let mut f = Forward::new(&store);
+            let h = model.encode(&mut f, &store, &mut StdRng::seed_from_u64(seed), &input);
+            let ops = f.graph.vars().filter(|&v| !f.graph.is_leaf(v)).count();
+            (ops, f.graph.len() - ops, f.graph.value(h).clone())
+        };
+        let (ops, leaves, a) = run(&model, 1);
+        let (_, _, b) = run(&model, 1);
+        let (_, _, other_seed) = run(&model, 2);
+        model.cfg.encoder.dropout = 0.0;
+        let (ops0, leaves0, plain) = run(&model, 1);
+
+        // One keep-mask constant and one multiply per site: the embedding
+        // layer norm, and each block's attention probabilities and
+        // feed-forward output.
+        let sites = 1 + 2 * model.cfg.encoder.n_layers;
+        assert_eq!((ops - ops0, leaves - leaves0), (sites, sites));
+        let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b), "same seed, same masks, same bits");
+        assert_ne!(bits(&a), bits(&other_seed), "masks follow the rng");
+        assert_ne!(bits(&a), bits(&plain), "dropout is active in training mode");
     }
 
     #[test]

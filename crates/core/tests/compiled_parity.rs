@@ -7,10 +7,10 @@
 //!    **bit-identical** (`f32::to_bits`) to the tape-based `Graph`
 //!    forward. Every fused kernel is reassociation-free, so exact
 //!    equality is the contract, not a tolerance.
-//! 2. A schedule-vs-IR drift guard: the compiled step schedule must
-//!    cover the lowered IR exactly while that same IR still aligns
-//!    op-for-op with the runtime tape (`align_with_graph`), chaining
-//!    compiled schedule → IR → tape.
+//! 2. Named degenerate inputs — no mention token at all, a lone token,
+//!    a lone entity, a position past `max_position` — on which the
+//!    compiled schedule must cover the IR exactly and tape, compiled and
+//!    batched encodes must agree on every bit.
 //! 3. A re-check of the range analysis (PR 5) against *executed* fused
 //!    outputs: values produced by the compiled path must lie inside the
 //!    statically derived interval of the IR's output node.
@@ -18,9 +18,9 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use turl_audit::{align_with_graph, analyze_ranges, lower_model_plan};
+use turl_audit::{analyze_ranges, lower_model_plan};
 use turl_core::audit::{model_plan, plan_for_input};
-use turl_core::{EncodedInput, EntityInput, TurlConfig, TurlModel};
+use turl_core::{EncodedInput, EntityInput, TableBatch, TurlConfig, TurlModel};
 use turl_exec::compile;
 use turl_nn::{Forward, ParamStore};
 use turl_tensor::Tensor;
@@ -136,54 +136,78 @@ proptest! {
     }
 }
 
-/// Schedule → IR → tape: the compiled schedule covers the lowered IR
-/// exactly (no dropped, duplicated, or reordered node) while that IR
-/// aligns op-for-op with a real tape forward of the same shape.
+fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
+    assert_eq!(got.shape(), want.shape(), "{what}");
+    for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what} diverges at element {i}");
+    }
+}
+
+/// The corners of the input space, by name: the schedule covers the IR
+/// exactly (no dropped, duplicated or reordered node) and the three
+/// executors — tape, compiled, compiled over a coalesced batch — agree
+/// on every bit.
 #[test]
-fn compiled_schedule_covers_ir_that_aligns_with_tape() {
-    // (1, 1): n_heads == seq len, so the head split is a `[2, 2, dh]`
-    // permute whose axes cannot be read off its shapes.
-    for (tokens, ents, masked) in [(6, 3, true), (5, 2, false), (0, 4, true), (1, 1, true)] {
-        let case = build_case(7, tokens, ents, 2, 2, 1e-5, masked, false, &[1, 2, 0]);
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        let model = TurlModel::new(&mut store, &mut rng, case.cfg, N_WORDS, N_KB_ENTITIES);
-
-        let plan = plan_for_input(model_plan(&case.cfg, N_WORDS, N_KB_ENTITIES), &case.input);
-        let ir = lower_model_plan(&plan).expect("plan lowers");
-        let compiled = compile(&ir).expect("plan compiles");
-        compiled.verify_covers(&ir).expect("schedule covers IR");
-
-        // The same IR must still describe the runtime tape: an encode-only
-        // inference forward aligns node-for-node.
-        let mut f = Forward::inference(&store);
-        let mut rng2 = StdRng::seed_from_u64(0);
-        let h = model.encode(&mut f, &store, &mut rng2, &case.input);
-        let pairs = align_with_graph(&ir, &f.graph).expect("IR aligns with tape");
-        let computed = ir.nodes().iter().filter(|n| !n.kind.is_source()).count();
-        assert_eq!(pairs.len(), computed);
-
-        // Chain the two: every step's materialized output maps to a tape
-        // var of identical shape.
-        for step in &compiled.steps {
-            let (_, var) = pairs
-                .iter()
-                .find(|(tid, _)| *tid == step.out_id)
-                .expect("step output must be an aligned IR node");
-            assert_eq!(
-                ir.node_at(step.out_id.index()).shape,
-                f.graph.value(*var).shape(),
-                "shape drift at step '{}'",
-                step.label
-            );
+fn degenerate_inputs_are_bit_identical_across_executors() {
+    let case = |tokens, ents, mention_lens: &[usize]| {
+        let mut c = build_case(7, tokens, ents, 2, 2, 1e-5, true, false, mention_lens);
+        // Every element sees itself, as in a real §4.3 matrix: a row
+        // with nothing visible in its own table is what batching cannot
+        // keep apart from its neighbours.
+        let m = c.input.mask.as_mut().expect("masked case");
+        for i in 0..tokens + ents {
+            m.set2(i, i, 0.0);
         }
+        c
+    };
+    let mut past_max = case(4, 2, &[1, 2]);
+    past_max.input.token_pos[3] = past_max.cfg.max_position + 5;
+    let cases = [
+        ("no mention token (ZeroConst branch)", case(6, 3, &[0])),
+        ("two mention-less entities", case(2, 2, &[0])),
+        ("one token, no entity", case(1, 0, &[1])),
+        ("no token, one entity", case(0, 1, &[2])),
+        ("no token, entities with and without mentions", case(0, 4, &[1, 2, 0])),
+        // n_heads == seq len: the head split is a `[2, 2, dh]` permute
+        // whose axes cannot be read off its shapes.
+        ("seq len equal to the head count", case(1, 1, &[1])),
+        ("position past max_position (clamped)", past_max),
+    ];
+    let cfg = cases[0].1.cfg;
+    let mut store = ParamStore::new();
+    let mut rng = StdRng::seed_from_u64(7);
+    let model = TurlModel::new(&mut store, &mut rng, cfg, N_WORDS, N_KB_ENTITIES);
+    let mut cf = model.compiled();
 
-        // And the schedule computes what the tape computed, bit for bit.
-        let got = model.compiled().encode(&model, &store, &case.input).expect("compiled encode");
-        let want = f.graph.value(h);
-        assert_eq!(got.shape(), want.shape());
-        for (i, (a, b)) in got.data().iter().zip(want.data()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "({tokens},{ents}) diverges at element {i}");
+    let mut solo = Vec::new();
+    for (name, case) in &cases {
+        let plan = plan_for_input(model_plan(&cfg, N_WORDS, N_KB_ENTITIES), &case.input);
+        let ir = lower_model_plan(&plan).expect("plan lowers");
+        compile(&ir).expect("plan compiles").verify_covers(&ir).expect("schedule covers IR");
+
+        let tape = graph_encode(case, &store, &model);
+        let compiled = cf.encode(&model, &store, &case.input).expect("compiled encode");
+        assert_same_bits(&compiled, &tape, name);
+        solo.push(compiled);
+    }
+    // The clamp is observable: the clamped row equals the same input at
+    // the last valid position.
+    let mut at_max = case(4, 2, &[1, 2]);
+    at_max.input.token_pos[3] = cfg.max_position - 1;
+    assert_same_bits(&graph_encode(&at_max, &store, &model), &solo[6], "clamp");
+
+    // Batched: every case coalesced into one forward (ZeroConst members
+    // become all-zero rows of the batch's averaging matrix), and the
+    // mention-less cases alone (the batch itself takes the ZeroConst
+    // branch).
+    for members in [(0..cases.len()).collect::<Vec<_>>(), vec![0, 1]] {
+        let inputs: Vec<&EncodedInput> = members.iter().map(|&i| &cases[i].1.input).collect();
+        let batch = TableBatch::build(&inputs).expect("batch builds");
+        let hb = cf.encode(&model, &store, batch.input()).expect("batched encode");
+        let tape = graph_encode(&Case { cfg, input: batch.input().clone() }, &store, &model);
+        assert_same_bits(&hb, &tape, "batched tape vs compiled");
+        for (slot, &i) in members.iter().enumerate() {
+            assert_same_bits(&batch.extract(slot, &hb), &solo[i], cases[i].0);
         }
     }
 }

@@ -381,8 +381,8 @@ impl CompiledPlan {
 
     /// Check that the schedule covers the IR exactly: every computed
     /// node is covered by exactly one step, in tape order, with the
-    /// step's materialized shape matching the IR — the schedule-vs-IR
-    /// drift guard (the executor twin of `align_with_graph`).
+    /// step's materialized shape matching the IR — the check that
+    /// fusion dropped, duplicated or reordered nothing.
     pub fn verify_covers(&self, ir: &Ir) -> Result<(), ExecError> {
         let mut covered = vec![false; ir.len()];
         let mut prev_last = 0usize;
