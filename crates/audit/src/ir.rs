@@ -201,6 +201,11 @@ impl Ir {
         &self.nodes
     }
 
+    /// The first tensor labelled `label` (a lowered plan's labels are unique).
+    pub fn find(&self, label: &str) -> Option<TensorId> {
+        self.nodes.iter().position(|n| n.label == label).map(TensorId)
+    }
+
     /// The tensors training-mode dropout applies to, in tape order: the
     /// embedding layer norm, and each block's attention probabilities
     /// and feed-forward output. Dropout is not an op of the graph — the

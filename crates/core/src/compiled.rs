@@ -7,8 +7,9 @@
 //! input shape with `turl-exec`'s fusing compiler, then executes the
 //! schedule out of a single reused arena — no tape, no gradient
 //! bookkeeping, no parameter clones. Both executors read an input
-//! through [`InputBinding`] and name parameters by [`param_name`], so
-//! they differ only in how a node is executed.
+//! through [`InputBinding`], name parameters by [`param_name`] and
+//! compute with the `turl_tensor::ops` kernels, so they differ only in
+//! bookkeeping and in which ops the compiler fuses.
 //!
 //! The compiled pass is **bit-exact** against `encode` under an
 //! inference-mode `Forward` (every fused kernel is reassociation-free;
@@ -215,9 +216,10 @@ impl CompiledForward {
 
     /// Graph-free MER scoring head (paper Eqn. 6) over a compiled
     /// encode: gather `rows` of `h`, apply the MER projection, and score
-    /// each against the candidate entity embeddings. Runs the same
-    /// kernels in the same order as [`TurlModel::mer_logits`] on the
-    /// tape, so the logits are bit-exact with the graph head.
+    /// each against the candidate entity embeddings. Runs the kernels of
+    /// the plan's `mer.rows … mer.logits` nodes in the same order, so the
+    /// logits are bit-exact with that node on the tape (the one mirrored
+    /// pair left, pinned by `mer_head_is_bit_exact_vs_graph`).
     ///
     /// Out-of-range `rows` (≥ the encoded sequence length) or
     /// `candidates` (≥ the entity vocabulary) are typed
@@ -300,6 +302,14 @@ impl CompiledForward {
     }
 }
 
+/// Order `scores` best first: descending by [`f32::total_cmp`], so a NaN
+/// ranks by its sign instead of panicking, ties by ascending index.
+pub fn rank_descending(scores: &[f32]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then_with(|| a.cmp(&b)));
+    order
+}
+
 impl TurlModel {
     /// Create a compiled graph-free inference context for this model.
     /// See [`CompiledForward`].
@@ -374,20 +384,30 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(77);
         let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
         let input = build_input(5, 3, true, 11);
-        let rows = [input.entity_row(0), input.entity_row(2)];
-        let candidates = [0usize, 3, 7, 19];
+        let rows = [input.entity_row(0), input.entity_row(2), input.entity_row(0)];
+        let candidates = [0usize, 3, 7, 19, 12];
 
+        // The plan's own MER head: the `mer.logits` node, run on the tape.
+        let plan = ModelPlan {
+            n_mer_targets: rows.len(),
+            n_candidates: candidates.len(),
+            ..model.forward_plan(&input)
+        };
+        let ir = lower_model_plan(&plan).expect("plan lowers");
+        let shifted = candidates.map(|c| c + 1);
+        let heads: [(&str, &[usize]); 3] =
+            [("mer.rows", &rows), ("mer.candidates", &shifted), ("mer.loss", &[0; 3])];
         let mut f = Forward::inference(&store);
-        let h = model.encode(&mut f, &store, &mut rng, &input);
-        let logits = model.mer_logits(&mut f, &store, h, &rows, &candidates);
-        let want = f.graph.value(logits).clone();
+        let vars = model.run_ir(&mut f, &store, &mut rng, &ir, &input, &heads);
+        let want = f.graph.value(vars[ir.find("mer.logits").expect("MER head").index()]);
 
         let mut cf = model.compiled();
         let hc = cf.encode(&model, &store, &input).expect("compiled encode");
         let got = cf.mer_logits(&model, &store, &hc, &rows, &candidates).expect("compiled mer");
         assert_eq!(got.shape(), want.shape());
+        assert_eq!(got.shape(), &[3, 5]);
         for (a, b) in got.data().iter().zip(want.data().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "MER head diverged from graph");
+            assert_eq!(a.to_bits(), b.to_bits(), "MER head diverged from the plan's");
         }
     }
 

@@ -37,7 +37,7 @@ pub mod probe;
 pub mod tasks;
 
 pub use batch::TableBatch;
-pub use compiled::{CompiledForward, DEFAULT_PLAN_CACHE_CAP};
+pub use compiled::{rank_descending, CompiledForward, DEFAULT_PLAN_CACHE_CAP};
 pub use config::{CandidateConfig, PretrainConfig, TurlConfig};
 pub use extensions::{AuxRelationObjective, RelationPair};
 pub use finetune::{FinetuneConfig, FinetuneStats};

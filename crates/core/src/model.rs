@@ -148,9 +148,11 @@ impl TurlModel {
         *vars.last().expect("a lowered plan has nodes")
     }
 
-    /// The reference executor: record `ir` on `f`'s tape, one graph op
-    /// per node in IR order, and return the tape var each node's readers
-    /// see (indexed like [`Ir::nodes`]).
+    /// The tape executor: record `ir` on `f`'s tape, one graph op per
+    /// node in IR order, and return the tape var each node's readers see
+    /// (indexed like [`Ir::nodes`]). [`encode`](TurlModel::encode) runs an
+    /// encode-only plan through here, `Pretrainer::train_step` one with
+    /// the MLM/MER heads and losses (Eqns. 5–6).
     ///
     /// Parameters bind by [`param_name`], the embedding layer's gathers
     /// and per-input sources through [`InputBinding`]; `head_lists` names
@@ -226,33 +228,6 @@ impl TurlModel {
             vars.push(v);
         }
         vars
-    }
-
-    /// MLM logits (Eqn. 5) for the given sequence rows: scores over the
-    /// whole word vocabulary.
-    pub fn mlm_logits(&self, f: &mut Forward, store: &ParamStore, h: Var, rows: &[usize]) -> Var {
-        let sel = f.graph.index_select0(h, rows);
-        let proj = self.mlm_proj.forward(f, store, sel);
-        let words = f.param(store, self.word_emb.weight);
-        f.graph.matmul_nt(proj, words)
-    }
-
-    /// MER logits (Eqn. 6) for the given sequence rows, restricted to a
-    /// candidate set of entity ids (unshifted KB ids).
-    pub fn mer_logits(
-        &self,
-        f: &mut Forward,
-        store: &ParamStore,
-        h: Var,
-        rows: &[usize],
-        candidates: &[usize],
-    ) -> Var {
-        let sel = f.graph.index_select0(h, rows);
-        let proj = self.mer_proj.forward(f, store, sel);
-        let ents = f.param(store, self.ent_emb.weight);
-        let shifted: Vec<usize> = candidates.iter().map(|&c| c + 1).collect();
-        let cand = f.graph.index_select0(ents, &shifted);
-        f.graph.matmul_nt(proj, cand)
     }
 
     /// Frozen entity-embedding matrix (value snapshot), for inspection and
@@ -348,27 +323,54 @@ mod tests {
         assert_ne!(bits(&a), bits(&plain), "dropout is active in training mode");
     }
 
+    /// Lower `input`'s plan with both heads (MLM over `mlm_rows`, MER over
+    /// `mer_rows` × `candidates`, every target class 0) and run it on `f`.
+    fn run_heads(
+        model: &TurlModel,
+        store: &ParamStore,
+        f: &mut Forward,
+        input: &EncodedInput,
+        mlm_rows: &[usize],
+        mer_rows: &[usize],
+        candidates: &[usize],
+    ) -> (Ir, Vec<Var>) {
+        let plan = ModelPlan {
+            n_mlm_targets: mlm_rows.len(),
+            n_mer_targets: mer_rows.len(),
+            n_candidates: candidates.len(),
+            ..model.forward_plan(input)
+        };
+        let ir = lower_model_plan(&plan).expect("plan lowers");
+        let shifted: Vec<usize> = candidates.iter().map(|&c| c + 1).collect();
+        let heads: [(&str, &[usize]); 5] = [
+            ("mlm.rows", mlm_rows),
+            ("mlm.loss", &vec![0; mlm_rows.len()]),
+            ("mer.rows", mer_rows),
+            ("mer.candidates", &shifted),
+            ("mer.loss", &vec![0; mer_rows.len()]),
+        ];
+        let vars = model.run_ir(f, store, &mut StdRng::seed_from_u64(0), &ir, input, &heads);
+        (ir, vars)
+    }
+
     #[test]
     fn mlm_and_mer_logit_shapes() {
-        let (store, model, mut rng) = tiny_model();
+        let (store, model, _) = tiny_model();
         let mut f = Forward::inference(&store);
-        let input = toy_input();
-        let h = model.encode(&mut f, &store, &mut rng, &input);
-        let mlm = model.mlm_logits(&mut f, &store, h, &[0, 2]);
-        assert_eq!(f.graph.value(mlm).shape(), &[2, 50]);
-        let mer = model.mer_logits(&mut f, &store, h, &[4], &[0, 5, 9]);
-        assert_eq!(f.graph.value(mer).shape(), &[1, 3]);
+        let (ir, vars) = run_heads(&model, &store, &mut f, &toy_input(), &[0, 2], &[4], &[0, 5, 9]);
+        let shape_of = |label| f.graph.value(vars[ir.find(label).unwrap().index()]).shape();
+        assert_eq!(shape_of("mlm.logits"), &[2, 50]);
+        assert_eq!(shape_of("mer.logits"), &[1, 3]);
     }
 
     #[test]
     fn gradients_reach_embeddings_through_full_stack() {
-        let (mut store, model, mut rng) = tiny_model();
+        let (mut store, model, _) = tiny_model();
         let mut f = Forward::new(&store);
-        let input = toy_input();
-        let h = model.encode(&mut f, &store, &mut rng, &input);
-        let logits = model.mer_logits(&mut f, &store, h, &[4], &[2, 3, 4]);
-        let loss = f.graph.cross_entropy(logits, &[1]);
-        f.backprop(loss, &mut store);
+        // MER only: the plan's root is `mer.loss` itself, no `loss` sum.
+        let (ir, vars) = run_heads(&model, &store, &mut f, &toy_input(), &[], &[4], &[2, 3, 4]);
+        assert_eq!(ir.find("mer.loss").map(|t| t.index()), Some(ir.len() - 1));
+        f.backprop(*vars.last().unwrap(), &mut store);
         for name in ["turl.word_emb.weight", "turl.ent_emb.weight", "turl.fuse.weight"] {
             let id = store.find(name).unwrap();
             assert!(store.grad(id).norm() > 0.0, "no grad for {name}");

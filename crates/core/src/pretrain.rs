@@ -10,6 +10,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::path::PathBuf;
+use turl_audit::{lower_model_plan, ModelPlan};
 use turl_data::TableInstance;
 use turl_kb::CooccurrenceIndex;
 use turl_nn::{
@@ -412,50 +413,55 @@ impl Pretrainer {
             let f = &mut slot.fwd;
             f.reset(true);
             let mut rng = StdRng::seed_from_u64(slot.seed);
-            let h = model.encode(f, store, &mut rng, enc);
-            let mut losses: Vec<turl_tensor::Var> = Vec::new();
-            let mut mlm_var = None;
-            let mut mer_var = None;
-            if !slot.plan.mlm.is_empty() {
-                let rows: Vec<usize> = slot.plan.mlm.iter().map(|&(p, _)| p).collect();
-                let targets: Vec<usize> = slot.plan.mlm.iter().map(|&(_, t)| t).collect();
-                let logits = model.mlm_logits(f, store, h, &rows);
-                let l = f.graph.cross_entropy(logits, &targets);
-                mlm_var = Some(l);
-                losses.push(l);
-            }
-            if !slot.plan.mer.is_empty() {
-                let rows: Vec<usize> =
-                    slot.plan.mer.iter().map(|&(c, _)| enc.entity_row(c)).collect();
-                let targets: Vec<usize> = slot
-                    .plan
-                    .mer
-                    .iter()
-                    .map(|&(_, e)| {
-                        slot.candidates.iter().position(|&c| c == e).expect("gold in candidates")
-                    })
-                    .collect();
-                let logits = model.mer_logits(f, store, h, &rows, &slot.candidates);
-                let l = f.graph.cross_entropy(logits, &targets);
-                mer_var = Some(l);
-                losses.push(l);
-            }
+            // The step's forward — encoder, active heads, losses, their
+            // sum — is the model's plan at this table's target counts.
+            let step_plan = ModelPlan {
+                n_mlm_targets: slot.plan.mlm.len(),
+                n_mer_targets: slot.plan.mer.len(),
+                n_candidates: slot.candidates.len(),
+                ..model.forward_plan(enc)
+            };
+            let ir = lower_model_plan(&step_plan)
+                .unwrap_or_else(|e| panic!("training plan does not lower: {e}"));
+            let (mlm_rows, mlm_targets): (Vec<usize>, Vec<usize>) =
+                slot.plan.mlm.iter().copied().unzip();
+            let mer_rows: Vec<usize> =
+                slot.plan.mer.iter().map(|&(c, _)| enc.entity_row(c)).collect();
+            let mer_targets: Vec<usize> = slot
+                .plan
+                .mer
+                .iter()
+                .map(|&(_, e)| {
+                    slot.candidates.iter().position(|&c| c == e).expect("gold in candidates")
+                })
+                .collect();
+            // Candidate ids sit one past the entity `[MASK]` row.
+            let shifted: Vec<usize> = slot.candidates.iter().map(|&c| c + 1).collect();
+            let heads: [(&str, &[usize]); 5] = [
+                ("mlm.rows", &mlm_rows),
+                ("mlm.loss", &mlm_targets),
+                ("mer.rows", &mer_rows),
+                ("mer.candidates", &shifted),
+                ("mer.loss", &mer_targets),
+            ];
+            let vars = model.run_ir(f, store, &mut rng, &ir, enc, &heads);
+            let var_of = |label: &str| ir.find(label).map(|t| vars[t.index()]);
+            let mut loss = *vars.last().expect("a lowered plan has nodes");
             if let Some(aux) = aux {
+                let h = var_of(&format!("block{}.ln2.out", step_plan.n_layers - 1))
+                    .expect("the encoder output is in the plan");
                 if let Some(l) = aux.loss(f, store, h, inst, enc) {
-                    losses.push(l);
+                    loss = f.graph.add(loss, l);
                 }
-            }
-            let mut loss = losses[0];
-            for &extra in &losses[1..] {
-                loss = f.graph.add(loss, extra);
             }
             let loss_value = f.graph.value(loss).item();
             if obs_on {
                 // reading already-computed tape values is free of side
                 // effects; the MLM/MER split powers the per-step breakdown
                 slot.obs.fwd_ns = fwd_timer.elapsed_ns();
-                slot.obs.mlm_loss = mlm_var.map(|v| f.graph.value(v).item()).unwrap_or(0.0);
-                slot.obs.mer_loss = mer_var.map(|v| f.graph.value(v).item()).unwrap_or(0.0);
+                let item = |label: &str| var_of(label).map_or(0.0, |v| f.graph.value(v).item());
+                slot.obs.mlm_loss = item("mlm.loss");
+                slot.obs.mer_loss = item("mer.loss");
             }
             let bwd_timer = turl_obs::Timer::start();
             f.graph.backward(loss);
@@ -1020,6 +1026,50 @@ mod tests {
         assert_eq!(pt.opt.steps(), 0);
         assert_eq!(stats.epoch_losses, vec![0.0, 0.0]);
         assert_eq!(stats.non_finite_skips, 0);
+    }
+
+    #[test]
+    fn single_head_steps_train_without_a_loss_sum() {
+        // A token-only input can only select MLM targets and an
+        // entity-only one only MER targets: the step's plan then ends at
+        // that head's loss (no `loss` sum node) and the other head never
+        // reaches the tape.
+        let (kb, vocab, data, cooccur) = setup();
+        let (inst, clean) = data
+            .iter()
+            .find(|(_, e)| e.token_ids.len() > 1 && e.entities.len() > 1)
+            .expect("a table with tokens and entities");
+        let token_only = EncodedInput { entities: Vec::new(), mask: None, ..clean.clone() };
+        let entity_only = EncodedInput {
+            token_ids: Vec::new(),
+            token_types: Vec::new(),
+            token_pos: Vec::new(),
+            mask: None,
+            ..clean.clone()
+        };
+        for (enc, active, idle) in
+            [(token_only, "mlm_proj", "mer_proj"), (entity_only, "mer_proj", "mlm_proj")]
+        {
+            let mut pt = Pretrainer::new(
+                TurlConfig::tiny(5),
+                vocab.len(),
+                kb.n_entities(),
+                vocab.mask_id() as usize,
+            );
+            // Select every position, so the step cannot come up empty.
+            pt.cfg.pretrain.mlm_select_ratio = 1.0;
+            pt.cfg.pretrain.mer_select_ratio = 1.0;
+            let weight = |pt: &Pretrainer, head: &str| {
+                let id = pt.store.find(&format!("turl.{head}.weight")).expect("registered");
+                pt.store.value(id).clone()
+            };
+            let before = (weight(&pt, active), weight(&pt, idle));
+            let loss = pt.train_step(&[(inst.clone(), enc)], &cooccur).loss().expect("stepped");
+            assert!(loss.is_finite() && loss > 0.0, "{active}-only loss {loss}");
+            // Adam moves a parameter only on a non-zero gradient.
+            assert_ne!(weight(&pt, active), before.0, "no gradient reached {active}");
+            assert_eq!(weight(&pt, idle), before.1, "{idle} was on the tape");
+        }
     }
 
     #[test]

@@ -3,15 +3,14 @@
 //! pre-training task, we do not fine-tune the model" — the pre-trained MER
 //! head ranks the candidates directly.
 
+use crate::compiled::rank_descending;
 use crate::input::{EncodedInput, EntityInput};
 use crate::model::TurlModel;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use turl_data::{tokenize, Table, Vocab};
 use turl_kb::tasks::metrics::hit_at_k;
 use turl_kb::tasks::CellFillingExample;
 use turl_kb::KnowledgeBase;
-use turl_nn::{Forward, ParamStore};
+use turl_nn::ParamStore;
 
 /// Zero-shot cell filler built on the pre-trained MER head.
 pub struct CellFiller<'a> {
@@ -85,7 +84,8 @@ impl<'a> CellFiller<'a> {
         (enc, 1)
     }
 
-    /// Rank the example's candidates with Eqn. 6 (best first).
+    /// Rank the example's candidates with Eqn. 6 (best first), in the
+    /// order `turl serve` ranks the same logits ([`rank_descending`]).
     pub fn rank(
         &self,
         vocab: &Vocab,
@@ -96,17 +96,14 @@ impl<'a> CellFiller<'a> {
         if ex.candidates.is_empty() {
             return Vec::new();
         }
-        let mut rng = StdRng::seed_from_u64(0);
         let (enc, mask_cell) = self.encode_query(vocab, kb, &tables[ex.table_idx], ex);
-        let mut f = Forward::inference(self.store);
-        let h = self.model.encode(&mut f, self.store, &mut rng, &enc);
+        let mut cf = self.model.compiled();
+        let h = cf.encode(self.model, self.store, &enc).expect("compiled query encode");
         let cands: Vec<usize> = ex.candidates.iter().map(|(e, _)| *e as usize).collect();
-        let logits =
-            self.model.mer_logits(&mut f, self.store, h, &[enc.entity_row(mask_cell)], &cands);
-        let scores = f.graph.value(logits).data().to_vec();
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite").then(a.cmp(&b)));
-        order.into_iter().map(|i| ex.candidates[i].0).collect()
+        let logits = cf
+            .mer_logits(self.model, self.store, &h, &[enc.entity_row(mask_cell)], &cands)
+            .expect("candidates are KB entities");
+        rank_descending(logits.data()).into_iter().map(|i| ex.candidates[i].0).collect()
     }
 
     /// P@K over instances whose candidate set contains the gold entity
@@ -151,8 +148,7 @@ mod tests {
         PipelineConfig, WorldConfig,
     };
 
-    #[test]
-    fn cell_filler_ranks_candidates() {
+    fn setup() -> (KnowledgeBase, Vocab, Vec<Table>, Vec<CellFillingExample>) {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(63));
         let pcfg = PipelineConfig { max_eval_tables: 16, ..Default::default() };
         let splits = partition(
@@ -176,14 +172,19 @@ mod tests {
         let cooccur = CooccurrenceIndex::build(&splits.train);
         let examples = build_cell_filling(&splits.test, &cooccur, 3, true);
         assert!(!examples.is_empty());
+        (kb, vocab, splits.test, examples)
+    }
 
+    #[test]
+    fn cell_filler_ranks_candidates() {
+        let (kb, vocab, tables, examples) = setup();
         let cfg = TurlConfig::tiny(10);
         let pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
         let filler = CellFiller::new(&pt.model, &pt.store);
         let ps = filler.precision_at(
             &vocab,
             &kb,
-            &splits.test,
+            &tables,
             &examples[..40.min(examples.len())],
             &[1, 3, 5, 10],
         );
@@ -192,5 +193,31 @@ mod tests {
         for w in ps.windows(2) {
             assert!(w[1] >= w[0] - 1e-12, "P@K not monotone: {ps:?}");
         }
+    }
+
+    #[test]
+    fn a_nan_score_is_ranked_not_a_panic() {
+        let (kb, vocab, tables, examples) = setup();
+        // Four candidates other than the subject, whose row the query embeds.
+        let subject = examples[0].subject;
+        let ex = &CellFillingExample {
+            candidates: (0..5).filter(|&e| e != subject).map(|e| (e, Vec::new())).collect(),
+            ..examples[0].clone()
+        };
+        let cfg = TurlConfig::tiny(10);
+        let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
+        let clean = CellFiller::new(&pt.model, &pt.store).rank(&vocab, &kb, &tables, ex);
+        // Poison one candidate's embedding row: its logit becomes NaN.
+        let poisoned = ex.candidates[1].0;
+        let d = pt.model.d_model();
+        let ent_emb = pt.store.value_mut(pt.model.ent_emb.weight);
+        ent_emb.data_mut()[(poisoned as usize + 1) * d..][..d].fill(f32::NAN);
+        let ranked = CellFiller::new(&pt.model, &pt.store).rank(&vocab, &kb, &tables, ex);
+        // Every candidate is still ranked once, the finite ones in their
+        // clean order.
+        assert_eq!(ranked.len(), ex.candidates.len());
+        let finite = |r: &[u32]| r.iter().copied().filter(|&e| e != poisoned).collect::<Vec<_>>();
+        assert_eq!(finite(&ranked), finite(&clean));
+        assert_eq!(ranked.iter().filter(|&&e| e == poisoned).count(), 1);
     }
 }

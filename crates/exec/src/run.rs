@@ -339,24 +339,17 @@ impl CompiledPlan {
                     out.copy_from_slice(view_at(x, sources, base, cap));
                 }
                 StepKind::ConcatRows { parts } => {
-                    let mut off = 0usize;
-                    for p in parts {
-                        let pv = view_at(p, sources, base, cap);
-                        out[off..off + pv.len()].copy_from_slice(pv);
-                        off += pv.len();
-                    }
+                    ops::concat_rows_into(
+                        parts.iter().map(|p| view_at(p, sources, base, cap)),
+                        out,
+                    );
                 }
                 StepKind::ConcatCols { parts, rows } => {
-                    let total: usize = parts.iter().map(|(_, c)| c).sum();
-                    for r in 0..*rows {
-                        let mut col = 0usize;
-                        for (p, cols) in parts {
-                            let pv = view_at(p, sources, base, cap);
-                            out[r * total + col..r * total + col + cols]
-                                .copy_from_slice(&pv[r * cols..(r + 1) * cols]);
-                            col += cols;
-                        }
-                    }
+                    ops::concat_cols_into(
+                        parts.iter().map(|(p, cols)| (view_at(p, sources, base, cap), *cols)),
+                        *rows,
+                        out,
+                    );
                 }
             }
         }

@@ -212,7 +212,8 @@ impl ParamStore {
 pub struct Forward {
     /// The autograd tape for this pass.
     pub graph: Graph,
-    bound: HashMap<ParamId, Var>,
+    /// The leaf each parameter is bound to this pass, by [`ParamId::index`].
+    bound: Vec<Option<Var>>,
     /// Whether dropout layers should be active.
     pub training: bool,
 }
@@ -220,7 +221,7 @@ pub struct Forward {
 impl Forward {
     /// Start a new training-mode forward pass (dropout active).
     pub fn new(_store: &ParamStore) -> Self {
-        Self { graph: Graph::new(), bound: HashMap::new(), training: true }
+        Self { graph: Graph::new(), bound: Vec::new(), training: true }
     }
 
     /// Start a new inference pass (dropout disabled).
@@ -239,22 +240,21 @@ impl Forward {
 
     /// Bind a parameter into the graph (idempotent per pass).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        if let Some(&v) = self.bound.get(&id) {
-            return v;
+        if self.bound.len() <= id.0 {
+            self.bound.resize(id.0 + 1, None);
         }
-        let v = self.graph.leaf(store.value(id).clone(), true);
-        self.bound.insert(id, v);
-        v
+        *self.bound[id.0].get_or_insert_with(|| self.graph.leaf(store.value(id).clone(), true))
     }
 
-    /// After `graph.backward`, pull parameter gradients off the tape.
+    /// After `graph.backward`, pull parameter gradients off the tape, in
+    /// parameter (registration) order.
     ///
     /// Feed the result to [`ParamStore::accumulate`].
     pub fn take_param_grads(&mut self) -> Vec<(ParamId, Tensor)> {
-        let mut out = Vec::with_capacity(self.bound.len());
-        for (&id, &var) in &self.bound {
-            if let Some(g) = self.graph.take_grad(var) {
-                out.push((id, g));
+        let mut out = Vec::new();
+        for (i, var) in self.bound.iter().enumerate() {
+            if let Some(g) = var.and_then(|v| self.graph.take_grad(v)) {
+                out.push((ParamId(i), g));
             }
         }
         out
@@ -298,6 +298,26 @@ mod tests {
         let v2 = f.param(&s, id);
         assert_eq!(v1, v2);
         assert_eq!(f.graph.len(), 1);
+    }
+
+    #[test]
+    fn param_grads_come_back_in_parameter_order() {
+        let mut s = ParamStore::new();
+        let ids: Vec<ParamId> =
+            (0..6).map(|i| s.register(format!("p{i}"), Tensor::ones(vec![1]))).collect();
+        let mut f = Forward::new(&s);
+        // Bound out of order; p2 is never bound and p4 never reaches the loss.
+        let v5 = f.param(&s, ids[5]);
+        let v0 = f.param(&s, ids[0]);
+        f.param(&s, ids[4]);
+        let v3 = f.param(&s, ids[3]);
+        let v1 = f.param(&s, ids[1]);
+        let parts = [v5, v0, v3, v1];
+        let cat = f.graph.stack_rows(&parts);
+        let loss = f.graph.sum_all(cat);
+        f.graph.backward(loss);
+        let got: Vec<usize> = f.take_param_grads().iter().map(|(id, _)| id.index()).collect();
+        assert_eq!(got, [0, 1, 3, 5]);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::protocol::{
     decode, ColumnRequest, EncodeResponse, RankRequest, RankResponse, RelationRequest,
     ReprResponse, RowPopulationRequest, ServeError, TableRequest,
 };
-use turl_core::{CompiledForward, EncodedInput, EntityInput, TurlModel};
+use turl_core::{rank_descending, CompiledForward, EncodedInput, EntityInput, TurlModel};
 use turl_data::{LinearizeConfig, Table, TableInstance, TokenScope, Vocab};
 use turl_exec::ExecError;
 use turl_nn::ParamStore;
@@ -302,8 +302,7 @@ impl Session {
                     .mer_logits(&self.model, &self.store, h, &[*row], candidates)
                     .map_err(exec_to_serve)?;
                 let scores = logits.data();
-                let mut order: Vec<usize> = (0..candidates.len()).collect();
-                order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then_with(|| a.cmp(&b)));
+                let order = rank_descending(scores);
                 let resp = RankResponse {
                     ranking: order.iter().map(|&i| candidates[i] as u32).collect(),
                     scores: order.iter().map(|&i| scores[i]).collect(),

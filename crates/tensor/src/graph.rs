@@ -4,6 +4,8 @@
 //! or input tensors, operations append nodes in topological order, and
 //! [`Graph::backward`] walks the tape in reverse accumulating gradients.
 //! The op vocabulary is exactly what a structure-aware Transformer needs.
+//! Forward values come from the [`crate::ops`] kernels the forward-plan
+//! executor calls; this module adds the tape and the backward closures.
 
 use crate::ops;
 use crate::ops::{gelu_fwd, gelu_grad};
@@ -397,21 +399,15 @@ impl Graph {
     /// `x` has shape `[..., d]`, `gamma` and `beta` have shape `[d]`.
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
         let xv = self.value(x);
-        let d = *xv.shape().last().expect("layer_norm rank");
-        let gv = self.value(gamma).data().to_vec();
-        let bv = self.value(beta).data().to_vec();
-        let mut out = xv.clone();
-        {
-            let data = out.data_mut();
-            for chunk in data.chunks_mut(d) {
-                let mean = chunk.iter().sum::<f32>() / d as f32;
-                let var = chunk.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
-                let inv = 1.0 / (var + eps).sqrt();
-                for (j, v) in chunk.iter_mut().enumerate() {
-                    *v = (*v - mean) * inv * gv[j] + bv[j];
-                }
-            }
-        }
+        assert_eq!(xv.shape().last(), Some(&self.value(gamma).len()), "layer_norm gamma size");
+        let mut out = Tensor::zeros(xv.shape().to_vec());
+        ops::fused_layer_norm(
+            xv.data(),
+            self.value(gamma).data(),
+            self.value(beta).data(),
+            eps,
+            out.data_mut(),
+        );
         self.push(
             out,
             vec![x, gamma, beta],
@@ -563,15 +559,15 @@ impl Graph {
         assert!(!parts.is_empty(), "concat_rows needs at least one part");
         let tensors: Vec<&Tensor> = parts.iter().map(|&v| self.value(v)).collect();
         let w = tensors[0].shape()[1];
-        let mut data = Vec::new();
         let mut heights = Vec::with_capacity(tensors.len());
         for t in &tensors {
             assert_eq!(t.rank(), 2, "concat_rows expects 2-D tensors");
             assert_eq!(t.shape()[1], w, "concat_rows width mismatch");
             heights.push(t.shape()[0]);
-            data.extend_from_slice(t.data());
         }
         let total: usize = heights.iter().sum();
+        let mut data = vec![0.0f32; total * w];
+        ops::concat_rows_into(tensors.iter().map(|t| t.data()), &mut data);
         self.push(
             Tensor::from_vec(vec![total, w], data),
             parts.to_vec(),

@@ -30,13 +30,13 @@
 //! the batch (attention-head) dimension instead, so multi-head attention
 //! scales with the number of heads.
 //!
-//! The second half of this module is the kernel library of the forward-
-//! plan executor (`turl-exec`): allocation-free `*_into` variants that
-//! write into caller-provided (arena) slices, plus the fused kernels —
-//! [`fused_layer_norm`], [`fused_mask_softmax`], [`bias_gelu_inplace`] —
-//! that collapse an op chain into one pass over the data. Each fused
-//! kernel documents its equivalence contract against the unfused op
-//! sequence (all are reassociation-free and therefore bit-exact).
+//! The second half of this module is the kernel library of both
+//! executors: allocation-free `*_into` kernels writing into a caller-
+//! provided slice (an arena span for `turl-exec`, a fresh `Tensor` buffer
+//! for the autograd tape), plus the fused kernels — [`fused_layer_norm`],
+//! [`fused_mask_softmax`], [`bias_gelu_inplace`] — that collapse an op
+//! chain into one pass. Each op has one loop, here; the fused kernels are
+//! reassociation-free, so fused and unfused chains agree bit for bit.
 
 use crate::dtype::{QuantBlocks, QBLOCK, QBLOCK_SHIFT};
 use crate::pool;
@@ -632,12 +632,12 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
 }
 
 // ---------------------------------------------------------------------
-// Allocation-free executor entry points
+// Allocation-free kernels
 //
-// The forward-plan executor (`turl-exec`) runs every intermediate out of
-// one pre-sized arena, so each kernel below writes into a caller-provided
-// slice instead of allocating a Tensor. They are thin wrappers over the
-// same dispatcher as the Tensor-level ops — bit-identical results.
+// Each kernel below writes into a caller-provided slice instead of
+// allocating a Tensor: `turl-exec` hands in spans of its pre-sized arena,
+// `Tensor` methods and `Graph` ops the buffer of the tensor they return.
+// The matmul entry points run the dispatcher of the Tensor-level ops.
 // ---------------------------------------------------------------------
 
 /// `out[m,n] = a[m,k] · b[k,n]` into a caller-provided slice.
@@ -700,7 +700,7 @@ pub fn bmm_nt_into(
 }
 
 /// Gather rows of `table` (row length `row_len`) into `out`, in index
-/// order — the executor twin of `Tensor::index_select0`.
+/// order. An index past the last row panics.
 pub fn gather_rows_into(table: &[f32], row_len: usize, indices: &[usize], out: &mut [f32]) {
     let _t = profiled!("exec.gather");
     assert_eq!(out.len(), indices.len() * row_len, "gather out size");
@@ -734,9 +734,9 @@ pub fn matmul_q8_into(a: &[f32], b: &QuantBlocks, out: &mut [f32], m: usize, k: 
 }
 
 /// Gather rows of a block-quantized `table` into dense `f32` `out`, in
-/// index order — the quantized twin of [`gather_rows_into`]. Blocks are
-/// row-aligned, so each gathered row reconstructs independently and the
-/// result equals gathering from the fully dequantized table.
+/// index order. Blocks are row-aligned, so each gathered row
+/// reconstructs independently and the result equals gathering from the
+/// fully dequantized table.
 pub fn gather_rows_q8_into(table: &QuantBlocks, indices: &[usize], out: &mut [f32]) {
     let _t = profiled!("exec.gather_q8");
     let row_len = table.cols();
@@ -748,8 +748,8 @@ pub fn gather_rows_q8_into(table: &QuantBlocks, indices: &[usize], out: &mut [f3
 
 /// Elementwise `out = a + b`, where `b` either matches `a`'s length or is
 /// cycled over it (trailing-axis broadcast, e.g. a `[d]` bias over
-/// `[n, d]`, or an `[n, n]` mask over `[h, n, n]`). Element order matches
-/// the runtime's `broadcast_zip`, so results are bit-identical.
+/// `[n, d]`, or an `[n, n]` mask over `[h, n, n]`): one f32 add per
+/// element, as NumPy broadcasting pairs them.
 pub fn add_into(a: &[f32], b: &[f32], out: &mut [f32]) {
     let _t = profiled!("exec.add");
     assert_eq!(a.len(), out.len(), "add_into out size");
@@ -770,7 +770,7 @@ pub fn add_into(a: &[f32], b: &[f32], out: &mut [f32]) {
 /// In-place bias epilogue: `x[i, j] += bias[j]` for `x: [rows, d]`.
 /// Applied after a matmul has fully accumulated, this reproduces the
 /// unfused `matmul → add(bias)` pair bit-exactly (the bias is added once,
-/// after the ascending-`k` sum, exactly as the runtime's broadcast add).
+/// after the ascending-`k` sum, exactly as a broadcast add would).
 pub fn bias_add_inplace(x: &mut [f32], bias: &[f32]) {
     let _t = profiled!("fused.bias_add");
     assert!(!bias.is_empty() && x.len().is_multiple_of(bias.len()), "bias size must divide x");
@@ -823,16 +823,32 @@ pub fn scale_into(x: &[f32], c: f32, out: &mut [f32]) {
     }
 }
 
+/// Stabilized softmax of one row, in place: row max by
+/// `fold(NEG_INFINITY, max)`, in-order `exp`/sum, then normalise unless
+/// the sum is not positive (the row then keeps its `exp` values).
+pub fn softmax_row_inplace(row: &mut [f32]) {
+    let mx = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    for v in row.iter_mut() {
+        *v = (*v - mx).exp();
+        sum += *v;
+    }
+    if sum > 0.0 {
+        for v in row.iter_mut() {
+            *v /= sum;
+        }
+    }
+}
+
 /// Fused scale + additive mask + stabilized softmax over rows of length
 /// `row_len`, in one pass per row. When `mask` is shorter than `x` it is
 /// cycled (an `[n, n]` visibility mask broadcast over `[h, n, n]` logits).
 ///
 /// Equivalence contract: per element this performs `x * scale` (one f32
-/// multiply), `+ mask` (one f32 add), then exactly the runtime softmax —
-/// row max by the same `fold(NEG_INFINITY, max)`, in-order `exp`/sum, and
-/// the same `sum > 0` normalization guard. No reassociation anywhere, so
-/// the fused kernel is bit-exact against the unfused
-/// `scale → add(mask) → softmax_last` chain (fully-masked rows included).
+/// multiply), `+ mask` (one f32 add), then [`softmax_row_inplace`]. No
+/// reassociation anywhere, so the fused kernel is bit-exact against the
+/// unfused `scale → add(mask) → softmax` chain (fully-masked rows
+/// included).
 pub fn fused_mask_softmax(
     x: &[f32],
     scale: f32,
@@ -864,27 +880,14 @@ pub fn fused_mask_softmax(
                 }
             }
         }
-        let mx = orow.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for o in orow.iter_mut() {
-            *o = (*o - mx).exp();
-            sum += *o;
-        }
-        if sum > 0.0 {
-            for o in orow.iter_mut() {
-                *o /= sum;
-            }
-        }
+        softmax_row_inplace(orow);
     }
 }
 
-/// Fused layer norm over rows of length `d` with affine `gamma`/`beta`:
-/// mean, variance, normalize, scale and shift in one kernel call.
-///
-/// Equivalence contract: the mean and variance reductions run in the same
-/// ascending element order as the runtime op, and the normalize pass is
-/// elementwise — no reassociation, so the result is bit-exact against
-/// `Graph::layer_norm`'s forward.
+/// Layer norm over rows of length `d` with affine `gamma`/`beta`: mean,
+/// variance, normalize, scale and shift in one kernel call. The two
+/// reductions run in ascending element order and the normalize pass is
+/// elementwise — no reassociation.
 pub fn fused_layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
     let _t = profiled!("fused.layer_norm");
     let d = gamma.len();
@@ -902,9 +905,9 @@ pub fn fused_layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &
 }
 
 /// Strided gather copy: `out[i] = src[offset(i)]` where `offset` walks
-/// `out_shape` in row-major order reading through `read_strides` — the
-/// executor's one-copy form of a `reshape → permute` (or `permute →
-/// reshape`) chain. A pure data movement, so trivially bit-exact.
+/// `out_shape` (rank ≥ 1) in row-major order reading through
+/// `read_strides` — an axis permutation, or the executor's one-copy form
+/// of a `reshape → permute` (or `permute → reshape`) chain.
 pub fn copy_strided_into(
     src: &[f32],
     out: &mut [f32],
@@ -953,6 +956,35 @@ pub fn copy_strided_into(
             off -= read_strides[d] * out_shape[d];
         }
     }
+}
+
+/// Row concatenation: the `parts` laid end to end fill `out` exactly.
+pub fn concat_rows_into<'a>(parts: impl IntoIterator<Item = &'a [f32]>, out: &mut [f32]) {
+    let mut off = 0usize;
+    for p in parts {
+        out[off..off + p.len()].copy_from_slice(p);
+        off += p.len();
+    }
+    assert_eq!(off, out.len(), "concat_rows out size");
+}
+
+/// Column concatenation of `(part, cols)` pairs, each part `[rows, cols]`
+/// row-major, into `out: [rows, Σ cols]`.
+pub fn concat_cols_into<'a>(
+    parts: impl IntoIterator<Item = (&'a [f32], usize)>,
+    rows: usize,
+    out: &mut [f32],
+) {
+    let total = out.len().checked_div(rows).unwrap_or(0);
+    let mut col = 0usize;
+    for (p, cols) in parts {
+        assert_eq!(p.len(), rows * cols, "concat_cols part size");
+        for r in 0..rows {
+            out[r * total + col..][..cols].copy_from_slice(&p[r * cols..(r + 1) * cols]);
+        }
+        col += cols;
+    }
+    assert_eq!(col * rows, out.len(), "concat_cols out size");
 }
 
 /// Tanh-approximated GELU, the forward scalar shared by the autograd op
@@ -1141,31 +1173,90 @@ mod tests {
         assert_eq!(&out3[..], bmm_nt(&a3, &b3t).data());
     }
 
+    /// `pseudo` with signed zeros, subnormals and the smallest normal
+    /// spliced in at every fifth element.
+    fn spiked(shape: &[usize], seed: u32) -> Tensor {
+        let specials = [0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE, -f32::MIN_POSITIVE];
+        let mut t = pseudo(shape, seed);
+        for (i, v) in t.data_mut().iter_mut().enumerate().filter(|(i, _)| i % 5 == 0) {
+            *v = specials[(i / 5 + seed as usize) % specials.len()];
+        }
+        t
+    }
+
+    /// Bitwise equality, except that a NaN only has to be a NaN.
+    fn assert_same_bits(got: &[f32], want: &[f32], ctx: &str) {
+        assert_eq!(got.len(), want.len(), "{ctx}: length");
+        for (i, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            let ok = if w.is_nan() { g.is_nan() } else { g.to_bits() == w.to_bits() };
+            assert!(ok, "{ctx}: element {i}: got {g:e}, want {w:e}");
+        }
+    }
+
+    /// The unfused chain, one element at a time: scale, add the cycled
+    /// mask, then a stabilized softmax per row.
+    fn naive_mask_softmax(x: &[f32], scale: f32, mask: Option<&[f32]>, w: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; x.len()];
+        for i in 0..x.len() {
+            out[i] = x[i] * scale;
+            if let Some(m) = mask {
+                out[i] += m[i % m.len()];
+            }
+        }
+        for r in 0..x.len() / w {
+            let mut mx = f32::NEG_INFINITY;
+            for j in 0..w {
+                mx = mx.max(out[r * w + j]);
+            }
+            let mut sum = 0.0f32;
+            for j in 0..w {
+                out[r * w + j] = (out[r * w + j] - mx).exp();
+                sum += out[r * w + j];
+            }
+            for j in 0..w {
+                if sum > 0.0 {
+                    out[r * w + j] /= sum;
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn fused_mask_softmax_matches_unfused_chain() {
-        let x = pseudo(&[2, 4, 4], 31); // [heads, n, n]
+        let x = spiked(&[2, 4, 4], 31); // [heads, n, n]
         let mut mask = vec![0.0f32; 16];
         mask[1] = -1e9;
         mask[7] = -1e9;
+        for v in &mut mask[8..12] {
+            *v = -1e9; // fully-masked row: uniform weights
+        }
         for v in &mut mask[12..16] {
-            *v = -1e9; // fully-masked row
+            *v = f32::NEG_INFINITY; // all -inf: NaN, left unnormalised
         }
         let scale = 1.0 / (5.0f32).sqrt();
+        for (mask, ctx) in [(Some(&mask[..]), "masked"), (None, "unmasked")] {
+            let mut fused = vec![0.0f32; 32];
+            fused_mask_softmax(x.data(), scale, mask, &mut fused, 4);
+            assert_same_bits(&fused, &naive_mask_softmax(x.data(), scale, mask, 4), ctx);
+        }
         let mut fused = vec![0.0f32; 32];
         fused_mask_softmax(x.data(), scale, Some(&mask), &mut fused, 4);
-        // Unfused reference chain via Tensor ops.
-        let scaled = x.map(|v| v * scale);
-        let m = t(&[4, 4], &mask);
-        let masked = scaled.broadcast_zip(&m, |a, b| a + b).expect("mask add");
-        let probs = masked.softmax_last();
-        for (f, r) in fused.iter().zip(probs.data().iter()) {
-            assert_eq!(f.to_bits(), r.to_bits(), "fused softmax diverged");
-        }
+        assert!(fused[8..12].iter().all(|&p| p == 0.25), "{:?}", &fused[8..12]);
+        assert!(fused[12..16].iter().all(|p| p.is_nan()), "{:?}", &fused[12..16]);
+        // The row kernel on its own, and zero rows.
+        let mut rows = x.data().to_vec();
+        rows.chunks_mut(4).for_each(softmax_row_inplace);
+        assert_same_bits(&rows, &naive_mask_softmax(x.data(), 1.0, None, 4), "row kernel");
+        fused_mask_softmax(&[], scale, Some(&mask), &mut [], 4);
     }
 
     #[test]
     fn fused_layer_norm_matches_rowwise_reference() {
-        let x = pseudo(&[5, 8], 41);
+        // Signed zeros and subnormals among the inputs; the last row is
+        // constant (zero variance, so `eps` alone keeps `inv` finite).
+        let mut x = spiked(&[5, 8], 41);
+        x.row_mut(4).fill(0.75);
         let gamma = pseudo(&[8], 42);
         let beta = pseudo(&[8], 43);
         let eps = 1e-5f32;
@@ -1181,6 +1272,8 @@ mod tests {
                 assert_eq!(fused[r * 8 + j].to_bits(), want.to_bits());
             }
         }
+        assert_eq!(&fused[32..], beta.data(), "a constant row normalises to beta");
+        fused_layer_norm(&[], gamma.data(), beta.data(), eps, &mut []); // zero rows
     }
 
     #[test]
@@ -1197,38 +1290,113 @@ mod tests {
         }
     }
 
+    /// Axis permutation of a rank-3 tensor, one element at a time:
+    /// `out[i0, i1, i2] = src[..]` with `src` axis `axes[d]` indexed by `i_d`.
+    fn naive_permute3(src: &[f32], shape: [usize; 3], axes: [usize; 3]) -> Vec<f32> {
+        let strides = [shape[1] * shape[2], shape[2], 1];
+        let out_shape = axes.map(|a| shape[a]);
+        let mut out = Vec::new();
+        for i0 in 0..out_shape[0] {
+            for i1 in 0..out_shape[1] {
+                for i2 in 0..out_shape[2] {
+                    out.push(
+                        src[i0 * strides[axes[0]] + i1 * strides[axes[1]] + i2 * strides[axes[2]]],
+                    );
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn copy_strided_reproduces_permute() {
-        let x = pseudo(&[3, 4, 5], 61);
-        let p = x.permute(&[1, 0, 2]);
-        // reading [3,4,5] as [4,3,5]: strides of src permuted
-        let mut out = vec![0.0f32; 60];
-        copy_strided_into(x.data(), &mut out, &[4, 3, 5], &[5, 20, 1]);
-        assert_eq!(&out[..], p.data());
-        // non-contiguous innermost axis
-        let p2 = x.permute(&[2, 1, 0]);
-        let mut out2 = vec![0.0f32; 60];
-        copy_strided_into(x.data(), &mut out2, &[5, 4, 3], &[1, 5, 20]);
-        assert_eq!(&out2[..], p2.data());
+        // [1, 0, 2] keeps the innermost axis (row memcpys); the others move
+        // it (the element path). A zero-length axis copies nothing.
+        for shape in [[3, 4, 5], [1, 7, 2], [2, 0, 3]] {
+            let x = spiked(&shape, 61);
+            let strides = [shape[1] * shape[2], shape[2], 1];
+            for axes in [[0, 1, 2], [1, 0, 2], [2, 1, 0], [0, 2, 1], [2, 0, 1], [1, 2, 0]] {
+                let mut out = vec![f32::NAN; x.len()];
+                copy_strided_into(
+                    x.data(),
+                    &mut out,
+                    &axes.map(|a| shape[a]),
+                    &axes.map(|a| strides[a]),
+                );
+                let ctx = format!("{shape:?} by {axes:?}");
+                assert_same_bits(&out, &naive_permute3(x.data(), shape, axes), &ctx);
+            }
+        }
+        // Rank 2: a transpose.
+        let x = pseudo(&[3, 2], 62);
+        let mut out = vec![0.0f32; 6];
+        copy_strided_into(x.data(), &mut out, &[2, 3], &[1, 2]);
+        let d = x.data();
+        assert_eq!(out, [d[0], d[2], d[4], d[1], d[3], d[5]]);
+    }
+
+    #[test]
+    fn concat_kernels_match_elementwise_reference() {
+        // Column concat, a zero-width part included.
+        let (a, b, c) = (spiked(&[3, 2], 63), spiked(&[3, 0], 64), spiked(&[3, 4], 65));
+        let parts = [(a.data(), 2usize), (b.data(), 0), (c.data(), 4)];
+        let mut out = vec![f32::NAN; 18];
+        concat_cols_into(parts, 3, &mut out);
+        let mut want = Vec::new();
+        for r in 0..3 {
+            for (p, cols) in parts {
+                for j in 0..cols {
+                    want.push(p[r * cols + j]);
+                }
+            }
+        }
+        assert_same_bits(&out, &want, "concat_cols");
+        concat_cols_into([(&[][..], 2), (&[][..], 3)], 0, &mut []); // zero rows
+
+        // Row concat, an empty part included.
+        let mut out = vec![f32::NAN; 18];
+        concat_rows_into([a.data(), b.data(), c.data()], &mut out);
+        let want: Vec<f32> = a.data().iter().chain(c.data()).copied().collect();
+        assert_same_bits(&out, &want, "concat_rows");
+        concat_rows_into([], &mut []);
     }
 
     #[test]
     fn add_into_broadcast_matches_broadcast_zip() {
-        let a = pseudo(&[4, 6], 71);
-        let b = pseudo(&[6], 72);
-        let mut out = vec![0.0f32; 24];
-        add_into(a.data(), b.data(), &mut out);
-        let want = a.broadcast_zip(&b, |x, y| x + y).expect("bias add");
-        assert_eq!(&out[..], want.data());
+        // A `[d]` bias over `[n, d]`, an `[n, n]` mask cycled over
+        // `[h, n, n]`, and equal shapes; signed zeros must keep their sign
+        // rule (`-0.0 + -0.0 = -0.0`, anything else `+0.0`).
+        for (a_shape, b_shape) in
+            [(&[4, 6][..], &[6][..]), (&[3, 4, 4], &[4, 4]), (&[5, 2], &[5, 2])]
+        {
+            let (a, b) = (spiked(a_shape, 71), spiked(b_shape, 72));
+            let mut out = vec![f32::NAN; a.len()];
+            add_into(a.data(), b.data(), &mut out);
+            let want: Vec<f32> =
+                (0..a.len()).map(|i| a.data()[i] + b.data()[i % b.len()]).collect();
+            assert_same_bits(&out, &want, &format!("{a_shape:?} + {b_shape:?}"));
+        }
+        let mut out = [f32::NAN; 4];
+        add_into(&[-0.0, -0.0, 0.0, 1e-40], &[-0.0, 0.0], &mut out);
+        assert_eq!(out.map(f32::to_bits), [-0.0f32, 0.0, 0.0, 1e-40].map(f32::to_bits));
+        add_into(&[], &[1.0], &mut []); // zero rows
     }
 
     #[test]
     fn gather_rows_matches_index_select() {
-        let table = pseudo(&[7, 5], 81);
-        let idx = [3usize, 0, 6, 3];
-        let mut out = vec![0.0f32; 20];
-        gather_rows_into(table.data(), 5, &idx, &mut out);
-        assert_eq!(&out[..], table.index_select0(&idx).data());
+        let table = spiked(&[7, 5], 81);
+        for idx in [&[3usize, 0, 6, 3][..], &[]] {
+            let mut out = vec![f32::NAN; idx.len() * 5];
+            gather_rows_into(table.data(), 5, idx, &mut out);
+            let mut want = Vec::new();
+            for &i in idx {
+                for j in 0..5 {
+                    want.push(table.data()[i * 5 + j]);
+                }
+            }
+            assert_same_bits(&out, &want, &format!("rows {idx:?}"));
+        }
+        gather_rows_into(&[], 5, &[], &mut []); // a table with zero rows
     }
 
     #[test]
@@ -1292,10 +1460,7 @@ mod tests {
             t
         };
         let same = |(portable, avx2): (Vec<f32>, Vec<f32>), ctx: &str| {
-            for (i, (p, v)) in portable.iter().zip(avx2.iter()).enumerate() {
-                let ok = if p.is_nan() { v.is_nan() } else { p.to_bits() == v.to_bits() };
-                assert!(ok, "{ctx}: element {i}: portable {p:e} vs avx2 {v:e}");
-            }
+            assert_same_bits(&avx2, &portable, &format!("avx2 vs portable, {ctx}"));
         };
         // Every tile height, the full, half-width and single-column panels.
         for (m, k, n) in [(4, 9, 16), (7, 33, 45), (13, 5, 27), (2, 64, 8), (5, 0, 19)] {
@@ -1337,10 +1502,18 @@ mod tests {
         let table = pseudo(&[7, 37], 95); // cols span two blocks, with remainder
         let qt = table.quantize_i8();
         let q = qt.quantized().expect("quantized storage");
-        let idx = [6usize, 0, 3, 6];
-        let mut out = vec![0.0f32; idx.len() * 37];
-        gather_rows_q8_into(q, &idx, &mut out);
-        assert_eq!(&out[..], qt.dequantize().index_select0(&idx).data());
-        assert_eq!(&out[..], qt.index_select0(&idx).data());
+        for idx in [&[6usize, 0, 3, 6][..], &[]] {
+            let mut out = vec![f32::NAN; idx.len() * 37];
+            gather_rows_q8_into(q, idx, &mut out);
+            // Element at a time from the raw blocks: `q as f32 * scale`.
+            let mut want = Vec::new();
+            for &i in idx {
+                for j in 0..37 {
+                    let scale = q.scales()[i * q.blocks_per_row() + j / QBLOCK];
+                    want.push(q.quants()[i * 37 + j] as f32 * scale);
+                }
+            }
+            assert_same_bits(&out, &want, &format!("rows {idx:?}"));
+        }
     }
 }

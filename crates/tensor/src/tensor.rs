@@ -1,6 +1,7 @@
 //! The dense row-major tensor over a typed [`Storage`].
 
 use crate::dtype::{quant_rows_cols, DType, QuantBlocks, Storage};
+use crate::ops;
 use crate::shape::{broadcast_shape, broadcast_strides, num_elements, strides_for, ShapeError};
 
 /// A dense, row-major, heap-allocated tensor of arbitrary rank.
@@ -18,7 +19,8 @@ use crate::shape::{broadcast_shape, broadcast_strides, num_elements, strides_for
 ///
 /// All operations allocate fresh output tensors; in-place variants are
 /// provided where they matter for hot loops (gradient accumulation,
-/// optimizer updates).
+/// optimizer updates). Softmax, permute, row gather and concatenation
+/// fill theirs with the [`crate::ops`] kernel the plan executor calls.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
@@ -466,26 +468,11 @@ impl Tensor {
             assert!(a < axes.len() && !seen[a], "invalid permutation {axes:?}");
             seen[a] = true;
         }
-        let sdata = self.f32s();
         let old_strides = strides_for(&self.shape);
         let new_shape: Vec<usize> = axes.iter().map(|&a| self.shape[a]).collect();
         let read_strides: Vec<usize> = axes.iter().map(|&a| old_strides[a]).collect();
-        let n = sdata.len();
-        let mut data = Vec::with_capacity(n);
-        let mut idx = vec![0usize; new_shape.len()];
-        let mut off = 0usize;
-        for _ in 0..n {
-            data.push(sdata[off]);
-            for d in (0..new_shape.len()).rev() {
-                idx[d] += 1;
-                off += read_strides[d];
-                if idx[d] < new_shape[d] {
-                    break;
-                }
-                idx[d] = 0;
-                off -= read_strides[d] * new_shape[d];
-            }
-        }
+        let mut data = vec![0.0f32; self.len()];
+        ops::copy_strided_into(self.f32s(), &mut data, &new_shape, &read_strides);
         Tensor { shape: new_shape, storage: Storage::F32(data) }
     }
 
@@ -498,7 +485,8 @@ impl Tensor {
     /// Select rows of a 2-D tensor (gather along axis 0). Quantized
     /// tables dequantize the gathered rows (the block layout is
     /// row-aligned, so a row's reconstruction is independent of which
-    /// other rows are selected); the result is always dense `f32`.
+    /// other rows are selected); the result is always dense `f32`. An
+    /// index past the last row panics.
     pub fn index_select0(&self, indices: &[usize]) -> Tensor {
         assert!(self.rank() >= 1);
         let row_len: usize = self.shape[1..].iter().product();
@@ -506,29 +494,8 @@ impl Tensor {
         shape.extend_from_slice(&self.shape[1..]);
         let mut data = vec![0.0f32; indices.len() * row_len];
         match &self.storage {
-            Storage::F32(sdata) => {
-                for (r, &i) in indices.iter().enumerate() {
-                    assert!(
-                        i < self.shape[0],
-                        "index {} out of bounds for dim0 {}",
-                        i,
-                        self.shape[0]
-                    );
-                    data[r * row_len..(r + 1) * row_len]
-                        .copy_from_slice(&sdata[i * row_len..(i + 1) * row_len]);
-                }
-            }
-            Storage::I8Block(q) => {
-                for (r, &i) in indices.iter().enumerate() {
-                    assert!(
-                        i < self.shape[0],
-                        "index {} out of bounds for dim0 {}",
-                        i,
-                        self.shape[0]
-                    );
-                    q.dequantize_row_into(i, &mut data[r * row_len..(r + 1) * row_len]);
-                }
-            }
+            Storage::F32(sdata) => ops::gather_rows_into(sdata, row_len, indices, &mut data),
+            Storage::I8Block(q) => ops::gather_rows_q8_into(q, indices, &mut data),
         }
         Tensor { shape, storage: Storage::F32(data) }
     }
@@ -542,12 +509,8 @@ impl Tensor {
             assert_eq!(p.shape[0], rows, "concat_cols row mismatch");
         }
         let total: usize = parts.iter().map(|p| p.shape[1]).sum();
-        let mut data = Vec::with_capacity(rows * total);
-        for r in 0..rows {
-            for p in parts {
-                data.extend_from_slice(p.row(r));
-            }
-        }
+        let mut data = vec![0.0f32; rows * total];
+        ops::concat_cols_into(parts.iter().map(|p| (p.data(), p.shape[1])), rows, &mut data);
         Tensor { shape: vec![rows, total], storage: Storage::F32(data) }
     }
 
@@ -555,11 +518,11 @@ impl Tensor {
     pub fn stack_rows(parts: &[&Tensor]) -> Tensor {
         assert!(!parts.is_empty());
         let w = parts[0].len();
-        let mut data = Vec::with_capacity(parts.len() * w);
         for p in parts {
             assert_eq!(p.len(), w, "stack_rows length mismatch");
-            data.extend_from_slice(p.data());
         }
+        let mut data = vec![0.0f32; parts.len() * w];
+        ops::concat_rows_into(parts.iter().map(|p| p.data()), &mut data);
         Tensor { shape: vec![parts.len(), w], storage: Storage::F32(data) }
     }
 
@@ -567,18 +530,8 @@ impl Tensor {
     pub fn softmax_last(&self) -> Tensor {
         let mut out = self.clone();
         let w = *self.shape.last().expect("softmax on rank-0 tensor");
-        for chunk in out.f32s_mut().chunks_mut(w) {
-            let m = chunk.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0;
-            for x in chunk.iter_mut() {
-                *x = (*x - m).exp();
-                sum += *x;
-            }
-            if sum > 0.0 {
-                for x in chunk.iter_mut() {
-                    *x /= sum;
-                }
-            }
+        for row in out.f32s_mut().chunks_mut(w) {
+            ops::softmax_row_inplace(row);
         }
         out
     }
