@@ -124,6 +124,8 @@ struct BenchWorld {
     cooccur: CooccurrenceIndex,
     /// Sequence rows (tokens + entity cells) per table.
     rows: Vec<usize>,
+    /// The vocabulary's `[MASK]` id.
+    mask_word: usize,
 }
 
 fn build_world(quick: bool) -> BenchWorld {
@@ -154,8 +156,9 @@ fn build_world(quick: bool) -> BenchWorld {
         .collect();
     let cooccur = CooccurrenceIndex::build(&tables);
     let rows = data.iter().map(|(_, e)| e.token_ids.len() + e.entities.len()).collect::<Vec<_>>();
-    let pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
-    BenchWorld { pt, data, cooccur, rows }
+    let mask_word = vocab.mask_id() as usize;
+    let pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), mask_word);
+    BenchWorld { pt, data, cooccur, rows, mask_word }
 }
 
 /// Run the full suite across `thread_counts`, returning all measurements.
@@ -195,29 +198,27 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
     let enc_rows = world.rows[0];
     let cfg = world.pt.cfg;
 
-    // Paper-dimension encoder (d=312, 4 layers, 12 heads) over the same
-    // synthetic vocabulary: the graph forward vs the compiled arena
-    // executor at the model size the §1.5x acceptance gate targets.
+    // Paper-dimension trainer (d=312, 4 layers, 12 heads) over the same
+    // synthetic vocabulary. Its encoder gives the graph forward vs the
+    // compiled arena executor at the model size the §1.5x acceptance gate
+    // targets, its `train_step` the paper-config step.
     let paper_cfg = TurlConfig::paper();
-    let mut prng = StdRng::seed_from_u64(17);
-    let mut paper_store = turl_nn::ParamStore::new();
-    let paper_model = turl_core::TurlModel::new(
-        &mut paper_store,
-        &mut prng,
+    let mut paper_pt = Pretrainer::new(
         paper_cfg,
         world.pt.model.word_emb.vocab,
         world.pt.model.n_entities(),
+        world.mask_word,
     );
-    // Inference-only twin of `paper_store` with the int8 export policy
+    // Inference-only twin of the paper store with the int8 export policy
     // applied in place (same registration order, so `ParamId`s line up):
     // rank-2 tensors of ≥1024 elements quantize, everything else stays
     // dense.
     let mut quant_store = turl_nn::ParamStore::new();
-    for id in paper_store.ids() {
-        let v = paper_store.value(id);
+    for id in paper_pt.store.ids() {
+        let v = paper_pt.store.value(id);
         let stored =
             if v.shape().len() == 2 && v.len() >= 1024 { v.quantize_i8() } else { v.clone() };
-        quant_store.register_inference(paper_store.name(id).to_string(), stored);
+        quant_store.register_inference(paper_pt.store.name(id).to_string(), stored);
     }
 
     let mut out = Vec::new();
@@ -267,6 +268,20 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             window_ms,
         );
         out.push(entry("matmul_tn", format!("k={FWD_ROWS},m=312,n=1200"), t, ns, 312));
+        // The FFN input gradients of the same backward, `dy · wᵀ` against
+        // each FFN weight as stored: 28 rows against a far taller `w`, the
+        // orientation `matmul_nt` runs as `Cᵀ = w · dyᵀ`.
+        for (dy, w) in [(&fwd_shapes[2].0, &fwd_shapes[1].1), (&fwd_shapes[0].0, &fwd_shapes[2].1)]
+        {
+            let ns = time_ns(
+                || {
+                    std::hint::black_box(ops::matmul_nt(dy, w));
+                },
+                window_ms,
+            );
+            let size = format!("m={FWD_ROWS},k={},n={}", w.shape()[1], w.shape()[0]);
+            out.push(entry("matmul_nt", size, t, ns, FWD_ROWS));
+        }
         let bmm_size = format!("b={heads},m={hd},k={hd},n={hd}");
         let bkernels: [(&str, Kern); 3] =
             [("bmm", ops::bmm), ("bmm_nt", ops::bmm_nt), ("bmm_tn", ops::bmm_tn)];
@@ -351,21 +366,22 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             "seq={enc_rows},d={},layers={}",
             paper_cfg.encoder.d_model, paper_cfg.encoder.n_layers
         );
+        let (paper_model, paper_store) = (&paper_pt.model, &paper_pt.store);
         let ns = time_ns(
             || {
-                let mut f = Forward::inference(&paper_store);
+                let mut f = Forward::inference(paper_store);
                 let mut r = StdRng::seed_from_u64(2);
-                let h = paper_model.encode(&mut f, &paper_store, &mut r, &enc_input);
+                let h = paper_model.encode(&mut f, paper_store, &mut r, &enc_input);
                 std::hint::black_box(f.graph.value(h).sum());
             },
             window_ms,
         );
         out.push(entry("encoder_fwd", paper_size.clone(), t, ns, enc_rows));
         let mut pcf = paper_model.compiled();
-        let mut pout = pcf.encode(&paper_model, &paper_store, &enc_input).expect("compiled");
+        let mut pout = pcf.encode(paper_model, paper_store, &enc_input).expect("compiled");
         let ns = time_ns(
             || {
-                pcf.encode_into(&paper_model, &paper_store, &enc_input, &mut pout)
+                pcf.encode_into(paper_model, paper_store, &enc_input, &mut pout)
                     .expect("compiled encode");
                 std::hint::black_box(pout.data().first().copied());
             },
@@ -379,10 +395,10 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
         // kernels dequantize in-register, reading 1 byte of weight per
         // MAC instead of 4.
         let mut qcf = paper_model.compiled();
-        let mut qout = qcf.encode(&paper_model, &quant_store, &enc_input).expect("compiled q8");
+        let mut qout = qcf.encode(paper_model, &quant_store, &enc_input).expect("compiled q8");
         let ns = time_ns(
             || {
-                qcf.encode_into(&paper_model, &quant_store, &enc_input, &mut qout)
+                qcf.encode_into(paper_model, &quant_store, &enc_input, &mut qout)
                     .expect("compiled q8 encode");
                 std::hint::black_box(qout.data().first().copied());
             },
@@ -401,6 +417,21 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             window_ms,
         );
         out.push(entry("pretrain_step", step_size, t, ns, batch_rows));
+
+        // The same step at the paper's dimensions over a 4-table batch,
+        // the benchmark of record's `pretrain` workload in miniature.
+        let paper_step = format!(
+            "batch=4,d={},layers={}",
+            paper_cfg.encoder.d_model, paper_cfg.encoder.n_layers
+        );
+        let ns = time_ns(
+            || {
+                std::hint::black_box(paper_pt.train_step(&batch[..4], cooccur));
+            },
+            window_ms,
+        );
+        let paper_rows = world.rows.iter().take(4).sum();
+        out.push(entry("pretrain_step", paper_step, t, ns, paper_rows));
 
         // Per-request tracing overhead (the `turl serve` telemetry hot
         // path with tracing enabled): generate a trace id, stamp all

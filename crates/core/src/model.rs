@@ -203,7 +203,7 @@ impl TurlModel {
                         let values = bound
                             .source(input, kind)
                             .unwrap_or_else(|| panic!("input has no '{}'", node.label));
-                        g.constant(Tensor::from_vec(node.shape.clone(), values.to_vec()))
+                        g.constant(Tensor::from_slice(node.shape.clone(), values))
                     }
                 },
                 OpKind::Gather => g.index_select0(arg(0), indices()),

@@ -14,11 +14,11 @@ use turl_audit::{lower_model_plan, ModelPlan};
 use turl_data::TableInstance;
 use turl_kb::CooccurrenceIndex;
 use turl_nn::{
-    clip_grad_norm, prune_checkpoints, restore_params, save_trainer_checkpoint, snapshot_params,
-    Adam, AdamConfig, Forward, LinearDecaySchedule, ParamStore, ProgressState, RngStateRepr,
-    SerializeError, TrainerCheckpoint, CHECKPOINT_VERSION,
+    prune_checkpoints, restore_params, save_trainer_checkpoint, snapshot_params, Adam, AdamConfig,
+    Forward, LinearDecaySchedule, ParamStore, ProgressState, RngStateRepr, SerializeError,
+    TrainerCheckpoint, CHECKPOINT_VERSION,
 };
-use turl_tensor::pool;
+use turl_tensor::{pool, BufferPool};
 
 /// The masking decisions for one table: which positions were selected and
 /// what their recovery targets are.
@@ -247,6 +247,10 @@ pub struct Pretrainer {
     /// parameter bindings are recycled across steps instead of
     /// reallocated (see `Graph::reset`).
     scratch: Vec<Forward>,
+    /// Where a step's tensors — activations, gradients, kernel scratch —
+    /// get their buffers and leave them for the next step, instead of
+    /// the allocator. Trimmed every step to what that step used.
+    buffers: BufferPool,
 }
 
 impl Pretrainer {
@@ -270,6 +274,7 @@ impl Pretrainer {
             schedule: None,
             progress: ProgressState::default(),
             scratch: Vec::new(),
+            buffers: BufferPool::new(),
         }
     }
 
@@ -308,6 +313,12 @@ impl Pretrainer {
     /// per-table gradients are sum-reduced into the shared [`ParamStore`]
     /// in batch order. The fixed reduction order keeps seeded runs
     /// bit-identical across `--threads` settings.
+    ///
+    /// A steady-state step moves no weight-sized memory: tapes bind
+    /// parameters as shared leaves and are reset before the optimizer
+    /// writes, every tensor buffer comes from and returns to the
+    /// trainer's [`BufferPool`], and the reduce → clip → Adam tail is two
+    /// passes fanned out over parameters.
     pub fn train_step(
         &mut self,
         batch: &[(TableInstance, EncodedInput)],
@@ -340,6 +351,11 @@ impl Pretrainer {
         let obs_on = turl_obs::metrics_enabled();
         let prep_timer = turl_obs::Timer::start();
         let mut mask_counts = [0u64; 4]; // mlm sel, mlm total, mer sel, mer total
+
+        // Until the gradients are reduced, tensors built on this thread
+        // draw from the step's buffer pool and dropped ones return to it.
+        let recycling = self.buffers.enter();
+        let drawn_before = self.buffers.stats();
 
         // Serial phase: all randomness for the step, in batch order.
         let mut prepared: Vec<(usize, EncodedInput, MaskPlan, Vec<usize>, u64)> = Vec::new();
@@ -405,8 +421,10 @@ impl Pretrainer {
         // Parallel phase: one independent forward/backward per table.
         let model = &self.model;
         let store = &self.store;
+        let buffers = &self.buffers;
         let aux = self.aux_relations.as_ref();
         pool::parallel_for_each_mut(&mut slots, |_, slot| {
+            let _recycling = buffers.enter(); // on whichever worker runs this table
             let fwd_timer = turl_obs::Timer::start();
             let inst = &batch[slot.batch_idx].0;
             let enc = &slot.enc;
@@ -473,15 +491,20 @@ impl Pretrainer {
             }
             slot.obs.bwd_ns = bwd_timer.elapsed_ns();
             slot.out = Some((loss_value, f.take_param_grads()));
+            // Let go of the parameters (so the optimizer writes them in
+            // place) and hand the tape's buffers to the next table.
+            f.reset(true);
         });
         let par_ns = par_timer.elapsed_ns();
 
-        // Serial reduction, in batch order, for thread-count-independent
+        // Reduction in batch order — losses here, each parameter's
+        // gradients inside `reduce` — for thread-count-independent
         // floating-point results.
         let reduce_timer = turl_obs::Timer::start();
         let mut total = 0.0f32;
         let mut obs_sums = SlotObs::default();
         let counted = slots.len();
+        let mut table_grads = Vec::with_capacity(counted);
         for slot in slots {
             let (loss_value, grads) = slot.out.expect("worker filled every slot");
             total += loss_value;
@@ -491,19 +514,25 @@ impl Pretrainer {
                 obs_sums.mlm_loss += slot.obs.mlm_loss;
                 obs_sums.mer_loss += slot.obs.mer_loss;
             }
-            self.store.accumulate(grads);
+            table_grads.push(grads);
             self.scratch.push(slot.fwd);
         }
+        let grad_norm = self.store.reduce(&table_grads);
+        drop(table_grads);
+        drop(recycling);
+        self.buffers.trim();
+        let drawn = self.buffers.stats();
         let reduce_ns = reduce_timer.elapsed_ns();
         let opt_timer = turl_obs::Timer::start();
         if let Some(s) = &self.schedule {
             self.opt.config.lr = s.lr_at(self.opt.steps());
         }
-        let clip = clip_grad_norm(&mut self.store, self.cfg.pretrain.max_grad_norm);
+        let clip =
+            self.opt.step_clipped(&mut self.store, grad_norm, self.cfg.pretrain.max_grad_norm);
         if clip.non_finite {
-            // `clip_grad_norm` already zeroed the gradients; skipping the
-            // optimizer step keeps Adam's moments and the step counter
-            // untouched, so training survives one bad batch.
+            // `step_clipped` zeroed the gradients and took no step: Adam's
+            // moments and the step counter are untouched, so training
+            // survives one bad batch.
             if obs_on {
                 turl_obs::counter("non_finite_skips").inc();
                 turl_obs::emit(
@@ -513,7 +542,6 @@ impl Pretrainer {
             }
             return StepOutcome::SkippedNonFinite;
         }
-        self.opt.step(&mut self.store);
         let mean = total / counted as f32;
         if obs_on {
             // Per-slot fwd/bwd sums are CPU time (they overlap across
@@ -548,6 +576,11 @@ impl Pretrainer {
                     ("mlm_candidates", mask_counts[1].into()),
                     ("mer_selected", mask_counts[2].into()),
                     ("mer_candidates", mask_counts[3].into()),
+                    // Tensor buffers the step drew: recycled, newly
+                    // allocated, and the bytes of the latter.
+                    ("pool_hits", (drawn.hits - drawn_before.hits).into()),
+                    ("pool_misses", (drawn.misses - drawn_before.misses).into()),
+                    ("tape_bytes_fresh", (drawn.fresh_bytes - drawn_before.fresh_bytes).into()),
                 ],
             );
         }
@@ -859,12 +892,23 @@ mod tests {
         assert!(pt.opt.config.lr >= 0.0);
     }
 
+    /// `(name, value, Adam m, Adam v)` bits of every parameter.
+    fn state_bits(store: &ParamStore) -> Vec<(String, [Vec<u32>; 3])> {
+        let bits = |t: &turl_tensor::Tensor| t.data().iter().map(|x| x.to_bits()).collect();
+        snapshot_params(store)
+            .into_iter()
+            .map(|r| (r.name, [bits(&r.value), bits(&r.m), bits(&r.v)]))
+            .collect()
+    }
+
     #[test]
     fn training_is_deterministic_across_thread_counts() {
-        // Identical seeded runs at 1 and 4 worker threads must produce
-        // bit-identical loss curves and final parameters: all randomness
-        // is drawn serially in batch order and gradients are reduced in
-        // batch order, so the pool width cannot influence the numerics.
+        // Identical seeded runs at 1, 2 and 4 worker threads must produce
+        // bit-identical loss curves, final parameters and Adam moments:
+        // all randomness is drawn serially in batch order, each
+        // parameter's gradients are reduced in batch order and the norm in
+        // parameter order, so neither the data-parallel tables nor the
+        // parameter-parallel reduce → clip → Adam tail can show the width.
         let (kb, vocab, data, cooccur) = setup();
         let run = |threads: usize| {
             let mut pt = Pretrainer::new(
@@ -875,28 +919,134 @@ mod tests {
             );
             pool::set_threads(threads);
             let stats = pt.train(&data[..10.min(data.len())], &cooccur, 3);
-            (stats.epoch_losses, pt.store)
+            assert!(stats.steps >= 3);
+            (stats.epoch_losses, state_bits(&pt.store))
         };
         let saved = pool::n_threads();
-        let (losses_1, store_1) = run(1);
-        let (losses_4, store_4) = run(4);
+        let (losses_1, state_1) = run(1);
+        let wider: Vec<_> = [2, 4].into_iter().map(|t| (t, run(t))).collect();
         pool::set_threads(saved);
-        assert_eq!(losses_1.len(), losses_4.len());
-        for (e, (a, b)) in losses_1.iter().zip(losses_4.iter()).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "epoch {e} loss diverged: {a} vs {b}");
-        }
-        for id in store_1.ids() {
-            let (v1, v4) = (store_1.value(id), store_4.value(id));
-            assert_eq!(v1.shape(), v4.shape());
-            for (i, (a, b)) in v1.data().iter().zip(v4.data().iter()).enumerate() {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "param `{}` element {i} diverged: {a} vs {b}",
-                    store_1.name(id)
-                );
+        for (threads, (losses, state)) in wider {
+            assert_eq!(losses_1.len(), losses.len());
+            for (e, (a, b)) in losses_1.iter().zip(losses.iter()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "epoch {e} loss at {threads} threads");
+            }
+            for ((name, want), (_, got)) in state_1.iter().zip(&state) {
+                for (what, (w, g)) in ["value", "m", "v"].iter().zip(want.iter().zip(got)) {
+                    assert!(w == g, "param `{name}` {what} diverged at {threads} threads");
+                }
             }
         }
+    }
+
+    /// Park NaN-filled buffers of every capacity class up to `max_len`
+    /// elements in `pool`, `depth` of each.
+    fn poison(pool: &BufferPool, max_len: usize, depth: usize) {
+        let _scope = pool.enter();
+        let mut len = 256.0f64;
+        while (len as usize) <= max_len {
+            drop(vec![turl_tensor::Tensor::full(vec![len as usize], f32::NAN); depth]);
+            len *= 1.12; // finer than the classes, so none is skipped
+        }
+    }
+
+    #[test]
+    fn pooled_tape_equals_unpooled_tape_bit_for_bit() {
+        // The same training-mode forward + backward with no pool at all
+        // and inside a pool holding nothing but NaN buffers: every value
+        // the tape produces must come out the same.
+        let (kb, vocab, data, _) = setup();
+        let cfg = TurlConfig::small(12);
+        let pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
+        let enc = &data[0].1;
+        let pass = || {
+            let mut f = Forward::new(&pt.store);
+            let mut rng = StdRng::seed_from_u64(3);
+            let h = pt.model.encode(&mut f, &pt.store, &mut rng, enc);
+            let loss = f.graph.mean_all(h);
+            f.graph.backward(loss);
+            let bits = |t: &turl_tensor::Tensor| -> Vec<u32> {
+                t.data().iter().map(|x| x.to_bits()).collect()
+            };
+            let grads: Vec<_> =
+                f.take_param_grads().iter().map(|(id, g)| (id.index(), bits(g))).collect();
+            (f.graph.value(loss).item().to_bits(), bits(f.graph.value(h)), grads)
+        };
+        let unpooled = pass();
+        let pool = BufferPool::new();
+        poison(&pool, 1 << 16, 8);
+        let before = pool.stats();
+        let pooled = {
+            let _scope = pool.enter();
+            pass()
+        };
+        assert!(pool.stats().hits > before.hits + 50, "the pass never drew from the pool");
+        assert_eq!(pooled.0, unpooled.0, "loss");
+        assert!(pooled.1 == unpooled.1, "encoder output");
+        assert_eq!(pooled.2.len(), unpooled.2.len());
+        for ((id, got), (_, want)) in pooled.2.iter().zip(&unpooled.2) {
+            assert!(got == want, "gradient of parameter {id}");
+        }
+    }
+
+    #[test]
+    fn poisoned_pool_never_shows_in_a_training_step() {
+        // Two trainers from one seed, one of them re-poisoned with NaN
+        // buffers before each step: a single stale value read anywhere in
+        // a step (tapes, heads, losses, kernel scratch) would turn up as a
+        // NaN or a changed bit in the losses, parameters or Adam moments.
+        let (kb, vocab, data, cooccur) = setup();
+        let fresh = || {
+            Pretrainer::new(
+                TurlConfig::small(5),
+                vocab.len(),
+                kb.n_entities(),
+                vocab.mask_id() as usize,
+            )
+        };
+        let (mut clean, mut poisoned) = (fresh(), fresh());
+        for step in 0..2 {
+            let batch = &data[step * 3..step * 3 + 3];
+            poison(&poisoned.buffers, 1 << 16, 8);
+            let want = clean.train_step(batch, &cooccur).loss().expect("stepped");
+            let got = poisoned.train_step(batch, &cooccur).loss().expect("stepped");
+            assert!(want.is_finite());
+            assert_eq!(got.to_bits(), want.to_bits(), "loss of step {step}");
+        }
+        assert!(state_bits(&poisoned.store) == state_bits(&clean.store));
+    }
+
+    #[test]
+    fn a_repeated_batch_allocates_no_tensor_buffer() {
+        // After one step has stocked the pool, the same batch at the same
+        // shapes must be served from it entirely. One table per batch: the
+        // order of draws then does not depend on how workers interleave.
+        let (kb, vocab, data, cooccur) = setup();
+        let mut pt = Pretrainer::new(
+            TurlConfig::small(7),
+            vocab.len(),
+            kb.n_entities(),
+            vocab.mask_id() as usize,
+        );
+        // Every step over the same batch has the same shapes: every
+        // position selected, mentions never masked, and the table's own
+        // entities as the only candidates.
+        pt.cfg.pretrain.mlm_select_ratio = 1.0;
+        pt.cfg.pretrain.mer_select_ratio = 1.0;
+        pt.cfg.pretrain.mer_mention_keep_share = 1.0;
+        pt.cfg.candidates.max_cooccurring = 0;
+        pt.cfg.candidates.n_random_negatives = 0;
+        let batch = &data[..1];
+        pt.train_step(batch, &cooccur).loss().expect("stepped");
+        let warm = pt.buffers.stats();
+        assert!(warm.misses > 0 && warm.fresh_bytes > 0);
+        for _ in 0..3 {
+            pt.train_step(batch, &cooccur).loss().expect("stepped");
+        }
+        let after = pt.buffers.stats();
+        assert_eq!(after.misses - warm.misses, 0, "fresh buffers after warm-up");
+        assert_eq!(after.fresh_bytes, warm.fresh_bytes);
+        assert!(after.hits > warm.hits + 3 * warm.misses, "the steps bypassed the pool");
     }
 
     #[test]
@@ -934,7 +1084,15 @@ mod tests {
         assert!(events.iter().any(|e| e.kind == "step"));
         assert!(events.iter().any(|e| e.kind == "span"));
         let step = events.iter().find(|e| e.kind == "step").unwrap();
-        for key in ["loss", "grad_norm", "mlm_selected", "mlm_candidates"] {
+        for key in [
+            "loss",
+            "grad_norm",
+            "mlm_selected",
+            "mlm_candidates",
+            "pool_hits",
+            "pool_misses",
+            "tape_bytes_fresh",
+        ] {
             assert!(step.field(key).is_some(), "step event missing `{key}`");
         }
         // ...without perturbing a single bit of the training results

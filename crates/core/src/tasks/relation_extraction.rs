@@ -2,6 +2,7 @@
 //! object column pairs with the Eqn. 12 head.
 
 use super::{column_repr, encode_table_with_channels, multi_hot, predict_labels, InputChannels};
+use crate::compiled::rank_descending;
 use crate::finetune::{train_batched, FinetuneConfig, FinetuneStats};
 use crate::model::TurlModel;
 use rand::rngs::StdRng;
@@ -115,11 +116,7 @@ impl RelationModel {
         let aps: Vec<f64> = examples
             .iter()
             .map(|ex| {
-                let scores = self.score(tables, vocab, ex);
-                let mut order: Vec<usize> = (0..scores.len()).collect();
-                order.sort_by(|&a, &b| {
-                    scores[b].partial_cmp(&scores[a]).expect("finite").then(a.cmp(&b))
-                });
+                let order = rank_descending(&self.score(tables, vocab, ex));
                 average_precision(&order, &ex.labels)
             })
             .collect();
@@ -182,5 +179,12 @@ mod tests {
         assert!(stats.final_loss() < stats.epoch_losses[0]);
         let map = re.map(eval_tables, &vocab, eval_split);
         assert!(map > 0.3, "MAP too low: {map}");
+
+        // A NaN score is ranked, not a panic: poison one label's bias.
+        let bias = re.head.bias.expect("the head has a bias");
+        re.store.value_mut(bias).data_mut()[0] = f32::NAN;
+        assert!(re.score(eval_tables, &vocab, &eval_split[0])[0].is_nan());
+        let poisoned_map = re.map(eval_tables, &vocab, eval_split);
+        assert!((0.0..=1.0).contains(&poisoned_map), "MAP {poisoned_map}");
     }
 }

@@ -2,6 +2,7 @@
 //! table, scoring a `[MASK]` cell against candidate entity embeddings
 //! (Eqn. 13).
 
+use crate::compiled::rank_descending;
 use crate::finetune::{train_batched, FinetuneConfig, FinetuneStats};
 use crate::input::{EncodedInput, EntityInput};
 use crate::model::TurlModel;
@@ -145,9 +146,7 @@ impl RowPopulationModel {
         let h = self.model.encode(&mut f, &self.store, &mut rng, &enc);
         let row = enc.entity_row(mask_cell);
         let logits = self.candidate_scores(&mut f, &self.store, h, row, &ex.candidates);
-        let scores = f.graph.value(logits).data().to_vec();
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite").then(a.cmp(&b)));
+        let order = rank_descending(f.graph.value(logits).data());
         order.into_iter().map(|i| ex.candidates[i]).collect()
     }
 
@@ -233,5 +232,16 @@ mod tests {
         // ranked list is a permutation of candidates
         let r = rp.rank(&vocab, &kb, &eval_ex[0]);
         assert_eq!(r.len(), eval_ex[0].candidates.len());
+
+        // A NaN score is ranked, not a panic: poison one candidate's
+        // embedding row. The rest keep their order.
+        let poisoned = eval_ex[0].candidates[1];
+        let d = rp.model.d_model();
+        let ent_emb = rp.store.value_mut(rp.model.ent_emb.weight);
+        ent_emb.data_mut()[(poisoned as usize + 1) * d..][..d].fill(f32::NAN);
+        let ranked = rp.rank(&vocab, &kb, &eval_ex[0]);
+        let finite = |r: &[u32]| r.iter().copied().filter(|&e| e != poisoned).collect::<Vec<_>>();
+        assert_eq!(finite(&ranked), finite(&r));
+        assert_eq!(ranked.iter().filter(|&&e| e == poisoned).count(), 1);
     }
 }

@@ -3,6 +3,7 @@
 //! table caption, seed headers and a `[MASK]` token as input ... the output
 //! for `[MASK]` is then used to predict the headers."
 
+use crate::compiled::rank_descending;
 use crate::finetune::{train_batched, FinetuneConfig, FinetuneStats};
 use crate::input::EncodedInput;
 use crate::model::TurlModel;
@@ -129,9 +130,8 @@ impl SchemaAugModel {
         let mut rng = StdRng::seed_from_u64(0);
         let mut f = Forward::inference(&self.store);
         let logits = self.logits(&mut f, &self.store, &mut rng, vocab, headers, ex);
-        let scores = f.graph.value(logits).data().to_vec();
-        let mut order: Vec<usize> = (0..scores.len()).filter(|i| !ex.seeds.contains(i)).collect();
-        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).expect("finite").then(a.cmp(&b)));
+        let mut order = rank_descending(f.graph.value(logits).data());
+        order.retain(|i| !ex.seeds.contains(i));
         order
     }
 
@@ -197,5 +197,16 @@ mod tests {
         );
         let trained_map = sa.map(&vocab, &headers, &eval_ex);
         assert!(trained_map > random_map, "training did not help: {random_map} -> {trained_map}");
+
+        // A NaN score is ranked, not a panic: poison one header's
+        // embedding. The rest keep their order.
+        let clean = sa.rank(&vocab, &headers, &eval_ex[0]);
+        let poisoned = clean[1];
+        let d = sa.header_emb.dim;
+        sa.store.value_mut(sa.header_emb.weight).data_mut()[poisoned * d..][..d].fill(f32::NAN);
+        let ranked = sa.rank(&vocab, &headers, &eval_ex[0]);
+        let finite = |r: &[usize]| r.iter().copied().filter(|&h| h != poisoned).collect::<Vec<_>>();
+        assert_eq!(finite(&ranked), finite(&clean));
+        assert_eq!(ranked.iter().filter(|&&h| h == poisoned).count(), 1);
     }
 }

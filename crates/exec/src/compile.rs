@@ -3,6 +3,7 @@
 use std::fmt;
 
 use turl_audit::{plan_layout, ArenaRequest, Ir, OpKind, SourceKind, TensorId};
+use turl_tensor::ops;
 
 /// Compilation or execution failure, with the offending node's label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +124,7 @@ pub enum StepKind<O = Operand> {
         a: O,
         /// Right operand (stored transposed).
         b: O,
-        /// Arena span for the `[k, n]` transpose panel.
+        /// Arena span for the kernel's transpose scratch.
         scratch: O,
         /// Output rows.
         m: usize,
@@ -307,10 +308,12 @@ impl<O> StepKind<O> {
     }
 
     /// The transpose scratch of a `*NT` step and its size in elements:
-    /// the `[k, n]` panel, one per batch.
+    /// what the kernel asks for, resp. one `[k, n]` panel per batch.
     fn scratch(&self) -> Option<(&O, usize)> {
         match self {
-            StepKind::MatMulNT { scratch, k, n, .. } => Some((scratch, k * n)),
+            StepKind::MatMulNT { scratch, m, k, n, .. } => {
+                Some((scratch, ops::matmul_nt_scratch_len(*m, *k, *n)))
+            }
             StepKind::BmmNT { scratch, bs, k, n, .. } => Some((scratch, bs * k * n)),
             _ => None,
         }

@@ -136,9 +136,11 @@ impl Dropout {
         let shape = f.graph.value(x).shape().to_vec();
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let n: usize = shape.iter().product();
-        let mask_data = (0..n).map(|_| if rng.gen::<f32>() < keep { scale } else { 0.0 }).collect();
-        let mask = f.graph.constant(Tensor::from_vec(shape, mask_data));
+        let mut mask = Tensor::zeros(shape);
+        for m in mask.data_mut() {
+            *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+        }
+        let mask = f.graph.constant(mask);
         f.graph.mul(x, mask)
     }
 }

@@ -1,7 +1,8 @@
 //! Central parameter storage and the per-step forward context.
 
 use std::collections::HashMap;
-use turl_tensor::{Graph, Tensor, Var};
+use std::sync::Arc;
+use turl_tensor::{pool, Graph, Tensor, Var};
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -16,7 +17,9 @@ impl ParamId {
 
 pub(crate) struct ParamEntry {
     pub name: String,
-    pub value: Tensor,
+    /// Shared with every live tape that bound it ([`Forward::param`]);
+    /// written through `Arc::make_mut`, which copies only while one does.
+    pub value: Arc<Tensor>,
     pub grad: Tensor,
     /// Adam first-moment state.
     pub m: Tensor,
@@ -59,7 +62,7 @@ impl ParamStore {
             grad: Tensor::zeros(shape.clone()),
             m: Tensor::zeros(shape.clone()),
             v: Tensor::zeros(shape),
-            value,
+            value: Arc::new(value),
             touched: false,
             frozen: false,
         });
@@ -85,7 +88,7 @@ impl ParamStore {
             grad: Tensor::zeros(vec![0]),
             m: Tensor::zeros(vec![0]),
             v: Tensor::zeros(vec![0]),
-            value,
+            value: Arc::new(value),
             touched: false,
             frozen: true,
         });
@@ -113,9 +116,11 @@ impl ParamStore {
         &self.entries[id.0].value
     }
 
-    /// Mutable value of a parameter (for manual initialization).
+    /// Mutable value of a parameter (for manual initialization). A tape
+    /// that still holds the parameter keeps the old value: the store
+    /// copies on this first write.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.entries[id.0].value
+        Arc::make_mut(&mut self.entries[id.0].value)
     }
 
     /// Accumulated gradient of a parameter.
@@ -158,6 +163,32 @@ impl ParamStore {
         }
     }
 
+    /// Sum one step's per-table gradients into the store and return the
+    /// global L2 norm of the result: [`accumulate`](Self::accumulate) for
+    /// each table in slice order, then [`grad_norm`](Self::grad_norm).
+    ///
+    /// The work fans out over parameters. Each parameter adds its tables'
+    /// gradients in slice order and sums its own squares in element order,
+    /// and the per-parameter sums are added in registration order, so the
+    /// result has the bits of the serial calls at any thread count.
+    pub fn reduce(&mut self, tables: &[Vec<(ParamId, Tensor)>]) -> f32 {
+        let mut work: Vec<(&mut ParamEntry, Vec<&Tensor>, f32)> =
+            self.entries.iter_mut().map(|e| (e, Vec::new(), 0.0)).collect();
+        for (id, g) in tables.iter().flatten() {
+            work[id.0].1.push(g);
+        }
+        pool::parallel_for_each_mut(&mut work, |_, (e, grads, sq_sum)| {
+            for g in grads.iter() {
+                e.grad.add_assign(g);
+                e.touched = true;
+            }
+            if e.touched {
+                *sq_sum = e.grad.data().iter().map(|x| x * x).sum::<f32>();
+            }
+        });
+        work.iter().filter(|(e, ..)| e.touched).map(|&(.., sq_sum)| sq_sum).sum::<f32>().sqrt()
+    }
+
     /// Zero every gradient and clear touched flags.
     pub fn zero_grads(&mut self) {
         for e in &mut self.entries {
@@ -194,7 +225,7 @@ impl ParamStore {
             if let Some(oid) = other.by_name.get(&e.name) {
                 let ov = &other.entries[oid.0].value;
                 if ov.shape() == e.value.shape() {
-                    e.value = ov.clone();
+                    e.value = Arc::clone(ov);
                     copied += 1;
                 }
             }
@@ -238,12 +269,16 @@ impl Forward {
         self.training = training;
     }
 
-    /// Bind a parameter into the graph (idempotent per pass).
+    /// Bind a parameter into the graph (idempotent per pass). The leaf
+    /// shares the store's tensor instead of copying it; an optimizer step
+    /// taken while this tape is alive leaves the tape's value as it was.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
         if self.bound.len() <= id.0 {
             self.bound.resize(id.0 + 1, None);
         }
-        *self.bound[id.0].get_or_insert_with(|| self.graph.leaf(store.value(id).clone(), true))
+        *self.bound[id.0].get_or_insert_with(|| {
+            self.graph.leaf_shared(Arc::clone(&store.entries[id.0].value), true)
+        })
     }
 
     /// After `graph.backward`, pull parameter gradients off the tape, in
@@ -334,6 +369,69 @@ mod tests {
         assert!(s.grad_norm() > 0.0);
         s.zero_grads();
         assert_eq!(s.grad(id).data(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn reduce_matches_accumulate_then_grad_norm_bit_for_bit() {
+        let shapes = [vec![3, 5], vec![7], vec![2, 2], vec![4]];
+        let grad = |shape: &[usize], seed: usize| {
+            let n: usize = shape.iter().product();
+            let data = (0..n).map(|i| ((i * 37 + seed * 101) % 19) as f32 * 0.37 - 3.1).collect();
+            Tensor::from_vec(shape.to_vec(), data)
+        };
+        let fresh = || {
+            let mut s = ParamStore::new();
+            let ids: Vec<ParamId> = shapes
+                .iter()
+                .enumerate()
+                .map(|(i, sh)| s.register(format!("p{i}"), Tensor::zeros(sh.clone())))
+                .collect();
+            (s, ids)
+        };
+        // Table 1 skips p1, table 2 skips p0; p3 gets nothing and stays
+        // untouched (and out of the norm).
+        let tables = |ids: &[ParamId]| {
+            vec![
+                vec![(ids[0], grad(&shapes[0], 1)), (ids[1], grad(&shapes[1], 2))],
+                vec![(ids[0], grad(&shapes[0], 3)), (ids[2], grad(&shapes[2], 4))],
+                vec![(ids[1], grad(&shapes[1], 5)), (ids[2], grad(&shapes[2], 6))],
+            ]
+        };
+        let (mut serial, ids) = fresh();
+        for t in tables(&ids) {
+            serial.accumulate(t);
+        }
+        let want = serial.grad_norm();
+        let saved = pool::n_threads();
+        for threads in [1, 2, 4] {
+            pool::set_threads(threads);
+            let (mut s, ids) = fresh();
+            let norm = s.reduce(&tables(&ids));
+            assert_eq!(norm.to_bits(), want.to_bits(), "norm at {threads} threads");
+            for &id in &ids {
+                let (got, want) = (s.grad(id).data(), serial.grad(id).data());
+                assert!(got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()));
+            }
+            assert_eq!(s.grad_norm().to_bits(), want.to_bits());
+        }
+        pool::set_threads(saved);
+    }
+
+    #[test]
+    fn bound_parameters_are_shared_until_written() {
+        let mut s = ParamStore::new();
+        let id = s.register("w", Tensor::ones(vec![2]));
+        let mut f = Forward::new(&s);
+        let v = f.param(&s, id);
+        assert!(std::ptr::eq(f.graph.value(v), s.value(id)), "binding copied the parameter");
+        s.value_mut(id).data_mut()[0] = 5.0;
+        assert_eq!(f.graph.value(v).data(), &[1.0, 1.0], "the write reached a live tape");
+        assert_eq!(s.value(id).data(), &[5.0, 1.0]);
+        // With the tape gone the next write is in place.
+        drop(f);
+        let before = s.value(id).data().as_ptr();
+        s.value_mut(id).data_mut()[1] = 6.0;
+        assert_eq!(s.value(id).data().as_ptr(), before);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use turl_tensor::Tensor;
 
 /// Current trainer-checkpoint format version.
@@ -140,7 +141,8 @@ struct Checkpoint {
 /// Write every parameter value (not optimizer state) to a JSON file.
 /// The write is atomic: data lands in a `*.tmp` sibling first.
 pub fn save_store(store: &ParamStore, path: &Path) -> Result<(), SerializeError> {
-    let params = store.entries().iter().map(|e| (e.name.clone(), e.value.clone())).collect();
+    let params =
+        store.entries().iter().map(|e| (e.name.clone(), Tensor::clone(&e.value))).collect();
     let text = serde_json::to_string(&Checkpoint { params })?;
     write_atomic(path, text.as_bytes())
 }
@@ -255,7 +257,7 @@ pub fn snapshot_params(store: &ParamStore) -> Vec<ParamRecord> {
         .iter()
         .map(|e| ParamRecord {
             name: e.name.clone(),
-            value: e.value.clone(),
+            value: Tensor::clone(&e.value),
             m: e.m.clone(),
             v: e.v.clone(),
             frozen: e.frozen,
@@ -319,7 +321,7 @@ pub fn restore_params(
         }
     }
     for (e, r) in store.entries_mut().iter_mut().zip(records.iter()) {
-        e.value = r.value.clone();
+        e.value = Arc::new(r.value.clone());
         e.m = r.m.clone();
         e.v = r.v.clone();
         e.frozen = r.frozen;

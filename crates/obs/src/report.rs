@@ -132,6 +132,9 @@ pub struct Summary {
     pub losses: Vec<f64>,
     /// Phase totals in ns: (prepare, forward, backward, reduce, optimizer).
     pub phase_ns: [u64; 5],
+    /// Tensor buffers the steps drew: (recycled, newly allocated, bytes of
+    /// the newly allocated).
+    pub tape_buffers: [u64; 3],
     /// Checkpoint writes: (count, total ns, total bytes).
     pub ckpt_write: (u64, u64, u64),
     /// Checkpoint reads: (count, total ns, total bytes).
@@ -165,6 +168,7 @@ pub struct Summary {
 }
 
 const PHASE_KEYS: [&str; 5] = ["prep_ns", "forward_ns", "backward_ns", "reduce_ns", "opt_ns"];
+const BUFFER_KEYS: [&str; 3] = ["pool_hits", "pool_misses", "tape_bytes_fresh"];
 
 fn median(sorted: &[f64]) -> f64 {
     let n = sorted.len();
@@ -220,6 +224,9 @@ pub fn summarize(events: &[Event]) -> Result<Summary, String> {
                 }
                 for (i, key) in PHASE_KEYS.iter().enumerate() {
                     s.phase_ns[i] += ev.u64_field(key).unwrap_or(0);
+                }
+                for (i, key) in BUFFER_KEYS.iter().enumerate() {
+                    s.tape_buffers[i] += ev.u64_field(key).unwrap_or(0);
                 }
                 s.mlm.selected += ev.u64_field("mlm_selected").unwrap_or(0);
                 s.mlm.total += ev.u64_field("mlm_candidates").unwrap_or(0);
@@ -543,6 +550,14 @@ pub fn render(s: &Summary) -> String {
         let pct = if total > 0 { 100.0 * ns as f64 / total as f64 } else { 0.0 };
         let _ = writeln!(out, "  {name:<10} {:>12}  {pct:5.1}%", fmt_ms(ns));
     }
+    let [recycled, fresh, fresh_bytes] = s.tape_buffers;
+    if recycled + fresh > 0 {
+        let _ = writeln!(
+            out,
+            "  tensor buffers: {recycled} recycled, {fresh} allocated ({:.2} MB per step)",
+            fresh_bytes as f64 / 1.0e6 / s.n_steps.max(1) as f64
+        );
+    }
     if s.ckpt_write.0 > 0 {
         let _ = writeln!(
             out,
@@ -671,6 +686,9 @@ mod tests {
                 ("backward_ns".to_string(), FieldValue::U64(200)),
                 ("reduce_ns".to_string(), FieldValue::U64(20)),
                 ("opt_ns".to_string(), FieldValue::U64(30)),
+                ("pool_hits".to_string(), FieldValue::U64(900)),
+                ("pool_misses".to_string(), FieldValue::U64(3)),
+                ("tape_bytes_fresh".to_string(), FieldValue::U64(2_500_000)),
                 ("mlm_selected".to_string(), FieldValue::U64(20)),
                 ("mlm_candidates".to_string(), FieldValue::U64(100)),
                 ("mer_selected".to_string(), FieldValue::U64(60)),
@@ -720,6 +738,7 @@ mod tests {
         let s = summarize(&events).expect("summary");
         assert_eq!(s.n_steps, 10);
         assert_eq!(s.phase_ns, [100, 1000, 2000, 200, 300]);
+        assert_eq!(s.tape_buffers, [9000, 30, 25_000_000]);
         assert_eq!(s.mlm.observed(), Some(0.2));
         assert_eq!(s.mer.observed(), Some(0.6));
         assert!(!s.mlm.drifted());
@@ -728,6 +747,10 @@ mod tests {
         assert!(s.anomalies.is_empty(), "{:?}", s.anomalies);
         let text = render(&s);
         assert!(text.contains("forward"), "{text}");
+        assert!(
+            text.contains("tensor buffers: 9000 recycled, 30 allocated (2.50 MB per step)"),
+            "{text}"
+        );
         assert!(text.contains("MLM: observed 0.2000"), "{text}");
     }
 

@@ -8,8 +8,9 @@
 //! executor calls; this module adds the tape and the backward closures.
 
 use crate::ops;
-use crate::ops::{gelu_fwd, gelu_grad};
+use crate::ops::{gelu_grad, gelu_tanh};
 use crate::tensor::Tensor;
+use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,8 +30,25 @@ impl Var {
 // `Send` so a whole `Graph` can move between data-parallel train workers.
 type BackFn = Box<dyn Fn(&Tensor, &Tensor, &[&Tensor]) -> Vec<Tensor> + Send>;
 
+/// A node's value: computed on this tape, or a leaf that stays with its
+/// owner (a parameter bound without copying it).
+enum Value {
+    Owned(Tensor),
+    Shared(Arc<Tensor>),
+}
+
+impl std::ops::Deref for Value {
+    type Target = Tensor;
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Shared(t) => t,
+        }
+    }
+}
+
 struct Node {
-    value: Tensor,
+    value: Value,
     grad: Option<Tensor>,
     parents: Vec<Var>,
     needs_grad: bool,
@@ -68,6 +86,16 @@ impl Graph {
 
     /// Add a leaf node. `requires_grad` marks trainable parameters.
     pub fn leaf(&mut self, value: Tensor, requires_grad: bool) -> Var {
+        self.push_leaf(Value::Owned(value), requires_grad)
+    }
+
+    /// Add a leaf whose value stays shared with the caller: the tape holds
+    /// a reference, not a copy, for as long as the node exists.
+    pub fn leaf_shared(&mut self, value: Arc<Tensor>, requires_grad: bool) -> Var {
+        self.push_leaf(Value::Shared(value), requires_grad)
+    }
+
+    fn push_leaf(&mut self, value: Value, requires_grad: bool) -> Var {
         self.nodes.push(Node {
             value,
             grad: None,
@@ -132,7 +160,7 @@ impl Graph {
     fn push(&mut self, value: Tensor, parents: Vec<Var>, backward: BackFn) -> Var {
         let needs_grad = parents.iter().any(|p| self.nodes[p.0].needs_grad);
         self.nodes.push(Node {
-            value,
+            value: Value::Owned(value),
             grad: None,
             parents,
             needs_grad,
@@ -157,7 +185,7 @@ impl Graph {
             let grads = {
                 let node = &self.nodes[i];
                 let pvals: Vec<&Tensor> =
-                    node.parents.iter().map(|p| &self.nodes[p.0].value).collect();
+                    node.parents.iter().map(|p| &*self.nodes[p.0].value).collect();
                 let f = node.backward.as_ref().expect("checked above");
                 f(node.grad.as_ref().expect("checked above"), &node.value, &pvals)
             };
@@ -327,13 +355,22 @@ impl Graph {
     }
 
     /// GELU activation (tanh approximation, as used by BERT-family models).
+    ///
+    /// The forward's `tanh` is kept for the backward, so neither pass
+    /// computes it twice.
     pub fn gelu(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(gelu_fwd);
+        let x = self.value(a);
+        let t = x.map(gelu_tanh);
+        let value = x.broadcast_zip(&t, |x, t| 0.5 * x * (1.0 + t)).expect("same shape");
         self.push(
             value,
             vec![a],
-            Box::new(|g, _, pv| {
-                vec![g.broadcast_zip(pv[0], |gv, x| gv * gelu_grad(x)).expect("gelu back")]
+            Box::new(move |g, _, pv| {
+                let mut dx = g.clone();
+                for ((d, &x), &t) in dx.data_mut().iter_mut().zip(pv[0].data()).zip(t.data()) {
+                    *d *= gelu_grad(x, t);
+                }
+                vec![dx]
             }),
         )
     }
@@ -417,8 +454,8 @@ impl Graph {
                 let d = *xval.shape().last().expect("layer_norm rank");
                 let rows = xval.len() / d;
                 let mut dx = Tensor::zeros(xval.shape().to_vec());
-                let mut dgamma = vec![0.0f32; d];
-                let mut dbeta = vec![0.0f32; d];
+                let (mut dgamma, mut dbeta) = (Tensor::zeros(vec![d]), Tensor::zeros(vec![d]));
+                let (dgd, dbd) = (dgamma.data_mut(), dbeta.data_mut());
                 let xd = xval.data();
                 let gd = g.data();
                 let dxd = dx.data_mut();
@@ -437,8 +474,8 @@ impl Graph {
                         let dyg = grow[j] * gamma[j];
                         sum_dyg += dyg;
                         sum_dyg_xhat += dyg * xhat;
-                        dgamma[j] += grow[j] * xhat;
-                        dbeta[j] += grow[j];
+                        dgd[j] += grow[j] * xhat;
+                        dbd[j] += grow[j];
                     }
                     let m1 = sum_dyg / d as f32;
                     let m2 = sum_dyg_xhat / d as f32;
@@ -448,7 +485,7 @@ impl Graph {
                         dxd[o + j] = inv * (dyg - m1 - xhat * m2);
                     }
                 }
-                vec![dx, Tensor::from_vec(vec![d], dgamma), Tensor::from_vec(vec![d], dbeta)]
+                vec![dx, dgamma, dbeta]
             }),
         )
     }
@@ -566,19 +603,16 @@ impl Graph {
             heights.push(t.shape()[0]);
         }
         let total: usize = heights.iter().sum();
-        let mut data = vec![0.0f32; total * w];
-        ops::concat_rows_into(tensors.iter().map(|t| t.data()), &mut data);
+        let mut value = Tensor::zeros(vec![total, w]);
+        ops::concat_rows_into(tensors.iter().map(|t| t.data()), value.data_mut());
         self.push(
-            Tensor::from_vec(vec![total, w], data),
+            value,
             parts.to_vec(),
             Box::new(move |g, _, _| {
                 let mut out = Vec::with_capacity(heights.len());
                 let mut off = 0usize;
                 for &h in &heights {
-                    out.push(Tensor::from_vec(
-                        vec![h, w],
-                        g.data()[off * w..(off + h) * w].to_vec(),
-                    ));
+                    out.push(Tensor::from_slice(vec![h, w], &g.data()[off * w..(off + h) * w]));
                     off += h;
                 }
                 out
@@ -596,7 +630,7 @@ impl Graph {
             Box::new(|g, _, pv| {
                 let w = pv[0].len();
                 (0..pv.len())
-                    .map(|r| Tensor::from_vec(vec![w], g.data()[r * w..(r + 1) * w].to_vec()))
+                    .map(|r| Tensor::from_slice(vec![w], &g.data()[r * w..(r + 1) * w]))
                     .collect()
             }),
         )

@@ -4,8 +4,9 @@
 //! never materialize transposed operands:
 //!
 //! * [`matmul`]    — `C = A · B`
-//! * [`matmul_nt`] — `C = A · Bᵀ` (B is pre-transposed into a scratch
-//!   panel, then runs through the same block kernel as `matmul`)
+//! * [`matmul_nt`] — `C = A · Bᵀ` (the smaller operand is transposed into a
+//!   scratch panel, then the product runs through the same block kernel as
+//!   `matmul`: as `A · (Bᵀ)` when `m ≥ n`, as `Cᵀ = B · Aᵀ` when `m < n`)
 //! * [`matmul_tn`] — `C = Aᵀ · B` (the same block kernel reading `A`
 //!   k-major, so both operand loads are contiguous and `C` is written once)
 //!
@@ -70,8 +71,11 @@ const PAR_MIN_VOLUME: usize = 32 * 1024;
 /// [`bias_gelu_inplace`] against [`PAR_MIN_VOLUME`].
 const TANH_MACS: usize = 32;
 /// Below this `m * n` output volume, `matmul_nt` keeps the row-dot-product
-/// path: a `k × n` transpose panel would cost more than it saves.
+/// path: a transpose panel would cost more than it saves.
 const NT_TRANSPOSE_MIN_OUT: usize = 64;
+/// The swapped `nt` orientation pads `m` to whole half-width column panels
+/// of the block kernel, so none of `A`'s rows runs as a single column.
+const NT_PAD: usize = NR / 2;
 
 /// `C[m,n] = A[m,k] · B[k,n]`.
 ///
@@ -99,11 +103,11 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Tensor {
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ`.
 ///
-/// Large problems pre-transpose `B` into a `[k, n]` scratch panel and run
-/// the block kernel of `matmul` (contiguous panel access instead of
-/// `n` strided row streams); tiny ones keep the direct row-dot-product
-/// path. Both accumulate each output element in ascending-`k` order, so
-/// the paths are bit-identical to each other and to `matmul(a, bᵀ)`.
+/// Large problems transpose the operand with fewer rows into a scratch
+/// panel and run the block kernel of `matmul` (see [`matmul_nt_into`]);
+/// tiny ones keep the direct row-dot-product path. All accumulate each
+/// output element in ascending-`k` order, so the paths are bit-identical
+/// to each other and to `matmul(a, bᵀ)`.
 pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let _t = profiled!("matmul_nt");
     assert_eq!(a.rank(), 2);
@@ -119,8 +123,8 @@ pub fn matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     let a_slice = a_dense.as_ref().map_or_else(|| a.data(), |t| t.data());
     let b_dense = b.as_f32().is_none().then(|| b.dequantize());
     let b_slice = b_dense.as_ref().map_or_else(|| b.data(), |t| t.data());
-    let mut scratch = vec![0.0f32; if m * n < NT_TRANSPOSE_MIN_OUT { 0 } else { k * n }];
-    gemm_nt(a_slice, b_slice, out.data_mut(), &mut scratch, m, k, n);
+    let mut scratch = Tensor::zeros(vec![matmul_nt_scratch_len(m, k, n)]);
+    gemm_nt(a_slice, b_slice, out.data_mut(), scratch.data_mut(), m, k, n);
     out
 }
 
@@ -166,8 +170,9 @@ pub fn bmm_nt(a: &Tensor, b: &Tensor) -> Tensor {
     assert_eq!(bs, bs2, "bmm_nt batch dims differ");
     assert_eq!(k, k2, "bmm_nt inner dims: {:?} x {:?}", a.shape(), b.shape());
     let mut out = Tensor::zeros(vec![bs, m, n]);
-    let mut scratch = vec![0.0f32; if bs * m * n < NT_TRANSPOSE_MIN_OUT { 0 } else { bs * k * n }];
-    par_batch_nt(a.data(), b.data(), out.data_mut(), &mut scratch, bs, m, k, n);
+    let scratch_len = if bs * m * n < NT_TRANSPOSE_MIN_OUT { 0 } else { bs * k * n };
+    let mut scratch = Tensor::zeros(vec![scratch_len]);
+    par_batch_nt(a.data(), b.data(), out.data_mut(), scratch.data_mut(), bs, m, k, n);
     out
 }
 
@@ -489,9 +494,31 @@ fn gemm_dense<'a, A: Lhs<'a>>(
     gemm(A::new(a, m, k), F32::new(b, k, n), OutPtr::new(out, m, n), m, k, n);
 }
 
-/// `out[m,n] = a[m,k] · b[n,k]ᵀ`: transpose `b` into the `[k, n]` scratch
-/// panel and run [`gemm`]; tiny outputs keep the row-dot-product path
-/// (and leave `scratch` untouched).
+/// Scratch elements [`matmul_nt_into`] needs for
+/// `out[m,n] = a[m,k] · b[n,k]ᵀ`: nothing for a tiny output, the
+/// `[k, m₈]` panel of `Aᵀ` plus the `[n, m₈]` product when `m < n`
+/// (`m₈` is `m` rounded up to a multiple of 8), the `[k, n]` panel of
+/// `Bᵀ` otherwise.
+pub fn matmul_nt_scratch_len(m: usize, k: usize, n: usize) -> usize {
+    if m * n < NT_TRANSPOSE_MIN_OUT {
+        0
+    } else if m < n {
+        (k + n) * m.next_multiple_of(NT_PAD)
+    } else {
+        k * n
+    }
+}
+
+/// `out[m,n] = a[m,k] · b[n,k]ᵀ` through [`gemm`], transposing whichever
+/// operand has fewer rows; tiny outputs keep the row-dot-product path.
+///
+/// With `m < n` the product runs as `Cᵀ = B · Aᵀ`: `a` goes into a
+/// `[k, m₈]` panel whose pad columns are zero, the block kernel streams
+/// `b`'s rows contiguously with its lanes across `a`'s rows, and the
+/// small `[n, m₈]` result is transposed back (pad columns dropped).
+/// Element `(i, j)` is still one accumulator adding `b[j,kk] · a[i,kk]`
+/// for ascending `kk` — the same products (an f32 multiply commutes
+/// exactly) in the same order as `A · (Bᵀ)`.
 fn gemm_nt(
     a: &[f32],
     b: &[f32],
@@ -501,8 +528,16 @@ fn gemm_nt(
     k: usize,
     n: usize,
 ) {
+    assert_eq!(scratch.len(), matmul_nt_scratch_len(m, k, n), "matmul_nt scratch size");
     if m * n < NT_TRANSPOSE_MIN_OUT {
         matmul_nt_rows(a, b, out, m, k, n);
+    } else if m < n {
+        let mp = m.next_multiple_of(NT_PAD);
+        let (at, ct) = scratch.split_at_mut(k * mp);
+        transpose_strided(a, at, m, k, k, mp);
+        at.chunks_exact_mut(mp).for_each(|row| row[m..].fill(0.0));
+        gemm_dense::<RowMajor>(b, at, ct, n, k, mp);
+        transpose_strided(ct, out, n, m, mp, n);
     } else {
         transpose_into(b, scratch, n, k);
         gemm_dense::<RowMajor>(a, scratch, out, m, k, n);
@@ -608,11 +643,25 @@ fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: 
 }
 
 /// Blocked `[rows, cols] → [cols, rows]` transpose: `dst[c * rows + r] =
-/// src[r * cols + c]`. Small square blocks keep both streams cache-
-/// resident. `dst` must hold exactly `rows * cols` elements.
+/// src[r * cols + c]`. `dst` must hold exactly `rows * cols` elements.
 pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     assert_eq!(src.len(), rows * cols, "transpose src size");
     assert_eq!(dst.len(), rows * cols, "transpose dst size");
+    transpose_strided(src, dst, rows, cols, cols, rows);
+}
+
+/// Transpose the `rows × cols` corner of a matrix with row stride
+/// `src_stride` into one with row stride `dst_stride`, leaving the rest of
+/// `dst` alone: `dst[c * dst_stride + r] = src[r * src_stride + c]`. Small
+/// square blocks keep both streams cache-resident.
+fn transpose_strided(
+    src: &[f32],
+    dst: &mut [f32],
+    rows: usize,
+    cols: usize,
+    src_stride: usize,
+    dst_stride: usize,
+) {
     const TB: usize = 32;
     let mut r0 = 0usize;
     while r0 < rows {
@@ -622,7 +671,7 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
             let c1 = (c0 + TB).min(cols);
             for r in r0..r1 {
                 for c in c0..c1 {
-                    dst[c * rows + r] = src[r * cols + c];
+                    dst[c * dst_stride + r] = src[r * src_stride + c];
                 }
             }
             c0 = c1;
@@ -650,8 +699,9 @@ pub fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n:
 }
 
 /// `out[m,n] = a[m,k] · b[n,k]ᵀ` into a caller-provided slice, using a
-/// caller-provided `[k, n]` scratch panel for the transpose (the executor
-/// plans scratch into the arena so the steady state never allocates).
+/// caller-provided scratch of [`matmul_nt_scratch_len`] elements for the
+/// transpose (the executor plans scratch into the arena so the steady
+/// state never allocates). Its contents on entry do not matter.
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_nt_into(
     a: &[f32],
@@ -987,19 +1037,24 @@ pub fn concat_cols_into<'a>(
     assert_eq!(col * rows, out.len(), "concat_cols out size");
 }
 
+/// `sqrt(2/pi)`, the constant of the tanh-approximated GELU.
+const GELU_C: f32 = 0.797_884_6;
+
+/// The `tanh` inside [`gelu_fwd`], which [`gelu_grad`] needs again.
+pub fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
+}
+
 /// Tanh-approximated GELU, the forward scalar shared by the autograd op
 /// and the fused executor kernels (one definition keeps them bit-exact).
 pub fn gelu_fwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + gelu_tanh(x))
 }
 
-/// Derivative of [`gelu_fwd`], used by the autograd backward pass.
-pub fn gelu_grad(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044715 * x * x * x);
-    let t = inner.tanh();
-    let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
+/// Derivative of [`gelu_fwd`] at `x`, given `t = gelu_tanh(x)` from the
+/// forward pass.
+pub fn gelu_grad(x: f32, t: f32) -> f32 {
+    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
@@ -1081,13 +1136,16 @@ mod tests {
 
     #[test]
     fn nt_panel_path_matches_dot_path() {
-        // Above and below the transpose threshold must agree bit-for-bit.
-        let a = pseudo(&[9, 33], 5);
-        let b = pseudo(&[21, 33], 6);
-        let panel = matmul_nt(&a, &b); // 9*21 >= threshold: panel path
-        let mut dot = Tensor::zeros(vec![9, 21]);
-        matmul_nt_rows(a.data(), b.data(), dot.data_mut(), 9, 33, 21);
-        assert_eq!(panel.data(), dot.data());
+        // Above the transpose threshold `m < n` runs as `Cᵀ = B · Aᵀ` over
+        // a zero-padded panel (`m` short of, at and past a multiple of 8)
+        // and `m ≥ n` as `A · (Bᵀ)`; both must agree bit for bit with the
+        // row-dot-product kernel kept below it.
+        for (m, k, n) in [(9, 33, 21), (8, 5, 9), (31, 40, 64), (21, 33, 9), (9, 1, 9)] {
+            let (a, b) = (spiked(&[m, k], 5), spiked(&[n, k], 6));
+            let mut dot = vec![0.0f32; m * n];
+            matmul_nt_rows(a.data(), b.data(), &mut dot, m, k, n);
+            assert_same_bits(matmul_nt(&a, &b).data(), &dot, &format!("nt {m}x{k}x{n}"));
+        }
     }
 
     #[test]
@@ -1157,7 +1215,8 @@ mod tests {
         assert_eq!(&out[..], matmul(&a, &b).data());
 
         let bt = pseudo(&[12, 10], 23);
-        let mut scratch = vec![0.0f32; 120];
+        // Stale scratch contents must not show (the arena reuses spans).
+        let mut scratch = vec![f32::NAN; matmul_nt_scratch_len(6, 10, 12)];
         matmul_nt_into(a.data(), bt.data(), &mut out, &mut scratch, 6, 10, 12);
         assert_eq!(&out[..], matmul_nt(&a, &bt).data());
 

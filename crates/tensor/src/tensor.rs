@@ -1,5 +1,6 @@
 //! The dense row-major tensor over a typed [`Storage`].
 
+use crate::buffers;
 use crate::dtype::{quant_rows_cols, DType, QuantBlocks, Storage};
 use crate::ops;
 use crate::shape::{broadcast_shape, broadcast_strides, num_elements, strides_for, ShapeError};
@@ -21,10 +22,32 @@ use crate::shape::{broadcast_shape, broadcast_strides, num_elements, strides_for
 /// provided where they matter for hot loops (gradient accumulation,
 /// optimizer updates). Softmax, permute, row gather and concatenation
 /// fill theirs with the [`crate::ops`] kernel the plan executor calls.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// On a thread inside a [`BufferPool`](crate::BufferPool) scope the dense
+/// buffers are recycled instead: constructors draw from the pool and a
+/// dropped tensor hands its buffer back.
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     storage: Storage,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        let storage = match &self.storage {
+            Storage::F32(d) => Storage::F32(buffers::copy_of(d)),
+            quantized => quantized.clone(),
+        };
+        Self { shape: self.shape.clone(), storage }
+    }
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        if let Storage::F32(d) = &mut self.storage {
+            buffers::recycle(std::mem::take(d));
+        }
+    }
 }
 
 impl serde::Serialize for Tensor {
@@ -98,10 +121,17 @@ impl Tensor {
         Self { shape, storage: Storage::F32(data) }
     }
 
+    /// A tensor holding a copy of `data` (length must match).
+    ///
+    /// # Panics
+    /// Panics if `data.len() != product(shape)`.
+    pub fn from_slice(shape: Vec<usize>, data: &[f32]) -> Self {
+        Self::from_vec(shape, buffers::copy_of(data))
+    }
+
     /// A tensor filled with zeros.
     pub fn zeros(shape: Vec<usize>) -> Self {
-        let n = num_elements(&shape);
-        Self { shape, storage: Storage::F32(vec![0.0; n]) }
+        Self::full(shape, 0.0)
     }
 
     /// A tensor filled with ones.
@@ -112,7 +142,7 @@ impl Tensor {
     /// A tensor filled with a constant value.
     pub fn full(shape: Vec<usize>, value: f32) -> Self {
         let n = num_elements(&shape);
-        Self { shape, storage: Storage::F32(vec![value; n]) }
+        Self { shape, storage: Storage::F32(buffers::filled(n, value)) }
     }
 
     /// A rank-0-like scalar represented as shape `[1]`.
@@ -215,9 +245,9 @@ impl Tensor {
     /// # Panics
     /// Panics on quantized storage.
     #[track_caller]
-    pub fn into_data(self) -> Vec<f32> {
-        match self.storage {
-            Storage::F32(d) => d,
+    pub fn into_data(mut self) -> Vec<f32> {
+        match &mut self.storage {
+            Storage::F32(d) => std::mem::take(d),
             Storage::I8Block(_) => {
                 panic!("into_data on a quantized tensor {:?}; use dequantize()", self.shape)
             }
@@ -303,15 +333,15 @@ impl Tensor {
                 shape
             )));
         }
-        Ok(Tensor { shape, storage: Storage::F32(self.f32s().clone()) })
+        Ok(Tensor::from_slice(shape, self.f32s()))
     }
 
     /// Apply a function elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        Tensor {
-            shape: self.shape.clone(),
-            storage: Storage::F32(self.f32s().iter().map(|&x| f(x)).collect()),
-        }
+        let src = self.f32s();
+        let mut data = buffers::with_capacity(src.len());
+        data.extend(src.iter().map(|&x| f(x)));
+        Tensor { shape: self.shape.clone(), storage: Storage::F32(data) }
     }
 
     /// Apply a function elementwise in place.
@@ -359,14 +389,15 @@ impl Tensor {
     ) -> Result<Tensor, ShapeError> {
         let (sdata, odata) = (self.f32s(), other.f32s());
         if self.shape == other.shape {
-            let data = sdata.iter().zip(odata.iter()).map(|(&a, &b)| f(a, b)).collect();
+            let mut data = buffers::with_capacity(sdata.len());
+            data.extend(sdata.iter().zip(odata.iter()).map(|(&a, &b)| f(a, b)));
             return Ok(Tensor { shape: self.shape.clone(), storage: Storage::F32(data) });
         }
         let out_shape = broadcast_shape(&self.shape, &other.shape)?;
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&other.shape, &out_shape);
         let n = num_elements(&out_shape);
-        let mut data = Vec::with_capacity(n);
+        let mut data = buffers::with_capacity(n);
         let mut idx = vec![0usize; out_shape.len()];
         let mut off_a = 0usize;
         let mut off_b = 0usize;
@@ -394,8 +425,8 @@ impl Tensor {
             return self.clone();
         }
         let sdata = self.f32s();
-        let out_n = num_elements(target);
-        let mut out = vec![0.0f32; out_n];
+        let mut reduced = Tensor::zeros(target.to_vec());
+        let out = reduced.f32s_mut();
         let st = broadcast_strides(target, &self.shape);
         let mut idx = vec![0usize; self.shape.len()];
         let mut off_t = 0usize;
@@ -411,7 +442,7 @@ impl Tensor {
                 off_t -= st[d] * self.shape[d];
             }
         }
-        Tensor::from_vec(target.to_vec(), out)
+        reduced
     }
 
     /// Sum of all elements.
@@ -471,9 +502,9 @@ impl Tensor {
         let old_strides = strides_for(&self.shape);
         let new_shape: Vec<usize> = axes.iter().map(|&a| self.shape[a]).collect();
         let read_strides: Vec<usize> = axes.iter().map(|&a| old_strides[a]).collect();
-        let mut data = vec![0.0f32; self.len()];
-        ops::copy_strided_into(self.f32s(), &mut data, &new_shape, &read_strides);
-        Tensor { shape: new_shape, storage: Storage::F32(data) }
+        let mut out = Tensor::zeros(new_shape.clone());
+        ops::copy_strided_into(self.f32s(), out.f32s_mut(), &new_shape, &read_strides);
+        out
     }
 
     /// Transpose of a 2-D tensor.
@@ -492,12 +523,12 @@ impl Tensor {
         let row_len: usize = self.shape[1..].iter().product();
         let mut shape = vec![indices.len()];
         shape.extend_from_slice(&self.shape[1..]);
-        let mut data = vec![0.0f32; indices.len() * row_len];
+        let mut out = Tensor::zeros(shape);
         match &self.storage {
-            Storage::F32(sdata) => ops::gather_rows_into(sdata, row_len, indices, &mut data),
-            Storage::I8Block(q) => ops::gather_rows_q8_into(q, indices, &mut data),
+            Storage::F32(sdata) => ops::gather_rows_into(sdata, row_len, indices, out.f32s_mut()),
+            Storage::I8Block(q) => ops::gather_rows_q8_into(q, indices, out.f32s_mut()),
         }
-        Tensor { shape, storage: Storage::F32(data) }
+        out
     }
 
     /// Concatenate 2-D tensors along the last axis.
@@ -509,9 +540,9 @@ impl Tensor {
             assert_eq!(p.shape[0], rows, "concat_cols row mismatch");
         }
         let total: usize = parts.iter().map(|p| p.shape[1]).sum();
-        let mut data = vec![0.0f32; rows * total];
-        ops::concat_cols_into(parts.iter().map(|p| (p.data(), p.shape[1])), rows, &mut data);
-        Tensor { shape: vec![rows, total], storage: Storage::F32(data) }
+        let mut out = Tensor::zeros(vec![rows, total]);
+        ops::concat_cols_into(parts.iter().map(|p| (p.data(), p.shape[1])), rows, out.f32s_mut());
+        out
     }
 
     /// Stack 1-D tensors of equal length into a 2-D tensor (one per row).
@@ -521,9 +552,9 @@ impl Tensor {
         for p in parts {
             assert_eq!(p.len(), w, "stack_rows length mismatch");
         }
-        let mut data = vec![0.0f32; parts.len() * w];
-        ops::concat_rows_into(parts.iter().map(|p| p.data()), &mut data);
-        Tensor { shape: vec![parts.len(), w], storage: Storage::F32(data) }
+        let mut out = Tensor::zeros(vec![parts.len(), w]);
+        ops::concat_rows_into(parts.iter().map(|p| p.data()), out.f32s_mut());
+        out
     }
 
     /// Softmax along the last axis, numerically stabilized.

@@ -105,6 +105,24 @@ proptest! {
     }
 
     #[test]
+    fn grad_gelu_under_a_weighted_loss(x in small_tensor(3, 4)) {
+        // GELU's backward multiplies the upstream gradient by a derivative
+        // built from the forward's kept `tanh`; make that gradient
+        // non-uniform, and give GELU an input computed on the tape.
+        let w = Tensor::from_vec(vec![3, 4], (0..12).map(|i| 0.25 * i as f32 - 1.0).collect());
+        check(&x, |t| {
+            let mut g = Graph::new();
+            let v = g.leaf(t.clone(), true);
+            let pre = g.scale(v, 1.5);
+            let y = g.gelu(pre);
+            let wv = g.constant(w.clone());
+            let z = g.mul(y, wv);
+            let l = g.sum_all(z);
+            (g, v, l)
+        });
+    }
+
+    #[test]
     fn grad_relu_away_from_kink(x in small_tensor(2, 4)) {
         // Snap inputs to a grid offset from zero so finite-difference probes
         // never straddle the ReLU kink.
@@ -236,5 +254,31 @@ proptest! {
             let l = g.sum_all(y);
             (g, v, l)
         });
+    }
+}
+
+#[test]
+fn gelu_backward_has_the_bits_of_the_recomputing_derivative() {
+    // What the backward computed before the forward's `tanh` was kept.
+    fn recomputing(x: f32) -> f32 {
+        const C: f32 = 0.797_884_6;
+        let inner = C * (x + 0.044715 * x * x * x);
+        let t = inner.tanh();
+        let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
+        0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    }
+    let n = 2048;
+    let x: Vec<f32> =
+        (0..n).map(|i| (i as f32 - 1024.0) / 128.0).chain([0.0, -0.0, 1e-40]).collect();
+    let upstream: Vec<f32> = (0..x.len()).map(|i| 0.37 * (i % 11) as f32 - 1.5).collect();
+    let mut g = Graph::new();
+    let v = g.leaf(Tensor::from_vec(vec![x.len()], x.clone()), true);
+    let y = g.gelu(v);
+    let w = g.constant(Tensor::from_vec(vec![x.len()], upstream.clone()));
+    let z = g.mul(y, w);
+    let l = g.sum_all(z);
+    g.backward(l);
+    for ((got, &x), &up) in g.grad(v).expect("leaf grad").data().iter().zip(&x).zip(&upstream) {
+        assert_eq!(got.to_bits(), (up * recomputing(x)).to_bits(), "x = {x:e}");
     }
 }

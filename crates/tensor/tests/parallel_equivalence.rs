@@ -124,6 +124,20 @@ fn shapes() -> Vec<(usize, usize, usize)> {
     all
 }
 
+/// Shapes for the two orientations of `matmul_nt`: every `m` crosses a
+/// wide `n` (`m < n`: `Cᵀ = B · Aᵀ` over the panel padded to a multiple of
+/// 8 — exact, one short and one over), a narrow `n < 8` (`m ≥ n` or the
+/// tiny path) and `k = 1`; the training backward's own `dA = g · Wᵀ`
+/// shapes come last.
+fn nt_shapes() -> Vec<(usize, usize, usize)> {
+    let mut all = Vec::new();
+    for m in [1, 7, 8, 28, 31, 64] {
+        all.extend([(m, 90, 200), (m, 37, 5), (m, 1, 70), (m, 1, 3), (m, 50, m)]);
+    }
+    all.extend([(28, 1200, 312), (31, 312, 1200), (64, 50, 31)]);
+    all
+}
+
 const WIDTHS: &[usize] = &[1, 2, 3, 4, 7];
 
 #[test]
@@ -146,7 +160,7 @@ fn matmul_matches_naive_at_every_width() {
 fn matmul_nt_matches_naive_at_every_width() {
     let _g = lock();
     let saved = pool::n_threads();
-    for (m, k, n) in shapes() {
+    for (m, k, n) in shapes().into_iter().chain(nt_shapes()) {
         let a = fill(vec![m, k], 3);
         let b = fill(vec![n, k], 4);
         let want = naive_matmul_nt(&a, &b);
