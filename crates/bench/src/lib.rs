@@ -2,8 +2,8 @@
 //! every table and figure of the paper (see DESIGN.md §4).
 //!
 //! Each `exp_*` binary builds (or re-uses) a deterministic synthetic
-//! world, pre-trains TURL (with checkpoint caching under
-//! `target/turl-cache/`), runs one experiment and prints the paper's rows.
+//! world, pre-trains TURL (the weights are cached as a model artifact
+//! under `target/turl-cache/`), runs one experiment and prints the paper's rows.
 //! Set `TURL_SCALE=full` for the larger configuration, `TURL_SCALE=smoke`
 //! for a seconds-level sanity run (the default is `quick`).
 
@@ -191,15 +191,16 @@ impl ExperimentWorld {
     }
 }
 
-/// Cache directory for pre-trained checkpoints.
+/// Cache directory for pre-trained weights (model artifacts).
 pub fn cache_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/turl-cache");
     std::fs::create_dir_all(&dir).ok();
     dir
 }
 
-/// Pre-train TURL on the world's training split (or load a cached
-/// checkpoint). `tag` distinguishes experiment variants.
+/// Pre-train TURL on the world's training split (or load the cached
+/// artifact of an earlier run, if it still fits the model). `tag`
+/// distinguishes experiment variants.
 pub fn pretrained(world: &ExperimentWorld, cfg: TurlConfig, tag: &str) -> Pretrainer {
     let mut pt = Pretrainer::new(
         cfg,
@@ -215,14 +216,12 @@ pub fn pretrained(world: &ExperimentWorld, cfg: TurlConfig, tag: &str) -> Pretra
         .collect();
     pt.model.init_entity_embeddings_from_names(&mut pt.store, &names);
 
-    let path = cache_dir().join(format!("{}-{}.json", world.scale.tag(), tag));
-    if path.exists() {
-        if let Ok(loaded) = turl_nn::load_store(&path) {
-            let copied = pt.store.load_matching(&loaded);
-            if copied == pt.store.len() {
-                turl_obs::warn(format!("[cache] loaded pre-trained checkpoint {}", path.display()));
-                return pt;
-            }
+    let path = cache_dir().join(format!("{}-{}.artifact", world.scale.tag(), tag));
+    if let Ok(loaded) = turl_nn::load_artifact(&path) {
+        if turl_core::bind_store(&pt.model, &loaded).is_ok() {
+            pt.store.load_matching(&loaded);
+            turl_obs::warn(format!("[cache] loaded pre-trained weights {}", path.display()));
+            return pt;
         }
     }
     let data = world.encode_split(&world.splits.train, &cfg);
@@ -241,7 +240,7 @@ pub fn pretrained(world: &ExperimentWorld, cfg: TurlConfig, tag: &str) -> Pretra
         stats.epoch_losses.first().copied().unwrap_or(f32::NAN),
         stats.epoch_losses.last().copied().unwrap_or(f32::NAN)
     ));
-    turl_nn::save_store(&pt.store, &path).ok();
+    turl_nn::export_artifact(&pt.store, &path, &turl_nn::ExportOptions::default()).ok();
     pt
 }
 

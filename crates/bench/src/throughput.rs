@@ -477,7 +477,42 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
         out.push(entry("serve_traced", "stages=6,reservoir=32+128".to_string(), t, ns, 1));
     }
     pool::set_threads(saved_threads);
+    if !quick {
+        out.extend(weights_io_rows(&paper_pt, window_ms));
+    }
     out
+}
+
+/// What one `--checkpoint-every` save, a `--resume`, a `pretrain --out`
+/// and an `--artifact` load cost at the paper trainer's parameter volume
+/// (its Adam moments are populated by the `pretrain_step` rows above):
+/// `ckpt_save` is the whole `Pretrainer::save_checkpoint` (snapshot,
+/// encode, fsync, rename, sweep, prune). None of it runs on the pool, so
+/// each is recorded once, as a 1-thread row; the rate is scalars/s.
+fn weights_io_rows(pt: &Pretrainer, window_ms: u64) -> Vec<BenchEntry> {
+    let dir = std::env::temp_dir().join(format!("turl-bench-io-{}", std::process::id()));
+    let policy = turl_core::CheckpointPolicy { dir: dir.clone(), every_steps: 0, keep_last: 1 };
+    let ckpt = dir.join(turl_nn::checkpoint_file_name(pt.progress().steps));
+    let artifact = dir.join("model.artifact");
+    let scalars = pt.store.num_scalars();
+    let size = format!("scalars={scalars}");
+    let mut rows = Vec::new();
+    let mut row = |op: &str, f: &mut dyn FnMut()| {
+        rows.push(entry(op, size.clone(), 1, time_ns(f, window_ms), scalars));
+    };
+    row("ckpt_save", &mut || pt.save_checkpoint(&policy).expect("checkpoint save"));
+    row("ckpt_load", &mut || {
+        std::hint::black_box(turl_nn::load_trainer_checkpoint(&ckpt).expect("checkpoint load"));
+    });
+    row("artifact_export", &mut || {
+        turl_nn::export_artifact(&pt.store, &artifact, &turl_nn::ExportOptions::default())
+            .expect("artifact export");
+    });
+    row("artifact_load", &mut || {
+        std::hint::black_box(turl_nn::load_artifact(&artifact).expect("artifact load"));
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    rows
 }
 
 /// Serialize entries to the tracked JSON file.

@@ -6,13 +6,17 @@ use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use turl_audit::AuditError;
 use turl_core::tasks::cell_filling::CellFiller;
-use turl_core::{probe as probe_mod, CheckpointPolicy, EncodedInput, Pretrainer, TurlConfig};
+use turl_core::{
+    bind_store, probe as probe_mod, CheckpointPolicy, EncodedInput, Pretrainer, TurlConfig,
+    TurlModel,
+};
 use turl_data::{CorpusStats, LinearizeConfig, TableInstance, Vocab};
 use turl_kb::tasks::build_cell_filling;
 use turl_kb::{
     generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig, CorpusSplits,
     KnowledgeBase, PipelineConfig, WorldConfig,
 };
+use turl_nn::ParamStore;
 use turl_obs::{info, warn};
 
 /// Top-level usage text.
@@ -21,29 +25,28 @@ pub const USAGE: &str = "turl — TURL reproduction CLI
 USAGE:
   turl world    [--entities N] [--seed S]
   turl corpus   [--entities N] [--tables N] [--seed S] [--out corpus.json]
-  turl pretrain [--entities N] [--tables N] [--epochs E] [--seed S] [--out model.json]
+  turl pretrain [--entities N] [--tables N] [--epochs E] [--seed S] [--out model.artifact]
                 [--checkpoint-dir DIR] [--checkpoint-every N] [--checkpoint-keep K]
                 [--resume] [--metrics-out run.jsonl]
-  turl probe    [--entities N] [--tables N] [--epochs E] [--seed S] [--ckpt model.json]
-  turl fill     [--entities N] [--tables N] [--epochs E] [--seed S] [--ckpt model.json]
-  turl infer    [--entities N] [--tables N] [--seed S] [--ckpt model.json] [--reps N]
-                [--artifact model.artifact [--tolerance T]]
-  turl export   [--entities N] [--tables N] [--epochs E] [--seed S] [--ckpt model.json]
-                [--out model.artifact] [--dtype f32|int8] [--min-quant-elems N]
+  turl probe    [--entities N] [--tables N] [--epochs E] [--seed S] [--artifact model.artifact]
+  turl fill     [--entities N] [--tables N] [--epochs E] [--seed S] [--artifact model.artifact]
+  turl infer    [--entities N] [--tables N] [--seed S] [--reps N]
+                [--artifact model.artifact [--reference f32.artifact [--tolerance T]]]
+  turl export   [--entities N] [--tables N] [--epochs E] [--seed S] [--artifact model.artifact]
+                [--out model-int8.artifact] [--dtype f32|int8] [--min-quant-elems N]
   turl audit    [--entities N] [--tables N] [--seed S]
   turl plan     [--words N] [--plan-entities N] [--tokens N] [--seq-entities N]
                 [--mention-tokens N] [--mlm N] [--mer N] [--candidates N]
                 [--eps F] [--int8-scale S]
   turl bench    [--quick] [--threads 1,2,4] [--out BENCH_pretrain.json]
                 [--baseline FILE [--factor 2.0]]
-  turl serve    [--entities N] [--tables N] [--seed S]
-                [--artifact model.artifact | --ckpt model.json]
+  turl serve    [--entities N] [--tables N] [--seed S] [--artifact model.artifact]
                 [--addr 127.0.0.1:7433] [--workers N] [--conns N]
                 [--max-batch N] [--max-wait-us U] [--queue-depth N]
                 [--cache-cap N] [--plan-cache-cap N]
                 [--trace-out traces.jsonl] [--no-trace]
   turl client   [--addr HOST:PORT] [--requests N] [--concurrency C]
-                [--check-parity [--artifact F | --ckpt F]] [--shutdown]
+                [--check-parity --artifact F] [--shutdown]
   turl top      [--addr HOST:PORT] [--interval-ms MS] [--iters N]
   turl report   <run.jsonl>
 
@@ -62,13 +65,17 @@ profiles, and flags anomalies (loss spikes, ratio drift, pool
 starvation, non-finite skips). It exits non-zero on schema violations
 or when the file records no events or spans.
 
-`pretrain` with --checkpoint-dir writes a crash-safe trainer checkpoint
-(parameters, Adam state, RNG, epoch progress) every --checkpoint-every
-optimizer steps (default 25), keeping the newest --checkpoint-keep
-files (default 3). --resume restores the newest valid checkpoint from
-the directory — corrupt or truncated files are skipped with a warning —
-and continues until --epochs total epochs, bit-identical to a run that
-was never interrupted.
+`pretrain --out` writes the trained weights as an f32 model artifact,
+the one weights file every other command takes as --artifact (a file
+that does not hold the model's parameters at the model's shapes is
+refused at load, naming the parameter). With --checkpoint-dir it also
+writes a crash-safe trainer checkpoint (parameters, Adam state, RNG,
+epoch progress) every --checkpoint-every optimizer steps (default 25),
+keeping the newest --checkpoint-keep files (default 3). --resume
+restores the newest valid checkpoint from the directory — corrupt or
+truncated files are skipped with a warning — and continues until
+--epochs total epochs, bit-identical to a run that was never
+interrupted.
 
 `infer` runs the compiled graph-free inference path: the forward plan
 is lowered through the audit IR, fused (mask+softmax, layer norm,
@@ -76,24 +83,25 @@ bias+GELU), and executed out of one liveness-planned arena with no
 autograd tape and no per-op allocation. The command first proves the
 compiled path bit-exact against the graph forward on every validation
 table, then reports tokens/sec for both paths and the speedup. --reps
-controls the timing loop; --ckpt reuses a pre-trained checkpoint
+controls the timing loop; --artifact runs it on pre-trained f32 weights
 instead of fresh parameters.
 
-`export` writes a single-file model artifact: one checksummed frame
-(same FNV-1a header discipline as trainer checkpoints) holding every
-parameter in a binary little-endian layout. --dtype int8 block-
-quantizes rank-2 tensors of at least --min-quant-elems elements
-(32-wide blocks, one f32 scale each — 1.125 bytes/weight, ~3.5x
-smaller than f32); biases and layer-norm parameters always stay f32.
+`export` rewrites a model artifact (--artifact; without it a model is
+pre-trained first): one checksummed frame (same FNV-1a header
+discipline as trainer checkpoints) holding every parameter in a binary
+little-endian layout. --dtype int8 block-quantizes rank-2 tensors of at
+least --min-quant-elems elements (32-wide blocks, one f32 scale each —
+1.125 bytes/weight, ~3.5x smaller than f32); biases and layer-norm
+parameters always stay f32.
 
-`infer --artifact` binds an artifact directly into the compiled
-executor — quantized weights stream through in-register-dequant int8
-kernels, nothing is densified up front. With --ckpt it also gates
-correctness: an f32 artifact must be bit-exact against the in-memory
-parameters on every validation table; an int8 artifact must keep the
-§6.8 object-entity probe within --tolerance (default 0.05) of the f32
-accuracy. Quantized parameters are re-proven through the plan-level
-range analysis with their exact ±127·scale dequantization bounds.
+`infer --artifact` with an int8 artifact binds it directly into the
+compiled executor — quantized weights stream through in-register-
+dequant int8 kernels, nothing is densified up front — and re-proves
+the quantized parameters through the plan-level range analysis with
+their exact ±127·scale dequantization bounds. With --reference (the
+f32 artifact it was exported from) it also gates accuracy: the §6.8
+object-entity probe must stay within --tolerance (default 0.05) of the
+f32 weights'.
 
 `serve` runs a long-lived HTTP/JSON inference daemon over the compiled
 graph-free forward: POST a table (corpus JSON schema) to /v1/encode,
@@ -132,8 +140,8 @@ calls over the validation split — each client thread holds one
 kept-alive connection and the achieved connection-reuse rate is
 reported — then prints the server's /metrics.json summary.
 --check-parity recomputes every response locally (from the same
---artifact or --ckpt the server loaded) and fails unless each one
-matches bit-for-bit; --shutdown asks the daemon to exit afterwards.
+--artifact the server loaded) and fails unless each one matches
+bit-for-bit; --shutdown asks the daemon to exit afterwards.
 
 `plan --int8-scale S` runs the same abstract interpreter with every
 embedding table and linear weight bounded by its int8 dequantization
@@ -171,7 +179,8 @@ recorded, not gated.
 
 Defaults: --entities 800, --tables 400, --epochs 6, --seed 0.
 All commands regenerate the deterministic synthetic world from the seed;
-checkpoints written by `pretrain` can be reused by `probe`/`fill` via --ckpt.";
+the artifact `pretrain --out` writes is what `probe`, `fill`, `infer`,
+`export`, `serve` and `client` take as --artifact.";
 
 struct Setup {
     kb: KnowledgeBase,
@@ -226,39 +235,67 @@ fn encode(s: &Setup, tables: &[turl_data::Table]) -> Vec<(TableInstance, Encoded
         .collect()
 }
 
-/// Restore a `pretrain --out` checkpoint into a fresh trainer's store.
-fn load_ckpt_into(pt: &mut Pretrainer, ckpt: &str) -> Result<(), String> {
-    let loaded = turl_nn::load_store(Path::new(ckpt)).map_err(|e| e.to_string())?;
-    let copied = pt.store.load_matching(&loaded);
-    if copied != pt.store.len() {
-        return Err(format!(
-            "checkpoint {ckpt} restored only {copied}/{} parameters — \
-             was it written with the same --entities/--tables/--seed?",
-            pt.store.len()
-        ));
-    }
-    info(format!("loaded checkpoint {ckpt}"));
-    Ok(())
+/// The model `s` describes, its parameters registered into `store`
+/// with the initialization `Pretrainer::new` gives them.
+fn new_model(s: &Setup, store: &mut ParamStore) -> TurlModel {
+    let mut rng = StdRng::seed_from_u64(s.cfg.seed);
+    TurlModel::new(store, &mut rng, s.cfg, s.vocab.len(), s.kb.n_entities())
 }
 
-fn make_pretrainer(s: &Setup, opts: &Options) -> Result<Pretrainer, String> {
+/// The weights of an artifact file, for `model`. The one place a weights
+/// file enters a command: whatever [`bind_store`] does not accept for
+/// this model is refused here, before any forward.
+fn load_weights(model: &TurlModel, artifact: &str) -> Result<ParamStore, String> {
+    let store =
+        turl_nn::load_artifact(Path::new(artifact)).map_err(|e| format!("{artifact}: {e}"))?;
+    bind_store(model, &store).map_err(|e| {
+        format!(
+            "{artifact} does not fit the model: {e} — \
+             was it written with the same --entities/--tables/--seed?"
+        )
+    })?;
+    let bytes = std::fs::metadata(artifact).map(|m| m.len()).unwrap_or(0);
+    info(format!(
+        "loaded artifact {artifact}: {} tensors ({} quantized), {bytes} bytes",
+        store.len(),
+        n_quantized(&store)
+    ));
+    Ok(store)
+}
+
+/// The model `s` describes over the weights of an artifact file.
+fn load_model(s: &Setup, artifact: &str) -> Result<(TurlModel, ParamStore), String> {
+    // Only the model is kept: the store it registers into goes at once,
+    // so initial values, gradients and Adam moments are never resident
+    // next to the loaded weights.
+    let model = new_model(s, &mut ParamStore::new());
+    let store = load_weights(&model, artifact)?;
+    Ok((model, store))
+}
+
+fn n_quantized(store: &ParamStore) -> usize {
+    store.ids().filter(|&id| store.value(id).quantized().is_some()).count()
+}
+
+/// The `--artifact` weights when given, a model pre-trained here and now
+/// otherwise.
+fn model_and_store(s: &Setup, opts: &Options) -> Result<(TurlModel, ParamStore), String> {
+    let artifact = opts.get("artifact", "");
+    if !artifact.is_empty() {
+        return load_model(s, &artifact);
+    }
     let mut pt =
         Pretrainer::new(s.cfg, s.vocab.len(), s.kb.n_entities(), s.vocab.mask_id() as usize);
-    let ckpt = opts.get("ckpt", "");
-    if !ckpt.is_empty() {
-        load_ckpt_into(&mut pt, &ckpt)?;
-    } else {
-        let epochs = opts.get_usize("epochs", 6)?;
-        let data = encode(s, &s.splits.train);
-        info(format!("pre-training: {} tables x {epochs} epochs ...", data.len()));
-        let stats = pt.train(&data, &s.cooccur, epochs);
-        info(format!(
-            "loss {:.3} -> {:.3}",
-            stats.epoch_losses.first().copied().unwrap_or(f32::NAN),
-            stats.epoch_losses.last().copied().unwrap_or(f32::NAN)
-        ));
-    }
-    Ok(pt)
+    let epochs = opts.get_usize("epochs", 6)?;
+    let data = encode(s, &s.splits.train);
+    info(format!("pre-training: {} tables x {epochs} epochs ...", data.len()));
+    let stats = pt.train(&data, &s.cooccur, epochs);
+    info(format!(
+        "loss {:.3} -> {:.3}",
+        stats.epoch_losses.first().copied().unwrap_or(f32::NAN),
+        stats.epoch_losses.last().copied().unwrap_or(f32::NAN)
+    ));
+    Ok((pt.model, pt.store))
 }
 
 /// `turl world`: print the synthetic world summary.
@@ -300,8 +337,9 @@ pub fn corpus(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `turl pretrain`: pre-train and checkpoint, optionally crash-safe
-/// (periodic trainer checkpoints + exact resume).
+/// `turl pretrain`: pre-train and write the weights as an f32 model
+/// artifact, optionally crash-safe (periodic trainer checkpoints + exact
+/// resume).
 pub fn pretrain(opts: &Options) -> Result<(), String> {
     let s = setup(opts)?;
     let epochs = opts.get_usize("epochs", 6)?;
@@ -323,7 +361,8 @@ pub fn pretrain(opts: &Options) -> Result<(), String> {
         })
     };
     if resume {
-        let rec = turl_nn::recover_latest(Path::new(&ckpt_dir)).map_err(|e| e.to_string())?;
+        let rec = turl_nn::recover_latest(Path::new(&ckpt_dir))
+            .map_err(|e| format!("checkpoint directory {ckpt_dir}: {e}"))?;
         for (path, err) in &rec.rejected {
             warn(format!("warning: skipping corrupt checkpoint {}: {err}", path.display()));
         }
@@ -343,8 +382,9 @@ pub fn pretrain(opts: &Options) -> Result<(), String> {
 
     let data = encode(&s, &s.splits.train);
     info(format!("pre-training: {} tables until {epochs} total epochs ...", data.len()));
-    let stats =
-        pt.train_until(&data, &s.cooccur, epochs, policy.as_ref()).map_err(|e| e.to_string())?;
+    let stats = pt
+        .train_until(&data, &s.cooccur, epochs, policy.as_ref())
+        .map_err(|e| format!("checkpoint in {ckpt_dir}: {e}"))?;
     let first = stats.epoch_losses.first().copied().unwrap_or(f32::NAN);
     let last = stats.epoch_losses.last().copied().unwrap_or(f32::NAN);
     info(format!("loss {first:.3} -> {last:.3} over {} optimizer steps", stats.steps));
@@ -359,20 +399,21 @@ pub fn pretrain(opts: &Options) -> Result<(), String> {
     // contract and must not change.
     info(format!("final loss {last:.6} bits {:#010x}", last.to_bits()));
 
-    let out = opts.get("out", "turl-model.json");
-    turl_nn::save_store(&pt.store, Path::new(&out)).map_err(|e| e.to_string())?;
-    info(format!("wrote checkpoint to {out} ({} parameters)", pt.store.num_scalars()));
+    let out = opts.get("out", "turl-model.artifact");
+    turl_nn::export_artifact(&pt.store, Path::new(&out), &turl_nn::ExportOptions::default())
+        .map_err(|e| format!("{out}: {e}"))?;
+    info(format!("wrote model artifact {out} ({} parameters)", pt.store.num_scalars()));
     Ok(())
 }
 
 /// `turl probe`: object-entity prediction accuracy on validation.
 pub fn probe(opts: &Options) -> Result<(), String> {
     let s = setup(opts)?;
-    let pt = make_pretrainer(&s, opts)?;
+    let (model, store) = model_and_store(&s, opts)?;
     let val = encode(&s, &s.splits.validation);
     let acc = probe_mod::object_entity_accuracy(
-        &pt.model,
-        &pt.store,
+        &model,
+        &store,
         &val,
         &s.cooccur,
         s.vocab.mask_id() as usize,
@@ -392,46 +433,48 @@ pub fn probe(opts: &Options) -> Result<(), String> {
 pub fn infer(opts: &Options) -> Result<(), String> {
     let s = setup(opts)?;
     let artifact = opts.get("artifact", "");
-    if !artifact.is_empty() {
-        return infer_artifact(&s, opts, &artifact);
-    }
-    let mut pt =
-        Pretrainer::new(s.cfg, s.vocab.len(), s.kb.n_entities(), s.vocab.mask_id() as usize);
-    let ckpt = opts.get("ckpt", "");
-    if !ckpt.is_empty() {
-        load_ckpt_into(&mut pt, &ckpt)?;
-    }
+    let (model, store) = if artifact.is_empty() {
+        let mut store = ParamStore::new();
+        (new_model(&s, &mut store), store)
+    } else {
+        load_model(&s, &artifact)?
+    };
+    let (model, store) = (&model, &store);
     let reps = opts.get_usize("reps", 10)?;
     let data = encode(&s, &s.splits.validation);
     if data.is_empty() {
         return Err("validation split is empty".to_string());
     }
-    let model = &pt.model;
-    let store = &pt.store;
+    let quantized = n_quantized(store) > 0;
     let mut rng = StdRng::seed_from_u64(0);
-
-    // 1. Correctness: every table bit-exact, graph vs compiled.
     let mut cf = model.compiled();
-    let mut total_elems = 0usize;
-    for (i, (_, enc)) in data.iter().enumerate() {
-        let mut f = turl_nn::Forward::inference(store);
-        let h = model.encode(&mut f, store, &mut rng, enc);
-        let want = f.graph.value(h);
-        let got = cf.encode(model, store, enc).map_err(|e| e.to_string())?;
-        let equal = got.shape() == want.shape()
-            && got.data().iter().zip(want.data().iter()).all(|(a, b)| a.to_bits() == b.to_bits());
-        if !equal {
-            return Err(format!("compiled forward diverged from graph on table {i}"));
+
+    // 1. Correctness. The tape reads f32 only, so an int8 store has no
+    //    graph twin to compare with and gets the quantized gates instead.
+    if quantized {
+        quantized_gates(&s, opts, model, store, &data)?;
+    } else {
+        for (i, (_, enc)) in data.iter().enumerate() {
+            let mut f = turl_nn::Forward::inference(store);
+            let h = model.encode(&mut f, store, &mut rng, enc);
+            let want = f.graph.value(h);
+            let got = cf.encode(model, store, enc).map_err(|e| e.to_string())?;
+            let equal = got.shape() == want.shape()
+                && got
+                    .data()
+                    .iter()
+                    .zip(want.data().iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+            if !equal {
+                return Err(format!("compiled forward diverged from graph on table {i}"));
+            }
         }
-        total_elems += enc.seq_len();
-    }
-    info(format!(
-        "parity: {} tables bit-exact (graph vs compiled), {} plan shape(s) compiled",
-        data.len(),
-        cf.compiled_shapes()
-    ));
-    if let Some((_, enc)) = data.first() {
-        let plan = cf.plan_for(model, store, enc).map_err(|e| e.to_string())?;
+        info(format!(
+            "parity: {} tables bit-exact (graph vs compiled), {} plan shape(s) compiled",
+            data.len(),
+            cf.compiled_shapes()
+        ));
+        let plan = cf.plan_for(model, store, &data[0].1).map_err(|e| e.to_string())?;
         info(format!(
             "arena: peak {} bytes | naive total {} bytes | reuse factor {:.2}x | {} fused steps",
             plan.peak_bytes,
@@ -441,16 +484,20 @@ pub fn infer(opts: &Options) -> Result<(), String> {
         ));
     }
 
-    // 2. Throughput: identical work through both paths.
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        for (_, enc) in &data {
-            let mut f = turl_nn::Forward::inference(store);
-            let h = model.encode(&mut f, store, &mut rng, enc);
-            std::hint::black_box(f.graph.value(h).data().first().copied());
+    // 2. Throughput: identical work through both paths (quantized
+    //    weights stream through the in-register-dequant q8 kernels;
+    //    nothing is densified up front).
+    let graph_secs = (!quantized).then(|| {
+        let t0 = std::time::Instant::now();
+        for _ in 0..reps {
+            for (_, enc) in &data {
+                let mut f = turl_nn::Forward::inference(store);
+                let h = model.encode(&mut f, store, &mut rng, enc);
+                std::hint::black_box(f.graph.value(h).data().first().copied());
+            }
         }
-    }
-    let graph_secs = t0.elapsed().as_secs_f64();
+        t0.elapsed().as_secs_f64()
+    });
     let t1 = std::time::Instant::now();
     for _ in 0..reps {
         let span = turl_obs::span("infer_rep").field("tables", data.len() as u64);
@@ -468,57 +515,26 @@ pub fn infer(opts: &Options) -> Result<(), String> {
         turl_obs::emit_profile_events();
     }
 
-    let work = (total_elems * reps) as f64;
-    info(format!(
-        "graph:    {:>10.0} tokens/sec ({:.1} ms total)",
-        work / graph_secs,
-        graph_secs * 1e3
-    ));
-    info(format!(
-        "compiled: {:>10.0} tokens/sec ({:.1} ms total)",
-        work / compiled_secs,
-        compiled_secs * 1e3
-    ));
-    info(format!("speedup:  {:.2}x", graph_secs / compiled_secs));
-    Ok(())
-}
-
-/// Load a `turl export` artifact and check it against a freshly
-/// initialized store: same tensor count, same parameter order. Catches
-/// artifacts exported under different --entities/--tables/--seed before
-/// they can silently produce garbage.
-fn load_artifact_checked(
-    expected: &turl_nn::ParamStore,
-    artifact: &str,
-) -> Result<turl_nn::ParamStore, String> {
-    let store = turl_nn::load_artifact(Path::new(artifact)).map_err(|e| e.to_string())?;
-    if store.len() != expected.len() {
-        return Err(format!(
-            "artifact {artifact} holds {} tensors, the model needs {} — \
-             was it exported with the same --entities/--tables/--seed?",
-            store.len(),
-            expected.len()
-        ));
-    }
-    for (a, b) in expected.ids().zip(store.ids()) {
-        if expected.name(a) != store.name(b) {
-            return Err(format!(
-                "artifact parameter order diverges at `{}` (model expects `{}`)",
-                store.name(b),
-                expected.name(a)
-            ));
+    let work = (reps * data.iter().map(|(_, enc)| enc.seq_len()).sum::<usize>()) as f64;
+    let rate = |secs: f64| format!("{:>10.0} tokens/sec ({:.1} ms total)", work / secs, secs * 1e3);
+    match graph_secs {
+        Some(graph_secs) => {
+            info(format!("graph:    {}", rate(graph_secs)));
+            info(format!("compiled: {}", rate(compiled_secs)));
+            info(format!("speedup:  {:.2}x", graph_secs / compiled_secs));
         }
+        None => info(format!("compiled (int8): {}", rate(compiled_secs))),
     }
-    Ok(store)
+    Ok(())
 }
 
 /// `turl export`: write the model's parameters as a single-file,
 /// checksummed artifact, optionally block-quantizing the big matrices
-/// to int8. With `--ckpt` the artifact snapshots a pre-trained model;
+/// to int8. With `--artifact` it rewrites a pre-trained model's weights;
 /// without it, a fresh model is pre-trained first (same as `probe`).
 pub fn export(opts: &Options) -> Result<(), String> {
     let s = setup(opts)?;
-    let pt = make_pretrainer(&s, opts)?;
+    let (_, store) = model_and_store(&s, opts)?;
     let quantize = match opts.get("dtype", "f32").as_str() {
         "f32" => false,
         "int8" | "i8b32" => true,
@@ -527,7 +543,7 @@ pub fn export(opts: &Options) -> Result<(), String> {
     let min_quant_elems = opts.get_usize("min-quant-elems", 1024)?;
     let out = opts.get("out", "turl-model.artifact");
     let summary = turl_nn::export_artifact(
-        &pt.store,
+        &store,
         Path::new(&out),
         &turl_nn::ExportOptions { quantize, min_quant_elems },
     )
@@ -561,127 +577,64 @@ fn quant_range_overrides(store: &turl_nn::ParamStore) -> Vec<(String, turl_audit
     overrides
 }
 
-/// `turl infer --artifact`: graph-free inference from a single-file
-/// artifact. An all-f32 artifact with `--ckpt` is proven **bit-exact**
-/// against the in-memory parameters on every validation table; an int8
-/// artifact with `--ckpt` is gated on the §6.8 object-entity probe
-/// staying within `--tolerance` of the f32 accuracy. Quantized
-/// parameters are additionally threaded through the plan-level range
+/// The correctness gates of `turl infer` on an int8 artifact. The
+/// quantized parameters are threaded through the plan-level range
 /// analysis with their `±127·scale` dequantization bounds, so the
-/// NaN/overflow/normalizer proofs cover the int8 forward.
-fn infer_artifact(s: &Setup, opts: &Options, artifact: &str) -> Result<(), String> {
-    let mut pt =
-        Pretrainer::new(s.cfg, s.vocab.len(), s.kb.n_entities(), s.vocab.mask_id() as usize);
-    let store = load_artifact_checked(&pt.store, artifact)?;
-    let n_quant = store.ids().filter(|&id| store.value(id).quantized().is_some()).count();
-    let bytes = std::fs::metadata(artifact).map(|m| m.len()).unwrap_or(0);
-    info(format!(
-        "loaded artifact {artifact}: {} tensors ({n_quant} quantized), {bytes} bytes",
-        store.len()
-    ));
-
-    let data = encode(s, &s.splits.validation);
-    if data.is_empty() {
-        return Err("validation split is empty".to_string());
-    }
-
-    // Range analysis, threaded through dtype: re-prove the plan with
-    // the quantized sources' actual dequantization bounds.
-    if n_quant > 0 {
-        let (_, enc) = &data[0];
-        let plan = turl_core::audit::plan_for_input(
-            turl_core::audit::model_plan(&s.cfg, pt.model.word_emb.vocab, pt.model.n_entities()),
-            enc,
-        );
-        let overrides = quant_range_overrides(&store);
-        let analysis =
-            turl_audit::analyze_model_plan_with(&plan, &overrides).map_err(|e| e.to_string())?;
-        if !analysis.errors.is_empty() {
-            for e in &analysis.errors {
-                warn(format!("range violation: {e}"));
-            }
-            return Err(format!(
-                "quantized range analysis found {} violation(s)",
-                analysis.errors.len()
-            ));
+/// NaN/overflow/normalizer proofs cover the int8 forward; with
+/// `--reference` (the f32 artifact of the same weights) the §6.8
+/// object-entity probe must stay within `--tolerance` of the f32 accuracy.
+fn quantized_gates(
+    s: &Setup,
+    opts: &Options,
+    model: &TurlModel,
+    store: &ParamStore,
+    data: &[(TableInstance, EncodedInput)],
+) -> Result<(), String> {
+    let plan = turl_core::audit::plan_for_input(
+        turl_core::audit::model_plan(&s.cfg, model.word_emb.vocab, model.n_entities()),
+        &data[0].1,
+    );
+    let overrides = quant_range_overrides(store);
+    let analysis =
+        turl_audit::analyze_model_plan_with(&plan, &overrides).map_err(|e| e.to_string())?;
+    if !analysis.errors.is_empty() {
+        for e in &analysis.errors {
+            warn(format!("range violation: {e}"));
         }
-        info(format!(
-            "ranges: ok — proofs hold with {} quantized source bound(s) of ±127·scale",
-            overrides.len()
+        return Err(format!(
+            "quantized range analysis found {} violation(s)",
+            analysis.errors.len()
         ));
     }
-
-    let ckpt = opts.get("ckpt", "");
-    if !ckpt.is_empty() {
-        load_ckpt_into(&mut pt, &ckpt)?;
-        if n_quant == 0 {
-            // f32 artifact: the compiled forward must be bit-exact
-            // against the in-memory parameters on every table.
-            let mut cf_ref = pt.model.compiled();
-            let mut cf_art = pt.model.compiled();
-            for (i, (_, enc)) in data.iter().enumerate() {
-                let want = cf_ref.encode(&pt.model, &pt.store, enc).map_err(|e| e.to_string())?;
-                let got = cf_art.encode(&pt.model, &store, enc).map_err(|e| e.to_string())?;
-                let equal = got.shape() == want.shape()
-                    && got
-                        .data()
-                        .iter()
-                        .zip(want.data().iter())
-                        .all(|(a, b)| a.to_bits() == b.to_bits());
-                if !equal {
-                    return Err(format!(
-                        "f32 artifact diverged from in-memory parameters on table {i}"
-                    ));
-                }
-            }
-            info(format!("parity: {} tables bit-exact (artifact vs in-memory)", data.len()));
-        } else {
-            // int8 artifact: §6.8 probe both ways, delta gated.
-            let tolerance: f64 = {
-                let t = opts.get("tolerance", "0.05");
-                t.parse().map_err(|_| format!("--tolerance expects a number, got `{t}`"))?
-            };
-            let mask_id = s.vocab.mask_id() as usize;
-            let acc_f32 = probe_mod::object_entity_accuracy(
-                &pt.model, &pt.store, &data, &s.cooccur, mask_id, 0, 300,
-            );
-            let acc_int8 = probe_mod::object_entity_accuracy(
-                &pt.model, &store, &data, &s.cooccur, mask_id, 0, 300,
-            );
-            let delta = (acc_f32 - acc_int8).abs();
-            info(format!(
-                "probe: f32 {acc_f32:.3} vs int8 {acc_int8:.3} (|delta| {delta:.3}, \
-                 tolerance {tolerance})"
-            ));
-            if delta > tolerance {
-                return Err(format!(
-                    "int8 probe accuracy drifted {delta:.3} from f32 (tolerance {tolerance})"
-                ));
-            }
-        }
-    }
-
-    // Throughput through the compiled arena executor with the artifact's
-    // parameters bound directly (quantized weights stream through the
-    // in-register-dequant q8 kernels; nothing is densified up front).
-    let reps = opts.get_usize("reps", 10)?;
-    let total_elems: usize = data.iter().map(|(_, enc)| enc.seq_len()).sum();
-    let mut cf = pt.model.compiled();
-    let t0 = std::time::Instant::now();
-    for _ in 0..reps {
-        for (_, enc) in &data {
-            let out = cf.encode(&pt.model, &store, enc).map_err(|e| e.to_string())?;
-            std::hint::black_box(out.data().first().copied());
-        }
-    }
-    let secs = t0.elapsed().as_secs_f64();
     info(format!(
-        "compiled ({}): {:>10.0} tokens/sec ({:.1} ms total, {} tables x {reps} reps)",
-        if n_quant > 0 { "int8" } else { "f32" },
-        (total_elems * reps) as f64 / secs,
-        secs * 1e3,
-        data.len()
+        "ranges: ok — proofs hold with {} quantized source bound(s) of ±127·scale",
+        overrides.len()
     ));
+
+    let reference = opts.get("reference", "");
+    if reference.is_empty() {
+        return Ok(());
+    }
+    let store_f32 = load_weights(model, &reference)?;
+    let tolerance: f64 = {
+        let t = opts.get("tolerance", "0.05");
+        t.parse().map_err(|_| format!("--tolerance expects a number, got `{t}`"))?
+    };
+    let mask_id = s.vocab.mask_id() as usize;
+    let acc_f32 =
+        probe_mod::object_entity_accuracy(model, &store_f32, data, &s.cooccur, mask_id, 0, 300);
+    let acc_int8 =
+        probe_mod::object_entity_accuracy(model, store, data, &s.cooccur, mask_id, 0, 300);
+    let delta = (acc_f32 - acc_int8).abs();
+    info(format!(
+        "probe: f32 {acc_f32:.3} vs int8 {acc_int8:.3} (|delta| {delta:.3}, \
+         tolerance {tolerance})"
+    ));
+    if delta > tolerance {
+        return Err(format!(
+            "int8 probe accuracy drifted {delta:.3} from f32 (tolerance {tolerance})"
+        ));
+    }
     Ok(())
 }
 
@@ -1176,9 +1129,9 @@ pub fn report(args: &[String]) -> Result<(), String> {
 /// `turl fill`: zero-shot cell filling on the test split.
 pub fn fill(opts: &Options) -> Result<(), String> {
     let s = setup(opts)?;
-    let pt = make_pretrainer(&s, opts)?;
+    let (model, store) = model_and_store(&s, opts)?;
     let examples = build_cell_filling(&s.splits.test, &s.cooccur, 3, true);
-    let filler = CellFiller::new(&pt.model, &pt.store);
+    let filler = CellFiller::new(&model, &store);
     let ps = filler.precision_at(&s.vocab, &s.kb, &s.splits.test, &examples, &[1, 3, 5, 10]);
     info(format!(
         "cell filling over {} instances: P@1 {:.1}  P@3 {:.1}  P@5 {:.1}  P@10 {:.1}",
@@ -1188,8 +1141,6 @@ pub fn fill(opts: &Options) -> Result<(), String> {
         100.0 * ps[2],
         100.0 * ps[3]
     ));
-    let mut rng = StdRng::seed_from_u64(1);
-    let _ = &mut rng;
     for ex in examples.iter().filter(|e| e.candidates.len() > 1).take(3) {
         let ranked = filler.rank(&s.vocab, &s.kb, &s.splits.test, ex);
         info(format!(
@@ -1204,26 +1155,16 @@ pub fn fill(opts: &Options) -> Result<(), String> {
 }
 
 /// `turl serve`: the long-running HTTP/JSON inference daemon. Loads
-/// parameters from a `turl export` artifact (preferred — f32 or int8),
-/// a `pretrain --out` checkpoint, or by pre-training fresh, then serves
+/// parameters from a model artifact (`pretrain --out` or `turl export`,
+/// f32 or int8 — refused before `listen` if it does not fit the model)
+/// or by pre-training fresh, then serves
 /// the TUBE task endpoints plus `/healthz` and `/metrics` until SIGTERM
 /// or `POST /admin/shutdown`. Responses are bit-identical to offline
 /// `turl infer` on the same tables, including under concurrent
 /// micro-batched load.
 pub fn serve(opts: &Options) -> Result<(), String> {
     let s = setup(opts)?;
-    let artifact = opts.get("artifact", "");
-    let (model, store) = if !artifact.is_empty() {
-        let pt =
-            Pretrainer::new(s.cfg, s.vocab.len(), s.kb.n_entities(), s.vocab.mask_id() as usize);
-        let store = load_artifact_checked(&pt.store, &artifact)?;
-        let n_quant = store.ids().filter(|&id| store.value(id).quantized().is_some()).count();
-        info(format!("loaded artifact {artifact}: {} tensors ({n_quant} quantized)", store.len()));
-        (pt.model, store)
-    } else {
-        let pt = make_pretrainer(&s, opts)?;
-        (pt.model, pt.store)
-    };
+    let (model, store) = model_and_store(&s, opts)?;
     let defaults = turl_serve::ServeOptions::default();
     let sopts = turl_serve::ServeOptions {
         addr: opts.get("addr", &defaults.addr),
@@ -1248,8 +1189,8 @@ pub fn serve(opts: &Options) -> Result<(), String> {
 /// concurrent `/v1/encode` requests over the validation split, then
 /// summarize the server's `/metrics`. With `--check-parity` every
 /// response is compared bit-for-bit against a locally computed compiled
-/// forward using the same `--artifact` (or `--ckpt`) the server loaded
-/// — the CI smoke gate for serving parity.
+/// forward using the same `--artifact` the server loaded — the CI smoke
+/// gate for serving parity.
 pub fn client(opts: &Options) -> Result<(), String> {
     let s = setup(opts)?;
     let addr = opts.get("addr", "127.0.0.1:7433");
@@ -1285,22 +1226,13 @@ pub fn client(opts: &Options) -> Result<(), String> {
     // Local bit-exact references, computed the same way the server's
     // session encodes: linearize, encode, compiled forward.
     let expected: Vec<Vec<u32>> = if check_parity {
-        let pt =
-            Pretrainer::new(s.cfg, s.vocab.len(), s.kb.n_entities(), s.vocab.mask_id() as usize);
         let artifact = opts.get("artifact", "");
-        let ckpt = opts.get("ckpt", "");
-        let (model, store) = if !artifact.is_empty() {
-            let store = load_artifact_checked(&pt.store, &artifact)?;
-            (pt.model, store)
-        } else if !ckpt.is_empty() {
-            let mut pt = pt;
-            load_ckpt_into(&mut pt, &ckpt)?;
-            (pt.model, pt.store)
-        } else {
+        if artifact.is_empty() {
             return Err("--check-parity needs the server's parameters: pass the same \
-                 --artifact (or --ckpt) the daemon was started with"
+                 --artifact the daemon was started with"
                 .to_string());
-        };
+        }
+        let (model, store) = load_model(&s, &artifact)?;
         let mut cf = model.compiled();
         let data = encode(&s, &s.splits.validation);
         data.iter()

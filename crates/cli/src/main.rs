@@ -3,16 +3,16 @@
 //! ```text
 //! turl world    [--entities N] [--seed S]            inspect a synthetic world
 //! turl corpus   [--tables N] [--seed S] [--out F]    generate + partition a corpus
-//! turl pretrain [--tables N] [--epochs E] [--out F]  pre-train and checkpoint
+//! turl pretrain [--tables N] [--epochs E] [--out F]  pre-train, write the model artifact
 //!               [--checkpoint-dir D] [--checkpoint-every N] [--resume]
 //!                                                    crash-safe periodic
 //!                                                    checkpoints, exact resume
 //!               [--metrics-out run.jsonl]            structured JSONL telemetry
-//! turl probe    [--ckpt F] [...]                     object-entity prediction probe
-//! turl fill     [--ckpt F] [...]                     zero-shot cell filling demo
-//! turl infer    [--ckpt F] [--reps N]                compiled graph-free inference
-//!               [--artifact F [--tolerance T]]       ... from a model artifact
-//! turl export   [--ckpt F] [--out F] [--dtype D]     single-file model artifact
+//! turl probe    [--artifact F] [...]                 object-entity prediction probe
+//! turl fill     [--artifact F] [...]                 zero-shot cell filling demo
+//! turl infer    [--artifact F] [--reps N]            compiled graph-free inference
+//!               [--reference F [--tolerance T]]      ... int8 probe gate vs the f32 artifact
+//! turl export   [--artifact F] [--out F] [--dtype D] rewrite the artifact, f32 or int8
 //! turl audit    [--entities N] [--tables N] [--seed S]  static invariant checks
 //! turl plan     [--eps F] [...]                      IR + value ranges + arena plan
 //! turl bench    [--quick] [--threads 1,2,4] [--out F]   throughput benchmark

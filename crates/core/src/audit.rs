@@ -67,6 +67,22 @@ pub fn plan_for_input(base: ModelPlan, input: &EncodedInput) -> ModelPlan {
     }
 }
 
+/// [`model_plan`] over the probe sequence with both pre-training heads
+/// on: the smallest plan whose IR names every parameter of the model.
+/// [`validate_config`] type-checks it, `bind_store` reads the parameter
+/// shapes off it.
+pub(crate) fn probe_plan(cfg: &TurlConfig, n_words: usize, n_entities: usize) -> ModelPlan {
+    ModelPlan {
+        n_tokens: PROBE_TOKENS,
+        n_seq_entities: PROBE_ENTITIES,
+        n_mention_tokens: PROBE_MENTION_TOKENS,
+        n_mlm_targets: PROBE_MLM_TARGETS,
+        n_mer_targets: PROBE_MER_TARGETS,
+        n_candidates: PROBE_CANDIDATES.min(n_entities.max(1)),
+        ..model_plan(cfg, n_words, n_entities)
+    }
+}
+
 /// Statically validate `cfg` for a vocabulary of `n_words` words and
 /// `n_entities` entities: the §4.4 masking ratios must be well-formed and
 /// a full symbolic forward pass (both pre-training heads included) must
@@ -81,16 +97,7 @@ pub fn validate_config(
         cfg.pretrain.mer_select_ratio,
         cfg.pretrain.mer_mention_keep_share,
     )?;
-    let plan = ModelPlan {
-        n_tokens: PROBE_TOKENS,
-        n_seq_entities: PROBE_ENTITIES,
-        n_mention_tokens: PROBE_MENTION_TOKENS,
-        n_mlm_targets: PROBE_MLM_TARGETS,
-        n_mer_targets: PROBE_MER_TARGETS,
-        n_candidates: PROBE_CANDIDATES.min(n_entities.max(1)),
-        ..model_plan(cfg, n_words, n_entities)
-    };
-    check_model_plan(&plan)
+    check_model_plan(&probe_plan(cfg, n_words, n_entities))
 }
 
 #[cfg(test)]

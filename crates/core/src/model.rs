@@ -1,12 +1,15 @@
 //! The TURL model: embedding layer, structure-aware encoder, and the
 //! projection heads used by pre-training and fine-tuning.
 
-use crate::audit::{model_plan, plan_for_input};
+use crate::audit::{model_plan, plan_for_input, probe_plan};
 use crate::config::TurlConfig;
 use crate::input::{EncodedInput, InputBinding};
 use rand::Rng;
 use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind};
-use turl_nn::{Dropout, Embedding, Forward, LayerNorm, Linear, ParamStore, TransformerBlock};
+use turl_exec::ExecError;
+use turl_nn::{
+    Dropout, Embedding, Forward, LayerNorm, Linear, ParamId, ParamStore, TransformerBlock,
+};
 use turl_tensor::{Tensor, Var};
 
 /// Store name of the parameter an IR source stands for; `None` for the
@@ -21,6 +24,47 @@ pub(crate) fn param_name(kind: &SourceKind, label: &str) -> Option<String> {
         }
         SourceKind::Mask | SourceKind::AvgMatrix | SourceKind::ZeroConst => None,
     }
+}
+
+/// The one check between a model and the weights it is about to run on,
+/// whichever file or trainer they came from: every parameter the model's
+/// IR reads (the probe plan, both heads on, named by [`param_name`]) must
+/// be in `store` with the IR's shape, at the [`ParamId`] the model's
+/// layers hold for it (some heads read by id). Dense and block-quantized
+/// tensors both bind; whatever else the store holds is ignored. A store
+/// that passes cannot fail a forward of this model on a missing or
+/// mis-shaped parameter: this is that [`ExecError::Binding`], at load.
+pub fn bind_store(model: &TurlModel, store: &ParamStore) -> Result<(), ExecError> {
+    let plan = probe_plan(&model.cfg, model.word_emb.vocab, model.n_entities());
+    let ir = lower_model_plan(&plan).expect("TurlModel::new validated this plan");
+    for node in ir.nodes() {
+        let OpKind::Source(kind) = &node.kind else { continue };
+        let Some(param) = param_name(kind, &node.label) else { continue };
+        let refuse = |why: String| Err(ExecError::Binding(format!("parameter `{param}`: {why}")));
+        let Some(found) = store.find(&param) else {
+            return refuse("not in the store".to_string());
+        };
+        let shape = store.value(found).shape();
+        if shape != node.shape {
+            return refuse(format!(
+                "the model needs shape {:?}, the store holds {shape:?}",
+                node.shape
+            ));
+        }
+        let (held, _) = model
+            .params
+            .iter()
+            .find(|(_, name)| *name == param)
+            .expect("the IR reads only parameters TurlModel::new registered");
+        if *held != found {
+            return refuse(format!(
+                "entry {} of the store, entry {} of the model's registration order",
+                found.index(),
+                held.index()
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// TURL: embedding layer (§4.2), visibility-masked Transformer stack
@@ -48,6 +92,9 @@ pub struct TurlModel {
     pub mlm_proj: Linear,
     /// MER output projection (Eqn. 6).
     pub mer_proj: Linear,
+    /// Every parameter [`TurlModel::new`] registered, under the id the
+    /// layers above hold for it.
+    params: Vec<(ParamId, String)>,
 }
 
 impl TurlModel {
@@ -66,10 +113,11 @@ impl TurlModel {
             panic!("TurlModel::new rejected by static audit: {e}");
         }
         let d = cfg.encoder.d_model;
+        let first = store.len();
         let blocks = (0..cfg.encoder.n_layers)
             .map(|i| TransformerBlock::new(store, rng, &format!("turl.block{i}"), &cfg.encoder))
             .collect();
-        Self {
+        let mut model = Self {
             word_emb: Embedding::new(store, rng, "turl.word_emb", n_words, d),
             token_type_emb: Embedding::new(store, rng, "turl.token_type_emb", 2, d),
             pos_emb: Embedding::new(store, rng, "turl.pos_emb", cfg.max_position, d),
@@ -81,7 +129,10 @@ impl TurlModel {
             mlm_proj: Linear::new(store, rng, "turl.mlm_proj", d, d, true),
             mer_proj: Linear::new(store, rng, "turl.mer_proj", d, d, true),
             cfg,
-        }
+            params: Vec::new(),
+        };
+        model.params = store.ids().skip(first).map(|id| (id, store.name(id).to_string())).collect();
+        model
     }
 
     /// Model hidden dimension.
@@ -262,6 +313,49 @@ mod tests {
             ],
             mask: None,
         }
+    }
+
+    #[test]
+    fn bind_store_accepts_what_the_model_registered_and_names_what_it_refuses() {
+        let (store, model, _) = tiny_model();
+        assert_eq!(bind_store(&model, &store), Ok(()));
+        // the IR reads every parameter `new` registered: nothing escapes the check
+        let ir = lower_model_plan(&probe_plan(&model.cfg, 50, 20)).unwrap();
+        for (_, name) in &model.params {
+            let is_source = |n: &turl_audit::IrNode| {
+                matches!(&n.kind, OpKind::Source(k)
+                if param_name(k, &n.label).as_deref() == Some(name.as_str()))
+            };
+            assert!(ir.nodes().iter().any(is_source), "`{name}` is not an IR source");
+        }
+        // `store` as a loaded artifact holds it — inference entries, big
+        // matrices block-quantized — after `lead` and without `skip`
+        let rebuilt = |lead: Option<&str>, skip: &str| {
+            let mut out = ParamStore::new();
+            lead.map(|name| out.register_inference(name, Tensor::zeros(vec![3])));
+            for id in store.ids().filter(|&id| store.name(id) != skip) {
+                let t = store.value(id);
+                let t = if t.len() >= 256 { t.quantize_i8() } else { t.clone() };
+                out.register_inference(store.name(id), t);
+            }
+            out
+        };
+        let refusal = |s: &ParamStore| bind_store(&model, s).unwrap_err().to_string();
+        let mut extra = rebuilt(None, "");
+        extra.register_inference("task.head", Tensor::zeros(vec![3]));
+        assert_eq!(bind_store(&model, &extra), Ok(()), "int8 weights and trailing extras bind");
+
+        // written for another entity vocabulary
+        let mut other = ParamStore::new();
+        TurlModel::new(&mut other, &mut StdRng::seed_from_u64(9), model.cfg, 50, 30);
+        let why = refusal(&other);
+        assert!(why.contains("`turl.ent_emb.weight`: the model needs shape [21, 16]"), "{why}");
+        assert!(why.contains("holds [31, 16]"), "{why}");
+        let why = refusal(&rebuilt(None, "turl.mer_proj.bias"));
+        assert!(why.contains("`turl.mer_proj.bias`: not in the store"), "{why}");
+        // same names and shapes at other indices: the ids the layers hold
+        // would read the wrong tensors
+        assert!(refusal(&rebuilt(Some("task.head"), "")).contains("registration order"));
     }
 
     #[test]

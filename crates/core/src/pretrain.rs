@@ -14,9 +14,9 @@ use turl_audit::{lower_model_plan, ModelPlan};
 use turl_data::TableInstance;
 use turl_kb::CooccurrenceIndex;
 use turl_nn::{
-    prune_checkpoints, restore_params, save_trainer_checkpoint, snapshot_params, Adam, AdamConfig,
-    Forward, LinearDecaySchedule, ParamStore, ProgressState, RngStateRepr, SerializeError,
-    TrainerCheckpoint, CHECKPOINT_VERSION,
+    prune_checkpoints, remove_stale_temps, restore_params, save_trainer_checkpoint,
+    snapshot_params, Adam, AdamConfig, Forward, LinearDecaySchedule, ParamStore, ProgressState,
+    RngStateRepr, SerializeError, TrainerCheckpoint, CHECKPOINT_VERSION,
 };
 use turl_tensor::{pool, BufferPool};
 
@@ -218,7 +218,7 @@ impl StepOutcome {
 /// Where, how often, and how many trainer checkpoints to keep.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
-    /// Directory for `ckpt-<step>.json` files (created on first save).
+    /// Directory for `ckpt-<step>.ckpt` files (created on first save).
     pub dir: PathBuf,
     /// Save every N optimizer steps (0 = only at the end of training).
     pub every_steps: u64,
@@ -769,12 +769,15 @@ impl Pretrainer {
         Ok(())
     }
 
-    /// Atomically write `ckpt-<step>.json` under the policy directory and
+    /// Atomically write `ckpt-<step>.ckpt` under the policy directory,
+    /// remove the temp files of writers that died there (this trainer
+    /// owns the directory and its own write is already renamed), and
     /// prune checkpoints beyond the retention window.
     pub fn save_checkpoint(&self, policy: &CheckpointPolicy) -> Result<(), SerializeError> {
         std::fs::create_dir_all(&policy.dir)?;
         let path = policy.dir.join(turl_nn::checkpoint_file_name(self.progress.steps));
         save_trainer_checkpoint(&self.snapshot(), &path)?;
+        remove_stale_temps(&policy.dir)?;
         if policy.keep_last > 0 {
             prune_checkpoints(&policy.dir, policy.keep_last)?;
         }
@@ -1342,6 +1345,32 @@ mod tests {
         );
         resumed.restore(&ckpt).unwrap();
         assert_eq!(resumed.opt.steps(), ckpt.adam_steps);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_dead_writers_temp_file_is_gone_after_the_next_save() {
+        let (kb, vocab, data, cooccur) = setup();
+        let dir = std::env::temp_dir().join(format!("turl_orphan_test_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        // what SIGKILL between `open` and `rename` leaves behind
+        let orphan = dir.join(format!("{}.tmp", turl_nn::checkpoint_file_name(41)));
+        std::fs::write(&orphan, b"most of a checkpoint").unwrap();
+        let rec = turl_nn::recover_latest(&dir).unwrap();
+        assert!(rec.checkpoint.is_none() && rec.rejected.is_empty(), "a temp file was listed");
+        // keep_last 0 never prunes: the sweep does not depend on retention
+        let policy = CheckpointPolicy { dir: dir.clone(), every_steps: 1, keep_last: 0 };
+        let mut pt = Pretrainer::new(
+            TurlConfig::tiny(8),
+            vocab.len(),
+            kb.n_entities(),
+            vocab.mask_id() as usize,
+        );
+        pt.train_until(&data[..2.min(data.len())], &cooccur, 1, Some(&policy)).unwrap();
+        assert!(!orphan.exists(), "orphan survived a checkpointing step");
+        let rec = turl_nn::recover_latest(&dir).unwrap();
+        assert!(rec.checkpoint.is_some() && rec.rejected.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -69,6 +69,11 @@ impl InputChannels {
 
 /// Clone a pre-trained model into a fresh (model, store) pair so each
 /// fine-tuning variant starts from identical weights.
+///
+/// # Panics
+/// Panics when `pretrained` does not hold this model's parameters
+/// ([`bind_store`](crate::bind_store)): fine-tuning from a partly
+/// random model is never what the caller meant.
 pub fn clone_pretrained(
     cfg: TurlConfig,
     n_words: usize,
@@ -78,8 +83,10 @@ pub fn clone_pretrained(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut store = ParamStore::new();
     let model = TurlModel::new(&mut store, &mut rng, cfg, n_words, n_entities);
-    let copied = store.load_matching(pretrained);
-    debug_assert!(copied > 0, "no parameters copied from pre-trained store");
+    if let Err(e) = crate::bind_store(&model, pretrained) {
+        panic!("clone_pretrained: {e}");
+    }
+    store.load_matching(pretrained);
     (model, store)
 }
 

@@ -1,28 +1,21 @@
-//! Single-file model artifacts: the wire format behind `turl export`.
+//! Single-file model artifacts: *the* weights file. `turl pretrain --out`
+//! and `turl export` write one, every command that takes pre-trained
+//! weights (`--artifact`) and the `exp_*` cache read one.
 //!
 //! An artifact is a frozen, inference-only snapshot of a [`ParamStore`]:
 //! one file, framed by the same header discipline as trainer checkpoints
 //! (JSON header line with magic / version / payload length / FNV-1a 64
 //! checksum, via the shared `write_framed` / `read_framed` path in
-//! `serialize`), followed by a **binary** little-endian payload rather
-//! than JSON — weights dominate the bytes and a text encoding would
-//! quadruple them.
+//! `serialize`), followed by a **binary** little-endian payload — weights
+//! dominate the bytes and a text encoding more than quintuples them.
 //!
 //! # Payload layout (version 1)
 //!
 //! ```text
 //! u32            n_tensors
-//! per tensor:
-//!   u16          name_len
-//!   name_len×u8  name (UTF-8)
-//!   u8           dtype tag        0 = f32, 1 = i8b32
-//!   u8           rank
-//!   rank×u32     dims
-//!   …zero pad to the next 64-byte boundary (relative to payload start)…
-//!   f32 data:    len×f32          row-major
-//!   i8b32 data:  u32 rows, u32 cols,
-//!                rows·⌈cols/32⌉×f32  per-block scales,
-//!                rows·cols×i8        quantized values
+//! n_tensors ×    one tensor record (name, dtype tag, shape, 64-byte
+//!                aligned data: see the `codec` module, which trainer
+//!                checkpoints share)
 //! ```
 //!
 //! Bulk arrays start on 64-byte boundaries so a future mmap-backed
@@ -34,16 +27,19 @@
 //! Quantization policy lives in the **exporter**, not the format:
 //! [`ExportOptions::quantize`] converts rank-2 tensors with at least
 //! [`ExportOptions::min_quant_elems`] elements to `i8b32`
-//! ([`Tensor::quantize_i8`]); 1-D tensors (biases, layer-norm gains)
+//! ([`turl_tensor::Tensor::quantize_i8`]); 1-D tensors (biases, layer-norm gains)
 //! always stay f32. That policy matches exactly the set of tensors the
 //! compiled forward can read quantized (gather tables and plain-matmul
 //! right-hand sides), so a loaded store binds into `CompiledForward`
-//! without any dequantize-on-bind fallback.
+//! without any dequantize-on-bind fallback. The default options give the
+//! bit-exact f32 snapshot `pretrain --out` writes.
+//!
+//! Whether a loaded store fits a given model is `turl_core::bind_store`'s
+//! question, asked once for every caller.
 
 use std::path::Path;
 
-use turl_tensor::{QuantBlocks, Tensor};
-
+use crate::codec::{decode_tensor, encode_tensor, push_u32, Reader};
 use crate::params::ParamStore;
 use crate::serialize::{read_framed, write_framed, SerializeError};
 
@@ -56,10 +52,7 @@ pub const ARTIFACT_MAGIC: &str = "turl-model-artifact";
 
 /// Alignment (bytes, relative to payload start) of every tensor's bulk
 /// data section.
-pub const ARTIFACT_ALIGN: usize = 64;
-
-const DTYPE_TAG_F32: u8 = 0;
-const DTYPE_TAG_I8B32: u8 = 1;
+pub const ARTIFACT_ALIGN: usize = crate::codec::ALIGN;
 
 /// Exporter policy knobs for [`export_artifact`].
 #[derive(Debug, Clone)]
@@ -103,69 +96,6 @@ impl ArtifactSummary {
     }
 }
 
-fn push_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn pad_to_align(buf: &mut Vec<u8>) {
-    let target = buf.len().next_multiple_of(ARTIFACT_ALIGN);
-    buf.resize(target, 0);
-}
-
-fn encode_tensor(buf: &mut Vec<u8>, name: &str, t: &Tensor) -> Result<(), SerializeError> {
-    if name.len() > u16::MAX as usize {
-        return Err(SerializeError::InvalidState(format!(
-            "parameter name too long for artifact ({} bytes)",
-            name.len()
-        )));
-    }
-    if t.shape().len() > u8::MAX as usize {
-        return Err(SerializeError::InvalidState(format!(
-            "`{name}`: rank {} exceeds artifact limit",
-            t.shape().len()
-        )));
-    }
-    push_u16(buf, name.len() as u16);
-    buf.extend_from_slice(name.as_bytes());
-    match t.quantized() {
-        None => buf.push(DTYPE_TAG_F32),
-        Some(_) => buf.push(DTYPE_TAG_I8B32),
-    }
-    buf.push(t.shape().len() as u8);
-    for &d in t.shape() {
-        if d > u32::MAX as usize {
-            return Err(SerializeError::InvalidState(format!("`{name}`: dim {d} overflows u32")));
-        }
-        push_u32(buf, d as u32);
-    }
-    pad_to_align(buf);
-    match t.quantized() {
-        None => {
-            for &x in t.data() {
-                if !x.is_finite() {
-                    return Err(SerializeError::NonFinite { param: name.to_string() });
-                }
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        Some(q) => {
-            push_u32(buf, q.rows() as u32);
-            push_u32(buf, q.cols() as u32);
-            for &s in q.scales() {
-                buf.extend_from_slice(&s.to_le_bytes());
-            }
-            // i8 → u8 is a pure reinterpretation; two's complement
-            // round-trips exactly through `as`.
-            buf.extend(q.quants().iter().map(|&v| v as u8));
-        }
-    }
-    Ok(())
-}
-
 /// Write every parameter of `store` to a single artifact file at `path`,
 /// applying the quantization policy in `opts`. Tensors are written in
 /// registration order, which [`load_artifact`] preserves — so `ParamId`
@@ -191,11 +121,17 @@ pub fn export_artifact(
             && value.as_f32().is_some()
             && value.shape().len() == 2
             && value.len() >= opts.min_quant_elems;
-        let stored = if quantize { value.quantize_i8() } else { value.clone() };
+        let requantized;
+        let stored = if quantize {
+            requantized = value.quantize_i8();
+            &requantized
+        } else {
+            value
+        };
         if stored.quantized().is_some() {
             quantized += 1;
         }
-        encode_tensor(&mut payload, store.name(id), &stored)?;
+        encode_tensor(&mut payload, store.name(id), stored)?;
     }
     let summary = ArtifactSummary {
         tensors: store.len(),
@@ -220,98 +156,6 @@ pub fn export_artifact(
 
 /// Latency buckets (milliseconds) for artifact write/read timing.
 const ARTIFACT_LATENCY_BUCKETS_MS: &[f64] = &[1.0, 5.0, 20.0, 100.0, 500.0, 2000.0];
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], SerializeError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len()).ok_or_else(|| {
-            SerializeError::InvalidState(format!(
-                "artifact payload ends inside {what} (offset {})",
-                self.pos
-            ))
-        })?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, SerializeError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u16(&mut self, what: &str) -> Result<u16, SerializeError> {
-        let b = self.take(2, what)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, SerializeError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn f32s(&mut self, n: usize, what: &str) -> Result<Vec<f32>, SerializeError> {
-        let bytes = self.take(n.saturating_mul(4), what)?;
-        Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect())
-    }
-
-    fn align(&mut self) -> Result<(), SerializeError> {
-        let target = self.pos.next_multiple_of(ARTIFACT_ALIGN);
-        if target > self.buf.len() {
-            return Err(SerializeError::InvalidState(
-                "artifact payload ends inside alignment padding".to_string(),
-            ));
-        }
-        self.pos = target;
-        Ok(())
-    }
-}
-
-fn decode_tensor(r: &mut Reader<'_>) -> Result<(String, Tensor), SerializeError> {
-    let name_len = r.u16("tensor name length")? as usize;
-    let name = std::str::from_utf8(r.take(name_len, "tensor name")?)
-        .map_err(|_| SerializeError::InvalidState("tensor name is not UTF-8".to_string()))?
-        .to_string();
-    let tag = r.u8("dtype tag")?;
-    let rank = r.u8("tensor rank")? as usize;
-    let mut shape = Vec::with_capacity(rank);
-    for _ in 0..rank {
-        shape.push(r.u32("tensor dim")? as usize);
-    }
-    let len = shape.iter().try_fold(1usize, |acc, &d| acc.checked_mul(d)).ok_or_else(|| {
-        SerializeError::InvalidState(format!("`{name}`: shape {shape:?} overflows"))
-    })?;
-    r.align()?;
-    match tag {
-        DTYPE_TAG_F32 => {
-            let data = r.f32s(len, "f32 tensor data")?;
-            if data.iter().any(|x| !x.is_finite()) {
-                return Err(SerializeError::NonFinite { param: name });
-            }
-            Ok((name.clone(), Tensor::from_vec(shape, data)))
-        }
-        DTYPE_TAG_I8B32 => {
-            let rows = r.u32("quant rows")? as usize;
-            let cols = r.u32("quant cols")? as usize;
-            if rows.checked_mul(cols) != Some(len) {
-                return Err(SerializeError::InvalidState(format!(
-                    "`{name}`: quantized layout {rows}×{cols} disagrees with shape {shape:?}"
-                )));
-            }
-            let bpr = cols.div_ceil(turl_tensor::QBLOCK);
-            let scales = r.f32s(rows * bpr, "quant scales")?;
-            let quants: Vec<i8> =
-                r.take(rows * cols, "quant values")?.iter().map(|&b| b as i8).collect();
-            let blocks = QuantBlocks::from_parts(rows, cols, scales, quants)
-                .map_err(|e| SerializeError::InvalidState(format!("`{name}`: {e}")))?;
-            Ok((name.clone(), Tensor::from_quantized(shape, blocks)))
-        }
-        other => Err(SerializeError::InvalidState(format!("`{name}`: unknown dtype tag {other}"))),
-    }
-}
 
 /// Load an artifact into a fresh inference-only [`ParamStore`].
 ///
@@ -346,12 +190,7 @@ fn load_artifact_inner(path: &Path) -> Result<ParamStore, SerializeError> {
         }
         store.register_inference(name, tensor);
     }
-    if r.pos != payload.len() {
-        return Err(SerializeError::InvalidState(format!(
-            "{} trailing bytes after the last tensor",
-            payload.len() - r.pos
-        )));
-    }
+    r.finish()?;
     Ok(store)
 }
 
@@ -359,6 +198,7 @@ fn load_artifact_inner(path: &Path) -> Result<ParamStore, SerializeError> {
 mod tests {
     use super::*;
     use std::fs;
+    use turl_tensor::Tensor;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("turl-artifact-{tag}-{}", std::process::id()));
@@ -462,10 +302,44 @@ mod tests {
     }
 
     #[test]
+    fn load_missing_file_is_error() {
+        let err = load_artifact(Path::new("/nonexistent/turl.artifact")).err().expect("must fail");
+        assert!(matches!(err, SerializeError::Io(_)));
+    }
+
+    #[test]
+    fn loaded_store_feeds_load_matching() {
+        let dir = tmp_dir("matching");
+        let path = dir.join("model.turl");
+        let mut src = ParamStore::new();
+        src.register("w", Tensor::full(vec![2], 7.0));
+        export_artifact(&src, &path, &ExportOptions::default()).unwrap();
+        let loaded = load_artifact(&path).unwrap();
+        let mut dst = ParamStore::new();
+        dst.register("w", Tensor::zeros(vec![2]));
+        assert_eq!(dst.load_matching(&loaded), 1);
+        assert_eq!(dst.value(dst.find("w").unwrap()).data(), &[7.0, 7.0]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn legacy_json_weights_file_is_a_bad_header() {
+        // What `pretrain --out` wrote before the artifact replaced it: one
+        // line of JSON, no frame.
+        let dir = tmp_dir("legacy");
+        let path = dir.join("model.json");
+        fs::write(&path, r#"{"params":[["w",{"shape":[2],"data":[7,7]}]]}"#).unwrap();
+        assert!(matches!(load_artifact(&path), Err(SerializeError::BadHeader(_))));
+        fs::write(&path, "{\"params\":[[\"w\",{\"shape\":[2],\n\"data\":[7,7]}]]}\n").unwrap();
+        assert!(matches!(load_artifact(&path), Err(SerializeError::BadHeader(_))));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn checkpoint_magic_is_rejected() {
         let dir = tmp_dir("magic");
         let path = dir.join("file");
-        crate::serialize::write_framed(&path, "turl-trainer-checkpoint", 1, b"{}").unwrap();
+        write_framed(&path, "turl-trainer-checkpoint", 1, b"{}").unwrap();
         match load_artifact(&path) {
             Err(SerializeError::BadHeader(msg)) => assert!(msg.contains("magic")),
             Err(other) => panic!("expected BadHeader, got {other:?}"),

@@ -37,6 +37,7 @@
 
 mod artifact;
 mod attention;
+mod codec;
 mod layers;
 mod optim;
 mod params;
@@ -54,8 +55,8 @@ pub use optim::{clip_grad_norm, Adam, AdamConfig, ClipReport};
 pub use params::{Forward, ParamId, ParamStore};
 pub use schedule::LinearDecaySchedule;
 pub use serialize::{
-    checkpoint_file_name, list_checkpoints, load_store, load_trainer_checkpoint, prune_checkpoints,
-    recover_latest, restore_params, save_store, save_trainer_checkpoint, snapshot_params,
+    checkpoint_file_name, list_checkpoints, load_trainer_checkpoint, prune_checkpoints,
+    recover_latest, remove_stale_temps, restore_params, save_trainer_checkpoint, snapshot_params,
     CheckpointRecovery, ParamRecord, ProgressState, RngStateRepr, SerializeError,
     TrainerCheckpoint, CHECKPOINT_VERSION,
 };

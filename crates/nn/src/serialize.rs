@@ -1,20 +1,26 @@
-//! Checkpointing: crash-safe serialization of the full trainer state.
+//! Checkpointing: crash-safe serialization of the full trainer state,
+//! and the file frame it shares with model artifacts.
 //!
-//! Two formats live here:
+//! A [`TrainerCheckpoint`] ([`save_trainer_checkpoint`] /
+//! [`load_trainer_checkpoint`]) is the versioned resume format: parameter
+//! values, Adam moments (`m`/`v`) and step counter, the trainer RNG
+//! state, the learning-rate schedule, and the training-loop progress
+//! counters, so an interrupted run restarts bit-identically. It belongs
+//! to one run — what a finished run hands on is a model artifact — so a
+//! file of an older format version is refused
+//! ([`SerializeError::UnsupportedVersion`]), not migrated.
 //!
-//! * [`save_store`] / [`load_store`] — the legacy weights-only JSON dump,
-//!   still used for final model artifacts (`turl pretrain --out`).
-//! * [`TrainerCheckpoint`] with [`save_trainer_checkpoint`] /
-//!   [`load_trainer_checkpoint`] — the versioned resume format carrying
-//!   parameter values, Adam moments (`m`/`v`) and step counter, the
-//!   trainer RNG state, the learning-rate schedule, and the training-loop
-//!   progress counters, so an interrupted run restarts bit-identically.
-//!
-//! # On-disk layout of a trainer checkpoint
+//! # On-disk layout of a trainer checkpoint (version 2)
 //!
 //! ```text
-//! {"magic":"turl-trainer-checkpoint","version":1,"payload_bytes":N,"checksum":"<fnv1a64 hex>"}\n
-//! <payload: N bytes of JSON for the TrainerCheckpoint itself>
+//! {"magic":"turl-trainer-checkpoint","version":2,"payload_bytes":N,"checksum":"<fnv1a64 hex>"}\n
+//! <payload, N bytes:>
+//!   u32            meta_len
+//!   meta_len×u8    JSON: Adam config and step, RNG words, schedule,
+//!                  progress, and per parameter its name and frozen flag
+//!   per parameter, in that order: value, m, v — three tensor records of
+//!                  the `codec` module (what an artifact's tensors are
+//!                  written as), f32 only, each named after its parameter
 //! ```
 //!
 //! The header line is self-delimiting, so a file truncated at *any* byte
@@ -22,27 +28,32 @@
 //! the JSON parse fails ([`SerializeError::BadHeader`]), after it the
 //! payload length mismatches ([`SerializeError::Truncated`]), and a
 //! same-length corruption fails the checksum
-//! ([`SerializeError::ChecksumMismatch`]). Writes go to a `*.tmp` sibling,
-//! are fsynced, and are renamed over the target (with a directory fsync),
-//! so a crash mid-write never clobbers the previous checkpoint.
+//! ([`SerializeError::ChecksumMismatch`]). A checksummed payload is still
+//! not trusted: `meta_len` and every tensor length are checked against
+//! the bytes present. Writes go to a `<name>.tmp` sibling, are fsynced,
+//! and are renamed over the target (with a directory fsync), so a crash
+//! mid-write never clobbers the previous checkpoint; the temp file such
+//! a crash leaves is removed by [`remove_stale_temps`].
 
+use crate::codec::{decode_tensor, encode_tensor, push_u32, Reader};
 use crate::optim::AdamConfig;
 use crate::params::ParamStore;
 use crate::schedule::LinearDecaySchedule;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use turl_tensor::Tensor;
 
 /// Current trainer-checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 const CHECKPOINT_MAGIC: &str = "turl-trainer-checkpoint";
 
-/// Error produced while saving or loading a checkpoint.
+/// Error produced while saving or loading a trainer checkpoint or a model
+/// artifact (the two share the frame and the tensor codec).
 #[derive(Debug)]
 pub enum SerializeError {
     /// Underlying I/O failure.
@@ -51,7 +62,7 @@ pub enum SerializeError {
     Json(serde_json::Error),
     /// The header line is missing, garbled, or carries the wrong magic.
     BadHeader(String),
-    /// The checkpoint was written by an incompatible format version.
+    /// The file was written by an incompatible format version.
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
@@ -82,35 +93,35 @@ pub enum SerializeError {
         /// Human-readable description of the divergence.
         detail: String,
     },
-    /// The checkpoint content is internally inconsistent.
+    /// The payload is internally inconsistent or cannot be represented.
     InvalidState(String),
 }
 
 impl fmt::Display for SerializeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SerializeError::Io(e) => write!(f, "checkpoint I/O error: {e}"),
-            SerializeError::Json(e) => write!(f, "checkpoint JSON error: {e}"),
-            SerializeError::BadHeader(d) => write!(f, "checkpoint header invalid: {d}"),
+            SerializeError::Io(e) => write!(f, "I/O error: {e}"),
+            SerializeError::Json(e) => write!(f, "JSON error: {e}"),
+            SerializeError::BadHeader(d) => write!(f, "header invalid: {d}"),
             SerializeError::UnsupportedVersion { found, supported } => {
-                write!(
-                    f,
-                    "checkpoint format version {found} unsupported (this build reads {supported})"
-                )
+                write!(f, "format version {found} unsupported (this build reads {supported})")
             }
             SerializeError::Truncated { expected, actual } => {
-                write!(f, "checkpoint truncated or padded: header promises {expected} payload bytes, found {actual}")
+                write!(f, "file truncated or padded: header promises {expected} payload bytes, found {actual}")
             }
             SerializeError::ChecksumMismatch { expected, actual } => {
-                write!(f, "checkpoint checksum mismatch: header {expected:#018x}, payload hashes to {actual:#018x}")
+                write!(
+                    f,
+                    "checksum mismatch: header {expected:#018x}, payload hashes to {actual:#018x}"
+                )
             }
             SerializeError::NonFinite { param } => {
-                write!(f, "checkpoint parameter `{param}` holds non-finite values")
+                write!(f, "parameter `{param}` holds non-finite values")
             }
             SerializeError::ParamMismatch { detail } => {
                 write!(f, "checkpoint does not match the live model: {detail}")
             }
-            SerializeError::InvalidState(d) => write!(f, "checkpoint state invalid: {d}"),
+            SerializeError::InvalidState(d) => write!(f, "content invalid: {d}"),
         }
     }
 }
@@ -130,40 +141,11 @@ impl From<serde_json::Error> for SerializeError {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy weights-only store files
-// ---------------------------------------------------------------------------
-
-#[derive(Serialize, Deserialize)]
-struct Checkpoint {
-    params: Vec<(String, Tensor)>,
-}
-
-/// Write every parameter value (not optimizer state) to a JSON file.
-/// The write is atomic: data lands in a `*.tmp` sibling first.
-pub fn save_store(store: &ParamStore, path: &Path) -> Result<(), SerializeError> {
-    let params =
-        store.entries().iter().map(|e| (e.name.clone(), Tensor::clone(&e.value))).collect();
-    let text = serde_json::to_string(&Checkpoint { params })?;
-    write_atomic(path, text.as_bytes())
-}
-
-/// Load a checkpoint into a fresh store (parameters in saved order).
-pub fn load_store(path: &Path) -> Result<ParamStore, SerializeError> {
-    let f = BufReader::new(File::open(path)?);
-    let ckpt: Checkpoint = serde_json::from_reader(f)?;
-    let mut store = ParamStore::new();
-    for (name, value) in ckpt.params {
-        store.register(name, value);
-    }
-    Ok(store)
-}
-
-// ---------------------------------------------------------------------------
 // Full trainer checkpoints
 // ---------------------------------------------------------------------------
 
 /// One parameter's full training state: value, Adam moments, frozen flag.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ParamRecord {
     /// Registered parameter name.
     pub name: String,
@@ -232,9 +214,9 @@ impl RngStateRepr {
 }
 
 /// The complete state of a training run at one step boundary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainerCheckpoint {
-    /// Format version (also enforced in the file header).
+    /// Format version (written to, and enforced from, the file header).
     pub version: u32,
     /// Optimizer hyper-parameters at save time (including scheduled lr).
     pub adam: AdamConfig,
@@ -366,10 +348,9 @@ pub(crate) fn write_framed(
         payload_bytes: payload.len() as u64,
         checksum: format!("{:016x}", fnv1a64(payload)),
     };
-    let mut bytes = serde_json::to_string(&header)?.into_bytes();
-    bytes.push(b'\n');
-    bytes.extend_from_slice(payload);
-    write_atomic(path, &bytes)
+    let mut header = serde_json::to_string(&header)?;
+    header.push('\n');
+    write_atomic(path, &[header.as_bytes(), payload])
 }
 
 /// Read and strictly validate a framed file written by [`write_framed`]:
@@ -407,21 +388,32 @@ pub(crate) fn read_framed(
             actual: payload.len() as u64,
         });
     }
+    // Only the spelling `write_framed` produces is a checksum: `from_str_radix`
+    // alone would also take upper-case digits, a sign, or fewer than 16.
     let expected = u64::from_str_radix(&header.checksum, 16)
-        .map_err(|_| SerializeError::BadHeader(format!("checksum `{}`", header.checksum)))?;
+        .ok()
+        .filter(|sum| format!("{sum:016x}") == header.checksum)
+        .ok_or_else(|| SerializeError::BadHeader(format!("checksum `{}`", header.checksum)))?;
     let actual = fnv1a64(payload);
     if actual != expected {
         return Err(SerializeError::ChecksumMismatch { expected, actual });
     }
-    Ok(bytes.split_off(newline + 1))
+    bytes.drain(..=newline);
+    Ok(bytes)
 }
 
-fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SerializeError> {
+fn write_atomic(path: &Path, parts: &[&[u8]]) -> Result<(), SerializeError> {
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp = path.with_extension("tmp");
+    // The whole file name plus `.tmp`: `model.json` and `model.artifact`
+    // in one directory must not share a temp file.
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     {
         let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
-        f.write_all(bytes)?;
+        for part in parts {
+            f.write_all(part)?;
+        }
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -435,33 +427,137 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), SerializeError> {
     Ok(())
 }
 
+/// Everything in a checkpoint payload that is not a tensor: the JSON
+/// block ahead of the tensor records.
+#[derive(Serialize, Deserialize)]
+struct CheckpointMeta {
+    adam: AdamConfig,
+    adam_steps: u64,
+    rng: RngStateRepr,
+    schedule: Option<LinearDecaySchedule>,
+    progress: ProgressState,
+    params: Vec<ParamMeta>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct ParamMeta {
+    name: String,
+    frozen: bool,
+}
+
+fn encode_checkpoint(ckpt: &TrainerCheckpoint) -> Result<Vec<u8>, SerializeError> {
+    let meta = serde_json::to_string(&CheckpointMeta {
+        adam: ckpt.adam,
+        adam_steps: ckpt.adam_steps,
+        rng: ckpt.rng.clone(),
+        schedule: ckpt.schedule,
+        progress: ckpt.progress.clone(),
+        params: ckpt
+            .params
+            .iter()
+            .map(|r| ParamMeta { name: r.name.clone(), frozen: r.frozen })
+            .collect(),
+    })?;
+    let meta_len = u32::try_from(meta.len()).map_err(|_| {
+        SerializeError::InvalidState(format!("checkpoint metadata of {} bytes", meta.len()))
+    })?;
+    let scalars: usize = ckpt.params.iter().map(|r| r.value.len()).sum();
+    let mut payload = Vec::with_capacity(meta.len() + 12 * scalars + 256 * ckpt.params.len());
+    push_u32(&mut payload, meta_len);
+    payload.extend_from_slice(meta.as_bytes());
+    for r in &ckpt.params {
+        for t in [&r.value, &r.m, &r.v] {
+            if t.quantized().is_some() {
+                return Err(SerializeError::InvalidState(format!(
+                    "`{}` is block-quantized; only an f32 store can be checkpointed",
+                    r.name
+                )));
+            }
+            encode_tensor(&mut payload, &r.name, t)?;
+        }
+    }
+    Ok(payload)
+}
+
+fn decode_checkpoint(payload: &[u8]) -> Result<TrainerCheckpoint, SerializeError> {
+    let mut r = Reader { buf: payload, pos: 0 };
+    let meta_len = r.u32("metadata length")? as usize;
+    let meta_text = std::str::from_utf8(r.take(meta_len, "metadata")?)
+        .map_err(|_| SerializeError::InvalidState("metadata is not UTF-8".to_string()))?;
+    let meta: CheckpointMeta = serde_json::from_str(meta_text)?;
+    meta.rng.to_words()?;
+    let mut params = Vec::new();
+    for p in meta.params {
+        let mut next = |role: &str| {
+            let (name, t) = decode_tensor(&mut r)?;
+            if name != p.name || t.quantized().is_some() {
+                return Err(SerializeError::InvalidState(format!(
+                    "{} tensor `{name}` where the f32 {role} of `{}` belongs",
+                    t.dtype().name(),
+                    p.name
+                )));
+            }
+            Ok(t)
+        };
+        let (value, m, v) = (next("value")?, next("m")?, next("v")?);
+        for t in [&m, &v] {
+            if t.shape() != value.shape() {
+                return Err(SerializeError::InvalidState(format!(
+                    "`{}`: optimizer-state shape {:?} differs from value shape {:?}",
+                    p.name,
+                    t.shape(),
+                    value.shape()
+                )));
+            }
+        }
+        params.push(ParamRecord { name: p.name, value, m, v, frozen: p.frozen });
+    }
+    r.finish()?;
+    Ok(TrainerCheckpoint {
+        version: CHECKPOINT_VERSION,
+        adam: meta.adam,
+        adam_steps: meta.adam_steps,
+        rng: meta.rng,
+        schedule: meta.schedule,
+        progress: meta.progress,
+        params,
+    })
+}
+
 /// Atomically write a trainer checkpoint (header + checksummed payload).
+/// Non-finite or block-quantized state is refused before anything is
+/// written.
 pub fn save_trainer_checkpoint(
     ckpt: &TrainerCheckpoint,
     path: &Path,
 ) -> Result<(), SerializeError> {
     let span = turl_obs::span("checkpoint_write");
     let timer = turl_obs::Timer::start();
-    let payload = serde_json::to_string(ckpt)?;
-    let result = write_framed(path, CHECKPOINT_MAGIC, ckpt.version, payload.as_bytes());
+    let result = encode_checkpoint(ckpt).and_then(|payload| {
+        write_framed(path, CHECKPOINT_MAGIC, ckpt.version, &payload)?;
+        Ok(payload.len() as u64)
+    });
     if turl_obs::metrics_enabled() {
         turl_obs::histogram("checkpoint_write_ms", CKPT_LATENCY_BUCKETS_MS)
             .observe(timer.elapsed_ns() as f64 / 1.0e6);
     }
-    drop(span.field("bytes", payload.len() as u64).field("ok", result.is_ok()));
-    result
+    let bytes = result.as_ref().map_or(0, |&n| n);
+    drop(span.field("bytes", bytes).field("ok", result.is_ok()));
+    result.map(|_| ())
 }
 
 /// Latency buckets (milliseconds) shared by checkpoint write/read timing.
 const CKPT_LATENCY_BUCKETS_MS: &[f64] = &[1.0, 5.0, 20.0, 100.0, 500.0, 2000.0];
 
 /// Load and strictly validate a trainer checkpoint: magic, format version,
-/// payload length, checksum, JSON shape, finite tensors, internally
-/// consistent optimizer-state shapes. Never panics on malformed input.
+/// payload length, checksum, metadata shape, every tensor record in
+/// bounds, f32 and finite, optimizer-state shapes equal to their value's.
+/// Never panics on malformed input.
 pub fn load_trainer_checkpoint(path: &Path) -> Result<TrainerCheckpoint, SerializeError> {
     let span = turl_obs::span("checkpoint_read");
     let timer = turl_obs::Timer::start();
-    let result = load_trainer_checkpoint_inner(path);
+    let result = read_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
+        .and_then(|payload| decode_checkpoint(&payload));
     if turl_obs::metrics_enabled() {
         turl_obs::histogram("checkpoint_read_ms", CKPT_LATENCY_BUCKETS_MS)
             .observe(timer.elapsed_ns() as f64 / 1.0e6);
@@ -470,43 +566,13 @@ pub fn load_trainer_checkpoint(path: &Path) -> Result<TrainerCheckpoint, Seriali
     result
 }
 
-fn load_trainer_checkpoint_inner(path: &Path) -> Result<TrainerCheckpoint, SerializeError> {
-    let payload = read_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
-    let payload_text = std::str::from_utf8(&payload)
-        .map_err(|_| SerializeError::BadHeader("payload is not UTF-8".to_string()))?;
-    let ckpt: TrainerCheckpoint = serde_json::from_str(payload_text)?;
-    if ckpt.version != CHECKPOINT_VERSION {
-        return Err(SerializeError::InvalidState(format!(
-            "payload version {} disagrees with header version {}",
-            ckpt.version, CHECKPOINT_VERSION
-        )));
-    }
-    ckpt.rng.to_words()?;
-    for r in &ckpt.params {
-        for t in [&r.value, &r.m, &r.v] {
-            if t.shape() != r.value.shape() {
-                return Err(SerializeError::InvalidState(format!(
-                    "`{}`: optimizer-state shape {:?} differs from value shape {:?}",
-                    r.name,
-                    t.shape(),
-                    r.value.shape()
-                )));
-            }
-            if t.data().iter().any(|x| !x.is_finite()) {
-                return Err(SerializeError::NonFinite { param: r.name.clone() });
-            }
-        }
-    }
-    Ok(ckpt)
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint directories: naming, discovery, fallback, retention
 // ---------------------------------------------------------------------------
 
 /// Canonical file name for the checkpoint taken at optimizer step `step`.
 pub fn checkpoint_file_name(step: u64) -> String {
-    format!("ckpt-{step:012}.json")
+    format!("ckpt-{step:012}.ckpt")
 }
 
 /// All checkpoint files in `dir`, sorted by ascending step.
@@ -518,7 +584,7 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, SerializeErro
         let Some(name) = name.to_str() else { continue };
         if let Some(step) = name
             .strip_prefix("ckpt-")
-            .and_then(|s| s.strip_suffix(".json"))
+            .and_then(|s| s.strip_suffix(".ckpt"))
             .and_then(|s| s.parse::<u64>().ok())
         {
             out.push((step, entry.path()));
@@ -569,6 +635,22 @@ pub fn prune_checkpoints(dir: &Path, keep: usize) -> Result<usize, SerializeErro
     Ok(removed)
 }
 
+/// Delete every `ckpt-*.tmp` in `dir`: what a writer killed between
+/// opening its temp file and renaming it leaves behind, checkpoint-sized,
+/// never listed by [`list_checkpoints`] and so never pruned. For the one
+/// trainer that owns `dir`, once its own write is renamed into place —
+/// whatever is left then belongs to a dead process.
+pub fn remove_stale_temps(dir: &Path) -> Result<(), SerializeError> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        if name.to_str().is_some_and(|n| n.starts_with("ckpt-") && n.ends_with(".tmp")) {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,44 +661,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("turl_nn_ckpt_{tag}_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
-    }
-
-    #[test]
-    fn roundtrip_preserves_values() {
-        let mut store = ParamStore::new();
-        store.register("a", Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]));
-        store.register("b", Tensor::from_vec(vec![3], vec![-1., 0., 1.]));
-        let dir = tmpdir("legacy");
-        let path = dir.join("ckpt.json");
-        save_store(&store, &path).unwrap();
-        let loaded = load_store(&path).unwrap();
-        assert_eq!(loaded.len(), 2);
-        let a = loaded.find("a").unwrap();
-        assert_eq!(loaded.value(a).data(), &[1., 2., 3., 4.]);
-        let b = loaded.find("b").unwrap();
-        assert_eq!(loaded.value(b).shape(), &[3]);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn load_missing_file_is_error() {
-        let err = load_store(Path::new("/nonexistent/turl.ckpt")).err().expect("must fail");
-        assert!(matches!(err, SerializeError::Io(_)));
-    }
-
-    #[test]
-    fn loaded_store_feeds_load_matching() {
-        let mut src = ParamStore::new();
-        src.register("w", Tensor::full(vec![2], 7.0));
-        let dir = tmpdir("legacy2");
-        let path = dir.join("ckpt.json");
-        save_store(&src, &path).unwrap();
-        let loaded = load_store(&path).unwrap();
-        let mut dst = ParamStore::new();
-        dst.register("w", Tensor::zeros(vec![2]));
-        assert_eq!(dst.load_matching(&loaded), 1);
-        assert_eq!(dst.value(dst.find("w").unwrap()).data(), &[7.0, 7.0]);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A store with populated Adam moments: a couple of real optimizer
@@ -659,6 +703,14 @@ mod tests {
             },
             params: snapshot_params(store),
         }
+    }
+
+    /// Rewrite the payload of the checkpoint at `path` and frame it again,
+    /// so the header's length and checksum vouch for the edited bytes.
+    fn reframe(path: &Path, edit: impl FnOnce(&mut Vec<u8>)) {
+        let mut payload = read_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
+        edit(&mut payload);
+        write_framed(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload).unwrap();
     }
 
     #[test]
@@ -704,7 +756,7 @@ mod tests {
         let path = dir.join(checkpoint_file_name(1));
         save_trainer_checkpoint(&checkpoint_of(&store, &opt), &path).unwrap();
         let bytes = std::fs::read(&path).unwrap();
-        let cut_path = dir.join("cut.json");
+        let cut_path = dir.join("cut.ckpt");
         for cut in 0..bytes.len() {
             std::fs::write(&cut_path, &bytes[..cut]).unwrap();
             assert!(
@@ -739,6 +791,14 @@ mod tests {
             matches!(err, SerializeError::ChecksumMismatch { .. } | SerializeError::Json(_)),
             "got {err}"
         );
+        // and so does every other single bit, header line included
+        bytes[mid] ^= 0x01;
+        for bit in 0..8 * bytes.len() {
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(load_trainer_checkpoint(&path).is_err(), "flip of bit {bit} must be rejected");
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -754,6 +814,12 @@ mod tests {
             load_trainer_checkpoint(&path),
             Err(SerializeError::UnsupportedVersion { .. })
         ));
+        // a version-1 file (JSON payload) is refused by its header, never parsed
+        write_framed(&path, CHECKPOINT_MAGIC, 1, b"{\"version\":1,\"params\":[]}").unwrap();
+        assert!(matches!(
+            load_trainer_checkpoint(&path),
+            Err(SerializeError::UnsupportedVersion { found: 1, supported: CHECKPOINT_VERSION })
+        ));
         std::fs::write(
             &path,
             b"{\"magic\":\"other\",\"version\":1,\"payload_bytes\":0,\"checksum\":\"0\"}\n",
@@ -764,15 +830,66 @@ mod tests {
     }
 
     #[test]
+    fn checksummed_but_malformed_payloads_are_typed_errors() {
+        let (store, opt) = trained_store();
+        let dir = tmpdir("payload");
+        let path = dir.join(checkpoint_file_name(1));
+        let ckpt = checkpoint_of(&store, &opt);
+        let rejected = |edit: &dyn Fn(&mut Vec<u8>)| {
+            save_trainer_checkpoint(&ckpt, &path).unwrap();
+            reframe(&path, edit);
+            matches!(
+                load_trainer_checkpoint(&path),
+                Err(SerializeError::InvalidState(_) | SerializeError::Json(_))
+            )
+        };
+        // the tensor section cut short, at the last byte and mid-record
+        assert!(rejected(&|p| p.truncate(p.len() - 1)));
+        assert!(rejected(&|p| p.truncate(p.len() - 100)));
+        // a meta_len that points past the payload, or at 4 GiB
+        assert!(rejected(&|p| {
+            let len = p.len() as u32;
+            p[..4].copy_from_slice(&len.to_le_bytes())
+        }));
+        assert!(rejected(&|p| p[..4].copy_from_slice(&u32::MAX.to_le_bytes())));
+        // a meta_len that stops short of the metadata's end
+        assert!(rejected(&|p| p[..4].copy_from_slice(&7u32.to_le_bytes())));
+        // bytes after the last tensor
+        assert!(rejected(&|p| p.extend_from_slice(&[0; 64])));
+        // no payload at all
+        assert!(rejected(&|p| p.clear()));
+        // and the writer refuses what the format cannot hold: an int8 store
+        let mut quantized = checkpoint_of(&store, &opt);
+        quantized.params[0].value = Tensor::ones(vec![2, 32]).quantize_i8();
+        std::fs::remove_file(&path).unwrap();
+        let refused = save_trainer_checkpoint(&quantized, &path);
+        assert!(matches!(refused, Err(SerializeError::InvalidState(_))) && !path.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn non_finite_params_are_rejected_on_load() {
         let (mut store, opt) = trained_store();
-        let id = store.find("w").unwrap();
-        store.value_mut(id).data_mut()[1] = f32::NAN;
         let dir = tmpdir("nonfinite");
         let path = dir.join(checkpoint_file_name(1));
         save_trainer_checkpoint(&checkpoint_of(&store, &opt), &path).unwrap();
+        // `w` is the first record: a 9-byte head (name length, "w", dtype,
+        // rank, one dim) after the metadata, then its three values on the
+        // next 64-byte boundary. Overwrite the second with a NaN.
+        reframe(&path, |payload| {
+            let meta_len = u32::from_le_bytes(payload[..4].try_into().unwrap()) as usize;
+            let data = (4 + meta_len + 9).next_multiple_of(crate::codec::ALIGN);
+            payload[data + 4..data + 8].copy_from_slice(&f32::NAN.to_le_bytes());
+        });
         assert!(matches!(
             load_trainer_checkpoint(&path),
+            Err(SerializeError::NonFinite { param }) if param == "w"
+        ));
+        // and the writer never puts one on disk in the first place
+        let id = store.find("w").unwrap();
+        store.value_mut(id).data_mut()[1] = f32::NAN;
+        assert!(matches!(
+            save_trainer_checkpoint(&checkpoint_of(&store, &opt), &path),
             Err(SerializeError::NonFinite { param }) if param == "w"
         ));
         std::fs::remove_dir_all(&dir).ok();
@@ -839,10 +956,21 @@ mod tests {
         for step in [2, 4, 6, 8] {
             save_trainer_checkpoint(&ckpt, &dir.join(checkpoint_file_name(step))).unwrap();
         }
+        // what a writer killed before its rename leaves: never listed, so
+        // never pruned; the sweep takes it and nothing else
+        let orphan = dir.join(format!("{}.tmp", checkpoint_file_name(9)));
+        std::fs::write(&orphan, b"half a checkpoint").unwrap();
+        std::fs::write(dir.join("notes.tmp"), b"not ours").unwrap();
         assert_eq!(prune_checkpoints(&dir, 2).unwrap(), 2);
         let left: Vec<u64> = list_checkpoints(&dir).unwrap().into_iter().map(|(s, _)| s).collect();
         assert_eq!(left, vec![6, 8]);
         assert_eq!(prune_checkpoints(&dir, 5).unwrap(), 0);
+        // its own temp file is `<name>.tmp`, so a save over step 8 leaves the orphan of 9 alone
+        save_trainer_checkpoint(&ckpt, &dir.join(checkpoint_file_name(8))).unwrap();
+        assert!(orphan.exists());
+        remove_stale_temps(&dir).unwrap();
+        assert!(!orphan.exists() && dir.join("notes.tmp").exists());
+        assert_eq!(list_checkpoints(&dir).unwrap().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,4 +1,7 @@
 //! The dense row-major tensor over a typed [`Storage`].
+//!
+//! A tensor has no wire format of its own: the one on-disk encoding is
+//! `turl_nn`'s artifact codec, built on the typed accessors below.
 
 use crate::buffers;
 use crate::dtype::{quant_rows_cols, DType, QuantBlocks, Storage};
@@ -46,61 +49,6 @@ impl Drop for Tensor {
     fn drop(&mut self) {
         if let Storage::F32(d) = &mut self.storage {
             buffers::recycle(std::mem::take(d));
-        }
-    }
-}
-
-impl serde::Serialize for Tensor {
-    fn to_value(&self) -> serde::Value {
-        // Field spelling matches the pre-storage-split derive, so f32
-        // checkpoints are byte-compatible across the refactor.
-        let mut pairs = vec![("shape".to_string(), self.shape.to_value())];
-        match &self.storage {
-            Storage::F32(d) => pairs.push(("data".to_string(), d.to_value())),
-            Storage::I8Block(q) => {
-                pairs.push(("dtype".to_string(), serde::Value::Str(DType::I8Block.name().into())));
-                pairs.push(("scales".to_string(), q.scales().to_vec().to_value()));
-                pairs.push(("quants".to_string(), q.quants().to_vec().to_value()));
-            }
-        }
-        serde::Value::Obj(pairs)
-    }
-}
-
-impl serde::Deserialize for Tensor {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let shape: Vec<usize> = serde::Deserialize::from_value(
-            v.get("shape").ok_or_else(|| serde::DeError::new("missing field `shape` in Tensor"))?,
-        )?;
-        if let Some(data) = v.get("data") {
-            let data: Vec<f32> = serde::Deserialize::from_value(data)?;
-            if num_elements(&shape) != data.len() {
-                return Err(serde::DeError::new(format!(
-                    "tensor data length {} does not match shape {:?}",
-                    data.len(),
-                    shape
-                )));
-            }
-            return Ok(Self { shape, storage: Storage::F32(data) });
-        }
-        match v.get("dtype") {
-            Some(serde::Value::Str(s)) if s == DType::I8Block.name() => {
-                let scales: Vec<f32> = serde::Deserialize::from_value(
-                    v.get("scales")
-                        .ok_or_else(|| serde::DeError::new("missing field `scales` in Tensor"))?,
-                )?;
-                let quants: Vec<i8> = serde::Deserialize::from_value(
-                    v.get("quants")
-                        .ok_or_else(|| serde::DeError::new("missing field `quants` in Tensor"))?,
-                )?;
-                let (rows, cols) = quant_rows_cols(&shape);
-                let q = QuantBlocks::from_parts(rows, cols, scales, quants)
-                    .map_err(serde::DeError::new)?;
-                Ok(Self { shape, storage: Storage::I8Block(q) })
-            }
-            other => Err(serde::DeError::new(format!(
-                "tensor without `data` must carry a known `dtype`, got {other:?}"
-            ))),
         }
     }
 }
@@ -702,24 +650,5 @@ mod tests {
         let a = q.index_select0(&[4, 0, 2]);
         let b = q.dequantize().index_select0(&[4, 0, 2]);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_preserves_legacy_f32_wire_format() {
-        let t = Tensor::from_vec(vec![2, 2], vec![1., 2., 3., 4.]);
-        let json = serde_json::to_string(&t).unwrap();
-        assert_eq!(json, r#"{"shape":[2,2],"data":[1,2,3,4]}"#);
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn serde_roundtrips_quantized_tensors() {
-        let t = Tensor::from_vec(vec![2, 40], (0..80).map(|i| (i as f32).cos()).collect());
-        let q = t.quantize_i8();
-        let json = serde_json::to_string(&q).unwrap();
-        let back: Tensor = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, q);
-        assert_eq!(back.dtype(), DType::I8Block);
     }
 }

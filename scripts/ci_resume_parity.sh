@@ -16,20 +16,22 @@ ARGS=(--entities 120 --tables 60 --epochs 3 --seed 11)
 bits() { grep -o 'bits 0x[0-9a-f]*' "$1" | tail -n1; }
 
 echo "== reference run (uninterrupted) =="
-"$TURL" pretrain "${ARGS[@]}" --out "$WORK/ref.json" | tee "$WORK/ref.log"
+"$TURL" pretrain "${ARGS[@]}" --out "$WORK/ref.artifact" | tee "$WORK/ref.log"
 REF_BITS="$(bits "$WORK/ref.log")"
 [ -n "$REF_BITS" ] || { echo "reference run printed no bits line"; exit 1; }
 
 echo "== interrupted run (SIGKILL after first checkpoint) =="
 "$TURL" pretrain "${ARGS[@]}" \
   --checkpoint-dir "$WORK/ckpts" --checkpoint-every 2 --checkpoint-keep 3 \
-  --out "$WORK/killed.json" > "$WORK/killed.log" 2>&1 &
+  --out "$WORK/killed.artifact" > "$WORK/killed.log" 2>&1 &
 PID=$!
-# wait for the first checkpoint file to land, then kill -9 mid-run
-for _ in $(seq 1 300); do
-  if compgen -G "$WORK/ckpts/ckpt-*.json" > /dev/null; then break; fi
+# wait for the first checkpoint file to land, then kill -9 mid-run (a
+# binary checkpoint costs well under a millisecond here and the whole run
+# a few hundred, so poll finely or the run is over first)
+for _ in $(seq 1 1500); do
+  if compgen -G "$WORK/ckpts/ckpt-*.ckpt" > /dev/null; then break; fi
   kill -0 "$PID" 2>/dev/null || break
-  sleep 0.1
+  sleep 0.02
 done
 if kill -9 "$PID" 2>/dev/null; then
   echo "killed pid $PID mid-run"
@@ -45,7 +47,7 @@ ls "$WORK/ckpts"
 echo "== resumed run =="
 "$TURL" pretrain "${ARGS[@]}" \
   --checkpoint-dir "$WORK/ckpts" --resume \
-  --out "$WORK/resumed.json" | tee "$WORK/resumed.log"
+  --out "$WORK/resumed.artifact" | tee "$WORK/resumed.log"
 RES_BITS="$(bits "$WORK/resumed.log")"
 
 echo "reference: $REF_BITS"

@@ -25,8 +25,8 @@ trap cleanup EXIT
 ARGS=(--entities 120 --tables 60 --seed 11)
 
 echo "== pretrain + export =="
-"$TURL" pretrain "${ARGS[@]}" --epochs 1 --out "$WORK/model.json"
-"$TURL" export "${ARGS[@]}" --ckpt "$WORK/model.json" \
+"$TURL" pretrain "${ARGS[@]}" --epochs 1 --out "$WORK/model-f32.artifact"
+"$TURL" export "${ARGS[@]}" --artifact "$WORK/model-f32.artifact" \
   --out "$WORK/model.artifact" --dtype int8
 
 echo "== start daemon =="

@@ -39,7 +39,7 @@ fn cli_world_and_corpus_and_pipeline_roundtrip() {
     assert!(ok, "corpus failed: {text}");
     assert!(corpus.exists());
 
-    let ckpt = dir.join("model.json");
+    let model = dir.join("model.artifact");
     let (ok, text) = run_turl(&[
         "pretrain",
         "--entities",
@@ -51,10 +51,10 @@ fn cli_world_and_corpus_and_pipeline_roundtrip() {
         "--seed",
         "3",
         "--out",
-        ckpt.to_str().unwrap(),
+        model.to_str().unwrap(),
     ]);
     assert!(ok, "pretrain failed: {text}");
-    assert!(ckpt.exists());
+    assert!(model.exists());
 
     // crash-safe checkpointing: a run interrupted after 1 epoch and
     // resumed to 2 total epochs matches an uninterrupted 2-epoch run
@@ -69,7 +69,7 @@ fn cli_world_and_corpus_and_pipeline_roundtrip() {
             .unwrap_or_else(|| panic!("no `bits` line in: {text}"))
     };
     let (ok, reference) = run_turl(
-        &[&["pretrain", "--epochs", "2", "--out", ckpt.to_str().unwrap()], &common[..]].concat(),
+        &[&["pretrain", "--epochs", "2", "--out", model.to_str().unwrap()], &common[..]].concat(),
     );
     assert!(ok, "reference pretrain failed: {reference}");
     let (ok, text) = run_turl(
@@ -83,7 +83,7 @@ fn cli_world_and_corpus_and_pipeline_roundtrip() {
                 "--checkpoint-every",
                 "5",
                 "--out",
-                ckpt.to_str().unwrap(),
+                model.to_str().unwrap(),
             ],
             &common[..],
         ]
@@ -100,7 +100,7 @@ fn cli_world_and_corpus_and_pipeline_roundtrip() {
                 ckdir.to_str().unwrap(),
                 "--resume",
                 "--out",
-                ckpt.to_str().unwrap(),
+                model.to_str().unwrap(),
             ],
             &common[..],
         ]
@@ -111,23 +111,44 @@ fn cli_world_and_corpus_and_pipeline_roundtrip() {
     assert_eq!(bits_of(&reference), bits_of(&text), "resume diverged from reference");
     std::fs::remove_dir_all(&ckdir).ok();
 
-    // probe can reuse the checkpoint without re-training
-    let (ok, text) = run_turl(&[
-        "probe",
-        "--entities",
-        "300",
-        "--tables",
-        "80",
-        "--seed",
-        "3",
-        "--ckpt",
-        ckpt.to_str().unwrap(),
-    ]);
+    // probe can reuse the weights without re-training
+    let probe = |entities: &'static str, weights: &std::path::Path| {
+        run_turl(&[
+            "probe",
+            "--entities",
+            entities,
+            "--tables",
+            "80",
+            "--seed",
+            "3",
+            "--artifact",
+            weights.to_str().unwrap(),
+        ])
+    };
+    let (ok, text) = probe("300", &model);
     assert!(ok, "probe failed: {text}");
-    assert!(text.contains("accuracy"), "{text}");
+    assert!(text.contains("accuracy") && !text.contains("pre-training"), "{text}");
+
+    // weights that do not fit the model are refused at load, naming the
+    // parameter and both shapes, before any forward runs
+    let (ok, text) = probe("200", &model);
+    assert!(!ok, "a store for 300 entities bound into a 200-entity model: {text}");
+    assert!(text.contains("does not fit the model"), "{text}");
+    assert!(text.contains("turl.") && text.contains("needs shape"), "{text}");
+    assert!(!text.contains("accuracy"), "{text}");
+
+    // and so are a pre-artifact JSON weights dump and a missing file
+    let legacy = dir.join("model.json");
+    std::fs::write(&legacy, r#"{"params":[["turl.word_emb.weight",{"shape":[1],"data":[0]}]]}"#)
+        .unwrap();
+    let (ok, text) = probe("300", &legacy);
+    assert!(!ok && text.contains("header invalid"), "{text}");
+    let (ok, text) = probe("300", &dir.join("no-such.artifact"));
+    assert!(!ok && text.contains("I/O error"), "{text}");
 
     std::fs::remove_file(&corpus).ok();
-    std::fs::remove_file(&ckpt).ok();
+    std::fs::remove_file(&model).ok();
+    std::fs::remove_file(&legacy).ok();
 }
 
 #[test]
@@ -135,7 +156,7 @@ fn cli_metrics_out_and_report_roundtrip() {
     let dir = std::env::temp_dir().join("turl_cli_smoke_obs");
     std::fs::create_dir_all(&dir).unwrap();
     let jsonl = dir.join("run.jsonl");
-    let ckpt = dir.join("model.json");
+    let model = dir.join("model.artifact");
     let (ok, text) = run_turl(&[
         "pretrain",
         "--entities",
@@ -149,7 +170,7 @@ fn cli_metrics_out_and_report_roundtrip() {
         "--metrics-out",
         jsonl.to_str().unwrap(),
         "--out",
-        ckpt.to_str().unwrap(),
+        model.to_str().unwrap(),
     ]);
     assert!(ok, "instrumented pretrain failed: {text}");
     assert!(text.contains("final loss"), "{text}");

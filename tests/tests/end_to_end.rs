@@ -1,13 +1,13 @@
 //! End-to-end integration: world generation → §5.1 pipeline →
-//! pre-training → checkpointing → fine-tuning, across all crates.
+//! pre-training → weights file → fine-tuning, across all crates.
 
-use turl_core::{probe, EncodedInput, Pretrainer, TurlConfig};
+use turl_core::{bind_store, probe, EncodedInput, Pretrainer, TurlConfig};
 use turl_data::{LinearizeConfig, TableInstance, Vocab};
 use turl_kb::{
     generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig, CorpusSplits,
     KnowledgeBase, PipelineConfig, WorldConfig,
 };
-use turl_nn::{load_store, save_store, Forward};
+use turl_nn::{export_artifact, load_artifact, ExportOptions, Forward};
 
 struct World {
     kb: KnowledgeBase,
@@ -83,12 +83,13 @@ fn checkpoint_roundtrip_preserves_predictions() {
 
     let dir = std::env::temp_dir().join("turl_integration_ckpt");
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("model.json");
-    save_store(&pt.store, &path).unwrap();
-    let loaded = load_store(&path).unwrap();
+    let path = dir.join("model.artifact");
+    export_artifact(&pt.store, &path, &ExportOptions::default()).unwrap();
+    let loaded = load_artifact(&path).unwrap();
 
     let mut pt2 =
         Pretrainer::new(cfg, w.vocab.len(), w.kb.n_entities(), w.vocab.mask_id() as usize);
+    bind_store(&pt2.model, &loaded).expect("the artifact holds this model's parameters");
     let copied = pt2.store.load_matching(&loaded);
     assert_eq!(copied, pt2.store.len(), "all parameters must be restored");
 
@@ -103,7 +104,7 @@ fn checkpoint_roundtrip_preserves_predictions() {
     let v1 = f1.graph.value(h1);
     let v2 = f2.graph.value(h2);
     for (a, b) in v1.data().iter().zip(v2.data().iter()) {
-        assert!((a - b).abs() < 1e-6);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
     std::fs::remove_file(&path).ok();
 }
