@@ -31,6 +31,8 @@ pub struct MetricsLogReport {
 /// * every line is a schema-valid event (reserved `ev`/`step`/`epoch`/
 ///   `t_ns` fields present and well-typed);
 /// * the stream is alive — at least one event and one span;
+/// * a step's `wgrad_ns` (weight-gradient products) is part of its
+///   `reduce_ns`, never more, so the phases still partition the step;
 /// * the observed §4.4 mask-selection ratios sit within the drift
 ///   tolerance of their configured targets (2% absolute, widened for
 ///   small samples where binomial noise alone exceeds it).
@@ -40,6 +42,17 @@ pub fn check_metrics_log(text: &str) -> Result<MetricsLogReport, Vec<AuditError>
     let summary = turl_obs::summarize(&events)
         .map_err(|detail| vec![AuditError::DeadInstrumentation { detail }])?;
     let mut errors = Vec::new();
+    for ev in events.iter().filter(|ev| ev.kind == "step") {
+        let (wgrad, reduce) = (ev.u64_field("wgrad_ns"), ev.u64_field("reduce_ns"));
+        if wgrad.unwrap_or(0) > reduce.unwrap_or(u64::MAX) {
+            errors.push(AuditError::MetricsSchema {
+                detail: format!(
+                    "step {}: wgrad_ns {wgrad:?} exceeds the reduce_ns {reduce:?} it is part of",
+                    ev.step
+                ),
+            });
+        }
+    }
     for (field, stat) in [("mlm", &summary.mlm), ("mer", &summary.mer)] {
         if stat.drifted() {
             if let Some(observed) = stat.observed() {
@@ -106,6 +119,19 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn weight_gradient_time_must_fit_inside_the_reduce_phase() {
+        let with_phases = |reduce_ns: u64, wgrad_ns: u64| {
+            let phases = format!("\"loss\":8.0,\"reduce_ns\":{reduce_ns},\"wgrad_ns\":{wgrad_ns},");
+            stream(200, 600).replace("\"loss\":8.0,", &phases)
+        };
+        assert!(check_metrics_log(&with_phases(900, 700)).is_ok());
+        assert!(check_metrics_log(&with_phases(900, 900)).is_ok());
+        let errors = check_metrics_log(&with_phases(900, 901)).unwrap_err();
+        assert!(matches!(&errors[0], AuditError::MetricsSchema { detail }
+            if detail.contains("wgrad_ns") && detail.contains("step 1")));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! 1. **Topological order** — every node's parents precede it on the tape.
 //! 2. **Gradient shapes** — any accumulated gradient matches its node's
 //!    value shape exactly.
-//! 3. **No orphaned grad leaves** — a leaf created with `requires_grad`
-//!    must be consumed by at least one op, otherwise its gradient can
-//!    never be populated and the optimizer would silently skip it.
+//! 3. **No orphaned grad leaves** — a leaf created with `requires_grad`,
+//!    or bound deferred, must be consumed by at least one op, otherwise
+//!    its gradient can never be populated and the optimizer would
+//!    silently skip it. (A consumed deferred leaf carries no gradient on
+//!    the tape by design: its `matmul` lists the factors instead.)
 //! 4. **Finite leaves** (optional) — leaf values contain no NaN/inf; a
 //!    single poisoned embedding row corrupts every step downstream.
 
@@ -74,7 +76,7 @@ pub fn audit_tape(g: &Graph, check_finite: bool) -> Result<TapeReport, Vec<Audit
 
     // Orphan check needs the full consumption map, so it runs second.
     for v in g.vars() {
-        if g.is_leaf(v) && g.needs_grad(v) && !consumed[v.index()] {
+        if g.is_leaf(v) && (g.needs_grad(v) || g.is_deferred(v)) && !consumed[v.index()] {
             errors.push(AuditError::OrphanGradLeaf { node: v.index() });
         }
     }
@@ -128,6 +130,25 @@ mod tests {
         let _loss = g.sum_all(b);
         let errs = audit_tape(&g, false).expect_err("orphan must fail");
         assert!(errs.iter().any(|e| matches!(e, AuditError::OrphanGradLeaf { node: 0 })));
+    }
+
+    #[test]
+    fn deferred_leaf_needs_a_reader_but_no_gradient() {
+        let weight =
+            || std::sync::Arc::new(Tensor::from_vec(vec![2, 2], vec![1.0, 0.5, -0.5, 2.0]));
+        let mut g = Graph::new();
+        let x = g.leaf(Tensor::from_vec(vec![1, 2], vec![3.0, 4.0]), true);
+        let w = g.leaf_deferred(weight());
+        let y = g.matmul(x, w);
+        let loss = g.sum_all(y);
+        g.backward(loss);
+        assert!(g.grad(w).is_none(), "the tape formed a deferred gradient");
+        let report = audit_tape(&g, true).expect("a consumed deferred leaf is clean");
+        assert_eq!(report.n_leaves, 2);
+        // Bound but never read: as lost to the optimizer as a plain orphan.
+        let unread = g.leaf_deferred(weight());
+        let errs = audit_tape(&g, false).expect_err("orphan must fail");
+        assert_eq!(errs, vec![AuditError::OrphanGradLeaf { node: unread.index() }]);
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl BertStyleRe {
                 let best = scores
                     .iter()
                     .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+                    .max_by(|a, b| a.1.total_cmp(b.1))
                     .map(|(i, _)| i)
                     .unwrap_or(0);
                 pred.push(best);
@@ -206,9 +206,7 @@ impl BertStyleRe {
             .map(|ex| {
                 let scores = self.score(vocab, tables, ex);
                 let mut order: Vec<usize> = (0..scores.len()).collect();
-                order.sort_by(|&a, &b| {
-                    scores[b].partial_cmp(&scores[a]).expect("finite").then(a.cmp(&b))
-                });
+                order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
                 average_precision(&order, &ex.labels)
             })
             .collect();
@@ -256,5 +254,12 @@ mod tests {
         let map_after = model.map(&vocab, &splits.train, &task.train[..n]);
         assert!(map_after > map_before, "training must help: {map_before} -> {map_after}");
         assert!(map_after > 0.4, "train MAP too low: {map_after}");
+
+        // A NaN score is ranked, not a panic: poison one label's bias.
+        let bias = model.store.find("bert.head.bias").expect("registered");
+        model.store.value_mut(bias).data_mut()[0] = f32::NAN;
+        assert!(model.score(&vocab, &splits.train, &task.train[0])[0].is_nan());
+        assert!(model.map(&vocab, &splits.train, &task.train[..n]).is_finite());
+        assert!(model.evaluate(&vocab, &splits.train, &task.train[..n]).f1().is_finite());
     }
 }

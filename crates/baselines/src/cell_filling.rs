@@ -21,7 +21,7 @@ fn rank_by<F: Fn(&str) -> f64>(ex: &CellFillingExample, sim: F) -> Vec<EntityId>
             (*e, best)
         })
         .collect();
-    scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+    scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
     scored.into_iter().map(|(e, _)| e).collect()
 }
 
@@ -104,6 +104,16 @@ mod tests {
                 (11, vec!["directed by".to_string()]),
             ],
         }
+    }
+
+    #[test]
+    fn a_nan_similarity_is_ranked_not_a_panic() {
+        // A NaN never beats a number in the per-candidate max, so the
+        // poisoned candidate keeps -inf and ranks last.
+        let ranked = rank_by(&example(), |h| if h == "director" { f64::NAN } else { 0.5 });
+        assert_eq!(ranked, vec![9, 11, 10]);
+        // Every similarity NaN: all candidates tie, ids break the tie.
+        assert_eq!(rank_by(&example(), |_| f64::NAN), vec![9, 10, 11]);
     }
 
     #[test]

@@ -103,7 +103,7 @@ impl EntiTables {
                 (c, score)
             })
             .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.into_iter().map(|(e, _)| e).collect()
     }
 }
@@ -147,6 +147,16 @@ mod tests {
         let et = EntiTables::build(&corpus());
         let ranked = et.rank("anything", &[1], &[10, 2]);
         assert_eq!(ranked[0], 2, "entity co-occurring with seed should win");
+    }
+
+    #[test]
+    fn nan_statistics_are_ranked_not_a_panic() {
+        // A poisoned smoothing constant makes every term probability NaN;
+        // the likelihood floor turns that into a tie, broken by id.
+        let mut et = EntiTables::build(&corpus());
+        et.mu = f64::NAN;
+        assert_eq!(et.rank("films by ray", &[], &[10, 1, 4]), vec![1, 4, 10]);
+        assert_eq!(et.rank("films by ray", &[1], &[10, 2]), vec![2, 10], "seeds never read mu");
     }
 
     #[test]

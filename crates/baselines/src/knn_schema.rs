@@ -17,6 +17,14 @@ pub struct KnnSchemaResult {
     pub support_table: Option<usize>,
 }
 
+/// Header indices best first: descending by [`f64::total_cmp`], so a NaN
+/// ranks by its sign instead of panicking, ties by ascending index.
+fn rank_scores(scores: HashMap<usize, f64>) -> Vec<usize> {
+    let mut ranked: Vec<(usize, f64)> = scores.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.into_iter().map(|(h, _)| h).collect()
+}
+
 /// The kNN schema-augmentation baseline.
 pub struct KnnSchema<'a> {
     search: &'a TableSearchIndex,
@@ -60,12 +68,7 @@ impl<'a> KnnSchema<'a> {
                 }
             }
         }
-        let mut ranked: Vec<(usize, f64)> = scores.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
-        KnnSchemaResult {
-            ranked: ranked.into_iter().map(|(h, _)| h).collect(),
-            support_table: best.map(|(t, _)| t),
-        }
+        KnnSchemaResult { ranked: rank_scores(scores), support_table: best.map(|(t, _)| t) }
     }
 
     /// MAP over a split.
@@ -132,6 +135,28 @@ mod tests {
             "expected football headers, got {top:?}"
         );
         assert!(res.support_table.is_some());
+    }
+
+    #[test]
+    fn nan_neighbour_weights_are_ranked_not_a_panic() {
+        // `k = usize::MAX` makes the caption query's similarity cut-off
+        // irrelevant; what is poisoned here is the aggregation itself: a
+        // NaN-weighted neighbour makes every header it carries score NaN.
+        let tables = corpus();
+        let search = TableSearchIndex::build(&tables);
+        let vocab = build_header_vocab(&tables, 1);
+        let queries = build_schema_augmentation(
+            &[table("q", "palmeiras fc season out", &["name", "moving to", "fee"])],
+            &vocab,
+            1,
+        );
+        let mut scores: HashMap<usize, f64> = HashMap::new();
+        for (h, w) in [(0, f64::NAN), (1, 0.5), (2, -f64::NAN), (3, 0.75)] {
+            scores.insert(h, w);
+        }
+        assert_eq!(rank_scores(scores), vec![0, 3, 1, 2], "+NaN first, -NaN last");
+        let res = KnnSchema::new(&search, usize::MAX).rank(&vocab, &queries[0]);
+        assert!(!res.ranked.is_empty());
     }
 
     #[test]

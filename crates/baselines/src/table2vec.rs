@@ -167,7 +167,7 @@ impl Table2Vec {
                 (c, score)
             })
             .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.into_iter().map(|(e, _)| e).collect()
     }
 
@@ -237,5 +237,15 @@ mod tests {
         assert_eq!(ranked[0], 3, "entity from the same cluster should rank first");
         assert!(t2v.knows(1));
         assert!(!t2v.knows(999));
+
+        // A NaN score is ranked, not a panic: poison one candidate's
+        // embedding, so its cosine to any seed is NaN.
+        let mut poisoned = t2v.clone();
+        let (row, d) = (poisoned.index_of[&3], poisoned.sg.dim);
+        poisoned.sg.input[row * d..][..d].fill(f32::NAN);
+        let ranked = poisoned.rank(&[1], &[12, 3, 2]);
+        assert_eq!(ranked.len(), 3);
+        let clean: Vec<EntityId> = ranked.iter().copied().filter(|&e| e != 3).collect();
+        assert_eq!(clean, vec![2, 12], "the finite scores keep their order");
     }
 }

@@ -60,15 +60,16 @@ fn main() {
         let filler = CellFiller::new(&pt.model, &pt.store);
         let p1 =
             filler.precision_at(&world.vocab, &world.kb, &world.splits.test, &cf_eval, &[1])[0];
-        let rel_acc = pt
-            .take_aux_relations()
-            .map(|aux| {
+        // Without the auxiliary objective there is no relation head to score.
+        let rel_acc = pt.take_aux_relations().map_or_else(
+            || "—".to_string(),
+            |aux| {
                 let mut rng = StdRng::seed_from_u64(0);
-                aux.accuracy(&pt, &world.kb, &val, &mut rng, 200)
-            })
-            .unwrap_or(f64::NAN);
+                format!("{:.3}", aux.accuracy(&pt, &world.kb, &val, &mut rng, 200))
+            },
+        );
         println!(
-            "{name:<28} probe ACC {acc:.3} | cell-filling P@1 {:.1} | rel-pred ACC {rel_acc:.3}",
+            "{name:<28} probe ACC {acc:.3} | cell-filling P@1 {:.1} | rel-pred ACC {rel_acc}",
             100.0 * p1
         );
     }

@@ -80,6 +80,10 @@ impl Deserialize for BenchEntry {
 /// median linearized table length.
 const FWD_ROWS: usize = 28;
 
+/// Rows per table of the weight-gradient reduce measurements (the mean
+/// linearized length of the benchmark's 4-table batches).
+const WGRAD_ROWS: usize = 31;
+
 /// Time `f` and return mean ns/iter: one warmup call, then iterations
 /// until `min_total` elapses (at least 3).
 fn time_ns<F: FnMut()>(mut f: F, min_total_ms: u64) -> u64 {
@@ -191,6 +195,16 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
         })
         .collect();
 
+    // One step's reduce of an FFN weight gradient: four tables' `(x, dy)`
+    // factors of 31 rows each, for `lin1 [312, 1200]` and `lin2 [1200, 312]`.
+    let wgrad_parts: Vec<Vec<(Tensor, Tensor)>> = [(312, 1200), (1200, 312)]
+        .into_iter()
+        .map(|(m, n)| {
+            let mut part = |cols| normal_init(&mut rng, vec![WGRAD_ROWS, cols], 0.0, 1.0);
+            (0..4).map(|_| (part(m), part(n))).collect()
+        })
+        .collect();
+
     let mut world = build_world(quick);
     let batch: Vec<(TableInstance, EncodedInput)> = world.data.iter().take(8).cloned().collect();
     let batch_rows: usize = world.rows.iter().take(8).sum();
@@ -268,6 +282,23 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             window_ms,
         );
         out.push(entry("matmul_tn", format!("k={FWD_ROWS},m=312,n=1200"), t, ns, 312));
+        // The same gradient as the training step forms it: every table's
+        // product added into the store's tensor by one call.
+        for operands in &wgrad_parts {
+            let (m, n) = (operands[0].0.shape()[1], operands[0].1.shape()[1]);
+            let parts: Vec<(&[f32], &[f32])> =
+                operands.iter().map(|(x, dy)| (x.data(), dy.data())).collect();
+            let mut grad = vec![0.0f32; m * n];
+            let ns = time_ns(
+                || {
+                    ops::matmul_tn_acc_into(&mut grad, m, n, &parts);
+                    std::hint::black_box(grad[0]);
+                },
+                window_ms,
+            );
+            let size = format!("parts={},k={WGRAD_ROWS},m={m},n={n}", parts.len());
+            out.push(entry("matmul_tn_acc", size, t, ns, m));
+        }
         // The FFN input gradients of the same backward, `dy · wᵀ` against
         // each FFN weight as stored: 28 rows against a far taller `w`, the
         // orientation `matmul_nt` runs as `Cᵀ = w · dyᵀ`.
@@ -727,6 +758,9 @@ mod tests {
                 .any(|e| e.op == "matmul" && e.size == "m=28,k=312,n=1200" && e.dtype == dtype));
         }
         assert!(entries.iter().any(|e| e.op == "matmul_tn" && e.size == "k=28,m=312,n=1200"));
+        for size in ["parts=4,k=31,m=312,n=1200", "parts=4,k=31,m=1200,n=312"] {
+            assert!(entries.iter().any(|e| e.op == "matmul_tn_acc" && e.size == size), "{size}");
+        }
         // The compiled paper-dim encoder is measured at both dtypes.
         assert!(entries
             .iter()

@@ -26,6 +26,25 @@ pub(crate) fn param_name(kind: &SourceKind, label: &str) -> Option<String> {
     }
 }
 
+/// Which nodes of `ir` are sources the tape binds deferred
+/// ([`Forward::param_deferred`]) when they stand for a parameter: those
+/// with exactly one reader in the whole IR, a `MatMul` taking them as rhs
+/// — every `linear` weight, and neither embedding table (gathers read
+/// those, and the tied MLM head reads `word_emb` through a `MatMulNT`).
+pub(crate) fn deferred_sources(ir: &Ir) -> Vec<bool> {
+    // Per node: (readers, all of them a matmul rhs).
+    let mut readers = vec![(0usize, true); ir.len()];
+    for node in ir.nodes() {
+        for (slot, input) in node.inputs.iter().enumerate() {
+            let entry = &mut readers[input.index()];
+            entry.0 += 1;
+            entry.1 &= matches!(node.kind, OpKind::MatMul) && slot == 1;
+        }
+    }
+    let single_rhs = readers.into_iter().map(|r| r == (1, true));
+    ir.nodes().iter().zip(single_rhs).map(|(n, rhs)| rhs && n.kind.is_source()).collect()
+}
+
 /// The one check between a model and the weights it is about to run on,
 /// whichever file or trainer they came from: every parameter the model's
 /// IR reads (the probe plan, both heads on, named by [`param_name`]) must
@@ -205,7 +224,9 @@ impl TurlModel {
     /// encode-only plan through here, `Pretrainer::train_step` one with
     /// the MLM/MER heads and losses (Eqns. 5–6).
     ///
-    /// Parameters bind by [`param_name`], the embedding layer's gathers
+    /// Parameters bind by [`param_name`] — [`deferred_sources`] as deferred
+    /// leaves, so the tape never forms a `linear` weight's gradient —
+    /// the embedding layer's gathers
     /// and per-input sources through [`InputBinding`]; `head_lists` names
     /// the index list of every other gather or cross-entropy node by its
     /// label (row selections, shifted candidate ids, targets) and is
@@ -229,6 +250,7 @@ impl TurlModel {
         let mut bound = InputBinding::default();
         bound.bind(input, &self.cfg);
         let dropout = Dropout::new(self.cfg.encoder.dropout);
+        let deferred = deferred_sources(ir);
         let mut sites = ir.dropout_sites().iter().map(|t| t.index()).peekable();
         let mut vars: Vec<Var> = Vec::with_capacity(ir.len());
         for (i, node) in ir.nodes().iter().enumerate() {
@@ -248,7 +270,11 @@ impl TurlModel {
                         let id = store
                             .find(&name)
                             .unwrap_or_else(|| panic!("parameter '{name}' not in store"));
-                        f.param(store, id)
+                        if deferred[i] {
+                            f.param_deferred(store, id)
+                        } else {
+                            f.param(store, id)
+                        }
                     }
                     None => {
                         let values = bound
@@ -294,6 +320,7 @@ mod tests {
     use crate::input::EntityInput;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     fn tiny_model() -> (ParamStore, TurlModel, StdRng) {
         let mut rng = StdRng::seed_from_u64(9);
@@ -356,6 +383,47 @@ mod tests {
         // same names and shapes at other indices: the ids the layers hold
         // would read the wrong tensors
         assert!(refusal(&rebuilt(Some("task.head"), "")).contains("registration order"));
+    }
+
+    #[test]
+    fn the_ir_defers_exactly_the_linear_weights() {
+        // Both heads on: the rule must pick the rhs of every `*.matmul`
+        // node `IrBuilder::linear` emits (fuse, six per block, the two
+        // head projections) and nothing else — neither embedding table,
+        // though the MLM head multiplies by `word_emb`, nor the constant
+        // lhs of `embed.mention_means`.
+        let (_, model, _) = tiny_model();
+        let plan = ModelPlan {
+            n_mlm_targets: 2,
+            n_mer_targets: 1,
+            n_candidates: 3,
+            ..model.forward_plan(&toy_input())
+        };
+        let ir = lower_model_plan(&plan).expect("plan lowers");
+        let labels = |ir: &Ir| -> HashSet<String> {
+            let mask = deferred_sources(ir);
+            ir.nodes().iter().zip(mask).filter(|(_, d)| *d).map(|(n, _)| n.label.clone()).collect()
+        };
+        let deferred = labels(&ir);
+        let linear_weights: HashSet<String> = ir
+            .nodes()
+            .iter()
+            .filter(|n| n.label.ends_with(".matmul"))
+            .map(|n| ir.node_at(n.inputs[1].index()).label.clone())
+            .collect();
+        assert_eq!(deferred, linear_weights);
+        assert_eq!(deferred.len(), 1 + 6 * model.cfg.encoder.n_layers + 2);
+        assert!(deferred.iter().all(|label| label.ends_with(".weight")));
+        for table in ["word_emb", "ent_emb"] {
+            assert!(ir.find(table).is_some() && !deferred.contains(table), "{table} is gathered");
+        }
+        // An encode-only plan (fine-tuning) defers the same weights, less
+        // the heads it does not contain.
+        let encode = lower_model_plan(&model.forward_plan(&toy_input())).expect("plan lowers");
+        let heads = ["mlm_proj.weight", "mer_proj.weight"].map(String::from);
+        let expected: HashSet<String> =
+            deferred.iter().filter(|n| !heads.contains(n)).cloned().collect();
+        assert_eq!(labels(&encode), expected);
     }
 
     #[test]

@@ -312,13 +312,18 @@ impl Pretrainer {
     /// forward/backward pass fans out to the [`pool`] workers, and the
     /// per-table gradients are sum-reduced into the shared [`ParamStore`]
     /// in batch order. The fixed reduction order keeps seeded runs
-    /// bit-identical across `--threads` settings.
+    /// bit-identical across `--threads` settings; the order tables are
+    /// *handed out* in (longest first, so the last one claimed is the
+    /// shortest) is scheduling only.
     ///
     /// A steady-state step moves no weight-sized memory: tapes bind
     /// parameters as shared leaves and are reset before the optimizer
     /// writes, every tensor buffer comes from and returns to the
-    /// trainer's [`BufferPool`], and the reduce → clip → Adam tail is two
-    /// passes fanned out over parameters.
+    /// trainer's [`BufferPool`], no `linear` weight's gradient exists per
+    /// table — a tape hands over the factors `X`, `dY` and the reduce
+    /// adds every table's `Xᵀ · dY` into the store in one kernel call —
+    /// and the reduce → clip → Adam tail is two passes fanned out over
+    /// parameters.
     pub fn train_step(
         &mut self,
         batch: &[(TableInstance, EncodedInput)],
@@ -341,7 +346,7 @@ impl Pretrainer {
             candidates: Vec<usize>,
             seed: u64,
             fwd: Forward,
-            out: Option<(f32, Vec<(turl_nn::ParamId, turl_tensor::Tensor)>)>,
+            out: Option<(f32, turl_nn::TapeGrads)>,
             obs: SlotObs,
         }
 
@@ -415,6 +420,9 @@ impl Pretrainer {
                 obs: SlotObs::default(),
             })
             .collect();
+        // Longest table first: workers claim slots in order, so the one
+        // still running when the others are done is the shortest.
+        slots.sort_by_key(|slot| std::cmp::Reverse(slot.enc.seq_len()));
         let prep_ns = prep_timer.elapsed_ns();
         let par_timer = turl_obs::Timer::start();
 
@@ -490,12 +498,14 @@ impl Pretrainer {
                 panic!("tape audit failed after backprop: {}", errs[0]);
             }
             slot.obs.bwd_ns = bwd_timer.elapsed_ns();
-            slot.out = Some((loss_value, f.take_param_grads()));
+            slot.out = Some((loss_value, f.take_grads()));
             // Let go of the parameters (so the optimizer writes them in
-            // place) and hand the tape's buffers to the next table.
+            // place) and hand the tape's buffers to the next table; the
+            // weight-gradient factors just taken outlive the reset.
             f.reset(true);
         });
         let par_ns = par_timer.elapsed_ns();
+        slots.sort_by_key(|slot| slot.batch_idx);
 
         // Reduction in batch order — losses here, each parameter's
         // gradients inside `reduce` — for thread-count-independent
@@ -517,7 +527,7 @@ impl Pretrainer {
             table_grads.push(grads);
             self.scratch.push(slot.fwd);
         }
-        let grad_norm = self.store.reduce(&table_grads);
+        let reduced = self.store.reduce(&table_grads);
         drop(table_grads);
         drop(recycling);
         self.buffers.trim();
@@ -527,8 +537,11 @@ impl Pretrainer {
         if let Some(s) = &self.schedule {
             self.opt.config.lr = s.lr_at(self.opt.steps());
         }
-        let clip =
-            self.opt.step_clipped(&mut self.store, grad_norm, self.cfg.pretrain.max_grad_norm);
+        let clip = self.opt.step_clipped(
+            &mut self.store,
+            reduced.grad_norm,
+            self.cfg.pretrain.max_grad_norm,
+        );
         if clip.non_finite {
             // `step_clipped` zeroed the gradients and took no step: Adam's
             // moments and the step counter are untouched, so training
@@ -571,6 +584,8 @@ impl Pretrainer {
                     ("forward_ns", fwd_ns.into()),
                     ("backward_ns", bwd_ns.into()),
                     ("reduce_ns", reduce_ns.into()),
+                    // The part of `reduce_ns` spent forming weight gradients.
+                    ("wgrad_ns", reduced.wgrad_ns.into()),
                     ("opt_ns", opt_timer.elapsed_ns().into()),
                     ("mlm_selected", mask_counts[0].into()),
                     ("mlm_candidates", mask_counts[1].into()),
@@ -1050,6 +1065,35 @@ mod tests {
         assert_eq!(after.misses - warm.misses, 0, "fresh buffers after warm-up");
         assert_eq!(after.fresh_bytes, warm.fresh_bytes);
         assert!(after.hits > warm.hits + 3 * warm.misses, "the steps bypassed the pool");
+    }
+
+    #[test]
+    fn a_training_step_draws_no_weight_sized_buffer() {
+        // `d_model` above both vocabularies (250 words, 301 entity rows),
+        // so every tensor a step may still build — activations, logits,
+        // kernel scratch, the embedding tables' dense gradients — is
+        // smaller than the smallest `linear` weight: one weight gradient
+        // formed per table would be the largest draw of the run.
+        let (kb, vocab, data, cooccur) = setup();
+        let d = 384;
+        assert!(vocab.len() < d && kb.n_entities() + 1 < d);
+        let mut cfg = TurlConfig::tiny(3);
+        cfg.encoder = turl_nn::TransformerConfig {
+            n_layers: 1,
+            d_model: d,
+            d_intermediate: d,
+            n_heads: 4,
+            ..cfg.encoder
+        };
+        let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
+        for step in 0..2 {
+            pt.train_step(&data[step * 4..step * 4 + 4], &cooccur).loss().expect("stepped");
+        }
+        let stats = pt.buffers.stats();
+        assert!(stats.hits > 0, "the steps bypassed the pool");
+        assert!(stats.largest_draw < d * d, "a step drew {} elements", stats.largest_draw);
+        let fuse = pt.store.find("turl.fuse.weight").expect("registered");
+        assert!(pt.store.value(fuse).norm() > 0.0 && pt.opt.steps() == 2);
     }
 
     #[test]

@@ -137,8 +137,14 @@ mod tests {
         PipelineConfig, WorldConfig,
     };
 
-    #[test]
-    fn column_type_finetune_beats_chance() {
+    struct Fixture {
+        kb: KnowledgeBase,
+        splits: turl_kb::CorpusSplits,
+        vocab: Vocab,
+        task: turl_kb::tasks::ColumnTypeTask,
+    }
+
+    fn fixture() -> Fixture {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(23));
         let pcfg = PipelineConfig { max_eval_tables: 20, ..Default::default() };
         let splits = partition(
@@ -162,21 +168,49 @@ mod tests {
         let task =
             build_column_type_task(&kb, &splits.train, &splits.validation, &splits.test, 3, 3);
         assert!(!task.train.is_empty() && !task.test.is_empty());
+        Fixture { kb, splits, vocab, task }
+    }
 
+    fn fresh_model(fx: &Fixture) -> ColumnTypeModel {
         let cfg = TurlConfig::tiny(5);
-        let pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
-        let (model, store) = clone_pretrained(cfg, vocab.len(), kb.n_entities(), &pt.store);
-        let mut ct =
-            ColumnTypeModel::new(model, store, task.label_types.len(), InputChannels::full());
-        let n_train = task.train.len().min(40);
+        let (n_words, n_entities) = (fx.vocab.len(), fx.kb.n_entities());
+        let pt = Pretrainer::new(cfg, n_words, n_entities, fx.vocab.mask_id() as usize);
+        let (model, store) = clone_pretrained(cfg, n_words, n_entities, &pt.store);
+        ColumnTypeModel::new(model, store, fx.task.label_types.len(), InputChannels::full())
+    }
+
+    #[test]
+    fn column_type_finetune_beats_chance() {
+        let fx = fixture();
+        let mut ct = fresh_model(&fx);
+        let n_train = fx.task.train.len().min(40);
         let stats = ct.train(
-            &splits.train,
-            &vocab,
-            &task.train[..n_train],
+            &fx.splits.train,
+            &fx.vocab,
+            &fx.task.train[..n_train],
             &FinetuneConfig { epochs: 6, ..Default::default() },
         );
         assert!(stats.final_loss() < stats.epoch_losses[0], "loss should drop");
-        let acc = ct.evaluate(&splits.test, &vocab, &task.test);
+        let acc = ct.evaluate(&fx.splits.test, &fx.vocab, &fx.task.test);
         assert!(acc.f1() > 0.3, "F1 too low: {}", acc.f1());
+    }
+
+    #[test]
+    fn three_finetune_steps_keep_their_loss_bits() {
+        // Fine-tuning accumulates every example's gradients straight into
+        // the store (`Forward::backprop`): `linear` weights as deferred
+        // `Xᵀ · dY` products, everything else as dense tensors. The
+        // constants are what the commit before deferred products printed
+        // for this run of three optimizer steps: the mean loss (two of the
+        // batches saw updated weights) and a deferred weight after all
+        // three updates.
+        let fx = fixture();
+        let mut ct = fresh_model(&fx);
+        let cfg = FinetuneConfig { epochs: 1, ..Default::default() };
+        let stats = ct.train(&fx.splits.train, &fx.vocab, &fx.task.train[..24], &cfg);
+        assert_eq!(stats.steps, 3);
+        let fuse = ct.store.find("turl.fuse.weight").expect("registered");
+        let got = (stats.final_loss().to_bits(), ct.store.value(fuse).norm().to_bits());
+        assert_eq!(got, (0x3f37_3670, 0x4015_e056), "loss {:#010x} |fuse| {:#010x}", got.0, got.1);
     }
 }

@@ -123,7 +123,7 @@ impl TableSearchIndex {
                 (s > 0.0).then_some((i, s))
             })
             .collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
         scored
     }
@@ -140,7 +140,7 @@ impl TableSearchIndex {
             }
         }
         let mut scored: Vec<(usize, f64)> = counts.into_iter().collect();
-        scored.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         scored.truncate(k);
         scored
     }
@@ -207,6 +207,22 @@ mod tests {
                 assert_eq!(h, &normalize_header(h));
             }
         }
+    }
+
+    #[test]
+    fn a_nan_weight_costs_its_table_not_the_query() {
+        // One table's tf-idf vector poisoned: its score is NaN, which is
+        // not a match; every other table still ranks, best first.
+        let (tables, mut idx) = index();
+        let caption = tables[3].full_caption();
+        let clean = idx.query_caption(&caption, 20);
+        let poisoned = clean[0].0;
+        idx.vectors[poisoned].values_mut().for_each(|w| *w = f64::NAN);
+        let hits = idx.query_caption(&caption, 20);
+        assert!(hits.iter().all(|&(i, s)| i != poisoned && s.is_finite()));
+        // (ids only: hash-order float sums wobble in the last bit)
+        let ids = |hits: &[(usize, f64)]| hits.iter().map(|h| h.0).collect::<Vec<_>>();
+        assert_eq!(ids(&hits[..8]), ids(&clean[1..9]));
     }
 
     #[test]

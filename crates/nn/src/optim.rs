@@ -174,7 +174,7 @@ impl ClipReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::Forward;
+    use crate::params::{Forward, TapeGrads};
     use turl_tensor::Tensor;
 
     /// Minimize f(w) = (w - 3)^2 elementwise.
@@ -275,7 +275,8 @@ mod tests {
                 if !want.non_finite {
                     opt_a.step(&mut two_pass);
                 }
-                let norm = fused.reduce(&[ids.iter().copied().zip(grads(scale)).collect()]);
+                let dense = ids.iter().copied().zip(grads(scale)).collect();
+                let norm = fused.reduce(&[TapeGrads { dense, ..Default::default() }]).grad_norm;
                 let got = opt_b.step_clipped(&mut fused, norm, 1.0);
                 assert_eq!((got.clipped, got.non_finite), (want.clipped, want.non_finite));
                 assert_eq!(got.norm.to_bits(), want.norm.to_bits());

@@ -1,8 +1,17 @@
 //! Central parameter storage and the per-step forward context.
+//!
+//! A parameter's gradient reaches the store one of two ways. The dense
+//! way: the tape forms it ([`Forward::param`]) and the store adds the
+//! tensor. The deferred way, for a weight that is only ever the rhs of
+//! one `matmul` ([`Forward::param_deferred`]): the tape keeps the two
+//! factors `X`, `dY` of `dW = Xᵀ · dY` ([`WeightProduct`]) and the store
+//! adds the product in place — for all the tables of a batch in one
+//! kernel call ([`ParamStore::reduce`]), so no weight-sized gradient
+//! tensor exists outside the store.
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use turl_tensor::{pool, Graph, Tensor, Var};
+use turl_tensor::{ops, pool, Graph, Tensor, Var};
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -13,6 +22,46 @@ impl ParamId {
     pub fn index(self) -> usize {
         self.0
     }
+}
+
+/// A weight gradient still in its two factors: `grad(id) += xᵀ · dy`.
+pub struct WeightProduct {
+    /// The `[m, n]` weight the product is the gradient of.
+    pub id: ParamId,
+    /// The input of the weight's `matmul`, `[k, m]`.
+    pub x: Arc<Tensor>,
+    /// The gradient of that `matmul`'s output, `[k, n]`.
+    pub dy: Tensor,
+}
+
+impl WeightProduct {
+    /// `grad += xᵀ · dy`: each element `grad + t`, with `t` the product's
+    /// own accumulator — the bits of adding the formed tensor.
+    fn add_into(&self, grad: &mut Tensor) {
+        let (m, n) = (self.x.shape()[1], self.dy.shape()[1]);
+        assert_eq!(grad.shape(), [m, n], "weight product against a {:?} gradient", grad.shape());
+        ops::matmul_tn_acc_into(grad.data_mut(), m, n, &[(self.x.data(), self.dy.data())]);
+    }
+}
+
+/// What one tape's backward pass leaves for the store
+/// ([`Forward::take_grads`]), in parameter (registration) order.
+#[derive(Default)]
+pub struct TapeGrads {
+    /// Gradients the tape formed.
+    pub dense: Vec<(ParamId, Tensor)>,
+    /// Gradients of [deferred](Forward::param_deferred) weights.
+    pub products: Vec<WeightProduct>,
+}
+
+/// What [`ParamStore::reduce`] returns.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Reduced {
+    /// Global L2 norm over all touched gradients.
+    pub grad_norm: f32,
+    /// Wall-clock share of the call spent in deferred products (0 with
+    /// metrics off).
+    pub wgrad_ns: u64,
 }
 
 pub(crate) struct ParamEntry {
@@ -163,30 +212,82 @@ impl ParamStore {
         }
     }
 
+    /// Add deferred weight gradients into the store, one product at a
+    /// time.
+    pub fn accumulate_products(&mut self, products: &[WeightProduct]) {
+        for p in products {
+            let e = &mut self.entries[p.id.0];
+            p.add_into(&mut e.grad);
+            e.touched = true;
+        }
+    }
+
     /// Sum one step's per-table gradients into the store and return the
-    /// global L2 norm of the result: [`accumulate`](Self::accumulate) for
-    /// each table in slice order, then [`grad_norm`](Self::grad_norm).
+    /// global L2 norm of the result: [`accumulate`](Self::accumulate) and
+    /// [`accumulate_products`](Self::accumulate_products) for each table
+    /// in slice order, then [`grad_norm`](Self::grad_norm).
     ///
     /// The work fans out over parameters. Each parameter adds its tables'
-    /// gradients in slice order and sums its own squares in element order,
-    /// and the per-parameter sums are added in registration order, so the
-    /// result has the bits of the serial calls at any thread count.
-    pub fn reduce(&mut self, tables: &[Vec<(ParamId, Tensor)>]) -> f32 {
-        let mut work: Vec<(&mut ParamEntry, Vec<&Tensor>, f32)> =
-            self.entries.iter_mut().map(|e| (e, Vec::new(), 0.0)).collect();
-        for (id, g) in tables.iter().flatten() {
-            work[id.0].1.push(g);
+    /// gradients in slice order — a deferred weight in one kernel call
+    /// over its tables' products, which adds them in that order inside
+    /// each register tile — and sums its own squares in element order, and
+    /// the per-parameter sums are added in registration order, so the
+    /// result has the bits of the serial calls at any thread count. (A
+    /// parameter is deferred in every tape of a step or in none.)
+    pub fn reduce(&mut self, tables: &[TapeGrads]) -> Reduced {
+        struct Work<'a> {
+            e: &'a mut ParamEntry,
+            dense: Vec<&'a Tensor>,
+            parts: Vec<(&'a [f32], &'a [f32])>,
+            sq_sum: f32,
+            wgrad_ns: u64,
+            busy_ns: u64,
         }
-        pool::parallel_for_each_mut(&mut work, |_, (e, grads, sq_sum)| {
-            for g in grads.iter() {
-                e.grad.add_assign(g);
-                e.touched = true;
+        let wall = turl_obs::Timer::start();
+        let mut work: Vec<Work> = self
+            .entries
+            .iter_mut()
+            .map(|e| Work {
+                e,
+                dense: Vec::new(),
+                parts: Vec::new(),
+                sq_sum: 0.0,
+                wgrad_ns: 0,
+                busy_ns: 0,
+            })
+            .collect();
+        for table in tables {
+            for (id, g) in &table.dense {
+                work[id.0].dense.push(g);
             }
-            if e.touched {
-                *sq_sum = e.grad.data().iter().map(|x| x * x).sum::<f32>();
+            for p in &table.products {
+                work[p.id.0].parts.push((p.x.data(), p.dy.data()));
             }
+        }
+        pool::parallel_for_each_mut(&mut work, |_, w| {
+            let busy = turl_obs::Timer::start();
+            assert!(w.parts.is_empty() || w.dense.is_empty(), "`{}` bound both ways", w.e.name);
+            if !w.parts.is_empty() {
+                let (m, n) = (w.e.grad.shape()[0], w.e.grad.shape()[1]);
+                ops::matmul_tn_acc_into(w.e.grad.data_mut(), m, n, &w.parts);
+                w.e.touched = true;
+                w.wgrad_ns = busy.elapsed_ns();
+            }
+            for g in &w.dense {
+                w.e.grad.add_assign(g);
+                w.e.touched = true;
+            }
+            if w.e.touched {
+                w.sq_sum = w.e.grad.data().iter().map(|x| x * x).sum::<f32>();
+            }
+            w.busy_ns = busy.elapsed_ns();
         });
-        work.iter().filter(|(e, ..)| e.touched).map(|&(.., sq_sum)| sq_sum).sum::<f32>().sqrt()
+        let grad_norm = work.iter().filter(|w| w.e.touched).map(|w| w.sq_sum).sum::<f32>().sqrt();
+        // Worker time overlaps; scale the products' share to the wall clock.
+        let (wgrad, busy) =
+            work.iter().fold((0u64, 0u64), |(a, b), w| (a + w.wgrad_ns, b + w.busy_ns));
+        let wgrad_ns = (wall.elapsed_ns() as f64 * wgrad as f64 / busy.max(1) as f64) as u64;
+        Reduced { grad_norm, wgrad_ns }
     }
 
     /// Zero every gradient and clear touched flags.
@@ -273,33 +374,69 @@ impl Forward {
     /// shares the store's tensor instead of copying it; an optimizer step
     /// taken while this tape is alive leaves the tape's value as it was.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        self.bind(id, |g| g.leaf_shared(Arc::clone(&store.entries[id.0].value), true))
+    }
+
+    /// [`param`](Self::param) for a `[m, n]` weight this pass reads once,
+    /// as the rhs of a `matmul`: the tape never forms its gradient, which
+    /// comes back as a [`WeightProduct`] of [`take_grads`](Self::take_grads).
+    /// Any other use of the returned leaf panics where it is recorded. A
+    /// parameter already bound this pass keeps its binding.
+    pub fn param_deferred(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        self.bind(id, |g| g.leaf_deferred(Arc::clone(&store.entries[id.0].value)))
+    }
+
+    fn bind(&mut self, id: ParamId, leaf: impl FnOnce(&mut Graph) -> Var) -> Var {
         if self.bound.len() <= id.0 {
             self.bound.resize(id.0 + 1, None);
         }
-        *self.bound[id.0].get_or_insert_with(|| {
-            self.graph.leaf_shared(Arc::clone(&store.entries[id.0].value), true)
-        })
+        *self.bound[id.0].get_or_insert_with(|| leaf(&mut self.graph))
     }
 
-    /// After `graph.backward`, pull parameter gradients off the tape, in
+    /// After `graph.backward`, pull parameter gradients off the tape: the
+    /// dense ones and the factors of the deferred ones, each list in
     /// parameter (registration) order.
+    ///
+    /// Feed the result to [`ParamStore::reduce`], or its two lists to
+    /// [`ParamStore::accumulate`] and [`ParamStore::accumulate_products`].
+    pub fn take_grads(&mut self) -> TapeGrads {
+        let mut grads = TapeGrads::default();
+        for (i, var) in self.bound.iter().enumerate() {
+            if let Some(g) = var.and_then(|v| self.graph.take_grad(v)) {
+                grads.dense.push((ParamId(i), g));
+            }
+        }
+        for p in self.graph.take_deferred() {
+            let id = self.bound.iter().position(|b| *b == Some(p.leaf));
+            let id = ParamId(id.expect("a deferred leaf is a bound parameter"));
+            grads.products.push(WeightProduct { id, x: p.x, dy: p.dy });
+        }
+        grads.products.sort_by_key(|p| p.id.0);
+        grads
+    }
+
+    /// After `graph.backward`, every parameter gradient as a tensor, in
+    /// parameter (registration) order — deferred ones formed here, from
+    /// zeros, by the kernel the store would have used.
     ///
     /// Feed the result to [`ParamStore::accumulate`].
     pub fn take_param_grads(&mut self) -> Vec<(ParamId, Tensor)> {
-        let mut out = Vec::new();
-        for (i, var) in self.bound.iter().enumerate() {
-            if let Some(g) = var.and_then(|v| self.graph.take_grad(v)) {
-                out.push((ParamId(i), g));
-            }
+        let TapeGrads { dense: mut out, products } = self.take_grads();
+        for p in products {
+            let mut g = Tensor::zeros(vec![p.x.shape()[1], p.dy.shape()[1]]);
+            p.add_into(&mut g);
+            out.push((p.id, g));
         }
+        out.sort_by_key(|(id, _)| id.0);
         out
     }
 
     /// Convenience: backward from `loss`, then accumulate into `store`.
     pub fn backprop(&mut self, loss: Var, store: &mut ParamStore) {
         self.graph.backward(loss);
-        let grads = self.take_param_grads();
-        store.accumulate(grads);
+        let grads = self.take_grads();
+        store.accumulate(grads.dense);
+        store.accumulate_products(&grads.products);
     }
 }
 
@@ -388,25 +525,44 @@ mod tests {
                 .collect();
             (s, ids)
         };
-        // Table 1 skips p1, table 2 skips p0; p3 gets nothing and stays
-        // untouched (and out of the norm).
+        // p0 `[3, 5]` is deferred: its gradient arrives as `[k, 3]ᵀ · [k, 5]`
+        // factors, `k` differing per table. Table 1 skips p1, table 2
+        // skips p0; p3 gets nothing and stays untouched (and out of the
+        // norm).
+        let product = |id: ParamId, k: usize, seed: usize| WeightProduct {
+            id,
+            x: Arc::new(grad(&[k, 3], seed)),
+            dy: grad(&[k, 5], seed + 1),
+        };
         let tables = |ids: &[ParamId]| {
             vec![
-                vec![(ids[0], grad(&shapes[0], 1)), (ids[1], grad(&shapes[1], 2))],
-                vec![(ids[0], grad(&shapes[0], 3)), (ids[2], grad(&shapes[2], 4))],
-                vec![(ids[1], grad(&shapes[1], 5)), (ids[2], grad(&shapes[2], 6))],
+                TapeGrads {
+                    dense: vec![(ids[1], grad(&shapes[1], 2))],
+                    products: vec![product(ids[0], 4, 1)],
+                },
+                TapeGrads {
+                    dense: vec![(ids[2], grad(&shapes[2], 4))],
+                    products: vec![product(ids[0], 1, 3)],
+                },
+                TapeGrads {
+                    dense: vec![(ids[1], grad(&shapes[1], 5)), (ids[2], grad(&shapes[2], 6))],
+                    products: Vec::new(),
+                },
             ]
         };
+        // The serial reference forms every product as a tensor first.
         let (mut serial, ids) = fresh();
         for t in tables(&ids) {
-            serial.accumulate(t);
+            let formed = t.products.iter().map(|p| (p.id, ops::matmul_tn(&p.x, &p.dy)));
+            serial.accumulate(formed.collect());
+            serial.accumulate(t.dense);
         }
         let want = serial.grad_norm();
         let saved = pool::n_threads();
         for threads in [1, 2, 4] {
             pool::set_threads(threads);
             let (mut s, ids) = fresh();
-            let norm = s.reduce(&tables(&ids));
+            let norm = s.reduce(&tables(&ids)).grad_norm;
             assert_eq!(norm.to_bits(), want.to_bits(), "norm at {threads} threads");
             for &id in &ids {
                 let (got, want) = (s.grad(id).data(), serial.grad(id).data());
@@ -415,6 +571,46 @@ mod tests {
             assert_eq!(s.grad_norm().to_bits(), want.to_bits());
         }
         pool::set_threads(saved);
+    }
+
+    #[test]
+    fn deferred_binding_gives_the_dense_bindings_gradient_bits() {
+        // y = x · w + b through both bindings: `take_param_grads` and
+        // `backprop` must not tell them apart.
+        let mut s = ParamStore::new();
+        let x = Tensor::from_vec(vec![3, 2], vec![0.5, -1.0, 2.0, 0.25, -0.75, 1.5]);
+        let w = s.register("w", Tensor::from_vec(vec![2, 2], vec![0.1, -0.2, 0.3, 0.4]));
+        let b = s.register("b", Tensor::from_vec(vec![2], vec![0.01, -0.02]));
+        let run = |s: &mut ParamStore, deferred: bool, accumulate: bool| {
+            let mut f = Forward::new(s);
+            let xv = f.graph.leaf(x.clone(), true);
+            let wv = if deferred { f.param_deferred(s, w) } else { f.param(s, w) };
+            let bv = f.param(s, b);
+            let y = f.graph.matmul(xv, wv);
+            let y = f.graph.add(y, bv);
+            let sq = f.graph.mul(y, y);
+            let loss = f.graph.sum_all(sq);
+            if accumulate {
+                f.backprop(loss, s);
+                return vec![(w, s.grad(w).clone()), (b, s.grad(b).clone())];
+            }
+            f.graph.backward(loss);
+            f.take_param_grads()
+        };
+        for accumulate in [false, true] {
+            let dense = run(&mut s, false, accumulate);
+            s.zero_grads();
+            let deferred = run(&mut s, true, accumulate);
+            s.zero_grads();
+            assert_eq!(dense.len(), 2);
+            for ((id, want), (got_id, got)) in dense.iter().zip(&deferred) {
+                assert_eq!(id, got_id);
+                assert_eq!(want.shape(), got.shape());
+                let same =
+                    want.data().iter().zip(got.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "`{}` (accumulate: {accumulate})", s.name(*id));
+            }
+        }
     }
 
     #[test]

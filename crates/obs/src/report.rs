@@ -132,6 +132,8 @@ pub struct Summary {
     pub losses: Vec<f64>,
     /// Phase totals in ns: (prepare, forward, backward, reduce, optimizer).
     pub phase_ns: [u64; 5],
+    /// The part of the reduce phase spent forming weight gradients, in ns.
+    pub wgrad_ns: u64,
     /// Tensor buffers the steps drew: (recycled, newly allocated, bytes of
     /// the newly allocated).
     pub tape_buffers: [u64; 3],
@@ -225,6 +227,7 @@ pub fn summarize(events: &[Event]) -> Result<Summary, String> {
                 for (i, key) in PHASE_KEYS.iter().enumerate() {
                     s.phase_ns[i] += ev.u64_field(key).unwrap_or(0);
                 }
+                s.wgrad_ns += ev.u64_field("wgrad_ns").unwrap_or(0);
                 for (i, key) in BUFFER_KEYS.iter().enumerate() {
                     s.tape_buffers[i] += ev.u64_field(key).unwrap_or(0);
                 }
@@ -548,7 +551,11 @@ pub fn render(s: &Summary) -> String {
     ];
     for (name, ns) in phases {
         let pct = if total > 0 { 100.0 * ns as f64 / total as f64 } else { 0.0 };
-        let _ = writeln!(out, "  {name:<10} {:>12}  {pct:5.1}%", fmt_ms(ns));
+        let _ = write!(out, "  {name:<10} {:>12}  {pct:5.1}%", fmt_ms(ns));
+        if name == "reduce" && s.wgrad_ns > 0 {
+            let _ = write!(out, "  (weight gradients {})", fmt_ms(s.wgrad_ns));
+        }
+        let _ = writeln!(out);
     }
     let [recycled, fresh, fresh_bytes] = s.tape_buffers;
     if recycled + fresh > 0 {
@@ -685,6 +692,7 @@ mod tests {
                 ("forward_ns".to_string(), FieldValue::U64(100)),
                 ("backward_ns".to_string(), FieldValue::U64(200)),
                 ("reduce_ns".to_string(), FieldValue::U64(20)),
+                ("wgrad_ns".to_string(), FieldValue::U64(12)),
                 ("opt_ns".to_string(), FieldValue::U64(30)),
                 ("pool_hits".to_string(), FieldValue::U64(900)),
                 ("pool_misses".to_string(), FieldValue::U64(3)),
@@ -738,6 +746,7 @@ mod tests {
         let s = summarize(&events).expect("summary");
         assert_eq!(s.n_steps, 10);
         assert_eq!(s.phase_ns, [100, 1000, 2000, 200, 300]);
+        assert_eq!(s.wgrad_ns, 120);
         assert_eq!(s.tape_buffers, [9000, 30, 25_000_000]);
         assert_eq!(s.mlm.observed(), Some(0.2));
         assert_eq!(s.mer.observed(), Some(0.6));
@@ -747,6 +756,7 @@ mod tests {
         assert!(s.anomalies.is_empty(), "{:?}", s.anomalies);
         let text = render(&s);
         assert!(text.contains("forward"), "{text}");
+        assert!(text.contains("(weight gradients "), "{text}");
         assert!(
             text.contains("tensor buffers: 9000 recycled, 30 allocated (2.50 MB per step)"),
             "{text}"

@@ -16,7 +16,10 @@
 //! Buffers are shelved by capacity class, four per octave: a fresh buffer
 //! wastes under a quarter of its size, and a draw takes the smallest
 //! shelved buffer below twice the request, so a shorter table's tensors
-//! fit the buffers a longer one left. Retention is bounded by
+//! fit the buffers a longer one left. Buffers handed back since the last
+//! `trim` are searched first: a step that repeats the previous step's
+//! draws then repeats its choices and allocates nothing. Retention is
+//! bounded by
 //! [`BufferPool::trim`]: it frees every buffer that was not handed back
 //! since the previous `trim`, so a pool trimmed once per step holds at
 //! most what that one step used.
@@ -90,6 +93,8 @@ pub struct PoolStats {
     pub misses: u64,
     /// Bytes those allocations asked for.
     pub fresh_bytes: u64,
+    /// Elements of the largest buffer any draw asked for.
+    pub largest_draw: usize,
 }
 
 /// A shared pool of recycled `f32` buffers; see the [module docs](self).
@@ -159,8 +164,13 @@ impl BufferPool {
         let class = class_above(n);
         let recycled = {
             let mut inner = self.lock();
-            let buf = (class..class + STEPS)
-                .find_map(|c| inner.recent.pop(c).or_else(|| inner.stale.pop(c)));
+            // Recent shelves first, all of them: what this step has handed
+            // back so far depends only on the step's own draws, so a step
+            // that repeats the previous one's draws repeats its choices
+            // and takes from `stale` exactly where that one allocated.
+            let fit = |shelves: &mut Shelves| (class..class + STEPS).find_map(|c| shelves.pop(c));
+            let buf = fit(&mut inner.recent).or_else(|| fit(&mut inner.stale));
+            inner.stats.largest_draw = inner.stats.largest_draw.max(n);
             match buf {
                 Some(_) => inner.stats.hits += 1,
                 None => {
@@ -248,7 +258,10 @@ mod tests {
             drop(Tensor::zeros(vec![1024]));
         }
         drop(Tensor::zeros(vec![1024]));
-        assert_eq!(pool.stats(), PoolStats { hits: 0, misses: 1, fresh_bytes: 4096 });
+        assert_eq!(
+            pool.stats(),
+            PoolStats { hits: 0, misses: 1, fresh_bytes: 4096, largest_draw: 1024 }
+        );
         // Small tensors never touch the pool.
         let _scope = pool.enter();
         drop(Tensor::zeros(vec![255]));

@@ -6,6 +6,16 @@
 //! The op vocabulary is exactly what a structure-aware Transformer needs.
 //! Forward values come from the [`crate::ops`] kernels the forward-plan
 //! executor calls; this module adds the tape and the backward closures.
+//!
+//! Backward computes only what is read: every closure is told which of
+//! its parents need a gradient and returns `None` for the rest, so a
+//! constant operand (a mask, an averaging matrix) costs nothing. A weight
+//! can go one step further and be bound *deferred*
+//! ([`Graph::leaf_deferred`]): it may only be the rhs of one
+//! [`Graph::matmul`], the tape never forms its gradient `Xᵀ · dY`, and
+//! after `backward` [`Graph::take_deferred`] hands out the two factors —
+//! the owner adds the product into its gradient store, for all the
+//! tables of a batch in one kernel call.
 
 use crate::ops;
 use crate::ops::{gelu_grad, gelu_tanh};
@@ -27,8 +37,10 @@ impl Var {
     }
 }
 
+/// `(node gradient, node value, parent values, which parents need a
+/// gradient) → one gradient per parent`, `None` where none is needed.
 // `Send` so a whole `Graph` can move between data-parallel train workers.
-type BackFn = Box<dyn Fn(&Tensor, &Tensor, &[&Tensor]) -> Vec<Tensor> + Send>;
+type BackFn = Box<dyn Fn(&Tensor, &Tensor, &[&Tensor], &[bool]) -> Vec<Option<Tensor>> + Send>;
 
 /// A node's value: computed on this tape, or a leaf that stays with its
 /// owner (a parameter bound without copying it).
@@ -52,19 +64,41 @@ struct Node {
     grad: Option<Tensor>,
     parents: Vec<Var>,
     needs_grad: bool,
+    /// A leaf bound by [`Graph::leaf_deferred`]: trained, but its gradient
+    /// is never formed on the tape (`needs_grad` is false).
+    deferred: bool,
     backward: Option<BackFn>,
+}
+
+/// A deferred leaf's one use: `node = matmul(lhs, leaf)`.
+struct DeferredUse {
+    leaf: Var,
+    lhs: Var,
+    node: Var,
+}
+
+/// The two factors of a deferred leaf's gradient `xᵀ · dy`, as
+/// [`Graph::take_deferred`] hands them out.
+pub struct DeferredProduct {
+    /// The deferred leaf the product is the gradient of.
+    pub leaf: Var,
+    /// The lhs value of the leaf's `matmul`, `[k, m]`; still on the tape.
+    pub x: Arc<Tensor>,
+    /// The gradient that reached the `matmul`'s output, `[k, n]`.
+    pub dy: Tensor,
 }
 
 /// A dynamic computation graph (autograd tape).
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
+    deferred: Vec<DeferredUse>,
 }
 
 impl Graph {
     /// An empty graph.
     pub fn new() -> Self {
-        Self { nodes: Vec::new() }
+        Self::default()
     }
 
     /// Number of nodes currently on the tape.
@@ -77,6 +111,7 @@ impl Graph {
     /// re-growing the tape vector from scratch every iteration.
     pub fn reset(&mut self) {
         self.nodes.clear();
+        self.deferred.clear();
     }
 
     /// True when no nodes have been recorded.
@@ -95,12 +130,24 @@ impl Graph {
         self.push_leaf(Value::Shared(value), requires_grad)
     }
 
+    /// Add a trained leaf whose gradient the tape never forms: it may be
+    /// read once, as the rhs of a [`matmul`](Graph::matmul) — anything
+    /// else panics when the op is recorded — and after
+    /// [`backward`](Graph::backward) its gradient is the product
+    /// [`take_deferred`](Graph::take_deferred) lists.
+    pub fn leaf_deferred(&mut self, value: Arc<Tensor>) -> Var {
+        let v = self.push_leaf(Value::Shared(value), false);
+        self.nodes[v.0].deferred = true;
+        v
+    }
+
     fn push_leaf(&mut self, value: Value, requires_grad: bool) -> Var {
         self.nodes.push(Node {
             value,
             grad: None,
             parents: Vec::new(),
             needs_grad: requires_grad,
+            deferred: false,
             backward: None,
         });
         Var(self.nodes.len() - 1)
@@ -145,6 +192,11 @@ impl Graph {
         self.nodes[v.0].needs_grad
     }
 
+    /// Whether `v` is a [deferred](Graph::leaf_deferred) leaf.
+    pub fn is_deferred(&self, v: Var) -> bool {
+        self.nodes[v.0].deferred
+    }
+
     /// Whether `v` is a leaf: it was created directly from a tensor rather
     /// than by an operation.
     pub fn is_leaf(&self, v: Var) -> bool {
@@ -158,12 +210,23 @@ impl Graph {
     }
 
     fn push(&mut self, value: Tensor, parents: Vec<Var>, backward: BackFn) -> Var {
-        let needs_grad = parents.iter().any(|p| self.nodes[p.0].needs_grad);
+        if let Some(p) = parents.iter().find(|p| self.nodes[p.0].deferred) {
+            panic!("deferred leaf {} may only be the rhs of a matmul", p.0);
+        }
+        self.push_unchecked(value, parents, backward)
+    }
+
+    /// [`push`](Self::push) for the one op that may read a deferred leaf.
+    fn push_unchecked(&mut self, value: Tensor, parents: Vec<Var>, backward: BackFn) -> Var {
+        // A deferred leaf needs no gradient itself but its reader does.
+        let needs_grad =
+            parents.iter().any(|p| self.nodes[p.0].needs_grad || self.nodes[p.0].deferred);
         self.nodes.push(Node {
             value: Value::Owned(value),
             grad: None,
             parents,
             needs_grad,
+            deferred: false,
             backward: if needs_grad { Some(backward) } else { None },
         });
         Var(self.nodes.len() - 1)
@@ -186,16 +249,17 @@ impl Graph {
                 let node = &self.nodes[i];
                 let pvals: Vec<&Tensor> =
                     node.parents.iter().map(|p| &*self.nodes[p.0].value).collect();
+                let needs: Vec<bool> =
+                    node.parents.iter().map(|p| self.nodes[p.0].needs_grad).collect();
                 let f = node.backward.as_ref().expect("checked above");
-                f(node.grad.as_ref().expect("checked above"), &node.value, &pvals)
+                f(node.grad.as_ref().expect("checked above"), &node.value, &pvals, &needs)
             };
             let parents = self.nodes[i].parents.clone();
             debug_assert_eq!(parents.len(), grads.len(), "backward arity mismatch at node {i}");
             for (p, g) in parents.into_iter().zip(grads) {
                 let target = &mut self.nodes[p.0];
-                if !target.needs_grad {
-                    continue;
-                }
+                debug_assert_eq!(g.is_some(), target.needs_grad, "needs-mask ignored at node {i}");
+                let Some(g) = g else { continue };
                 debug_assert_eq!(
                     g.shape(),
                     target.value.shape(),
@@ -210,6 +274,33 @@ impl Graph {
         }
     }
 
+    /// After [`backward`](Graph::backward): the gradient of every deferred
+    /// leaf as its two factors, in recording order. A leaf whose `matmul`
+    /// no gradient reached is absent. `dy` is moved off the tape (like
+    /// [`take_grad`](Graph::take_grad)); `x` stays a value of the tape,
+    /// shared with the returned handle, which outlives a
+    /// [`reset`](Graph::reset).
+    pub fn take_deferred(&mut self) -> Vec<DeferredProduct> {
+        let mut out = Vec::with_capacity(self.deferred.len());
+        for i in 0..self.deferred.len() {
+            let DeferredUse { leaf, lhs, node } = self.deferred[i];
+            let Some(dy) = self.nodes[node.0].grad.take() else { continue };
+            out.push(DeferredProduct { leaf, x: self.share_value(lhs), dy });
+        }
+        out
+    }
+
+    /// A shared handle to `v`'s value, which the tape keeps reading.
+    fn share_value(&mut self, v: Var) -> Arc<Tensor> {
+        let slot = &mut self.nodes[v.0].value;
+        let shared = match std::mem::replace(slot, Value::Owned(Tensor::scalar(0.0))) {
+            Value::Owned(t) => Arc::new(t),
+            Value::Shared(t) => t,
+        };
+        *slot = Value::Shared(Arc::clone(&shared));
+        shared
+    }
+
     // ---------------------------------------------------------------------
     // Elementwise arithmetic (NumPy broadcasting)
     // ---------------------------------------------------------------------
@@ -220,8 +311,8 @@ impl Graph {
         self.push(
             value,
             vec![a, b],
-            Box::new(|g, _, pv| {
-                vec![g.reduce_to_shape(pv[0].shape()), g.reduce_to_shape(pv[1].shape())]
+            Box::new(|g, _, pv, needs| {
+                (0..2).map(|i| needs[i].then(|| g.reduce_to_shape(pv[i].shape()))).collect()
             }),
         )
     }
@@ -232,9 +323,11 @@ impl Graph {
         self.push(
             value,
             vec![a, b],
-            Box::new(|g, _, pv| {
-                let gb = g.map(|x| -x).reduce_to_shape(pv[1].shape());
-                vec![g.reduce_to_shape(pv[0].shape()), gb]
+            Box::new(|g, _, pv, needs| {
+                vec![
+                    needs[0].then(|| g.reduce_to_shape(pv[0].shape())),
+                    needs[1].then(|| g.map(|x| -x).reduce_to_shape(pv[1].shape())),
+                ]
             }),
         )
     }
@@ -245,10 +338,16 @@ impl Graph {
         self.push(
             value,
             vec![a, b],
-            Box::new(|g, _, pv| {
-                let ga = g.broadcast_zip(pv[1], |x, y| x * y).expect("mul back");
-                let gb = g.broadcast_zip(pv[0], |x, y| x * y).expect("mul back");
-                vec![ga.reduce_to_shape(pv[0].shape()), gb.reduce_to_shape(pv[1].shape())]
+            Box::new(|g, _, pv, needs| {
+                // d(a·b)/da = b and the other way round.
+                (0..2)
+                    .map(|i| {
+                        needs[i].then(|| {
+                            let gi = g.broadcast_zip(pv[1 - i], |x, y| x * y).expect("mul back");
+                            gi.reduce_to_shape(pv[i].shape())
+                        })
+                    })
+                    .collect()
             }),
         )
     }
@@ -256,13 +355,13 @@ impl Graph {
     /// `a * c` for scalar constant `c`.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let value = self.value(a).map(|x| x * c);
-        self.push(value, vec![a], Box::new(move |g, _, _| vec![g.map(|x| x * c)]))
+        self.push(value, vec![a], Box::new(move |g, _, _, _| vec![Some(g.map(|x| x * c))]))
     }
 
     /// `a + c` for scalar constant `c`.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
         let value = self.value(a).map(|x| x + c);
-        self.push(value, vec![a], Box::new(|g, _, _| vec![g.clone()]))
+        self.push(value, vec![a], Box::new(|g, _, _, _| vec![Some(g.clone())]))
     }
 
     /// Elementwise negation.
@@ -274,14 +373,31 @@ impl Graph {
     // Linear algebra
     // ---------------------------------------------------------------------
 
-    /// 2-D matrix product `A · B`.
+    /// 2-D matrix product `A · B`. `B` may be a
+    /// [deferred](Graph::leaf_deferred) leaf not read before: backward
+    /// then computes `dA` alone.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        assert!(!self.nodes[a.0].deferred, "deferred leaf {} may only be the rhs of a matmul", a.0);
+        let deferred_rhs = self.nodes[b.0].deferred;
+        if deferred_rhs {
+            let earlier = self.deferred.iter().any(|u| u.leaf == b);
+            assert!(!earlier, "deferred leaf {} is read by a second matmul", b.0);
+        }
         let value = ops::matmul(self.value(a), self.value(b));
-        self.push(
+        let node = self.push_unchecked(
             value,
             vec![a, b],
-            Box::new(|g, _, pv| vec![ops::matmul_nt(g, pv[1]), ops::matmul_tn(pv[0], g)]),
-        )
+            Box::new(|g, _, pv, needs| {
+                vec![
+                    needs[0].then(|| ops::matmul_nt(g, pv[1])),
+                    needs[1].then(|| ops::matmul_tn(pv[0], g)),
+                ]
+            }),
+        );
+        if deferred_rhs {
+            self.deferred.push(DeferredUse { leaf: b, lhs: a, node });
+        }
+        node
     }
 
     /// 2-D product against a transposed rhs: `A · Bᵀ`.
@@ -292,7 +408,12 @@ impl Graph {
         self.push(
             value,
             vec![a, b],
-            Box::new(|g, _, pv| vec![ops::matmul(g, pv[1]), ops::matmul_tn(g, pv[0])]),
+            Box::new(|g, _, pv, needs| {
+                vec![
+                    needs[0].then(|| ops::matmul(g, pv[1])),
+                    needs[1].then(|| ops::matmul_tn(g, pv[0])),
+                ]
+            }),
         )
     }
 
@@ -302,7 +423,12 @@ impl Graph {
         self.push(
             value,
             vec![a, b],
-            Box::new(|g, _, pv| vec![ops::bmm_nt(g, pv[1]), ops::bmm_tn(pv[0], g)]),
+            Box::new(|g, _, pv, needs| {
+                vec![
+                    needs[0].then(|| ops::bmm_nt(g, pv[1])),
+                    needs[1].then(|| ops::bmm_tn(pv[0], g)),
+                ]
+            }),
         )
     }
 
@@ -312,7 +438,9 @@ impl Graph {
         self.push(
             value,
             vec![a, b],
-            Box::new(|g, _, pv| vec![ops::bmm(g, pv[1]), ops::bmm_tn(g, pv[0])]),
+            Box::new(|g, _, pv, needs| {
+                vec![needs[0].then(|| ops::bmm(g, pv[1])), needs[1].then(|| ops::bmm_tn(g, pv[0]))]
+            }),
         )
     }
 
@@ -323,7 +451,7 @@ impl Graph {
         for (i, &ax) in axes.iter().enumerate() {
             inverse[ax] = i;
         }
-        self.push(value, vec![a], Box::new(move |g, _, _| vec![g.permute(&inverse)]))
+        self.push(value, vec![a], Box::new(move |g, _, _, _| vec![Some(g.permute(&inverse))]))
     }
 
     /// Reshape to a new shape with the same element count.
@@ -332,7 +460,9 @@ impl Graph {
         self.push(
             value,
             vec![a],
-            Box::new(|g, _, pv| vec![g.reshape(pv[0].shape().to_vec()).expect("reshape back")]),
+            Box::new(|g, _, pv, _| {
+                vec![Some(g.reshape(pv[0].shape().to_vec()).expect("reshape back"))]
+            }),
         )
     }
 
@@ -346,10 +476,9 @@ impl Graph {
         self.push(
             value,
             vec![a],
-            Box::new(|g, _, pv| {
-                vec![g
-                    .broadcast_zip(pv[0], |gv, x| if x > 0.0 { gv } else { 0.0 })
-                    .expect("relu back")]
+            Box::new(|g, _, pv, _| {
+                let dx = g.broadcast_zip(pv[0], |gv, x| if x > 0.0 { gv } else { 0.0 });
+                vec![Some(dx.expect("relu back"))]
             }),
         )
     }
@@ -365,12 +494,12 @@ impl Graph {
         self.push(
             value,
             vec![a],
-            Box::new(move |g, _, pv| {
+            Box::new(move |g, _, pv, _| {
                 let mut dx = g.clone();
                 for ((d, &x), &t) in dx.data_mut().iter_mut().zip(pv[0].data()).zip(t.data()) {
                     *d *= gelu_grad(x, t);
                 }
-                vec![dx]
+                vec![Some(dx)]
             }),
         )
     }
@@ -381,8 +510,8 @@ impl Graph {
         self.push(
             value,
             vec![a],
-            Box::new(|g, out, _| {
-                vec![g.broadcast_zip(out, |gv, y| gv * (1.0 - y * y)).expect("tanh back")]
+            Box::new(|g, out, _, _| {
+                vec![Some(g.broadcast_zip(out, |gv, y| gv * (1.0 - y * y)).expect("tanh back"))]
             }),
         )
     }
@@ -393,8 +522,9 @@ impl Graph {
         self.push(
             value,
             vec![a],
-            Box::new(|g, out, _| {
-                vec![g.broadcast_zip(out, |gv, y| gv * y * (1.0 - y)).expect("sigmoid back")]
+            Box::new(|g, out, _, _| {
+                let dx = g.broadcast_zip(out, |gv, y| gv * y * (1.0 - y));
+                vec![Some(dx.expect("sigmoid back"))]
             }),
         )
     }
@@ -409,7 +539,7 @@ impl Graph {
         self.push(
             value,
             vec![a],
-            Box::new(|g, out, _| {
+            Box::new(|g, out, _, _| {
                 let w = *out.shape().last().expect("softmax rank");
                 let mut dx = g.clone();
                 {
@@ -426,7 +556,7 @@ impl Graph {
                         }
                     }
                 }
-                vec![dx]
+                vec![Some(dx)]
             }),
         )
     }
@@ -448,17 +578,16 @@ impl Graph {
         self.push(
             out,
             vec![x, gamma, beta],
-            Box::new(move |g, _, pv| {
+            Box::new(move |g, _, pv, needs| {
                 let xval = pv[0];
                 let gamma = pv[1].data();
                 let d = *xval.shape().last().expect("layer_norm rank");
                 let rows = xval.len() / d;
-                let mut dx = Tensor::zeros(xval.shape().to_vec());
-                let (mut dgamma, mut dbeta) = (Tensor::zeros(vec![d]), Tensor::zeros(vec![d]));
-                let (dgd, dbd) = (dgamma.data_mut(), dbeta.data_mut());
+                let mut dx = needs[0].then(|| Tensor::zeros(xval.shape().to_vec()));
+                let mut dgamma = needs[1].then(|| Tensor::zeros(vec![d]));
+                let mut dbeta = needs[2].then(|| Tensor::zeros(vec![d]));
                 let xd = xval.data();
                 let gd = g.data();
-                let dxd = dx.data_mut();
                 for r in 0..rows {
                     let o = r * d;
                     let row = &xd[o..o + d];
@@ -466,23 +595,34 @@ impl Graph {
                     let mean = row.iter().sum::<f32>() / d as f32;
                     let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
                     let inv = 1.0 / (var + eps).sqrt();
-                    // xhat and dy*gamma statistics
-                    let mut sum_dyg = 0.0f32;
-                    let mut sum_dyg_xhat = 0.0f32;
-                    for j in 0..d {
-                        let xhat = (row[j] - mean) * inv;
-                        let dyg = grow[j] * gamma[j];
-                        sum_dyg += dyg;
-                        sum_dyg_xhat += dyg * xhat;
-                        dgd[j] += grow[j] * xhat;
-                        dbd[j] += grow[j];
+                    if let Some(dx) = &mut dx {
+                        // xhat and dy*gamma statistics
+                        let mut sum_dyg = 0.0f32;
+                        let mut sum_dyg_xhat = 0.0f32;
+                        for j in 0..d {
+                            let xhat = (row[j] - mean) * inv;
+                            let dyg = grow[j] * gamma[j];
+                            sum_dyg += dyg;
+                            sum_dyg_xhat += dyg * xhat;
+                        }
+                        let m1 = sum_dyg / d as f32;
+                        let m2 = sum_dyg_xhat / d as f32;
+                        let dxd = &mut dx.data_mut()[o..o + d];
+                        for j in 0..d {
+                            let xhat = (row[j] - mean) * inv;
+                            let dyg = grow[j] * gamma[j];
+                            dxd[j] = inv * (dyg - m1 - xhat * m2);
+                        }
                     }
-                    let m1 = sum_dyg / d as f32;
-                    let m2 = sum_dyg_xhat / d as f32;
-                    for j in 0..d {
-                        let xhat = (row[j] - mean) * inv;
-                        let dyg = grow[j] * gamma[j];
-                        dxd[o + j] = inv * (dyg - m1 - xhat * m2);
+                    if let Some(dgamma) = &mut dgamma {
+                        for (j, dg) in dgamma.data_mut().iter_mut().enumerate() {
+                            *dg += grow[j] * ((row[j] - mean) * inv);
+                        }
+                    }
+                    if let Some(dbeta) = &mut dbeta {
+                        for (db, &gv) in dbeta.data_mut().iter_mut().zip(grow) {
+                            *db += gv;
+                        }
                     }
                 }
                 vec![dx, dgamma, dbeta]
@@ -501,7 +641,7 @@ impl Graph {
         self.push(
             value,
             vec![a],
-            Box::new(move |g, _, pv| {
+            Box::new(move |g, _, pv, _| {
                 let mut out = Tensor::zeros(pv[0].shape().to_vec());
                 let row_len: usize = pv[0].shape()[1..].iter().product();
                 let gd = g.data();
@@ -513,7 +653,7 @@ impl Graph {
                         *d += s;
                     }
                 }
-                vec![out]
+                vec![Some(out)]
             }),
         )
     }
@@ -534,7 +674,7 @@ impl Graph {
         self.push(
             Tensor::from_vec(vec![d], out),
             vec![a],
-            Box::new(move |g, _, pv| {
+            Box::new(move |g, _, pv, _| {
                 let (n, d) = (pv[0].shape()[0], pv[0].shape()[1]);
                 let inv = 1.0 / n.max(1) as f32;
                 let mut dx = Tensor::zeros(vec![n, d]);
@@ -543,7 +683,7 @@ impl Graph {
                         *o = gv * inv;
                     }
                 }
-                vec![dx]
+                vec![Some(dx)]
             }),
         )
     }
@@ -554,7 +694,7 @@ impl Graph {
         self.push(
             value,
             vec![a],
-            Box::new(|g, _, pv| vec![Tensor::full(pv[0].shape().to_vec(), g.item())]),
+            Box::new(|g, _, pv, _| vec![Some(Tensor::full(pv[0].shape().to_vec(), g.item()))]),
         )
     }
 
@@ -573,16 +713,21 @@ impl Graph {
         self.push(
             value,
             parts.to_vec(),
-            Box::new(move |g, _, pv| {
+            Box::new(move |g, _, pv, needs| {
                 let rows = pv[0].shape()[0];
                 let total: usize = widths.iter().sum();
-                let mut grads: Vec<Tensor> =
-                    widths.iter().map(|&w| Tensor::zeros(vec![rows, w])).collect();
+                let mut grads: Vec<Option<Tensor>> = widths
+                    .iter()
+                    .zip(needs)
+                    .map(|(&w, &need)| need.then(|| Tensor::zeros(vec![rows, w])))
+                    .collect();
                 for r in 0..rows {
                     let mut off = 0usize;
                     for (gi, &w) in grads.iter_mut().zip(widths.iter()) {
-                        gi.row_mut(r)
-                            .copy_from_slice(&g.data()[r * total + off..r * total + off + w]);
+                        if let Some(gi) = gi {
+                            gi.row_mut(r)
+                                .copy_from_slice(&g.data()[r * total + off..r * total + off + w]);
+                        }
                         off += w;
                     }
                 }
@@ -608,11 +753,12 @@ impl Graph {
         self.push(
             value,
             parts.to_vec(),
-            Box::new(move |g, _, _| {
+            Box::new(move |g, _, _, needs| {
                 let mut out = Vec::with_capacity(heights.len());
                 let mut off = 0usize;
-                for &h in &heights {
-                    out.push(Tensor::from_slice(vec![h, w], &g.data()[off * w..(off + h) * w]));
+                for (&h, &need) in heights.iter().zip(needs) {
+                    let part = &g.data()[off * w..(off + h) * w];
+                    out.push(need.then(|| Tensor::from_slice(vec![h, w], part)));
                     off += h;
                 }
                 out
@@ -627,10 +773,12 @@ impl Graph {
         self.push(
             value,
             parts.to_vec(),
-            Box::new(|g, _, pv| {
+            Box::new(|g, _, pv, needs| {
                 let w = pv[0].len();
                 (0..pv.len())
-                    .map(|r| Tensor::from_slice(vec![w], &g.data()[r * w..(r + 1) * w]))
+                    .map(|r| {
+                        needs[r].then(|| Tensor::from_slice(vec![w], &g.data()[r * w..(r + 1) * w]))
+                    })
                     .collect()
             }),
         )
@@ -661,7 +809,7 @@ impl Graph {
         self.push(
             Tensor::scalar(loss),
             vec![logits],
-            Box::new(move |g, _, pv| {
+            Box::new(move |g, _, pv, _| {
                 let n = pv[0].shape()[0];
                 let scale = g.item() / n.max(1) as f32;
                 let mut dx = pv[0].softmax_last();
@@ -670,7 +818,7 @@ impl Graph {
                     dx.set2(r, t, v - 1.0);
                 }
                 dx.scale_inplace(scale);
-                vec![dx]
+                vec![Some(dx)]
             }),
         )
     }
@@ -690,7 +838,7 @@ impl Graph {
         self.push(
             Tensor::scalar(loss),
             vec![logits],
-            Box::new(move |g, _, pv| {
+            Box::new(move |g, _, pv, _| {
                 let n = pv[0].len().max(1) as f32;
                 let scale = g.item() / n;
                 let mut dx = pv[0].clone();
@@ -698,7 +846,7 @@ impl Graph {
                     let s = 1.0 / (1.0 + (-*x).exp());
                     *x = (s - t) * scale;
                 }
-                vec![dx]
+                vec![Some(dx)]
             }),
         )
     }
@@ -897,6 +1045,117 @@ mod tests {
         g.backward(s);
         assert_eq!(g.grad(a).unwrap().data(), &[1., 0., 0., 1.]);
         assert_eq!(g.grad(b).unwrap().data(), &[2., 2.]);
+    }
+
+    /// `loss = Σ (x · w + b)²` with `w` bound plain or deferred; returns
+    /// the tape and `(x, w)`.
+    fn linear_tape(deferred: bool) -> (Graph, Var, Var) {
+        let mut g = Graph::new();
+        let x = g.leaf(t2(&[3, 2], &[0.5, -1.0, 2.0, 0.25, -0.0, 1.5]), true);
+        let weight = Arc::new(t2(&[2, 4], &[0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]));
+        let w = if deferred { g.leaf_deferred(weight) } else { g.leaf_shared(weight, true) };
+        let b = g.leaf(t2(&[4], &[0.01, -0.02, 0.03, 0.0]), true);
+        let y = g.matmul(x, w);
+        let y = g.add(y, b);
+        let sq = g.mul(y, y);
+        let loss = g.sum_all(sq);
+        g.backward(loss);
+        (g, x, w)
+    }
+
+    #[test]
+    fn deferred_leaf_leaves_the_factors_of_the_plain_leafs_gradient() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (plain, x, w) = linear_tape(false);
+        let (mut tape, xd, wd) = linear_tape(true);
+        assert_eq!(bits(tape.grad(xd).unwrap()), bits(plain.grad(x).unwrap()), "dA");
+        assert!(tape.is_deferred(wd) && !tape.needs_grad(wd) && tape.grad(wd).is_none());
+        let products = tape.take_deferred();
+        assert_eq!(products.len(), 1);
+        let p = &products[0];
+        assert_eq!(p.leaf, wd);
+        assert!(std::ptr::eq(&*p.x, tape.value(xd)), "x is the tape's own value, shared");
+        let mut dw = Tensor::zeros(vec![2, 4]);
+        ops::matmul_tn_acc_into(dw.data_mut(), 2, 4, &[(p.x.data(), p.dy.data())]);
+        assert_eq!(bits(&dw), bits(plain.grad(w).unwrap()), "dW");
+        // The factors outlive the tape; a second take finds nothing.
+        assert!(tape.take_deferred().is_empty());
+        tape.reset();
+        assert_eq!(p.x.shape(), &[3, 2]);
+    }
+
+    #[test]
+    fn a_deferred_leaf_no_gradient_reaches_lists_no_product() {
+        let mut g = Graph::new();
+        let x = g.leaf(t2(&[1, 2], &[1., 2.]), true);
+        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
+        let _dead_end = g.matmul(x, w);
+        let loss = g.sum_all(x);
+        g.backward(loss);
+        assert!(g.take_deferred().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "may only be the rhs of a matmul")]
+    fn a_deferred_leaf_read_by_another_op_panics_where_it_is_recorded() {
+        let mut g = Graph::new();
+        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
+        g.scale(w, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "may only be the rhs of a matmul")]
+    fn a_deferred_leaf_as_matmul_lhs_panics() {
+        let mut g = Graph::new();
+        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
+        let x = g.leaf(t2(&[2, 2], &[1.; 4]), true);
+        g.matmul(w, x);
+    }
+
+    #[test]
+    #[should_panic(expected = "read by a second matmul")]
+    fn a_deferred_leaf_read_twice_panics() {
+        let mut g = Graph::new();
+        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
+        let x = g.leaf(t2(&[2, 2], &[1.; 4]), true);
+        let y = g.matmul(x, w);
+        g.matmul(y, w);
+    }
+
+    #[test]
+    fn backward_builds_no_gradient_for_a_constant_operand() {
+        // Every binary and n-ary op with one constant operand: the tape
+        // must hold a gradient for the trained operand only (debug builds
+        // also assert inside `backward` that each closure honoured its
+        // needs-mask), and a tape of constants records no closure at all.
+        let mut g = Graph::new();
+        let a = g.leaf(t2(&[2, 2], &[1., 2., 3., 4.]), true);
+        let c = g.constant(t2(&[2, 2], &[0.5, -1., 2., 0.]));
+        let row = g.constant(t2(&[2], &[1., -1.]));
+        let mut outs = vec![
+            g.add(a, row),
+            g.sub(c, a),
+            g.mul(c, a),
+            g.matmul(c, a),
+            g.matmul_nt(a, c),
+            g.concat_cols(&[c, a]),
+            g.concat_rows(&[a, c]),
+            g.layer_norm(a, row, row, 1e-5),
+        ];
+        let (a3, c3) = (g.reshape(a, vec![1, 2, 2]), g.constant(t2(&[1, 2, 2], &[1.; 4])));
+        outs.extend([g.bmm(c3, a3), g.bmm_nt(a3, c3)]);
+        let mut total = g.sum_all(a);
+        for o in outs {
+            let s = g.sum_all(o);
+            total = g.add(total, s);
+        }
+        g.backward(total);
+        assert!(g.grad(a).is_some());
+        for v in [c, row, c3] {
+            assert!(g.grad(v).is_none());
+        }
+        let inert = g.mul(c, c);
+        assert!(!g.has_backward(inert));
     }
 
     #[test]

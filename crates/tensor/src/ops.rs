@@ -10,6 +10,9 @@
 //! * [`matmul_tn`] — `C = Aᵀ · B` (the same block kernel reading `A`
 //!   k-major, so both operand loads are contiguous and `C` is written once)
 //!
+//! plus [`matmul_tn_acc_into`] — `C += A₀ᵀ · B₀ + A₁ᵀ · B₁ + …` in place,
+//! the layout of a weight gradient summed over a batch's tables.
+//!
 //! All of them — and [`matmul_q8_into`], whose `B` is dequantized in
 //! register — run one block kernel (`block`) over a rows × columns
 //! rectangle of the output. It is register-tiled: an `R × NR` accumulator
@@ -19,10 +22,12 @@
 //! once and reused by every row tile. On x86-64 the same source body is
 //! compiled a second time with AVX2 enabled and picked at run time.
 //!
-//! The numeric contract (DESIGN §5f): every output element is one
+//! The numeric contract (DESIGN §5f): every product element is one
 //! accumulator that starts at `+0.0` and adds `a·b` — multiply, then add,
 //! never fused — in ascending `k`; SIMD lanes run across `n`, never
-//! across `k`. Results are therefore bit-identical to the naive triple
+//! across `k`. (The accumulating kernel adds each such product to the
+//! output element, one f32 add per part, in part order.) Results are
+//! therefore bit-identical to the naive triple
 //! loop for every tile shape, every [`crate::pool`] split (column panels
 //! when `m < n`, row tiles otherwise) and both compiled bodies — the
 //! invariant the parallel-vs-serial equivalence tests pin down.
@@ -296,8 +301,10 @@ impl Rhs for &QuantBlocks {
 ///
 /// Disjointness, stated once for every `unsafe` below: a call partitions
 /// `out[m,n]` into rectangles (one per task: a row range × a column
-/// range) and each rectangle into register tiles, and a tile writes
-/// exactly its own `R × W` cells through [`OutPtr::store`]; nothing is
+/// range) and each rectangle into register tiles, and a tile touches
+/// exactly its own `R × W` cells: it writes them through
+/// [`OutPtr::store`], and an accumulating tile ([`Accumulate`]) first
+/// reads those same cells through [`OutPtr::load`] — nothing else is
 /// ever read through the pointer. No two tiles share a cell, so
 /// concurrent tasks never touch the same memory even when a column split
 /// interleaves their cells inside one row, and no `&mut [f32]` over the
@@ -313,7 +320,7 @@ struct OutPtr<'a> {
 }
 
 // SAFETY: the pointee is plain `f32` memory that outlives `'a`, and tasks
-// sharing an `OutPtr` write disjoint cells (type docs).
+// sharing an `OutPtr` read and write disjoint cells (type docs).
 unsafe impl Send for OutPtr<'_> {}
 unsafe impl Sync for OutPtr<'_> {}
 
@@ -341,32 +348,96 @@ impl<'a> OutPtr<'a> {
         // this tile's cells by the caller's contract.
         unsafe { self.base.add(i * self.n + j).cast::<[f32; W]>().write(vals) }
     }
+
+    /// Read `out[i, j..j + W]` (bounds-checked).
+    ///
+    /// # Safety
+    /// No other task or tile may access those cells (type docs).
+    #[inline(always)]
+    unsafe fn load<const W: usize>(self, i: usize, j: usize) -> [f32; W] {
+        assert!(j + W <= self.n && (i + 1) * self.n <= self.len, "tile outside the output");
+        // SAFETY: in bounds by the assert, `f32`-aligned, initialised (the
+        // pointer came from a `&mut [f32]`), and exclusively this tile's
+        // cells by the caller's contract.
+        unsafe { self.base.add(i * self.n + j).cast::<[f32; W]>().read() }
+    }
 }
 
 // ---------------------------------------------------------------------
 // The block kernel
 // ---------------------------------------------------------------------
 
-/// One `R × W` register tile of `out` at `(i0, j0)`: the accumulators
-/// start at `+0.0`, stay in registers across the whole `k` loop and take
-/// one multiply and one add per step, lanes running across columns.
-#[inline(always)]
-fn tile<'a, const R: usize, const W: usize, A: Lhs<'a>, B: Rhs>(
-    a: A,
-    b: B,
-    out: OutPtr,
-    i0: usize,
-    j0: usize,
-) {
-    let mut acc = [[0.0f32; W]; R];
-    for (av, bv) in a.steps::<R>(i0).zip(b.steps::<W>(j0)) {
-        for r in 0..R {
-            for c in 0..W {
-                acc[r][c] += av[r] * bv[c];
+/// What one register tile of the block kernel holds when it is stored:
+/// a plain product `A · B`, or the output's own cells plus a sum of
+/// products ([`Accumulate`]).
+trait Product: Copy + Sync {
+    /// The `R × W` values of `out` at `(i0, j0)`.
+    fn tile<const R: usize, const W: usize>(
+        self,
+        out: OutPtr,
+        i0: usize,
+        j0: usize,
+    ) -> [[f32; W]; R];
+}
+
+/// `A · B`: the accumulators start at `+0.0`, stay in registers across the
+/// whole `k` loop and take one multiply and one add per step, lanes
+/// running across columns.
+impl<'a, A: Lhs<'a>, B: Rhs> Product for (A, B) {
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(
+        self,
+        _out: OutPtr,
+        i0: usize,
+        j0: usize,
+    ) -> [[f32; W]; R] {
+        let mut acc = [[0.0f32; W]; R];
+        for (av, bv) in self.0.steps::<R>(i0).zip(self.1.steps::<W>(j0)) {
+            for r in 0..R {
+                for c in 0..W {
+                    acc[r][c] += av[r] * bv[c];
+                }
             }
         }
+        acc
     }
-    for (r, vals) in acc.into_iter().enumerate() {
+}
+
+/// `out + A₀ · B₀ + A₁ · B₁ + …`, added left to right: the tile starts
+/// from the output's own cells and adds each part's product — itself one
+/// accumulator from `+0.0` in ascending `k`, exactly the `(A, B)` tile —
+/// in slice order. Per element that is the arithmetic of computing every
+/// `Aᵢ · Bᵢ` into a tensor of its own and adding those tensors to `out`
+/// one after the other; only the tensors never exist.
+#[derive(Clone, Copy)]
+struct Accumulate<'p, A, B>(&'p [(A, B)]);
+
+impl<'a, A: Lhs<'a>, B: Rhs> Product for Accumulate<'_, A, B> {
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(
+        self,
+        out: OutPtr,
+        i0: usize,
+        j0: usize,
+    ) -> [[f32; W]; R] {
+        // SAFETY: the cells belong to this tile alone (`OutPtr` docs).
+        let mut acc: [[f32; W]; R] = from_fn(|r| unsafe { out.load(i0 + r, j0) });
+        for &part in self.0 {
+            let t = part.tile::<R, W>(out, i0, j0);
+            for r in 0..R {
+                for c in 0..W {
+                    acc[r][c] += t[r][c];
+                }
+            }
+        }
+        acc
+    }
+}
+
+/// One `R × W` register tile of `out` at `(i0, j0)`, computed and stored.
+#[inline(always)]
+fn tile<const R: usize, const W: usize, P: Product>(p: P, out: OutPtr, i0: usize, j0: usize) {
+    for (r, vals) in p.tile::<R, W>(out, i0, j0).into_iter().enumerate() {
         // SAFETY: the cells belong to this tile alone (`OutPtr` docs).
         unsafe { out.store(i0 + r, j0, vals) };
     }
@@ -375,44 +446,39 @@ fn tile<'a, const R: usize, const W: usize, A: Lhs<'a>, B: Rhs>(
 /// All row tiles of one `W`-wide column panel: full `MR`-row tiles, then
 /// the `rows mod MR` remainder as one shorter tile at the same vector rate.
 #[inline(always)]
-fn panel<'a, const W: usize, A: Lhs<'a>, B: Rhs>(
-    a: A,
-    b: B,
-    out: OutPtr,
-    rows: &Range<usize>,
-    j0: usize,
-) {
+fn panel<const W: usize, P: Product>(p: P, out: OutPtr, rows: &Range<usize>, j0: usize) {
     let mut i0 = rows.start;
     while i0 + MR <= rows.end {
-        tile::<MR, W, A, B>(a, b, out, i0, j0);
+        tile::<MR, W, P>(p, out, i0, j0);
         i0 += MR;
     }
     match rows.end - i0 {
-        3 => tile::<3, W, A, B>(a, b, out, i0, j0),
-        2 => tile::<2, W, A, B>(a, b, out, i0, j0),
-        1 => tile::<1, W, A, B>(a, b, out, i0, j0),
+        3 => tile::<3, W, P>(p, out, i0, j0),
+        2 => tile::<2, W, P>(p, out, i0, j0),
+        1 => tile::<1, W, P>(p, out, i0, j0),
         _ => {}
     }
 }
 
-/// The block kernel: the `rows × cols` rectangle of `out = A · B`, where
-/// `cols.start` is a multiple of `NR`. Column panels are outermost, so a
-/// `B` panel is fetched once and reused from L1 by every row tile. The
-/// `cols mod NR` fringe takes one half-width panel if it fits; only what
-/// is left (fewer than `NR / 2` columns) runs one column at a time.
+/// The block kernel: the `rows × cols` rectangle of `out` under product
+/// `p`, where `cols.start` is a multiple of `NR`. Column panels are
+/// outermost, so a `B` panel is fetched once and reused from L1 by every
+/// row tile. The `cols mod NR` fringe takes one half-width panel if it
+/// fits; only what is left (fewer than `NR / 2` columns) runs one column
+/// at a time.
 #[inline(always)]
-fn block<'a, A: Lhs<'a>, B: Rhs>(a: A, b: B, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
+fn block<P: Product>(p: P, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
     let mut j0 = cols.start;
     while j0 + NR <= cols.end {
-        panel::<NR, A, B>(a, b, out, &rows, j0);
+        panel::<NR, P>(p, out, &rows, j0);
         j0 += NR;
     }
     if j0 + NR / 2 <= cols.end {
-        panel::<{ NR / 2 }, A, B>(a, b, out, &rows, j0);
+        panel::<{ NR / 2 }, P>(p, out, &rows, j0);
         j0 += NR / 2;
     }
     for j in j0..cols.end {
-        panel::<1, A, B>(a, b, out, &rows, j);
+        panel::<1, P>(p, out, &rows, j);
     }
 }
 
@@ -421,30 +487,18 @@ fn block<'a, A: Lhs<'a>, B: Rhs>(a: A, b: B, out: OutPtr, rows: Range<usize>, co
 /// so the two compilations are bit-identical.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn block_avx2<'a, A: Lhs<'a>, B: Rhs>(
-    a: A,
-    b: B,
-    out: OutPtr,
-    rows: Range<usize>,
-    cols: Range<usize>,
-) {
-    block(a, b, out, rows, cols);
+fn block_avx2<P: Product>(p: P, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
+    block(p, out, rows, cols);
 }
 
 /// Run [`block`] through the widest body this CPU supports.
-fn run_block<'a, A: Lhs<'a>, B: Rhs>(
-    a: A,
-    b: B,
-    out: OutPtr,
-    rows: Range<usize>,
-    cols: Range<usize>,
-) {
+fn run_block<P: Product>(p: P, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 was just detected on the running CPU.
-        return unsafe { block_avx2(a, b, out, rows, cols) };
+        return unsafe { block_avx2(p, out, rows, cols) };
     }
-    block(a, b, out, rows, cols);
+    block(p, out, rows, cols);
 }
 
 /// Whether a kernel of `volume` multiply-adds should fan out: enough work,
@@ -454,7 +508,8 @@ fn fans_out(volume: usize) -> bool {
     volume >= PAR_MIN_VOLUME && pool::n_threads() > 1 && !pool::in_task()
 }
 
-/// The one dispatcher behind every matmul entry point: `out[m,n] = A · B`.
+/// The one dispatcher behind every matmul entry point: `out[m,n]` under
+/// product `p`, whose inner dimension (summed over its parts) is `k`.
 ///
 /// One block unless the call [`fans_out`]. Otherwise the
 /// output is split `T` ways along the axis that makes each thread read
@@ -463,21 +518,21 @@ fn fans_out(volume: usize) -> bool {
 /// aligned row ranges otherwise (`m·k/T + k·n`). Either way each element
 /// is computed by exactly one tile in the same order, so the split never
 /// shows in the result.
-fn gemm<'a, A: Lhs<'a>, B: Rhs>(a: A, b: B, out: OutPtr, m: usize, k: usize, n: usize) {
+fn gemm<P: Product>(p: P, out: OutPtr, m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
     }
     if !fans_out(m * k * n) {
-        return run_block(a, b, out, 0..m, 0..n);
+        return run_block(p, out, 0..m, 0..n);
     }
     let (by_cols, unit, extent) = if m < n { (true, NR, n) } else { (false, MR, m) };
     let ranges = pool::split_ranges(extent.div_ceil(unit));
     pool::parallel_for(ranges.len(), |t| {
         let span = ranges[t].0 * unit..(ranges[t].1 * unit).min(extent);
         if by_cols {
-            run_block(a, b, out, 0..m, span);
+            run_block(p, out, 0..m, span);
         } else {
-            run_block(a, b, out, span, 0..n);
+            run_block(p, out, span, 0..n);
         }
     });
 }
@@ -491,7 +546,7 @@ fn gemm_dense<'a, A: Lhs<'a>>(
     k: usize,
     n: usize,
 ) {
-    gemm(A::new(a, m, k), F32::new(b, k, n), OutPtr::new(out, m, n), m, k, n);
+    gemm((A::new(a, m, k), F32::new(b, k, n)), OutPtr::new(out, m, n), m, k, n);
 }
 
 /// Scratch elements [`matmul_nt_into`] needs for
@@ -562,7 +617,7 @@ fn par_batch<'a, A: Lhs<'a>>(
     let run = |i: usize| {
         let a_i = A::new(&a[i * m * k..(i + 1) * m * k], m, k);
         let b_i = F32::new(&b[i * k * n..(i + 1) * k * n], k, n);
-        gemm(a_i, b_i, out.batch(i, m), m, k, n);
+        gemm((a_i, b_i), out.batch(i, m), m, k, n);
     };
     if bs > 1 && fans_out(bs * m * k * n) {
         pool::parallel_for(bs, run);
@@ -719,6 +774,32 @@ pub fn matmul_nt_into(
     gemm_nt(a, b, out, scratch, m, k, n);
 }
 
+/// `out[m,n] += Σᵢ aᵢ[kᵢ,m]ᵀ · bᵢ[kᵢ,n]` in place, the parts added in slice
+/// order: `out` ends as `((out + A₀ᵀB₀) + A₁ᵀB₁) + …`, every `AᵢᵀBᵢ` one
+/// accumulator from `+0.0` in ascending `k` — bit for bit what
+/// [`matmul_tn`] per part followed by [`Tensor::add_assign`] in the same
+/// order gives, with every element of `out` read and written once. This
+/// is how a weight gradient `Σ_tables Xᵀ · dY` reaches its store without
+/// one `[m, n]` tensor per table; the parts may differ in `kᵢ` (a part's
+/// `kᵢ` is `aᵢ.len() / m`), and an empty `parts` leaves `out` untouched.
+pub fn matmul_tn_acc_into(out: &mut [f32], m: usize, n: usize, parts: &[(&[f32], &[f32])]) {
+    let _t = profiled!("matmul_tn_acc");
+    assert_eq!(out.len(), m * n, "matmul_tn_acc_into out size");
+    if m == 0 || n == 0 || parts.is_empty() {
+        return;
+    }
+    let mut k_total = 0usize;
+    let operands: Vec<(KMajor, F32)> = parts
+        .iter()
+        .map(|&(a, b)| {
+            let k = a.len() / m;
+            k_total += k;
+            (KMajor::new(a, m, k), F32::new(b, k, n))
+        })
+        .collect();
+    gemm(Accumulate(&operands), OutPtr::new(out, m, n), m, k_total, n);
+}
+
 /// Batched `out[b,m,n] = a[b,m,k] · b[b,k,n]` into a caller-provided slice.
 #[allow(clippy::too_many_arguments)]
 pub fn bmm_into(a: &[f32], b: &[f32], out: &mut [f32], bs: usize, m: usize, k: usize, n: usize) {
@@ -780,7 +861,7 @@ pub fn matmul_q8_into(a: &[f32], b: &QuantBlocks, out: &mut [f32], m: usize, k: 
     assert_eq!(a.len(), m * k, "matmul_q8_into lhs size");
     assert_eq!((b.rows(), b.cols()), (k, n), "matmul_q8_into rhs layout");
     assert_eq!(out.len(), m * n, "matmul_q8_into out size");
-    gemm(RowMajor::new(a, m, k), b, OutPtr::new(out, m, n), m, k, n);
+    gemm((RowMajor::new(a, m, k), b), OutPtr::new(out, m, n), m, k, n);
 }
 
 /// Gather rows of a block-quantized `table` into dense `f32` `out`, in
@@ -1477,22 +1558,18 @@ mod tests {
     }
 
     /// Run the portable and the AVX2 compilation of the block kernel on
-    /// the same operands (`None` where AVX2 is absent — Miri included).
-    fn both_bodies<'a, A: Lhs<'a>, B: Rhs>(
-        a: A,
-        b: B,
-        m: usize,
-        n: usize,
-    ) -> Option<(Vec<f32>, Vec<f32>)> {
+    /// the same product, each over its own copy of `seed` (`None` where
+    /// AVX2 is absent — Miri included).
+    fn both_bodies<P: Product>(p: P, seed: &[f32], m: usize, n: usize) -> Option<[Vec<f32>; 2]> {
         #[cfg(target_arch = "x86_64")]
         if std::is_x86_feature_detected!("avx2") {
-            let (mut portable, mut avx2) = (vec![f32::NAN; m * n], vec![f32::NAN; m * n]);
-            block(a, b, OutPtr::new(&mut portable, m, n), 0..m, 0..n);
+            let (mut portable, mut avx2) = (seed.to_vec(), seed.to_vec());
+            block(p, OutPtr::new(&mut portable, m, n), 0..m, 0..n);
             // SAFETY: AVX2 was just detected on the running CPU.
-            unsafe { block_avx2(a, b, OutPtr::new(&mut avx2, m, n), 0..m, 0..n) };
-            return Some((portable, avx2));
+            unsafe { block_avx2(p, OutPtr::new(&mut avx2, m, n), 0..m, 0..n) };
+            return Some([portable, avx2]);
         }
-        let _ = (a, b, m, n);
+        let _ = (p, seed, m, n);
         None
     }
 
@@ -1518,7 +1595,7 @@ mod tests {
             }
             t
         };
-        let same = |(portable, avx2): (Vec<f32>, Vec<f32>), ctx: &str| {
+        let same = |[portable, avx2]: [Vec<f32>; 2], ctx: &str| {
             assert_same_bits(&avx2, &portable, &format!("avx2 vs portable, {ctx}"));
         };
         // Every tile height, the full, half-width and single-column panels.
@@ -1530,12 +1607,49 @@ mod tests {
             let qb = qb.quantize_i8();
             let q = qb.quantized().expect("quantized storage");
             let (lhs, rhs) = (RowMajor::new(a.data(), m, k), F32::new(b.data(), k, n));
-            let Some(f32_pair) = both_bodies(lhs, rhs, m, n) else { return };
+            let nan = vec![f32::NAN; m * n];
+            let Some(f32_pair) = both_bodies((lhs, rhs), &nan, m, n) else { return };
             same(f32_pair, &format!("f32 {m}x{k}x{n}"));
-            same(both_bodies(lhs, q, m, n).expect("avx2"), &format!("q8 {m}x{k}x{n}"));
+            same(both_bodies((lhs, q), &nan, m, n).expect("avx2"), &format!("q8 {m}x{k}x{n}"));
             let lhs_t = KMajor::new(at.data(), m, k);
-            same(both_bodies(lhs_t, rhs, m, n).expect("avx2"), &format!("tn {m}x{k}x{n}"));
+            same(both_bodies((lhs_t, rhs), &nan, m, n).expect("avx2"), &format!("tn {m}x{k}x{n}"));
+            // The accumulating tile: a spiked output plus two unequal parts.
+            let (at2, b2) = (spiked(&[3, m], 11), spiked(&[3, n], 12));
+            let parts = [(lhs_t, rhs), (KMajor::new(at2.data(), m, 3), F32::new(b2.data(), 3, n))];
+            let seed = spiked(&[m, n], 13);
+            let pair = both_bodies(Accumulate(&parts), seed.data(), m, n).expect("avx2");
+            same(pair, &format!("tn_acc {m}x({k}+3)x{n}"));
         }
+    }
+
+    #[test]
+    fn tn_acc_adds_each_part_like_matmul_tn_then_add_assign() {
+        // Row and column remainders, unequal `k` (1 and 0 included), and
+        // an output seeded with signed zeros and subnormals.
+        for (m, n, ks) in
+            [(5, 19, &[3usize, 1, 7][..]), (4, 16, &[2]), (9, 3, &[0, 4]), (1, 1, &[1])]
+        {
+            let seed = spiked(&[m, n], 3);
+            let operands: Vec<(Tensor, Tensor)> = ks
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| (spiked(&[k, m], 20 + i as u32), spiked(&[k, n], 30 + i as u32)))
+                .collect();
+            let mut want = seed.clone();
+            for (a, b) in &operands {
+                want.add_assign(&matmul_tn(a, b));
+            }
+            let mut got = seed.clone();
+            let parts: Vec<(&[f32], &[f32])> =
+                operands.iter().map(|(a, b)| (a.data(), b.data())).collect();
+            matmul_tn_acc_into(got.data_mut(), m, n, &parts);
+            assert_same_bits(got.data(), want.data(), &format!("tn_acc {m}x{ks:?}x{n}"));
+            // No parts: not even a `-0.0` of the output moves.
+            let mut untouched = seed.clone();
+            matmul_tn_acc_into(untouched.data_mut(), m, n, &[]);
+            assert_same_bits(untouched.data(), seed.data(), "no parts");
+        }
+        matmul_tn_acc_into(&mut [], 0, 4, &[(&[], &[0.0; 8])]); // zero rows
     }
 
     #[test]

@@ -188,6 +188,61 @@ fn matmul_tn_matches_naive_at_every_width() {
     pool::set_threads(saved);
 }
 
+/// [`fill`] with signed zeros, subnormals and the smallest normal spliced
+/// in at every fifth element.
+fn spiked(shape: Vec<usize>, salt: u32) -> Tensor {
+    let specials = [0.0, -0.0, 1e-40, -1e-40, f32::MIN_POSITIVE, -f32::MIN_POSITIVE];
+    let mut t = fill(shape, salt);
+    for (i, v) in t.data_mut().iter_mut().enumerate().filter(|(i, _)| i % 5 == 0) {
+        *v = specials[(i / 5 + salt as usize) % specials.len()];
+    }
+    t
+}
+
+#[test]
+fn matmul_tn_acc_matches_ordered_tn_then_add_at_every_width() {
+    // The weight-gradient reduce: `out += Σ AᵢᵀBᵢ` in one call must have
+    // the bits of `matmul_tn` per part followed by `add_assign` in part
+    // order. `(m, n)` from the `nt` shape set plus the paper's FFN weights;
+    // 1–4 parts of unequal `k` (one of them a single row); the output
+    // seeded with spiked values and with all `-0.0`.
+    let _g = lock();
+    let saved = pool::n_threads();
+    let ks = [31usize, 1, 28, 17];
+    let mut dims: Vec<(usize, usize)> = nt_shapes().into_iter().map(|(m, _, n)| (m, n)).collect();
+    dims.extend([(312, 1200), (1200, 312)]);
+    dims.sort_unstable();
+    dims.dedup();
+    for (m, n) in dims {
+        let operands: Vec<(Tensor, Tensor)> = ks
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (spiked(vec![k, m], 20 + i as u32), spiked(vec![k, n], 30 + i as u32)))
+            .collect();
+        for n_parts in 0..=ks.len() {
+            let parts: Vec<(&[f32], &[f32])> =
+                operands[..n_parts].iter().map(|(a, b)| (a.data(), b.data())).collect();
+            for seed in [spiked(vec![m, n], 40), Tensor::full(vec![m, n], -0.0)] {
+                pool::set_threads(1);
+                let mut want = seed.clone();
+                for (a, b) in &operands[..n_parts] {
+                    want.add_assign(&ops::matmul_tn(a, b));
+                }
+                if n_parts == 0 {
+                    assert_bits_eq(&want, &seed, "no parts leave the output untouched");
+                }
+                for &w in WIDTHS {
+                    pool::set_threads(w);
+                    let mut got = seed.clone();
+                    ops::matmul_tn_acc_into(got.data_mut(), m, n, &parts);
+                    assert_bits_eq(&got, &want, &format!("tn_acc {m}x{n}, {n_parts} parts @{w}t"));
+                }
+            }
+        }
+    }
+    pool::set_threads(saved);
+}
+
 #[test]
 fn batched_kernels_match_per_slice_serial_at_every_width() {
     let _g = lock();
