@@ -4,13 +4,16 @@
 //! structural invariants the backward pass silently relies on:
 //!
 //! 1. **Topological order** — every node's parents precede it on the tape.
-//! 2. **Gradient shapes** — any accumulated gradient matches its node's
-//!    value shape exactly.
+//! 2. **Gradient shapes** — any gradient the tape holds matches its
+//!    node's recorded value shape exactly. After `backward` that is what
+//!    the sweep did not release: leaf gradients, and the `dY` of every
+//!    deferred product and gathered row list not yet taken.
 //! 3. **No orphaned grad leaves** — a leaf created with `requires_grad`,
-//!    or bound deferred, must be consumed by at least one op, otherwise
-//!    its gradient can never be populated and the optimizer would
-//!    silently skip it. (A consumed deferred leaf carries no gradient on
-//!    the tape by design: its `matmul` lists the factors instead.)
+//!    or bound deferred or gathered, must be consumed by at least one op,
+//!    otherwise its gradient can never be populated and the optimizer
+//!    would silently skip it. (A consumed deferred or gathered leaf
+//!    carries no gradient on the tape by design: its `matmul` lists the
+//!    factors, its gathers their rows.)
 //! 4. **Finite leaves** (optional) — leaf values contain no NaN/inf; a
 //!    single poisoned embedding row corrupts every step downstream.
 
@@ -50,14 +53,12 @@ pub fn audit_tape(g: &Graph, check_finite: bool) -> Result<TapeReport, Vec<Audit
                 consumed[p.index()] = true;
             }
         }
-        if let Some(grad) = g.grad(v) {
-            if grad.shape() != g.value(v).shape() {
-                errors.push(AuditError::GradShapeMismatch {
-                    node: idx,
-                    value: g.value(v).shape().to_vec(),
-                    grad: grad.shape().to_vec(),
-                });
-            }
+        if let Some(grad) = g.held_grad_shape(v).filter(|&grad| grad != g.shape(v)) {
+            errors.push(AuditError::GradShapeMismatch {
+                node: idx,
+                value: g.shape(v).to_vec(),
+                grad: grad.to_vec(),
+            });
         }
         if g.needs_grad(v) {
             n_grad_nodes += 1;
@@ -76,7 +77,8 @@ pub fn audit_tape(g: &Graph, check_finite: bool) -> Result<TapeReport, Vec<Audit
 
     // Orphan check needs the full consumption map, so it runs second.
     for v in g.vars() {
-        if g.is_leaf(v) && (g.needs_grad(v) || g.is_deferred(v)) && !consumed[v.index()] {
+        let trained = g.needs_grad(v) || g.is_deferred(v) || g.is_gathered(v);
+        if g.is_leaf(v) && trained && !consumed[v.index()] {
             errors.push(AuditError::OrphanGradLeaf { node: v.index() });
         }
     }
@@ -147,6 +149,23 @@ mod tests {
         assert_eq!(report.n_leaves, 2);
         // Bound but never read: as lost to the optimizer as a plain orphan.
         let unread = g.leaf_deferred(weight());
+        let errs = audit_tape(&g, false).expect_err("orphan must fail");
+        assert_eq!(errs, vec![AuditError::OrphanGradLeaf { node: unread.index() }]);
+    }
+
+    #[test]
+    fn gathered_leaf_needs_a_reader_but_no_gradient() {
+        let table = || std::sync::Arc::new(Tensor::from_vec(vec![3, 2], vec![0.5; 6]));
+        let mut g = Graph::new();
+        let w = g.leaf_gathered(table());
+        let rows = g.index_select0(w, &[2, 0, 2]);
+        let loss = g.sum_all(rows);
+        g.backward(loss);
+        // A swept tape: `rows` has no value left, only its `[3, 2]` dY.
+        assert!(g.is_released(rows) && g.held_grad_shape(rows) == Some(&[3, 2][..]));
+        let report = audit_tape(&g, true).expect("a consumed gathered leaf is clean");
+        assert_eq!((report.n_leaves, report.n_nodes), (1, 3));
+        let unread = g.leaf_gathered(table());
         let errs = audit_tape(&g, false).expect_err("orphan must fail");
         assert_eq!(errs, vec![AuditError::OrphanGradLeaf { node: unread.index() }]);
     }

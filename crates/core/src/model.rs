@@ -26,23 +26,41 @@ pub(crate) fn param_name(kind: &SourceKind, label: &str) -> Option<String> {
     }
 }
 
+/// Per node of `ir`: how many nodes read it, when it is a source and
+/// `accepts(reader kind, input slot)` holds for every one of them.
+fn sources_read_only_by(ir: &Ir, accepts: impl Fn(&OpKind, usize) -> bool) -> Vec<Option<usize>> {
+    // Per node: (readers, all of them accepted).
+    let mut readers = vec![(0usize, true); ir.len()];
+    for node in ir.nodes() {
+        for (slot, input) in node.inputs.iter().enumerate() {
+            let entry = &mut readers[input.index()];
+            entry.0 += 1;
+            entry.1 &= accepts(&node.kind, slot);
+        }
+    }
+    let sources = ir.nodes().iter().zip(readers);
+    sources.map(|(n, (count, all))| (all && n.kind.is_source()).then_some(count)).collect()
+}
+
 /// Which nodes of `ir` are sources the tape binds deferred
 /// ([`Forward::param_deferred`]) when they stand for a parameter: those
 /// with exactly one reader in the whole IR, a `MatMul` taking them as rhs
 /// — every `linear` weight, and neither embedding table (gathers read
 /// those, and the tied MLM head reads `word_emb` through a `MatMulNT`).
 pub(crate) fn deferred_sources(ir: &Ir) -> Vec<bool> {
-    // Per node: (readers, all of them a matmul rhs).
-    let mut readers = vec![(0usize, true); ir.len()];
-    for node in ir.nodes() {
-        for (slot, input) in node.inputs.iter().enumerate() {
-            let entry = &mut readers[input.index()];
-            entry.0 += 1;
-            entry.1 &= matches!(node.kind, OpKind::MatMul) && slot == 1;
-        }
-    }
-    let single_rhs = readers.into_iter().map(|r| r == (1, true));
-    ir.nodes().iter().zip(single_rhs).map(|(n, rhs)| rhs && n.kind.is_source()).collect()
+    let rhs_of_matmul = |kind: &OpKind, slot: usize| matches!(kind, OpKind::MatMul) && slot == 1;
+    sources_read_only_by(ir, rhs_of_matmul).into_iter().map(|n| n == Some(1)).collect()
+}
+
+/// Which nodes of `ir` are sources the tape binds gathered
+/// ([`Forward::param_gathered`]) when they stand for a parameter: those
+/// every reader of which is a `Gather` from them — `ent_emb`,
+/// `token_type_emb`, `pos_emb`, `ent_type_emb`; not `word_emb` in a plan
+/// with the MLM head, whose tied projection multiplies by it.
+pub(crate) fn gathered_sources(ir: &Ir) -> Vec<bool> {
+    let table_of_gather = |kind: &OpKind, slot: usize| matches!(kind, OpKind::Gather) && slot == 0;
+    let readers = sources_read_only_by(ir, table_of_gather);
+    readers.into_iter().map(|n| n.is_some_and(|n| n > 0)).collect()
 }
 
 /// The one check between a model and the weights it is about to run on,
@@ -225,8 +243,9 @@ impl TurlModel {
     /// the MLM/MER heads and losses (Eqns. 5–6).
     ///
     /// Parameters bind by [`param_name`] — [`deferred_sources`] as deferred
-    /// leaves, so the tape never forms a `linear` weight's gradient —
-    /// the embedding layer's gathers
+    /// and [`gathered_sources`] as gathered leaves, so the tape never forms
+    /// the gradient of a `linear` weight or of a table it only looks rows
+    /// up in — the embedding layer's gathers
     /// and per-input sources through [`InputBinding`]; `head_lists` names
     /// the index list of every other gather or cross-entropy node by its
     /// label (row selections, shifted candidate ids, targets) and is
@@ -250,7 +269,7 @@ impl TurlModel {
         let mut bound = InputBinding::default();
         bound.bind(input, &self.cfg);
         let dropout = Dropout::new(self.cfg.encoder.dropout);
-        let deferred = deferred_sources(ir);
+        let (deferred, gathered) = (deferred_sources(ir), gathered_sources(ir));
         let mut sites = ir.dropout_sites().iter().map(|t| t.index()).peekable();
         let mut vars: Vec<Var> = Vec::with_capacity(ir.len());
         for (i, node) in ir.nodes().iter().enumerate() {
@@ -272,6 +291,8 @@ impl TurlModel {
                             .unwrap_or_else(|| panic!("parameter '{name}' not in store"));
                         if deferred[i] {
                             f.param_deferred(store, id)
+                        } else if gathered[i] {
+                            f.param_gathered(store, id)
                         } else {
                             f.param(store, id)
                         }
@@ -424,6 +445,39 @@ mod tests {
         let expected: HashSet<String> =
             deferred.iter().filter(|n| !heads.contains(n)).cloned().collect();
         assert_eq!(labels(&encode), expected);
+    }
+
+    #[test]
+    fn the_ir_gathers_exactly_the_lookup_only_tables() {
+        // Both heads on: the MER head's candidate lookup is one more
+        // gather from `ent_emb`, the tied MLM head a `MatMulNT` by
+        // `word_emb` — which therefore keeps its dense gradient.
+        let (_, model, _) = tiny_model();
+        let plan = ModelPlan {
+            n_mlm_targets: 2,
+            n_mer_targets: 1,
+            n_candidates: 3,
+            ..model.forward_plan(&toy_input())
+        };
+        let labels = |ir: &Ir| -> HashSet<String> {
+            let (gathered, deferred) = (gathered_sources(ir), deferred_sources(ir));
+            assert!(!gathered.iter().zip(&deferred).any(|(g, d)| *g && *d), "bound two ways");
+            let picked = ir.nodes().iter().zip(gathered).filter(|(_, g)| *g);
+            picked.map(|(n, _)| n.label.clone()).collect()
+        };
+        let lookup_only = ["ent_emb", "token_type_emb", "pos_emb", "ent_type_emb"];
+        let training = lower_model_plan(&plan).expect("plan lowers");
+        assert_eq!(labels(&training), lookup_only.map(String::from).into_iter().collect());
+        let readers_of_ent_emb = training.nodes().iter().filter(|n| {
+            n.inputs.first().is_some_and(|t| training.node_at(t.index()).label == "ent_emb")
+        });
+        assert_eq!(readers_of_ent_emb.count(), 2, "embed.entities and mer.candidates");
+        // An encode-only plan (fine-tuning) has no MLM head: every table
+        // is lookup-only there.
+        let encode = lower_model_plan(&model.forward_plan(&toy_input())).expect("plan lowers");
+        let mut with_words: HashSet<String> = lookup_only.map(String::from).into_iter().collect();
+        with_words.insert("word_emb".to_string());
+        assert_eq!(labels(&encode), with_words);
     }
 
     #[test]

@@ -319,11 +319,14 @@ impl Pretrainer {
     /// A steady-state step moves no weight-sized memory: tapes bind
     /// parameters as shared leaves and are reset before the optimizer
     /// writes, every tensor buffer comes from and returns to the
-    /// trainer's [`BufferPool`], no `linear` weight's gradient exists per
+    /// trainer's [`BufferPool`] — the backward sweep hands back each
+    /// node's buffers as it passes, so a tape is at its fullest when the
+    /// forward ends — no `linear` weight's gradient exists per
     /// table — a tape hands over the factors `X`, `dY` and the reduce
     /// adds every table's `Xᵀ · dY` into the store in one kernel call —
-    /// and the reduce → clip → Adam tail is two passes fanned out over
-    /// parameters.
+    /// nor does a `[vocab, d]` gradient of a table that is only gathered
+    /// from, whose gathers hand over `(rows, dY)` — and the reduce →
+    /// clip → Adam tail is two passes fanned out over parameters.
     pub fn train_step(
         &mut self,
         batch: &[(TableInstance, EncodedInput)],
@@ -491,8 +494,9 @@ impl Pretrainer {
             }
             let bwd_timer = turl_obs::Timer::start();
             f.graph.backward(loss);
-            // Debug builds audit the full autograd tape every step: node
-            // order, grad shapes, orphaned leaves, finite leaf values.
+            // Debug builds audit the swept tape every step: node order,
+            // the shapes of the gradients it still holds, orphaned
+            // leaves, finite leaf values.
             #[cfg(debug_assertions)]
             if let Err(errs) = turl_audit::audit_tape(&f.graph, true) {
                 panic!("tape audit failed after backprop: {}", errs[0]);
@@ -530,8 +534,8 @@ impl Pretrainer {
         let reduced = self.store.reduce(&table_grads);
         drop(table_grads);
         drop(recycling);
-        self.buffers.trim();
         let drawn = self.buffers.stats();
+        self.buffers.trim();
         let reduce_ns = reduce_timer.elapsed_ns();
         let opt_timer = turl_obs::Timer::start();
         if let Some(s) = &self.schedule {
@@ -596,6 +600,8 @@ impl Pretrainer {
                     ("pool_hits", (drawn.hits - drawn_before.hits).into()),
                     ("pool_misses", (drawn.misses - drawn_before.misses).into()),
                     ("tape_bytes_fresh", (drawn.fresh_bytes - drawn_before.fresh_bytes).into()),
+                    // The most bytes of them the step's tapes held at once.
+                    ("tape_peak_bytes", drawn.peak_bytes.into()),
                 ],
             );
         }
@@ -982,13 +988,14 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(3);
             let h = pt.model.encode(&mut f, &pt.store, &mut rng, enc);
             let loss = f.graph.mean_all(h);
-            f.graph.backward(loss);
             let bits = |t: &turl_tensor::Tensor| -> Vec<u32> {
                 t.data().iter().map(|x| x.to_bits()).collect()
             };
+            let h_bits = bits(f.graph.value(h)); // the sweep releases `h`
+            f.graph.backward(loss);
             let grads: Vec<_> =
                 f.take_param_grads().iter().map(|(id, g)| (id.index(), bits(g))).collect();
-            (f.graph.value(loss).item().to_bits(), bits(f.graph.value(h)), grads)
+            (f.graph.value(loss).item().to_bits(), h_bits, grads)
         };
         let unpooled = pass();
         let pool = BufferPool::new();
@@ -1097,6 +1104,39 @@ mod tests {
     }
 
     #[test]
+    fn a_training_step_draws_no_entity_table_sized_buffer() {
+        // The twin of the test above for the gathered tables: a narrow
+        // model over the same 301 entity rows, so `ent_emb` is the largest
+        // tensor in sight — activations, attention scores, logits, and
+        // `word_emb`'s dense `[250, d]` gradient (the tied MLM head
+        // multiplies by it) are all smaller. One `[vocab, d]` gradient
+        // formed for a gather would be the largest draw of the run.
+        let (kb, vocab, data, cooccur) = setup();
+        let d = 128;
+        assert!(vocab.len() < kb.n_entities());
+        let mut cfg = TurlConfig::tiny(3);
+        cfg.encoder = turl_nn::TransformerConfig {
+            n_layers: 1,
+            d_model: d,
+            d_intermediate: d,
+            n_heads: 4,
+            ..cfg.encoder
+        };
+        let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
+        let ent = pt.model.ent_emb.weight;
+        let before = pt.store.value(ent).clone();
+        for step in 0..2 {
+            pt.train_step(&data[step * 4..step * 4 + 4], &cooccur).loss().expect("stepped");
+        }
+        let stats = pt.buffers.stats();
+        assert!(stats.hits > 0, "the steps bypassed the pool");
+        let table = kb.n_entities() * d;
+        assert!(stats.largest_draw < table, "a step drew {} elements", stats.largest_draw);
+        assert!(stats.largest_draw >= vocab.len() * d, "word_emb's gradient is still dense");
+        assert!(pt.store.value(ent) != &before, "the row lists never reached `ent_emb`");
+    }
+
+    #[test]
     fn training_is_bit_identical_with_metrics_on_or_off() {
         // The determinism invariant behind `--metrics-out` (DESIGN §5d):
         // instrumentation only reads clocks and bumps counters, so a
@@ -1139,6 +1179,7 @@ mod tests {
             "pool_hits",
             "pool_misses",
             "tape_bytes_fresh",
+            "tape_peak_bytes",
         ] {
             assert!(step.field(key).is_some(), "step event missing `{key}`");
         }

@@ -1,13 +1,17 @@
 //! Central parameter storage and the per-step forward context.
 //!
-//! A parameter's gradient reaches the store one of two ways. The dense
+//! A parameter's gradient reaches the store one of three ways. The dense
 //! way: the tape forms it ([`Forward::param`]) and the store adds the
 //! tensor. The deferred way, for a weight that is only ever the rhs of
 //! one `matmul` ([`Forward::param_deferred`]): the tape keeps the two
 //! factors `X`, `dY` of `dW = Xᵀ · dY` ([`WeightProduct`]) and the store
 //! adds the product in place — for all the tables of a batch in one
 //! kernel call ([`ParamStore::reduce`]), so no weight-sized gradient
-//! tensor exists outside the store.
+//! tensor exists outside the store. The gathered way, for an embedding
+//! table that is only ever gathered from ([`Forward::param_gathered`]):
+//! each gather keeps `(indices, dY rows)` ([`RowGrads`]) and the store
+//! adds the rows it names — a table costs what it looked up, not
+//! `[vocab, d]` — with the bits the dense way gives (`add_row_lists`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -44,14 +48,68 @@ impl WeightProduct {
     }
 }
 
+/// One gather's share of a gathered table's gradient: row `indices[r]`
+/// of `grad(id)` receives row `r` of `dy`.
+pub struct RowGrads {
+    /// The `[rows, ..]` table the gather read.
+    pub id: ParamId,
+    /// The gather's index list.
+    pub indices: Vec<usize>,
+    /// The gradient of the gather's output, one row per index.
+    pub dy: Tensor,
+}
+
+/// `grad += G`, with `G` the dense gradient one tape forms for the table
+/// `lists` — all that tape's gathers of it, in the order the sweep met
+/// them — were gathered from, and with the bits of that dense add.
+///
+/// The dense way scatters each gather into its own zero tensor (row `e`:
+/// `+0.0`, plus the gather's `dY` rows that name `e`, in index order),
+/// adds those tensors up in sweep order into `G`, and adds `G` to `grad`.
+/// This does the same sums for the rows some list names and skips the
+/// others, where every term is a `+ 0.0`. That changes no bit: each
+/// accumulator involved (a gather's row, `G`'s row, `grad`'s row) starts
+/// at `+0.0`, a sum of two floats is `-0.0` only if both are, so none of
+/// them ever holds `-0.0` — and `x + 0.0` is `x` for every other `x`.
+fn add_row_lists(grad: &mut Tensor, lists: &[RowGrads]) {
+    let row_len: usize = grad.shape()[1..].iter().product();
+    // (row, list, position in the list): sorted, a row's hits are grouped
+    // by list in sweep order, and within a list in index order.
+    let mut hits: Vec<(usize, usize, usize)> = Vec::new();
+    for (l, list) in lists.iter().enumerate() {
+        let fits = list.dy.len() == list.indices.len() * row_len;
+        assert!(fits, "a {:?} row list against a {:?} table", list.dy.shape(), grad.shape());
+        hits.extend(list.indices.iter().enumerate().map(|(r, &row)| (row, l, r)));
+    }
+    hits.sort_unstable();
+    let (mut total, mut sum) = (vec![0.0f32; row_len], vec![0.0f32; row_len]);
+    let add = |acc: &mut [f32], src: &[f32]| acc.iter_mut().zip(src).for_each(|(a, s)| *a += s);
+    for of_row in hits.chunk_by(|a, b| a.0 == b.0) {
+        for (k, of_list) in of_row.chunk_by(|a, b| a.1 == b.1).enumerate() {
+            let acc = if k == 0 { &mut total } else { &mut sum };
+            acc.fill(0.0);
+            for &(_, l, r) in of_list {
+                add(acc, &lists[l].dy.data()[r * row_len..][..row_len]);
+            }
+            if k > 0 {
+                add(&mut total, &sum);
+            }
+        }
+        add(&mut grad.data_mut()[of_row[0].0 * row_len..][..row_len], &total);
+    }
+}
+
 /// What one tape's backward pass leaves for the store
-/// ([`Forward::take_grads`]), in parameter (registration) order.
+/// ([`Forward::take_grads`]), each list in parameter (registration) order.
 #[derive(Default)]
 pub struct TapeGrads {
     /// Gradients the tape formed.
     pub dense: Vec<(ParamId, Tensor)>,
     /// Gradients of [deferred](Forward::param_deferred) weights.
     pub products: Vec<WeightProduct>,
+    /// Gradients of [gathered](Forward::param_gathered) tables; one
+    /// table's gathers in the order the sweep met them.
+    pub rows: Vec<RowGrads>,
 }
 
 /// What [`ParamStore::reduce`] returns.
@@ -222,22 +280,42 @@ impl ParamStore {
         }
     }
 
+    /// Add one tape's gathered-table gradients into the store: a
+    /// table's row lists together, so rows two gathers share add up as
+    /// on the tape.
+    pub fn accumulate_rows(&mut self, rows: &[RowGrads]) {
+        for lists in rows.chunk_by(|a, b| a.id == b.id) {
+            let e = &mut self.entries[lists[0].id.0];
+            add_row_lists(&mut e.grad, lists);
+            e.touched = true;
+        }
+    }
+
     /// Sum one step's per-table gradients into the store and return the
-    /// global L2 norm of the result: [`accumulate`](Self::accumulate) and
-    /// [`accumulate_products`](Self::accumulate_products) for each table
-    /// in slice order, then [`grad_norm`](Self::grad_norm).
+    /// global L2 norm of the result: [`accumulate`](Self::accumulate),
+    /// [`accumulate_products`](Self::accumulate_products) and
+    /// [`accumulate_rows`](Self::accumulate_rows) for each table in
+    /// slice order, then [`grad_norm`](Self::grad_norm).
     ///
     /// The work fans out over parameters. Each parameter adds its tables'
     /// gradients in slice order — a deferred weight in one kernel call
     /// over its tables' products, which adds them in that order inside
     /// each register tile — and sums its own squares in element order, and
     /// the per-parameter sums are added in registration order, so the
-    /// result has the bits of the serial calls at any thread count. (A
-    /// parameter is deferred in every tape of a step or in none.)
+    /// result has the bits of the serial calls at any thread count. A
+    /// parameter is deferred in every tape of a step or in none; a table
+    /// may be gathered in one tape and dense in the next (`word_emb`,
+    /// which only the tapes with an MLM head multiply by).
     pub fn reduce(&mut self, tables: &[TapeGrads]) -> Reduced {
+        /// What one tape holds for a parameter that is not deferred.
+        enum TableGrad<'a> {
+            Dense(&'a Tensor),
+            Rows(&'a [RowGrads]),
+        }
         struct Work<'a> {
             e: &'a mut ParamEntry,
-            dense: Vec<&'a Tensor>,
+            /// In slice order.
+            per_table: Vec<TableGrad<'a>>,
             parts: Vec<(&'a [f32], &'a [f32])>,
             sq_sum: f32,
             wgrad_ns: u64,
@@ -249,7 +327,7 @@ impl ParamStore {
             .iter_mut()
             .map(|e| Work {
                 e,
-                dense: Vec::new(),
+                per_table: Vec::new(),
                 parts: Vec::new(),
                 sq_sum: 0.0,
                 wgrad_ns: 0,
@@ -258,23 +336,33 @@ impl ParamStore {
             .collect();
         for table in tables {
             for (id, g) in &table.dense {
-                work[id.0].dense.push(g);
+                work[id.0].per_table.push(TableGrad::Dense(g));
             }
             for p in &table.products {
                 work[p.id.0].parts.push((p.x.data(), p.dy.data()));
             }
+            for lists in table.rows.chunk_by(|a, b| a.id == b.id) {
+                work[lists[0].id.0].per_table.push(TableGrad::Rows(lists));
+            }
         }
         pool::parallel_for_each_mut(&mut work, |_, w| {
             let busy = turl_obs::Timer::start();
-            assert!(w.parts.is_empty() || w.dense.is_empty(), "`{}` bound both ways", w.e.name);
+            assert!(
+                w.parts.is_empty() || w.per_table.is_empty(),
+                "`{}` is deferred in one tape of the step and dense or gathered in another",
+                w.e.name
+            );
             if !w.parts.is_empty() {
                 let (m, n) = (w.e.grad.shape()[0], w.e.grad.shape()[1]);
                 ops::matmul_tn_acc_into(w.e.grad.data_mut(), m, n, &w.parts);
                 w.e.touched = true;
                 w.wgrad_ns = busy.elapsed_ns();
             }
-            for g in &w.dense {
-                w.e.grad.add_assign(g);
+            for of_table in &w.per_table {
+                match of_table {
+                    TableGrad::Dense(g) => w.e.grad.add_assign(g),
+                    TableGrad::Rows(lists) => add_row_lists(&mut w.e.grad, lists),
+                }
                 w.e.touched = true;
             }
             if w.e.touched {
@@ -386,6 +474,16 @@ impl Forward {
         self.bind(id, |g| g.leaf_deferred(Arc::clone(&store.entries[id.0].value)))
     }
 
+    /// [`param`](Self::param) for a `[rows, ..]` table this pass only
+    /// gathers from (`index_select0`): the tape never forms its gradient,
+    /// which comes back as the [`RowGrads`] of
+    /// [`take_grads`](Self::take_grads). Any other use of the returned
+    /// leaf panics where it is recorded. A parameter already bound this
+    /// pass keeps its binding.
+    pub fn param_gathered(&mut self, store: &ParamStore, id: ParamId) -> Var {
+        self.bind(id, |g| g.leaf_gathered(Arc::clone(&store.entries[id.0].value)))
+    }
+
     fn bind(&mut self, id: ParamId, leaf: impl FnOnce(&mut Graph) -> Var) -> Var {
         if self.bound.len() <= id.0 {
             self.bound.resize(id.0 + 1, None);
@@ -394,11 +492,12 @@ impl Forward {
     }
 
     /// After `graph.backward`, pull parameter gradients off the tape: the
-    /// dense ones and the factors of the deferred ones, each list in
-    /// parameter (registration) order.
+    /// dense ones, the factors of the deferred ones and the row lists of
+    /// the gathered ones, each list in parameter (registration) order.
     ///
-    /// Feed the result to [`ParamStore::reduce`], or its two lists to
-    /// [`ParamStore::accumulate`] and [`ParamStore::accumulate_products`].
+    /// Feed the result to [`ParamStore::reduce`], or its three lists to
+    /// [`ParamStore::accumulate`], [`ParamStore::accumulate_products`]
+    /// and [`ParamStore::accumulate_rows`].
     pub fn take_grads(&mut self) -> TapeGrads {
         let mut grads = TapeGrads::default();
         for (i, var) in self.bound.iter().enumerate() {
@@ -406,26 +505,41 @@ impl Forward {
                 grads.dense.push((ParamId(i), g));
             }
         }
+        let bound = &self.bound;
+        let id_of = |leaf: Var| {
+            let id = bound.iter().position(|b| *b == Some(leaf));
+            ParamId(id.expect("a deferred or gathered leaf is a bound parameter"))
+        };
         for p in self.graph.take_deferred() {
-            let id = self.bound.iter().position(|b| *b == Some(p.leaf));
-            let id = ParamId(id.expect("a deferred leaf is a bound parameter"));
-            grads.products.push(WeightProduct { id, x: p.x, dy: p.dy });
+            grads.products.push(WeightProduct { id: id_of(p.leaf), x: p.x, dy: p.dy });
         }
         grads.products.sort_by_key(|p| p.id.0);
+        for r in self.graph.take_gathered() {
+            grads.rows.push(RowGrads { id: id_of(r.leaf), indices: r.indices, dy: r.dy });
+        }
+        // Stable: a table's gathers stay in sweep order.
+        grads.rows.sort_by_key(|r| r.id.0);
         grads
     }
 
     /// After `graph.backward`, every parameter gradient as a tensor, in
-    /// parameter (registration) order — deferred ones formed here, from
-    /// zeros, by the kernel the store would have used.
+    /// parameter (registration) order — deferred and gathered ones formed
+    /// here, from zeros, by the code the store would have used.
     ///
     /// Feed the result to [`ParamStore::accumulate`].
     pub fn take_param_grads(&mut self) -> Vec<(ParamId, Tensor)> {
-        let TapeGrads { dense: mut out, products } = self.take_grads();
+        let TapeGrads { dense: mut out, products, rows } = self.take_grads();
         for p in products {
             let mut g = Tensor::zeros(vec![p.x.shape()[1], p.dy.shape()[1]]);
             p.add_into(&mut g);
             out.push((p.id, g));
+        }
+        for lists in rows.chunk_by(|a, b| a.id == b.id) {
+            let id = lists[0].id;
+            let leaf = self.bound[id.0].expect("its row lists came off this tape");
+            let mut g = Tensor::zeros(self.graph.shape(leaf).to_vec());
+            add_row_lists(&mut g, lists);
+            out.push((id, g));
         }
         out.sort_by_key(|(id, _)| id.0);
         out
@@ -437,6 +551,7 @@ impl Forward {
         let grads = self.take_grads();
         store.accumulate(grads.dense);
         store.accumulate_products(&grads.products);
+        store.accumulate_rows(&grads.rows);
     }
 }
 
@@ -539,14 +654,16 @@ mod tests {
                 TapeGrads {
                     dense: vec![(ids[1], grad(&shapes[1], 2))],
                     products: vec![product(ids[0], 4, 1)],
+                    rows: Vec::new(),
                 },
                 TapeGrads {
                     dense: vec![(ids[2], grad(&shapes[2], 4))],
                     products: vec![product(ids[0], 1, 3)],
+                    rows: Vec::new(),
                 },
                 TapeGrads {
                     dense: vec![(ids[1], grad(&shapes[1], 5)), (ids[2], grad(&shapes[2], 6))],
-                    products: Vec::new(),
+                    ..TapeGrads::default()
                 },
             ]
         };
@@ -611,6 +728,131 @@ mod tests {
                 assert!(same, "`{}` (accumulate: {accumulate})", s.name(*id));
             }
         }
+    }
+
+    /// Four tapes over one `[6, 3]` table: duplicate indices inside a
+    /// gather, rows several gathers of a tape hit (4 in tape 0; 3 and 4,
+    /// three times each, in tape 3, when the store already holds a sum for
+    /// row 4), a row only tapes 0 and 3 touch (5), an empty index list.
+    const GATHERS: [&[&[usize]]; 4] = [
+        &[&[1, 1, 4, 1, 5], &[4, 2]],
+        &[&[], &[2, 0]],
+        &[&[2], &[0, 0]],
+        &[&[5, 3, 5, 4], &[1, 3, 4], &[3, 4]],
+    ];
+
+    /// `(len, salt)` → the `dY` values of one gather.
+    type Seed<'a> = &'a dyn Fn(usize, usize) -> Vec<f32>;
+
+    /// Tape `t` of [`GATHERS`] after `backward`, the table bound gathered
+    /// or plain: `loss = Σ gather ⊙ seed + Σ b ⊙ b`, so each gather's `dY`
+    /// is its seed.
+    fn gather_tape(s: &ParamStore, t: usize, gathered: bool, seed: Seed) -> Forward {
+        let (w, b) = (s.find("w").unwrap(), s.find("b").unwrap());
+        let mut f = Forward::new(s);
+        let wv = if gathered { f.param_gathered(s, w) } else { f.param(s, w) };
+        let bv = f.param(s, b);
+        let sq = f.graph.mul(bv, bv);
+        let mut loss = f.graph.sum_all(sq);
+        for (k, idx) in GATHERS[t].iter().enumerate() {
+            let rows = f.graph.index_select0(wv, idx);
+            let c = Tensor::from_vec(vec![idx.len(), 3], seed(idx.len() * 3, 2 * t + k));
+            let c = f.graph.constant(c);
+            let weighted = f.graph.mul(rows, c);
+            let part = f.graph.sum_all(weighted);
+            loss = f.graph.add(loss, part);
+        }
+        f.graph.backward(loss);
+        f
+    }
+
+    #[test]
+    fn row_lists_reach_the_store_with_the_dense_gather_gradients_bits() {
+        let fresh = || {
+            let mut s = ParamStore::new();
+            s.register("w", Tensor::zeros(vec![6, 3]));
+            s.register("b", Tensor::from_vec(vec![3], vec![0.5, -1.5, 2.0]));
+            s
+        };
+        let bits = |s: &ParamStore| -> Vec<Vec<u32>> {
+            s.ids().map(|id| s.grad(id).data().iter().map(|x| x.to_bits()).collect()).collect()
+        };
+        // Spiked: full 24-bit mantissas over 13 binades, so every add
+        // rounds and a sum taken in another order is another float.
+        let spiked = |n: usize, salt: usize| -> Vec<f32> {
+            let mut x = (salt as u32).wrapping_mul(2_654_435_761).wrapping_add(12_345);
+            let mut next = || {
+                x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                let exponent = 121 + (x >> 8) % 13;
+                f32::from_bits((x & 0x8000_0000) | exponent << 23 | (x >> 5 & 0x007f_ffff))
+            };
+            (0..n).map(|_| next()).collect()
+        };
+        let seeds: [(&str, Seed); 3] = [
+            ("plain", &|n, salt| (0..n).map(|i| ((i * 7 + salt * 5) % 11) as f32 - 5.0).collect()),
+            ("spiked", &spiked),
+            ("all -0.0", &|n, _| vec![-0.0; n]),
+        ];
+        let saved = pool::n_threads();
+        for (name, seed) in seeds {
+            // The reference: every tape forms the table's dense gradient.
+            let mut dense = fresh();
+            for t in 0..4 {
+                let grads = gather_tape(&dense, t, false, seed).take_param_grads();
+                dense.accumulate(grads);
+            }
+            let (want, want_norm) = (bits(&dense), dense.grad_norm().to_bits());
+            if name == "all -0.0" {
+                let w = dense.find("w").unwrap();
+                assert!(dense.grad(w).data().iter().all(|x| x.to_bits() == 0), "dense -0.0");
+            }
+            for threads in [1, 2, 4] {
+                pool::set_threads(threads);
+                // Every tape gathered, then tapes 1 and 2 dense between them.
+                for dense_tapes in [&[][..], &[1, 2]] {
+                    let mut s = fresh();
+                    let tape = |t| gather_tape(&s, t, !dense_tapes.contains(&t), seed).take_grads();
+                    let tables: Vec<TapeGrads> = (0..4).map(tape).collect();
+                    for (t, grads) in tables.iter().enumerate() {
+                        assert_eq!(grads.rows.is_empty(), dense_tapes.contains(&t));
+                    }
+                    let norm = s.reduce(&tables).grad_norm;
+                    assert_eq!(norm.to_bits(), want_norm, "{name}: norm at {threads} threads");
+                    assert!(bits(&s) == want, "{name}: gradients at {threads} threads");
+                }
+            }
+            // The two serial consumers of the same lists.
+            let (mut formed, mut added) = (fresh(), fresh());
+            for t in 0..4 {
+                let grads = gather_tape(&formed, t, true, seed).take_param_grads();
+                assert_eq!(grads[0].1.shape(), &[6, 3]);
+                formed.accumulate(grads);
+                let mut f = gather_tape(&added, t, true, seed);
+                let rows = f.take_grads();
+                added.accumulate(rows.dense);
+                added.accumulate_rows(&rows.rows);
+            }
+            assert!(bits(&formed) == want, "{name}: take_param_grads");
+            assert!(bits(&added) == want, "{name}: accumulate_rows");
+        }
+        pool::set_threads(saved);
+    }
+
+    #[test]
+    #[should_panic(expected = "`w` is deferred in one tape of the step and dense")]
+    fn reduce_refuses_a_weight_deferred_in_one_tape_only() {
+        let mut s = ParamStore::new();
+        let w = s.register("w", Tensor::ones(vec![2, 2]));
+        let tables = [true, false].map(|deferred| {
+            let mut f = Forward::new(&s);
+            let x = f.graph.constant(Tensor::ones(vec![1, 2]));
+            let wv = if deferred { f.param_deferred(&s, w) } else { f.param(&s, w) };
+            let y = f.graph.matmul(x, wv);
+            let loss = f.graph.sum_all(y);
+            f.graph.backward(loss);
+            f.take_grads()
+        });
+        s.reduce(&tables);
     }
 
     #[test]

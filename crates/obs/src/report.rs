@@ -137,6 +137,8 @@ pub struct Summary {
     /// Tensor buffers the steps drew: (recycled, newly allocated, bytes of
     /// the newly allocated).
     pub tape_buffers: [u64; 3],
+    /// Most bytes of drawn tensor buffers any step held at once.
+    pub tape_peak_bytes: u64,
     /// Checkpoint writes: (count, total ns, total bytes).
     pub ckpt_write: (u64, u64, u64),
     /// Checkpoint reads: (count, total ns, total bytes).
@@ -231,6 +233,8 @@ pub fn summarize(events: &[Event]) -> Result<Summary, String> {
                 for (i, key) in BUFFER_KEYS.iter().enumerate() {
                     s.tape_buffers[i] += ev.u64_field(key).unwrap_or(0);
                 }
+                s.tape_peak_bytes =
+                    s.tape_peak_bytes.max(ev.u64_field("tape_peak_bytes").unwrap_or(0));
                 s.mlm.selected += ev.u64_field("mlm_selected").unwrap_or(0);
                 s.mlm.total += ev.u64_field("mlm_candidates").unwrap_or(0);
                 s.mer.selected += ev.u64_field("mer_selected").unwrap_or(0);
@@ -561,8 +565,10 @@ pub fn render(s: &Summary) -> String {
     if recycled + fresh > 0 {
         let _ = writeln!(
             out,
-            "  tensor buffers: {recycled} recycled, {fresh} allocated ({:.2} MB per step)",
-            fresh_bytes as f64 / 1.0e6 / s.n_steps.max(1) as f64
+            "  tensor buffers: {recycled} recycled, {fresh} allocated ({:.2} MB per step), \
+             tape peak {:.2} MB",
+            fresh_bytes as f64 / 1.0e6 / s.n_steps.max(1) as f64,
+            s.tape_peak_bytes as f64 / 1.0e6
         );
     }
     if s.ckpt_write.0 > 0 {
@@ -697,6 +703,7 @@ mod tests {
                 ("pool_hits".to_string(), FieldValue::U64(900)),
                 ("pool_misses".to_string(), FieldValue::U64(3)),
                 ("tape_bytes_fresh".to_string(), FieldValue::U64(2_500_000)),
+                ("tape_peak_bytes".to_string(), FieldValue::U64(40_000_000 + step)),
                 ("mlm_selected".to_string(), FieldValue::U64(20)),
                 ("mlm_candidates".to_string(), FieldValue::U64(100)),
                 ("mer_selected".to_string(), FieldValue::U64(60)),
@@ -748,6 +755,7 @@ mod tests {
         assert_eq!(s.phase_ns, [100, 1000, 2000, 200, 300]);
         assert_eq!(s.wgrad_ns, 120);
         assert_eq!(s.tape_buffers, [9000, 30, 25_000_000]);
+        assert_eq!(s.tape_peak_bytes, 40_000_009, "the worst step, not a sum");
         assert_eq!(s.mlm.observed(), Some(0.2));
         assert_eq!(s.mer.observed(), Some(0.6));
         assert!(!s.mlm.drifted());
@@ -758,7 +766,9 @@ mod tests {
         assert!(text.contains("forward"), "{text}");
         assert!(text.contains("(weight gradients "), "{text}");
         assert!(
-            text.contains("tensor buffers: 9000 recycled, 30 allocated (2.50 MB per step)"),
+            text.contains(
+                "tensor buffers: 9000 recycled, 30 allocated (2.50 MB per step), tape peak 40.00 MB"
+            ),
             "{text}"
         );
         assert!(text.contains("MLM: observed 0.2000"), "{text}");

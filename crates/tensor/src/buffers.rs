@@ -81,6 +81,8 @@ struct Inner {
     recent: Shelves,
     /// Left over from before it; what `trim` frees.
     stale: Shelves,
+    /// Bytes drawn and not handed back yet.
+    out_bytes: u64,
     stats: PoolStats,
 }
 
@@ -95,6 +97,11 @@ pub struct PoolStats {
     pub fresh_bytes: u64,
     /// Elements of the largest buffer any draw asked for.
     pub largest_draw: usize,
+    /// High-water, since the last [`BufferPool::trim`], of the bytes drawn
+    /// and not yet handed back: what the tapes drawing from the pool held
+    /// at their fullest. (A buffer handed back that was never drawn — a
+    /// tensor built outside the scope — counts against it, down to zero.)
+    pub peak_bytes: u64,
 }
 
 /// A shared pool of recycled `f32` buffers; see the [module docs](self).
@@ -138,9 +145,11 @@ impl BufferPool {
 
     /// Free every buffer that has not been handed back since the last
     /// call: afterwards the pool holds only what was in use in between.
+    /// Restarts [`PoolStats::peak_bytes`] from what is drawn right now.
     pub fn trim(&self) {
         let freed = {
             let mut inner = self.lock();
+            inner.stats.peak_bytes = inner.out_bytes;
             let recent = std::mem::take(&mut inner.recent);
             std::mem::replace(&mut inner.stale, recent)
         };
@@ -171,13 +180,16 @@ impl BufferPool {
             let fit = |shelves: &mut Shelves| (class..class + STEPS).find_map(|c| shelves.pop(c));
             let buf = fit(&mut inner.recent).or_else(|| fit(&mut inner.stale));
             inner.stats.largest_draw = inner.stats.largest_draw.max(n);
+            let bytes = 4 * buf.as_ref().map_or(class_capacity(class), Vec::capacity) as u64;
             match buf {
                 Some(_) => inner.stats.hits += 1,
                 None => {
                     inner.stats.misses += 1;
-                    inner.stats.fresh_bytes += (class_capacity(class) * 4) as u64;
+                    inner.stats.fresh_bytes += bytes;
                 }
             }
+            inner.out_bytes += bytes;
+            inner.stats.peak_bytes = inner.stats.peak_bytes.max(inner.out_bytes);
             buf
         };
         match recycled {
@@ -225,7 +237,9 @@ pub(crate) fn copy_of(src: &[f32]) -> Vec<f32> {
 /// Hand a dropped tensor's buffer to the thread's pool, or free it.
 pub(crate) fn recycle(buf: Vec<f32>) {
     if let (Some(class), Some(p)) = (class_below(buf.capacity()), active(buf.capacity())) {
-        p.lock().recent.push(class, buf);
+        let mut inner = p.lock();
+        inner.out_bytes = inner.out_bytes.saturating_sub(4 * buf.capacity() as u64);
+        inner.recent.push(class, buf);
     }
 }
 
@@ -260,7 +274,13 @@ mod tests {
         drop(Tensor::zeros(vec![1024]));
         assert_eq!(
             pool.stats(),
-            PoolStats { hits: 0, misses: 1, fresh_bytes: 4096, largest_draw: 1024 }
+            PoolStats {
+                hits: 0,
+                misses: 1,
+                fresh_bytes: 4096,
+                largest_draw: 1024,
+                peak_bytes: 4096
+            }
         );
         // Small tensors never touch the pool.
         let _scope = pool.enter();
@@ -312,6 +332,25 @@ mod tests {
         drop([Tensor::zeros(vec![1000]), Tensor::zeros(vec![1000]), Tensor::zeros(vec![5000])]);
         let stats = pool.stats();
         assert_eq!((stats.hits, stats.misses), (2, 5));
+    }
+
+    #[test]
+    fn peak_bytes_is_the_high_water_of_what_is_out_since_the_last_trim() {
+        let pool = BufferPool::new();
+        let _scope = pool.enter();
+        let a = Tensor::zeros(vec![1024]);
+        let b = Tensor::zeros(vec![2048]);
+        drop(a);
+        let c = Tensor::zeros(vec![1024]); // a's buffer again: 12 KiB out, as before
+        assert_eq!(pool.stats().peak_bytes, 4 * (1024 + 2048));
+        drop(b);
+        pool.trim(); // only `c` is out
+        assert_eq!(pool.stats().peak_bytes, 4 * 1024);
+        drop(c);
+        drop(Tensor::zeros(vec![512]));
+        assert_eq!(pool.stats().peak_bytes, 4 * 1024, "a lower level moved the high-water");
+        pool.trim();
+        assert_eq!(pool.stats().peak_bytes, 0);
     }
 
     #[test]

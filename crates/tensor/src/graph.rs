@@ -15,7 +15,20 @@
 //! [`Graph::matmul`], the tape never forms its gradient `Xᵀ · dY`, and
 //! after `backward` [`Graph::take_deferred`] hands out the two factors —
 //! the owner adds the product into its gradient store, for all the
-//! tables of a batch in one kernel call.
+//! tables of a batch in one kernel call. An embedding table that is only
+//! ever gathered from can be bound *gathered* ([`Graph::leaf_gathered`]):
+//! no `[vocab, d]` gradient is formed for it either, each of its
+//! [`Graph::index_select0`]s keeps `(indices, dY rows)` and
+//! [`Graph::take_gathered`] hands those out.
+//!
+//! The tape lets go as the sweep passes: once a computed node's backward
+//! has run, no node below it can read its closure, its gradient or its
+//! value (parents precede children), so `backward` drops all three right
+//! there — except a gradient or value one of the two lists above still
+//! hands out, and the root's value. Leaves keep value and gradient. A
+//! swept tape holds what the caller can still ask for and nothing else;
+//! asking it for more ([`Graph::value`] or [`Graph::grad`] of a released
+//! node, a second `backward`) panics, it never answers with a stand-in.
 
 use crate::ops;
 use crate::ops::{gelu_grad, gelu_tanh};
@@ -42,21 +55,46 @@ impl Var {
 // `Send` so a whole `Graph` can move between data-parallel train workers.
 type BackFn = Box<dyn Fn(&Tensor, &Tensor, &[&Tensor], &[bool]) -> Vec<Option<Tensor>> + Send>;
 
-/// A node's value: computed on this tape, or a leaf that stays with its
-/// owner (a parameter bound without copying it).
+/// A node's value: computed on this tape, a leaf that stays with its
+/// owner (a parameter bound without copying it), or only the shape of a
+/// value [`Graph::backward`] released.
 enum Value {
     Owned(Tensor),
     Shared(Arc<Tensor>),
+    Released(Vec<usize>),
 }
 
-impl std::ops::Deref for Value {
-    type Target = Tensor;
-    fn deref(&self) -> &Tensor {
+impl Value {
+    fn get(&self) -> Option<&Tensor> {
         match self {
-            Value::Owned(t) => t,
-            Value::Shared(t) => t,
+            Value::Owned(t) => Some(t),
+            Value::Shared(t) => Some(t),
+            Value::Released(_) => None,
         }
     }
+
+    fn shape(&self) -> &[usize] {
+        match self {
+            Value::Owned(t) => t.shape(),
+            Value::Shared(t) => t.shape(),
+            Value::Released(shape) => shape,
+        }
+    }
+}
+
+/// What a node is to the reverse sweep.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// Computed by an operation; released once the sweep has passed it.
+    Op,
+    /// A leaf whose gradient, if it needs one, accumulates on the tape.
+    Leaf,
+    /// A leaf bound by [`Graph::leaf_deferred`]: trained, but its gradient
+    /// is never formed on the tape (`needs_grad` is false).
+    Deferred,
+    /// A leaf bound by [`Graph::leaf_gathered`]: likewise, its gathers
+    /// keep their row lists.
+    Gathered,
 }
 
 struct Node {
@@ -64,10 +102,20 @@ struct Node {
     grad: Option<Tensor>,
     parents: Vec<Var>,
     needs_grad: bool,
-    /// A leaf bound by [`Graph::leaf_deferred`]: trained, but its gradient
-    /// is never formed on the tape (`needs_grad` is false).
-    deferred: bool,
+    kind: Kind,
+    /// The sweep must not release the value: the `X` of a deferred product.
+    keep_value: bool,
+    /// The sweep must not release the gradient: the `dY` of a deferred
+    /// product or of a gathered leaf's gather.
+    keep_grad: bool,
     backward: Option<BackFn>,
+}
+
+impl Node {
+    /// The value of a node the sweep has yet to pass.
+    fn unswept_value(&self) -> &Tensor {
+        self.value.get().expect("the sweep releases a node only after its readers")
+    }
 }
 
 /// A deferred leaf's one use: `node = matmul(lhs, leaf)`.
@@ -75,6 +123,13 @@ struct DeferredUse {
     leaf: Var,
     lhs: Var,
     node: Var,
+}
+
+/// One gather from a gathered leaf: `node = index_select0(leaf, indices)`.
+struct GatherUse {
+    leaf: Var,
+    node: Var,
+    indices: Vec<usize>,
 }
 
 /// The two factors of a deferred leaf's gradient `xᵀ · dy`, as
@@ -88,11 +143,32 @@ pub struct DeferredProduct {
     pub dy: Tensor,
 }
 
+/// One gather's share of a gathered leaf's gradient, as
+/// [`Graph::take_gathered`] hands it out: row `indices[r]` of the leaf's
+/// gradient receives row `r` of `dy`.
+pub struct GatheredRows {
+    /// The gathered leaf the rows belong to.
+    pub leaf: Var,
+    /// The gather's index list.
+    pub indices: Vec<usize>,
+    /// The gradient that reached the gather's output, one row per index.
+    pub dy: Tensor,
+}
+
 /// A dynamic computation graph (autograd tape).
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
     deferred: Vec<DeferredUse>,
+    gathers: Vec<GatherUse>,
+    /// The root of the [`backward`](Graph::backward) that swept this tape.
+    swept: Option<Var>,
+}
+
+/// The one failure of reading what [`Graph::backward`] let go of.
+#[cold]
+fn released(node: usize, what: &str) -> ! {
+    panic!("node {node} was released by `backward`: {what}")
 }
 
 impl Graph {
@@ -112,6 +188,8 @@ impl Graph {
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.deferred.clear();
+        self.gathers.clear();
+        self.swept = None;
     }
 
     /// True when no nodes have been recorded.
@@ -121,13 +199,13 @@ impl Graph {
 
     /// Add a leaf node. `requires_grad` marks trainable parameters.
     pub fn leaf(&mut self, value: Tensor, requires_grad: bool) -> Var {
-        self.push_leaf(Value::Owned(value), requires_grad)
+        self.push_leaf(Value::Owned(value), requires_grad, Kind::Leaf)
     }
 
     /// Add a leaf whose value stays shared with the caller: the tape holds
     /// a reference, not a copy, for as long as the node exists.
     pub fn leaf_shared(&mut self, value: Arc<Tensor>, requires_grad: bool) -> Var {
-        self.push_leaf(Value::Shared(value), requires_grad)
+        self.push_leaf(Value::Shared(value), requires_grad, Kind::Leaf)
     }
 
     /// Add a trained leaf whose gradient the tape never forms: it may be
@@ -136,18 +214,27 @@ impl Graph {
     /// [`backward`](Graph::backward) its gradient is the product
     /// [`take_deferred`](Graph::take_deferred) lists.
     pub fn leaf_deferred(&mut self, value: Arc<Tensor>) -> Var {
-        let v = self.push_leaf(Value::Shared(value), false);
-        self.nodes[v.0].deferred = true;
-        v
+        self.push_leaf(Value::Shared(value), false, Kind::Deferred)
     }
 
-    fn push_leaf(&mut self, value: Value, requires_grad: bool) -> Var {
+    /// Add a trained leaf that is only ever gathered from: any reader
+    /// but [`index_select0`](Graph::index_select0) panics when the op is
+    /// recorded, the tape never forms the leaf's `[rows, ..]` gradient,
+    /// and after [`backward`](Graph::backward) that gradient is the row
+    /// lists [`take_gathered`](Graph::take_gathered) hands out.
+    pub fn leaf_gathered(&mut self, value: Arc<Tensor>) -> Var {
+        self.push_leaf(Value::Shared(value), false, Kind::Gathered)
+    }
+
+    fn push_leaf(&mut self, value: Value, requires_grad: bool, kind: Kind) -> Var {
         self.nodes.push(Node {
             value,
             grad: None,
             parents: Vec::new(),
             needs_grad: requires_grad,
-            deferred: false,
+            kind,
+            keep_value: false,
+            keep_grad: false,
             backward: None,
         });
         Var(self.nodes.len() - 1)
@@ -159,18 +246,48 @@ impl Graph {
     }
 
     /// Value of a node.
+    ///
+    /// # Panics
+    /// Panics if [`backward`](Graph::backward) released the value: read an
+    /// interior node before the sweep.
     pub fn value(&self, v: Var) -> &Tensor {
-        &self.nodes[v.0].value
+        let held = self.nodes[v.0].value.get();
+        held.unwrap_or_else(|| released(v.0, "its value is gone, read it before the sweep"))
     }
 
-    /// Gradient accumulated at a node after [`Graph::backward`].
+    /// Shape of a node's value; still known once the value is released.
+    pub fn shape(&self, v: Var) -> &[usize] {
+        self.nodes[v.0].value.shape()
+    }
+
+    /// Gradient accumulated at a node after [`Graph::backward`]; `None`
+    /// where none arrived.
+    ///
+    /// # Panics
+    /// Panics if the sweep released the gradient, as it does for every
+    /// computed node: only leaves keep theirs.
     pub fn grad(&self, v: Var) -> Option<&Tensor> {
+        self.check_grad_held(v);
         self.nodes[v.0].grad.as_ref()
     }
 
-    /// Take (move out) the gradient at a node, leaving `None`.
+    /// Take (move out) the gradient at a node, leaving `None`. Panics
+    /// like [`grad`](Graph::grad).
     pub fn take_grad(&mut self, v: Var) -> Option<Tensor> {
+        self.check_grad_held(v);
         self.nodes[v.0].grad.take()
+    }
+
+    fn check_grad_held(&self, v: Var) {
+        if self.nodes[v.0].grad.is_none() && self.is_released(v) {
+            released(v.0, "its gradient is gone, only leaves keep theirs");
+        }
+    }
+
+    /// Whether a [`backward`](Graph::backward) sweep has passed `v` and
+    /// released what it held.
+    pub fn is_released(&self, v: Var) -> bool {
+        self.nodes[v.0].kind == Kind::Op && self.swept.is_some_and(|root| v.0 <= root.0)
     }
 
     // ---------------------------------------------------------------------
@@ -194,82 +311,138 @@ impl Graph {
 
     /// Whether `v` is a [deferred](Graph::leaf_deferred) leaf.
     pub fn is_deferred(&self, v: Var) -> bool {
-        self.nodes[v.0].deferred
+        self.nodes[v.0].kind == Kind::Deferred
+    }
+
+    /// Whether `v` is a [gathered](Graph::leaf_gathered) leaf.
+    pub fn is_gathered(&self, v: Var) -> bool {
+        self.nodes[v.0].kind == Kind::Gathered
     }
 
     /// Whether `v` is a leaf: it was created directly from a tensor rather
     /// than by an operation.
     pub fn is_leaf(&self, v: Var) -> bool {
-        self.nodes[v.0].parents.is_empty() && self.nodes[v.0].backward.is_none()
+        self.nodes[v.0].kind != Kind::Op
+    }
+
+    /// Shape of the gradient the tape holds at `v`, if it holds one: after
+    /// a sweep, a leaf's, or the `dY` of a product or row list not yet
+    /// taken. Never panics (for auditing).
+    pub fn held_grad_shape(&self, v: Var) -> Option<&[usize]> {
+        self.nodes[v.0].grad.as_ref().map(Tensor::shape)
     }
 
     /// Whether `v` recorded a backward closure (differentiable interior
-    /// node on a grad-requiring path).
+    /// node on a grad-requiring path) the sweep has not run yet.
     pub fn has_backward(&self, v: Var) -> bool {
         self.nodes[v.0].backward.is_some()
     }
 
     fn push(&mut self, value: Tensor, parents: Vec<Var>, backward: BackFn) -> Var {
-        if let Some(p) = parents.iter().find(|p| self.nodes[p.0].deferred) {
-            panic!("deferred leaf {} may only be the rhs of a matmul", p.0);
-        }
-        self.push_unchecked(value, parents, backward)
+        self.push_reading(value, parents, backward, None)
     }
 
-    /// [`push`](Self::push) for the one op that may read a deferred leaf.
-    fn push_unchecked(&mut self, value: Tensor, parents: Vec<Var>, backward: BackFn) -> Var {
-        // A deferred leaf needs no gradient itself but its reader does.
-        let needs_grad =
-            parents.iter().any(|p| self.nodes[p.0].needs_grad || self.nodes[p.0].deferred);
+    /// Record an op. Only the parent in slot `special` may be a deferred
+    /// or gathered leaf — the caller is the op that leaf's kind admits.
+    fn push_reading(
+        &mut self,
+        value: Tensor,
+        parents: Vec<Var>,
+        backward: BackFn,
+        special: Option<usize>,
+    ) -> Var {
+        for (slot, p) in parents.iter().enumerate() {
+            match self.nodes[p.0].kind {
+                _ if special == Some(slot) => {}
+                Kind::Deferred => panic!("deferred leaf {} may only be the rhs of a matmul", p.0),
+                Kind::Gathered => panic!("gathered leaf {} may only be read by index_select0", p.0),
+                Kind::Op | Kind::Leaf => {}
+            }
+        }
+        // Such a leaf needs no gradient itself but its reader does.
+        let needs_grad = parents.iter().any(|p| {
+            let p = &self.nodes[p.0];
+            p.needs_grad || matches!(p.kind, Kind::Deferred | Kind::Gathered)
+        });
         self.nodes.push(Node {
             value: Value::Owned(value),
             grad: None,
             parents,
             needs_grad,
-            deferred: false,
+            kind: Kind::Op,
+            keep_value: false,
+            keep_grad: false,
             backward: if needs_grad { Some(backward) } else { None },
         });
         Var(self.nodes.len() - 1)
     }
 
-    /// Run reverse-mode differentiation from `root` (seeded with ones).
+    /// Run reverse-mode differentiation from `root` (seeded with ones),
+    /// releasing every computed node the sweep is done with: afterwards
+    /// the tape holds the leaves (values and gradients), `root`'s value,
+    /// and the factors [`take_deferred`](Graph::take_deferred) and
+    /// [`take_gathered`](Graph::take_gathered) hand out.
     ///
     /// Existing gradients on the tape are cleared first.
+    ///
+    /// # Panics
+    /// Panics if an earlier `backward` already swept a computed node at
+    /// or below `root`: what is left of it cannot be differentiated.
     pub fn backward(&mut self, root: Var) {
+        if let Some(v) = (0..=root.0).map(Var).find(|&v| self.is_released(v)) {
+            released(v.0, "a swept tape cannot be differentiated again");
+        }
         for node in &mut self.nodes {
             node.grad = None;
         }
         let shape = self.nodes[root.0].value.shape().to_vec();
         self.nodes[root.0].grad = Some(Tensor::ones(shape));
         for i in (0..=root.0).rev() {
-            if self.nodes[i].backward.is_none() || self.nodes[i].grad.is_none() {
+            if self.nodes[i].kind != Kind::Op {
                 continue;
             }
-            let grads = {
-                let node = &self.nodes[i];
-                let pvals: Vec<&Tensor> =
-                    node.parents.iter().map(|p| &*self.nodes[p.0].value).collect();
-                let needs: Vec<bool> =
-                    node.parents.iter().map(|p| self.nodes[p.0].needs_grad).collect();
-                let f = node.backward.as_ref().expect("checked above");
-                f(node.grad.as_ref().expect("checked above"), &node.value, &pvals, &needs)
-            };
-            let parents = self.nodes[i].parents.clone();
-            debug_assert_eq!(parents.len(), grads.len(), "backward arity mismatch at node {i}");
-            for (p, g) in parents.into_iter().zip(grads) {
-                let target = &mut self.nodes[p.0];
-                debug_assert_eq!(g.is_some(), target.needs_grad, "needs-mask ignored at node {i}");
-                let Some(g) = g else { continue };
-                debug_assert_eq!(
-                    g.shape(),
-                    target.value.shape(),
-                    "gradient shape mismatch flowing into node {}",
-                    p.0
-                );
-                match &mut target.grad {
-                    Some(acc) => acc.add_assign(&g),
-                    slot @ None => *slot = Some(g),
-                }
+            self.propagate(i);
+            // Parents precede children: nothing left to sweep reads node
+            // `i`'s closure, gradient or value.
+            let node = &mut self.nodes[i];
+            node.backward = None;
+            if !node.keep_grad {
+                node.grad = None;
+            }
+            if !node.keep_value && i != root.0 {
+                node.value = Value::Released(node.value.shape().to_vec());
+            }
+        }
+        self.swept = Some(root);
+    }
+
+    /// Run node `i`'s closure, if a gradient reached it, and add what it
+    /// returns into the parents' gradients.
+    fn propagate(&mut self, i: usize) {
+        let node = &self.nodes[i];
+        let (Some(f), Some(grad)) = (&node.backward, &node.grad) else { return };
+        let grads = {
+            let pvals: Vec<&Tensor> =
+                node.parents.iter().map(|p| self.nodes[p.0].unswept_value()).collect();
+            let needs: Vec<bool> =
+                node.parents.iter().map(|p| self.nodes[p.0].needs_grad).collect();
+            f(grad, node.unswept_value(), &pvals, &needs)
+        };
+        let parents = node.parents.clone();
+        debug_assert_eq!(parents.len(), grads.len(), "backward arity mismatch at node {i}");
+        for (p, g) in parents.into_iter().zip(grads) {
+            let target = &mut self.nodes[p.0];
+            debug_assert_eq!(g.is_some(), target.needs_grad, "needs-mask ignored at node {i}");
+            let Some(g) = g else { continue };
+            debug_assert_eq!(
+                g.shape(),
+                target.value.shape(),
+                "gradient shape mismatch flowing into node {}",
+                p.0
+            );
+            match &mut target.grad {
+                Some(acc) => acc.add_assign(&g),
+                slot @ None => *slot = Some(g),
             }
         }
     }
@@ -277,9 +450,9 @@ impl Graph {
     /// After [`backward`](Graph::backward): the gradient of every deferred
     /// leaf as its two factors, in recording order. A leaf whose `matmul`
     /// no gradient reached is absent. `dy` is moved off the tape (like
-    /// [`take_grad`](Graph::take_grad)); `x` stays a value of the tape,
-    /// shared with the returned handle, which outlives a
-    /// [`reset`](Graph::reset).
+    /// [`take_grad`](Graph::take_grad)); `x` — which the sweep did not
+    /// release — stays a value of the tape, shared with the returned
+    /// handle, which outlives a [`reset`](Graph::reset).
     pub fn take_deferred(&mut self) -> Vec<DeferredProduct> {
         let mut out = Vec::with_capacity(self.deferred.len());
         for i in 0..self.deferred.len() {
@@ -290,12 +463,27 @@ impl Graph {
         out
     }
 
+    /// After [`backward`](Graph::backward): the gradient of every
+    /// gathered leaf as row lists, one per gather a gradient reached, in
+    /// the order the sweep met them (reverse recording order — the order
+    /// a plain leaf's gradient would have added them up in). Indices and
+    /// `dy` are moved off the tape; a second call finds nothing.
+    pub fn take_gathered(&mut self) -> Vec<GatheredRows> {
+        let nodes = &mut self.nodes;
+        let taken = self.gathers.drain(..).rev().filter_map(|GatherUse { leaf, node, indices }| {
+            let dy = nodes[node.0].grad.take()?;
+            Some(GatheredRows { leaf, indices, dy })
+        });
+        taken.collect()
+    }
+
     /// A shared handle to `v`'s value, which the tape keeps reading.
     fn share_value(&mut self, v: Var) -> Arc<Tensor> {
         let slot = &mut self.nodes[v.0].value;
-        let shared = match std::mem::replace(slot, Value::Owned(Tensor::scalar(0.0))) {
+        let shared = match std::mem::replace(slot, Value::Released(Vec::new())) {
             Value::Owned(t) => Arc::new(t),
             Value::Shared(t) => t,
+            Value::Released(_) => released(v.0, "its value is gone, though a product reads it"),
         };
         *slot = Value::Shared(Arc::clone(&shared));
         shared
@@ -377,14 +565,13 @@ impl Graph {
     /// [deferred](Graph::leaf_deferred) leaf not read before: backward
     /// then computes `dA` alone.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        assert!(!self.nodes[a.0].deferred, "deferred leaf {} may only be the rhs of a matmul", a.0);
-        let deferred_rhs = self.nodes[b.0].deferred;
+        let deferred_rhs = self.is_deferred(b);
         if deferred_rhs {
             let earlier = self.deferred.iter().any(|u| u.leaf == b);
             assert!(!earlier, "deferred leaf {} is read by a second matmul", b.0);
         }
         let value = ops::matmul(self.value(a), self.value(b));
-        let node = self.push_unchecked(
+        let node = self.push_reading(
             value,
             vec![a, b],
             Box::new(|g, _, pv, needs| {
@@ -393,8 +580,11 @@ impl Graph {
                     needs[1].then(|| ops::matmul_tn(pv[0], g)),
                 ]
             }),
+            deferred_rhs.then_some(1),
         );
         if deferred_rhs {
+            self.nodes[a.0].keep_value = true;
+            self.nodes[node.0].keep_grad = true;
             self.deferred.push(DeferredUse { leaf: b, lhs: a, node });
         }
         node
@@ -634,10 +824,20 @@ impl Graph {
     // Gather / structure
     // ---------------------------------------------------------------------
 
-    /// Gather rows along axis 0 (embedding lookup).
+    /// Gather rows along axis 0 (embedding lookup). From a
+    /// [gathered](Graph::leaf_gathered) leaf, backward scatters nothing:
+    /// the gather keeps `(indices, dY)` for
+    /// [`take_gathered`](Graph::take_gathered).
     pub fn index_select0(&mut self, a: Var, indices: &[usize]) -> Var {
         let value = self.value(a).index_select0(indices);
         let idx = indices.to_vec();
+        if self.is_gathered(a) {
+            let scatters_nothing: BackFn = Box::new(|_, _, _, _| vec![None]);
+            let node = self.push_reading(value, vec![a], scatters_nothing, Some(0));
+            self.nodes[node.0].keep_grad = true;
+            self.gathers.push(GatherUse { leaf: a, node, indices: idx });
+            return node;
+        }
         self.push(
             value,
             vec![a],
@@ -1120,6 +1320,112 @@ mod tests {
         let x = g.leaf(t2(&[2, 2], &[1.; 4]), true);
         let y = g.matmul(x, w);
         g.matmul(y, w);
+    }
+
+    /// `loss = Σ (2x · w)²` over a computed lhs, `w` deferred; returns the
+    /// tape and `(x, lhs, product, loss)`.
+    fn swept_tape() -> (Graph, Var, Var, Var, Var) {
+        let mut g = Graph::new();
+        let x = g.leaf(t2(&[3, 2], &[0.5, -1.0, 2.0, 0.25, -0.0, 1.5]), true);
+        let lhs = g.scale(x, 2.0);
+        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[0.1, -0.2, 0.3, 0.4])));
+        let y = g.matmul(lhs, w);
+        let sq = g.mul(y, y);
+        let loss = g.sum_all(sq);
+        g.backward(loss);
+        (g, x, lhs, y, loss)
+    }
+
+    #[test]
+    fn the_sweep_releases_computed_nodes_and_keeps_what_is_still_handed_out() {
+        let (mut g, x, lhs, y, loss) = swept_tape();
+        assert!(g.vars().all(|v| g.is_released(v) != g.is_leaf(v)));
+        assert!(g.vars().all(|v| !g.has_backward(v)), "a closure outlived the sweep");
+        // Leaves, the root's value, and both factors of the product.
+        assert_eq!(g.value(loss).shape(), &[1]);
+        assert_eq!(g.grad(x).unwrap().shape(), &[3, 2]);
+        assert_eq!(g.value(lhs).data(), &[1.0, -2.0, 4.0, 0.5, -0.0, 3.0]);
+        assert_eq!(g.held_grad_shape(y), Some(&[3, 2][..]));
+        // Everything else is gone, its shape still on record.
+        assert_eq!((g.shape(y), g.held_grad_shape(lhs)), (&[3, 2][..], None));
+        let products = g.take_deferred();
+        assert!(std::ptr::eq(&*products[0].x, g.value(lhs)));
+        assert_eq!(g.held_grad_shape(y), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 3 was released by `backward`: its value is gone")]
+    fn value_of_a_released_node_panics_naming_it() {
+        let (g, _, _, y, _) = swept_tape();
+        g.value(y);
+    }
+
+    #[test]
+    #[should_panic(expected = "node 4 was released by `backward`: its gradient is gone")]
+    fn grad_of_a_released_node_panics_naming_it() {
+        let (g, _, _, y, _) = swept_tape();
+        g.grad(Var(y.0 + 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "node 1 was released by `backward`: a swept tape cannot")]
+    fn a_second_backward_over_a_swept_tape_panics() {
+        let (mut g, _, _, _, loss) = swept_tape();
+        g.backward(loss);
+    }
+
+    #[test]
+    fn a_gathered_leaf_hands_out_row_lists_in_sweep_order() {
+        // Two gathers of one table, each output weighted by a constant so
+        // its `dY` is that constant; the plain leaf scatters the same rows.
+        let table = Arc::new(t2(&[4, 2], &[0.; 8]));
+        let seeds = [t2(&[3, 2], &[1., -2., 3., 4., -0., 6.]), t2(&[2, 2], &[7., 8., 9., -1.])];
+        let lists: [&[usize]; 2] = [&[1, 1, 3], &[3, 0]];
+        let run = |gathered: bool| {
+            let mut g = Graph::new();
+            let t = Arc::clone(&table);
+            let w = if gathered { g.leaf_gathered(t) } else { g.leaf_shared(t, true) };
+            let mut loss = None;
+            for (idx, seed) in lists.iter().zip(&seeds) {
+                let rows = g.index_select0(w, idx);
+                let c = g.constant(seed.clone());
+                let weighted = g.mul(rows, c);
+                let s = g.sum_all(weighted);
+                loss = Some(loss.map_or(s, |l| g.add(l, s)));
+            }
+            g.backward(loss.unwrap());
+            (g, w)
+        };
+        let (mut g, w) = run(true);
+        assert!(g.is_gathered(w) && !g.needs_grad(w) && g.grad(w).is_none());
+        let rows = g.take_gathered();
+        assert_eq!(rows.len(), 2);
+        for (got, want) in rows.iter().zip([1, 0]) {
+            assert_eq!((got.leaf, &got.indices[..]), (w, lists[want]));
+            assert_eq!(got.dy, seeds[want]);
+        }
+        assert!(g.take_gathered().is_empty());
+        let (dense, w) = run(false);
+        assert_eq!(dense.grad(w).unwrap().data(), &[9., -1., 4., 2., 0., 0., 7., 14.]);
+    }
+
+    #[test]
+    fn a_gather_no_gradient_reaches_lists_no_rows() {
+        let mut g = Graph::new();
+        let w = g.leaf_gathered(Arc::new(t2(&[2, 2], &[1., 2., 3., 4.])));
+        let x = g.leaf(t2(&[2], &[1., 2.]), true);
+        let _dead_end = g.index_select0(w, &[0]);
+        let loss = g.sum_all(x);
+        g.backward(loss);
+        assert!(g.take_gathered().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "gathered leaf 0 may only be read by index_select0")]
+    fn a_gathered_leaf_read_by_another_op_panics_where_it_is_recorded() {
+        let mut g = Graph::new();
+        let w = g.leaf_gathered(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
+        g.scale(w, 2.0);
     }
 
     #[test]
