@@ -10,8 +10,13 @@
 //!
 //! ```json
 //! {"op": "encoder_fwd_bwd", "size": "seq=94,d=64,layers=2",
-//!  "threads": 4, "ns_per_iter": 1234567, "tokens_per_sec": 76123.4}
+//!  "dtype": "f32", "body": "avx2", "threads": 4, "available_cores": 4,
+//!  "ns_per_iter": 1234567, "tokens_per_sec": 76123.4}
 //! ```
+//!
+//! `body` is the compilation of the block kernel the recording process ran
+//! ([`ops::kernel_body`]): the tracked file holds one set of rows per body
+//! it was recorded under, and the regression gate compares like with like.
 //!
 //! `tokens_per_sec` is sequence rows (tokens + entity cells) per second
 //! for model-level ops, and output rows per second for raw kernels.
@@ -41,6 +46,11 @@ pub struct BenchEntry {
     /// for bandwidth — so the regression gate only matches like-dtype
     /// rows.
     pub dtype: String,
+    /// The block-kernel body the recording process ran
+    /// ([`ops::kernel_body`]); every row of one run shares it. A wider
+    /// body is a different machine as far as a kernel timing goes, so the
+    /// regression gate matches rows on it.
+    pub body: String,
     /// Pool width the measurement ran with.
     pub threads: usize,
     /// Cores available on the recording machine: what a multi-thread
@@ -54,8 +64,9 @@ pub struct BenchEntry {
 }
 
 // Manual impl (the vendored serde derive has no `default` attribute):
-// baseline files written before the dtype column existed deserialize
-// with `dtype: "f32"`, which is what every pre-dtype row measured.
+// baseline files written before the dtype and body columns existed
+// deserialize with `dtype: "f32"` and `body: "avx2"`, which is what every
+// such row in this repository measured.
 impl Deserialize for BenchEntry {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let field = |key: &str| {
@@ -67,6 +78,10 @@ impl Deserialize for BenchEntry {
             dtype: match v.get("dtype") {
                 Some(d) => Deserialize::from_value(d)?,
                 None => "f32".to_string(),
+            },
+            body: match v.get("body") {
+                Some(b) => Deserialize::from_value(b)?,
+                None => "avx2".to_string(),
             },
             threads: Deserialize::from_value(field("threads")?)?,
             available_cores: Deserialize::from_value(field("available_cores")?)?,
@@ -114,6 +129,7 @@ fn entry_dtyped(
         op: op.to_string(),
         size,
         dtype: dtype.to_string(),
+        body: ops::kernel_body().to_string(),
         threads,
         available_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         ns_per_iter: ns,
@@ -573,8 +589,14 @@ pub fn read_json(path: &std::path::Path) -> Result<Vec<BenchEntry>, String> {
 /// Compare a fresh run against a tracked baseline: any 1-thread
 /// op/size/dtype cell slower than `factor`× its baseline is a
 /// regression (dtype must match exactly — an int8 row is never gated
-/// against an f32 baseline or vice versa). Entries missing from either
-/// side are ignored (sizes legitimately change as the suite evolves).
+/// against an f32 baseline or vice versa). A cell is compared with the
+/// baseline cell recorded under the same kernel body; where the baseline
+/// has none, with the one of the widest *narrower* body — wider vectors
+/// must not lose to narrower ones, so a tile the compiler spills (a 10×
+/// cliff, DESIGN §5f) fails on a runner whose body was never recorded.
+/// Entries missing from either side are ignored (sizes legitimately
+/// change as the suite evolves), as are cells the baseline only has for
+/// wider bodies.
 /// Multi-thread rows are measured and written but never gated: a
 /// neighbour taking a core mid-window moves a short 2-thread row past
 /// any fixed factor, and a core count neither side controls is not a
@@ -584,23 +606,26 @@ pub fn check_regressions(
     baseline: &[BenchEntry],
     factor: f64,
 ) -> Result<usize, Vec<String>> {
+    let width = |body: &str| ops::KERNEL_BODIES.iter().position(|&b| b == body);
     let mut compared = 0usize;
     let mut errors = Vec::new();
-    for n in new {
-        let Some(b) = baseline.iter().find(|b| {
-            b.op == n.op && b.size == n.size && b.dtype == n.dtype && b.threads == n.threads
-        }) else {
+    for n in new.iter().filter(|n| n.threads == 1) {
+        let Some(b) = baseline
+            .iter()
+            .filter(|b| {
+                b.op == n.op && b.size == n.size && b.dtype == n.dtype && b.threads == n.threads
+            })
+            .filter(|b| width(&b.body) <= width(&n.body))
+            .max_by_key(|b| width(&b.body))
+        else {
             continue;
         };
-        if n.threads > 1 {
-            continue;
-        }
         compared += 1;
         let ratio = n.ns_per_iter as f64 / b.ns_per_iter.max(1) as f64;
         if ratio > factor {
             errors.push(format!(
-                "{} [{}] ({}) @{}t regressed {ratio:.2}x ({} -> {} ns/iter)",
-                n.op, n.size, n.dtype, n.threads, b.ns_per_iter, n.ns_per_iter
+                "{} [{}] ({}, {}) @{}t regressed {ratio:.2}x vs the {} baseline ({} -> {} ns/iter)",
+                n.op, n.size, n.dtype, n.body, n.threads, b.body, b.ns_per_iter, n.ns_per_iter
             ));
         }
     }
@@ -657,6 +682,7 @@ mod tests {
             op: op.into(),
             size: "s".into(),
             dtype: "f32".into(),
+            body: "avx2".into(),
             threads,
             available_cores: cores,
             ns_per_iter: ns,
@@ -702,6 +728,24 @@ mod tests {
     }
 
     #[test]
+    fn regression_gate_compares_within_a_body_or_against_a_narrower_one() {
+        let on = |body: &str, ns: u64| BenchEntry { body: body.into(), ..e("matmul", 1, ns) };
+        let base = vec![on("avx2", 100), on("avx512f", 60)];
+        // Same body: the narrower body's slower row is not the yardstick.
+        assert_eq!(check_regressions(&[on("avx512f", 110)], &base, 2.0), Ok(1));
+        assert!(check_regressions(&[on("avx512f", 130)], &base, 2.0).is_err());
+        assert_eq!(check_regressions(&[on("avx2", 190)], &base, 2.0), Ok(1));
+        // A body the baseline never recorded is held to the widest
+        // narrower one: the spilled-tile cliff fails, parity passes.
+        let narrow = vec![on("portable", 300), on("avx2", 100)];
+        assert_eq!(check_regressions(&[on("avx512f", 150)], &narrow, 2.0), Ok(1));
+        let cliff = check_regressions(&[on("avx512f", 1000)], &narrow, 2.0).unwrap_err();
+        assert!(cliff[0].contains("vs the avx2 baseline"), "{cliff:?}");
+        // Only wider baselines: nothing to hold the row to.
+        assert_eq!(check_regressions(&[on("portable", 1000)], &base, 2.0), Ok(0));
+    }
+
+    #[test]
     fn pre_dtype_baselines_deserialize_as_f32() {
         // Baseline files written before the dtype column existed must
         // still load, defaulting every row to f32.
@@ -709,6 +753,7 @@ mod tests {
                         "available_cores":4,"ns_per_iter":42,"tokens_per_sec":1.0}]"#;
         let rows: Vec<BenchEntry> = serde_json::from_str(json).unwrap();
         assert_eq!(rows[0].dtype, "f32");
+        assert_eq!(rows[0].body, "avx2");
         // And a tagged row round-trips its tag.
         let mut tagged = e("matmul", 1, 42);
         tagged.dtype = "i8b32".into();

@@ -172,10 +172,12 @@ violated.
 `bench` times the matmul kernel family, encoder forward/backward and
 full pre-training steps across the requested thread counts (those above
 the machine's core count are skipped) and writes
-JSON rows {op, size, threads, ns_per_iter, tokens_per_sec}. With
---baseline it exits non-zero if any matching 1-thread measurement
-regressed by more than --factor (default 2.0); multi-thread rows are
-recorded, not gated.
+JSON rows {op, size, dtype, body, threads, ns_per_iter, tokens_per_sec},
+`body` being the matmul kernel the CPU selected (avx512f, avx2 or
+portable). With --baseline it exits non-zero if any 1-thread measurement
+regressed by more than --factor (default 2.0) against the baseline row
+of the same body — or, where the baseline has none, of the widest
+narrower body; multi-thread rows are recorded, not gated.
 
 Defaults: --entities 800, --tables 400, --epochs 6, --seed 0.
 All commands regenerate the deterministic synthetic world from the seed;
@@ -381,7 +383,11 @@ pub fn pretrain(opts: &Options) -> Result<(), String> {
     }
 
     let data = encode(&s, &s.splits.train);
-    info(format!("pre-training: {} tables until {epochs} total epochs ...", data.len()));
+    info(format!(
+        "pre-training: {} tables until {epochs} total epochs ({} kernel) ...",
+        data.len(),
+        turl_tensor::ops::kernel_body()
+    ));
     let stats = pt
         .train_until(&data, &s.cooccur, epochs, policy.as_ref())
         .map_err(|e| format!("checkpoint in {ckpt_dir}: {e}"))?;
@@ -1048,7 +1054,7 @@ pub fn audit(opts: &Options) -> Result<(), String> {
 }
 
 /// `turl bench`: throughput benchmark across thread counts, written as
-/// JSON rows `{op, size, threads, ns_per_iter, tokens_per_sec}`.
+/// JSON rows `{op, size, dtype, body, threads, ns_per_iter, tokens_per_sec}`.
 pub fn bench(opts: &Options) -> Result<(), String> {
     let quick = opts.get_bool("quick")?;
     let spec = opts.get("threads", "1,2,4");
@@ -1074,9 +1080,10 @@ pub fn bench(opts: &Options) -> Result<(), String> {
         return Err(format!("no requested thread count fits the {cores} available core(s)"));
     }
     info(format!(
-        "benchmarking ({}) across {:?} threads on {cores} available core(s) ...",
+        "benchmarking ({}) across {:?} threads on {cores} available core(s), {} kernel ...",
         if quick { "quick" } else { "full" },
         thread_counts,
+        turl_tensor::ops::kernel_body(),
     ));
     let entries = turl_bench::throughput::run_suite(quick, &thread_counts);
     info(turl_bench::throughput::summarize(&entries).trim_end());

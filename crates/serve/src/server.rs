@@ -310,9 +310,10 @@ pub fn start(session: Arc<Session>, opts: &ServeOptions) -> Result<ServerHandle,
 
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     turl_obs::gauge(turl_obs::intern_name(&format!(
-        "turl_build_info{{version=\"{}\",dtype=\"{}\",cores=\"{cores}\"}}",
+        "turl_build_info{{version=\"{}\",dtype=\"{}\",cores=\"{cores}\",kernel=\"{}\"}}",
         env!("CARGO_PKG_VERSION"),
         session.dtype(),
+        turl_tensor::ops::kernel_body(),
     )))
     .set(1.0);
 
@@ -700,7 +701,11 @@ pub fn run(session: Session, opts: &ServeOptions) -> Result<(), String> {
     let span = turl_obs::span("serve_run");
     let handle = start(Arc::new(session), opts)?;
     signals::install();
-    turl_obs::info(format!("listening on http://{}", handle.addr()));
+    turl_obs::info(format!(
+        "listening on http://{} ({} kernel)",
+        handle.addr(),
+        turl_tensor::ops::kernel_body()
+    ));
     while !handle.stop_requested() && !signals::received() {
         std::thread::sleep(Duration::from_millis(20));
     }

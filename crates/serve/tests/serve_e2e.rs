@@ -414,6 +414,7 @@ fn metrics_endpoint_is_valid_prometheus_with_stage_histograms() {
     for key in ["version", "dtype", "cores"] {
         assert!(build.label(key).is_some(), "turl_build_info lacks label {key}");
     }
+    assert_eq!(build.label("kernel"), Some(turl_tensor::ops::kernel_body()));
     assert!(turl_obs::sample_value(&samples, "serve_uptime_seconds", &[]).is_some());
     assert!(turl_obs::sample_value(&samples, "serve_queue_depth_max", &[]).is_some());
     assert!(turl_obs::sample_value(&samples, "serve_rejected_overload", &[]).is_some());

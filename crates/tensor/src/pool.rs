@@ -20,20 +20,29 @@
 //!   pool task executes inline on the calling worker. This keeps the hot
 //!   path free of oversubscription when data-parallel training fans out
 //!   tables whose kernels would otherwise fan out again.
+//! * **A task's panic is the caller's.** Whichever thread ran the task,
+//!   the unwind is caught there, the job still joins, and the first
+//!   payload is re-raised from `parallel_for` — no worker is lost and no
+//!   caller waits for a task that will never be counted.
 //!
 //! Sizing: `TURL_THREADS` env var if set, else
 //! `std::thread::available_parallelism()`.
 
+use std::any::Any;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// A fat pointer to the caller's task closure, lifetime-erased.
 ///
-/// Soundness: [`parallel_for`] does not return until every claimed task
-/// index has finished, and indices past `len` are never claimed, so the
-/// pointee is live whenever it is dereferenced. A worker that dequeues the
-/// job *after* completion only touches the atomics and exits.
+/// Soundness: [`parallel_for`] does not return — normally or by unwinding —
+/// until every claimed task index has finished, and indices past `len` are
+/// never claimed, so the pointee is live whenever it is dereferenced. A
+/// panicking task cannot cut the join short: [`Job::run`] catches the
+/// unwind on whichever thread ran the task, the submitter's included, and
+/// the payload is re-raised only after the join. A worker that dequeues
+/// the job *after* completion only touches the atomics and exits.
 struct TaskFn(*const (dyn Fn(usize) + Sync));
 // SAFETY: the pointee is `Sync` and is only dereferenced while the
 // submitting call keeps it alive (see above).
@@ -48,12 +57,18 @@ struct Job {
     cursor: AtomicUsize,
     /// Total number of tasks.
     len: usize,
-    /// Number of tasks that have finished executing.
+    /// Number of tasks that have finished executing, by returning or by
+    /// panicking.
     done: AtomicUsize,
+    /// The payload of the first task panic, for the submitter to re-raise.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 impl Job {
-    /// Claim and run tasks until the cursor runs past the end.
+    /// Claim and run tasks until the cursor runs past the end. Never
+    /// unwinds: a panicking task is counted done like any other and its
+    /// payload kept (the first one wins), so the submitter's join always
+    /// ends and a helper survives to take the next job.
     fn run(&self) {
         loop {
             let i = self.cursor.fetch_add(1, Ordering::Relaxed);
@@ -63,7 +78,13 @@ impl Job {
             // SAFETY: `i < len`, so the closure is still alive (the
             // submitter is blocked in `parallel_for` until `done == len`).
             let f = unsafe { &*self.f.0 };
-            f(i);
+            // Unwind safety: the payload goes back to the submitter, who
+            // sees whatever the task left half-done exactly as it would
+            // after a panic on its own thread.
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(i))) {
+                let mut first = self.panic.lock().expect("no task panics holding the panic slot");
+                first.get_or_insert(payload);
+            }
             self.done.fetch_add(1, Ordering::Release);
         }
     }
@@ -177,7 +198,9 @@ pub(crate) fn in_task() -> bool {
 ///
 /// Tasks are claimed dynamically, so callers should make each index a
 /// meaningful chunk of work. Each index is executed exactly once. Calls
-/// nested inside a pool task run serially inline.
+/// nested inside a pool task run serially inline. If a task panics, the
+/// remaining tasks still run and the call then panics with the first
+/// such payload, whichever thread the task ran on.
 pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
     if n == 0 {
         return;
@@ -204,6 +227,7 @@ pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
         cursor: AtomicUsize::new(0),
         len: n,
         done: AtomicUsize::new(0),
+        panic: Mutex::new(None),
     });
     let helpers = (width - 1).min(n - 1);
     if turl_obs::metrics_enabled() {
@@ -223,6 +247,10 @@ pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
     // helper) so a yielding spin is adequate and keeps the pool dep-free.
     while job.done.load(Ordering::Acquire) < n {
         std::thread::yield_now();
+    }
+    let panicked = job.panic.lock().expect("no task panics holding the panic slot").take();
+    if let Some(payload) = panicked {
+        resume_unwind(payload);
     }
 }
 
@@ -270,6 +298,16 @@ pub fn split_ranges_for(n: usize, ways: usize) -> Vec<(usize, usize)> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+    use std::sync::{MutexGuard, PoisonError};
+    use std::thread::ThreadId;
+    use std::time::{Duration, Instant};
+
+    /// The pool width is process-global and tests run on parallel threads:
+    /// one that sets it holds this until it is done.
+    fn width_lock() -> MutexGuard<'static, ()> {
+        static WIDTH: Mutex<()> = Mutex::new(());
+        WIDTH.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn split_ranges_cover_exactly() {
@@ -288,6 +326,7 @@ mod tests {
 
     #[test]
     fn parallel_for_visits_every_index_once() {
+        let _width = width_lock();
         set_threads(4);
         let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
         parallel_for(hits.len(), |i| {
@@ -298,6 +337,7 @@ mod tests {
 
     #[test]
     fn parallel_for_each_mut_writes_disjoint() {
+        let _width = width_lock();
         set_threads(4);
         let mut items = vec![0u64; 100];
         parallel_for_each_mut(&mut items, |i, x| *x = i as u64 * 3);
@@ -308,6 +348,7 @@ mod tests {
 
     #[test]
     fn nested_parallel_for_runs_inline() {
+        let _width = width_lock();
         set_threads(4);
         let total = AtomicU64::new(0);
         parallel_for(8, |_| {
@@ -316,5 +357,64 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 8 * 28);
+    }
+
+    /// Hold the calling task until `n` tasks are inside at once, which
+    /// takes `n` different threads; returns this one's id.
+    fn rendezvous(arrived: &AtomicUsize, n: usize) -> ThreadId {
+        arrived.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while arrived.load(Ordering::SeqCst) < n {
+            assert!(Instant::now() < deadline, "fewer than {n} pool threads are taking tasks");
+            std::thread::yield_now();
+        }
+        std::thread::current().id()
+    }
+
+    /// `parallel_for(width, ..)` with every task on a thread of its own;
+    /// `panics(on_caller)` says whether a thread's task panics once all
+    /// of them are in flight. Returns the call's panic message, if any.
+    fn run_with_panics(width: usize, panics: impl Fn(bool) -> bool + Sync) -> Option<String> {
+        let caller = std::thread::current().id();
+        let arrived = AtomicUsize::new(0);
+        // Stack-local state the tasks keep touching after a sibling has
+        // panicked: the closure and its captures must outlive all of them.
+        let finished: Vec<AtomicUsize> = (0..width).map(|_| AtomicUsize::new(0)).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            parallel_for(width, |i| {
+                let on_caller = rendezvous(&arrived, width) == caller;
+                if panics(on_caller) {
+                    panic!("task on the {} failed", if on_caller { "caller" } else { "helper" });
+                }
+                for _ in 0..100 {
+                    std::thread::yield_now();
+                    finished[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }));
+        let all: usize = finished.iter().map(|f| f.load(Ordering::Relaxed)).sum();
+        let survivors = (0..width).filter(|&i| finished[i].load(Ordering::Relaxed) > 0).count();
+        assert_eq!(all, survivors * 100, "a surviving task was cut short");
+        result.err().map(|payload| *payload.downcast::<String>().expect("a formatted message"))
+    }
+
+    #[test]
+    fn task_panic_reaches_the_caller_and_costs_no_worker() {
+        let _width = width_lock();
+        for width in [1, 2, 4] {
+            set_threads(width);
+            // The caller's own task panics while the helpers are mid-task:
+            // the unwind must wait for them (they borrow the caller's stack).
+            let msg = run_with_panics(width, |on_caller| on_caller);
+            assert_eq!(msg.as_deref(), Some("task on the caller failed"), "width {width}");
+            // Every helper panics: the caller must still be woken, with
+            // one of their payloads, and the helpers must survive it.
+            if width > 1 {
+                let msg = run_with_panics(width, |on_caller| !on_caller);
+                assert_eq!(msg.as_deref(), Some("task on the helper failed"), "width {width}");
+            }
+            // The next job still finds `width` threads to run on.
+            assert_eq!(run_with_panics(width, |_| false), None, "width {width}");
+        }
     }
 }

@@ -75,9 +75,44 @@ pub fn broadcast_strides(shape: &[usize], target: &[usize]) -> Vec<usize> {
     out
 }
 
+/// Whether broadcasting `small` against `big` only cycles `small`'s
+/// elements over `big`'s: `small` has no more axes than `big` and, leading
+/// 1s aside, exactly `big`'s trailing ones — a `[d]` bias or `[1, d]` row
+/// over `[n, d]`, an `[n, n]` mask over `[h, n, n]`, a scalar over
+/// anything. The broadcast then has `big`'s shape and its element `i` pairs
+/// `big[i]` with `small[i % small.len()]`. An empty `small` never cycles.
+pub fn cycles_over(small: &[usize], big: &[usize]) -> bool {
+    let tail = &small[small.iter().take_while(|&&d| d == 1).count()..];
+    small.len() <= big.len() && big.ends_with(tail) && num_elements(small) > 0
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn cycles_over_is_a_trailing_axes_match() {
+        for (small, big) in [
+            (&[6][..], &[4, 6][..]),
+            (&[1, 6], &[4, 6]),
+            (&[1], &[4, 6]),
+            (&[], &[4, 6]),
+            (&[1, 1], &[4, 6]),
+            (&[4, 4], &[3, 4, 4]),
+            (&[3], &[0, 3]),
+        ] {
+            assert!(cycles_over(small, big), "{small:?} over {big:?}");
+        }
+        for (small, big) in [
+            (&[4, 1][..], &[4, 6][..]), // a column, not a row
+            (&[1, 1, 6], &[4, 6]),      // the result gains an axis
+            (&[4, 6], &[6]),            // the other way round
+            (&[2, 1, 6], &[2, 4, 6]),   // a broadcast axis in the middle
+            (&[0], &[3, 0]),
+        ] {
+            assert!(!cycles_over(small, big), "{small:?} over {big:?}");
+        }
+    }
 
     #[test]
     fn strides_row_major() {

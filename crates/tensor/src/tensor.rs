@@ -6,7 +6,9 @@
 use crate::buffers;
 use crate::dtype::{quant_rows_cols, DType, QuantBlocks, Storage};
 use crate::ops;
-use crate::shape::{broadcast_shape, broadcast_strides, num_elements, strides_for, ShapeError};
+use crate::shape::{
+    broadcast_shape, broadcast_strides, cycles_over, num_elements, strides_for, ShapeError,
+};
 
 /// A dense, row-major, heap-allocated tensor of arbitrary rank.
 ///
@@ -330,6 +332,11 @@ impl Tensor {
     }
 
     /// Elementwise binary op with NumPy broadcasting.
+    ///
+    /// Equal shapes and row broadcasts (`[.., d] ∘ [d]`: a bias, a scalar,
+    /// a mask over heads — [`cycles_over`]) pair whole slices; every other
+    /// shape walks a multi-index. Which path runs never shows: each output
+    /// element is `f` of the same two inputs either way.
     pub fn broadcast_zip(
         &self,
         other: &Tensor,
@@ -340,6 +347,14 @@ impl Tensor {
             let mut data = buffers::with_capacity(sdata.len());
             data.extend(sdata.iter().zip(odata.iter()).map(|(&a, &b)| f(a, b)));
             return Ok(Tensor { shape: self.shape.clone(), storage: Storage::F32(data) });
+        }
+        if cycles_over(&other.shape, &self.shape) {
+            let data = zip_cycled(sdata, odata, &f);
+            return Ok(Tensor { shape: self.shape.clone(), storage: Storage::F32(data) });
+        }
+        if cycles_over(&self.shape, &other.shape) {
+            let data = zip_cycled(odata, sdata, |b, a| f(a, b));
+            return Ok(Tensor { shape: other.shape.clone(), storage: Storage::F32(data) });
         }
         let out_shape = broadcast_shape(&self.shape, &other.shape)?;
         let sa = broadcast_strides(&self.shape, &out_shape);
@@ -368,6 +383,10 @@ impl Tensor {
     }
 
     /// Sum a gradient tensor down to `target` shape (undoes broadcasting).
+    ///
+    /// Undoing a row broadcast (`[.., d] → [d]`, [`cycles_over`]) adds whole
+    /// rows in ascending row order — the order the general multi-index
+    /// walk reaches each target element in, so the paths agree bit for bit.
     pub fn reduce_to_shape(&self, target: &[usize]) -> Tensor {
         if self.shape == target {
             return self.clone();
@@ -375,6 +394,14 @@ impl Tensor {
         let sdata = self.f32s();
         let mut reduced = Tensor::zeros(target.to_vec());
         let out = reduced.f32s_mut();
+        if cycles_over(target, &self.shape) {
+            for row in sdata.chunks(out.len()) {
+                for (o, &x) in out.iter_mut().zip(row.iter()) {
+                    *o += x;
+                }
+            }
+            return reduced;
+        }
         let st = broadcast_strides(target, &self.shape);
         let mut idx = vec![0usize; self.shape.len()];
         let mut off_t = 0usize;
@@ -516,6 +543,16 @@ impl Tensor {
     }
 }
 
+/// `f(big[i], small[i % small.len()])` for every `i`, a whole `small`-long
+/// row at a time (`small` non-empty).
+fn zip_cycled(big: &[f32], small: &[f32], f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
+    let mut data = buffers::with_capacity(big.len());
+    for row in big.chunks(small.len()) {
+        data.extend(row.iter().zip(small.iter()).map(|(&x, &y)| f(x, y)));
+    }
+    data
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -560,6 +597,98 @@ mod tests {
         assert_eq!(r.data(), &[5., 7., 9.]);
         let r0 = g.reduce_to_shape(&[2, 1]);
         assert_eq!(r0.data(), &[6., 15.]);
+    }
+
+    /// `broadcast_zip` one output element at a time: its multi-index,
+    /// then each operand's offset with broadcast axes pinned to 0.
+    fn naive_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        let shape = broadcast_shape(a.shape(), b.shape()).unwrap();
+        let offset = |t: &Tensor, i: usize| {
+            let (mut rem, mut off, mut stride) = (i, 0, 1);
+            for d in (0..shape.len()).rev() {
+                let (coord, lead) = (rem % shape[d], shape.len() - t.rank());
+                rem /= shape[d];
+                if d >= lead {
+                    let extent = t.shape()[d - lead];
+                    off += if extent == 1 { 0 } else { coord * stride };
+                    stride *= extent;
+                }
+            }
+            off
+        };
+        let n = num_elements(&shape);
+        let data = (0..n).map(|i| f(a.data()[offset(a, i)], b.data()[offset(b, i)])).collect();
+        Tensor::from_vec(shape, data)
+    }
+
+    /// Bitwise equality, except that a NaN only has to be a NaN (which
+    /// operand's payload an add keeps is the compiler's choice).
+    fn assert_same_bits(got: &Tensor, want: &Tensor, ctx: &str) {
+        assert_eq!(got.shape(), want.shape(), "{ctx}: shape");
+        for (i, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            let ok = if w.is_nan() { g.is_nan() } else { g.to_bits() == w.to_bits() };
+            assert!(ok, "{ctx}: element {i}: got {g:e}, want {w:e}");
+        }
+    }
+
+    #[test]
+    fn row_broadcast_fast_paths_match_the_multi_index_walk() {
+        // Signed zeros (`-0.0 + -0.0` keeps its sign, `0.0 + -0.0` does
+        // not), a subnormal, an infinity and NaN among ordinary values.
+        let specials = [0.0, -0.0, 1e-40, f32::INFINITY, f32::NAN, -0.0];
+        let spiked = |shape: &[usize], seed: usize| {
+            let n = num_elements(shape);
+            let data = (0..n)
+                .map(|i| match (i + seed) % 4 {
+                    0 => specials[(i / 4 + seed) % specials.len()],
+                    _ => ((i * 37 + seed * 11) % 17) as f32 * 0.25 - 2.0,
+                })
+                .collect();
+            Tensor::from_vec(shape.to_vec(), data)
+        };
+        // A bias, a scalar (rank 1 and rank 0), leading 1s, rank 3 under a
+        // vector and under a matrix — all row broadcasts; then a column,
+        // a gained axis and a middle axis, which the walk still serves.
+        let cases: [(&[usize], &[usize]); 10] = [
+            (&[4, 6], &[6]),
+            (&[4, 6], &[1]),
+            (&[4, 6], &[]),
+            (&[4, 6], &[1, 6]),
+            (&[2, 3, 5], &[1, 1, 5]),
+            (&[2, 3, 5], &[5]),
+            (&[3, 4, 4], &[4, 4]),
+            (&[4, 6], &[4, 1]),
+            (&[4, 6], &[1, 1, 6]),
+            (&[2, 4, 6], &[2, 1, 6]),
+        ];
+        for (big, small) in cases {
+            let (a, b) = (spiked(big, 1), spiked(small, 2));
+            let ctx = format!("{big:?} with {small:?}");
+            for (x, y) in [(&a, &b), (&b, &a)] {
+                let add = x.broadcast_zip(y, |p, q| p + q).unwrap();
+                assert_same_bits(&add, &naive_zip(x, y, |p, q| p + q), &format!("{ctx}: add"));
+                let sub = x.broadcast_zip(y, |p, q| p - q).unwrap();
+                assert_same_bits(&sub, &naive_zip(x, y, |p, q| p - q), &format!("{ctx}: sub"));
+            }
+            // Undoing the broadcast: every element of the gradient added
+            // to its target cell in row-major order, from `+0.0`.
+            let g = spiked(&broadcast_shape(big, small).unwrap(), 3);
+            let mut want = Tensor::zeros(small.to_vec());
+            let strides = broadcast_strides(small, g.shape());
+            for i in 0..g.len() {
+                let (mut rem, mut off) = (i, 0);
+                for d in (0..g.rank()).rev() {
+                    off += rem % g.shape()[d] * strides[d];
+                    rem /= g.shape()[d];
+                }
+                want.data_mut()[off] += g.data()[i];
+            }
+            assert_same_bits(&g.reduce_to_shape(small), &want, &format!("{ctx}: reduce"));
+        }
+        // Zero rows: nothing to pair, nothing to sum.
+        let (none, bias) = (Tensor::zeros(vec![0, 3]), spiked(&[3], 4));
+        assert_eq!(none.broadcast_zip(&bias, |p, q| p + q).unwrap().shape(), &[0, 3]);
+        assert_eq!(none.reduce_to_shape(&[3]).data(), &[0.0; 3]);
     }
 
     #[test]
