@@ -1,10 +1,10 @@
 //! Throughput driver behind `turl bench`.
 //!
-//! Times the matmul kernel family, the structure-aware encoder
-//! forward/backward, and full data-parallel pre-training steps across a
-//! sweep of thread counts, and serializes the measurements to
-//! `BENCH_pretrain.json` so the performance trajectory is tracked in-repo
-//! from PR to PR.
+//! Times the matmul kernel family, the fused GELU epilogue, the
+//! structure-aware encoder forward/backward, and full data-parallel
+//! pre-training steps across a sweep of thread counts, and serializes the
+//! measurements to `BENCH_pretrain.json` so the performance trajectory is
+//! tracked in-repo from PR to PR.
 //!
 //! JSON schema (one array of objects):
 //!
@@ -221,6 +221,11 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
         })
         .collect();
 
+    // The FFN's GELU epilogue at the forward's shape: the `lin1` output
+    // `[28, 1200]` and its bias.
+    let ffn_pre = normal_init(&mut rng, vec![FWD_ROWS, 1200], 0.0, 1.0);
+    let ffn_bias = normal_init(&mut rng, vec![1200], 0.0, 1.0);
+
     let mut world = build_world(quick);
     let batch: Vec<(TableInstance, EncodedInput)> = world.data.iter().take(8).cloned().collect();
     let batch_rows: usize = world.rows.iter().take(8).sum();
@@ -289,6 +294,20 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             );
             out.push(entry_dtyped("matmul", size, "i8b32", t, ns, FWD_ROWS));
         }
+        // The fused bias + GELU epilogue the compiled forward runs after
+        // `lin1` (the `tanh` pass, fanned out over the pool like a
+        // matmul). It works in place, so each iteration first copies the
+        // pre-activation back in (a few per cent of the row).
+        let mut y = vec![0.0f32; ffn_pre.len()];
+        let ns = time_ns(
+            || {
+                y.copy_from_slice(ffn_pre.data());
+                ops::bias_gelu_inplace(&mut y, ffn_bias.data());
+                std::hint::black_box(y[0]);
+            },
+            window_ms,
+        );
+        out.push(entry("gelu", format!("m={FWD_ROWS},n=1200"), t, ns, FWD_ROWS));
         // The FFN weight gradient of the training backward: xᵀ · dy.
         let (x, dy) = (&fwd_shapes[0].0, &fwd_shapes[2].0);
         let ns = time_ns(
@@ -803,6 +822,7 @@ mod tests {
                 .any(|e| e.op == "matmul" && e.size == "m=28,k=312,n=1200" && e.dtype == dtype));
         }
         assert!(entries.iter().any(|e| e.op == "matmul_tn" && e.size == "k=28,m=312,n=1200"));
+        assert!(entries.iter().any(|e| e.op == "gelu" && e.size == "m=28,n=1200"));
         for size in ["parts=4,k=31,m=312,n=1200", "parts=4,k=31,m=1200,n=312"] {
             assert!(entries.iter().any(|e| e.op == "matmul_tn_acc" && e.size == size), "{size}");
         }

@@ -31,7 +31,7 @@
 //! node, a second `backward`) panics, it never answers with a stand-in.
 
 use crate::ops;
-use crate::ops::{gelu_grad, gelu_tanh};
+use crate::ops::gelu_grad;
 use crate::tensor::Tensor;
 use std::sync::Arc;
 
@@ -679,7 +679,8 @@ impl Graph {
     /// computes it twice.
     pub fn gelu(&mut self, a: Var) -> Var {
         let x = self.value(a);
-        let t = x.map(gelu_tanh);
+        let mut t = Tensor::zeros(x.shape().to_vec());
+        ops::gelu_tanh_into(x.data(), t.data_mut());
         let value = x.broadcast_zip(&t, |x, t| 0.5 * x * (1.0 + t)).expect("same shape");
         self.push(
             value,
@@ -696,7 +697,9 @@ impl Graph {
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let value = self.value(a).map(f32::tanh);
+        let x = self.value(a);
+        let mut value = Tensor::zeros(x.shape().to_vec());
+        ops::tanh_into(x.data(), value.data_mut());
         self.push(
             value,
             vec![a],

@@ -52,6 +52,12 @@
 //! [`fused_mask_softmax`], [`bias_gelu_inplace`] — that collapse an op
 //! chain into one pass. Each op has one loop, here; the fused kernels are
 //! reassociation-free, so fused and unfused chains agree bit for bit.
+//!
+//! Every `tanh` — the tape's `tanh` and GELU, the fused GELU epilogue —
+//! runs one elementwise pass ([`tanh_into`], [`gelu_tanh_into`],
+//! [`gelu`]) over a branch-free port of glibc's `tanhf`, compiled per
+//! body like the block kernel and bit-identical to `tanhf` on all 2³²
+//! inputs (the `tanh` submodule).
 
 use crate::dtype::{QuantBlocks, QBLOCK, QBLOCK_SHIFT};
 use crate::pool;
@@ -70,6 +76,9 @@ macro_rules! profiled {
     }};
 }
 
+mod tanh;
+pub use tanh::{gelu, gelu_fwd, gelu_grad, gelu_tanh, gelu_tanh_into, tanh_into};
+
 /// Rows per full register tile of the block kernel, under every body and
 /// product. Measured, not assumed (DESIGN §5f): with eight rows per step
 /// LLVM stops holding the tile in registers — 8×32 and 8×16 under AVX-512
@@ -82,9 +91,12 @@ const MR: usize = 4;
 const MIN_PANEL: usize = 8;
 /// Minimum volume, in multiply-adds, before a kernel fans out to the pool.
 const PAR_MIN_VOLUME: usize = 32 * 1024;
-/// What one GELU costs in multiply-adds (its `tanh`), to weigh
-/// [`bias_gelu_inplace`] against [`PAR_MIN_VOLUME`].
-const TANH_MACS: usize = 32;
+/// What one GELU of the `tanh` pass costs in block-kernel multiply-adds,
+/// to weigh [`bias_gelu_inplace`] against [`PAR_MIN_VOLUME`]. Measured
+/// (DESIGN §5f), one thread: 2.09 ns per GELU against 0.0415 ns per MAC
+/// under AVX-512 (50); AVX2 and portable cost ~95 of their own MACs, so
+/// there the fan-out comes later than break-even, never earlier.
+const TANH_MACS: usize = 50;
 /// Below this `m * n` output volume, `matmul_nt` keeps the row-dot-product
 /// path: a transpose panel would cost more than it saves.
 const NT_TRANSPOSE_MIN_OUT: usize = 64;
@@ -503,8 +515,9 @@ fn panel<const W: usize, P: Product>(p: P, out: OutPtr, rows: &Range<usize>, j0:
     }
 }
 
-/// One compilation of [`block`]: the vector width its loops are lowered
-/// to, and with it the register tile each product runs ([`Rhs::nr`]).
+/// One compilation of a [`Compiled`] kernel ([`block`], the `tanh`
+/// pass): the vector width its loops are lowered to, and with it the
+/// register tile each product runs ([`Rhs::nr`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Body {
     /// 16 lanes per vector (`avx512f`).
@@ -551,10 +564,10 @@ impl Body {
 pub const KERNEL_BODIES: [&str; 3] =
     [Body::ALL[0].name(), Body::ALL[1].name(), Body::ALL[2].name()];
 
-/// Which compilation of the block kernel this process runs every matmul
-/// through. All of them produce the same bits; the name says what speed
-/// to expect, so a measurement is comparable only with one that names the
-/// same body.
+/// Which compilation of the block kernel and the `tanh` pass this process
+/// runs every matmul and every `tanh` through. All of them produce the
+/// same bits; the name says what speed to expect, so a measurement is
+/// comparable only with one that names the same body.
 pub fn kernel_body() -> &'static str {
     Body::widest().name()
 }
@@ -590,42 +603,66 @@ fn block<P: Product>(body: Body, p: P, out: OutPtr, rows: Range<usize>, cols: Ra
     }
 }
 
-/// [`block`] compiled with AVX2 enabled (8 lanes per vector instead of
-/// SSE2's 4). The body is the same source and FMA stays off, so the
-/// compilations are bit-identical.
+/// A kernel with one source compiled once per [`Body`]: `run` is
+/// `#[inline(always)]`, so each body's wrapper below holds its own copy,
+/// lowered at that body's vector width.
+trait Compiled {
+    /// Run as compiled for `body` (a constant wherever this is inlined).
+    fn run(self, body: Body);
+}
+
+/// The `rows × cols` rectangle of `out` under product `p`: one call of
+/// [`block`].
+struct Block<'a, P> {
+    p: P,
+    out: OutPtr<'a>,
+    rows: Range<usize>,
+    cols: Range<usize>,
+}
+
+impl<P: Product> Compiled for Block<'_, P> {
+    #[inline(always)]
+    fn run(self, body: Body) {
+        block(body, self.p, self.out, self.rows, self.cols);
+    }
+}
+
+/// `k` compiled with AVX2 enabled (8 lanes per vector instead of SSE2's
+/// 4). The body is the same source and FMA stays off, so the compilations
+/// are bit-identical.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-fn block_avx2<P: Product>(p: P, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
-    block(Body::Avx2, p, out, rows, cols);
+fn on_avx2<K: Compiled>(k: K) {
+    k.run(Body::Avx2);
 }
 
-/// [`block`] compiled with AVX-512F enabled (16 lanes per vector). The
-/// feature implies `fma`, which changes nothing: the source never writes
-/// `mul_add` and Rust emits no `contract` flag, so LLVM may not fuse the
-/// multiply with the add at any width (DESIGN §5f).
+/// `k` compiled with AVX-512F enabled (16 lanes per vector). The feature
+/// implies `fma`, which changes nothing: the sources never write `mul_add`
+/// and Rust emits no `contract` flag, so LLVM may not fuse a multiply with
+/// an add at any width (DESIGN §5f).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-fn block_avx512<P: Product>(p: P, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
-    block(Body::Avx512, p, out, rows, cols);
+fn on_avx512<K: Compiled>(k: K) {
+    k.run(Body::Avx512);
 }
 
-/// Run [`block`] as compiled for `body`, which the running CPU must have.
-fn run_body<P: Product>(body: Body, p: P, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
+/// Run `k` as compiled for `body`, which the running CPU must have.
+fn run_body<K: Compiled>(body: Body, k: K) {
     assert!(body.available(), "the {} body needs a CPU feature this one lacks", body.name());
     match body {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `available` just saw AVX-512F on the running CPU.
-        Body::Avx512 => unsafe { block_avx512(p, out, rows, cols) },
+        Body::Avx512 => unsafe { on_avx512(k) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `available` just saw AVX2 on the running CPU.
-        Body::Avx2 => unsafe { block_avx2(p, out, rows, cols) },
-        _ => block(Body::Portable, p, out, rows, cols),
+        Body::Avx2 => unsafe { on_avx2(k) },
+        _ => k.run(Body::Portable),
     }
 }
 
 /// Run [`block`] through the widest body this CPU supports.
 fn run_block<P: Product>(p: P, out: OutPtr, rows: Range<usize>, cols: Range<usize>) {
-    run_body(Body::widest(), p, out, rows, cols);
+    run_body(Body::widest(), Block { p, out, rows, cols });
 }
 
 /// Whether a kernel of `volume` multiply-adds should fan out: enough work,
@@ -1049,19 +1086,20 @@ pub fn bias_add_inplace(x: &mut [f32], bias: &[f32]) {
     }
 }
 
-/// Fused bias + GELU epilogue: `x[i, j] = gelu(x[i, j] + bias[j])` in one
-/// pass. Per element this is the same two arithmetic steps as the unfused
-/// `add(bias)` followed by `gelu` (both elementwise), hence bit-exact —
-/// also across the pool, which large inputs fan their rows out over (a
-/// `tanh` per element makes this the costliest non-matmul step).
+/// Fused bias + GELU epilogue: `x[i, j] = gelu(x[i, j] + bias[j])`, a row
+/// at a time while the row is in L1. Per element this is the same two
+/// arithmetic steps as the unfused `add(bias)` followed by `gelu` (both
+/// elementwise), hence bit-exact — also across the pool, which large
+/// inputs fan their rows out over.
 pub fn bias_gelu_inplace(x: &mut [f32], bias: &[f32]) {
     let _t = profiled!("fused.bias_gelu");
     assert!(!bias.is_empty() && x.len().is_multiple_of(bias.len()), "bias size must divide x");
     let gelu_rows = |rows: &mut [f32]| {
         for row in rows.chunks_mut(bias.len()) {
             for (o, &b) in row.iter_mut().zip(bias.iter()) {
-                *o = gelu_fwd(*o + b);
+                *o += b;
             }
+            gelu(row);
         }
     };
     if !fans_out(x.len() * TANH_MACS) {
@@ -1076,10 +1114,7 @@ pub fn bias_gelu_inplace(x: &mut [f32], bias: &[f32]) {
 /// Elementwise GELU into a caller-provided slice.
 pub fn gelu_into(x: &[f32], out: &mut [f32]) {
     let _t = profiled!("exec.gelu");
-    assert_eq!(x.len(), out.len(), "gelu_into out size");
-    for (o, &v) in out.iter_mut().zip(x.iter()) {
-        *o = gelu_fwd(v);
-    }
+    tanh::pass(tanh::Lane::Gelu, Some(x), out);
 }
 
 /// Elementwise `out = x * c` into a caller-provided slice.
@@ -1253,27 +1288,6 @@ pub fn concat_cols_into<'a>(
         col += cols;
     }
     assert_eq!(col * rows, out.len(), "concat_cols out size");
-}
-
-/// `sqrt(2/pi)`, the constant of the tanh-approximated GELU.
-const GELU_C: f32 = 0.797_884_6;
-
-/// The `tanh` inside [`gelu_fwd`], which [`gelu_grad`] needs again.
-pub fn gelu_tanh(x: f32) -> f32 {
-    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
-}
-
-/// Tanh-approximated GELU, the forward scalar shared by the autograd op
-/// and the fused executor kernels (one definition keeps them bit-exact).
-pub fn gelu_fwd(x: f32) -> f32 {
-    0.5 * x * (1.0 + gelu_tanh(x))
-}
-
-/// Derivative of [`gelu_fwd`] at `x`, given `t = gelu_tanh(x)` from the
-/// forward pass.
-pub fn gelu_grad(x: f32, t: f32) -> f32 {
-    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
-    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
 #[cfg(test)]
@@ -1698,11 +1712,14 @@ mod tests {
     /// product, each over its own copy of `seed`, and require them to
     /// agree bit for bit (portable first; under Miri it is the only one).
     fn assert_bodies_agree<P: Product>(p: P, seed: &[f32], m: usize, n: usize, ctx: &str) {
+        let run = |body, out: &mut [f32], cols| {
+            run_body(body, Block { p, out: OutPtr::new(out, m, n), rows: 0..m, cols });
+        };
         let mut portable = seed.to_vec();
-        run_body(Body::Portable, p, OutPtr::new(&mut portable, m, n), 0..m, 0..n);
+        run(Body::Portable, &mut portable, 0..n);
         for body in Body::ALL.into_iter().skip(1).filter(|b| b.available()) {
             let mut got = seed.to_vec();
-            run_body(body, p, OutPtr::new(&mut got, m, n), 0..m, 0..n);
+            run(body, &mut got, 0..n);
             assert_same_bits(&got, &portable, &format!("{} vs portable, {ctx}", body.name()));
             // The same body over a column split at every pool width: each
             // range starts on the body's own panel boundary, as `gemm`
@@ -1710,7 +1727,7 @@ mod tests {
             for ways in [2, 3, 4] {
                 let mut split = seed.to_vec();
                 for cols in aligned_ranges(n, P::nr(body), ways) {
-                    run_body(body, p, OutPtr::new(&mut split, m, n), 0..m, cols);
+                    run(body, &mut split, cols);
                 }
                 let ctx = format!("{} split {ways} ways vs portable, {ctx}", body.name());
                 assert_same_bits(&split, &portable, &ctx);
@@ -1768,6 +1785,33 @@ mod tests {
             let seed = spiked(&[m, n], 13);
             let ctx = format!("tn_acc {m}x({k}+3)x{n}");
             assert_bodies_agree(Accumulate(&parts), seed.data(), m, n, &ctx);
+        }
+        // The `tanh` pass, every lane, out of place and in place, at every
+        // vector remainder: magnitudes from 2^-60 to 2^6 reach every
+        // branch of the lane function, among the same specials.
+        let len = if cfg!(miri) { 37 } else { 4099 };
+        let mut xs = spiked(&[len], 14);
+        for (i, v) in xs.data_mut().iter_mut().enumerate() {
+            *v *= 2f32.powi((i % 67) as i32 - 60);
+        }
+        for lane in [tanh::Lane::Tanh, tanh::Lane::GeluTanh, tanh::Lane::Gelu] {
+            for n in [0, 1, 15, 17, 33, len] {
+                let src = &xs.data()[..n];
+                let run = |body, src: Option<&[f32]>, out: &mut [f32]| {
+                    run_body(body, tanh::Pass { lane, src, out });
+                };
+                let mut portable = vec![f32::NAN; n];
+                run(Body::Portable, Some(src), &mut portable);
+                for body in Body::ALL.into_iter().filter(|b| b.available()) {
+                    let mut got = vec![f32::NAN; n];
+                    run(body, Some(src), &mut got);
+                    let ctx = format!("{} vs portable, {lane:?} over {n}", body.name());
+                    assert_same_bits(&got, &portable, &ctx);
+                    let mut in_place = src.to_vec();
+                    run(body, None, &mut in_place);
+                    assert_same_bits(&in_place, &portable, &format!("{ctx}, in place"));
+                }
+            }
         }
     }
 
