@@ -20,7 +20,7 @@
 
 use crate::error::AuditError;
 use crate::plan::{ModelPlan, PlanNumerics};
-use turl_tensor::broadcast_shape;
+use turl_tensor::{broadcast_shape, GradForm};
 
 /// Handle to one tensor (node) in an [`Ir`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -174,6 +174,8 @@ impl IrNode {
 #[derive(Debug, Clone)]
 pub struct Ir {
     nodes: Vec<IrNode>,
+    /// Per node, what [`Ir::grad_form`] answers.
+    grad_forms: Vec<GradForm>,
     dropout_sites: Vec<TensorId>,
     /// Numeric metadata (init bounds, eps, mask penalty) the value-range
     /// analysis interprets the graph under.
@@ -214,6 +216,17 @@ impl Ir {
     /// keep mask right after recording it.
     pub fn dropout_sites(&self) -> &[TensorId] {
         &self.dropout_sites
+    }
+
+    /// The form the tape hands over source `t`'s gradient in when `t`
+    /// stands for a trained parameter, as its readers imply. `Product`
+    /// when its one reader is a `MatMul` taking it as rhs: every `linear`
+    /// weight. `Rows` when every reader gathers from it: the lookup-only
+    /// tables, and `word_emb` only without the MLM head, whose tied
+    /// projection multiplies by it. `Dense` otherwise, and for every
+    /// computed node.
+    pub fn grad_form(&self, t: TensorId) -> GradForm {
+        self.grad_forms[t.0]
     }
 
     /// Ids of all non-source (computed) nodes, in tape order.
@@ -343,7 +356,26 @@ impl IrBuilder {
     /// Finish, attaching the numeric metadata the analyses interpret
     /// the graph under.
     pub fn finish(self, numerics: PlanNumerics) -> Ir {
-        Ir { nodes: self.nodes, dropout_sites: self.dropout_sites, numerics }
+        // Per node: (readers, all of them gathers, the last one a `MatMul`
+        // taking it as rhs).
+        let mut readers = vec![(0usize, true, false); self.nodes.len()];
+        for node in &self.nodes {
+            for (slot, input) in node.inputs.iter().enumerate() {
+                let r = &mut readers[input.0];
+                r.0 += 1;
+                r.1 &= node.kind == OpKind::Gather;
+                r.2 = node.kind == OpKind::MatMul && slot == 1;
+            }
+        }
+        let grad_forms = (self.nodes.iter().zip(readers))
+            .map(|(node, reads)| match reads {
+                _ if !node.kind.is_source() => GradForm::Dense,
+                (1, _, true) => GradForm::Product,
+                (1.., true, _) => GradForm::Rows,
+                _ => GradForm::Dense,
+            })
+            .collect();
+        Ir { nodes: self.nodes, grad_forms, dropout_sites: self.dropout_sites, numerics }
     }
 
     fn shape(&self, t: TensorId) -> &[usize] {
@@ -791,6 +823,29 @@ mod tests {
         let rows = b.op(OpKind::ConcatRows, &[t[0], t[2]], "rows").expect("same width");
         assert_eq!(shape_of(&b, rows), &[9, 8]);
         assert!(b.op(OpKind::ConcatRows, &[t[0], t[1]], "bad").is_err());
+    }
+
+    #[test]
+    fn a_sources_gradient_form_follows_its_readers() {
+        // y = x · w; x · v twice; l · w2, l read once as the lhs; u
+        // gathered twice; e gathered and read by a `MatMulNT`; z unread;
+        // and the computed y gathered.
+        let (mut b, t) =
+            sources(&[&[4, 6], &[6, 3], &[6, 3], &[6, 6], &[6, 3], &[6, 3], &[6, 6], &[6, 3]]);
+        let [x, w, v, l, w2, u, e, z] = t[..] else { unreachable!() };
+        let y = b.op(OpKind::MatMul, &[x, w], "y").unwrap();
+        for _ in 0..2 {
+            b.op(OpKind::MatMul, &[x, v], "xv").unwrap();
+            b.gather(u, &[0, 5, 0], "u_rows").unwrap();
+        }
+        b.op(OpKind::MatMul, &[l, w2], "lw2").unwrap();
+        b.gather(e, &[1, 2], "e_rows").unwrap();
+        b.op(OpKind::MatMulNT, &[x, e], "xe").unwrap();
+        b.gather(y, &[3], "y_rows").unwrap();
+        let ir = b.finish(PlanNumerics::default());
+        let forms = [x, w, v, l, w2, u, e, z, y].map(|t| ir.grad_form(t));
+        use GradForm::{Dense, Product, Rows};
+        assert_eq!(forms, [Dense, Product, Dense, Dense, Product, Rows, Dense, Dense, Dense]);
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //! 2. **Gradient shapes** — any gradient the tape holds matches its
 //!    node's recorded value shape exactly. After `backward` that is what
 //!    the sweep did not release: leaf gradients, and the `dY` of every
-//!    deferred product and gathered row list not yet taken.
+//!    `Product` or `Rows` part not yet taken.
 //! 3. **No orphaned grad leaves** — a leaf created with `requires_grad`,
-//!    or bound deferred or gathered, must be consumed by at least one op,
+//!    or any parameter leaf, must be consumed by at least one op,
 //!    otherwise its gradient can never be populated and the optimizer
-//!    would silently skip it. (A consumed deferred or gathered leaf
-//!    carries no gradient on the tape by design: its `matmul` lists the
+//!    would silently skip it. (A consumed `Product` or `Rows` leaf
+//!    carries no gradient on the tape by design: its `matmul` keeps the
 //!    factors, its gathers their rows.)
 //! 4. **Finite leaves** (optional) — leaf values contain no NaN/inf; a
 //!    single poisoned embedding row corrupts every step downstream.
@@ -77,7 +77,7 @@ pub fn audit_tape(g: &Graph, check_finite: bool) -> Result<TapeReport, Vec<Audit
 
     // Orphan check needs the full consumption map, so it runs second.
     for v in g.vars() {
-        let trained = g.needs_grad(v) || g.is_deferred(v) || g.is_gathered(v);
+        let trained = g.needs_grad(v) || g.grad_form(v).is_some();
         if g.is_leaf(v) && trained && !consumed[v.index()] {
             errors.push(AuditError::OrphanGradLeaf { node: v.index() });
         }
@@ -93,7 +93,7 @@ pub fn audit_tape(g: &Graph, check_finite: bool) -> Result<TapeReport, Vec<Audit
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turl_tensor::Tensor;
+    use turl_tensor::{GradForm, Tensor};
 
     #[test]
     fn clean_graph_passes_and_reports_counts() {
@@ -140,15 +140,15 @@ mod tests {
             || std::sync::Arc::new(Tensor::from_vec(vec![2, 2], vec![1.0, 0.5, -0.5, 2.0]));
         let mut g = Graph::new();
         let x = g.leaf(Tensor::from_vec(vec![1, 2], vec![3.0, 4.0]), true);
-        let w = g.leaf_deferred(weight());
+        let w = g.param_leaf(weight(), GradForm::Product);
         let y = g.matmul(x, w);
         let loss = g.sum_all(y);
         g.backward(loss);
-        assert!(g.grad(w).is_none(), "the tape formed a deferred gradient");
-        let report = audit_tape(&g, true).expect("a consumed deferred leaf is clean");
+        assert!(g.grad(w).is_none(), "the tape formed a product's gradient");
+        let report = audit_tape(&g, true).expect("a consumed `Product` leaf is clean");
         assert_eq!(report.n_leaves, 2);
         // Bound but never read: as lost to the optimizer as a plain orphan.
-        let unread = g.leaf_deferred(weight());
+        let unread = g.param_leaf(weight(), GradForm::Product);
         let errs = audit_tape(&g, false).expect_err("orphan must fail");
         assert_eq!(errs, vec![AuditError::OrphanGradLeaf { node: unread.index() }]);
     }
@@ -157,15 +157,15 @@ mod tests {
     fn gathered_leaf_needs_a_reader_but_no_gradient() {
         let table = || std::sync::Arc::new(Tensor::from_vec(vec![3, 2], vec![0.5; 6]));
         let mut g = Graph::new();
-        let w = g.leaf_gathered(table());
+        let w = g.param_leaf(table(), GradForm::Rows);
         let rows = g.index_select0(w, &[2, 0, 2]);
         let loss = g.sum_all(rows);
         g.backward(loss);
         // A swept tape: `rows` has no value left, only its `[3, 2]` dY.
         assert!(g.is_released(rows) && g.held_grad_shape(rows) == Some(&[3, 2][..]));
-        let report = audit_tape(&g, true).expect("a consumed gathered leaf is clean");
+        let report = audit_tape(&g, true).expect("a consumed `Rows` leaf is clean");
         assert_eq!((report.n_leaves, report.n_nodes), (1, 3));
-        let unread = g.leaf_gathered(table());
+        let unread = g.param_leaf(table(), GradForm::Rows);
         let errs = audit_tape(&g, false).expect_err("orphan must fail");
         assert_eq!(errs, vec![AuditError::OrphanGradLeaf { node: unread.index() }]);
     }

@@ -79,7 +79,7 @@ pub fn train_batched(
 mod tests {
     use super::*;
     use turl_nn::Forward;
-    use turl_tensor::Tensor;
+    use turl_tensor::{GradForm, Tensor};
 
     #[test]
     fn train_batched_converges_on_regression() {
@@ -90,7 +90,7 @@ mod tests {
         let stats = train_batched(&cfg, &mut store, 4, |i, store| {
             let target = (i % 2) as f32;
             let mut f = Forward::new(store);
-            let wv = f.param(store, w);
+            let wv = f.param(store, w, GradForm::Dense);
             let t = f.graph.constant(Tensor::scalar(target));
             let d = f.graph.sub(wv, t);
             let sq = f.graph.mul(d, d);

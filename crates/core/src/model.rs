@@ -5,7 +5,7 @@ use crate::audit::{model_plan, plan_for_input, probe_plan};
 use crate::config::TurlConfig;
 use crate::input::{EncodedInput, InputBinding};
 use rand::Rng;
-use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind};
+use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind, TensorId};
 use turl_exec::ExecError;
 use turl_nn::{
     Dropout, Embedding, Forward, LayerNorm, Linear, ParamId, ParamStore, TransformerBlock,
@@ -24,43 +24,6 @@ pub(crate) fn param_name(kind: &SourceKind, label: &str) -> Option<String> {
         }
         SourceKind::Mask | SourceKind::AvgMatrix | SourceKind::ZeroConst => None,
     }
-}
-
-/// Per node of `ir`: how many nodes read it, when it is a source and
-/// `accepts(reader kind, input slot)` holds for every one of them.
-fn sources_read_only_by(ir: &Ir, accepts: impl Fn(&OpKind, usize) -> bool) -> Vec<Option<usize>> {
-    // Per node: (readers, all of them accepted).
-    let mut readers = vec![(0usize, true); ir.len()];
-    for node in ir.nodes() {
-        for (slot, input) in node.inputs.iter().enumerate() {
-            let entry = &mut readers[input.index()];
-            entry.0 += 1;
-            entry.1 &= accepts(&node.kind, slot);
-        }
-    }
-    let sources = ir.nodes().iter().zip(readers);
-    sources.map(|(n, (count, all))| (all && n.kind.is_source()).then_some(count)).collect()
-}
-
-/// Which nodes of `ir` are sources the tape binds deferred
-/// ([`Forward::param_deferred`]) when they stand for a parameter: those
-/// with exactly one reader in the whole IR, a `MatMul` taking them as rhs
-/// — every `linear` weight, and neither embedding table (gathers read
-/// those, and the tied MLM head reads `word_emb` through a `MatMulNT`).
-pub(crate) fn deferred_sources(ir: &Ir) -> Vec<bool> {
-    let rhs_of_matmul = |kind: &OpKind, slot: usize| matches!(kind, OpKind::MatMul) && slot == 1;
-    sources_read_only_by(ir, rhs_of_matmul).into_iter().map(|n| n == Some(1)).collect()
-}
-
-/// Which nodes of `ir` are sources the tape binds gathered
-/// ([`Forward::param_gathered`]) when they stand for a parameter: those
-/// every reader of which is a `Gather` from them — `ent_emb`,
-/// `token_type_emb`, `pos_emb`, `ent_type_emb`; not `word_emb` in a plan
-/// with the MLM head, whose tied projection multiplies by it.
-pub(crate) fn gathered_sources(ir: &Ir) -> Vec<bool> {
-    let table_of_gather = |kind: &OpKind, slot: usize| matches!(kind, OpKind::Gather) && slot == 0;
-    let readers = sources_read_only_by(ir, table_of_gather);
-    readers.into_iter().map(|n| n.is_some_and(|n| n > 0)).collect()
 }
 
 /// The one check between a model and the weights it is about to run on,
@@ -242,14 +205,14 @@ impl TurlModel {
     /// encode-only plan through here, `Pretrainer::train_step` one with
     /// the MLM/MER heads and losses (Eqns. 5–6).
     ///
-    /// Parameters bind by [`param_name`] — [`deferred_sources`] as deferred
-    /// and [`gathered_sources`] as gathered leaves, so the tape never forms
-    /// the gradient of a `linear` weight or of a table it only looks rows
-    /// up in — the embedding layer's gathers
-    /// and per-input sources through [`InputBinding`]; `head_lists` names
-    /// the index list of every other gather or cross-entropy node by its
-    /// label (row selections, shifted candidate ids, targets) and is
-    /// empty for an encode-only plan. In a training-mode pass each of
+    /// Parameters bind by [`param_name`], each for the gradient form
+    /// [`Ir::grad_form`] gives it, so the tape never forms the gradient of
+    /// a `linear` weight or of a table it only looks rows up in. The
+    /// embedding layer's gathers and per-input sources bind through
+    /// [`InputBinding`]; `head_lists` names the index list of every other
+    /// gather or cross-entropy node by its label (row selections, shifted
+    /// candidate ids, targets) and is empty for an encode-only plan. In a
+    /// training-mode pass each of
     /// [`Ir::dropout_sites`] is multiplied by a fresh keep mask right
     /// after it is recorded.
     ///
@@ -269,7 +232,6 @@ impl TurlModel {
         let mut bound = InputBinding::default();
         bound.bind(input, &self.cfg);
         let dropout = Dropout::new(self.cfg.encoder.dropout);
-        let (deferred, gathered) = (deferred_sources(ir), gathered_sources(ir));
         let mut sites = ir.dropout_sites().iter().map(|t| t.index()).peekable();
         let mut vars: Vec<Var> = Vec::with_capacity(ir.len());
         for (i, node) in ir.nodes().iter().enumerate() {
@@ -289,13 +251,7 @@ impl TurlModel {
                         let id = store
                             .find(&name)
                             .unwrap_or_else(|| panic!("parameter '{name}' not in store"));
-                        if deferred[i] {
-                            f.param_deferred(store, id)
-                        } else if gathered[i] {
-                            f.param_gathered(store, id)
-                        } else {
-                            f.param(store, id)
-                        }
+                        f.param(store, id, ir.grad_form(TensorId::from_index(i)))
                     }
                     None => {
                         let values = bound
@@ -342,6 +298,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
+    use turl_tensor::GradForm;
 
     fn tiny_model() -> (ParamStore, TurlModel, StdRng) {
         let mut rng = StdRng::seed_from_u64(9);
@@ -406,26 +363,33 @@ mod tests {
         assert!(refusal(&rebuilt(Some("task.head"), "")).contains("registration order"));
     }
 
+    /// The model's two plans lowered: pre-training's (both heads on) and
+    /// fine-tuning's (encode only).
+    fn training_and_encode_irs(model: &TurlModel) -> (Ir, Ir) {
+        let encode = model.forward_plan(&toy_input());
+        let training = ModelPlan { n_mlm_targets: 2, n_mer_targets: 1, n_candidates: 3, ..encode };
+        let lower = |plan: &ModelPlan| lower_model_plan(plan).expect("plan lowers");
+        (lower(&training), lower(&encode))
+    }
+
+    /// Labels of the sources [`Ir::grad_form`] gives `form` — the form
+    /// `run_ir` binds each parameter in.
+    fn sources_of(ir: &Ir, form: GradForm) -> HashSet<String> {
+        let sources = ir.nodes().iter().enumerate().filter(|(_, n)| n.kind.is_source());
+        let picked = sources.filter(|&(i, _)| ir.grad_form(TensorId::from_index(i)) == form);
+        picked.map(|(_, n)| n.label.clone()).collect()
+    }
+
     #[test]
     fn the_ir_defers_exactly_the_linear_weights() {
-        // Both heads on: the rule must pick the rhs of every `*.matmul`
+        // Both heads on: `Product` must go to the rhs of every `*.matmul`
         // node `IrBuilder::linear` emits (fuse, six per block, the two
         // head projections) and nothing else — neither embedding table,
         // though the MLM head multiplies by `word_emb`, nor the constant
         // lhs of `embed.mention_means`.
         let (_, model, _) = tiny_model();
-        let plan = ModelPlan {
-            n_mlm_targets: 2,
-            n_mer_targets: 1,
-            n_candidates: 3,
-            ..model.forward_plan(&toy_input())
-        };
-        let ir = lower_model_plan(&plan).expect("plan lowers");
-        let labels = |ir: &Ir| -> HashSet<String> {
-            let mask = deferred_sources(ir);
-            ir.nodes().iter().zip(mask).filter(|(_, d)| *d).map(|(n, _)| n.label.clone()).collect()
-        };
-        let deferred = labels(&ir);
+        let (ir, encode) = training_and_encode_irs(&model);
+        let deferred = sources_of(&ir, GradForm::Product);
         let linear_weights: HashSet<String> = ir
             .nodes()
             .iter()
@@ -438,46 +402,34 @@ mod tests {
         for table in ["word_emb", "ent_emb"] {
             assert!(ir.find(table).is_some() && !deferred.contains(table), "{table} is gathered");
         }
-        // An encode-only plan (fine-tuning) defers the same weights, less
-        // the heads it does not contain.
-        let encode = lower_model_plan(&model.forward_plan(&toy_input())).expect("plan lowers");
+        // The encode-only plan defers the same weights, less the heads it
+        // does not contain.
         let heads = ["mlm_proj.weight", "mer_proj.weight"].map(String::from);
         let expected: HashSet<String> =
             deferred.iter().filter(|n| !heads.contains(n)).cloned().collect();
-        assert_eq!(labels(&encode), expected);
+        assert_eq!(sources_of(&encode, GradForm::Product), expected);
     }
 
     #[test]
     fn the_ir_gathers_exactly_the_lookup_only_tables() {
         // Both heads on: the MER head's candidate lookup is one more
         // gather from `ent_emb`, the tied MLM head a `MatMulNT` by
-        // `word_emb` — which therefore keeps its dense gradient.
+        // `word_emb` — which therefore keeps its `Dense` gradient.
         let (_, model, _) = tiny_model();
-        let plan = ModelPlan {
-            n_mlm_targets: 2,
-            n_mer_targets: 1,
-            n_candidates: 3,
-            ..model.forward_plan(&toy_input())
-        };
-        let labels = |ir: &Ir| -> HashSet<String> {
-            let (gathered, deferred) = (gathered_sources(ir), deferred_sources(ir));
-            assert!(!gathered.iter().zip(&deferred).any(|(g, d)| *g && *d), "bound two ways");
-            let picked = ir.nodes().iter().zip(gathered).filter(|(_, g)| *g);
-            picked.map(|(n, _)| n.label.clone()).collect()
-        };
-        let lookup_only = ["ent_emb", "token_type_emb", "pos_emb", "ent_type_emb"];
-        let training = lower_model_plan(&plan).expect("plan lowers");
-        assert_eq!(labels(&training), lookup_only.map(String::from).into_iter().collect());
+        let (training, encode) = training_and_encode_irs(&model);
+        let lookup_only: HashSet<String> =
+            ["ent_emb", "token_type_emb", "pos_emb", "ent_type_emb"].map(String::from).into();
+        assert_eq!(sources_of(&training, GradForm::Rows), lookup_only);
+        assert!(sources_of(&training, GradForm::Dense).contains("word_emb"));
         let readers_of_ent_emb = training.nodes().iter().filter(|n| {
             n.inputs.first().is_some_and(|t| training.node_at(t.index()).label == "ent_emb")
         });
         assert_eq!(readers_of_ent_emb.count(), 2, "embed.entities and mer.candidates");
-        // An encode-only plan (fine-tuning) has no MLM head: every table
-        // is lookup-only there.
-        let encode = lower_model_plan(&model.forward_plan(&toy_input())).expect("plan lowers");
-        let mut with_words: HashSet<String> = lookup_only.map(String::from).into_iter().collect();
+        // The encode-only plan has no MLM head: every table is
+        // lookup-only there.
+        let mut with_words = lookup_only;
         with_words.insert("word_emb".to_string());
-        assert_eq!(labels(&encode), with_words);
+        assert_eq!(sources_of(&encode, GradForm::Rows), with_words);
     }
 
     #[test]

@@ -349,7 +349,7 @@ impl Pretrainer {
             candidates: Vec<usize>,
             seed: u64,
             fwd: Forward,
-            out: Option<(f32, turl_nn::TapeGrads)>,
+            out: Option<(f32, Vec<(turl_nn::ParamId, turl_tensor::GradPart)>)>,
             obs: SlotObs,
         }
 

@@ -95,9 +95,8 @@ impl RowPopulationModel {
     ) -> Var {
         let sel = f.graph.index_select0(h, &[row]);
         let q = self.proj.forward(f, store, sel);
-        let ents = f.param(store, self.model.ent_emb.weight);
         let shifted: Vec<usize> = candidates.iter().map(|&c| c as usize + 1).collect();
-        let cand = f.graph.index_select0(ents, &shifted);
+        let cand = self.model.ent_emb.forward(f, store, &shifted);
         f.graph.matmul_nt(q, cand)
     }
 

@@ -13,7 +13,7 @@ use turl_data::{tokenize, Vocab};
 use turl_kb::tasks::metrics::{average_precision, mean_average_precision};
 use turl_kb::tasks::{HeaderVocab, SchemaAugExample};
 use turl_nn::{Embedding, Forward, Linear, ParamStore};
-use turl_tensor::{Tensor, Var};
+use turl_tensor::{GradForm, Tensor, Var};
 
 /// TURL fine-tuned for schema augmentation.
 pub struct SchemaAugModel {
@@ -93,7 +93,7 @@ impl SchemaAugModel {
         let h = self.model.encode(f, store, rng, &enc);
         let sel = f.graph.index_select0(h, &[mask_row]);
         let q = self.proj.forward(f, store, sel);
-        let hw = f.param(store, self.header_emb.weight);
+        let hw = f.param(store, self.header_emb.weight, GradForm::Dense);
         f.graph.matmul_nt(q, hw)
     }
 

@@ -2,7 +2,7 @@
 
 use crate::params::{Forward, ParamId, ParamStore};
 use rand::Rng;
-use turl_tensor::{kaiming_uniform, normal_init, Tensor, Var};
+use turl_tensor::{kaiming_uniform, normal_init, GradForm, Tensor, Var};
 
 /// Fully connected layer `y = x · W + b` with `W: [in, out]`.
 #[derive(Debug, Clone)]
@@ -37,11 +37,11 @@ impl Linear {
 
     /// Apply to a `[n, in]` input, producing `[n, out]`.
     pub fn forward(&self, f: &mut Forward, store: &ParamStore, x: Var) -> Var {
-        let w = f.param(store, self.weight);
+        let w = f.param(store, self.weight, GradForm::Dense);
         let y = f.graph.matmul(x, w);
         match self.bias {
             Some(b) => {
-                let bv = f.param(store, b);
+                let bv = f.param(store, b, GradForm::Dense);
                 f.graph.add(y, bv)
             }
             None => y,
@@ -75,9 +75,10 @@ impl Embedding {
         Self { weight, vocab, dim }
     }
 
-    /// Gather rows for `ids`, producing `[ids.len(), dim]`.
+    /// Gather rows for `ids`, producing `[ids.len(), dim]`. The table
+    /// binds for a `Rows` gradient, as every reader of it must this pass.
     pub fn forward(&self, f: &mut Forward, store: &ParamStore, ids: &[usize]) -> Var {
-        let w = f.param(store, self.weight);
+        let w = f.param(store, self.weight, GradForm::Rows);
         f.graph.index_select0(w, ids)
     }
 }
@@ -107,8 +108,8 @@ impl LayerNorm {
 
     /// Normalize `[..., dim]` input.
     pub fn forward(&self, f: &mut Forward, store: &ParamStore, x: Var) -> Var {
-        let g = f.param(store, self.gamma);
-        let b = f.param(store, self.beta);
+        let g = f.param(store, self.gamma, GradForm::Dense);
+        let b = f.param(store, self.beta, GradForm::Dense);
         f.graph.layer_norm(x, g, b, self.eps)
     }
 }

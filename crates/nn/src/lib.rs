@@ -52,7 +52,7 @@ pub use artifact::{
 pub use attention::MultiHeadAttention;
 pub use layers::{Dropout, Embedding, LayerNorm, Linear};
 pub use optim::{clip_grad_norm, Adam, AdamConfig, ClipReport};
-pub use params::{Forward, ParamId, ParamStore, Reduced, TapeGrads, WeightProduct};
+pub use params::{Forward, ParamId, ParamStore, Reduced};
 pub use schedule::LinearDecaySchedule;
 pub use serialize::{
     checkpoint_file_name, list_checkpoints, load_trainer_checkpoint, prune_checkpoints,

@@ -174,13 +174,13 @@ impl ClipReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::{Forward, TapeGrads};
-    use turl_tensor::Tensor;
+    use crate::params::Forward;
+    use turl_tensor::{GradForm, GradPart, Tensor};
 
     /// Minimize f(w) = (w - 3)^2 elementwise.
     fn quadratic_step(store: &mut ParamStore, id: crate::ParamId) {
         let mut f = Forward::new(store);
-        let w = f.param(store, id);
+        let w = f.param(store, id, GradForm::Dense);
         let target = f.graph.constant(Tensor::full(vec![2], 3.0));
         let d = f.graph.sub(w, target);
         let sq = f.graph.mul(d, d);
@@ -275,8 +275,8 @@ mod tests {
                 if !want.non_finite {
                     opt_a.step(&mut two_pass);
                 }
-                let dense = ids.iter().copied().zip(grads(scale)).collect();
-                let norm = fused.reduce(&[TapeGrads { dense, ..Default::default() }]).grad_norm;
+                let dense = ids.iter().copied().zip(grads(scale).into_iter().map(GradPart::Dense));
+                let norm = fused.reduce(&[dense.collect()]).grad_norm;
                 let got = opt_b.step_clipped(&mut fused, norm, 1.0);
                 assert_eq!((got.clipped, got.non_finite), (want.clipped, want.non_finite));
                 assert_eq!(got.norm.to_bits(), want.norm.to_bits());
@@ -300,7 +300,7 @@ mod tests {
         let id = store.register("w", Tensor::zeros(vec![2]));
         let mut opt = Adam::new(AdamConfig::default());
         let mut f = Forward::new(&store);
-        let w = f.param(&store, id);
+        let w = f.param(&store, id, GradForm::Dense);
         let target = f.graph.constant(Tensor::full(vec![2], 3.0));
         let d = f.graph.sub(w, target);
         let sq = f.graph.mul(d, d);

@@ -1,21 +1,21 @@
 //! Central parameter storage and the per-step forward context.
 //!
-//! A parameter's gradient reaches the store one of three ways. The dense
-//! way: the tape forms it ([`Forward::param`]) and the store adds the
-//! tensor. The deferred way, for a weight that is only ever the rhs of
-//! one `matmul` ([`Forward::param_deferred`]): the tape keeps the two
-//! factors `X`, `dY` of `dW = Xᵀ · dY` ([`WeightProduct`]) and the store
-//! adds the product in place — for all the tables of a batch in one
-//! kernel call ([`ParamStore::reduce`]), so no weight-sized gradient
-//! tensor exists outside the store. The gathered way, for an embedding
-//! table that is only ever gathered from ([`Forward::param_gathered`]):
-//! each gather keeps `(indices, dY rows)` ([`RowGrads`]) and the store
-//! adds the rows it names — a table costs what it looked up, not
-//! `[vocab, d]` — with the bits the dense way gives (`add_row_lists`).
+//! A parameter's gradient reaches the store in the form the caller binds
+//! it in ([`Forward::param`]), as a list of [`GradPart`]s
+//! ([`Forward::take_grads`]). A `Dense` part is the tensor the tape
+//! formed, and the store adds it. A `Product` part, for a weight that is
+//! only ever the rhs of one `matmul`, is the two factors `X`, `dY` of
+//! `dW = Xᵀ · dY`: the store adds the product in place, for all the tables
+//! of a batch in one kernel call ([`ParamStore::reduce`]), so no
+//! weight-sized gradient tensor exists outside the store. A `Rows` part,
+//! for an embedding table that is only ever gathered from, is one
+//! gather's `(indices, dY rows)`: the store adds the rows it names, so a
+//! table costs what it looked up, not `[vocab, d]`. Each form reaches the
+//! store with the bits the `Dense` one gives (`add_parts`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use turl_tensor::{ops, pool, Graph, Tensor, Var};
+use turl_tensor::{ops, pool, GradForm, GradPart, Graph, Tensor, Var};
 
 /// Handle to a parameter in a [`ParamStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,35 +28,43 @@ impl ParamId {
     }
 }
 
-/// A weight gradient still in its two factors: `grad(id) += xᵀ · dy`.
-pub struct WeightProduct {
-    /// The `[m, n]` weight the product is the gradient of.
-    pub id: ParamId,
-    /// The input of the weight's `matmul`, `[k, m]`.
-    pub x: Arc<Tensor>,
-    /// The gradient of that `matmul`'s output, `[k, n]`.
-    pub dy: Tensor,
-}
-
-impl WeightProduct {
-    /// `grad += xᵀ · dy`: each element `grad + t`, with `t` the product's
-    /// own accumulator — the bits of adding the formed tensor.
-    fn add_into(&self, grad: &mut Tensor) {
-        let (m, n) = (self.x.shape()[1], self.dy.shape()[1]);
-        assert_eq!(grad.shape(), [m, n], "weight product against a {:?} gradient", grad.shape());
-        ops::matmul_tn_acc_into(grad.data_mut(), m, n, &[(self.x.data(), self.dy.data())]);
+/// `grad += ` one parameter's `parts`, each tagged with the position of
+/// the table (tape) it came from, in slice order. The bits are those of
+/// adding each table's `Dense` gradient in that order:
+///
+/// * a `Dense` part by `add_assign`;
+/// * a run of products, across tables, as one `matmul_tn_acc_into`
+///   call, which adds them in order inside each register tile, each
+///   product its own accumulator from `+0.0`, as `matmul_tn` forms it;
+/// * one table's row lists together through [`add_row_lists`].
+///
+/// Returns the time spent in products (0 with metrics off).
+fn add_parts(grad: &mut Tensor, parts: &[(usize, &GradPart)]) -> u64 {
+    let together = |(ta, a): &(usize, &GradPart), (tb, b): &(usize, &GradPart)| match (a, b) {
+        (GradPart::Product { .. }, GradPart::Product { .. }) => true,
+        (GradPart::Rows { .. }, GradPart::Rows { .. }) => ta == tb,
+        _ => false,
+    };
+    let mut product_ns = 0;
+    for run in parts.chunk_by(together) {
+        match run[0].1 {
+            GradPart::Dense(g) => grad.add_assign(g),
+            GradPart::Rows { .. } => add_row_lists(grad, run),
+            GradPart::Product { .. } => {
+                let timer = turl_obs::Timer::start();
+                let factors: Vec<(&[f32], &[f32])> = (run.iter())
+                    .map(|(_, part)| match part {
+                        GradPart::Product { x, dy } => (x.data(), dy.data()),
+                        _ => unreachable!("a run holds one form"),
+                    })
+                    .collect();
+                let (m, n) = (grad.shape()[0], grad.shape()[1]);
+                ops::matmul_tn_acc_into(grad.data_mut(), m, n, &factors);
+                product_ns += timer.elapsed_ns();
+            }
+        }
     }
-}
-
-/// One gather's share of a gathered table's gradient: row `indices[r]`
-/// of `grad(id)` receives row `r` of `dy`.
-pub struct RowGrads {
-    /// The `[rows, ..]` table the gather read.
-    pub id: ParamId,
-    /// The gather's index list.
-    pub indices: Vec<usize>,
-    /// The gradient of the gather's output, one row per index.
-    pub dy: Tensor,
+    product_ns
 }
 
 /// `grad += G`, with `G` the dense gradient one tape forms for the table
@@ -71,15 +79,21 @@ pub struct RowGrads {
 /// accumulator involved (a gather's row, `G`'s row, `grad`'s row) starts
 /// at `+0.0`, a sum of two floats is `-0.0` only if both are, so none of
 /// them ever holds `-0.0` — and `x + 0.0` is `x` for every other `x`.
-fn add_row_lists(grad: &mut Tensor, lists: &[RowGrads]) {
+fn add_row_lists(grad: &mut Tensor, lists: &[(usize, &GradPart)]) {
     let row_len: usize = grad.shape()[1..].iter().product();
+    let lists: Vec<(&[usize], &Tensor)> = (lists.iter())
+        .map(|(_, part)| match part {
+            GradPart::Rows { indices, dy } => (&indices[..], dy),
+            _ => unreachable!("a run holds one form"),
+        })
+        .collect();
     // (row, list, position in the list): sorted, a row's hits are grouped
     // by list in sweep order, and within a list in index order.
     let mut hits: Vec<(usize, usize, usize)> = Vec::new();
-    for (l, list) in lists.iter().enumerate() {
-        let fits = list.dy.len() == list.indices.len() * row_len;
-        assert!(fits, "a {:?} row list against a {:?} table", list.dy.shape(), grad.shape());
-        hits.extend(list.indices.iter().enumerate().map(|(r, &row)| (row, l, r)));
+    for (l, (indices, dy)) in lists.iter().enumerate() {
+        let fits = dy.len() == indices.len() * row_len;
+        assert!(fits, "a {:?} row list against a {:?} table", dy.shape(), grad.shape());
+        hits.extend(indices.iter().enumerate().map(|(r, &row)| (row, l, r)));
     }
     hits.sort_unstable();
     let (mut total, mut sum) = (vec![0.0f32; row_len], vec![0.0f32; row_len]);
@@ -89,7 +103,7 @@ fn add_row_lists(grad: &mut Tensor, lists: &[RowGrads]) {
             let acc = if k == 0 { &mut total } else { &mut sum };
             acc.fill(0.0);
             for &(_, l, r) in of_list {
-                add(acc, &lists[l].dy.data()[r * row_len..][..row_len]);
+                add(acc, &lists[l].1.data()[r * row_len..][..row_len]);
             }
             if k > 0 {
                 add(&mut total, &sum);
@@ -99,25 +113,12 @@ fn add_row_lists(grad: &mut Tensor, lists: &[RowGrads]) {
     }
 }
 
-/// What one tape's backward pass leaves for the store
-/// ([`Forward::take_grads`]), each list in parameter (registration) order.
-#[derive(Default)]
-pub struct TapeGrads {
-    /// Gradients the tape formed.
-    pub dense: Vec<(ParamId, Tensor)>,
-    /// Gradients of [deferred](Forward::param_deferred) weights.
-    pub products: Vec<WeightProduct>,
-    /// Gradients of [gathered](Forward::param_gathered) tables; one
-    /// table's gathers in the order the sweep met them.
-    pub rows: Vec<RowGrads>,
-}
-
 /// What [`ParamStore::reduce`] returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reduced {
     /// Global L2 norm over all touched gradients.
     pub grad_norm: f32,
-    /// Wall-clock share of the call spent in deferred products (0 with
+    /// Wall-clock share of the call spent in `Product` parts (0 with
     /// metrics off).
     pub wgrad_ns: u64,
 }
@@ -270,53 +271,41 @@ impl ParamStore {
         }
     }
 
-    /// Add deferred weight gradients into the store, one product at a
-    /// time.
-    pub fn accumulate_products(&mut self, products: &[WeightProduct]) {
-        for p in products {
-            let e = &mut self.entries[p.id.0];
-            p.add_into(&mut e.grad);
-            e.touched = true;
+    /// Add one tape's gradient parts ([`Forward::take_grads`]) into the
+    /// store, each parameter's in list order, by the code
+    /// [`reduce`](Self::reduce) runs.
+    pub fn accumulate_parts(&mut self, parts: &[(ParamId, GradPart)]) {
+        let mut by_param = vec![Vec::new(); self.entries.len()];
+        for (id, part) in parts {
+            by_param[id.0].push((0, part));
+        }
+        for (e, parts) in self.entries.iter_mut().zip(by_param) {
+            if !parts.is_empty() {
+                add_parts(&mut e.grad, &parts);
+                e.touched = true;
+            }
         }
     }
 
-    /// Add one tape's gathered-table gradients into the store: a
-    /// table's row lists together, so rows two gathers share add up as
-    /// on the tape.
-    pub fn accumulate_rows(&mut self, rows: &[RowGrads]) {
-        for lists in rows.chunk_by(|a, b| a.id == b.id) {
-            let e = &mut self.entries[lists[0].id.0];
-            add_row_lists(&mut e.grad, lists);
-            e.touched = true;
-        }
-    }
-
-    /// Sum one step's per-table gradients into the store and return the
-    /// global L2 norm of the result: [`accumulate`](Self::accumulate),
-    /// [`accumulate_products`](Self::accumulate_products) and
-    /// [`accumulate_rows`](Self::accumulate_rows) for each table in
-    /// slice order, then [`grad_norm`](Self::grad_norm).
+    /// Sum one step's per-table gradient parts into the store and return
+    /// the global L2 norm of the result: [`accumulate_parts`] for each
+    /// table in slice order, then [`grad_norm`](Self::grad_norm).
     ///
     /// The work fans out over parameters. Each parameter adds its tables'
-    /// gradients in slice order — a deferred weight in one kernel call
-    /// over its tables' products, which adds them in that order inside
-    /// each register tile — and sums its own squares in element order, and
-    /// the per-parameter sums are added in registration order, so the
-    /// result has the bits of the serial calls at any thread count. A
-    /// parameter is deferred in every tape of a step or in none; a table
-    /// may be gathered in one tape and dense in the next (`word_emb`,
-    /// which only the tapes with an MLM head multiply by).
-    pub fn reduce(&mut self, tables: &[TapeGrads]) -> Reduced {
-        /// What one tape holds for a parameter that is not deferred.
-        enum TableGrad<'a> {
-            Dense(&'a Tensor),
-            Rows(&'a [RowGrads]),
-        }
+    /// parts in slice order (`add_parts`) — its products in one kernel
+    /// call — and sums its own squares in element order, and the
+    /// per-parameter sums are added in registration order, so the result
+    /// has the bits of the serial calls at any thread count. A parameter
+    /// has a `Product` part in every table of a step that reaches it or in
+    /// none; a table may be `Rows` in one tape and `Dense` in the next
+    /// (`word_emb`, which only the tapes with an MLM head multiply by).
+    ///
+    /// [`accumulate_parts`]: Self::accumulate_parts
+    pub fn reduce(&mut self, tables: &[Vec<(ParamId, GradPart)>]) -> Reduced {
         struct Work<'a> {
             e: &'a mut ParamEntry,
-            /// In slice order.
-            per_table: Vec<TableGrad<'a>>,
-            parts: Vec<(&'a [f32], &'a [f32])>,
+            /// `(table, part)`, in slice order.
+            parts: Vec<(usize, &'a GradPart)>,
             sq_sum: f32,
             wgrad_ns: u64,
             busy_ns: u64,
@@ -325,44 +314,24 @@ impl ParamStore {
         let mut work: Vec<Work> = self
             .entries
             .iter_mut()
-            .map(|e| Work {
-                e,
-                per_table: Vec::new(),
-                parts: Vec::new(),
-                sq_sum: 0.0,
-                wgrad_ns: 0,
-                busy_ns: 0,
-            })
+            .map(|e| Work { e, parts: Vec::new(), sq_sum: 0.0, wgrad_ns: 0, busy_ns: 0 })
             .collect();
-        for table in tables {
-            for (id, g) in &table.dense {
-                work[id.0].per_table.push(TableGrad::Dense(g));
-            }
-            for p in &table.products {
-                work[p.id.0].parts.push((p.x.data(), p.dy.data()));
-            }
-            for lists in table.rows.chunk_by(|a, b| a.id == b.id) {
-                work[lists[0].id.0].per_table.push(TableGrad::Rows(lists));
+        for (t, table) in tables.iter().enumerate() {
+            for (id, part) in table {
+                work[id.0].parts.push((t, part));
             }
         }
         pool::parallel_for_each_mut(&mut work, |_, w| {
             let busy = turl_obs::Timer::start();
+            let products =
+                w.parts.iter().filter(|(_, p)| matches!(p, GradPart::Product { .. })).count();
             assert!(
-                w.parts.is_empty() || w.per_table.is_empty(),
-                "`{}` is deferred in one tape of the step and dense or gathered in another",
+                products == 0 || products == w.parts.len(),
+                "`{}` has a Product part in one table of the step and another form in another",
                 w.e.name
             );
             if !w.parts.is_empty() {
-                let (m, n) = (w.e.grad.shape()[0], w.e.grad.shape()[1]);
-                ops::matmul_tn_acc_into(w.e.grad.data_mut(), m, n, &w.parts);
-                w.e.touched = true;
-                w.wgrad_ns = busy.elapsed_ns();
-            }
-            for of_table in &w.per_table {
-                match of_table {
-                    TableGrad::Dense(g) => w.e.grad.add_assign(g),
-                    TableGrad::Rows(lists) => add_row_lists(&mut w.e.grad, lists),
-                }
+                w.wgrad_ns = add_parts(&mut w.e.grad, &w.parts);
                 w.e.touched = true;
             }
             if w.e.touched {
@@ -458,106 +427,88 @@ impl Forward {
         self.training = training;
     }
 
-    /// Bind a parameter into the graph (idempotent per pass). The leaf
-    /// shares the store's tensor instead of copying it; an optimizer step
-    /// taken while this tape is alive leaves the tape's value as it was.
-    pub fn param(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.bind(id, |g| g.leaf_shared(Arc::clone(&store.entries[id.0].value), true))
-    }
-
-    /// [`param`](Self::param) for a `[m, n]` weight this pass reads once,
-    /// as the rhs of a `matmul`: the tape never forms its gradient, which
-    /// comes back as a [`WeightProduct`] of [`take_grads`](Self::take_grads).
-    /// Any other use of the returned leaf panics where it is recorded. A
-    /// parameter already bound this pass keeps its binding.
-    pub fn param_deferred(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.bind(id, |g| g.leaf_deferred(Arc::clone(&store.entries[id.0].value)))
-    }
-
-    /// [`param`](Self::param) for a `[rows, ..]` table this pass only
-    /// gathers from (`index_select0`): the tape never forms its gradient,
-    /// which comes back as the [`RowGrads`] of
-    /// [`take_grads`](Self::take_grads). Any other use of the returned
-    /// leaf panics where it is recorded. A parameter already bound this
-    /// pass keeps its binding.
-    pub fn param_gathered(&mut self, store: &ParamStore, id: ParamId) -> Var {
-        self.bind(id, |g| g.leaf_gathered(Arc::clone(&store.entries[id.0].value)))
-    }
-
-    fn bind(&mut self, id: ParamId, leaf: impl FnOnce(&mut Graph) -> Var) -> Var {
+    /// Bind a parameter into the graph, its gradient to leave the tape in
+    /// `form` ([`Graph::param_leaf`]); binding it again this pass in the
+    /// same form returns the same leaf. The leaf shares the store's tensor
+    /// instead of copying it; an optimizer step taken while this tape is
+    /// alive leaves the tape's value as it was.
+    ///
+    /// # Panics
+    /// Panics if the parameter is already bound this pass in another form.
+    pub fn param(&mut self, store: &ParamStore, id: ParamId, form: GradForm) -> Var {
         if self.bound.len() <= id.0 {
             self.bound.resize(id.0 + 1, None);
         }
-        *self.bound[id.0].get_or_insert_with(|| leaf(&mut self.graph))
+        if let Some(leaf) = self.bound[id.0] {
+            let held = self.graph.grad_form(leaf).expect("a bound parameter is a parameter leaf");
+            assert!(
+                held == form,
+                "parameter `{}` is bound for a {held:?} gradient this pass and cannot be bound \
+                 for a {form:?} one as well",
+                store.name(id)
+            );
+            return leaf;
+        }
+        let leaf = self.graph.param_leaf(Arc::clone(&store.entries[id.0].value), form);
+        self.bound[id.0] = Some(leaf);
+        leaf
     }
 
-    /// After `graph.backward`, pull parameter gradients off the tape: the
-    /// dense ones, the factors of the deferred ones and the row lists of
-    /// the gathered ones, each list in parameter (registration) order.
+    /// After `graph.backward`, pull every parameter gradient off the tape
+    /// as parts of the form it was bound in, in parameter (registration)
+    /// order, one tape's row lists of a table in the order the sweep met
+    /// them.
     ///
-    /// Feed the result to [`ParamStore::reduce`], or its three lists to
-    /// [`ParamStore::accumulate`], [`ParamStore::accumulate_products`]
-    /// and [`ParamStore::accumulate_rows`].
-    pub fn take_grads(&mut self) -> TapeGrads {
-        let mut grads = TapeGrads::default();
-        for (i, var) in self.bound.iter().enumerate() {
-            if let Some(g) = var.and_then(|v| self.graph.take_grad(v)) {
-                grads.dense.push((ParamId(i), g));
+    /// Feed the result to [`ParamStore::accumulate_parts`], or one list
+    /// per table of a step to [`ParamStore::reduce`].
+    pub fn take_grads(&mut self) -> Vec<(ParamId, GradPart)> {
+        let mut param_of = vec![None; self.graph.len()];
+        for (i, leaf) in self.bound.iter().enumerate() {
+            if let Some(leaf) = leaf {
+                param_of[leaf.index()] = Some(ParamId(i));
             }
         }
-        let bound = &self.bound;
-        let id_of = |leaf: Var| {
-            let id = bound.iter().position(|b| *b == Some(leaf));
-            ParamId(id.expect("a deferred or gathered leaf is a bound parameter"))
-        };
-        for p in self.graph.take_deferred() {
-            grads.products.push(WeightProduct { id: id_of(p.leaf), x: p.x, dy: p.dy });
-        }
-        grads.products.sort_by_key(|p| p.id.0);
-        for r in self.graph.take_gathered() {
-            grads.rows.push(RowGrads { id: id_of(r.leaf), indices: r.indices, dy: r.dy });
-        }
-        // Stable: a table's gathers stay in sweep order.
-        grads.rows.sort_by_key(|r| r.id.0);
-        grads
+        let mut parts: Vec<(ParamId, GradPart)> = (self.graph.take_params().into_iter())
+            .map(|(leaf, part)| (param_of[leaf.index()].expect("a bound parameter's leaf"), part))
+            .collect();
+        // Stable: a table's row lists stay in sweep order.
+        parts.sort_by_key(|(id, _)| id.0);
+        parts
     }
 
     /// After `graph.backward`, every parameter gradient as a tensor, in
-    /// parameter (registration) order — deferred and gathered ones formed
-    /// here, from zeros, by the code the store would have used.
+    /// parameter (registration) order: a `Dense` part moved off the tape,
+    /// any other what [`ParamStore::accumulate_parts`] adds to a zero
+    /// gradient, formed here from zeros by the same code.
     ///
     /// Feed the result to [`ParamStore::accumulate`].
     pub fn take_param_grads(&mut self) -> Vec<(ParamId, Tensor)> {
-        let TapeGrads { dense: mut out, products, rows } = self.take_grads();
-        for p in products {
-            let mut g = Tensor::zeros(vec![p.x.shape()[1], p.dy.shape()[1]]);
-            p.add_into(&mut g);
-            out.push((p.id, g));
-        }
-        for lists in rows.chunk_by(|a, b| a.id == b.id) {
-            let id = lists[0].id;
-            let leaf = self.bound[id.0].expect("its row lists came off this tape");
-            let mut g = Tensor::zeros(self.graph.shape(leaf).to_vec());
-            add_row_lists(&mut g, lists);
-            out.push((id, g));
-        }
-        out.sort_by_key(|(id, _)| id.0);
-        out
+        let mut parts = self.take_grads();
+        let formed = parts.chunk_by_mut(|a, b| a.0 == b.0).map(|of_param| {
+            let id = of_param[0].0;
+            if let [(_, GradPart::Dense(g))] = of_param {
+                return (id, std::mem::replace(g, Tensor::zeros(vec![0])));
+            }
+            let leaf = self.bound[id.0].expect("its parts came off this tape");
+            let mut grad = Tensor::zeros(self.graph.shape(leaf).to_vec());
+            add_parts(&mut grad, &of_param.iter().map(|(_, part)| (0, part)).collect::<Vec<_>>());
+            (id, grad)
+        });
+        formed.collect()
     }
 
     /// Convenience: backward from `loss`, then accumulate into `store`.
     pub fn backprop(&mut self, loss: Var, store: &mut ParamStore) {
         self.graph.backward(loss);
-        let grads = self.take_grads();
-        store.accumulate(grads.dense);
-        store.accumulate_products(&grads.products);
-        store.accumulate_rows(&grads.rows);
+        store.accumulate_parts(&self.take_grads());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const FORMS: [GradForm; 3] = [GradForm::Dense, GradForm::Product, GradForm::Rows];
 
     #[test]
     fn register_and_lookup() {
@@ -581,10 +532,27 @@ mod tests {
         let mut s = ParamStore::new();
         let id = s.register("w", Tensor::ones(vec![2]));
         let mut f = Forward::new(&s);
-        let v1 = f.param(&s, id);
-        let v2 = f.param(&s, id);
+        let v1 = f.param(&s, id, GradForm::Dense);
+        let v2 = f.param(&s, id, GradForm::Dense);
         assert_eq!(v1, v2);
         assert_eq!(f.graph.len(), 1);
+    }
+
+    #[test]
+    fn a_second_binding_under_another_form_panics_naming_both() {
+        let mut s = ParamStore::new();
+        let w = s.register("w", Tensor::ones(vec![2, 2]));
+        for first in FORMS {
+            for second in FORMS.into_iter().filter(|&f| f != first) {
+                let mut f = Forward::new(&s);
+                f.param(&s, w, first);
+                let rebind = std::panic::AssertUnwindSafe(|| f.param(&s, w, second));
+                let payload = std::panic::catch_unwind(rebind).expect_err("a second form");
+                let why = payload.downcast_ref::<String>().expect("a formatted message");
+                let both = format!("`w` is bound for a {first:?} gradient this pass and cannot be bound for a {second:?} one");
+                assert!(why.contains(&both), "{why}");
+            }
+        }
     }
 
     #[test]
@@ -594,13 +562,11 @@ mod tests {
             (0..6).map(|i| s.register(format!("p{i}"), Tensor::ones(vec![1]))).collect();
         let mut f = Forward::new(&s);
         // Bound out of order; p2 is never bound and p4 never reaches the loss.
-        let v5 = f.param(&s, ids[5]);
-        let v0 = f.param(&s, ids[0]);
-        f.param(&s, ids[4]);
-        let v3 = f.param(&s, ids[3]);
-        let v1 = f.param(&s, ids[1]);
-        let parts = [v5, v0, v3, v1];
-        let cat = f.graph.stack_rows(&parts);
+        let mut bind = |i: usize| f.param(&s, ids[i], GradForm::Dense);
+        let (v5, v0) = (bind(5), bind(0));
+        bind(4);
+        let (v3, v1) = (bind(3), bind(1));
+        let cat = f.graph.stack_rows(&[v5, v0, v3, v1]);
         let loss = f.graph.sum_all(cat);
         f.graph.backward(loss);
         let got: Vec<usize> = f.take_param_grads().iter().map(|(id, _)| id.index()).collect();
@@ -613,7 +579,7 @@ mod tests {
         let id = s.register("w", Tensor::ones(vec![2]));
         for _ in 0..2 {
             let mut f = Forward::new(&s);
-            let v = f.param(&s, id);
+            let v = f.param(&s, id, GradForm::Dense);
             let l = f.graph.sum_all(v);
             f.backprop(l, &mut s);
         }
@@ -640,39 +606,31 @@ mod tests {
                 .collect();
             (s, ids)
         };
-        // p0 `[3, 5]` is deferred: its gradient arrives as `[k, 3]ᵀ · [k, 5]`
+        // p0 `[3, 5]` is a product: its gradient arrives as `[k, 3]ᵀ · [k, 5]`
         // factors, `k` differing per table. Table 1 skips p1, table 2
         // skips p0; p3 gets nothing and stays untouched (and out of the
         // norm).
-        let product = |id: ParamId, k: usize, seed: usize| WeightProduct {
-            id,
+        let product = |k: usize, seed: usize| GradPart::Product {
             x: Arc::new(grad(&[k, 3], seed)),
             dy: grad(&[k, 5], seed + 1),
         };
+        let dense = |p: usize, seed: usize| GradPart::Dense(grad(&shapes[p], seed));
         let tables = |ids: &[ParamId]| {
             vec![
-                TapeGrads {
-                    dense: vec![(ids[1], grad(&shapes[1], 2))],
-                    products: vec![product(ids[0], 4, 1)],
-                    rows: Vec::new(),
-                },
-                TapeGrads {
-                    dense: vec![(ids[2], grad(&shapes[2], 4))],
-                    products: vec![product(ids[0], 1, 3)],
-                    rows: Vec::new(),
-                },
-                TapeGrads {
-                    dense: vec![(ids[1], grad(&shapes[1], 5)), (ids[2], grad(&shapes[2], 6))],
-                    ..TapeGrads::default()
-                },
+                vec![(ids[0], product(4, 1)), (ids[1], dense(1, 2))],
+                vec![(ids[0], product(1, 3)), (ids[2], dense(2, 4))],
+                vec![(ids[1], dense(1, 5)), (ids[2], dense(2, 6))],
             ]
         };
         // The serial reference forms every product as a tensor first.
         let (mut serial, ids) = fresh();
-        for t in tables(&ids) {
-            let formed = t.products.iter().map(|p| (p.id, ops::matmul_tn(&p.x, &p.dy)));
+        for table in tables(&ids) {
+            let formed = table.into_iter().map(|(id, part)| match part {
+                GradPart::Product { x, dy } => (id, ops::matmul_tn(&x, &dy)),
+                GradPart::Dense(g) => (id, g),
+                GradPart::Rows { .. } => unreachable!("no row lists here"),
+            });
             serial.accumulate(formed.collect());
-            serial.accumulate(t.dense);
         }
         let want = serial.grad_norm();
         let saved = pool::n_threads();
@@ -690,46 +648,6 @@ mod tests {
         pool::set_threads(saved);
     }
 
-    #[test]
-    fn deferred_binding_gives_the_dense_bindings_gradient_bits() {
-        // y = x · w + b through both bindings: `take_param_grads` and
-        // `backprop` must not tell them apart.
-        let mut s = ParamStore::new();
-        let x = Tensor::from_vec(vec![3, 2], vec![0.5, -1.0, 2.0, 0.25, -0.75, 1.5]);
-        let w = s.register("w", Tensor::from_vec(vec![2, 2], vec![0.1, -0.2, 0.3, 0.4]));
-        let b = s.register("b", Tensor::from_vec(vec![2], vec![0.01, -0.02]));
-        let run = |s: &mut ParamStore, deferred: bool, accumulate: bool| {
-            let mut f = Forward::new(s);
-            let xv = f.graph.leaf(x.clone(), true);
-            let wv = if deferred { f.param_deferred(s, w) } else { f.param(s, w) };
-            let bv = f.param(s, b);
-            let y = f.graph.matmul(xv, wv);
-            let y = f.graph.add(y, bv);
-            let sq = f.graph.mul(y, y);
-            let loss = f.graph.sum_all(sq);
-            if accumulate {
-                f.backprop(loss, s);
-                return vec![(w, s.grad(w).clone()), (b, s.grad(b).clone())];
-            }
-            f.graph.backward(loss);
-            f.take_param_grads()
-        };
-        for accumulate in [false, true] {
-            let dense = run(&mut s, false, accumulate);
-            s.zero_grads();
-            let deferred = run(&mut s, true, accumulate);
-            s.zero_grads();
-            assert_eq!(dense.len(), 2);
-            for ((id, want), (got_id, got)) in dense.iter().zip(&deferred) {
-                assert_eq!(id, got_id);
-                assert_eq!(want.shape(), got.shape());
-                let same =
-                    want.data().iter().zip(got.data()).all(|(a, b)| a.to_bits() == b.to_bits());
-                assert!(same, "`{}` (accumulate: {accumulate})", s.name(*id));
-            }
-        }
-    }
-
     /// Four tapes over one `[6, 3]` table: duplicate indices inside a
     /// gather, rows several gathers of a tape hit (4 in tape 0; 3 and 4,
     /// three times each, in tape 3, when the store already holds a sum for
@@ -741,24 +659,38 @@ mod tests {
         &[&[5, 3, 5, 4], &[1, 3, 4], &[3, 4]],
     ];
 
-    /// `(len, salt)` → the `dY` values of one gather.
+    /// `(len, salt)` → the values of one constant.
     type Seed<'a> = &'a dyn Fn(usize, usize) -> Vec<f32>;
 
-    /// Tape `t` of [`GATHERS`] after `backward`, the table bound gathered
-    /// or plain: `loss = Σ gather ⊙ seed + Σ b ⊙ b`, so each gather's `dY`
-    /// is its seed.
-    fn gather_tape(s: &ParamStore, t: usize, gathered: bool, seed: Seed) -> Forward {
+    /// Tape `t` after `backward`, with `w` bound in `form` and read the
+    /// way `reader` admits: for `Product`, once, as the rhs of
+    /// `x · w` with `x` a `[t + 1, 6]` constant; otherwise by the gathers
+    /// of [`GATHERS`]. `loss = Σ read ⊙ seed + Σ b ⊙ b`, so each read's
+    /// `dY` is its seed.
+    fn form_tape(
+        s: &ParamStore,
+        t: usize,
+        form: GradForm,
+        reader: GradForm,
+        seed: Seed,
+    ) -> Forward {
         let (w, b) = (s.find("w").unwrap(), s.find("b").unwrap());
         let mut f = Forward::new(s);
-        let wv = if gathered { f.param_gathered(s, w) } else { f.param(s, w) };
-        let bv = f.param(s, b);
+        let wv = f.param(s, w, form);
+        let bv = f.param(s, b, GradForm::Dense);
         let sq = f.graph.mul(bv, bv);
         let mut loss = f.graph.sum_all(sq);
-        for (k, idx) in GATHERS[t].iter().enumerate() {
-            let rows = f.graph.index_select0(wv, idx);
-            let c = Tensor::from_vec(vec![idx.len(), 3], seed(idx.len() * 3, 2 * t + k));
+        let reads: Vec<Var> = if reader == GradForm::Product {
+            let x = f.graph.constant(Tensor::from_vec(vec![t + 1, 6], seed(6 * (t + 1), 8 + t)));
+            vec![f.graph.matmul(x, wv)]
+        } else {
+            GATHERS[t].iter().map(|idx| f.graph.index_select0(wv, idx)).collect()
+        };
+        for (k, read) in reads.into_iter().enumerate() {
+            let shape = f.graph.shape(read).to_vec();
+            let c = Tensor::from_vec(shape.clone(), seed(shape.iter().product(), 2 * t + k));
             let c = f.graph.constant(c);
-            let weighted = f.graph.mul(rows, c);
+            let weighted = f.graph.mul(read, c);
             let part = f.graph.sum_all(weighted);
             loss = f.graph.add(loss, part);
         }
@@ -766,8 +698,12 @@ mod tests {
         f
     }
 
-    #[test]
-    fn row_lists_reach_the_store_with_the_dense_gather_gradients_bits() {
+    /// Four tapes of `w` read the way `reader` admits, bound `reader` (and
+    /// for a table also with tapes 1 and 2 `Dense` between its `Rows`
+    /// ones): through `reduce` at 1, 2 and 4 threads, `take_param_grads`
+    /// and `accumulate_parts`, the store gets the bits of the tapes bound
+    /// `Dense`.
+    fn reaches_the_store_with_the_dense_bits(reader: GradForm) {
         let fresh = || {
             let mut s = ParamStore::new();
             s.register("w", Tensor::zeros(vec![6, 3]));
@@ -795,11 +731,12 @@ mod tests {
         ];
         let saved = pool::n_threads();
         for (name, seed) in seeds {
-            // The reference: every tape forms the table's dense gradient.
+            // The reference: every tape binds `w` `Dense`.
             let mut dense = fresh();
             for t in 0..4 {
-                let grads = gather_tape(&dense, t, false, seed).take_param_grads();
-                dense.accumulate(grads);
+                dense.accumulate_parts(
+                    &form_tape(&dense, t, GradForm::Dense, reader, seed).take_grads(),
+                );
             }
             let (want, want_norm) = (bits(&dense), dense.grad_norm().to_bits());
             if name == "all -0.0" {
@@ -808,45 +745,61 @@ mod tests {
             }
             for threads in [1, 2, 4] {
                 pool::set_threads(threads);
-                // Every tape gathered, then tapes 1 and 2 dense between them.
-                for dense_tapes in [&[][..], &[1, 2]] {
+                let mixes: &[&[usize]] =
+                    if reader == GradForm::Rows { &[&[], &[1, 2]] } else { &[&[]] };
+                for dense_tapes in mixes {
                     let mut s = fresh();
-                    let tape = |t| gather_tape(&s, t, !dense_tapes.contains(&t), seed).take_grads();
-                    let tables: Vec<TapeGrads> = (0..4).map(tape).collect();
-                    for (t, grads) in tables.iter().enumerate() {
-                        assert_eq!(grads.rows.is_empty(), dense_tapes.contains(&t));
+                    let w = s.find("w").unwrap();
+                    let tables: Vec<_> = (0..4)
+                        .map(|t| {
+                            let form =
+                                if dense_tapes.contains(&t) { GradForm::Dense } else { reader };
+                            form_tape(&s, t, form, reader, seed).take_grads()
+                        })
+                        .collect();
+                    for (t, parts) in tables.iter().enumerate() {
+                        let formed =
+                            parts.iter().any(|(id, p)| *id == w && matches!(p, GradPart::Dense(_)));
+                        assert_eq!(formed, dense_tapes.contains(&t), "{name}: tape {t}");
                     }
                     let norm = s.reduce(&tables).grad_norm;
                     assert_eq!(norm.to_bits(), want_norm, "{name}: norm at {threads} threads");
                     assert!(bits(&s) == want, "{name}: gradients at {threads} threads");
                 }
             }
-            // The two serial consumers of the same lists.
+            // The two serial consumers of the same parts.
             let (mut formed, mut added) = (fresh(), fresh());
             for t in 0..4 {
-                let grads = gather_tape(&formed, t, true, seed).take_param_grads();
+                let grads = form_tape(&formed, t, reader, reader, seed).take_param_grads();
                 assert_eq!(grads[0].1.shape(), &[6, 3]);
                 formed.accumulate(grads);
-                let mut f = gather_tape(&added, t, true, seed);
-                let rows = f.take_grads();
-                added.accumulate(rows.dense);
-                added.accumulate_rows(&rows.rows);
+                added.accumulate_parts(&form_tape(&added, t, reader, reader, seed).take_grads());
             }
             assert!(bits(&formed) == want, "{name}: take_param_grads");
-            assert!(bits(&added) == want, "{name}: accumulate_rows");
+            assert!(bits(&added) == want, "{name}: accumulate_parts");
         }
         pool::set_threads(saved);
     }
 
     #[test]
-    #[should_panic(expected = "`w` is deferred in one tape of the step and dense")]
+    fn deferred_binding_gives_the_dense_bindings_gradient_bits() {
+        reaches_the_store_with_the_dense_bits(GradForm::Product);
+    }
+
+    #[test]
+    fn row_lists_reach_the_store_with_the_dense_gather_gradients_bits() {
+        reaches_the_store_with_the_dense_bits(GradForm::Rows);
+    }
+
+    #[test]
+    #[should_panic(expected = "`w` has a Product part in one table of the step and another form")]
     fn reduce_refuses_a_weight_deferred_in_one_tape_only() {
         let mut s = ParamStore::new();
         let w = s.register("w", Tensor::ones(vec![2, 2]));
-        let tables = [true, false].map(|deferred| {
+        let tables = [GradForm::Product, GradForm::Dense].map(|form| {
             let mut f = Forward::new(&s);
             let x = f.graph.constant(Tensor::ones(vec![1, 2]));
-            let wv = if deferred { f.param_deferred(&s, w) } else { f.param(&s, w) };
+            let wv = f.param(&s, w, form);
             let y = f.graph.matmul(x, wv);
             let loss = f.graph.sum_all(y);
             f.graph.backward(loss);
@@ -860,7 +813,7 @@ mod tests {
         let mut s = ParamStore::new();
         let id = s.register("w", Tensor::ones(vec![2]));
         let mut f = Forward::new(&s);
-        let v = f.param(&s, id);
+        let v = f.param(&s, id, GradForm::Dense);
         assert!(std::ptr::eq(f.graph.value(v), s.value(id)), "binding copied the parameter");
         s.value_mut(id).data_mut()[0] = 5.0;
         assert_eq!(f.graph.value(v).data(), &[1.0, 1.0], "the write reached a live tape");

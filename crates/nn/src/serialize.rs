@@ -656,6 +656,7 @@ mod tests {
     use super::*;
     use crate::optim::Adam;
     use crate::params::Forward;
+    use turl_tensor::GradForm;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("turl_nn_ckpt_{tag}_{}", std::process::id()));
@@ -673,7 +674,7 @@ mod tests {
         let mut opt = Adam::new(AdamConfig { lr: 0.1, ..AdamConfig::default() });
         for _ in 0..3 {
             let mut f = Forward::new(&store);
-            let w = f.param(&store, id);
+            let w = f.param(&store, id, GradForm::Dense);
             let target = f.graph.constant(Tensor::full(vec![3], 3.0));
             let d = f.graph.sub(w, target);
             let sq = f.graph.mul(d, d);

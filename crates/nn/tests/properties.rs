@@ -9,7 +9,7 @@ use turl_nn::{
     clip_grad_norm, Adam, AdamConfig, Embedding, Forward, LayerNorm, Linear, MultiHeadAttention,
     ParamStore,
 };
-use turl_tensor::Tensor;
+use turl_tensor::{GradForm, Tensor};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -22,7 +22,7 @@ proptest! {
         let mut opt = Adam::new(AdamConfig { lr: 0.2, ..Default::default() });
         for _ in 0..300 {
             let mut f = Forward::new(&store);
-            let w = f.param(&store, id);
+            let w = f.param(&store, id, GradForm::Dense);
             let t = f.graph.constant(Tensor::from_vec(vec![3], target.to_vec()));
             let d = f.graph.sub(w, t);
             let sq = f.graph.mul(d, d);

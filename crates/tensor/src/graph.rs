@@ -9,26 +9,26 @@
 //!
 //! Backward computes only what is read: every closure is told which of
 //! its parents need a gradient and returns `None` for the rest, so a
-//! constant operand (a mask, an averaging matrix) costs nothing. A weight
-//! can go one step further and be bound *deferred*
-//! ([`Graph::leaf_deferred`]): it may only be the rhs of one
-//! [`Graph::matmul`], the tape never forms its gradient `Xᵀ · dY`, and
-//! after `backward` [`Graph::take_deferred`] hands out the two factors —
-//! the owner adds the product into its gradient store, for all the
-//! tables of a batch in one kernel call. An embedding table that is only
-//! ever gathered from can be bound *gathered* ([`Graph::leaf_gathered`]):
-//! no `[vocab, d]` gradient is formed for it either, each of its
-//! [`Graph::index_select0`]s keeps `(indices, dY rows)` and
-//! [`Graph::take_gathered`] hands those out.
+//! constant operand (a mask, an averaging matrix) costs nothing. A
+//! trained parameter is bound by [`Graph::param_leaf`] with the
+//! [`GradForm`] its gradient leaves the tape in, and after `backward`
+//! [`Graph::take_params`] hands every parameter's gradient out as
+//! [`GradPart`]s. A `Dense` leaf's gradient is formed on the tape. A
+//! `Product` leaf may only be the rhs of one [`Graph::matmul`]: the tape
+//! keeps the factors `X`, `dY` of its gradient `Xᵀ · dY` instead, and the
+//! owner adds the product into its store, for all the tables of a batch in
+//! one kernel call. A `Rows` leaf may only be gathered from
+//! ([`Graph::index_select0`]): each gather keeps `(indices, dY rows)`, so
+//! no `[vocab, d]` gradient is formed for an embedding table.
 //!
 //! The tape lets go as the sweep passes: once a computed node's backward
 //! has run, no node below it can read its closure, its gradient or its
 //! value (parents precede children), so `backward` drops all three right
-//! there — except a gradient or value one of the two lists above still
-//! hands out, and the root's value. Leaves keep value and gradient. A
-//! swept tape holds what the caller can still ask for and nothing else;
-//! asking it for more ([`Graph::value`] or [`Graph::grad`] of a released
-//! node, a second `backward`) panics, it never answers with a stand-in.
+//! there — except a factor a part still hands out, and the root's value.
+//! Leaves keep value and gradient. A swept tape holds what the caller can
+//! still ask for and nothing else; asking it for more ([`Graph::value`] or
+//! [`Graph::grad`] of a released node, a second `backward`) panics, it
+//! never answers with a stand-in.
 
 use crate::ops;
 use crate::ops::gelu_grad;
@@ -82,19 +82,52 @@ impl Value {
     }
 }
 
+/// The form a trained parameter's gradient leaves the tape in. The IR
+/// decides it per parameter from the parameter's readers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GradForm {
+    /// Formed on the tape; read by any op.
+    Dense,
+    /// `Xᵀ · dY`, kept as its two factors; read only as the rhs of one
+    /// `matmul`.
+    Product,
+    /// One `(indices, dY rows)` list per gather; read only by gathers.
+    Rows,
+}
+
+/// A parameter's gradient, or one share of it, as
+/// [`Graph::take_params`] hands it out.
+pub enum GradPart {
+    /// The whole gradient of a `Dense` leaf.
+    Dense(Tensor),
+    /// The gradient `xᵀ · dy` of a `Product` leaf.
+    Product {
+        /// The lhs value of the leaf's `matmul`, `[k, m]`; still on the tape.
+        x: Arc<Tensor>,
+        /// The gradient that reached the `matmul`'s output, `[k, n]`.
+        dy: Tensor,
+    },
+    /// One gather's share of a `Rows` leaf's gradient: row `indices[r]`
+    /// receives row `r` of `dy`.
+    Rows {
+        /// The gather's index list.
+        indices: Vec<usize>,
+        /// The gradient that reached the gather's output, one row per index.
+        dy: Tensor,
+    },
+}
+
 /// What a node is to the reverse sweep.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Kind {
     /// Computed by an operation; released once the sweep has passed it.
     Op,
-    /// A leaf whose gradient, if it needs one, accumulates on the tape.
+    /// An input or constant; its gradient, if it needs one, accumulates
+    /// on the tape.
     Leaf,
-    /// A leaf bound by [`Graph::leaf_deferred`]: trained, but its gradient
-    /// is never formed on the tape (`needs_grad` is false).
-    Deferred,
-    /// A leaf bound by [`Graph::leaf_gathered`]: likewise, its gathers
-    /// keep their row lists.
-    Gathered,
+    /// A trained parameter bound by [`Graph::param_leaf`]. Only a `Dense`
+    /// one needs a gradient on the tape.
+    Param(GradForm),
 }
 
 struct Node {
@@ -103,10 +136,10 @@ struct Node {
     parents: Vec<Var>,
     needs_grad: bool,
     kind: Kind,
-    /// The sweep must not release the value: the `X` of a deferred product.
+    /// The sweep must not release the value: the `X` of a product.
     keep_value: bool,
-    /// The sweep must not release the gradient: the `dY` of a deferred
-    /// product or of a gathered leaf's gather.
+    /// The sweep must not release the gradient: the `dY` of a product or
+    /// of a row list.
     keep_grad: bool,
     backward: Option<BackFn>,
 }
@@ -118,49 +151,27 @@ impl Node {
     }
 }
 
-/// A deferred leaf's one use: `node = matmul(lhs, leaf)`.
-struct DeferredUse {
-    leaf: Var,
-    lhs: Var,
-    node: Var,
-}
-
-/// One gather from a gathered leaf: `node = index_select0(leaf, indices)`.
-struct GatherUse {
+/// One read of a `Product` or `Rows` leaf, whose gradient is the `dY`
+/// of `node`.
+struct Use {
     leaf: Var,
     node: Var,
-    indices: Vec<usize>,
+    factor: Factor,
 }
 
-/// The two factors of a deferred leaf's gradient `xᵀ · dy`, as
-/// [`Graph::take_deferred`] hands them out.
-pub struct DeferredProduct {
-    /// The deferred leaf the product is the gradient of.
-    pub leaf: Var,
-    /// The lhs value of the leaf's `matmul`, `[k, m]`; still on the tape.
-    pub x: Arc<Tensor>,
-    /// The gradient that reached the `matmul`'s output, `[k, n]`.
-    pub dy: Tensor,
-}
-
-/// One gather's share of a gathered leaf's gradient, as
-/// [`Graph::take_gathered`] hands it out: row `indices[r]` of the leaf's
-/// gradient receives row `r` of `dy`.
-pub struct GatheredRows {
-    /// The gathered leaf the rows belong to.
-    pub leaf: Var,
-    /// The gather's index list.
-    pub indices: Vec<usize>,
-    /// The gradient that reached the gather's output, one row per index.
-    pub dy: Tensor,
+/// What a [`Use`] keeps next to its `dY`.
+enum Factor {
+    /// `node = matmul(lhs, leaf)`.
+    Lhs(Var),
+    /// `node = index_select0(leaf, indices)`.
+    Indices(Vec<usize>),
 }
 
 /// A dynamic computation graph (autograd tape).
 #[derive(Default)]
 pub struct Graph {
     nodes: Vec<Node>,
-    deferred: Vec<DeferredUse>,
-    gathers: Vec<GatherUse>,
+    uses: Vec<Use>,
     /// The root of the [`backward`](Graph::backward) that swept this tape.
     swept: Option<Var>,
 }
@@ -187,8 +198,7 @@ impl Graph {
     /// re-growing the tape vector from scratch every iteration.
     pub fn reset(&mut self) {
         self.nodes.clear();
-        self.deferred.clear();
-        self.gathers.clear();
+        self.uses.clear();
         self.swept = None;
     }
 
@@ -197,33 +207,21 @@ impl Graph {
         self.nodes.is_empty()
     }
 
-    /// Add a leaf node. `requires_grad` marks trainable parameters.
+    /// Add a leaf node the tape owns. `requires_grad` asks for its
+    /// gradient on the tape (a trained parameter binds through
+    /// [`param_leaf`](Graph::param_leaf) instead).
     pub fn leaf(&mut self, value: Tensor, requires_grad: bool) -> Var {
         self.push_leaf(Value::Owned(value), requires_grad, Kind::Leaf)
     }
 
-    /// Add a leaf whose value stays shared with the caller: the tape holds
-    /// a reference, not a copy, for as long as the node exists.
-    pub fn leaf_shared(&mut self, value: Arc<Tensor>, requires_grad: bool) -> Var {
-        self.push_leaf(Value::Shared(value), requires_grad, Kind::Leaf)
-    }
-
-    /// Add a trained leaf whose gradient the tape never forms: it may be
-    /// read once, as the rhs of a [`matmul`](Graph::matmul) — anything
-    /// else panics when the op is recorded — and after
-    /// [`backward`](Graph::backward) its gradient is the product
-    /// [`take_deferred`](Graph::take_deferred) lists.
-    pub fn leaf_deferred(&mut self, value: Arc<Tensor>) -> Var {
-        self.push_leaf(Value::Shared(value), false, Kind::Deferred)
-    }
-
-    /// Add a trained leaf that is only ever gathered from: any reader
-    /// but [`index_select0`](Graph::index_select0) panics when the op is
-    /// recorded, the tape never forms the leaf's `[rows, ..]` gradient,
-    /// and after [`backward`](Graph::backward) that gradient is the row
-    /// lists [`take_gathered`](Graph::take_gathered) hands out.
-    pub fn leaf_gathered(&mut self, value: Arc<Tensor>) -> Var {
-        self.push_leaf(Value::Shared(value), false, Kind::Gathered)
+    /// Add a trained parameter whose gradient leaves the tape in `form`.
+    /// The value stays shared with the caller: the tape holds a reference,
+    /// not a copy, for as long as the node exists. An op reading the leaf
+    /// in a way `form` does not admit panics where it is recorded; after
+    /// [`backward`](Graph::backward) the gradient is what
+    /// [`take_params`](Graph::take_params) hands out for the leaf.
+    pub fn param_leaf(&mut self, value: Arc<Tensor>, form: GradForm) -> Var {
+        self.push_leaf(Value::Shared(value), form == GradForm::Dense, Kind::Param(form))
     }
 
     fn push_leaf(&mut self, value: Value, requires_grad: bool, kind: Kind) -> Var {
@@ -309,14 +307,13 @@ impl Graph {
         self.nodes[v.0].needs_grad
     }
 
-    /// Whether `v` is a [deferred](Graph::leaf_deferred) leaf.
-    pub fn is_deferred(&self, v: Var) -> bool {
-        self.nodes[v.0].kind == Kind::Deferred
-    }
-
-    /// Whether `v` is a [gathered](Graph::leaf_gathered) leaf.
-    pub fn is_gathered(&self, v: Var) -> bool {
-        self.nodes[v.0].kind == Kind::Gathered
+    /// The form `v`'s gradient leaves the tape in, when `v` is a
+    /// [parameter leaf](Graph::param_leaf).
+    pub fn grad_form(&self, v: Var) -> Option<GradForm> {
+        match self.nodes[v.0].kind {
+            Kind::Param(form) => Some(form),
+            Kind::Op | Kind::Leaf => None,
+        }
     }
 
     /// Whether `v` is a leaf: it was created directly from a tensor rather
@@ -326,8 +323,8 @@ impl Graph {
     }
 
     /// Shape of the gradient the tape holds at `v`, if it holds one: after
-    /// a sweep, a leaf's, or the `dY` of a product or row list not yet
-    /// taken. Never panics (for auditing).
+    /// a sweep, a leaf's, or the `dY` of a part not yet taken. Never
+    /// panics (for auditing).
     pub fn held_grad_shape(&self, v: Var) -> Option<&[usize]> {
         self.nodes[v.0].grad.as_ref().map(Tensor::shape)
     }
@@ -342,8 +339,8 @@ impl Graph {
         self.push_reading(value, parents, backward, None)
     }
 
-    /// Record an op. Only the parent in slot `special` may be a deferred
-    /// or gathered leaf — the caller is the op that leaf's kind admits.
+    /// Record an op. Only the parent in slot `special` may be a `Product`
+    /// or `Rows` leaf — the caller is the one read that leaf's form admits.
     fn push_reading(
         &mut self,
         value: Tensor,
@@ -352,17 +349,19 @@ impl Graph {
         special: Option<usize>,
     ) -> Var {
         for (slot, p) in parents.iter().enumerate() {
-            match self.nodes[p.0].kind {
-                _ if special == Some(slot) => {}
-                Kind::Deferred => panic!("deferred leaf {} may only be the rhs of a matmul", p.0),
-                Kind::Gathered => panic!("gathered leaf {} may only be read by index_select0", p.0),
-                Kind::Op | Kind::Leaf => {}
-            }
+            let Kind::Param(form) = self.nodes[p.0].kind else { continue };
+            let readers = match form {
+                GradForm::Dense => continue,
+                GradForm::Product => "only one matmul rhs may read it",
+                GradForm::Rows => "only index_select0 may read it",
+            };
+            assert!(special == Some(slot), "leaf {} has a {form:?} gradient: {readers}", p.0);
         }
-        // Such a leaf needs no gradient itself but its reader does.
+        // A parameter leaf's reader needs a gradient, whether or not the
+        // tape forms the leaf's own.
         let needs_grad = parents.iter().any(|p| {
             let p = &self.nodes[p.0];
-            p.needs_grad || matches!(p.kind, Kind::Deferred | Kind::Gathered)
+            p.needs_grad || matches!(p.kind, Kind::Param(_))
         });
         self.nodes.push(Node {
             value: Value::Owned(value),
@@ -380,8 +379,7 @@ impl Graph {
     /// Run reverse-mode differentiation from `root` (seeded with ones),
     /// releasing every computed node the sweep is done with: afterwards
     /// the tape holds the leaves (values and gradients), `root`'s value,
-    /// and the factors [`take_deferred`](Graph::take_deferred) and
-    /// [`take_gathered`](Graph::take_gathered) hand out.
+    /// and the factors [`take_params`](Graph::take_params) hands out.
     ///
     /// Existing gradients on the tape are cleared first.
     ///
@@ -447,34 +445,33 @@ impl Graph {
         }
     }
 
-    /// After [`backward`](Graph::backward): the gradient of every deferred
-    /// leaf as its two factors, in recording order. A leaf whose `matmul`
-    /// no gradient reached is absent. `dy` is moved off the tape (like
-    /// [`take_grad`](Graph::take_grad)); `x` — which the sweep did not
-    /// release — stays a value of the tape, shared with the returned
-    /// handle, which outlives a [`reset`](Graph::reset).
-    pub fn take_deferred(&mut self) -> Vec<DeferredProduct> {
-        let mut out = Vec::with_capacity(self.deferred.len());
-        for i in 0..self.deferred.len() {
-            let DeferredUse { leaf, lhs, node } = self.deferred[i];
-            let Some(dy) = self.nodes[node.0].grad.take() else { continue };
-            out.push(DeferredProduct { leaf, x: self.share_value(lhs), dy });
-        }
-        out
-    }
-
     /// After [`backward`](Graph::backward): the gradient of every
-    /// gathered leaf as row lists, one per gather a gradient reached, in
-    /// the order the sweep met them (reverse recording order — the order
-    /// a plain leaf's gradient would have added them up in). Indices and
-    /// `dy` are moved off the tape; a second call finds nothing.
-    pub fn take_gathered(&mut self) -> Vec<GatheredRows> {
-        let nodes = &mut self.nodes;
-        let taken = self.gathers.drain(..).rev().filter_map(|GatherUse { leaf, node, indices }| {
-            let dy = nodes[node.0].grad.take()?;
-            Some(GatheredRows { leaf, indices, dy })
-        });
-        taken.collect()
+    /// [parameter leaf](Graph::param_leaf) a gradient reached, as parts of
+    /// its form. That is one `Dense` part, one `Product`, or one `Rows`
+    /// list per gather. A leaf's row lists come in the order the sweep met
+    /// them (reverse recording order), which is the order a `Dense` leaf's
+    /// gradient adds them up in. Gradients and indices are moved off the
+    /// tape, so a second call finds nothing. A product's `x`, which the
+    /// sweep did not release, stays a value of the tape, shared with the
+    /// returned handle, which outlives a [`reset`](Graph::reset).
+    pub fn take_params(&mut self) -> Vec<(Var, GradPart)> {
+        let mut out = Vec::new();
+        for (i, node) in self.nodes.iter_mut().enumerate() {
+            if node.kind == Kind::Param(GradForm::Dense) {
+                out.extend(node.grad.take().map(|g| (Var(i), GradPart::Dense(g))));
+            }
+        }
+        let mut uses = std::mem::take(&mut self.uses);
+        for Use { leaf, node, factor } in uses.drain(..).rev() {
+            let Some(dy) = self.nodes[node.0].grad.take() else { continue };
+            let part = match factor {
+                Factor::Lhs(lhs) => GradPart::Product { x: self.share_value(lhs), dy },
+                Factor::Indices(indices) => GradPart::Rows { indices, dy },
+            };
+            out.push((leaf, part));
+        }
+        self.uses = uses;
+        out
     }
 
     /// A shared handle to `v`'s value, which the tape keeps reading.
@@ -561,15 +558,11 @@ impl Graph {
     // Linear algebra
     // ---------------------------------------------------------------------
 
-    /// 2-D matrix product `A · B`. `B` may be a
-    /// [deferred](Graph::leaf_deferred) leaf not read before: backward
-    /// then computes `dA` alone.
+    /// 2-D matrix product `A · B`. `B` may be a `Product` leaf not read
+    /// before: backward then computes `dA` alone.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let deferred_rhs = self.is_deferred(b);
-        if deferred_rhs {
-            let earlier = self.deferred.iter().any(|u| u.leaf == b);
-            assert!(!earlier, "deferred leaf {} is read by a second matmul", b.0);
-        }
+        let product_rhs =
+            self.grad_form(b) == Some(GradForm::Product) && !self.uses.iter().any(|u| u.leaf == b);
         let value = ops::matmul(self.value(a), self.value(b));
         let node = self.push_reading(
             value,
@@ -580,12 +573,12 @@ impl Graph {
                     needs[1].then(|| ops::matmul_tn(pv[0], g)),
                 ]
             }),
-            deferred_rhs.then_some(1),
+            product_rhs.then_some(1),
         );
-        if deferred_rhs {
+        if product_rhs {
             self.nodes[a.0].keep_value = true;
             self.nodes[node.0].keep_grad = true;
-            self.deferred.push(DeferredUse { leaf: b, lhs: a, node });
+            self.uses.push(Use { leaf: b, node, factor: Factor::Lhs(a) });
         }
         node
     }
@@ -827,18 +820,17 @@ impl Graph {
     // Gather / structure
     // ---------------------------------------------------------------------
 
-    /// Gather rows along axis 0 (embedding lookup). From a
-    /// [gathered](Graph::leaf_gathered) leaf, backward scatters nothing:
-    /// the gather keeps `(indices, dY)` for
-    /// [`take_gathered`](Graph::take_gathered).
+    /// Gather rows along axis 0 (embedding lookup). From a `Rows` leaf,
+    /// backward scatters nothing: the gather keeps `(indices, dY)` for
+    /// [`take_params`](Graph::take_params).
     pub fn index_select0(&mut self, a: Var, indices: &[usize]) -> Var {
         let value = self.value(a).index_select0(indices);
         let idx = indices.to_vec();
-        if self.is_gathered(a) {
+        if self.grad_form(a) == Some(GradForm::Rows) {
             let scatters_nothing: BackFn = Box::new(|_, _, _, _| vec![None]);
             let node = self.push_reading(value, vec![a], scatters_nothing, Some(0));
             self.nodes[node.0].keep_grad = true;
-            self.gathers.push(GatherUse { leaf: a, node, indices: idx });
+            self.uses.push(Use { leaf: a, node, factor: Factor::Indices(idx) });
             return node;
         }
         self.push(
@@ -1250,88 +1242,185 @@ mod tests {
         assert_eq!(g.grad(b).unwrap().data(), &[2., 2.]);
     }
 
-    /// `loss = Σ (x · w + b)²` with `w` bound plain or deferred; returns
-    /// the tape and `(x, w)`.
-    fn linear_tape(deferred: bool) -> (Graph, Var, Var) {
+    /// A tape that reads a `[4, 2]` parameter bound in `form` the way
+    /// `reader` admits, swept: `Σ (x · w)²` for `Product`, and otherwise
+    /// `Σ gather(w, [1, 1, 3]) ⊙ x + Σ gather(w, [3, 0]) ⊙ c`. Returns the
+    /// tape and `(x, w)`.
+    fn form_tape(form: GradForm, reader: GradForm) -> (Graph, Var, Var) {
         let mut g = Graph::new();
-        let x = g.leaf(t2(&[3, 2], &[0.5, -1.0, 2.0, 0.25, -0.0, 1.5]), true);
-        let weight = Arc::new(t2(&[2, 4], &[0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]));
-        let w = if deferred { g.leaf_deferred(weight) } else { g.leaf_shared(weight, true) };
-        let b = g.leaf(t2(&[4], &[0.01, -0.02, 0.03, 0.0]), true);
-        let y = g.matmul(x, w);
-        let y = g.add(y, b);
-        let sq = g.mul(y, y);
-        let loss = g.sum_all(sq);
+        let x =
+            g.leaf(t2(&[3, 4], &[0.5, -1., 2., 0.25, -0., 1.5, 3., -2., 1., 7., -0.5, 4.]), true);
+        let table = t2(&[4, 2], &[0.1, -0.2, 0.3, 0.4, -0.5, 0.6, 0.7, -0.8]);
+        let w = g.param_leaf(Arc::new(table), form);
+        let loss = if reader == GradForm::Product {
+            let y = g.matmul(x, w);
+            let sq = g.mul(y, y);
+            g.sum_all(sq)
+        } else {
+            let xs = g.reshape(x, vec![6, 2]);
+            let seeds =
+                [g.index_select0(xs, &[0, 1, 2]), g.constant(t2(&[2, 2], &[7., 8., 9., -1.]))];
+            let mut loss = None;
+            for (idx, seed) in [&[1, 1, 3][..], &[3, 0]].into_iter().zip(seeds) {
+                let rows = g.index_select0(w, idx);
+                let weighted = g.mul(rows, seed);
+                let s = g.sum_all(weighted);
+                loss = Some(loss.map_or(s, |l| g.add(l, s)));
+            }
+            loss.unwrap()
+        };
         g.backward(loss);
         (g, x, w)
     }
 
+    /// `parts` added up the way the tape forms a `Dense` leaf's gradient:
+    /// each part as the tensor its op's backward builds, in order.
+    fn formed(parts: Vec<(Var, GradPart)>, shape: &[usize]) -> Tensor {
+        let as_tensor = |part: GradPart| match part {
+            GradPart::Dense(g) => g,
+            GradPart::Product { x, dy } => ops::matmul_tn(&x, &dy),
+            GradPart::Rows { indices, dy } => {
+                let mut g = Tensor::zeros(shape.to_vec());
+                let w = shape[1];
+                for (r, &i) in indices.iter().enumerate() {
+                    let src = &dy.data()[r * w..(r + 1) * w];
+                    g.data_mut()[i * w..(i + 1) * w].iter_mut().zip(src).for_each(|(d, s)| *d += s);
+                }
+                g
+            }
+        };
+        let mut tensors = parts.into_iter().map(|(_, part)| as_tensor(part));
+        let mut total = tensors.next().expect("a gradient reached the leaf");
+        tensors.for_each(|g| total.add_assign(&g));
+        total
+    }
+
+    /// A leaf bound `Dense` and one bound `reader` (the form the tape's
+    /// reads admit), each over [`form_tape`]: both hand out parts that add
+    /// up to the `Dense` leaf's gradient bits, the `reader` leaf's in its
+    /// own form.
+    fn hands_out_the_parts_of_the_dense_leafs_gradient(reader: GradForm) {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let (dense, x, w) = form_tape(GradForm::Dense, reader);
+        let want = bits(dense.grad(w).unwrap());
+        for form in [GradForm::Dense, reader] {
+            let (mut tape, xf, wf) = form_tape(form, reader);
+            assert_eq!(bits(tape.grad(xf).unwrap()), bits(dense.grad(x).unwrap()), "dA");
+            assert_eq!(tape.grad_form(wf), Some(form));
+            assert_eq!(tape.needs_grad(wf), form == GradForm::Dense);
+            let parts = tape.take_params();
+            assert!(parts.iter().all(|(leaf, _)| *leaf == wf));
+            match (form, &parts[..]) {
+                (GradForm::Dense, [(_, GradPart::Dense(_))]) => {}
+                (GradForm::Product, [(_, GradPart::Product { x, .. })]) => {
+                    assert!(std::ptr::eq(&**x, tape.value(xf)), "x is the tape's own, shared");
+                }
+                (
+                    GradForm::Rows,
+                    [(_, GradPart::Rows { indices: first, .. }), (_, GradPart::Rows { indices: second, .. })],
+                ) => {
+                    // Sweep order: the later gather comes first.
+                    assert_eq!((&first[..], &second[..]), (&[3, 0][..], &[1, 1, 3][..]));
+                }
+                _ => panic!("{form:?}: {} parts of the wrong form", parts.len()),
+            }
+            assert!(tape.take_params().is_empty(), "{form:?}: a second take finds nothing");
+            // The parts outlive the tape.
+            tape.reset();
+            assert_eq!(bits(&formed(parts, &[4, 2])), want, "{form:?} read as {reader:?}");
+        }
+    }
+
     #[test]
     fn deferred_leaf_leaves_the_factors_of_the_plain_leafs_gradient() {
-        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let (plain, x, w) = linear_tape(false);
-        let (mut tape, xd, wd) = linear_tape(true);
-        assert_eq!(bits(tape.grad(xd).unwrap()), bits(plain.grad(x).unwrap()), "dA");
-        assert!(tape.is_deferred(wd) && !tape.needs_grad(wd) && tape.grad(wd).is_none());
-        let products = tape.take_deferred();
-        assert_eq!(products.len(), 1);
-        let p = &products[0];
-        assert_eq!(p.leaf, wd);
-        assert!(std::ptr::eq(&*p.x, tape.value(xd)), "x is the tape's own value, shared");
-        let mut dw = Tensor::zeros(vec![2, 4]);
-        ops::matmul_tn_acc_into(dw.data_mut(), 2, 4, &[(p.x.data(), p.dy.data())]);
-        assert_eq!(bits(&dw), bits(plain.grad(w).unwrap()), "dW");
-        // The factors outlive the tape; a second take finds nothing.
-        assert!(tape.take_deferred().is_empty());
-        tape.reset();
-        assert_eq!(p.x.shape(), &[3, 2]);
+        hands_out_the_parts_of_the_dense_leafs_gradient(GradForm::Product);
+    }
+
+    #[test]
+    fn a_gathered_leaf_hands_out_row_lists_in_sweep_order() {
+        hands_out_the_parts_of_the_dense_leafs_gradient(GradForm::Rows);
+    }
+
+    /// A leaf bound `Dense` and one bound `form`, each read the way `form`
+    /// admits on a dead end the loss does not reach: neither has a part.
+    fn no_part_when_no_gradient_reaches(form: GradForm) {
+        for bound in [GradForm::Dense, form] {
+            let mut g = Graph::new();
+            let x = g.leaf(t2(&[1, 2], &[1., 2.]), true);
+            let w = g.param_leaf(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])), bound);
+            let _dead_end =
+                if form == GradForm::Rows { g.index_select0(w, &[1]) } else { g.matmul(x, w) };
+            let loss = g.sum_all(x);
+            g.backward(loss);
+            assert!(g.take_params().is_empty(), "{bound:?}");
+        }
     }
 
     #[test]
     fn a_deferred_leaf_no_gradient_reaches_lists_no_product() {
-        let mut g = Graph::new();
-        let x = g.leaf(t2(&[1, 2], &[1., 2.]), true);
-        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
-        let _dead_end = g.matmul(x, w);
-        let loss = g.sum_all(x);
-        g.backward(loss);
-        assert!(g.take_deferred().is_empty());
+        no_part_when_no_gradient_reaches(GradForm::Product);
     }
 
     #[test]
-    #[should_panic(expected = "may only be the rhs of a matmul")]
+    fn a_gather_no_gradient_reaches_lists_no_rows() {
+        no_part_when_no_gradient_reaches(GradForm::Rows);
+    }
+
+    /// A `[2, 2]` leaf bound `form` (node 0) and a plain `[2, 2]` leaf `x`,
+    /// handed to `read`.
+    fn read_param(form: GradForm, read: impl FnOnce(&mut Graph, Var, Var)) {
+        let mut g = Graph::new();
+        let w = g.param_leaf(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])), form);
+        let x = g.leaf(t2(&[2, 2], &[1.; 4]), true);
+        read(&mut g, w, x);
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf 0 has a Product gradient: only one matmul rhs may read it")]
     fn a_deferred_leaf_read_by_another_op_panics_where_it_is_recorded() {
-        let mut g = Graph::new();
-        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
-        g.scale(w, 2.0);
+        read_param(GradForm::Product, |g, w, _| _ = g.scale(w, 2.0));
     }
 
     #[test]
-    #[should_panic(expected = "may only be the rhs of a matmul")]
+    #[should_panic(expected = "leaf 0 has a Product gradient: only one matmul rhs may read it")]
     fn a_deferred_leaf_as_matmul_lhs_panics() {
-        let mut g = Graph::new();
-        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
-        let x = g.leaf(t2(&[2, 2], &[1.; 4]), true);
-        g.matmul(w, x);
+        read_param(GradForm::Product, |g, w, x| _ = g.matmul(w, x));
     }
 
     #[test]
-    #[should_panic(expected = "read by a second matmul")]
+    #[should_panic(expected = "leaf 0 has a Product gradient: only one matmul rhs may read it")]
     fn a_deferred_leaf_read_twice_panics() {
-        let mut g = Graph::new();
-        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
-        let x = g.leaf(t2(&[2, 2], &[1.; 4]), true);
-        let y = g.matmul(x, w);
-        g.matmul(y, w);
+        read_param(GradForm::Product, |g, w, x| {
+            let y = g.matmul(x, w);
+            g.matmul(y, w);
+        });
     }
 
-    /// `loss = Σ (2x · w)²` over a computed lhs, `w` deferred; returns the
-    /// tape and `(x, lhs, product, loss)`.
+    #[test]
+    #[should_panic(expected = "leaf 0 has a Product gradient: only one matmul rhs may read it")]
+    fn a_deferred_leaf_read_by_a_gather_panics() {
+        read_param(GradForm::Product, |g, w, _| _ = g.index_select0(w, &[0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf 0 has a Rows gradient: only index_select0 may read it")]
+    fn a_gathered_leaf_read_by_another_op_panics_where_it_is_recorded() {
+        read_param(GradForm::Rows, |g, w, _| _ = g.scale(w, 2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "leaf 0 has a Rows gradient: only index_select0 may read it")]
+    fn a_gathered_leaf_as_matmul_rhs_panics() {
+        read_param(GradForm::Rows, |g, w, x| _ = g.matmul(x, w));
+    }
+
+    /// `loss = Σ (2x · w)²` over a computed lhs, `w` a `Product` leaf;
+    /// returns the tape and `(x, lhs, product, loss)`.
     fn swept_tape() -> (Graph, Var, Var, Var, Var) {
         let mut g = Graph::new();
         let x = g.leaf(t2(&[3, 2], &[0.5, -1.0, 2.0, 0.25, -0.0, 1.5]), true);
         let lhs = g.scale(x, 2.0);
-        let w = g.leaf_deferred(Arc::new(t2(&[2, 2], &[0.1, -0.2, 0.3, 0.4])));
+        let w = g.param_leaf(Arc::new(t2(&[2, 2], &[0.1, -0.2, 0.3, 0.4])), GradForm::Product);
         let y = g.matmul(lhs, w);
         let sq = g.mul(y, y);
         let loss = g.sum_all(sq);
@@ -1351,8 +1440,9 @@ mod tests {
         assert_eq!(g.held_grad_shape(y), Some(&[3, 2][..]));
         // Everything else is gone, its shape still on record.
         assert_eq!((g.shape(y), g.held_grad_shape(lhs)), (&[3, 2][..], None));
-        let products = g.take_deferred();
-        assert!(std::ptr::eq(&*products[0].x, g.value(lhs)));
+        let parts = g.take_params();
+        let [(_, GradPart::Product { x, .. })] = &parts[..] else { panic!("one product") };
+        assert!(std::ptr::eq(&**x, g.value(lhs)));
         assert_eq!(g.held_grad_shape(y), None);
     }
 
@@ -1375,60 +1465,6 @@ mod tests {
     fn a_second_backward_over_a_swept_tape_panics() {
         let (mut g, _, _, _, loss) = swept_tape();
         g.backward(loss);
-    }
-
-    #[test]
-    fn a_gathered_leaf_hands_out_row_lists_in_sweep_order() {
-        // Two gathers of one table, each output weighted by a constant so
-        // its `dY` is that constant; the plain leaf scatters the same rows.
-        let table = Arc::new(t2(&[4, 2], &[0.; 8]));
-        let seeds = [t2(&[3, 2], &[1., -2., 3., 4., -0., 6.]), t2(&[2, 2], &[7., 8., 9., -1.])];
-        let lists: [&[usize]; 2] = [&[1, 1, 3], &[3, 0]];
-        let run = |gathered: bool| {
-            let mut g = Graph::new();
-            let t = Arc::clone(&table);
-            let w = if gathered { g.leaf_gathered(t) } else { g.leaf_shared(t, true) };
-            let mut loss = None;
-            for (idx, seed) in lists.iter().zip(&seeds) {
-                let rows = g.index_select0(w, idx);
-                let c = g.constant(seed.clone());
-                let weighted = g.mul(rows, c);
-                let s = g.sum_all(weighted);
-                loss = Some(loss.map_or(s, |l| g.add(l, s)));
-            }
-            g.backward(loss.unwrap());
-            (g, w)
-        };
-        let (mut g, w) = run(true);
-        assert!(g.is_gathered(w) && !g.needs_grad(w) && g.grad(w).is_none());
-        let rows = g.take_gathered();
-        assert_eq!(rows.len(), 2);
-        for (got, want) in rows.iter().zip([1, 0]) {
-            assert_eq!((got.leaf, &got.indices[..]), (w, lists[want]));
-            assert_eq!(got.dy, seeds[want]);
-        }
-        assert!(g.take_gathered().is_empty());
-        let (dense, w) = run(false);
-        assert_eq!(dense.grad(w).unwrap().data(), &[9., -1., 4., 2., 0., 0., 7., 14.]);
-    }
-
-    #[test]
-    fn a_gather_no_gradient_reaches_lists_no_rows() {
-        let mut g = Graph::new();
-        let w = g.leaf_gathered(Arc::new(t2(&[2, 2], &[1., 2., 3., 4.])));
-        let x = g.leaf(t2(&[2], &[1., 2.]), true);
-        let _dead_end = g.index_select0(w, &[0]);
-        let loss = g.sum_all(x);
-        g.backward(loss);
-        assert!(g.take_gathered().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "gathered leaf 0 may only be read by index_select0")]
-    fn a_gathered_leaf_read_by_another_op_panics_where_it_is_recorded() {
-        let mut g = Graph::new();
-        let w = g.leaf_gathered(Arc::new(t2(&[2, 2], &[1., 0., 0., 1.])));
-        g.scale(w, 2.0);
     }
 
     #[test]

@@ -1,0 +1,25 @@
+#!/usr/bin/env bash
+# Lines added, removed and net under crates/*/src (inline #[cfg(test)]
+# modules included, crates/*/tests not) against a base revision: the
+# number every simplicity change reports.
+#
+#   scripts/net_src_lines.sh [base]
+#
+# `base` defaults to the merge-base of HEAD with main (origin/main where
+# there is no local main branch). Uncommitted changes to tracked files
+# count; untracked files do not until they are added.
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+if [ $# -gt 0 ]; then
+  base="$1"
+else
+  main=main
+  git rev-parse --verify -q "$main" >/dev/null || main=origin/main
+  base=$(git merge-base HEAD "$main")
+fi
+
+# Binary files count `-`, which awk reads as 0.
+git diff --numstat "$base" -- ':(glob)crates/*/src/**' | awk -v base="$base" '
+  { added += $1; removed += $2 }
+  END { printf "crates/*/src vs %s: added %d, removed %d, net %+d\n", base, added, removed, added - removed }'
