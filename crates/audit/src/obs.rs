@@ -33,8 +33,6 @@ pub struct MetricsLogReport {
 /// * the stream is alive — at least one event and one span;
 /// * a step's `wgrad_ns` (weight-gradient products) is part of its
 ///   `reduce_ns`, never more, so the phases still partition the step;
-/// * a step that drew tensor buffers (`pool_hits`, `pool_misses`) says
-///   how many bytes of them it held at its fullest (`tape_peak_bytes`);
 /// * the observed §4.4 mask-selection ratios sit within the drift
 ///   tolerance of their configured targets (2% absolute, widened for
 ///   small samples where binomial noise alone exceeds it).
@@ -50,16 +48,6 @@ pub fn check_metrics_log(text: &str) -> Result<MetricsLogReport, Vec<AuditError>
             errors.push(AuditError::MetricsSchema {
                 detail: format!(
                     "step {}: wgrad_ns {wgrad:?} exceeds the reduce_ns {reduce:?} it is part of",
-                    ev.step
-                ),
-            });
-        }
-        let drawn =
-            ev.u64_field("pool_hits").unwrap_or(0) + ev.u64_field("pool_misses").unwrap_or(0);
-        if drawn > 0 && ev.u64_field("tape_peak_bytes").unwrap_or(0) == 0 {
-            errors.push(AuditError::MetricsSchema {
-                detail: format!(
-                    "step {}: {drawn} tensor buffers drawn but no tape_peak_bytes held",
                     ev.step
                 ),
             });
@@ -144,17 +132,6 @@ mod tests {
         let errors = check_metrics_log(&with_phases(900, 901)).unwrap_err();
         assert!(matches!(&errors[0], AuditError::MetricsSchema { detail }
             if detail.contains("wgrad_ns") && detail.contains("step 1")));
-    }
-
-    #[test]
-    fn a_step_that_drew_buffers_reports_its_tape_peak() {
-        let with_pool = |fields: &str| stream(200, 600).replace("\"loss\":8.0,", fields);
-        let ok = "\"loss\":8.0,\"pool_hits\":40,\"pool_misses\":2,\"tape_peak_bytes\":4096,";
-        assert!(check_metrics_log(&with_pool(ok)).is_ok());
-        assert!(check_metrics_log(&with_pool("\"loss\":8.0,\"pool_hits\":0,")).is_ok());
-        let errors = check_metrics_log(&with_pool("\"loss\":8.0,\"pool_misses\":2,")).unwrap_err();
-        assert!(matches!(&errors[0], AuditError::MetricsSchema { detail }
-            if detail.contains("tape_peak_bytes") && detail.contains("step 1")));
     }
 
     #[test]

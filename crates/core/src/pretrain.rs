@@ -18,7 +18,7 @@ use turl_nn::{
     snapshot_params, Adam, AdamConfig, Forward, LinearDecaySchedule, ParamStore, ProgressState,
     RngStateRepr, SerializeError, TrainerCheckpoint, CHECKPOINT_VERSION,
 };
-use turl_tensor::{pool, BufferPool};
+use turl_tensor::pool;
 
 /// The masking decisions for one table: which positions were selected and
 /// what their recovery targets are.
@@ -247,10 +247,6 @@ pub struct Pretrainer {
     /// parameter bindings are recycled across steps instead of
     /// reallocated (see `Graph::reset`).
     scratch: Vec<Forward>,
-    /// Where a step's tensors — activations, gradients, kernel scratch —
-    /// get their buffers and leave them for the next step, instead of
-    /// the allocator. Trimmed every step to what that step used.
-    buffers: BufferPool,
 }
 
 impl Pretrainer {
@@ -274,7 +270,6 @@ impl Pretrainer {
             schedule: None,
             progress: ProgressState::default(),
             scratch: Vec::new(),
-            buffers: BufferPool::new(),
         }
     }
 
@@ -318,15 +313,14 @@ impl Pretrainer {
     ///
     /// A steady-state step moves no weight-sized memory: tapes bind
     /// parameters as shared leaves and are reset before the optimizer
-    /// writes, every tensor buffer comes from and returns to the
-    /// trainer's [`BufferPool`] — the backward sweep hands back each
-    /// node's buffers as it passes, so a tape is at its fullest when the
-    /// forward ends — no `linear` weight's gradient exists per
-    /// table — a tape hands over the factors `X`, `dY` and the reduce
-    /// adds every table's `Xᵀ · dY` into the store in one kernel call —
-    /// nor does a `[vocab, d]` gradient of a table that is only gathered
-    /// from, whose gathers hand over `(rows, dY)` — and the reduce →
-    /// clip → Adam tail is two passes fanned out over parameters.
+    /// writes, the backward sweep frees each node's tensors as it passes
+    /// (so a tape is at its fullest when the forward ends), no `linear`
+    /// weight's gradient exists per table — a tape hands over the factors
+    /// `X`, `dY` and the reduce adds every table's `Xᵀ · dY` into the
+    /// store in one kernel call — nor does a `[vocab, d]` gradient of a
+    /// table that is only gathered from, whose gathers hand over
+    /// `(rows, dY)` — and the reduce → clip → Adam tail is two passes
+    /// fanned out over parameters.
     pub fn train_step(
         &mut self,
         batch: &[(TableInstance, EncodedInput)],
@@ -359,11 +353,6 @@ impl Pretrainer {
         let obs_on = turl_obs::metrics_enabled();
         let prep_timer = turl_obs::Timer::start();
         let mut mask_counts = [0u64; 4]; // mlm sel, mlm total, mer sel, mer total
-
-        // Until the gradients are reduced, tensors built on this thread
-        // draw from the step's buffer pool and dropped ones return to it.
-        let recycling = self.buffers.enter();
-        let drawn_before = self.buffers.stats();
 
         // Serial phase: all randomness for the step, in batch order.
         let mut prepared: Vec<(usize, EncodedInput, MaskPlan, Vec<usize>, u64)> = Vec::new();
@@ -432,10 +421,8 @@ impl Pretrainer {
         // Parallel phase: one independent forward/backward per table.
         let model = &self.model;
         let store = &self.store;
-        let buffers = &self.buffers;
         let aux = self.aux_relations.as_ref();
         pool::parallel_for_each_mut(&mut slots, |_, slot| {
-            let _recycling = buffers.enter(); // on whichever worker runs this table
             let fwd_timer = turl_obs::Timer::start();
             let inst = &batch[slot.batch_idx].0;
             let enc = &slot.enc;
@@ -504,8 +491,8 @@ impl Pretrainer {
             slot.obs.bwd_ns = bwd_timer.elapsed_ns();
             slot.out = Some((loss_value, f.take_grads()));
             // Let go of the parameters (so the optimizer writes them in
-            // place) and hand the tape's buffers to the next table; the
-            // weight-gradient factors just taken outlive the reset.
+            // place) and free the tape's tensors; the weight-gradient
+            // factors just taken outlive the reset.
             f.reset(true);
         });
         let par_ns = par_timer.elapsed_ns();
@@ -533,9 +520,6 @@ impl Pretrainer {
         }
         let reduced = self.store.reduce(&table_grads);
         drop(table_grads);
-        drop(recycling);
-        let drawn = self.buffers.stats();
-        self.buffers.trim();
         let reduce_ns = reduce_timer.elapsed_ns();
         let opt_timer = turl_obs::Timer::start();
         if let Some(s) = &self.schedule {
@@ -595,13 +579,6 @@ impl Pretrainer {
                     ("mlm_candidates", mask_counts[1].into()),
                     ("mer_selected", mask_counts[2].into()),
                     ("mer_candidates", mask_counts[3].into()),
-                    // Tensor buffers the step drew: recycled, newly
-                    // allocated, and the bytes of the latter.
-                    ("pool_hits", (drawn.hits - drawn_before.hits).into()),
-                    ("pool_misses", (drawn.misses - drawn_before.misses).into()),
-                    ("tape_bytes_fresh", (drawn.fresh_bytes - drawn_before.fresh_bytes).into()),
-                    // The most bytes of them the step's tapes held at once.
-                    ("tape_peak_bytes", drawn.peak_bytes.into()),
                 ],
             );
         }
@@ -963,179 +940,6 @@ mod tests {
         }
     }
 
-    /// Park NaN-filled buffers of every capacity class up to `max_len`
-    /// elements in `pool`, `depth` of each.
-    fn poison(pool: &BufferPool, max_len: usize, depth: usize) {
-        let _scope = pool.enter();
-        let mut len = 256.0f64;
-        while (len as usize) <= max_len {
-            drop(vec![turl_tensor::Tensor::full(vec![len as usize], f32::NAN); depth]);
-            len *= 1.12; // finer than the classes, so none is skipped
-        }
-    }
-
-    #[test]
-    fn pooled_tape_equals_unpooled_tape_bit_for_bit() {
-        // The same training-mode forward + backward with no pool at all
-        // and inside a pool holding nothing but NaN buffers: every value
-        // the tape produces must come out the same.
-        let (kb, vocab, data, _) = setup();
-        let cfg = TurlConfig::small(12);
-        let pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
-        let enc = &data[0].1;
-        let pass = || {
-            let mut f = Forward::new(&pt.store);
-            let mut rng = StdRng::seed_from_u64(3);
-            let h = pt.model.encode(&mut f, &pt.store, &mut rng, enc);
-            let loss = f.graph.mean_all(h);
-            let bits = |t: &turl_tensor::Tensor| -> Vec<u32> {
-                t.data().iter().map(|x| x.to_bits()).collect()
-            };
-            let h_bits = bits(f.graph.value(h)); // the sweep releases `h`
-            f.graph.backward(loss);
-            let grads: Vec<_> =
-                f.take_param_grads().iter().map(|(id, g)| (id.index(), bits(g))).collect();
-            (f.graph.value(loss).item().to_bits(), h_bits, grads)
-        };
-        let unpooled = pass();
-        let pool = BufferPool::new();
-        poison(&pool, 1 << 16, 8);
-        let before = pool.stats();
-        let pooled = {
-            let _scope = pool.enter();
-            pass()
-        };
-        assert!(pool.stats().hits > before.hits + 50, "the pass never drew from the pool");
-        assert_eq!(pooled.0, unpooled.0, "loss");
-        assert!(pooled.1 == unpooled.1, "encoder output");
-        assert_eq!(pooled.2.len(), unpooled.2.len());
-        for ((id, got), (_, want)) in pooled.2.iter().zip(&unpooled.2) {
-            assert!(got == want, "gradient of parameter {id}");
-        }
-    }
-
-    #[test]
-    fn poisoned_pool_never_shows_in_a_training_step() {
-        // Two trainers from one seed, one of them re-poisoned with NaN
-        // buffers before each step: a single stale value read anywhere in
-        // a step (tapes, heads, losses, kernel scratch) would turn up as a
-        // NaN or a changed bit in the losses, parameters or Adam moments.
-        let (kb, vocab, data, cooccur) = setup();
-        let fresh = || {
-            Pretrainer::new(
-                TurlConfig::small(5),
-                vocab.len(),
-                kb.n_entities(),
-                vocab.mask_id() as usize,
-            )
-        };
-        let (mut clean, mut poisoned) = (fresh(), fresh());
-        for step in 0..2 {
-            let batch = &data[step * 3..step * 3 + 3];
-            poison(&poisoned.buffers, 1 << 16, 8);
-            let want = clean.train_step(batch, &cooccur).loss().expect("stepped");
-            let got = poisoned.train_step(batch, &cooccur).loss().expect("stepped");
-            assert!(want.is_finite());
-            assert_eq!(got.to_bits(), want.to_bits(), "loss of step {step}");
-        }
-        assert!(state_bits(&poisoned.store) == state_bits(&clean.store));
-    }
-
-    #[test]
-    fn a_repeated_batch_allocates_no_tensor_buffer() {
-        // After one step has stocked the pool, the same batch at the same
-        // shapes must be served from it entirely. One table per batch: the
-        // order of draws then does not depend on how workers interleave.
-        let (kb, vocab, data, cooccur) = setup();
-        let mut pt = Pretrainer::new(
-            TurlConfig::small(7),
-            vocab.len(),
-            kb.n_entities(),
-            vocab.mask_id() as usize,
-        );
-        // Every step over the same batch has the same shapes: every
-        // position selected, mentions never masked, and the table's own
-        // entities as the only candidates.
-        pt.cfg.pretrain.mlm_select_ratio = 1.0;
-        pt.cfg.pretrain.mer_select_ratio = 1.0;
-        pt.cfg.pretrain.mer_mention_keep_share = 1.0;
-        pt.cfg.candidates.max_cooccurring = 0;
-        pt.cfg.candidates.n_random_negatives = 0;
-        let batch = &data[..1];
-        pt.train_step(batch, &cooccur).loss().expect("stepped");
-        let warm = pt.buffers.stats();
-        assert!(warm.misses > 0 && warm.fresh_bytes > 0);
-        for _ in 0..3 {
-            pt.train_step(batch, &cooccur).loss().expect("stepped");
-        }
-        let after = pt.buffers.stats();
-        assert_eq!(after.misses - warm.misses, 0, "fresh buffers after warm-up");
-        assert_eq!(after.fresh_bytes, warm.fresh_bytes);
-        assert!(after.hits > warm.hits + 3 * warm.misses, "the steps bypassed the pool");
-    }
-
-    #[test]
-    fn a_training_step_draws_no_weight_sized_buffer() {
-        // `d_model` above both vocabularies (250 words, 301 entity rows),
-        // so every tensor a step may still build — activations, logits,
-        // kernel scratch, the embedding tables' dense gradients — is
-        // smaller than the smallest `linear` weight: one weight gradient
-        // formed per table would be the largest draw of the run.
-        let (kb, vocab, data, cooccur) = setup();
-        let d = 384;
-        assert!(vocab.len() < d && kb.n_entities() + 1 < d);
-        let mut cfg = TurlConfig::tiny(3);
-        cfg.encoder = turl_nn::TransformerConfig {
-            n_layers: 1,
-            d_model: d,
-            d_intermediate: d,
-            n_heads: 4,
-            ..cfg.encoder
-        };
-        let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
-        for step in 0..2 {
-            pt.train_step(&data[step * 4..step * 4 + 4], &cooccur).loss().expect("stepped");
-        }
-        let stats = pt.buffers.stats();
-        assert!(stats.hits > 0, "the steps bypassed the pool");
-        assert!(stats.largest_draw < d * d, "a step drew {} elements", stats.largest_draw);
-        let fuse = pt.store.find("turl.fuse.weight").expect("registered");
-        assert!(pt.store.value(fuse).norm() > 0.0 && pt.opt.steps() == 2);
-    }
-
-    #[test]
-    fn a_training_step_draws_no_entity_table_sized_buffer() {
-        // The twin of the test above for the gathered tables: a narrow
-        // model over the same 301 entity rows, so `ent_emb` is the largest
-        // tensor in sight — activations, attention scores, logits, and
-        // `word_emb`'s dense `[250, d]` gradient (the tied MLM head
-        // multiplies by it) are all smaller. One `[vocab, d]` gradient
-        // formed for a gather would be the largest draw of the run.
-        let (kb, vocab, data, cooccur) = setup();
-        let d = 128;
-        assert!(vocab.len() < kb.n_entities());
-        let mut cfg = TurlConfig::tiny(3);
-        cfg.encoder = turl_nn::TransformerConfig {
-            n_layers: 1,
-            d_model: d,
-            d_intermediate: d,
-            n_heads: 4,
-            ..cfg.encoder
-        };
-        let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
-        let ent = pt.model.ent_emb.weight;
-        let before = pt.store.value(ent).clone();
-        for step in 0..2 {
-            pt.train_step(&data[step * 4..step * 4 + 4], &cooccur).loss().expect("stepped");
-        }
-        let stats = pt.buffers.stats();
-        assert!(stats.hits > 0, "the steps bypassed the pool");
-        let table = kb.n_entities() * d;
-        assert!(stats.largest_draw < table, "a step drew {} elements", stats.largest_draw);
-        assert!(stats.largest_draw >= vocab.len() * d, "word_emb's gradient is still dense");
-        assert!(pt.store.value(ent) != &before, "the row lists never reached `ent_emb`");
-    }
-
     #[test]
     fn training_is_bit_identical_with_metrics_on_or_off() {
         // The determinism invariant behind `--metrics-out` (DESIGN §5d):
@@ -1171,16 +975,7 @@ mod tests {
         assert!(events.iter().any(|e| e.kind == "step"));
         assert!(events.iter().any(|e| e.kind == "span"));
         let step = events.iter().find(|e| e.kind == "step").unwrap();
-        for key in [
-            "loss",
-            "grad_norm",
-            "mlm_selected",
-            "mlm_candidates",
-            "pool_hits",
-            "pool_misses",
-            "tape_bytes_fresh",
-            "tape_peak_bytes",
-        ] {
+        for key in ["loss", "grad_norm", "mlm_selected", "mlm_candidates"] {
             assert!(step.field(key).is_some(), "step event missing `{key}`");
         }
         // ...without perturbing a single bit of the training results

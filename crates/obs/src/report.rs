@@ -134,11 +134,6 @@ pub struct Summary {
     pub phase_ns: [u64; 5],
     /// The part of the reduce phase spent forming weight gradients, in ns.
     pub wgrad_ns: u64,
-    /// Tensor buffers the steps drew: (recycled, newly allocated, bytes of
-    /// the newly allocated).
-    pub tape_buffers: [u64; 3],
-    /// Most bytes of drawn tensor buffers any step held at once.
-    pub tape_peak_bytes: u64,
     /// Checkpoint writes: (count, total ns, total bytes).
     pub ckpt_write: (u64, u64, u64),
     /// Checkpoint reads: (count, total ns, total bytes).
@@ -172,7 +167,6 @@ pub struct Summary {
 }
 
 const PHASE_KEYS: [&str; 5] = ["prep_ns", "forward_ns", "backward_ns", "reduce_ns", "opt_ns"];
-const BUFFER_KEYS: [&str; 3] = ["pool_hits", "pool_misses", "tape_bytes_fresh"];
 
 fn median(sorted: &[f64]) -> f64 {
     let n = sorted.len();
@@ -230,11 +224,6 @@ pub fn summarize(events: &[Event]) -> Result<Summary, String> {
                     s.phase_ns[i] += ev.u64_field(key).unwrap_or(0);
                 }
                 s.wgrad_ns += ev.u64_field("wgrad_ns").unwrap_or(0);
-                for (i, key) in BUFFER_KEYS.iter().enumerate() {
-                    s.tape_buffers[i] += ev.u64_field(key).unwrap_or(0);
-                }
-                s.tape_peak_bytes =
-                    s.tape_peak_bytes.max(ev.u64_field("tape_peak_bytes").unwrap_or(0));
                 s.mlm.selected += ev.u64_field("mlm_selected").unwrap_or(0);
                 s.mlm.total += ev.u64_field("mlm_candidates").unwrap_or(0);
                 s.mer.selected += ev.u64_field("mer_selected").unwrap_or(0);
@@ -561,16 +550,6 @@ pub fn render(s: &Summary) -> String {
         }
         let _ = writeln!(out);
     }
-    let [recycled, fresh, fresh_bytes] = s.tape_buffers;
-    if recycled + fresh > 0 {
-        let _ = writeln!(
-            out,
-            "  tensor buffers: {recycled} recycled, {fresh} allocated ({:.2} MB per step), \
-             tape peak {:.2} MB",
-            fresh_bytes as f64 / 1.0e6 / s.n_steps.max(1) as f64,
-            s.tape_peak_bytes as f64 / 1.0e6
-        );
-    }
     if s.ckpt_write.0 > 0 {
         let _ = writeln!(
             out,
@@ -700,6 +679,7 @@ mod tests {
                 ("reduce_ns".to_string(), FieldValue::U64(20)),
                 ("wgrad_ns".to_string(), FieldValue::U64(12)),
                 ("opt_ns".to_string(), FieldValue::U64(30)),
+                // Buffer-pool fields an older log still carries; ignored.
                 ("pool_hits".to_string(), FieldValue::U64(900)),
                 ("pool_misses".to_string(), FieldValue::U64(3)),
                 ("tape_bytes_fresh".to_string(), FieldValue::U64(2_500_000)),
@@ -754,8 +734,6 @@ mod tests {
         assert_eq!(s.n_steps, 10);
         assert_eq!(s.phase_ns, [100, 1000, 2000, 200, 300]);
         assert_eq!(s.wgrad_ns, 120);
-        assert_eq!(s.tape_buffers, [9000, 30, 25_000_000]);
-        assert_eq!(s.tape_peak_bytes, 40_000_009, "the worst step, not a sum");
         assert_eq!(s.mlm.observed(), Some(0.2));
         assert_eq!(s.mer.observed(), Some(0.6));
         assert!(!s.mlm.drifted());
@@ -765,12 +743,7 @@ mod tests {
         let text = render(&s);
         assert!(text.contains("forward"), "{text}");
         assert!(text.contains("(weight gradients "), "{text}");
-        assert!(
-            text.contains(
-                "tensor buffers: 9000 recycled, 30 allocated (2.50 MB per step), tape peak 40.00 MB"
-            ),
-            "{text}"
-        );
+        assert!(!text.contains("tensor buffers"), "{text}");
         assert!(text.contains("MLM: observed 0.2000"), "{text}");
     }
 

@@ -23,7 +23,6 @@
 
 #![deny(missing_docs)]
 
-mod buffers;
 mod check;
 pub mod dtype;
 mod graph;
@@ -33,7 +32,6 @@ pub mod pool;
 mod shape;
 mod tensor;
 
-pub use buffers::{BufferPool, PoolScope, PoolStats};
 pub use check::{finite_difference_grad, gradcheck, GradCheckReport};
 pub use dtype::{quant_rows_cols, DType, QuantBlocks, Storage, QBLOCK, QBLOCK_SHIFT};
 pub use graph::{GradForm, GradPart, Graph, Var};

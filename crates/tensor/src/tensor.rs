@@ -3,7 +3,6 @@
 //! A tensor has no wire format of its own: the one on-disk encoding is
 //! `turl_nn`'s artifact codec, built on the typed accessors below.
 
-use crate::buffers;
 use crate::dtype::{quant_rows_cols, DType, QuantBlocks, Storage};
 use crate::ops;
 use crate::shape::{
@@ -27,32 +26,10 @@ use crate::shape::{
 /// provided where they matter for hot loops (gradient accumulation,
 /// optimizer updates). Softmax, permute, row gather and concatenation
 /// fill theirs with the [`crate::ops`] kernel the plan executor calls.
-///
-/// On a thread inside a [`BufferPool`](crate::BufferPool) scope the dense
-/// buffers are recycled instead: constructors draw from the pool and a
-/// dropped tensor hands its buffer back.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     storage: Storage,
-}
-
-impl Clone for Tensor {
-    fn clone(&self) -> Self {
-        let storage = match &self.storage {
-            Storage::F32(d) => Storage::F32(buffers::copy_of(d)),
-            quantized => quantized.clone(),
-        };
-        Self { shape: self.shape.clone(), storage }
-    }
-}
-
-impl Drop for Tensor {
-    fn drop(&mut self) {
-        if let Storage::F32(d) = &mut self.storage {
-            buffers::recycle(std::mem::take(d));
-        }
-    }
 }
 
 impl Tensor {
@@ -76,7 +53,7 @@ impl Tensor {
     /// # Panics
     /// Panics if `data.len() != product(shape)`.
     pub fn from_slice(shape: Vec<usize>, data: &[f32]) -> Self {
-        Self::from_vec(shape, buffers::copy_of(data))
+        Self::from_vec(shape, data.to_vec())
     }
 
     /// A tensor filled with zeros.
@@ -92,7 +69,7 @@ impl Tensor {
     /// A tensor filled with a constant value.
     pub fn full(shape: Vec<usize>, value: f32) -> Self {
         let n = num_elements(&shape);
-        Self { shape, storage: Storage::F32(buffers::filled(n, value)) }
+        Self { shape, storage: Storage::F32(vec![value; n]) }
     }
 
     /// A rank-0-like scalar represented as shape `[1]`.
@@ -195,9 +172,9 @@ impl Tensor {
     /// # Panics
     /// Panics on quantized storage.
     #[track_caller]
-    pub fn into_data(mut self) -> Vec<f32> {
-        match &mut self.storage {
-            Storage::F32(d) => std::mem::take(d),
+    pub fn into_data(self) -> Vec<f32> {
+        match self.storage {
+            Storage::F32(d) => d,
             Storage::I8Block(_) => {
                 panic!("into_data on a quantized tensor {:?}; use dequantize()", self.shape)
             }
@@ -288,9 +265,7 @@ impl Tensor {
 
     /// Apply a function elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
-        let src = self.f32s();
-        let mut data = buffers::with_capacity(src.len());
-        data.extend(src.iter().map(|&x| f(x)));
+        let data = self.f32s().iter().map(|&x| f(x)).collect();
         Tensor { shape: self.shape.clone(), storage: Storage::F32(data) }
     }
 
@@ -344,8 +319,7 @@ impl Tensor {
     ) -> Result<Tensor, ShapeError> {
         let (sdata, odata) = (self.f32s(), other.f32s());
         if self.shape == other.shape {
-            let mut data = buffers::with_capacity(sdata.len());
-            data.extend(sdata.iter().zip(odata.iter()).map(|(&a, &b)| f(a, b)));
+            let data = sdata.iter().zip(odata.iter()).map(|(&a, &b)| f(a, b)).collect();
             return Ok(Tensor { shape: self.shape.clone(), storage: Storage::F32(data) });
         }
         if cycles_over(&other.shape, &self.shape) {
@@ -360,7 +334,7 @@ impl Tensor {
         let sa = broadcast_strides(&self.shape, &out_shape);
         let sb = broadcast_strides(&other.shape, &out_shape);
         let n = num_elements(&out_shape);
-        let mut data = buffers::with_capacity(n);
+        let mut data = Vec::with_capacity(n);
         let mut idx = vec![0usize; out_shape.len()];
         let mut off_a = 0usize;
         let mut off_b = 0usize;
@@ -546,7 +520,7 @@ impl Tensor {
 /// `f(big[i], small[i % small.len()])` for every `i`, a whole `small`-long
 /// row at a time (`small` non-empty).
 fn zip_cycled(big: &[f32], small: &[f32], f: impl Fn(f32, f32) -> f32) -> Vec<f32> {
-    let mut data = buffers::with_capacity(big.len());
+    let mut data = Vec::with_capacity(big.len());
     for row in big.chunks(small.len()) {
         data.extend(row.iter().zip(small.iter()).map(|(&x, &y)| f(x, y)));
     }
