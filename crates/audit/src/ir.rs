@@ -1,6 +1,6 @@
 //! A typed dataflow IR for the TURL forward plan.
 //!
-//! [`lower_model_plan`] turns a [`ModelPlan`](crate::ModelPlan) into an
+//! [`lower_model_plan`] turns a [`ModelPlan`] into an
 //! explicit op graph: every node is one tensor (a [`SourceKind`] input or
 //! the output of an [`OpKind`] op), edges are [`TensorId`]s, and each node
 //! carries its inferred shape plus a human-readable label. The IR is the

@@ -239,7 +239,7 @@ impl ValueRange {
 
     /// Tanh-approximated GELU. Monotone outside a single dip around
     /// `x ≈ -0.76`, so the extrema are the endpoints plus (when the
-    /// interval reaches below zero) the global minimum [`GELU_MIN`].
+    /// interval reaches below zero) the global minimum `GELU_MIN`.
     /// `gelu(-inf)` is `0.5 · (-inf) · 0 = NaN` in the runtime kernel.
     pub fn gelu(self) -> Self {
         let g_lo = gelu64(self.lo.max(-F32_MAX));

@@ -1,19 +1,17 @@
-//! The "BERT-based" relation-extraction baseline (§6.4): a conventional
-//! Transformer text classifier over the concatenated table metadata
-//! ("treating the concatenated table metadata as a sentence, and the
-//! headers of the two columns as entity mentions"). No table structure,
-//! no table pre-training — the Figure 6 / Table 7 comparison point.
+//! The "BERT-based" relation-extraction baseline (§6.4): TURL's encoder
+//! over the concatenated table metadata ("treating the concatenated table
+//! metadata as a sentence, and the headers of the two columns as entity
+//! mentions"), with no visibility mask and no table pre-training — the
+//! Figure 6 / Table 7 comparison point.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use turl_core::{EncodedInput, TurlConfig, TurlModel};
 use turl_data::{tokenize, Table, Vocab};
 use turl_kb::tasks::metrics::{average_precision, mean_average_precision, PrfAccumulator};
 use turl_kb::tasks::RelationExample;
-use turl_nn::{
-    clip_grad_norm, Adam, AdamConfig, Embedding, Forward, Linear, ParamStore, TransformerBlock,
-    TransformerConfig,
-};
+use turl_nn::{clip_grad_norm, Adam, AdamConfig, Forward, Linear, ParamStore, TransformerConfig};
 use turl_tensor::Tensor;
 
 /// Baseline configuration.
@@ -47,9 +45,7 @@ impl Default for BertReConfig {
 pub struct BertStyleRe {
     cfg: BertReConfig,
     store: ParamStore,
-    word_emb: Embedding,
-    pos_emb: Embedding,
-    blocks: Vec<TransformerBlock>,
+    encoder: TurlModel,
     head: Linear,
     n_labels: usize,
     cls_id: usize,
@@ -60,29 +56,23 @@ impl BertStyleRe {
     pub fn new(cfg: BertReConfig, vocab: &Vocab, n_labels: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut store = ParamStore::new();
+        let turl = TurlConfig {
+            encoder: cfg.encoder,
+            max_position: cfg.max_tokens,
+            use_visibility: false,
+            ..TurlConfig::small(cfg.seed)
+        };
+        // No entity ever enters the sequence: the entity table is the
+        // `[MASK]` row alone.
+        let encoder = TurlModel::new(&mut store, &mut rng, turl, vocab.len(), 0);
         let d = cfg.encoder.d_model;
-        let word_emb = Embedding::new(&mut store, &mut rng, "bert.word_emb", vocab.len(), d);
-        let pos_emb = Embedding::new(&mut store, &mut rng, "bert.pos_emb", cfg.max_tokens, d);
-        let blocks = (0..cfg.encoder.n_layers)
-            .map(|i| {
-                TransformerBlock::new(&mut store, &mut rng, &format!("bert.b{i}"), &cfg.encoder)
-            })
-            .collect();
         let head = Linear::new(&mut store, &mut rng, "bert.head", d, n_labels, true);
-        Self {
-            cfg,
-            store,
-            word_emb,
-            pos_emb,
-            blocks,
-            head,
-            n_labels,
-            cls_id: vocab.cls_id() as usize,
-        }
+        Self { cfg, store, encoder, head, n_labels, cls_id: vocab.cls_id() as usize }
     }
 
-    /// `[CLS] caption subject-header object-header` token ids.
-    fn tokens(&self, vocab: &Vocab, tables: &[Table], ex: &RelationExample) -> Vec<usize> {
+    /// `[CLS] caption subject-header object-header` as one sentence: token
+    /// type 0 throughout, positions `0..n`, no entity cells, no mask.
+    fn input(&self, vocab: &Vocab, tables: &[Table], ex: &RelationExample) -> EncodedInput {
         let t = &tables[ex.table_idx];
         let mut ids = vec![self.cls_id];
         let push_text = |text: &str, ids: &mut Vec<usize>| {
@@ -98,23 +88,24 @@ impl BertStyleRe {
             push_text(h, &mut ids);
         }
         ids.truncate(self.cfg.max_tokens);
-        ids
+        EncodedInput {
+            token_types: vec![0; ids.len()],
+            token_pos: (0..ids.len()).collect(),
+            token_ids: ids,
+            entities: Vec::new(),
+            mask: None,
+        }
     }
 
+    /// The head over the encoder's `[CLS]` row.
     fn logits(
         &self,
         f: &mut Forward,
         store: &ParamStore,
         rng: &mut StdRng,
-        ids: &[usize],
+        input: &EncodedInput,
     ) -> turl_tensor::Var {
-        let w = self.word_emb.forward(f, store, ids);
-        let pos: Vec<usize> = (0..ids.len()).collect();
-        let p = self.pos_emb.forward(f, store, &pos);
-        let mut h = f.graph.add(w, p);
-        for b in &self.blocks {
-            h = b.forward(f, store, rng, h, None);
-        }
+        let h = self.encoder.encode(f, store, rng, input);
         let cls = f.graph.index_select0(h, &[0]);
         self.head.forward(f, store, cls)
     }
@@ -141,9 +132,9 @@ impl BertStyleRe {
                 let mut store = std::mem::take(&mut self.store);
                 for &i in chunk {
                     let ex = &examples[i];
-                    let ids = self.tokens(vocab, tables, ex);
+                    let input = self.input(vocab, tables, ex);
                     let mut f = Forward::new(&store);
-                    let logits = self.logits(&mut f, &store, &mut rng, &ids);
+                    let logits = self.logits(&mut f, &store, &mut rng, &input);
                     let mut targets = Tensor::zeros(vec![1, self.n_labels]);
                     for &l in &ex.labels {
                         targets.data_mut()[l] = 1.0;
@@ -168,9 +159,9 @@ impl BertStyleRe {
     /// Score one example.
     pub fn score(&self, vocab: &Vocab, tables: &[Table], ex: &RelationExample) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(0);
-        let ids = self.tokens(vocab, tables, ex);
+        let input = self.input(vocab, tables, ex);
         let mut f = Forward::inference(&self.store);
-        let logits = self.logits(&mut f, &self.store, &mut rng, &ids);
+        let logits = self.logits(&mut f, &self.store, &mut rng, &input);
         f.graph.value(logits).data().to_vec()
     }
 

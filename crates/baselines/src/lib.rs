@@ -13,8 +13,8 @@
 //! * [`rank_exact`] / [`rank_h2h`] / [`rank_h2v`] — the Exact, H2H and
 //!   H2V cell-filling rankers (§6.6, Eqns. 14–15).
 //! * [`BertStyleRe`] — the "BERT-based" relation-extraction baseline
-//!   \[39\]: a metadata-as-sentence Transformer with no table pre-training
-//!   and no structure awareness.
+//!   \[39\]: TURL's encoder over metadata-as-a-sentence, with no visibility
+//!   mask and no table pre-training.
 //! * [`lookup_top1`] — the Wikidata-Lookup baseline and its Oracle bound
 //!   for entity linking.
 

@@ -7,9 +7,7 @@ use crate::input::{EncodedInput, InputBinding};
 use rand::Rng;
 use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind, TensorId};
 use turl_exec::ExecError;
-use turl_nn::{
-    Dropout, Embedding, Forward, LayerNorm, Linear, ParamId, ParamStore, TransformerBlock,
-};
+use turl_nn::{Dropout, Embedding, Forward, LayerNorm, Linear, ParamId, ParamStore};
 use turl_tensor::{Tensor, Var};
 
 /// Store name of the parameter an IR source stands for; `None` for the
@@ -28,7 +26,7 @@ pub(crate) fn param_name(kind: &SourceKind, label: &str) -> Option<String> {
 
 /// The one check between a model and the weights it is about to run on,
 /// whichever file or trainer they came from: every parameter the model's
-/// IR reads (the probe plan, both heads on, named by [`param_name`]) must
+/// IR reads (the probe plan, both heads on, named by `param_name`) must
 /// be in `store` with the IR's shape, at the [`ParamId`] the model's
 /// layers hold for it (some heads read by id). Dense and block-quantized
 /// tensors both bind; whatever else the store holds is ignored. A store
@@ -86,14 +84,12 @@ pub struct TurlModel {
     pub fuse: Linear,
     /// Embedding layer norm.
     pub ln_embed: LayerNorm,
-    /// Encoder blocks.
-    pub blocks: Vec<TransformerBlock>,
     /// MLM output projection (Eqn. 5).
     pub mlm_proj: Linear,
     /// MER output projection (Eqn. 6).
     pub mer_proj: Linear,
-    /// Every parameter [`TurlModel::new`] registered, under the id the
-    /// layers above hold for it.
+    /// Every parameter [`TurlModel::new`] registered, under its id (the
+    /// one the layers above hold, for those a layer holds).
     params: Vec<(ParamId, String)>,
 }
 
@@ -112,11 +108,23 @@ impl TurlModel {
         if let Err(e) = crate::audit::validate_config(&cfg, n_words, n_entities) {
             panic!("TurlModel::new rejected by static audit: {e}");
         }
-        let d = cfg.encoder.d_model;
+        let (d, ff) = (cfg.encoder.d_model, cfg.encoder.d_intermediate);
         let first = store.len();
-        let blocks = (0..cfg.encoder.n_layers)
-            .map(|i| TransformerBlock::new(store, rng, &format!("turl.block{i}"), &cfg.encoder))
-            .collect();
+        // The encoder blocks' parameters come first — registration order is
+        // the RNG's draw order, so it fixes every init bit — under the
+        // names the IR's sources carry (`param_name`). No layer holds
+        // them: every forward binds by name.
+        for i in 0..cfg.encoder.n_layers {
+            let blk = format!("turl.block{i}");
+            for w in ["wq", "wk", "wv", "wo"] {
+                Linear::new(store, rng, &format!("{blk}.att.{w}"), d, d, true);
+            }
+            Linear::new(store, rng, &format!("{blk}.ffn.lin1"), d, ff, true);
+            Linear::new(store, rng, &format!("{blk}.ffn.lin2"), ff, d, true);
+            for ln in ["ln1", "ln2"] {
+                LayerNorm::new(store, &format!("{blk}.{ln}"), d, cfg.encoder.ln_eps);
+            }
+        }
         let mut model = Self {
             word_emb: Embedding::new(store, rng, "turl.word_emb", n_words, d),
             token_type_emb: Embedding::new(store, rng, "turl.token_type_emb", 2, d),
@@ -125,7 +133,6 @@ impl TurlModel {
             ent_type_emb: Embedding::new(store, rng, "turl.ent_type_emb", 3, d),
             fuse: Linear::new(store, rng, "turl.fuse", 2 * d, d, true),
             ln_embed: LayerNorm::new(store, "turl.ln_embed", d, cfg.encoder.ln_eps),
-            blocks,
             mlm_proj: Linear::new(store, rng, "turl.mlm_proj", d, d, true),
             mer_proj: Linear::new(store, rng, "turl.mer_proj", d, d, true),
             cfg,
@@ -205,11 +212,11 @@ impl TurlModel {
     /// encode-only plan through here, `Pretrainer::train_step` one with
     /// the MLM/MER heads and losses (Eqns. 5–6).
     ///
-    /// Parameters bind by [`param_name`], each for the gradient form
+    /// Parameters bind by `param_name`, each for the gradient form
     /// [`Ir::grad_form`] gives it, so the tape never forms the gradient of
     /// a `linear` weight or of a table it only looks rows up in. The
     /// embedding layer's gathers and per-input sources bind through
-    /// [`InputBinding`]; `head_lists` names the index list of every other
+    /// `InputBinding`; `head_lists` names the index list of every other
     /// gather or cross-entropy node by its label (row selections, shifted
     /// candidate ids, targets) and is empty for an encode-only plan. In a
     /// training-mode pass each of
@@ -539,8 +546,15 @@ mod tests {
         let (ir, vars) = run_heads(&model, &store, &mut f, &toy_input(), &[], &[4], &[2, 3, 4]);
         assert_eq!(ir.find("mer.loss").map(|t| t.index()), Some(ir.len() - 1));
         f.backprop(*vars.last().unwrap(), &mut store);
-        for name in ["turl.word_emb.weight", "turl.ent_emb.weight", "turl.fuse.weight"] {
-            let id = store.find(name).unwrap();
+        // Every block's linear weights reach the store too, as `Product`
+        // parts.
+        let blocks = (0..model.cfg.encoder.n_layers).flat_map(|i| {
+            ["att.wq", "att.wk", "att.wv", "att.wo", "ffn.lin1", "ffn.lin2"]
+                .map(|w| format!("turl.block{i}.{w}.weight"))
+        });
+        let embeddings = ["turl.word_emb.weight", "turl.ent_emb.weight", "turl.fuse.weight"];
+        for name in embeddings.map(String::from).into_iter().chain(blocks) {
+            let id = store.find(&name).unwrap();
             assert!(store.grad(id).norm() > 0.0, "no grad for {name}");
         }
     }
@@ -562,33 +576,35 @@ mod tests {
 
     #[test]
     fn visibility_mask_restricts_entity_context() {
-        // entity 1 invisible to entity 0: perturbing entity 1's embedding
-        // row must not change entity 0's output.
+        // Every element sees only itself: perturbing the word only token 0
+        // reads must not change entity 0's output — and without the mask
+        // the same perturbation must reach it.
         let (mut store, model, mut rng) = tiny_model();
-        let mut input = toy_input();
-        let n = input.seq_len();
+        let unmasked = toy_input();
+        let n = unmasked.seq_len();
         let mut mask = Tensor::full(vec![n, n], -1e9);
         for i in 0..n {
             mask.data_mut()[i * n + i] = 0.0;
         }
-        input.mask = Some(mask);
+        let masked = EncodedInput { mask: Some(mask), ..unmasked.clone() };
         let run = |store: &ParamStore, rng: &mut StdRng, input: &EncodedInput| {
             let mut f = Forward::inference(store);
             let h = model.encode(&mut f, store, rng, input);
             f.graph.value(h).row(input.entity_row(0)).to_vec()
         };
-        let base = run(&store, &mut rng, &input);
-        // perturb entity 3's embedding (used by entity cell 0? no, cell 1
-        // is masked so uses row 0; perturb a word used only by token 0)
+        let base = [&masked, &unmasked].map(|input| run(&store, &mut rng, input));
         let wid = store.find("turl.word_emb.weight").unwrap();
         let d = model.d_model();
+        // Not a constant shift, which the embedding layer norm would undo.
         for j in 0..d {
             let v = store.value(wid).data()[4 * d + j];
-            store.value_mut(wid).data_mut()[4 * d + j] = v + 3.0;
+            store.value_mut(wid).data_mut()[4 * d + j] = v + 0.5 * j as f32;
         }
-        let after = run(&store, &mut rng, &input);
-        for (a, b) in base.iter().zip(after.iter()) {
+        let after = [&masked, &unmasked].map(|input| run(&store, &mut rng, input));
+        for (a, b) in base[0].iter().zip(after[0].iter()) {
             assert!((a - b).abs() < 1e-5, "fully masked attention leaked context");
         }
+        let moved: f32 = base[1].iter().zip(after[1].iter()).map(|(a, b)| (a - b).abs()).sum();
+        assert!(moved > 1e-4, "unmasked attention should propagate the perturbation");
     }
 }

@@ -5,7 +5,7 @@
 //! liveness arena planner with a proven multiple-x reuse factor that
 //! nothing executed. This crate is the back end:
 //!
-//! * [`compile`] lowers an IR into a [`CompiledPlan`]: a flat list of
+//! * [`compile()`] lowers an IR into a [`CompiledPlan`]: a flat list of
 //!   executable [`Step`]s with every operand resolved to either a
 //!   parameter (source) slice or a fixed offset into one shared arena.
 //!   A fusion pass rewrites `scale → mask → softmax` chains,

@@ -29,17 +29,17 @@ pub struct TypeDef {
 pub enum NameKind {
     /// First + last personal names.
     Person,
-    /// "The <Adjective> <Noun>" work titles.
+    /// `"The <Adjective> <Noun>"` work titles.
     Work,
     /// Compound place names.
     Place,
-    /// "<Place> <Mascot>" team names.
+    /// `"<Place> <Mascot>"` team names.
     Team,
-    /// "<Noun> Award for <Category>".
+    /// `"<Noun> Award for <Category>"`.
     Award,
     /// Single-word names (languages, genres).
     Word,
-    /// "<ordinal> <event>" editions ("15th national film awards").
+    /// `"<ordinal> <event>"` editions ("15th national film awards").
     Edition,
 }
 

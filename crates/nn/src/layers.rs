@@ -83,7 +83,8 @@ impl Embedding {
     }
 }
 
-/// Layer normalization over the last axis with learned affine parameters.
+/// The learned affine parameters of a layer normalization over the last
+/// axis (`Graph::layer_norm` computes it).
 #[derive(Debug, Clone)]
 pub struct LayerNorm {
     /// Scale parameter `[dim]`.
@@ -104,13 +105,6 @@ impl LayerNorm {
         let gamma = store.register(format!("{name}.gamma"), Tensor::ones(vec![dim]));
         let beta = store.register(format!("{name}.beta"), Tensor::zeros(vec![dim]));
         Self { gamma, beta, eps }
-    }
-
-    /// Normalize `[..., dim]` input.
-    pub fn forward(&self, f: &mut Forward, store: &ParamStore, x: Var) -> Var {
-        let g = f.param(store, self.gamma, GradForm::Dense);
-        let b = f.param(store, self.beta, GradForm::Dense);
-        f.graph.layer_norm(x, g, b, self.eps)
     }
 }
 
@@ -221,7 +215,9 @@ mod tests {
         let ln = LayerNorm::new(&mut s, "ln", 4, 1e-5);
         let mut f = Forward::new(&s);
         let x = f.graph.constant(Tensor::from_vec(vec![1, 4], vec![10., 20., 30., 40.]));
-        let y = ln.forward(&mut f, &s, x);
+        let g = f.param(&s, ln.gamma, GradForm::Dense);
+        let b = f.param(&s, ln.beta, GradForm::Dense);
+        let y = f.graph.layer_norm(x, g, b, ln.eps);
         let row = f.graph.value(y).row(0).to_vec();
         let mean: f32 = row.iter().sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-4);

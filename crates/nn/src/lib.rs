@@ -2,10 +2,10 @@
 //!
 //! The crate provides the layer vocabulary needed by the TURL reproduction:
 //! a central [`ParamStore`] owning all trainable tensors, composable layers
-//! ([`Linear`], [`Embedding`], [`LayerNorm`], [`Dropout`]), multi-head
-//! attention with an additive visibility mask ([`MultiHeadAttention`]),
-//! the full [`TransformerBlock`], and an [`Adam`] optimizer with linear
-//! learning-rate decay.
+//! ([`Linear`], [`Embedding`], [`LayerNorm`], [`Dropout`]), the encoder's
+//! [`TransformerConfig`], and an [`Adam`] optimizer with linear
+//! learning-rate decay. The Transformer itself has no forward here: it
+//! is the IR `turl-audit` lowers and `turl-core` runs.
 //!
 //! # Forward-pass protocol
 //!
@@ -36,7 +36,6 @@
 #![deny(missing_docs)]
 
 mod artifact;
-mod attention;
 mod codec;
 mod layers;
 mod optim;
@@ -49,7 +48,6 @@ pub use artifact::{
     export_artifact, load_artifact, ArtifactSummary, ExportOptions, ARTIFACT_ALIGN, ARTIFACT_MAGIC,
     ARTIFACT_VERSION,
 };
-pub use attention::MultiHeadAttention;
 pub use layers::{Dropout, Embedding, LayerNorm, Linear};
 pub use optim::{clip_grad_norm, Adam, AdamConfig, ClipReport};
 pub use params::{Forward, ParamId, ParamStore, Reduced};
@@ -60,4 +58,4 @@ pub use serialize::{
     CheckpointRecovery, ParamRecord, ProgressState, RngStateRepr, SerializeError,
     TrainerCheckpoint, CHECKPOINT_VERSION,
 };
-pub use transformer::{FeedForward, TransformerBlock, TransformerConfig};
+pub use transformer::TransformerConfig;

@@ -1,11 +1,8 @@
-//! The Transformer encoder block (post-layer-norm, BERT style).
+//! Hyper-parameters of the Transformer encoder (post-layer-norm, BERT
+//! style). What a block computes is defined once, by the IR lowering in
+//! `turl-audit`.
 
-use crate::attention::MultiHeadAttention;
-use crate::layers::{Dropout, LayerNorm, Linear};
-use crate::params::{Forward, ParamStore};
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use turl_tensor::Var;
 
 /// Hyper-parameters of a Transformer encoder stack.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -71,113 +68,9 @@ impl TransformerConfig {
     }
 }
 
-/// Two-layer position-wise feed-forward network with GELU.
-#[derive(Debug, Clone)]
-pub struct FeedForward {
-    /// Expansion projection.
-    pub lin1: Linear,
-    /// Contraction projection.
-    pub lin2: Linear,
-    /// Dropout after the second projection.
-    pub dropout: Dropout,
-}
-
-impl FeedForward {
-    /// Create the feed-forward sublayer.
-    pub fn new<R: Rng>(
-        store: &mut ParamStore,
-        rng: &mut R,
-        name: &str,
-        d_model: usize,
-        d_intermediate: usize,
-        dropout: f32,
-    ) -> Self {
-        Self {
-            lin1: Linear::new(store, rng, &format!("{name}.lin1"), d_model, d_intermediate, true),
-            lin2: Linear::new(store, rng, &format!("{name}.lin2"), d_intermediate, d_model, true),
-            dropout: Dropout::new(dropout),
-        }
-    }
-
-    /// Apply to `[n, d_model]`.
-    pub fn forward<R: Rng>(&self, f: &mut Forward, store: &ParamStore, rng: &mut R, x: Var) -> Var {
-        let h = self.lin1.forward(f, store, x);
-        let a = f.graph.gelu(h);
-        let y = self.lin2.forward(f, store, a);
-        self.dropout.forward(f, rng, y)
-    }
-}
-
-/// One encoder block: self-attention and feed-forward sublayers, each with a
-/// residual connection followed by layer normalization.
-#[derive(Debug, Clone)]
-pub struct TransformerBlock {
-    /// The (maskable) self-attention sublayer.
-    pub attention: MultiHeadAttention,
-    /// The feed-forward sublayer.
-    pub ffn: FeedForward,
-    /// Layer norm after attention.
-    pub ln1: LayerNorm,
-    /// Layer norm after feed-forward.
-    pub ln2: LayerNorm,
-}
-
-impl TransformerBlock {
-    /// Create a block from a configuration.
-    pub fn new<R: Rng>(
-        store: &mut ParamStore,
-        rng: &mut R,
-        name: &str,
-        cfg: &TransformerConfig,
-    ) -> Self {
-        Self {
-            attention: MultiHeadAttention::new(
-                store,
-                rng,
-                &format!("{name}.att"),
-                cfg.d_model,
-                cfg.n_heads,
-                cfg.dropout,
-            ),
-            ffn: FeedForward::new(
-                store,
-                rng,
-                &format!("{name}.ffn"),
-                cfg.d_model,
-                cfg.d_intermediate,
-                cfg.dropout,
-            ),
-            ln1: LayerNorm::new(store, &format!("{name}.ln1"), cfg.d_model, cfg.ln_eps),
-            ln2: LayerNorm::new(store, &format!("{name}.ln2"), cfg.d_model, cfg.ln_eps),
-        }
-    }
-
-    /// Apply the block to `x: [n, d_model]` with an optional additive
-    /// visibility mask `[n, n]`, pre-recorded on the graph (one shared
-    /// constant node per forward pass; see
-    /// [`MultiHeadAttention::bind_mask`]).
-    pub fn forward<R: Rng>(
-        &self,
-        f: &mut Forward,
-        store: &ParamStore,
-        rng: &mut R,
-        x: Var,
-        mask: Option<Var>,
-    ) -> Var {
-        let att = self.attention.forward(f, store, rng, x, mask);
-        let res1 = f.graph.add(x, att);
-        let h = self.ln1.forward(f, store, res1);
-        let ff = self.ffn.forward(f, store, rng, h);
-        let res2 = f.graph.add(h, ff);
-        self.ln2.forward(f, store, res2)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn paper_config_matches_section_4_4() {
@@ -186,57 +79,5 @@ mod tests {
         assert_eq!(c.d_model, 312);
         assert_eq!(c.d_intermediate, 1200);
         assert_eq!(c.n_heads, 12);
-    }
-
-    #[test]
-    fn block_preserves_shape() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut s = ParamStore::new();
-        let cfg = TransformerConfig::tiny();
-        let block = TransformerBlock::new(&mut s, &mut rng, "b0", &cfg);
-        let mut f = Forward::inference(&s);
-        let x = f.graph.constant(turl_tensor::normal_init(&mut rng, vec![7, 16], 0.0, 1.0));
-        let y = block.forward(&mut f, &s, &mut rng, x, None);
-        assert_eq!(f.graph.value(y).shape(), &[7, 16]);
-        assert!(f.graph.value(y).all_finite());
-    }
-
-    #[test]
-    fn stacked_blocks_trainable() {
-        // A 2-block stack can fit a toy classification objective.
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut s = ParamStore::new();
-        let cfg = TransformerConfig::tiny();
-        let blocks: Vec<TransformerBlock> = (0..2)
-            .map(|i| TransformerBlock::new(&mut s, &mut rng, &format!("b{i}"), &cfg))
-            .collect();
-        let head = Linear::new(&mut s, &mut rng, "head", 16, 2, true);
-        let x0 = turl_tensor::normal_init(&mut rng, vec![4, 16], 0.0, 1.0);
-        let targets = [0usize, 1, 0, 1];
-        let run = |s: &ParamStore, train: bool| {
-            let mut f = if train { Forward::new(s) } else { Forward::inference(s) };
-            let mut r = StdRng::seed_from_u64(1);
-            let mut h = f.graph.constant(x0.clone());
-            for b in &blocks {
-                h = b.forward(&mut f, s, &mut r, h, None);
-            }
-            let logits = head.forward(&mut f, s, h);
-            let l = f.graph.cross_entropy(logits, &targets);
-            (f, l)
-        };
-        let (f0, l0) = run(&s, false);
-        let before = f0.graph.value(l0).item();
-        for _ in 0..30 {
-            let (mut f, l) = run(&s, true);
-            f.backprop(l, &mut s);
-            for id in s.ids().collect::<Vec<_>>() {
-                let g = s.grad(id).clone();
-                s.value_mut(id).axpy(-0.05, &g);
-            }
-            s.zero_grads();
-        }
-        let (f1, l1) = run(&s, false);
-        let after = f1.graph.value(l1).item();
-        assert!(after < before * 0.5, "loss {before} -> {after}");
     }
 }

@@ -309,7 +309,7 @@ impl Tensor {
     /// Elementwise binary op with NumPy broadcasting.
     ///
     /// Equal shapes and row broadcasts (`[.., d] ∘ [d]`: a bias, a scalar,
-    /// a mask over heads — [`cycles_over`]) pair whole slices; every other
+    /// a mask over heads — `cycles_over`) pair whole slices; every other
     /// shape walks a multi-index. Which path runs never shows: each output
     /// element is `f` of the same two inputs either way.
     pub fn broadcast_zip(
@@ -358,7 +358,7 @@ impl Tensor {
 
     /// Sum a gradient tensor down to `target` shape (undoes broadcasting).
     ///
-    /// Undoing a row broadcast (`[.., d] → [d]`, [`cycles_over`]) adds whole
+    /// Undoing a row broadcast (`[.., d] → [d]`, `cycles_over`) adds whole
     /// rows in ascending row order — the order the general multi-index
     /// walk reaches each target element in, so the paths agree bit for bit.
     pub fn reduce_to_shape(&self, target: &[usize]) -> Tensor {
