@@ -200,7 +200,9 @@ pub fn cache_dir() -> PathBuf {
 
 /// Pre-train TURL on the world's training split (or load the cached
 /// artifact of an earlier run, if it still fits the model). `tag`
-/// distinguishes experiment variants.
+/// distinguishes experiment variants. The file name carries the kernel
+/// library's [`turl_tensor::ops::NUMERICS`], so weights trained under
+/// other arithmetic are never picked up: they are retrained instead.
 pub fn pretrained(world: &ExperimentWorld, cfg: TurlConfig, tag: &str) -> Pretrainer {
     let mut pt = Pretrainer::new(
         cfg,
@@ -216,7 +218,8 @@ pub fn pretrained(world: &ExperimentWorld, cfg: TurlConfig, tag: &str) -> Pretra
         .collect();
     pt.model.init_entity_embeddings_from_names(&mut pt.store, &names);
 
-    let path = cache_dir().join(format!("{}-{}.artifact", world.scale.tag(), tag));
+    let numerics = turl_tensor::ops::NUMERICS;
+    let path = cache_dir().join(format!("{}-{tag}-{numerics}.artifact", world.scale.tag()));
     if let Ok(loaded) = turl_nn::load_artifact(&path) {
         if turl_core::bind_store(&pt.model, &loaded).is_ok() {
             pt.store.load_matching(&loaded);

@@ -5,9 +5,11 @@ use crate::audit::{model_plan, plan_for_input, probe_plan};
 use crate::config::TurlConfig;
 use crate::input::{EncodedInput, InputBinding};
 use rand::Rng;
+use std::sync::OnceLock;
 use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind, TensorId};
 use turl_exec::ExecError;
 use turl_nn::{Dropout, Embedding, Forward, LayerNorm, Linear, ParamId, ParamStore};
+use turl_obs::{metrics_enabled, op_timer, register_op, OpId};
 use turl_tensor::{Tensor, Var};
 
 /// Store name of the parameter an IR source stands for; `None` for the
@@ -22,6 +24,58 @@ pub(crate) fn param_name(kind: &SourceKind, label: &str) -> Option<String> {
         }
         SourceKind::Mask | SourceKind::AvgMatrix | SourceKind::ZeroConst => None,
     }
+}
+
+/// The op slots `tape.<name>` and `tape.<name>.bwd`, registered on first
+/// use and read lock-free after.
+macro_rules! tape_slots {
+    ($name:literal) => {{
+        static IDS: OnceLock<[Option<OpId>; 2]> = OnceLock::new();
+        *IDS.get_or_init(|| {
+            [register_op(concat!("tape.", $name)), register_op(concat!("tape.", $name, ".bwd"))]
+        })
+    }};
+}
+
+/// The op slots of a tape op recorded from an IR node of `kind`:
+/// [`tape_slots`] named by [`OpKind::name`].
+fn tape_ops(kind: &OpKind) -> [Option<OpId>; 2] {
+    match kind {
+        OpKind::Source(_) => tape_slots!("source"),
+        OpKind::Gather => tape_slots!("gather"),
+        OpKind::MatMul => tape_slots!("matmul"),
+        OpKind::MatMulNT => tape_slots!("matmul_nt"),
+        OpKind::Bmm => tape_slots!("bmm"),
+        OpKind::BmmNT => tape_slots!("bmm_nt"),
+        OpKind::Add => tape_slots!("add"),
+        OpKind::Mask => tape_slots!("mask"),
+        OpKind::Scale { .. } => tape_slots!("scale"),
+        OpKind::Gelu => tape_slots!("gelu"),
+        OpKind::Softmax => tape_slots!("softmax"),
+        OpKind::LayerNorm { .. } => tape_slots!("layer_norm"),
+        OpKind::ConcatCols => tape_slots!("concat_cols"),
+        OpKind::ConcatRows => tape_slots!("concat_rows"),
+        OpKind::Reshape => tape_slots!("reshape"),
+        OpKind::Permute { .. } => tape_slots!("permute"),
+        OpKind::CrossEntropy => tape_slots!("cross_entropy"),
+    }
+}
+
+/// `record` ops on `f`'s tape. With metrics on, the recording is timed
+/// under the first slot `ops` gives and the backward closures of every
+/// node it pushed under the second; with metrics off `ops` is not called.
+fn timed(
+    f: &mut Forward,
+    ops: impl FnOnce() -> [Option<OpId>; 2],
+    record: impl FnOnce(&mut Forward) -> Var,
+) -> Var {
+    let [fwd, bwd] = if metrics_enabled() { ops() } else { [None; 2] };
+    let since = f.graph.len();
+    let timer = op_timer(fwd);
+    let v = record(f);
+    drop(timer);
+    f.graph.time_backward(since, bwd);
+    v
 }
 
 /// The one check between a model and the weights it is about to run on,
@@ -223,6 +277,11 @@ impl TurlModel {
     /// [`Ir::dropout_sites`] is multiplied by a fresh keep mask right
     /// after it is recorded.
     ///
+    /// With metrics on, each node's recording is timed under
+    /// `tape.<kind>` and its backward closures under `tape.<kind>.bwd`
+    /// (dropout under `tape.dropout`), the names the kernel profile of
+    /// `turl report` lists.
+    ///
     /// # Panics
     /// Panics when `ir` was not lowered for this model at `input`'s
     /// shape: a parameter missing from `store`, or a node with no index
@@ -251,40 +310,48 @@ impl TurlModel {
                     .or_else(|| head_lists.iter().find(|(l, _)| *l == label).map(|(_, v)| *v))
                     .unwrap_or_else(|| panic!("no index list bound for '{label}'"))
             };
-            let g = &mut f.graph;
-            let mut v = match &node.kind {
-                OpKind::Source(kind) => match param_name(kind, &node.label) {
-                    Some(name) => {
-                        let id = store
-                            .find(&name)
-                            .unwrap_or_else(|| panic!("parameter '{name}' not in store"));
-                        f.param(store, id, ir.grad_form(TensorId::from_index(i)))
-                    }
-                    None => {
-                        let values = bound
-                            .source(input, kind)
-                            .unwrap_or_else(|| panic!("input has no '{}'", node.label));
-                        g.constant(Tensor::from_slice(node.shape.clone(), values))
+            let mut v = timed(
+                f,
+                || tape_ops(&node.kind),
+                |f| {
+                    let g = &mut f.graph;
+                    match &node.kind {
+                        OpKind::Source(kind) => match param_name(kind, &node.label) {
+                            Some(name) => {
+                                let id = store
+                                    .find(&name)
+                                    .unwrap_or_else(|| panic!("parameter '{name}' not in store"));
+                                f.param(store, id, ir.grad_form(TensorId::from_index(i)))
+                            }
+                            None => {
+                                let values = bound
+                                    .source(input, kind)
+                                    .unwrap_or_else(|| panic!("input has no '{}'", node.label));
+                                g.constant(Tensor::from_slice(node.shape.clone(), values))
+                            }
+                        },
+                        OpKind::Gather => g.index_select0(arg(0), indices()),
+                        OpKind::MatMul => g.matmul(arg(0), arg(1)),
+                        OpKind::MatMulNT => g.matmul_nt(arg(0), arg(1)),
+                        OpKind::Bmm => g.bmm(arg(0), arg(1)),
+                        OpKind::BmmNT => g.bmm_nt(arg(0), arg(1)),
+                        OpKind::Add | OpKind::Mask => g.add(arg(0), arg(1)),
+                        OpKind::Scale { factor } => g.scale(arg(0), *factor as f32),
+                        OpKind::Gelu => g.gelu(arg(0)),
+                        OpKind::Softmax => g.softmax_last(arg(0)),
+                        OpKind::LayerNorm { eps } => {
+                            g.layer_norm(arg(0), arg(1), arg(2), *eps as f32)
+                        }
+                        OpKind::ConcatCols => g.concat_cols(&args()),
+                        OpKind::ConcatRows => g.concat_rows(&args()),
+                        OpKind::Reshape => g.reshape(arg(0), node.shape.clone()),
+                        OpKind::Permute { axes } => g.permute(arg(0), axes),
+                        OpKind::CrossEntropy => g.cross_entropy(arg(0), indices()),
                     }
                 },
-                OpKind::Gather => g.index_select0(arg(0), indices()),
-                OpKind::MatMul => g.matmul(arg(0), arg(1)),
-                OpKind::MatMulNT => g.matmul_nt(arg(0), arg(1)),
-                OpKind::Bmm => g.bmm(arg(0), arg(1)),
-                OpKind::BmmNT => g.bmm_nt(arg(0), arg(1)),
-                OpKind::Add | OpKind::Mask => g.add(arg(0), arg(1)),
-                OpKind::Scale { factor } => g.scale(arg(0), *factor as f32),
-                OpKind::Gelu => g.gelu(arg(0)),
-                OpKind::Softmax => g.softmax_last(arg(0)),
-                OpKind::LayerNorm { eps } => g.layer_norm(arg(0), arg(1), arg(2), *eps as f32),
-                OpKind::ConcatCols => g.concat_cols(&args()),
-                OpKind::ConcatRows => g.concat_rows(&args()),
-                OpKind::Reshape => g.reshape(arg(0), node.shape.clone()),
-                OpKind::Permute { axes } => g.permute(arg(0), axes),
-                OpKind::CrossEntropy => g.cross_entropy(arg(0), indices()),
-            };
+            );
             if sites.next_if_eq(&i).is_some() {
-                v = dropout.forward(f, rng, v);
+                v = timed(f, || tape_slots!("dropout"), |f| dropout.forward(f, rng, v));
             }
             vars.push(v);
         }
@@ -385,6 +452,21 @@ mod tests {
         let sources = ir.nodes().iter().enumerate().filter(|(_, n)| n.kind.is_source());
         let picked = sources.filter(|&(i, _)| ir.grad_form(TensorId::from_index(i)) == form);
         picked.map(|(_, n)| n.label.clone()).collect()
+    }
+
+    #[test]
+    fn tape_op_slots_are_named_after_the_ir_op_kinds() {
+        let (_, model, _) = tiny_model();
+        let (ir, _) = training_and_encode_irs(&model);
+        let registered = ir.nodes().iter().all(|n| tape_ops(&n.kind).iter().all(Option::is_some));
+        assert!(registered, "every kind gets both op slots");
+        let names: HashSet<&str> =
+            turl_obs::profile::op_snapshot().into_iter().map(|(name, ..)| name).collect();
+        for kind in ir.nodes().iter().map(|n| n.kind.name()) {
+            for name in [format!("tape.{kind}"), format!("tape.{kind}.bwd")] {
+                assert!(names.contains(name.as_str()), "`{name}` is not registered");
+            }
+        }
     }
 
     #[test]

@@ -203,7 +203,9 @@ mod tests {
         // constants are what the commit before deferred products printed
         // for this run of three optimizer steps: the mean loss (two of the
         // batches saw updated weights) and a deferred weight after all
-        // three updates.
+        // three updates. Neither moves with the last bits of the
+        // arithmetic, so an FNV-1a digest over the bits of every parameter
+        // pins those: it was recorded under the fused multiply-add kernels.
         let fx = fixture();
         let mut ct = fresh_model(&fx);
         let cfg = FinetuneConfig { epochs: 1, ..Default::default() };
@@ -212,5 +214,11 @@ mod tests {
         let fuse = ct.store.find("turl.fuse.weight").expect("registered");
         let got = (stats.final_loss().to_bits(), ct.store.value(fuse).norm().to_bits());
         assert_eq!(got, (0x3f37_3670, 0x4015_e056), "loss {:#010x} |fuse| {:#010x}", got.0, got.1);
+        let bits =
+            ct.store.ids().flat_map(|id| ct.store.value(id).data().iter().map(|x| x.to_bits()));
+        let digest = bits.flat_map(u32::to_le_bytes).fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        });
+        assert_eq!(digest, 0xdd43_62cb_8262_1bd3, "parameter digest {digest:#018x}");
     }
 }

@@ -15,7 +15,7 @@ use crate::event::FieldValue;
 use crate::recorder::{emit, metrics_enabled};
 
 /// Maximum distinct profiled ops.
-pub const MAX_OPS: usize = 64;
+pub const MAX_OPS: usize = 128;
 /// Maximum pool workers tracked individually.
 pub const MAX_POOL_WORKERS: usize = 64;
 

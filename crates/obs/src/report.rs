@@ -594,7 +594,7 @@ pub fn render(s: &Summary) -> String {
             let per = op.total_ns.checked_div(op.calls).unwrap_or(0);
             let _ = writeln!(
                 out,
-                "  {:<16} calls {:>8}  total {:>12}  per-call {per} ns",
+                "  {:<24} calls {:>8}  total {:>12}  per-call {per} ns",
                 op.name,
                 op.calls,
                 fmt_ms(op.total_ns)

@@ -142,6 +142,9 @@ struct Node {
     /// of a row list.
     keep_grad: bool,
     backward: Option<BackFn>,
+    /// The op slot the sweep times `backward` under
+    /// ([`Graph::time_backward`]).
+    backward_op: Option<turl_obs::OpId>,
 }
 
 impl Node {
@@ -234,6 +237,7 @@ impl Graph {
             keep_value: false,
             keep_grad: false,
             backward: None,
+            backward_op: None,
         });
         Var(self.nodes.len() - 1)
     }
@@ -335,6 +339,16 @@ impl Graph {
         self.nodes[v.0].backward.is_some()
     }
 
+    /// Time the backward closures of the nodes recorded since the tape
+    /// held `since` nodes under `op` (the caller names it, e.g. after the
+    /// IR op the nodes lower from); [`backward`](Graph::backward) runs
+    /// each inside a [`turl_obs::op_timer`].
+    pub fn time_backward(&mut self, since: usize, op: Option<turl_obs::OpId>) {
+        for node in &mut self.nodes[since..] {
+            node.backward_op = op;
+        }
+    }
+
     fn push(&mut self, value: Tensor, parents: Vec<Var>, backward: BackFn) -> Var {
         self.push_reading(value, parents, backward, None)
     }
@@ -372,6 +386,7 @@ impl Graph {
             keep_value: false,
             keep_grad: false,
             backward: if needs_grad { Some(backward) } else { None },
+            backward_op: None,
         });
         Var(self.nodes.len() - 1)
     }
@@ -419,6 +434,7 @@ impl Graph {
     fn propagate(&mut self, i: usize) {
         let node = &self.nodes[i];
         let (Some(f), Some(grad)) = (&node.backward, &node.grad) else { return };
+        let _t = turl_obs::op_timer(node.backward_op);
         let grads = {
             let pvals: Vec<&Tensor> =
                 node.parents.iter().map(|p| self.nodes[p.0].unswept_value()).collect();

@@ -25,21 +25,27 @@
 //! ([`kernel_body`] names it). The panel width `W` belongs to the pair
 //! (compiled body, product), each chosen by measurement (DESIGN §5f):
 //! 16 columns everywhere except the f32 products under AVX-512, which run
-//! 4 × 32 tiles; the int8 product keeps 16 there (a 32-wide fragment's
+//! 4 × 64 tiles; the int8 product keeps 16 there (a 32-wide fragment's
 //! `i8 → f32` convert costs more than the wider multiply saves). What
 //! depends on `W` follows the product's own width: the fringe cascade
 //! (`W`, `W/2`, … down to 8 columns, then single columns) and the unit a
 //! column split is cut in.
 //!
-//! The numeric contract (DESIGN §5f): every product element is one
-//! accumulator that starts at `+0.0` and adds `a·b` — multiply, then add,
-//! never fused — in ascending `k`; SIMD lanes run across `n`, never
-//! across `k`. (The accumulating kernel adds each such product to the
-//! output element, one f32 add per part, in part order.) Results are
-//! therefore bit-identical to the naive triple
-//! loop for every tile shape, every [`crate::pool`] split (column panels
-//! when `m < n`, row tiles otherwise) and all three compiled bodies — the
-//! invariant the parallel-vs-serial equivalence tests pin down.
+//! The numeric contract (DESIGN §5f), named by [`NUMERICS`]: every
+//! product element is one accumulator that starts at `+0.0` and takes one
+//! fused multiply-add per step, `acc = a.mul_add(b, acc)` with a single
+//! rounding, in ascending `k`; SIMD lanes run across `n`, never across
+//! `k`. (The accumulating kernel adds each such product to the output
+//! element, one plain f32 add per part, in part order.) Results are
+//! therefore bit-identical to the naive triple loop written with
+//! `mul_add` for every tile shape, every [`crate::pool`] split (column
+//! panels when `m < n`, row tiles otherwise) and all three compiled
+//! bodies — the invariant the parallel-vs-serial equivalence tests pin
+//! down. AVX2 and AVX-512F bodies issue `vfmadd`; the portable body's
+//! `mul_add` is native `fmla` on aarch64 but, compiled for x86-64's
+//! baseline, a call to the runtime's correctly rounded `fmaf` per step
+//! (same bits, tens of times slower; only a CPU without AVX2 and FMA runs
+//! it).
 //!
 //! The batched variants ([`bmm`], [`bmm_nt`], [`bmm_tn`]) parallelize over
 //! the batch (attention-head) dimension instead, so multi-head attention
@@ -276,7 +282,7 @@ impl<'a> Lhs<'a> for KMajor<'a> {
 trait Rhs: Copy + Sync {
     /// Columns per full register tile of a product over this operand when
     /// `body` runs it — measured per body (DESIGN §5f), a power of two
-    /// between [`MIN_PANEL`] and 32.
+    /// between [`MIN_PANEL`] and 64.
     fn nr(body: Body) -> usize;
     /// The fragments at column `j0` for `kk` ascending over `0..k`.
     fn steps<const W: usize>(self, j0: usize) -> impl Iterator<Item = [f32; W]>;
@@ -297,12 +303,14 @@ impl<'a> F32<'a> {
 }
 
 impl Rhs for F32<'_> {
-    /// Two vectors per row of the tile at every width: 4×16 at 8 lanes
-    /// (one whole cache line of `B` per `k` step), 4×32 at 16 lanes.
+    /// 4×16 at 8 lanes: two vectors per tile row, one whole cache line of
+    /// `B` per `k` step. 4×64 at 16 lanes: four vectors per row, sixteen
+    /// independent fused multiply-adds per step against 4×32's eight,
+    /// 17–25 % faster on the forward shapes (DESIGN §5f).
     #[inline(always)]
     fn nr(body: Body) -> usize {
         match body {
-            Body::Avx512 => 32,
+            Body::Avx512 => 64,
             Body::Avx2 | Body::Portable => 16,
         }
     }
@@ -318,8 +326,10 @@ impl Rhs for F32<'_> {
 /// Block-quantized `B`, dequantized in register: `q as f32 * scale` right
 /// before the multiply, which is exactly `dequantize()`'s value. The
 /// kernel's fragments start at a multiple of their width `W`, and every
-/// `W` it uses divides `QBLOCK`, so a fragment never straddles two quant
-/// blocks — one scale per step.
+/// `W` this operand's panel width lets the cascade reach divides `QBLOCK`
+/// (asserted; the wider panels of other products are compiled here too,
+/// but never run), so a fragment never straddles two quant blocks — one
+/// scale per step.
 impl Rhs for &QuantBlocks {
     /// 16 under every body: the widening `i8 → f32` convert of a 32-wide
     /// fragment costs far more than the wider multiply saves (4×32 ran
@@ -331,7 +341,7 @@ impl Rhs for &QuantBlocks {
     }
     #[inline(always)]
     fn steps<const W: usize>(self, j0: usize) -> impl Iterator<Item = [f32; W]> {
-        const { assert!(QBLOCK.is_multiple_of(W)) };
+        assert!(QBLOCK.is_multiple_of(W), "a {W}-wide fragment straddles quant blocks");
         let blk = j0 >> QBLOCK_SHIFT;
         let scales = self.scales().chunks_exact(self.blocks_per_row());
         self.quants().chunks_exact(self.cols()).zip(scales).map(move |(row, srow)| {
@@ -428,8 +438,8 @@ trait Product: Copy + Sync {
 }
 
 /// `A · B`: the accumulators start at `+0.0`, stay in registers across the
-/// whole `k` loop and take one multiply and one add per step, lanes
-/// running across columns.
+/// whole `k` loop and take one fused multiply-add per step, lanes running
+/// across columns.
 impl<'a, A: Lhs<'a>, B: Rhs> Product for (A, B) {
     #[inline(always)]
     fn nr(body: Body) -> usize {
@@ -446,7 +456,7 @@ impl<'a, A: Lhs<'a>, B: Rhs> Product for (A, B) {
         for (av, bv) in self.0.steps::<R>(i0).zip(self.1.steps::<W>(j0)) {
             for r in 0..R {
                 for c in 0..W {
-                    acc[r][c] += av[r] * bv[c];
+                    acc[r][c] = av[r].mul_add(bv[c], acc[r][c]);
                 }
             }
         }
@@ -522,7 +532,7 @@ fn panel<const W: usize, P: Product>(p: P, out: OutPtr, rows: &Range<usize>, j0:
 enum Body {
     /// 16 lanes per vector (`avx512f`).
     Avx512,
-    /// 8 lanes per vector (`avx2`).
+    /// 8 lanes per vector (`avx2` with `fma`).
     Avx2,
     /// The target's baseline (SSE2 on x86-64): the only body elsewhere.
     Portable,
@@ -538,7 +548,9 @@ impl Body {
             #[cfg(target_arch = "x86_64")]
             Body::Avx512 => std::is_x86_feature_detected!("avx512f"),
             #[cfg(target_arch = "x86_64")]
-            Body::Avx2 => std::is_x86_feature_detected!("avx2"),
+            Body::Avx2 => {
+                std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma")
+            }
             Body::Portable => true,
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
@@ -559,6 +571,12 @@ impl Body {
         }
     }
 }
+
+/// The name of the kernels' numeric contract (module docs): one fused
+/// multiply-add per product step. Anything that keeps numbers these
+/// kernels produced across builds, such as the experiment harness's
+/// weight cache, keys them by it; a change of the arithmetic changes it.
+pub const NUMERICS: &str = "fma1";
 
 /// The names [`kernel_body`] can return, narrowest vectors first.
 pub const KERNEL_BODIES: [&str; 3] =
@@ -595,6 +613,7 @@ fn block<P: Product>(body: Body, p: P, out: OutPtr, rows: Range<usize>, cols: Ra
             }
         };
     }
+    panels!(64);
     panels!(32);
     panels!(16);
     panels!(8); // MIN_PANEL
@@ -627,19 +646,21 @@ impl<P: Product> Compiled for Block<'_, P> {
     }
 }
 
-/// `k` compiled with AVX2 enabled (8 lanes per vector instead of SSE2's
-/// 4). The body is the same source and FMA stays off, so the compilations
-/// are bit-identical.
+/// `k` compiled with AVX2 and FMA enabled (8 lanes per vector instead of
+/// SSE2's 4). The body is the same source: each `mul_add` it writes
+/// becomes one `vfmadd`, the one rounding the portable body's `mul_add`
+/// also gives, and nothing else fuses (Rust emits no `contract` flag), so
+/// the compilations are bit-identical.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 fn on_avx2<K: Compiled>(k: K) {
     k.run(Body::Avx2);
 }
 
 /// `k` compiled with AVX-512F enabled (16 lanes per vector). The feature
-/// implies `fma`, which changes nothing: the sources never write `mul_add`
-/// and Rust emits no `contract` flag, so LLVM may not fuse a multiply with
-/// an add at any width (DESIGN §5f).
+/// implies `fma`: each `mul_add` the source writes is one `vfmadd`, and
+/// since Rust emits no `contract` flag LLVM fuses nothing else at any
+/// width (DESIGN §5f).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn on_avx512<K: Compiled>(k: K) {
@@ -654,7 +675,7 @@ fn run_body<K: Compiled>(body: Body, k: K) {
         // SAFETY: `available` just saw AVX-512F on the running CPU.
         Body::Avx512 => unsafe { on_avx512(k) },
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `available` just saw AVX2 on the running CPU.
+        // SAFETY: `available` just saw AVX2 and FMA on the running CPU.
         Body::Avx2 => unsafe { on_avx2(k) },
         _ => k.run(Body::Portable),
     }
@@ -745,9 +766,9 @@ pub fn matmul_nt_scratch_len(m: usize, k: usize, n: usize) -> usize {
 /// `[k, m₈]` panel whose pad columns are zero, the block kernel streams
 /// `b`'s rows contiguously with its lanes across `a`'s rows, and the
 /// small `[n, m₈]` result is transposed back (pad columns dropped).
-/// Element `(i, j)` is still one accumulator adding `b[j,kk] · a[i,kk]`
-/// for ascending `kk` — the same products (an f32 multiply commutes
-/// exactly) in the same order as `A · (Bᵀ)`.
+/// Element `(i, j)` is still one accumulator fusing `b[j,kk] · a[i,kk]`
+/// into it for ascending `kk` — the same exact products (a fused
+/// multiply-add's operands commute) in the same order as `A · (Bᵀ)`.
 fn gemm_nt(
     a: &[f32],
     b: &[f32],
@@ -834,39 +855,60 @@ fn par_batch_nt(
 
 /// Row-dot-product kernel, unrolled 4-wide across output columns. Kept
 /// as the small-problem path of `matmul_nt`, where a transpose panel
-/// would dominate the cost; each accumulator still sums in ascending-`k`
-/// order (bit-identical to the panel path).
+/// would dominate the cost; each accumulator still takes one `mul_add`
+/// per step in ascending-`k` order (bit-identical to the panel path).
+/// Compiled per body like the block kernel, so its `mul_add` is one
+/// instruction wherever the CPU has FMA.
 fn matmul_nt_rows(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let b0 = &b[j * k..(j + 1) * k];
-            let b1 = &b[(j + 1) * k..(j + 2) * k];
-            let b2 = &b[(j + 2) * k..(j + 3) * k];
-            let b3 = &b[(j + 3) * k..(j + 4) * k];
-            let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-            for (kk, &av) in arow.iter().enumerate() {
-                s0 += av * b0[kk];
-                s1 += av * b1[kk];
-                s2 += av * b2[kk];
-                s3 += av * b3[kk];
+    run_body(Body::widest(), NtRows { a, b, out, m, k, n });
+}
+
+/// `out[m,n] = a[m,k] · b[n,k]ᵀ`, one dot product per output element:
+/// [`matmul_nt_rows`] as a [`Compiled`] kernel.
+struct NtRows<'a> {
+    a: &'a [f32],
+    b: &'a [f32],
+    out: &'a mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+}
+
+impl Compiled for NtRows<'_> {
+    #[inline(always)]
+    fn run(self, _body: Body) {
+        let NtRows { a, b, out, m, k, n } = self;
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let orow = &mut out[i * n..(i + 1) * n];
+            let mut j = 0usize;
+            while j + 4 <= n {
+                let b0 = &b[j * k..(j + 1) * k];
+                let b1 = &b[(j + 1) * k..(j + 2) * k];
+                let b2 = &b[(j + 2) * k..(j + 3) * k];
+                let b3 = &b[(j + 3) * k..(j + 4) * k];
+                let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
+                for (kk, &av) in arow.iter().enumerate() {
+                    s0 = av.mul_add(b0[kk], s0);
+                    s1 = av.mul_add(b1[kk], s1);
+                    s2 = av.mul_add(b2[kk], s2);
+                    s3 = av.mul_add(b3[kk], s3);
+                }
+                orow[j] = s0;
+                orow[j + 1] = s1;
+                orow[j + 2] = s2;
+                orow[j + 3] = s3;
+                j += 4;
             }
-            orow[j] = s0;
-            orow[j + 1] = s1;
-            orow[j + 2] = s2;
-            orow[j + 3] = s3;
-            j += 4;
-        }
-        while j < n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (x, y) in arow.iter().zip(brow.iter()) {
-                acc += x * y;
+            while j < n {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (x, y) in arow.iter().zip(brow.iter()) {
+                    acc = x.mul_add(*y, acc);
+                }
+                orow[j] = acc;
+                j += 1;
             }
-            orow[j] = acc;
-            j += 1;
         }
     }
 }
@@ -1022,7 +1064,7 @@ pub fn gather_rows_into(table: &[f32], row_len: usize, indices: &[usize], out: &
 // (row-aligned 32-wide blocks, one f32 scale per block). The matmul
 // below is the block kernel over the `&QuantBlocks` right operand, which
 // dequantizes *in register* — each int8 value becomes `q as f32 * scale`
-// right before the multiply-accumulate. The contract, pinned by tests:
+// right before the fused multiply-add. The contract, pinned by tests:
 // `matmul_q8(a, qb)` is bit-identical to `matmul(a, dequantize(qb))` at
 // every thread count and tile shape.
 // ---------------------------------------------------------------------
@@ -1307,7 +1349,7 @@ mod tests {
             for j in 0..n {
                 let mut s = 0.0f32;
                 for kk in 0..k {
-                    s += a.data()[i * k + kk] * b.data()[kk * n + j];
+                    s = a.data()[i * k + kk].mul_add(b.data()[kk * n + j], s);
                 }
                 out.data_mut()[i * n + j] = s;
             }
@@ -1757,13 +1799,16 @@ mod tests {
             }
             t
         };
-        // Every fringe of the widest cascade (`n mod 32`: nothing, single
+        // Every fringe of the widest cascade (`n mod 64`: nothing, single
         // columns only, an 8-panel with and without single columns, a
-        // 16-panel, 16 + 8, all three) against every tile height
-        // (`m mod 4`), `k = 0` included; three quant blocks per row, so a
-        // misaligned fragment would read a neighbour's scale. Miri
-        // interprets two of the shapes.
-        let all = [0, 1, 7, 8, 9, 16, 24, 31].map(|f| [4, 5, 6, 7].map(|m| (m, 64 + f)));
+        // 16-panel, 16 + 8, 16 + 8 + singles, a 32-panel alone, with
+        // singles and with 16 + 8 + singles) against every tile height
+        // (`m mod 4`), `k = 0` included; two full 64-panels, so a 64-wide
+        // split has a unit for each of up to three ranges, and four or
+        // more quant blocks per row, so a misaligned fragment would read
+        // a neighbour's scale. Miri interprets two of the shapes.
+        let fringes = [0, 1, 7, 8, 9, 16, 24, 31, 32, 33, 63];
+        let all = fringes.map(|f| [4, 5, 6, 7].map(|m| (m, 128 + f)));
         let shapes = if cfg!(miri) { &[(5, 73), (7, 95)][..] } else { all.as_flattened() };
         for (case, &(m, n)) in shapes.iter().enumerate() {
             let k = [9, 33, 5, 0][case % 4];
@@ -1785,6 +1830,18 @@ mod tests {
             let seed = spiked(&[m, n], 13);
             let ctx = format!("tn_acc {m}x({k}+3)x{n}");
             assert_bodies_agree(Accumulate(&parts), seed.data(), m, n, &ctx);
+            // The row-dot-product path of `matmul_nt`, `b` read as `[n, k]`.
+            let bt = spiked(&[n, k], 15);
+            let dot = |body| {
+                let mut out = vec![f32::NAN; m * n];
+                run_body(body, NtRows { a: a.data(), b: bt.data(), out: &mut out, m, k, n });
+                out
+            };
+            let portable = dot(Body::Portable);
+            for body in Body::ALL.into_iter().filter(|b| b.available()) {
+                let ctx = format!("{} vs portable, nt rows {m}x{k}x{n}", body.name());
+                assert_same_bits(&dot(body), &portable, &ctx);
+            }
         }
         // The `tanh` pass, every lane, out of place and in place, at every
         // vector remainder: magnitudes from 2^-60 to 2^6 reach every

@@ -7,7 +7,9 @@
 //! every range branch is computed and each lane selects its own, and the
 //! two divisions of `tanhf`'s two branches are one division of a selected
 //! numerator. No `mul_add`, no libm call, nothing a compiler may
-//! reassociate — so a loop over it vectorizes, and the elementwise pass
+//! reassociate or contract (the AVX2 and AVX-512F bodies have FMA, but
+//! Rust fuses only a written `mul_add`, and glibc's C is unfused) — so a
+//! loop over it vectorizes, and the elementwise pass
 //! ([`tanh_into`], [`gelu_tanh_into`], [`gelu`]) is compiled once per
 //! [`Body`] and dispatched through [`Body::widest`] exactly like the block
 //! kernel.

@@ -38,7 +38,7 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a.data()[i * k + kk] * b.data()[kk * n + j];
+                acc = a.data()[i * k + kk].mul_add(b.data()[kk * n + j], acc);
             }
             out[i * n + j] = acc;
         }
@@ -55,7 +55,7 @@ fn naive_matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a.data()[i * k + kk] * b.data()[j * k + kk];
+                acc = a.data()[i * k + kk].mul_add(b.data()[j * k + kk], acc);
             }
             out[i * n + j] = acc;
         }
@@ -72,7 +72,7 @@ fn naive_matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a.data()[kk * m + i] * b.data()[kk * n + j];
+                acc = a.data()[kk * m + i].mul_add(b.data()[kk * n + j], acc);
             }
             out[i * n + j] = acc;
         }
