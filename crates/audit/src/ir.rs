@@ -20,6 +20,7 @@
 
 use crate::error::AuditError;
 use crate::plan::{ModelPlan, PlanNumerics};
+use std::ops::Range;
 use turl_tensor::{broadcast_shape, GradForm};
 
 /// Handle to one tensor (node) in an [`Ir`].
@@ -161,6 +162,10 @@ pub struct IrNode {
     pub shape: Vec<usize>,
     /// Human-readable name (e.g. `block0.att.scores`).
     pub label: String,
+    /// The table (row segment) this node belongs to, or `None` for a node
+    /// over the rows of every table of the group ([`lower_group_plan`]);
+    /// a parameter source belongs to the readers that share its leaf.
+    pub seg: Option<usize>,
 }
 
 impl IrNode {
@@ -170,13 +175,20 @@ impl IrNode {
     }
 }
 
-/// An op-graph lowering of one forward plan, in topological order.
+/// An op-graph lowering of one forward plan, or of a group of them
+/// stacked as row segments ([`lower_group_plan`]), in topological order.
 #[derive(Debug, Clone)]
 pub struct Ir {
     nodes: Vec<IrNode>,
     /// Per node, what [`Ir::grad_form`] answers.
     grad_forms: Vec<GradForm>,
     dropout_sites: Vec<TensorId>,
+    /// Row count of each table of the group.
+    segments: Vec<usize>,
+    /// The gathers that take one table's rows of a stacked node.
+    slices: Vec<(TensorId, Range<usize>)>,
+    /// Per table: its encoder output, and its loss when it has a head.
+    outputs: Vec<(TensorId, Option<TensorId>)>,
     /// Numeric metadata (init bounds, eps, mask penalty) the value-range
     /// analysis interprets the graph under.
     pub numerics: PlanNumerics,
@@ -203,9 +215,15 @@ impl Ir {
         &self.nodes
     }
 
-    /// The first tensor labelled `label` (a lowered plan's labels are unique).
+    /// The first tensor labelled `label` (a lowered plan's labels are
+    /// unique; a group's are per table, [`find_in`](Ir::find_in)).
     pub fn find(&self, label: &str) -> Option<TensorId> {
         self.nodes.iter().position(|n| n.label == label).map(TensorId)
+    }
+
+    /// The tensor labelled `label` that belongs to table `seg`.
+    pub fn find_in(&self, label: &str, seg: usize) -> Option<TensorId> {
+        self.nodes.iter().position(|n| n.label == label && n.seg == Some(seg)).map(TensorId)
     }
 
     /// The tensors training-mode dropout applies to, in tape order: the
@@ -237,6 +255,28 @@ impl Ir {
     /// Largest single-tensor element count anywhere in the graph.
     pub fn peak_elements(&self) -> usize {
         self.nodes.iter().map(IrNode::elements).max().unwrap_or(0)
+    }
+
+    /// Row count of each table of the group, in plan order; one entry
+    /// for a single plan.
+    pub fn segments(&self) -> &[usize] {
+        &self.segments
+    }
+
+    /// When `t` is a gather that takes one table's rows of a stacked
+    /// node, those rows: its index list.
+    pub fn slice_rows(&self, t: TensorId) -> Option<Range<usize>> {
+        self.slices.iter().find(|(s, _)| *s == t).map(|(_, rows)| rows.clone())
+    }
+
+    /// Table `seg`'s encoder output `[n, d]` — what its heads gather from.
+    pub fn encoder_output(&self, seg: usize) -> TensorId {
+        self.outputs[seg].0
+    }
+
+    /// Table `seg`'s loss (the sum of its head losses), if it has a head.
+    pub fn loss(&self, seg: usize) -> Option<TensorId> {
+        self.outputs[seg].1
     }
 }
 
@@ -345,6 +385,9 @@ fn infer_shape(kind: &OpKind, ins: &[&[usize]]) -> Result<Vec<usize>, AuditError
 pub struct IrBuilder {
     nodes: Vec<IrNode>,
     dropout_sites: Vec<TensorId>,
+    /// The table the next nodes belong to (`IrNode::seg`).
+    seg: Option<usize>,
+    slices: Vec<(TensorId, Range<usize>)>,
 }
 
 impl IrBuilder {
@@ -375,7 +418,15 @@ impl IrBuilder {
                 _ => GradForm::Dense,
             })
             .collect();
-        Ir { nodes: self.nodes, grad_forms, dropout_sites: self.dropout_sites, numerics }
+        Ir {
+            nodes: self.nodes,
+            grad_forms,
+            dropout_sites: self.dropout_sites,
+            segments: Vec::new(),
+            slices: self.slices,
+            outputs: Vec::new(),
+            numerics,
+        }
     }
 
     fn shape(&self, t: TensorId) -> &[usize] {
@@ -389,7 +440,7 @@ impl IrBuilder {
         shape: Vec<usize>,
         label: &str,
     ) -> TensorId {
-        self.nodes.push(IrNode { kind, inputs, shape, label: label.to_string() });
+        self.nodes.push(IrNode { kind, inputs, shape, label: label.to_string(), seg: self.seg });
         TensorId(self.nodes.len() - 1)
     }
 
@@ -399,10 +450,10 @@ impl IrBuilder {
     }
 
     /// The `[rows, d]` embedding table `label`: declared where it is
-    /// first read and shared after that (one parameter leaf per pass),
-    /// so a plan never carries a table nothing reads.
+    /// first read and shared after that (one parameter leaf per pass and
+    /// table), so a plan never carries a table nothing reads.
     fn table(&mut self, rows: usize, d: usize, label: &str) -> TensorId {
-        match self.nodes.iter().position(|n| n.label == label) {
+        match self.nodes.iter().position(|n| n.label == label && n.seg == self.seg) {
             Some(i) => TensorId(i),
             None => self.source(SourceKind::Table, vec![rows, d], label),
         }
@@ -446,6 +497,19 @@ impl IrBuilder {
         let mut shape = s.to_vec();
         shape[0] = indices.len();
         Ok(self.push(OpKind::Gather, vec![table], shape, label))
+    }
+
+    /// Rows `rows` of a stacked `t`: a gather whose index list is those
+    /// rows ([`Ir::slice_rows`]).
+    fn slice(
+        &mut self,
+        t: TensorId,
+        rows: Range<usize>,
+        label: &str,
+    ) -> Result<TensorId, AuditError> {
+        let sliced = self.gather(t, &rows.clone().collect::<Vec<_>>(), label)?;
+        self.slices.push((sliced, rows));
+        Ok(sliced)
     }
 
     /// Element-preserving reshape: element counts must agree.
@@ -525,14 +589,149 @@ impl IrBuilder {
 /// the bit-exactness contract (q/k/v are all projected before any head
 /// split; the token block precedes the entity block).
 pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
-    crate::plan::check_plan_fields(plan)?;
-    let p = *plan;
+    lower_group_plan(std::slice::from_ref(plan))
+}
+
+/// Lower the plans of several tables of one model into one op graph that
+/// runs them stacked as row segments, table `s` the rows
+/// `Σ_{t<s} n_t .. Σ_{t≤s} n_t`. Every row-wise op — the encoder's
+/// linears, layer norms, GELU and residual adds, and the dropout sites on
+/// them — is one node over all the tables' rows (`seg: None`), so each
+/// weight is walked once per pass; what mixes rows within a table is
+/// lowered per table (`seg: Some(s)`): its embedding layer, attention
+/// core (scores, mask, softmax, context) and heads, which gather their
+/// table's rows of the stacked node ([`Ir::slice_rows`]) and are
+/// concatenated back. A stacked node's parameters are one source each
+/// (its executor binds one leaf per table for a gradient summed over
+/// rows, so each table's sum is its own); a per-table node's are that
+/// table's own sources. One plan lowers exactly as [`lower_model_plan`].
+///
+/// The plans must agree on everything but their per-input counts and
+/// whether the input carries a visibility mask.
+pub fn lower_group_plan(plans: &[ModelPlan]) -> Result<Ir, AuditError> {
+    let Some(p) = plans.first().copied() else {
+        return Err(AuditError::BadConfig { field: "plans", detail: "an empty group".into() });
+    };
+    for q in plans {
+        crate::plan::check_plan_fields(q)?;
+        let same_model = ModelPlan {
+            n_tokens: p.n_tokens,
+            n_seq_entities: p.n_seq_entities,
+            n_mention_tokens: p.n_mention_tokens,
+            n_mlm_targets: p.n_mlm_targets,
+            n_mer_targets: p.n_mer_targets,
+            n_candidates: p.n_candidates,
+            use_visibility: p.use_visibility,
+            ..*q
+        };
+        if same_model != p {
+            let detail = "the tables of a group must share one model".into();
+            return Err(AuditError::BadConfig { field: "plans", detail });
+        }
+    }
     let d = p.d_model;
-    let n = p.n_tokens + p.n_seq_entities;
     let dh = d / p.n_heads;
+    let stacked = plans.len() > 1;
+    let seq_len = |q: &ModelPlan| q.n_tokens + q.n_seq_entities;
+    let mut rows = Vec::with_capacity(plans.len());
+    for q in plans {
+        let start = rows.last().map_or(0, |r: &Range<usize>| r.end);
+        rows.push(start..start + seq_len(q));
+    }
     let mut b = IrBuilder::new();
 
-    // ---- Embedding layer (Eqns. 1–3) --------------------------------
+    // ---- Embedding layer (Eqns. 1–3), per table ---------------------
+    let mut embedded = Vec::with_capacity(plans.len());
+    for (s, q) in plans.iter().enumerate() {
+        b.seg = Some(s);
+        embedded.push(lower_embedding(&mut b, q)?);
+    }
+    b.seg = None;
+    let x = if stacked { b.op(OpKind::ConcatRows, &embedded, "embed.stack")? } else { embedded[0] };
+    let mut h = b.ln(x, d, p.numerics.ln_eps, "ln_embed")?;
+    b.dropout_site(h);
+
+    // ---- Encoder stack (§4.3) ---------------------------------------
+    // One mask source per table, shared by every block.
+    let masks: Vec<Option<TensorId>> = (plans.iter().enumerate())
+        .map(|(s, q)| {
+            b.seg = Some(s);
+            let n = seq_len(q);
+            q.use_visibility.then(|| b.source(SourceKind::Mask, vec![n, n], "visibility_mask"))
+        })
+        .collect();
+    b.seg = None;
+    let inv_sqrt_dh = f64::from(1.0f32 / (dh as f32).sqrt());
+    // Head split and merge are the same swap: [n, h, dh] ⇄ [h, n, dh].
+    let swap_heads = || OpKind::Permute { axes: vec![1, 0, 2] };
+    for i in 0..p.n_layers {
+        let blk = format!("block{i}");
+        let q = b.linear(h, d, d, &format!("{blk}.att.wq"))?;
+        let k = b.linear(h, d, d, &format!("{blk}.att.wk"))?;
+        let v = b.linear(h, d, d, &format!("{blk}.att.wv"))?;
+        let mut flats = Vec::with_capacity(plans.len());
+        for (s, plan) in plans.iter().enumerate() {
+            b.seg = Some(s);
+            let n = seq_len(plan);
+            let mut heads = [q, k, v];
+            for (t, nm) in heads.iter_mut().zip(["q", "k", "v"]) {
+                if stacked {
+                    *t = b.slice(*t, rows[s].clone(), &format!("{blk}.att.{nm}_rows"))?;
+                }
+                let r = b.reshape(*t, vec![n, p.n_heads, dh], &format!("{blk}.att.{nm}_split"))?;
+                *t = b.op(swap_heads(), &[r], &format!("{blk}.att.{nm}_heads"))?;
+            }
+            let scores =
+                b.op(OpKind::BmmNT, &[heads[0], heads[1]], &format!("{blk}.att.scores"))?;
+            let scaled = b.op(
+                OpKind::Scale { factor: inv_sqrt_dh },
+                &[scores],
+                &format!("{blk}.att.scaled"),
+            )?;
+            let logits = match masks[s] {
+                Some(m) => b.op(OpKind::Mask, &[scaled, m], &format!("{blk}.att.masked"))?,
+                None => scaled,
+            };
+            let probs = b.op(OpKind::Softmax, &[logits], &format!("{blk}.att.probs"))?;
+            b.dropout_site(probs);
+            let ctx = b.op(OpKind::Bmm, &[probs, heads[2]], &format!("{blk}.att.ctx"))?;
+            let merged = b.op(swap_heads(), &[ctx], &format!("{blk}.att.merged"))?;
+            flats.push(b.reshape(merged, vec![n, d], &format!("{blk}.att.flat"))?);
+        }
+        b.seg = None;
+        let flat = if stacked {
+            b.op(OpKind::ConcatRows, &flats, &format!("{blk}.att.stack"))?
+        } else {
+            flats[0]
+        };
+        let att = b.linear(flat, d, d, &format!("{blk}.att.wo"))?;
+        let res1 = b.op(OpKind::Add, &[h, att], &format!("{blk}.res1"))?;
+        let h1 = b.ln(res1, d, p.numerics.ln_eps, &format!("{blk}.ln1"))?;
+        let ff1 = b.linear(h1, d, p.d_intermediate, &format!("{blk}.ffn.lin1"))?;
+        let act = b.op(OpKind::Gelu, &[ff1], &format!("{blk}.ffn.gelu"))?;
+        let ff2 = b.linear(act, p.d_intermediate, d, &format!("{blk}.ffn.lin2"))?;
+        b.dropout_site(ff2);
+        let res2 = b.op(OpKind::Add, &[h1, ff2], &format!("{blk}.res2"))?;
+        h = b.ln(res2, d, p.numerics.ln_eps, &format!("{blk}.ln2"))?;
+    }
+
+    // ---- Pre-training heads (Eqns. 5–6), per table -------------------
+    let mut outputs = Vec::with_capacity(plans.len());
+    for (s, q) in plans.iter().enumerate() {
+        b.seg = Some(s);
+        let out = if stacked { b.slice(h, rows[s].clone(), "encoder.rows")? } else { h };
+        outputs.push((out, lower_heads(&mut b, q, out)?));
+    }
+
+    let mut ir = b.finish(p.numerics);
+    ir.segments = plans.iter().map(seq_len).collect();
+    ir.outputs = outputs;
+    Ok(ir)
+}
+
+/// One table's embedding layer (Eqns. 1–3): its `[n, d]` input rows.
+fn lower_embedding(b: &mut IrBuilder, p: &ModelPlan) -> Result<TensorId, AuditError> {
+    let d = p.d_model;
     let mut parts = Vec::new();
     if p.n_tokens > 0 {
         let word_emb = b.table(p.n_words, d, "word_emb");
@@ -571,51 +770,22 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
         let te = b.gather(ent_type_emb, &vec![2; p.n_seq_entities], "embed.ent_types")?;
         parts.push(b.op(OpKind::Add, &[fused, te], "embed.ents")?);
     }
-    let x =
-        if parts.len() == 1 { parts[0] } else { b.op(OpKind::ConcatRows, &parts, "embed.seq")? };
-    let mut h = b.ln(x, d, p.numerics.ln_eps, "ln_embed")?;
-    b.dropout_site(h);
-
-    // ---- Encoder stack (§4.3) ---------------------------------------
-    // One mask source shared by every block.
-    let mask = p.use_visibility.then(|| b.source(SourceKind::Mask, vec![n, n], "visibility_mask"));
-    let inv_sqrt_dh = f64::from(1.0f32 / (dh as f32).sqrt());
-    // Head split and merge are the same swap: [n, h, dh] ⇄ [h, n, dh].
-    let swap_heads = || OpKind::Permute { axes: vec![1, 0, 2] };
-    for i in 0..p.n_layers {
-        let blk = format!("block{i}");
-        let q = b.linear(h, d, d, &format!("{blk}.att.wq"))?;
-        let k = b.linear(h, d, d, &format!("{blk}.att.wk"))?;
-        let v = b.linear(h, d, d, &format!("{blk}.att.wv"))?;
-        let mut heads = [q, k, v];
-        for (t, nm) in heads.iter_mut().zip(["q", "k", "v"]) {
-            let r = b.reshape(*t, vec![n, p.n_heads, dh], &format!("{blk}.att.{nm}_split"))?;
-            *t = b.op(swap_heads(), &[r], &format!("{blk}.att.{nm}_heads"))?;
-        }
-        let scores = b.op(OpKind::BmmNT, &[heads[0], heads[1]], &format!("{blk}.att.scores"))?;
-        let scaled =
-            b.op(OpKind::Scale { factor: inv_sqrt_dh }, &[scores], &format!("{blk}.att.scaled"))?;
-        let logits = match mask {
-            Some(m) => b.op(OpKind::Mask, &[scaled, m], &format!("{blk}.att.masked"))?,
-            None => scaled,
-        };
-        let probs = b.op(OpKind::Softmax, &[logits], &format!("{blk}.att.probs"))?;
-        b.dropout_site(probs);
-        let ctx = b.op(OpKind::Bmm, &[probs, heads[2]], &format!("{blk}.att.ctx"))?;
-        let merged = b.op(swap_heads(), &[ctx], &format!("{blk}.att.merged"))?;
-        let flat = b.reshape(merged, vec![n, d], &format!("{blk}.att.flat"))?;
-        let att = b.linear(flat, d, d, &format!("{blk}.att.wo"))?;
-        let res1 = b.op(OpKind::Add, &[h, att], &format!("{blk}.res1"))?;
-        let h1 = b.ln(res1, d, p.numerics.ln_eps, &format!("{blk}.ln1"))?;
-        let ff1 = b.linear(h1, d, p.d_intermediate, &format!("{blk}.ffn.lin1"))?;
-        let act = b.op(OpKind::Gelu, &[ff1], &format!("{blk}.ffn.gelu"))?;
-        let ff2 = b.linear(act, p.d_intermediate, d, &format!("{blk}.ffn.lin2"))?;
-        b.dropout_site(ff2);
-        let res2 = b.op(OpKind::Add, &[h1, ff2], &format!("{blk}.res2"))?;
-        h = b.ln(res2, d, p.numerics.ln_eps, &format!("{blk}.ln2"))?;
+    if parts.len() == 1 {
+        Ok(parts[0])
+    } else {
+        b.op(OpKind::ConcatRows, &parts, "embed.seq")
     }
+}
 
-    // ---- Pre-training heads (Eqns. 5–6) -----------------------------
+/// One table's MLM/MER heads (Eqns. 5–6) over its encoder output `h`,
+/// and their loss: the sum when both are active.
+fn lower_heads(
+    b: &mut IrBuilder,
+    p: &ModelPlan,
+    h: TensorId,
+) -> Result<Option<TensorId>, AuditError> {
+    let d = p.d_model;
+    let n = p.n_tokens + p.n_seq_entities;
     let mut losses = Vec::new();
     if p.n_mlm_targets > 0 {
         // MLM rows index token positions (< n_tokens ≤ n).
@@ -640,12 +810,12 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
             "mer.loss",
         )?);
     }
-    if losses.len() == 2 {
+    Ok(match losses[..] {
         // The trainer sums the head losses into one backward root.
-        b.op(OpKind::Add, &losses, "loss")?;
-    }
-
-    Ok(b.finish(p.numerics))
+        [_, _] => Some(b.op(OpKind::Add, &losses, "loss")?),
+        [one] => Some(one),
+        _ => None,
+    })
 }
 
 #[cfg(test)]

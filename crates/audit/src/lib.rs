@@ -52,7 +52,9 @@ pub mod tape;
 pub mod visibility;
 
 pub use error::AuditError;
-pub use ir::{lower_model_plan, Ir, IrBuilder, IrNode, OpKind, SourceKind, TensorId};
+pub use ir::{
+    lower_group_plan, lower_model_plan, Ir, IrBuilder, IrNode, OpKind, SourceKind, TensorId,
+};
 pub use liveness::{
     live_ranges, plan_arena, plan_layout, ArenaLayout, ArenaPlan, ArenaRequest, ArenaSlot,
     LiveRange,

@@ -197,12 +197,26 @@ fn check_unit_open(field: &'static str, value: f64) -> Result<(), AuditError> {
     Ok(())
 }
 
+fn check_unit_closed(field: &'static str, value: f64) -> Result<(), AuditError> {
+    if !(0.0..=1.0).contains(&value) {
+        return Err(AuditError::RatioOutOfRange {
+            field,
+            value,
+            expected: "the closed interval [0, 1]",
+        });
+    }
+    Ok(())
+}
+
 /// Validate the §4.4 masking configuration.
 ///
 /// `mlm_select_ratio` and `mer_select_ratio` choose which positions enter
-/// the objective; `mer_mention_keep_share` splits the non-keep branch of
-/// MER. All three must lie strictly inside `(0, 1)` — a ratio of `0`
-/// starves the objective, a ratio of `1` leaves no clean context. On
+/// the objective and must lie strictly inside `(0, 1)` — a ratio of `0`
+/// starves the objective, a ratio of `1` leaves no clean context.
+/// `mer_mention_keep_share` only splits MER's non-keep branch between
+/// masking both the mention and the entity and keeping the mention, so
+/// either end of `[0, 1]` starves nothing (`0`: always mask both, `1`:
+/// always keep the mention; the mention-keep ablation runs at `0`). On
 /// success the derived MER branch fractions are returned; with the paper
 /// defaults (`0.6`, keep share `0.3`) they come out to 10% / 63% / 27%.
 pub fn validate_masking_config(
@@ -212,7 +226,7 @@ pub fn validate_masking_config(
 ) -> Result<MaskingRatios, AuditError> {
     check_unit_open("mlm_select_ratio", mlm_select_ratio)?;
     check_unit_open("mer_select_ratio", mer_select_ratio)?;
-    check_unit_open("mer_mention_keep_share", mer_mention_keep_share)?;
+    check_unit_closed("mer_mention_keep_share", mer_mention_keep_share)?;
     Ok(MaskingRatios {
         mer_keep_both: 0.1,
         mer_mask_both: 0.9 * (1.0 - mer_mention_keep_share),
@@ -312,11 +326,25 @@ mod tests {
     }
 
     #[test]
+    fn either_end_of_the_mention_keep_share_is_accepted() {
+        // It only splits MER's non-keep branch: 0 masks both, 1 keeps the
+        // mention, and neither starves an objective.
+        let all_masked = validate_masking_config(0.2, 0.6, 0.0).expect("keep share 0");
+        assert_eq!((all_masked.mer_mask_both, all_masked.mer_keep_mention), (0.9, 0.0));
+        let all_kept = validate_masking_config(0.2, 0.6, 1.0).expect("keep share 1");
+        assert_eq!((all_kept.mer_mask_both, all_kept.mer_keep_mention), (0.0, 0.9));
+        for (mlm, mer) in [(0.0, 0.6), (1.0, 0.6), (0.2, 0.0), (0.2, 1.0)] {
+            assert!(validate_masking_config(mlm, mer, 0.0).is_err(), "select ratios stay open");
+        }
+    }
+
+    #[test]
     fn out_of_range_ratios_are_rejected_with_field_names() {
         for (mlm, mer, keep, field) in [
             (0.0, 0.6, 0.3, "mlm_select_ratio"),
             (0.2, 1.0, 0.3, "mer_select_ratio"),
             (0.2, 0.6, -0.1, "mer_mention_keep_share"),
+            (0.2, 0.6, 1.5, "mer_mention_keep_share"),
             (0.2, 0.6, f64::NAN, "mer_mention_keep_share"),
         ] {
             match validate_masking_config(mlm, mer, keep) {

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use turl_audit::{analyze_ranges, lower_model_plan, ModelPlan};
 use turl_core::audit::{model_plan, plan_for_input};
-use turl_core::{EncodedInput, EntityInput, TurlConfig, TurlModel};
+use turl_core::{EncodedInput, EntityInput, TapeTable, TurlConfig, TurlModel};
 use turl_nn::{Forward, ParamStore};
 use turl_tensor::Tensor;
 
@@ -92,7 +92,8 @@ fn assert_forward_within_ranges(cfg: TurlConfig, seed: u64, input: &EncodedInput
         ("mer.loss", &[0, 1]),
     ];
     let mut f = if training { Forward::new(&store) } else { Forward::inference(&store) };
-    let vars = model.run_ir(&mut f, &store, &mut rng, &ir, input, &heads);
+    let tables = [TapeTable { input, heads: &heads }];
+    let vars = model.run_ir(&mut f, &store, std::slice::from_mut(&mut rng), &ir, &tables);
     assert_eq!(vars.len(), ir.len(), "one tape var per IR node");
 
     for ((node, &var), range) in ir.nodes().iter().zip(&vars).zip(&analysis.ranges) {

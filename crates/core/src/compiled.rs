@@ -398,7 +398,8 @@ mod tests {
         let heads: [(&str, &[usize]); 3] =
             [("mer.rows", &rows), ("mer.candidates", &shifted), ("mer.loss", &[0; 3])];
         let mut f = Forward::inference(&store);
-        let vars = model.run_ir(&mut f, &store, &mut rng, &ir, &input, &heads);
+        let tables = [crate::model::TapeTable { input: &input, heads: &heads }];
+        let vars = model.run_ir(&mut f, &store, std::slice::from_mut(&mut rng), &ir, &tables);
         let want = f.graph.value(vars[ir.find("mer.logits").expect("MER head").index()]);
 
         let mut cf = model.compiled();

@@ -42,7 +42,7 @@ pub use config::{CandidateConfig, PretrainConfig, TurlConfig};
 pub use extensions::{AuxRelationObjective, RelationPair};
 pub use finetune::{FinetuneConfig, FinetuneStats};
 pub use input::{EncodedInput, EntityInput};
-pub use model::{bind_store, TurlModel};
+pub use model::{bind_store, TapeTable, TurlModel};
 pub use pretrain::{
     apply_mask_plan, build_candidates, random_entity_id, random_word_id, CheckpointPolicy,
     MaskPlan, PretrainStats, Pretrainer, StepOutcome,

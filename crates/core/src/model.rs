@@ -10,7 +10,7 @@ use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind, TensorId};
 use turl_exec::ExecError;
 use turl_nn::{Dropout, Embedding, Forward, LayerNorm, Linear, ParamId, ParamStore};
 use turl_obs::{metrics_enabled, op_timer, register_op, OpId};
-use turl_tensor::{Tensor, Var};
+use turl_tensor::{GradForm, Tensor, Var};
 
 /// Store name of the parameter an IR source stands for; `None` for the
 /// sources built per input (mask, mention-averaging matrix, zeros).
@@ -64,11 +64,11 @@ fn tape_ops(kind: &OpKind) -> [Option<OpId>; 2] {
 /// `record` ops on `f`'s tape. With metrics on, the recording is timed
 /// under the first slot `ops` gives and the backward closures of every
 /// node it pushed under the second; with metrics off `ops` is not called.
-fn timed(
+fn timed<T>(
     f: &mut Forward,
     ops: impl FnOnce() -> [Option<OpId>; 2],
-    record: impl FnOnce(&mut Forward) -> Var,
-) -> Var {
+    record: impl FnOnce(&mut Forward) -> T,
+) -> T {
     let [fwd, bwd] = if metrics_enabled() { ops() } else { [None; 2] };
     let since = f.graph.len();
     let timer = op_timer(fwd);
@@ -117,6 +117,16 @@ pub fn bind_store(model: &TurlModel, store: &ParamStore) -> Result<(), ExecError
         }
     }
     Ok(())
+}
+
+/// One table of a tape [`TurlModel::run_ir`] records: its input, and the
+/// index lists of its heads' gathers and targets by node label.
+#[derive(Clone, Copy)]
+pub struct TapeTable<'a> {
+    /// The encoded table.
+    pub input: &'a EncodedInput,
+    /// `(label, index list)` of every head gather and cross-entropy node.
+    pub heads: &'a [(&'a str, &'a [usize])],
 }
 
 /// TURL: embedding layer (§4.2), visibility-masked Transformer stack
@@ -256,26 +266,33 @@ impl TurlModel {
         assert!(input.seq_len() > 0, "empty input sequence");
         let ir = lower_model_plan(&self.forward_plan(input))
             .unwrap_or_else(|e| panic!("forward plan does not lower: {e}"));
-        let vars = self.run_ir(f, store, rng, &ir, input, &[]);
+        let tables = [TapeTable { input, heads: &[] }];
+        let vars = self.run_ir(f, store, std::slice::from_mut(rng), &ir, &tables);
         *vars.last().expect("a lowered plan has nodes")
     }
 
     /// The tape executor: record `ir` on `f`'s tape, one graph op per
     /// node in IR order, and return the tape var each node's readers see
     /// (indexed like [`Ir::nodes`]). [`encode`](TurlModel::encode) runs an
-    /// encode-only plan through here, `Pretrainer::train_step` one with
-    /// the MLM/MER heads and losses (Eqns. 5–6).
+    /// encode-only plan through here, `Pretrainer::train_step` a group of
+    /// tables with the MLM/MER heads and losses (Eqns. 5–6), stacked as
+    /// the row segments of `turl_audit::lower_group_plan`: `tables[s]`
+    /// and `rngs[s]` are segment `s`'s input and dropout stream.
     ///
     /// Parameters bind by `param_name`, each for the gradient form
     /// [`Ir::grad_form`] gives it, so the tape never forms the gradient of
-    /// a `linear` weight or of a table it only looks rows up in. The
-    /// embedding layer's gathers and per-input sources bind through
-    /// `InputBinding`; `head_lists` names the index list of every other
-    /// gather or cross-entropy node by its label (row selections, shifted
-    /// candidate ids, targets) and is empty for an encode-only plan. In a
-    /// training-mode pass each of
-    /// [`Ir::dropout_sites`] is multiplied by a fresh keep mask right
-    /// after it is recorded.
+    /// a `linear` weight or of a table it only looks rows up in. A
+    /// per-table node's parameter binds for its table; a stacked node's
+    /// once for all of them when a stacked product reads it, and once per
+    /// table otherwise (a bias, a layer norm's affine pair), so every sum
+    /// over rows leaves the tape as one part per table. The embedding
+    /// layer's gathers and per-input sources bind through
+    /// `InputBinding`; a table's `heads` name the index list of every
+    /// other gather or cross-entropy node by its label (row selections,
+    /// shifted candidate ids, targets) and are empty for an encode-only
+    /// plan. In a training-mode pass each of [`Ir::dropout_sites`] is
+    /// multiplied by a fresh keep mask right after it is recorded, a
+    /// stacked site's rows drawn from each table's own stream.
     ///
     /// With metrics on, each node's recording is timed under
     /// `tape.<kind>` and its backward closures under `tape.<kind>.bwd`
@@ -283,75 +300,144 @@ impl TurlModel {
     /// `turl report` lists.
     ///
     /// # Panics
-    /// Panics when `ir` was not lowered for this model at `input`'s
-    /// shape: a parameter missing from `store`, or a node with no index
+    /// Panics when `ir` was not lowered for this model at the tables'
+    /// shapes: a parameter missing from `store`, or a node with no index
     /// list.
     pub fn run_ir<R: Rng>(
         &self,
         f: &mut Forward,
         store: &ParamStore,
-        rng: &mut R,
+        rngs: &mut [R],
         ir: &Ir,
-        input: &EncodedInput,
-        head_lists: &[(&str, &[usize])],
+        tables: &[TapeTable],
     ) -> Vec<Var> {
-        let mut bound = InputBinding::default();
-        bound.bind(input, &self.cfg);
+        let segments = ir.segments();
+        assert!(tables.len() == segments.len() && rngs.len() == segments.len(), "one per table");
+        let bound: Vec<InputBinding> = (tables.iter())
+            .map(|t| {
+                let mut b = InputBinding::default();
+                b.bind(t.input, &self.cfg);
+                b
+            })
+            .collect();
         let dropout = Dropout::new(self.cfg.encoder.dropout);
         let mut sites = ir.dropout_sites().iter().map(|t| t.index()).peekable();
         let mut vars: Vec<Var> = Vec::with_capacity(ir.len());
+        // A stacked node's per-table parameter leaves, by source node.
+        let mut per_table: Vec<Vec<Var>> = vec![Vec::new(); ir.len()];
         for (i, node) in ir.nodes().iter().enumerate() {
+            let t = TensorId::from_index(i);
             let arg = |slot: usize| vars[node.inputs[slot].index()];
+            let leaves = |slot: usize| &per_table[node.inputs[slot].index()];
             let args = || node.inputs.iter().map(|t| vars[t.index()]).collect::<Vec<Var>>();
+            let seg = node.seg.unwrap_or(0);
             let indices = || {
                 let label = node.label.as_str();
-                bound
+                let (input, heads) = (tables[seg].input, tables[seg].heads);
+                bound[seg]
                     .indices(input, label)
-                    .or_else(|| head_lists.iter().find(|(l, _)| *l == label).map(|(_, v)| *v))
+                    .or_else(|| heads.iter().find(|(l, _)| *l == label).map(|(_, v)| *v))
                     .unwrap_or_else(|| panic!("no index list bound for '{label}'"))
             };
-            let mut v = timed(
+            let (mut v, leaves_bound) = timed(
                 f,
                 || tape_ops(&node.kind),
                 |f| {
-                    let g = &mut f.graph;
-                    match &node.kind {
+                    let mut leaves_bound = Vec::new();
+                    let v = match &node.kind {
                         OpKind::Source(kind) => match param_name(kind, &node.label) {
                             Some(name) => {
                                 let id = store
                                     .find(&name)
                                     .unwrap_or_else(|| panic!("parameter '{name}' not in store"));
-                                f.param(store, id, ir.grad_form(TensorId::from_index(i)))
+                                let form = ir.grad_form(t);
+                                match node.seg {
+                                    Some(s) => {
+                                        f.set_segment(s);
+                                        f.param(store, id, form)
+                                    }
+                                    None if form == GradForm::Product => {
+                                        f.param_shared(store, id, form)
+                                    }
+                                    None => {
+                                        leaves_bound = (0..segments.len())
+                                            .map(|s| {
+                                                f.set_segment(s);
+                                                f.param(store, id, form)
+                                            })
+                                            .collect();
+                                        leaves_bound[0]
+                                    }
+                                }
                             }
                             None => {
-                                let values = bound
-                                    .source(input, kind)
+                                let values = bound[seg]
+                                    .source(tables[seg].input, kind)
                                     .unwrap_or_else(|| panic!("input has no '{}'", node.label));
-                                g.constant(Tensor::from_slice(node.shape.clone(), values))
+                                f.graph.constant(Tensor::from_slice(node.shape.clone(), values))
                             }
                         },
-                        OpKind::Gather => g.index_select0(arg(0), indices()),
-                        OpKind::MatMul => g.matmul(arg(0), arg(1)),
-                        OpKind::MatMulNT => g.matmul_nt(arg(0), arg(1)),
-                        OpKind::Bmm => g.bmm(arg(0), arg(1)),
-                        OpKind::BmmNT => g.bmm_nt(arg(0), arg(1)),
-                        OpKind::Add | OpKind::Mask => g.add(arg(0), arg(1)),
-                        OpKind::Scale { factor } => g.scale(arg(0), *factor as f32),
-                        OpKind::Gelu => g.gelu(arg(0)),
-                        OpKind::Softmax => g.softmax_last(arg(0)),
-                        OpKind::LayerNorm { eps } => {
-                            g.layer_norm(arg(0), arg(1), arg(2), *eps as f32)
+                        OpKind::Gather => match ir.slice_rows(t) {
+                            Some(rows) => f.graph.index_select0(arg(0), &rows.collect::<Vec<_>>()),
+                            None => f.graph.index_select0(arg(0), indices()),
+                        },
+                        OpKind::MatMul if node.seg.is_none() => {
+                            f.graph.matmul_stacked(arg(0), arg(1), segments)
                         }
-                        OpKind::ConcatCols => g.concat_cols(&args()),
-                        OpKind::ConcatRows => g.concat_rows(&args()),
-                        OpKind::Reshape => g.reshape(arg(0), node.shape.clone()),
-                        OpKind::Permute { axes } => g.permute(arg(0), axes),
-                        OpKind::CrossEntropy => g.cross_entropy(arg(0), indices()),
-                    }
+                        OpKind::MatMul => f.graph.matmul(arg(0), arg(1)),
+                        OpKind::MatMulNT => f.graph.matmul_nt(arg(0), arg(1)),
+                        OpKind::Bmm => f.graph.bmm(arg(0), arg(1)),
+                        OpKind::BmmNT => f.graph.bmm_nt(arg(0), arg(1)),
+                        OpKind::Add if !leaves(1).is_empty() => {
+                            f.graph.add_stacked(arg(0), leaves(1), segments)
+                        }
+                        OpKind::Add | OpKind::Mask => f.graph.add(arg(0), arg(1)),
+                        OpKind::Scale { factor } => f.graph.scale(arg(0), *factor as f32),
+                        OpKind::Gelu => f.graph.gelu(arg(0)),
+                        OpKind::Softmax => f.graph.softmax_last(arg(0)),
+                        OpKind::LayerNorm { eps } if !leaves(1).is_empty() => {
+                            f.graph.layer_norm_stacked(
+                                arg(0),
+                                leaves(1),
+                                leaves(2),
+                                segments,
+                                *eps as f32,
+                            )
+                        }
+                        OpKind::LayerNorm { eps } => {
+                            f.graph.layer_norm(arg(0), arg(1), arg(2), *eps as f32)
+                        }
+                        OpKind::ConcatCols => f.graph.concat_cols(&args()),
+                        OpKind::ConcatRows => f.graph.concat_rows(&args()),
+                        OpKind::Reshape => f.graph.reshape(arg(0), node.shape.clone()),
+                        OpKind::Permute { axes } => f.graph.permute(arg(0), axes),
+                        OpKind::CrossEntropy => f.graph.cross_entropy(arg(0), indices()),
+                    };
+                    (v, leaves_bound)
                 },
             );
+            per_table[i] = leaves_bound;
             if sites.next_if_eq(&i).is_some() {
-                v = timed(f, || tape_slots!("dropout"), |f| dropout.forward(f, rng, v));
+                v = timed(
+                    f,
+                    || tape_slots!("dropout"),
+                    |f| match node.seg {
+                        Some(s) => dropout.forward(f, &mut rngs[s], v),
+                        None if dropout.active(f) => {
+                            let mut mask = Tensor::zeros(node.shape.clone());
+                            let width = node.elements() / segments.iter().sum::<usize>().max(1);
+                            let mut rest = mask.data_mut();
+                            for (rng, &n) in rngs.iter_mut().zip(segments) {
+                                let (rows, tail) = rest.split_at_mut(n * width);
+                                dropout.fill_mask(rng, rows);
+                                rest = tail;
+                            }
+                            let mask = f.graph.constant(mask);
+                            f.graph.mul(v, mask)
+                        }
+                        None => v,
+                    },
+                );
             }
             vars.push(v);
         }
@@ -372,7 +458,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
-    use turl_tensor::GradForm;
 
     fn tiny_model() -> (ParamStore, TurlModel, StdRng) {
         let mut rng = StdRng::seed_from_u64(9);
@@ -606,7 +691,8 @@ mod tests {
             ("mer.candidates", &shifted),
             ("mer.loss", &vec![0; mer_rows.len()]),
         ];
-        let vars = model.run_ir(f, store, &mut StdRng::seed_from_u64(0), &ir, input, &heads);
+        let tables = [TapeTable { input, heads: &heads }];
+        let vars = model.run_ir(f, store, &mut [StdRng::seed_from_u64(0)], &ir, &tables);
         (ir, vars)
     }
 

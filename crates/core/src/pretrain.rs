@@ -4,13 +4,13 @@
 use crate::config::TurlConfig;
 use crate::extensions::AuxRelationObjective;
 use crate::input::EncodedInput;
-use crate::model::TurlModel;
+use crate::model::{TapeTable, TurlModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::path::PathBuf;
-use turl_audit::{lower_model_plan, ModelPlan};
+use turl_audit::{lower_group_plan, ModelPlan};
 use turl_data::TableInstance;
 use turl_kb::CooccurrenceIndex;
 use turl_nn::{
@@ -243,9 +243,9 @@ pub struct Pretrainer {
     aux_relations: Option<AuxRelationObjective>,
     schedule: Option<LinearDecaySchedule>,
     progress: ProgressState,
-    /// Reusable per-batch-slot forward contexts: tape storage and
-    /// parameter bindings are recycled across steps instead of
-    /// reallocated (see `Graph::reset`).
+    /// Reusable per-group forward contexts: tape storage and parameter
+    /// bindings are recycled across steps instead of reallocated (see
+    /// `Graph::reset`).
     scratch: Vec<Forward>,
 }
 
@@ -303,48 +303,62 @@ impl Pretrainer {
     ///
     /// Data-parallel: masking decisions, candidate sets, and per-table RNG
     /// seeds are drawn **serially** from the trainer RNG (so the random
-    /// stream is independent of the thread count), then each table's
-    /// forward/backward pass fans out to the [`pool`] workers, and the
-    /// per-table gradients are sum-reduced into the shared [`ParamStore`]
-    /// in batch order. The fixed reduction order keeps seeded runs
-    /// bit-identical across `--threads` settings; the order tables are
-    /// *handed out* in (longest first, so the last one claimed is the
-    /// shortest) is scheduling only.
+    /// stream is independent of the thread count). The tables are then
+    /// dealt into one row-balanced group per [`pool`] worker (longest
+    /// first, each to the group with the fewest rows so far), and each
+    /// group runs one tape with its tables stacked as row segments
+    /// (`turl_audit::lower_group_plan`): the encoder's row-wise ops walk
+    /// each weight once per group, attention and the heads run per table,
+    /// and each table draws its dropout masks from its own stream. Every
+    /// sum across rows leaves the tape as one part per table, so the
+    /// per-table gradients are exactly those of a tape per table, and they
+    /// are sum-reduced into the shared [`ParamStore`] in batch order. The
+    /// fixed reduction order keeps seeded runs bit-identical across
+    /// `--threads` settings; how the tables are grouped is scheduling
+    /// only.
     ///
     /// A steady-state step moves no weight-sized memory: tapes bind
     /// parameters as shared leaves and are reset before the optimizer
     /// writes, the backward sweep frees each node's tensors as it passes
     /// (so a tape is at its fullest when the forward ends), no `linear`
     /// weight's gradient exists per table — a tape hands over the factors
-    /// `X`, `dY` and the reduce adds every table's `Xᵀ · dY` into the
-    /// store in one kernel call — nor does a `[vocab, d]` gradient of a
-    /// table that is only gathered from, whose gathers hand over
-    /// `(rows, dY)` — and the reduce → clip → Adam tail is two passes
-    /// fanned out over parameters.
+    /// `X`, `dY` (per table, row views of the stacked ones) and the reduce
+    /// adds every table's `Xᵀ · dY` into the store in one kernel call —
+    /// nor does a `[vocab, d]` gradient of a table that is only gathered
+    /// from, whose gathers hand over `(rows, dY)` — and the reduce → clip
+    /// → Adam tail is two passes fanned out over parameters.
     pub fn train_step(
         &mut self,
         batch: &[(TableInstance, EncodedInput)],
         cooccur: &CooccurrenceIndex,
     ) -> StepOutcome {
-        /// Per-slot telemetry; written only when metrics are enabled and
-        /// read only after the parallel phase joins.
-        #[derive(Debug, Default, Clone, Copy)]
-        struct SlotObs {
-            fwd_ns: u64,
-            bwd_ns: u64,
-            mlm_loss: f32,
-            mer_loss: f32,
-        }
-
-        struct Slot {
+        /// One table of the step: what the serial phase drew for it.
+        struct Table {
             batch_idx: usize,
             enc: EncodedInput,
             plan: MaskPlan,
             candidates: Vec<usize>,
             seed: u64,
+        }
+
+        /// What a group's tape gives back for one of its tables.
+        struct TableOut {
+            batch_idx: usize,
+            loss: f32,
+            grads: Vec<(turl_nn::ParamId, turl_tensor::GradPart)>,
+            /// `(mlm, mer)` head losses, read only with metrics on.
+            head_losses: (f32, f32),
+        }
+
+        /// The tables one pool worker runs on one tape.
+        struct Group {
+            tables: Vec<Table>,
+            rows: usize,
             fwd: Forward,
-            out: Option<(f32, Vec<(turl_nn::ParamId, turl_tensor::GradPart)>)>,
-            obs: SlotObs,
+            out: Vec<TableOut>,
+            /// Forward and backward wall time; written only with metrics on.
+            fwd_ns: u64,
+            bwd_ns: u64,
         }
 
         // Observation is read-only (clocks + counts): nothing below may
@@ -355,7 +369,7 @@ impl Pretrainer {
         let mut mask_counts = [0u64; 4]; // mlm sel, mlm total, mer sel, mer total
 
         // Serial phase: all randomness for the step, in batch order.
-        let mut prepared: Vec<(usize, EncodedInput, MaskPlan, Vec<usize>, u64)> = Vec::new();
+        let mut prepared: Vec<Table> = Vec::new();
         for (batch_idx, (inst, clean)) in batch.iter().enumerate() {
             let mut enc = clean.clone();
             let plan = apply_mask_plan(
@@ -387,7 +401,7 @@ impl Pretrainer {
                 }
             }
             let seed = self.rng.gen::<u64>();
-            prepared.push((batch_idx, enc, plan, candidates, seed));
+            prepared.push(Table { batch_idx, enc, plan, candidates, seed });
         }
         if prepared.is_empty() {
             if obs_on {
@@ -396,91 +410,121 @@ impl Pretrainer {
             }
             return StepOutcome::Empty;
         }
-        while self.scratch.len() < prepared.len() {
+        // Deal the tables, longest first, each to the group with the
+        // fewest rows so far: one group per worker.
+        let n_groups = pool::n_threads().min(prepared.len());
+        while self.scratch.len() < n_groups {
             self.scratch.push(Forward::new(&self.store));
         }
-        let mut slots: Vec<Slot> = prepared
-            .into_iter()
-            .map(|(batch_idx, enc, plan, candidates, seed)| Slot {
-                batch_idx,
-                enc,
-                plan,
-                candidates,
-                seed,
+        let mut groups: Vec<Group> = (0..n_groups)
+            .map(|_| Group {
+                tables: Vec::new(),
+                rows: 0,
                 fwd: self.scratch.pop().expect("scratch refilled above"),
-                out: None,
-                obs: SlotObs::default(),
+                out: Vec::new(),
+                fwd_ns: 0,
+                bwd_ns: 0,
             })
             .collect();
-        // Longest table first: workers claim slots in order, so the one
-        // still running when the others are done is the shortest.
-        slots.sort_by_key(|slot| std::cmp::Reverse(slot.enc.seq_len()));
+        prepared.sort_by_key(|t| std::cmp::Reverse(t.enc.seq_len()));
+        for table in prepared {
+            let group = (groups.iter_mut().min_by_key(|g| g.rows)).expect("at least one group");
+            group.rows += table.enc.seq_len();
+            group.tables.push(table);
+        }
+        groups.iter_mut().for_each(|g| g.tables.sort_by_key(|t| t.batch_idx));
         let prep_ns = prep_timer.elapsed_ns();
         let par_timer = turl_obs::Timer::start();
 
-        // Parallel phase: one independent forward/backward per table.
+        // Parallel phase: one forward/backward per group.
         let model = &self.model;
         let store = &self.store;
         let aux = self.aux_relations.as_ref();
-        pool::parallel_for_each_mut(&mut slots, |_, slot| {
+        pool::parallel_for_each_mut(&mut groups, |_, group| {
             let fwd_timer = turl_obs::Timer::start();
-            let inst = &batch[slot.batch_idx].0;
-            let enc = &slot.enc;
-            let f = &mut slot.fwd;
+            let f = &mut group.fwd;
             f.reset(true);
-            let mut rng = StdRng::seed_from_u64(slot.seed);
-            // The step's forward — encoder, active heads, losses, their
-            // sum — is the model's plan at this table's target counts.
-            let step_plan = ModelPlan {
-                n_mlm_targets: slot.plan.mlm.len(),
-                n_mer_targets: slot.plan.mer.len(),
-                n_candidates: slot.candidates.len(),
-                ..model.forward_plan(enc)
-            };
-            let ir = lower_model_plan(&step_plan)
-                .unwrap_or_else(|e| panic!("training plan does not lower: {e}"));
-            let (mlm_rows, mlm_targets): (Vec<usize>, Vec<usize>) =
-                slot.plan.mlm.iter().copied().unzip();
-            let mer_rows: Vec<usize> =
-                slot.plan.mer.iter().map(|&(c, _)| enc.entity_row(c)).collect();
-            let mer_targets: Vec<usize> = slot
-                .plan
-                .mer
-                .iter()
-                .map(|&(_, e)| {
-                    slot.candidates.iter().position(|&c| c == e).expect("gold in candidates")
+            let tables = &group.tables;
+            let mut rngs: Vec<StdRng> =
+                tables.iter().map(|t| StdRng::seed_from_u64(t.seed)).collect();
+            // The step's forward — encoder, active heads, losses — is the
+            // model's plan at each table's target counts, stacked.
+            let plans: Vec<ModelPlan> = (tables.iter())
+                .map(|t| ModelPlan {
+                    n_mlm_targets: t.plan.mlm.len(),
+                    n_mer_targets: t.plan.mer.len(),
+                    n_candidates: t.candidates.len(),
+                    ..model.forward_plan(&t.enc)
                 })
                 .collect();
-            // Candidate ids sit one past the entity `[MASK]` row.
-            let shifted: Vec<usize> = slot.candidates.iter().map(|&c| c + 1).collect();
-            let heads: [(&str, &[usize]); 5] = [
-                ("mlm.rows", &mlm_rows),
-                ("mlm.loss", &mlm_targets),
-                ("mer.rows", &mer_rows),
-                ("mer.candidates", &shifted),
-                ("mer.loss", &mer_targets),
-            ];
-            let vars = model.run_ir(f, store, &mut rng, &ir, enc, &heads);
-            let var_of = |label: &str| ir.find(label).map(|t| vars[t.index()]);
-            let mut loss = *vars.last().expect("a lowered plan has nodes");
-            if let Some(aux) = aux {
-                let h = var_of(&format!("block{}.ln2.out", step_plan.n_layers - 1))
-                    .expect("the encoder output is in the plan");
-                if let Some(l) = aux.loss(f, store, h, inst, enc) {
-                    loss = f.graph.add(loss, l);
+            let ir = lower_group_plan(&plans)
+                .unwrap_or_else(|e| panic!("training plan does not lower: {e}"));
+            // Per table: MLM rows and targets, MER rows, shifted
+            // candidate ids (one past the entity `[MASK]` row), MER targets.
+            let lists: Vec<[Vec<usize>; 5]> = (tables.iter())
+                .map(|t| {
+                    let (mlm_rows, mlm_targets) = t.plan.mlm.iter().copied().unzip();
+                    let mer_rows = t.plan.mer.iter().map(|&(c, _)| t.enc.entity_row(c)).collect();
+                    let shifted = t.candidates.iter().map(|&c| c + 1).collect();
+                    let mer_targets = (t.plan.mer.iter())
+                        .map(|&(_, e)| {
+                            t.candidates.iter().position(|&c| c == e).expect("gold in candidates")
+                        })
+                        .collect();
+                    [mlm_rows, mlm_targets, mer_rows, shifted, mer_targets]
+                })
+                .collect();
+            let heads: Vec<[(&str, &[usize]); 5]> = (lists.iter())
+                .map(|[a, b, c, d, e]| {
+                    [
+                        ("mlm.rows", &a[..]),
+                        ("mlm.loss", &b[..]),
+                        ("mer.rows", &c[..]),
+                        ("mer.candidates", &d[..]),
+                        ("mer.loss", &e[..]),
+                    ]
+                })
+                .collect();
+            let tape_tables: Vec<TapeTable> = (tables.iter().zip(&heads))
+                .map(|(t, heads)| TapeTable { input: &t.enc, heads })
+                .collect();
+            let vars = model.run_ir(f, store, &mut rngs, &ir, &tape_tables);
+            let mut losses = Vec::with_capacity(tables.len());
+            for (s, t) in tables.iter().enumerate() {
+                let mut loss = vars[ir.loss(s).expect("a table with targets has a head").index()];
+                if let Some(aux) = aux {
+                    f.set_segment(s);
+                    let h = vars[ir.encoder_output(s).index()];
+                    if let Some(l) = aux.loss(f, store, h, &batch[t.batch_idx].0, &t.enc) {
+                        loss = f.graph.add(loss, l);
+                    }
                 }
+                losses.push(loss);
             }
-            let loss_value = f.graph.value(loss).item();
+            group.out = (tables.iter().zip(&losses).enumerate())
+                .map(|(s, (t, &loss))| {
+                    // Reading already-computed tape values is free of side
+                    // effects; the MLM/MER split powers the per-step
+                    // breakdown.
+                    let item = |label: &str| {
+                        ir.find_in(label, s).map_or(0.0, |v| f.graph.value(vars[v.index()]).item())
+                    };
+                    let head_losses =
+                        if obs_on { (item("mlm.loss"), item("mer.loss")) } else { (0.0, 0.0) };
+                    let loss = f.graph.value(loss).item();
+                    TableOut { batch_idx: t.batch_idx, loss, grads: Vec::new(), head_losses }
+                })
+                .collect();
+            // One backward root: the tables' losses summed, each reached
+            // by a gradient of exactly 1.
+            let root = (losses.iter().copied())
+                .reduce(|a, b| f.graph.add(a, b))
+                .expect("a group holds a table");
             if obs_on {
-                // reading already-computed tape values is free of side
-                // effects; the MLM/MER split powers the per-step breakdown
-                slot.obs.fwd_ns = fwd_timer.elapsed_ns();
-                let item = |label: &str| var_of(label).map_or(0.0, |v| f.graph.value(v).item());
-                slot.obs.mlm_loss = item("mlm.loss");
-                slot.obs.mer_loss = item("mer.loss");
+                group.fwd_ns = fwd_timer.elapsed_ns();
             }
             let bwd_timer = turl_obs::Timer::start();
-            f.graph.backward(loss);
+            f.graph.backward(root);
             // Debug builds audit the swept tape every step: node order,
             // the shapes of the gradients it still holds, orphaned
             // leaves, finite leaf values.
@@ -488,35 +532,38 @@ impl Pretrainer {
             if let Err(errs) = turl_audit::audit_tape(&f.graph, true) {
                 panic!("tape audit failed after backprop: {}", errs[0]);
             }
-            slot.obs.bwd_ns = bwd_timer.elapsed_ns();
-            slot.out = Some((loss_value, f.take_grads()));
+            group.bwd_ns = bwd_timer.elapsed_ns();
+            for (out, grads) in group.out.iter_mut().zip(f.take_segment_grads(tables.len())) {
+                out.grads = grads;
+            }
             // Let go of the parameters (so the optimizer writes them in
             // place) and free the tape's tensors; the weight-gradient
             // factors just taken outlive the reset.
             f.reset(true);
         });
         let par_ns = par_timer.elapsed_ns();
-        slots.sort_by_key(|slot| slot.batch_idx);
 
         // Reduction in batch order — losses here, each parameter's
         // gradients inside `reduce` — for thread-count-independent
         // floating-point results.
         let reduce_timer = turl_obs::Timer::start();
-        let mut total = 0.0f32;
-        let mut obs_sums = SlotObs::default();
-        let counted = slots.len();
+        let (mut fwd_cpu_ns, mut bwd_cpu_ns) = (0u64, 0u64);
+        let mut outs = Vec::new();
+        for group in groups {
+            fwd_cpu_ns += group.fwd_ns;
+            bwd_cpu_ns += group.bwd_ns;
+            outs.extend(group.out);
+            self.scratch.push(group.fwd);
+        }
+        outs.sort_by_key(|out| out.batch_idx);
+        let counted = outs.len();
+        let (mut total, mut mlm_loss, mut mer_loss) = (0.0f32, 0.0f32, 0.0f32);
         let mut table_grads = Vec::with_capacity(counted);
-        for slot in slots {
-            let (loss_value, grads) = slot.out.expect("worker filled every slot");
-            total += loss_value;
-            if obs_on {
-                obs_sums.fwd_ns += slot.obs.fwd_ns;
-                obs_sums.bwd_ns += slot.obs.bwd_ns;
-                obs_sums.mlm_loss += slot.obs.mlm_loss;
-                obs_sums.mer_loss += slot.obs.mer_loss;
-            }
-            table_grads.push(grads);
-            self.scratch.push(slot.fwd);
+        for out in outs {
+            total += out.loss;
+            mlm_loss += out.head_losses.0;
+            mer_loss += out.head_losses.1;
+            table_grads.push(out.grads);
         }
         let reduced = self.store.reduce(&table_grads);
         drop(table_grads);
@@ -545,12 +592,12 @@ impl Pretrainer {
         }
         let mean = total / counted as f32;
         if obs_on {
-            // Per-slot fwd/bwd sums are CPU time (they overlap across
+            // Per-group fwd/bwd sums are CPU time (they overlap across
             // workers); scale them to the measured wall-clock parallel
             // phase so the phase breakdown stays a wall-clock partition.
-            let cpu_total = obs_sums.fwd_ns + obs_sums.bwd_ns;
+            let cpu_total = fwd_cpu_ns + bwd_cpu_ns;
             let (fwd_ns, bwd_ns) = if cpu_total > 0 {
-                let fwd = par_ns as f64 * obs_sums.fwd_ns as f64 / cpu_total as f64;
+                let fwd = par_ns as f64 * fwd_cpu_ns as f64 / cpu_total as f64;
                 (fwd as u64, par_ns.saturating_sub(fwd as u64))
             } else {
                 (par_ns, 0)
@@ -562,8 +609,8 @@ impl Pretrainer {
                 "step",
                 vec![
                     ("loss", f64::from(mean).into()),
-                    ("mlm_loss", f64::from(obs_sums.mlm_loss / counted as f32).into()),
-                    ("mer_loss", f64::from(obs_sums.mer_loss / counted as f32).into()),
+                    ("mlm_loss", f64::from(mlm_loss / counted as f32).into()),
+                    ("mer_loss", f64::from(mer_loss / counted as f32).into()),
                     ("grad_norm", f64::from(clip.norm).into()),
                     ("clipped", clip.clipped.into()),
                     ("lr", f64::from(self.opt.config.lr).into()),

@@ -6,13 +6,18 @@
 //! of BM25 — same role, same inputs) and as the kNN searcher of the schema
 //! augmentation baseline (§6.7).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use turl_data::{tokenize, EntityId, Table};
+
+/// A sparse tf-idf vector: `(term, weight)` sorted by term, so every sum
+/// over it runs in one fixed order and a score has the same bits in
+/// every process (a `HashMap`'s order is seeded per process).
+type TermVector = Vec<(String, f64)>;
 
 /// tf-idf caption index + entity postings over a table corpus.
 #[derive(Debug, Clone)]
 pub struct TableSearchIndex {
-    vectors: Vec<HashMap<String, f64>>,
+    vectors: Vec<TermVector>,
     idf: HashMap<String, f64>,
     entity_postings: HashMap<EntityId, Vec<usize>>,
     subject_entities: Vec<Vec<EntityId>>,
@@ -71,23 +76,40 @@ impl TableSearchIndex {
         Self { vectors, idf, entity_postings, subject_entities, headers, captions }
     }
 
-    fn vectorize_with(idf: &HashMap<String, f64>, text: &str) -> HashMap<String, f64> {
-        let mut tf: HashMap<String, f64> = HashMap::new();
+    fn vectorize_with(idf: &HashMap<String, f64>, text: &str) -> TermVector {
+        let mut tf: BTreeMap<String, f64> = BTreeMap::new();
         for tok in tokenize(text) {
             *tf.entry(tok).or_insert(0.0) += 1.0;
         }
-        let mut v: HashMap<String, f64> = tf
+        let mut v: TermVector = tf
             .into_iter()
             .map(|(t, f)| {
                 let w = f * idf.get(&t).copied().unwrap_or(1.0);
                 (t, w)
             })
             .collect();
-        let norm = v.values().map(|w| w * w).sum::<f64>().sqrt();
+        let norm = v.iter().map(|(_, w)| w * w).sum::<f64>().sqrt();
         if norm > 0.0 {
-            v.values_mut().for_each(|w| *w /= norm);
+            v.iter_mut().for_each(|(_, w)| *w /= norm);
         }
         v
+    }
+
+    /// `⟨a, b⟩` over the terms both hold, summed in term order.
+    fn dot(a: &TermVector, b: &TermVector) -> f64 {
+        let (mut i, mut j, mut sum) = (0, 0, 0.0f64);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    sum += a[i].1 * b[j].1;
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        sum
     }
 
     /// Number of indexed tables.
@@ -118,8 +140,7 @@ impl TableSearchIndex {
             .iter()
             .enumerate()
             .filter_map(|(i, v)| {
-                let (small, large) = if q.len() < v.len() { (&q, v) } else { (v, &q) };
-                let s: f64 = small.iter().filter_map(|(t, w)| large.get(t).map(|w2| w * w2)).sum();
+                let s = Self::dot(&q, v);
                 (s > 0.0).then_some((i, s))
             })
             .collect();
@@ -191,6 +212,23 @@ mod tests {
     }
 
     #[test]
+    fn indexes_built_from_the_same_tables_score_bit_identically() {
+        // Every sum runs in term order, so neither a second index in this
+        // process nor one in another (a `HashMap` reseeds per instance)
+        // can move a score by an ulp.
+        let (tables, a) = index();
+        let b = TableSearchIndex::build(&tables);
+        for t in tables.iter().take(12) {
+            let caption = t.full_caption();
+            let bits = |idx: &TableSearchIndex| {
+                let hits = idx.query_caption(&caption, 25);
+                hits.into_iter().map(|(i, s)| (i, s.to_bits())).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&a), bits(&b), "query `{caption}`");
+        }
+    }
+
+    #[test]
     fn scores_descend() {
         let (tables, idx) = index();
         let hits = idx.query_caption(&tables[3].full_caption(), 20);
@@ -217,7 +255,7 @@ mod tests {
         let caption = tables[3].full_caption();
         let clean = idx.query_caption(&caption, 20);
         let poisoned = clean[0].0;
-        idx.vectors[poisoned].values_mut().for_each(|w| *w = f64::NAN);
+        idx.vectors[poisoned].iter_mut().for_each(|(_, w)| *w = f64::NAN);
         let hits = idx.query_caption(&caption, 20);
         assert!(hits.iter().all(|&(i, s)| i != poisoned && s.is_finite()));
         // (ids only: hash-order float sums wobble in the last bit)

@@ -125,18 +125,28 @@ impl Dropout {
     /// Apply dropout using `rng` for the mask; identity when `p == 0` or in
     /// inference mode.
     pub fn forward<R: Rng>(&self, f: &mut Forward, rng: &mut R, x: Var) -> Var {
-        if !f.training || self.p == 0.0 {
+        if !self.active(f) {
             return x;
         }
-        let shape = f.graph.value(x).shape().to_vec();
-        let keep = 1.0 - self.p;
-        let scale = 1.0 / keep;
-        let mut mask = Tensor::zeros(shape);
-        for m in mask.data_mut() {
-            *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
-        }
+        let mut mask = Tensor::zeros(f.graph.value(x).shape().to_vec());
+        self.fill_mask(rng, mask.data_mut());
         let mask = f.graph.constant(mask);
         f.graph.mul(x, mask)
+    }
+
+    /// Whether [`forward`](Dropout::forward) masks anything on `f`.
+    pub fn active(&self, f: &Forward) -> bool {
+        f.training && self.p != 0.0
+    }
+
+    /// Draw `mask`'s keep-mask entries from `rng`, in order: `1 / (1 - p)`
+    /// where kept, 0 where dropped — what `forward` multiplies by.
+    pub fn fill_mask<R: Rng>(&self, rng: &mut R, mask: &mut [f32]) {
+        let keep = 1.0 - self.p;
+        let scale = 1.0 / keep;
+        for m in mask {
+            *m = if rng.gen::<f32>() < keep { scale } else { 0.0 };
+        }
     }
 }
 

@@ -53,10 +53,7 @@ fn add_parts(grad: &mut Tensor, parts: &[(usize, &GradPart)]) -> u64 {
             GradPart::Product { .. } => {
                 let timer = turl_obs::Timer::start();
                 let factors: Vec<(&[f32], &[f32])> = (run.iter())
-                    .map(|(_, part)| match part {
-                        GradPart::Product { x, dy } => (x.data(), dy.data()),
-                        _ => unreachable!("a run holds one form"),
-                    })
+                    .map(|(_, part)| part.factors().expect("a run holds one form"))
                     .collect();
                 let (m, n) = (grad.shape()[0], grad.shape()[1]);
                 ops::matmul_tn_acc_into(grad.data_mut(), m, n, &factors);
@@ -112,6 +109,10 @@ fn add_row_lists(grad: &mut Tensor, lists: &[(usize, &GradPart)]) {
         add(&mut grad.data_mut()[of_row[0].0 * row_len..][..row_len], &total);
     }
 }
+
+/// Parameters per task of [`ParamStore::reduce`]: the sums of squares
+/// of one task's parameters run as interleaved chains.
+const REDUCE_GROUP: usize = 4;
 
 /// What [`ParamStore::reduce`] returns.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -291,11 +292,12 @@ impl ParamStore {
     /// the global L2 norm of the result: [`accumulate_parts`] for each
     /// table in slice order, then [`grad_norm`](Self::grad_norm).
     ///
-    /// The work fans out over parameters. Each parameter adds its tables'
-    /// parts in slice order (`add_parts`) — its products in one kernel
-    /// call — and sums its own squares in element order, and the
-    /// per-parameter sums are added in registration order, so the result
-    /// has the bits of the serial calls at any thread count. A parameter
+    /// The work fans out over tasks of a few parameters each. Each
+    /// parameter adds its tables' parts in slice order (`add_parts`) — its
+    /// products in one kernel call — and sums its own squares in element
+    /// order ([`ops::sums_of_squares`], a task's chains side by side), and
+    /// the per-parameter sums are added in registration order, so the
+    /// result has the bits of the serial calls at any thread count. A parameter
     /// has a `Product` part in every table of a step that reaches it or in
     /// none; a table may be `Rows` in one tape and `Dense` in the next
     /// (`word_emb`, which only the tapes with an MLM head multiply by).
@@ -308,41 +310,56 @@ impl ParamStore {
             parts: Vec<(usize, &'a GradPart)>,
             sq_sum: f32,
             wgrad_ns: u64,
-            busy_ns: u64,
         }
         let wall = turl_obs::Timer::start();
         let mut work: Vec<Work> = self
             .entries
             .iter_mut()
-            .map(|e| Work { e, parts: Vec::new(), sq_sum: 0.0, wgrad_ns: 0, busy_ns: 0 })
+            .map(|e| Work { e, parts: Vec::new(), sq_sum: 0.0, wgrad_ns: 0 })
             .collect();
         for (t, table) in tables.iter().enumerate() {
             for (id, part) in table {
                 work[id.0].parts.push((t, part));
             }
         }
-        pool::parallel_for_each_mut(&mut work, |_, w| {
+        // Tasks of REDUCE_GROUP parameters of similar size, largest
+        // first: each adds its parameters' parts, then sums their squares
+        // while the gradients are still in cache, the chains interleaved.
+        let mut work: Vec<(usize, Work)> = work.into_iter().enumerate().collect();
+        work.sort_by_key(|(_, w)| std::cmp::Reverse(w.e.grad.len()));
+        let mut tasks: Vec<(&mut [(usize, Work)], u64)> =
+            work.chunks_mut(REDUCE_GROUP).map(|task| (task, 0)).collect();
+        pool::parallel_for_each_mut(&mut tasks, |_, (task, busy_ns)| {
             let busy = turl_obs::Timer::start();
-            let products =
-                w.parts.iter().filter(|(_, p)| matches!(p, GradPart::Product { .. })).count();
-            assert!(
-                products == 0 || products == w.parts.len(),
-                "`{}` has a Product part in one table of the step and another form in another",
-                w.e.name
-            );
-            if !w.parts.is_empty() {
-                w.wgrad_ns = add_parts(&mut w.e.grad, &w.parts);
-                w.e.touched = true;
+            for (_, w) in task.iter_mut() {
+                let products =
+                    w.parts.iter().filter(|(_, p)| matches!(p, GradPart::Product { .. })).count();
+                assert!(
+                    products == 0 || products == w.parts.len(),
+                    "`{}` has a Product part in one table of the step and another form in another",
+                    w.e.name
+                );
+                if !w.parts.is_empty() {
+                    w.wgrad_ns = add_parts(&mut w.e.grad, &w.parts);
+                    w.e.touched = true;
+                }
             }
-            if w.e.touched {
-                w.sq_sum = w.e.grad.data().iter().map(|x| x * x).sum::<f32>();
+            let touched: Vec<&[f32]> =
+                task.iter().filter(|(_, w)| w.e.touched).map(|(_, w)| w.e.grad.data()).collect();
+            let sums = ops::sums_of_squares(&touched);
+            for ((_, w), sum) in task.iter_mut().filter(|(_, w)| w.e.touched).zip(sums) {
+                w.sq_sum = sum;
             }
-            w.busy_ns = busy.elapsed_ns();
+            *busy_ns = busy.elapsed_ns();
         });
+        let busy = tasks.iter().map(|(_, ns)| ns).sum::<u64>();
+        drop(tasks);
+        // Back in registration order: the squares add up in it.
+        work.sort_by_key(|(i, _)| *i);
+        let work: Vec<Work> = work.into_iter().map(|(_, w)| w).collect();
         let grad_norm = work.iter().filter(|w| w.e.touched).map(|w| w.sq_sum).sum::<f32>().sqrt();
         // Worker time overlaps; scale the products' share to the wall clock.
-        let (wgrad, busy) =
-            work.iter().fold((0u64, 0u64), |(a, b), w| (a + w.wgrad_ns, b + w.busy_ns));
+        let wgrad = work.iter().map(|w| w.wgrad_ns).sum::<u64>();
         let wgrad_ns = (wall.elapsed_ns() as f64 * wgrad as f64 / busy.max(1) as f64) as u64;
         Reduced { grad_norm, wgrad_ns }
     }
@@ -357,14 +374,13 @@ impl ParamStore {
         }
     }
 
-    /// Global L2 norm over all touched gradients.
+    /// Global L2 norm over all touched gradients: each one's sum of
+    /// squares in element order ([`ops::sums_of_squares`], which overlaps
+    /// the parameters' chains), the sums added in registration order.
     pub fn grad_norm(&self) -> f32 {
-        self.entries
-            .iter()
-            .filter(|e| e.touched)
-            .map(|e| e.grad.data().iter().map(|x| x * x).sum::<f32>())
-            .sum::<f32>()
-            .sqrt()
+        let touched: Vec<&[f32]> =
+            self.entries.iter().filter(|e| e.touched).map(|e| e.grad.data()).collect();
+        ops::sums_of_squares(&touched).into_iter().sum::<f32>().sqrt()
     }
 
     pub(crate) fn entries_mut(&mut self) -> &mut [ParamEntry] {
@@ -395,14 +411,25 @@ impl ParamStore {
 /// A single forward/backward pass: an autograd graph plus the bindings from
 /// parameters to graph leaves.
 ///
+/// One tape may run several tables stacked as row segments (the
+/// pre-training step does). A parameter read per table is bound once per
+/// table ([`Forward::set_segment`], [`Forward::param`]), and one a stacked
+/// product reads once for all of them ([`Forward::param_shared`]), whose
+/// parts the tape tags with their table. [`Forward::take_segment_grads`]
+/// hands the gradients out as one list per table, each the list a tape of
+/// that table alone gives.
+///
 /// `Forward` deliberately holds no reference to the [`ParamStore`] — the
 /// store is passed to [`Forward::param`] at bind time — so that gradients
 /// can be moved back into the (then mutably borrowed) store afterwards.
 pub struct Forward {
     /// The autograd tape for this pass.
     pub graph: Graph,
-    /// The leaf each parameter is bound to this pass, by [`ParamId::index`].
-    bound: Vec<Option<Var>>,
+    /// The leaf each parameter is bound to this pass, by
+    /// `(ParamId::index, table)`; `None` for a leaf shared by every table.
+    bound: HashMap<(usize, Option<usize>), Var>,
+    /// The table [`param`](Forward::param) binds for.
+    segment: usize,
     /// Whether dropout layers should be active.
     pub training: bool,
 }
@@ -410,7 +437,7 @@ pub struct Forward {
 impl Forward {
     /// Start a new training-mode forward pass (dropout active).
     pub fn new(_store: &ParamStore) -> Self {
-        Self { graph: Graph::new(), bound: Vec::new(), training: true }
+        Self { graph: Graph::new(), bound: HashMap::new(), segment: 0, training: true }
     }
 
     /// Start a new inference pass (dropout disabled).
@@ -419,27 +446,45 @@ impl Forward {
     }
 
     /// Reuse this context for a fresh pass: clears the tape (keeping its
-    /// allocation) and the parameter bindings. Equivalent to replacing
-    /// `self` with `Forward::new`, minus the tape-vector reallocation.
+    /// allocation), the parameter bindings and the table. Equivalent to
+    /// replacing `self` with `Forward::new`, minus the tape-vector
+    /// reallocation.
     pub fn reset(&mut self, training: bool) {
         self.graph.reset();
         self.bound.clear();
+        self.segment = 0;
         self.training = training;
     }
 
-    /// Bind a parameter into the graph, its gradient to leave the tape in
-    /// `form` ([`Graph::param_leaf`]); binding it again this pass in the
-    /// same form returns the same leaf. The leaf shares the store's tensor
-    /// instead of copying it; an optimizer step taken while this tape is
-    /// alive leaves the tape's value as it was.
+    /// The table (row segment) [`param`](Forward::param) binds for from
+    /// now on; 0 until set.
+    pub fn set_segment(&mut self, segment: usize) {
+        self.segment = segment;
+    }
+
+    /// Bind a parameter into the graph for the current table, its
+    /// gradient to leave the tape in `form` ([`Graph::param_leaf`]);
+    /// binding it again this pass for the same table in the same form
+    /// returns the same leaf. The leaf shares the store's tensor instead
+    /// of copying it; an optimizer step taken while this tape is alive
+    /// leaves the tape's value as it was.
     ///
     /// # Panics
-    /// Panics if the parameter is already bound this pass in another form.
+    /// Panics if the parameter is already bound for this table this pass
+    /// in another form.
     pub fn param(&mut self, store: &ParamStore, id: ParamId, form: GradForm) -> Var {
-        if self.bound.len() <= id.0 {
-            self.bound.resize(id.0 + 1, None);
-        }
-        if let Some(leaf) = self.bound[id.0] {
+        self.bind(store, id, form, Some(self.segment))
+    }
+
+    /// Bind a parameter once for every table of the tape, for the one
+    /// [stacked product](Graph::matmul_stacked) that reads it: the tape
+    /// tags each part with its table. Panics like [`param`](Forward::param).
+    pub fn param_shared(&mut self, store: &ParamStore, id: ParamId, form: GradForm) -> Var {
+        self.bind(store, id, form, None)
+    }
+
+    fn bind(&mut self, store: &ParamStore, id: ParamId, form: GradForm, seg: Option<usize>) -> Var {
+        if let Some(&leaf) = self.bound.get(&(id.0, seg)) {
             let held = self.graph.grad_form(leaf).expect("a bound parameter is a parameter leaf");
             assert!(
                 held == form,
@@ -450,30 +495,40 @@ impl Forward {
             return leaf;
         }
         let leaf = self.graph.param_leaf(Arc::clone(&store.entries[id.0].value), form);
-        self.bound[id.0] = Some(leaf);
+        self.bound.insert((id.0, seg), leaf);
         leaf
     }
 
     /// After `graph.backward`, pull every parameter gradient off the tape
-    /// as parts of the form it was bound in, in parameter (registration)
-    /// order, one tape's row lists of a table in the order the sweep met
-    /// them.
+    /// as parts of the form it was bound in: one list per table of the
+    /// tape (`segments` of them), each in parameter (registration) order,
+    /// a table's row lists of a parameter in the order the sweep met them.
+    /// Each list is what a tape of that table alone hands out.
+    ///
+    /// Feed the lists to [`ParamStore::reduce`] in batch order.
+    pub fn take_segment_grads(&mut self, segments: usize) -> Vec<Vec<(ParamId, GradPart)>> {
+        let mut bound_as = vec![None; self.graph.len()];
+        for (&(id, seg), leaf) in &self.bound {
+            bound_as[leaf.index()] = Some((ParamId(id), seg));
+        }
+        let mut lists: Vec<Vec<(ParamId, GradPart)>> = (0..segments).map(|_| Vec::new()).collect();
+        for (leaf, tagged, part) in self.graph.take_params() {
+            let (id, seg) = bound_as[leaf.index()].expect("a bound parameter's leaf");
+            let seg = tagged.or(seg).expect("a shared parameter's parts name their table");
+            lists[seg].push((id, part));
+        }
+        // Stable: a table's row lists stay in sweep order.
+        lists.iter_mut().for_each(|list| list.sort_by_key(|(id, _)| id.0));
+        lists
+    }
+
+    /// [`take_segment_grads`](Forward::take_segment_grads) of a tape of
+    /// one table: its one list.
     ///
     /// Feed the result to [`ParamStore::accumulate_parts`], or one list
     /// per table of a step to [`ParamStore::reduce`].
     pub fn take_grads(&mut self) -> Vec<(ParamId, GradPart)> {
-        let mut param_of = vec![None; self.graph.len()];
-        for (i, leaf) in self.bound.iter().enumerate() {
-            if let Some(leaf) = leaf {
-                param_of[leaf.index()] = Some(ParamId(i));
-            }
-        }
-        let mut parts: Vec<(ParamId, GradPart)> = (self.graph.take_params().into_iter())
-            .map(|(leaf, part)| (param_of[leaf.index()].expect("a bound parameter's leaf"), part))
-            .collect();
-        // Stable: a table's row lists stay in sweep order.
-        parts.sort_by_key(|(id, _)| id.0);
-        parts
+        self.take_segment_grads(1).pop().expect("one table")
     }
 
     /// After `graph.backward`, every parameter gradient as a tensor, in
@@ -489,7 +544,8 @@ impl Forward {
             if let [(_, GradPart::Dense(g))] = of_param {
                 return (id, std::mem::replace(g, Tensor::zeros(vec![0])));
             }
-            let leaf = self.bound[id.0].expect("its parts came off this tape");
+            let leaf = [Some(0), None].iter().find_map(|&seg| self.bound.get(&(id.0, seg)));
+            let leaf = *leaf.expect("its parts came off this tape");
             let mut grad = Tensor::zeros(self.graph.shape(leaf).to_vec());
             add_parts(&mut grad, &of_param.iter().map(|(_, part)| (0, part)).collect::<Vec<_>>());
             (id, grad)
@@ -612,7 +668,8 @@ mod tests {
         // norm).
         let product = |k: usize, seed: usize| GradPart::Product {
             x: Arc::new(grad(&[k, 3], seed)),
-            dy: grad(&[k, 5], seed + 1),
+            dy: Arc::new(grad(&[k, 5], seed + 1)),
+            rows: 0..k,
         };
         let dense = |p: usize, seed: usize| GradPart::Dense(grad(&shapes[p], seed));
         let tables = |ids: &[ParamId]| {
@@ -626,7 +683,7 @@ mod tests {
         let (mut serial, ids) = fresh();
         for table in tables(&ids) {
             let formed = table.into_iter().map(|(id, part)| match part {
-                GradPart::Product { x, dy } => (id, ops::matmul_tn(&x, &dy)),
+                GradPart::Product { x, dy, .. } => (id, ops::matmul_tn(&x, &dy)),
                 GradPart::Dense(g) => (id, g),
                 GradPart::Rows { .. } => unreachable!("no row lists here"),
             });

@@ -17,7 +17,11 @@
 //! `Product` leaf may only be the rhs of one [`Graph::matmul`]: the tape
 //! keeps the factors `X`, `dY` of its gradient `Xᵀ · dY` instead, and the
 //! owner adds the product into its store, for all the tables of a batch in
-//! one kernel call. A `Rows` leaf may only be gathered from
+//! one kernel call. A tape may stack several tables' rows into one operand
+//! ([`Graph::matmul_stacked`], [`Graph::add_stacked`],
+//! [`Graph::layer_norm_stacked`]): every sum across rows that reaches a
+//! parameter then leaves the tape as one part per table, each the sum a
+//! tape of that table alone forms. A `Rows` leaf may only be gathered from
 //! ([`Graph::index_select0`]): each gather keeps `(indices, dY rows)`, so
 //! no `[vocab, d]` gradient is formed for an embedding table.
 //!
@@ -33,6 +37,7 @@
 use crate::ops;
 use crate::ops::gelu_grad;
 use crate::tensor::Tensor;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Handle to a node in a [`Graph`].
@@ -100,12 +105,15 @@ pub enum GradForm {
 pub enum GradPart {
     /// The whole gradient of a `Dense` leaf.
     Dense(Tensor),
-    /// The gradient `xᵀ · dy` of a `Product` leaf.
+    /// The gradient `xᵀ · dy` of a `Product` leaf over rows `rows` of
+    /// both factors: all of them, or one table's of a stacked operand.
     Product {
         /// The lhs value of the leaf's `matmul`, `[k, m]`; still on the tape.
         x: Arc<Tensor>,
         /// The gradient that reached the `matmul`'s output, `[k, n]`.
-        dy: Tensor,
+        dy: Arc<Tensor>,
+        /// The rows (`k` range) of `x` and `dy` this part is the product of.
+        rows: Range<usize>,
     },
     /// One gather's share of a `Rows` leaf's gradient: row `indices[r]`
     /// receives row `r` of `dy`.
@@ -115,6 +123,19 @@ pub enum GradPart {
         /// The gradient that reached the gather's output, one row per index.
         dy: Tensor,
     },
+}
+
+impl GradPart {
+    /// A `Product`'s factors, restricted to its rows: `(x, dy)` as
+    /// row-major `[rows, m]` and `[rows, n]` slices.
+    pub fn factors(&self) -> Option<(&[f32], &[f32])> {
+        let GradPart::Product { x, dy, rows } = self else { return None };
+        fn span<'t>(t: &'t Tensor, rows: &Range<usize>) -> &'t [f32] {
+            let width = t.shape()[1];
+            &t.data()[rows.start * width..rows.end * width]
+        }
+        Some((span(x, rows), span(dy, rows)))
+    }
 }
 
 /// What a node is to the reverse sweep.
@@ -160,6 +181,9 @@ struct Use {
     leaf: Var,
     node: Var,
     factor: Factor,
+    /// Row counts of the tables stacked in `node`'s rows, one part each;
+    /// empty for one unsplit part.
+    segments: Vec<usize>,
 }
 
 /// What a [`Use`] keeps next to its `dY`.
@@ -466,25 +490,42 @@ impl Graph {
     /// its form. That is one `Dense` part, one `Product`, or one `Rows`
     /// list per gather. A leaf's row lists come in the order the sweep met
     /// them (reverse recording order), which is the order a `Dense` leaf's
-    /// gradient adds them up in. Gradients and indices are moved off the
-    /// tape, so a second call finds nothing. A product's `x`, which the
-    /// sweep did not release, stays a value of the tape, shared with the
-    /// returned handle, which outlives a [`reset`](Graph::reset).
-    pub fn take_params(&mut self) -> Vec<(Var, GradPart)> {
+    /// gradient adds them up in. A [stacked](Graph::matmul_stacked)
+    /// product comes as one part per table, tagged with the table's
+    /// position in the stack; every other part is untagged. Gradients and
+    /// indices are moved off the tape, so a second call finds nothing. A
+    /// product's `x`, which the sweep did not release, stays a value of
+    /// the tape, shared with the returned handle, which outlives a
+    /// [`reset`](Graph::reset).
+    pub fn take_params(&mut self) -> Vec<(Var, Option<usize>, GradPart)> {
         let mut out = Vec::new();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             if node.kind == Kind::Param(GradForm::Dense) {
-                out.extend(node.grad.take().map(|g| (Var(i), GradPart::Dense(g))));
+                out.extend(node.grad.take().map(|g| (Var(i), None, GradPart::Dense(g))));
             }
         }
         let mut uses = std::mem::take(&mut self.uses);
-        for Use { leaf, node, factor } in uses.drain(..).rev() {
+        for Use { leaf, node, factor, segments } in uses.drain(..).rev() {
             let Some(dy) = self.nodes[node.0].grad.take() else { continue };
-            let part = match factor {
-                Factor::Lhs(lhs) => GradPart::Product { x: self.share_value(lhs), dy },
-                Factor::Indices(indices) => GradPart::Rows { indices, dy },
-            };
-            out.push((leaf, part));
+            match factor {
+                Factor::Lhs(lhs) => {
+                    let (x, dy) = (self.share_value(lhs), Arc::new(dy));
+                    if segments.is_empty() {
+                        let rows = 0..dy.shape()[0];
+                        out.push((leaf, None, GradPart::Product { x, dy, rows }));
+                        continue;
+                    }
+                    let mut start = 0;
+                    for (s, &n) in segments.iter().enumerate() {
+                        let rows = start..start + n;
+                        start += n;
+                        let part =
+                            GradPart::Product { x: Arc::clone(&x), dy: Arc::clone(&dy), rows };
+                        out.push((leaf, Some(s), part));
+                    }
+                }
+                Factor::Indices(indices) => out.push((leaf, None, GradPart::Rows { indices, dy })),
+            }
         }
         self.uses = uses;
         out
@@ -514,6 +555,51 @@ impl Graph {
             vec![a, b],
             Box::new(|g, _, pv, needs| {
                 (0..2).map(|i| needs[i].then(|| g.reduce_to_shape(pv[i].shape()))).collect()
+            }),
+        )
+    }
+
+    /// `a + b` for a `[rows, d]` `a` whose rows stack tables of
+    /// `segments` rows each, table `s`'s rows plus the `[d]` row
+    /// `biases[s]` (one parameter bound once per table): each bias's
+    /// gradient is its own table's column sums, in row order from `+0.0`,
+    /// the sum [`add`](Graph::add)'s broadcast backward forms for a tape of
+    /// that table alone.
+    pub fn add_stacked(&mut self, a: Var, biases: &[Var], segments: &[usize]) -> Var {
+        assert_eq!(biases.len(), segments.len(), "one bias per table");
+        let av = self.value(a);
+        let d = self.value(biases[0]).len();
+        assert!(av.rank() == 2 && av.shape()[1] == d, "add_stacked: {:?} rows of {d}", av.shape());
+        assert_eq!(segments.iter().sum::<usize>(), av.shape()[0], "segments must cover the rows");
+        let mut value = av.clone();
+        let mut start = 0;
+        for (&b, &n) in biases.iter().zip(segments) {
+            let bias = self.value(b).data();
+            for row in value.data_mut()[start * d..(start + n) * d].chunks_exact_mut(d) {
+                row.iter_mut().zip(bias).for_each(|(x, &y)| *x += y);
+            }
+            start += n;
+        }
+        let segments = segments.to_vec();
+        let mut parents = vec![a];
+        parents.extend_from_slice(biases);
+        self.push(
+            value,
+            parents,
+            Box::new(move |g, _, _, needs| {
+                let mut grads = vec![needs[0].then(|| g.clone())];
+                let mut start = 0;
+                for (s, &n) in segments.iter().enumerate() {
+                    grads.push(needs[1 + s].then(|| {
+                        let mut sums = Tensor::zeros(vec![d]);
+                        for row in g.data()[start * d..(start + n) * d].chunks_exact(d) {
+                            sums.data_mut().iter_mut().zip(row).for_each(|(o, &x)| *o += x);
+                        }
+                        sums
+                    }));
+                    start += n;
+                }
+                grads
             }),
         )
     }
@@ -577,6 +663,19 @@ impl Graph {
     /// 2-D matrix product `A · B`. `B` may be a `Product` leaf not read
     /// before: backward then computes `dA` alone.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        self.matmul_stacked(a, b, &[])
+    }
+
+    /// [`matmul`](Graph::matmul) over an `A` whose rows stack tables of
+    /// `segments` rows each: a `Product` rhs then hands out one part per
+    /// table, that table's rows of `X` and `dY` ([`Graph::take_params`]).
+    /// Each row of the product and of `dA` is its row's alone, so
+    /// stacking changes no bit of either.
+    pub fn matmul_stacked(&mut self, a: Var, b: Var, segments: &[usize]) -> Var {
+        debug_assert!(
+            segments.is_empty() || segments.iter().sum::<usize>() == self.shape(a)[0],
+            "segments must cover the lhs rows"
+        );
         let product_rhs =
             self.grad_form(b) == Some(GradForm::Product) && !self.uses.iter().any(|u| u.leaf == b);
         let value = ops::matmul(self.value(a), self.value(b));
@@ -594,7 +693,8 @@ impl Graph {
         if product_rhs {
             self.nodes[a.0].keep_value = true;
             self.nodes[node.0].keep_grad = true;
-            self.uses.push(Use { leaf: b, node, factor: Factor::Lhs(a) });
+            let segments = segments.to_vec();
+            self.uses.push(Use { leaf: b, node, factor: Factor::Lhs(a), segments });
         }
         node
     }
@@ -767,67 +867,77 @@ impl Graph {
     ///
     /// `x` has shape `[..., d]`, `gamma` and `beta` have shape `[d]`.
     pub fn layer_norm(&mut self, x: Var, gamma: Var, beta: Var, eps: f32) -> Var {
+        let rows = self.value(x).len() / self.value(gamma).len().max(1);
+        self.layer_norm_stacked(x, &[gamma], &[beta], &[rows], eps)
+    }
+
+    /// [`layer_norm`](Graph::layer_norm) over an `x` whose rows stack
+    /// tables of `segments` rows each, table `s` under `gammas[s]` and
+    /// `betas[s]` (one parameter bound once per table): each table's rows
+    /// are normalized as alone, and its affine gradients are the sums over
+    /// its own rows, which a tape of that table alone forms.
+    pub fn layer_norm_stacked(
+        &mut self,
+        x: Var,
+        gammas: &[Var],
+        betas: &[Var],
+        segments: &[usize],
+        eps: f32,
+    ) -> Var {
+        assert!(gammas.len() == segments.len() && betas.len() == segments.len(), "one per table");
         let xv = self.value(x);
-        assert_eq!(xv.shape().last(), Some(&self.value(gamma).len()), "layer_norm gamma size");
+        let d = self.value(gammas[0]).len();
+        assert_eq!(xv.shape().last(), Some(&d), "layer_norm gamma size");
+        assert_eq!(segments.iter().sum::<usize>() * d, xv.len(), "segments must cover the rows");
         let mut out = Tensor::zeros(xv.shape().to_vec());
-        ops::fused_layer_norm(
-            xv.data(),
-            self.value(gamma).data(),
-            self.value(beta).data(),
-            eps,
-            out.data_mut(),
-        );
+        let mut start = 0;
+        for ((&g, &b), &n) in gammas.iter().zip(betas).zip(segments) {
+            let span = start * d..(start + n) * d;
+            let (gamma, beta) = (self.value(g).data(), self.value(b).data());
+            ops::fused_layer_norm(
+                &xv.data()[span.clone()],
+                gamma,
+                beta,
+                eps,
+                &mut out.data_mut()[span],
+            );
+            start += n;
+        }
+        let segments = segments.to_vec();
+        let mut parents = vec![x];
+        parents.extend_from_slice(gammas);
+        parents.extend_from_slice(betas);
         self.push(
             out,
-            vec![x, gamma, beta],
+            parents,
             Box::new(move |g, _, pv, needs| {
+                let n_seg = segments.len();
                 let xval = pv[0];
-                let gamma = pv[1].data();
-                let d = *xval.shape().last().expect("layer_norm rank");
-                let rows = xval.len() / d;
                 let mut dx = needs[0].then(|| Tensor::zeros(xval.shape().to_vec()));
-                let mut dgamma = needs[1].then(|| Tensor::zeros(vec![d]));
-                let mut dbeta = needs[2].then(|| Tensor::zeros(vec![d]));
-                let xd = xval.data();
-                let gd = g.data();
-                for r in 0..rows {
-                    let o = r * d;
-                    let row = &xd[o..o + d];
-                    let grow = &gd[o..o + d];
-                    let mean = row.iter().sum::<f32>() / d as f32;
-                    let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
-                    let inv = 1.0 / (var + eps).sqrt();
-                    if let Some(dx) = &mut dx {
-                        // xhat and dy*gamma statistics
-                        let mut sum_dyg = 0.0f32;
-                        let mut sum_dyg_xhat = 0.0f32;
-                        for j in 0..d {
-                            let xhat = (row[j] - mean) * inv;
-                            let dyg = grow[j] * gamma[j];
-                            sum_dyg += dyg;
-                            sum_dyg_xhat += dyg * xhat;
-                        }
-                        let m1 = sum_dyg / d as f32;
-                        let m2 = sum_dyg_xhat / d as f32;
-                        let dxd = &mut dx.data_mut()[o..o + d];
-                        for j in 0..d {
-                            let xhat = (row[j] - mean) * inv;
-                            let dyg = grow[j] * gamma[j];
-                            dxd[j] = inv * (dyg - m1 - xhat * m2);
-                        }
-                    }
-                    if let Some(dgamma) = &mut dgamma {
-                        for (j, dg) in dgamma.data_mut().iter_mut().enumerate() {
-                            *dg += grow[j] * ((row[j] - mean) * inv);
-                        }
-                    }
-                    if let Some(dbeta) = &mut dbeta {
-                        for (db, &gv) in dbeta.data_mut().iter_mut().zip(grow) {
-                            *db += gv;
-                        }
-                    }
+                let mut dgammas = vec![None; n_seg];
+                let mut dbetas = vec![None; n_seg];
+                let mut start = 0;
+                for (s, &n) in segments.iter().enumerate() {
+                    let span = start * d..(start + n) * d;
+                    start += n;
+                    let mut dgamma = needs[1 + s].then(|| Tensor::zeros(vec![d]));
+                    let mut dbeta = needs[1 + n_seg + s].then(|| Tensor::zeros(vec![d]));
+                    ops::layer_norm_backward(
+                        &xval.data()[span.clone()],
+                        pv[1 + s].data(),
+                        &g.data()[span.clone()],
+                        eps,
+                        dx.as_mut().map(|dx| &mut dx.data_mut()[span]),
+                        dgamma.as_mut().map(Tensor::data_mut),
+                        dbeta.as_mut().map(Tensor::data_mut),
+                    );
+                    dgammas[s] = dgamma;
+                    dbetas[s] = dbeta;
                 }
-                vec![dx, dgamma, dbeta]
+                let mut grads = vec![dx];
+                grads.extend(dgammas);
+                grads.extend(dbetas);
+                grads
             }),
         )
     }
@@ -846,7 +956,8 @@ impl Graph {
             let scatters_nothing: BackFn = Box::new(|_, _, _, _| vec![None]);
             let node = self.push_reading(value, vec![a], scatters_nothing, Some(0));
             self.nodes[node.0].keep_grad = true;
-            self.uses.push(Use { leaf: a, node, factor: Factor::Indices(idx) });
+            let segments = Vec::new();
+            self.uses.push(Use { leaf: a, node, factor: Factor::Indices(idx), segments });
             return node;
         }
         self.push(
@@ -1291,10 +1402,10 @@ mod tests {
 
     /// `parts` added up the way the tape forms a `Dense` leaf's gradient:
     /// each part as the tensor its op's backward builds, in order.
-    fn formed(parts: Vec<(Var, GradPart)>, shape: &[usize]) -> Tensor {
+    fn formed(parts: Vec<(Var, Option<usize>, GradPart)>, shape: &[usize]) -> Tensor {
         let as_tensor = |part: GradPart| match part {
             GradPart::Dense(g) => g,
-            GradPart::Product { x, dy } => ops::matmul_tn(&x, &dy),
+            GradPart::Product { x, dy, .. } => ops::matmul_tn(&x, &dy),
             GradPart::Rows { indices, dy } => {
                 let mut g = Tensor::zeros(shape.to_vec());
                 let w = shape[1];
@@ -1305,7 +1416,7 @@ mod tests {
                 g
             }
         };
-        let mut tensors = parts.into_iter().map(|(_, part)| as_tensor(part));
+        let mut tensors = parts.into_iter().map(|(_, _, part)| as_tensor(part));
         let mut total = tensors.next().expect("a gradient reached the leaf");
         tensors.for_each(|g| total.add_assign(&g));
         total
@@ -1325,15 +1436,15 @@ mod tests {
             assert_eq!(tape.grad_form(wf), Some(form));
             assert_eq!(tape.needs_grad(wf), form == GradForm::Dense);
             let parts = tape.take_params();
-            assert!(parts.iter().all(|(leaf, _)| *leaf == wf));
+            assert!(parts.iter().all(|(leaf, seg, _)| *leaf == wf && seg.is_none()));
             match (form, &parts[..]) {
-                (GradForm::Dense, [(_, GradPart::Dense(_))]) => {}
-                (GradForm::Product, [(_, GradPart::Product { x, .. })]) => {
+                (GradForm::Dense, [(_, _, GradPart::Dense(_))]) => {}
+                (GradForm::Product, [(_, _, GradPart::Product { x, .. })]) => {
                     assert!(std::ptr::eq(&**x, tape.value(xf)), "x is the tape's own, shared");
                 }
                 (
                     GradForm::Rows,
-                    [(_, GradPart::Rows { indices: first, .. }), (_, GradPart::Rows { indices: second, .. })],
+                    [(_, _, GradPart::Rows { indices: first, .. }), (_, _, GradPart::Rows { indices: second, .. })],
                 ) => {
                     // Sweep order: the later gather comes first.
                     assert_eq!((&first[..], &second[..]), (&[3, 0][..], &[1, 1, 3][..]));
@@ -1430,6 +1541,57 @@ mod tests {
         read_param(GradForm::Rows, |g, w, x| _ = g.matmul(x, w));
     }
 
+    /// `Σ LN(x · W + b)²` over `tables` stacked on one tape — `W` a
+    /// `Product` leaf, `b`, `γ`, `β` bound once per table — as each
+    /// table's `(x rows, dY rows)` product factors and its `b`, `γ`, `β`
+    /// gradients, in bits.
+    fn stacked_tape(tables: &[&Tensor]) -> Vec<[Vec<u32>; 5]> {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let w = [0.3, -0.1, 0.7, 0.2, -0.5, 0.4, 0.1, -0.9, 0.6, 0.05, -0.3, 0.8];
+        let affine = [[0.1, -0.2, 0.3, 0.0], [1.0, 0.9, 1.1, 1.2], [0.0, 0.1, -0.1, 0.2]]
+            .map(|v| Arc::new(t2(&[4], &v)));
+        let mut g = Graph::new();
+        let rows: Vec<usize> = tables.iter().map(|t| t.shape()[0]).collect();
+        let data = tables.iter().flat_map(|t| t.data().iter().copied()).collect();
+        let x = g.constant(Tensor::from_vec(vec![rows.iter().sum(), 3], data));
+        let wv = g.param_leaf(Arc::new(t2(&[3, 4], &w)), GradForm::Product);
+        let [b, gamma, beta] = affine.map(|v| {
+            rows.iter().map(|_| g.param_leaf(Arc::clone(&v), GradForm::Dense)).collect::<Vec<_>>()
+        });
+        let y = g.matmul_stacked(x, wv, &rows);
+        let y = g.add_stacked(y, &b, &rows);
+        let h = g.layer_norm_stacked(y, &gamma, &beta, &rows, 1e-5);
+        let sq = g.mul(h, h);
+        let loss = g.sum_all(sq);
+        g.backward(loss);
+        let grad = |g: &Graph, v: Var| bits(g.grad(v).expect("a gradient reached it").data());
+        let dense: Vec<[Vec<u32>; 3]> = (0..rows.len())
+            .map(|s| [grad(&g, b[s]), grad(&g, gamma[s]), grad(&g, beta[s])])
+            .collect();
+        let mut products = g.take_params().into_iter().filter(|(leaf, ..)| *leaf == wv);
+        (0..rows.len())
+            .map(|s| {
+                let (_, seg, part) = products.next().expect("one product part per table");
+                assert_eq!(seg, Some(s), "tagged with its table");
+                let (x, dy) = part.factors().expect("a product");
+                let [db, dgamma, dbeta] = dense[s].clone();
+                [bits(x), bits(dy), db, dgamma, dbeta]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_stacked_tape_gives_each_table_the_gradients_of_its_own_tape() {
+        let tables = [
+            t2(&[3, 3], &[0.5, -1.0, 2.0, 0.25, -0.0, 1.5, 3.0, -2.0, 1.0]),
+            t2(&[2, 3], &[7.0, -0.5, 4.0, 0.1, 0.2, -0.3]),
+        ];
+        let stacked = stacked_tape(&[&tables[0], &tables[1]]);
+        for (s, table) in tables.iter().enumerate() {
+            assert_eq!(stacked[s], stacked_tape(&[table])[0], "table {s}");
+        }
+    }
+
     /// `loss = Σ (2x · w)²` over a computed lhs, `w` a `Product` leaf;
     /// returns the tape and `(x, lhs, product, loss)`.
     fn swept_tape() -> (Graph, Var, Var, Var, Var) {
@@ -1457,7 +1619,7 @@ mod tests {
         // Everything else is gone, its shape still on record.
         assert_eq!((g.shape(y), g.held_grad_shape(lhs)), (&[3, 2][..], None));
         let parts = g.take_params();
-        let [(_, GradPart::Product { x, .. })] = &parts[..] else { panic!("one product") };
+        let [(_, None, GradPart::Product { x, .. })] = &parts[..] else { panic!("one product") };
         assert!(std::ptr::eq(&**x, g.value(lhs)));
         assert_eq!(g.held_grad_shape(y), None);
     }

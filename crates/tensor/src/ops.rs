@@ -110,6 +110,10 @@ const NT_TRANSPOSE_MIN_OUT: usize = 64;
 /// panels of the block kernel, so none of `A`'s rows runs as a single
 /// column under any body.
 const NT_PAD: usize = MIN_PANEL;
+/// Rows of `A` one swapped `nt` product takes: a `[k, 32]` panel of `Aᵀ`
+/// fits L1 at `k` = 312 where a `[k, 64]` one does not, which measured
+/// faster for the `dA` of a stacked ~63-row operand.
+const NT_CHUNK: usize = 32;
 
 /// `C[m,n] = A[m,k] · B[k,n]`.
 ///
@@ -747,13 +751,13 @@ fn gemm_dense<'a, A: Lhs<'a>>(
 /// Scratch elements [`matmul_nt_into`] needs for
 /// `out[m,n] = a[m,k] · b[n,k]ᵀ`: nothing for a tiny output, the
 /// `[k, m₈]` panel of `Aᵀ` plus the `[n, m₈]` product when `m < n`
-/// (`m₈` is `m` rounded up to a multiple of 8), the `[k, n]` panel of
-/// `Bᵀ` otherwise.
+/// (`m₈` is `min(m, 32)` rounded up to a multiple of 8: one chunk of
+/// `a`'s rows at a time), the `[k, n]` panel of `Bᵀ` otherwise.
 pub fn matmul_nt_scratch_len(m: usize, k: usize, n: usize) -> usize {
     if m * n < NT_TRANSPOSE_MIN_OUT {
         0
     } else if m < n {
-        (k + n) * m.next_multiple_of(NT_PAD)
+        (k + n) * m.min(NT_CHUNK).next_multiple_of(NT_PAD)
     } else {
         k * n
     }
@@ -762,10 +766,12 @@ pub fn matmul_nt_scratch_len(m: usize, k: usize, n: usize) -> usize {
 /// `out[m,n] = a[m,k] · b[n,k]ᵀ` through [`gemm`], transposing whichever
 /// operand has fewer rows; tiny outputs keep the row-dot-product path.
 ///
-/// With `m < n` the product runs as `Cᵀ = B · Aᵀ`: `a` goes into a
-/// `[k, m₈]` panel whose pad columns are zero, the block kernel streams
-/// `b`'s rows contiguously with its lanes across `a`'s rows, and the
-/// small `[n, m₈]` result is transposed back (pad columns dropped).
+/// With `m < n` the product runs as `Cᵀ = B · Aᵀ`, [`NT_CHUNK`] rows of
+/// `a` at a time: the chunk goes into a `[k, m₈]` panel whose pad
+/// columns are zero, the block kernel streams `b`'s rows contiguously
+/// with its lanes across the chunk's rows, and the small `[n, m₈]`
+/// result is transposed back into the chunk's rows of `out` (pad
+/// columns dropped).
 /// Element `(i, j)` is still one accumulator fusing `b[j,kk] · a[i,kk]`
 /// into it for ascending `kk` — the same exact products (a fused
 /// multiply-add's operands commute) in the same order as `A · (Bᵀ)`.
@@ -782,12 +788,18 @@ fn gemm_nt(
     if m * n < NT_TRANSPOSE_MIN_OUT {
         matmul_nt_rows(a, b, out, m, k, n);
     } else if m < n {
-        let mp = m.next_multiple_of(NT_PAD);
-        let (at, ct) = scratch.split_at_mut(k * mp);
-        transpose_strided(a, at, m, k, k, mp);
-        at.chunks_exact_mut(mp).for_each(|row| row[m..].fill(0.0));
-        gemm_dense::<RowMajor>(b, at, ct, n, k, mp);
-        transpose_strided(ct, out, n, m, mp, n);
+        // At most NT_CHUNK of `a`'s rows per product, so the `Aᵀ` panel
+        // stays narrow enough to live in L1 while `b` streams past it.
+        for first in (0..m).step_by(NT_CHUNK) {
+            let rows = NT_CHUNK.min(m - first);
+            let mp = rows.next_multiple_of(NT_PAD);
+            let (at, ct) = scratch.split_at_mut(k * mp);
+            let ct = &mut ct[..n * mp];
+            transpose_strided(&a[first * k..], at, rows, k, k, mp);
+            at.chunks_exact_mut(mp).for_each(|row| row[rows..].fill(0.0));
+            gemm_dense::<RowMajor>(b, at, ct, n, k, mp);
+            transpose_strided(ct, &mut out[first * n..], n, rows, mp, n);
+        }
     } else {
         transpose_into(b, scratch, n, k);
         gemm_dense::<RowMajor>(a, scratch, out, m, k, n);
@@ -923,8 +935,9 @@ pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
 
 /// Transpose the `rows × cols` corner of a matrix with row stride
 /// `src_stride` into one with row stride `dst_stride`, leaving the rest of
-/// `dst` alone: `dst[c * dst_stride + r] = src[r * src_stride + c]`. Small
-/// square blocks keep both streams cache-resident.
+/// `dst` alone: `dst[c * dst_stride + r] = src[r * src_stride + c]`. Runs
+/// [`Transpose`] through the widest body, so a strip's column is one
+/// vector store.
 fn transpose_strided(
     src: &[f32],
     dst: &mut [f32],
@@ -933,22 +946,64 @@ fn transpose_strided(
     src_stride: usize,
     dst_stride: usize,
 ) {
-    const TB: usize = 32;
-    let mut r0 = 0usize;
-    while r0 < rows {
-        let r1 = (r0 + TB).min(rows);
-        let mut c0 = 0usize;
-        while c0 < cols {
-            let c1 = (c0 + TB).min(cols);
-            for r in r0..r1 {
-                for c in c0..c1 {
-                    dst[c * dst_stride + r] = src[r * src_stride + c];
-                }
-            }
-            c0 = c1;
-        }
-        r0 = r1;
+    if rows == 0 || cols == 0 {
+        return;
     }
+    assert!(src.len() >= (rows - 1) * src_stride + cols, "transpose src size");
+    assert!(dst.len() >= (cols - 1) * dst_stride + rows, "transpose dst size");
+    run_body(Body::widest(), Transpose { src, dst, rows, cols, src_stride, dst_stride });
+}
+
+/// [`transpose_strided`] as a [`Compiled`] kernel: the rows go in strips
+/// of 16, then 8, then one at a time, and each column of a strip is that many
+/// loads and one store of that many contiguous elements — a register's
+/// worth under AVX-512 — with one bounds check per row slice and per
+/// store instead of one per element. A copy: every body gives the same
+/// bits.
+struct Transpose<'a> {
+    src: &'a [f32],
+    dst: &'a mut [f32],
+    rows: usize,
+    cols: usize,
+    src_stride: usize,
+    dst_stride: usize,
+}
+
+impl Compiled for Transpose<'_> {
+    #[inline(always)]
+    fn run(self, _body: Body) {
+        let Transpose { src, dst, rows, cols, src_stride, dst_stride } = self;
+        let strides = (src_stride, dst_stride);
+        let mut r = transpose_strips::<16>(src, dst, 0..rows, cols, strides);
+        r = transpose_strips::<8>(src, dst, r..rows, cols, strides);
+        for r in r..rows {
+            for (c, &v) in src[r * src_stride..][..cols].iter().enumerate() {
+                dst[c * dst_stride + r] = v;
+            }
+        }
+    }
+}
+
+/// Rows `rows` of [`Transpose`]'s corner in strips of `N`, as many as
+/// fit; returns the first row left over.
+#[inline(always)]
+fn transpose_strips<const N: usize>(
+    src: &[f32],
+    dst: &mut [f32],
+    rows: Range<usize>,
+    cols: usize,
+    (ss, ds): (usize, usize),
+) -> usize {
+    let mut r = rows.start;
+    while r + N <= rows.end {
+        let strip: [&[f32]; N] = from_fn(|i| &src[(r + i) * ss..][..cols]);
+        for c in 0..cols {
+            let out: &mut [f32; N] = (&mut dst[c * ds + r..][..N]).try_into().expect("N wide");
+            *out = from_fn(|i| strip[i][c]);
+        }
+        r += N;
+    }
+    r
 }
 
 // ---------------------------------------------------------------------
@@ -1229,24 +1284,197 @@ pub fn fused_mask_softmax(
     }
 }
 
+/// Eight add chains side by side: `acc[l] += term(l, j)` for `j` in
+/// `0..n`, each lane's chain in ascending `j`, so a lane's sum has the
+/// bits of its own one-chain loop while the eight adds of a step overlap
+/// instead of each waiting for the one before it. Spelled out lane by
+/// lane, which keeps every accumulator in a register.
+#[inline(always)]
+fn chains8(n: usize, acc: [f32; 8], term: impl Fn(usize, usize) -> f32) -> [f32; 8] {
+    let [mut s0, mut s1, mut s2, mut s3, mut s4, mut s5, mut s6, mut s7] = acc;
+    for j in 0..n {
+        s0 += term(0, j);
+        s1 += term(1, j);
+        s2 += term(2, j);
+        s3 += term(3, j);
+        s4 += term(4, j);
+        s5 += term(5, j);
+        s6 += term(6, j);
+        s7 += term(7, j);
+    }
+    [s0, s1, s2, s3, s4, s5, s6, s7]
+}
+
+/// [`chains8`] with four lanes.
+#[inline(always)]
+fn chains4(n: usize, acc: [f32; 4], term: impl Fn(usize, usize) -> f32) -> [f32; 4] {
+    let [mut s0, mut s1, mut s2, mut s3] = acc;
+    for j in 0..n {
+        s0 += term(0, j);
+        s1 += term(1, j);
+        s2 += term(2, j);
+        s3 += term(3, j);
+    }
+    [s0, s1, s2, s3]
+}
+
+/// The neutral element `Iterator::sum` starts an `f32` sum at: a chain
+/// that starts here has the bits of `.sum()` over the same terms.
+fn sum_start() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
+/// Rows whose layer-norm statistics run side by side ([`chains8`]).
+const LN_LANES: usize = 8;
+
+/// The rows of length `d` of `x` from `first`, as the lanes of one
+/// [`chains8`] block: `count ≤ LN_LANES` rows, lanes past `count`
+/// repeating the last one (their sums are thrown away).
+fn ln_lanes(x: &[f32], d: usize, first: usize, count: usize) -> [&[f32]; LN_LANES] {
+    from_fn(|l| &x[(first + l.min(count - 1)) * d..][..d])
+}
+
+/// `(mean, 1 / sqrt(var + eps))` of each lane's row: two sums per row,
+/// each in ascending element order from [`sum_start`] — the bits of
+/// `row.iter().sum()` and of the variance sum written the same way.
+#[inline(always)]
+fn ln_stats(rows: &[&[f32]; LN_LANES], eps: f32) -> ([f32; LN_LANES], [f32; LN_LANES]) {
+    let d = rows[0].len();
+    let sum = chains8(d, [sum_start(); LN_LANES], |l, j| rows[l][j]);
+    let mean = sum.map(|s| s / d as f32);
+    let sq = chains8(d, [sum_start(); LN_LANES], |l, j| (rows[l][j] - mean[l]).powi(2));
+    (mean, sq.map(|s| 1.0 / (s / d as f32 + eps).sqrt()))
+}
+
 /// Layer norm over rows of length `d` with affine `gamma`/`beta`: mean,
 /// variance, normalize, scale and shift in one kernel call. The two
-/// reductions run in ascending element order and the normalize pass is
-/// elementwise — no reassociation.
+/// reductions run in ascending element order, eight rows' chains side
+/// by side, and the normalize pass is elementwise — no reassociation.
 pub fn fused_layer_norm(x: &[f32], gamma: &[f32], beta: &[f32], eps: f32, out: &mut [f32]) {
     let _t = profiled!("fused.layer_norm");
     let d = gamma.len();
     assert_eq!(beta.len(), d, "gamma/beta size");
     assert!(d > 0 && x.len().is_multiple_of(d), "row length must divide x");
     assert_eq!(x.len(), out.len(), "fused_layer_norm out size");
-    for (orow, xrow) in out.chunks_mut(d).zip(x.chunks(d)) {
-        let mean = xrow.iter().sum::<f32>() / d as f32;
-        let var = xrow.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
-        let inv = 1.0 / (var + eps).sqrt();
-        for (j, (o, &v)) in orow.iter_mut().zip(xrow.iter()).enumerate() {
-            *o = (v - mean) * inv * gamma[j] + beta[j];
+    let rows = x.len() / d;
+    for first in (0..rows).step_by(LN_LANES) {
+        let count = LN_LANES.min(rows - first);
+        let (mean, inv) = ln_stats(&ln_lanes(x, d, first, count), eps);
+        let block = first * d..(first + count) * d;
+        let (xs, out) = (&x[block.clone()], &mut out[block]);
+        for (l, (orow, xrow)) in out.chunks_exact_mut(d).zip(xs.chunks_exact(d)).enumerate() {
+            for (j, (o, &v)) in orow.iter_mut().zip(xrow).enumerate() {
+                *o = (v - mean[l]) * inv[l] * gamma[j] + beta[j];
+            }
         }
     }
+}
+
+/// The backward of [`fused_layer_norm`] over rows of length
+/// `gamma.len()`, given the gradient `dy` of its output: `dx` is
+/// overwritten with the input's gradient, and `dgamma += Σ dy ⊙ x̂`,
+/// `dbeta += Σ dy` take the rows in order, one add per row into each
+/// element. Every row statistic — the forward's mean and variance, the
+/// two sums of `dy ⊙ γ` — is one chain in ascending element order,
+/// eight rows side by side.
+pub fn layer_norm_backward(
+    x: &[f32],
+    gamma: &[f32],
+    dy: &[f32],
+    eps: f32,
+    mut dx: Option<&mut [f32]>,
+    mut dgamma: Option<&mut [f32]>,
+    mut dbeta: Option<&mut [f32]>,
+) {
+    let d = gamma.len();
+    assert!(d > 0 && x.len().is_multiple_of(d), "row length must divide x");
+    assert_eq!(dy.len(), x.len(), "layer_norm_backward dy size");
+    let rows = x.len() / d;
+    for first in (0..rows).step_by(LN_LANES) {
+        let count = LN_LANES.min(rows - first);
+        let (xs, dys) = (ln_lanes(x, d, first, count), ln_lanes(dy, d, first, count));
+        let (mean, inv) = ln_stats(&xs, eps);
+        let xhat = |l: usize, j: usize| (xs[l][j] - mean[l]) * inv[l];
+        let dyg = |l: usize, j: usize| dys[l][j] * gamma[j];
+        let sums = dx.is_some().then(|| {
+            let sum_dyg = chains8(d, [0.0; LN_LANES], dyg);
+            (sum_dyg, chains8(d, [0.0; LN_LANES], |l, j| dyg(l, j) * xhat(l, j)))
+        });
+        for l in 0..count {
+            let (xrow, dyrow, mean, inv) = (xs[l], dys[l], mean[l], inv[l]);
+            if let (Some(dx), Some((sum_dyg, sum_dyg_xhat))) = (dx.as_deref_mut(), sums) {
+                let m1 = sum_dyg[l] / d as f32;
+                let m2 = sum_dyg_xhat[l] / d as f32;
+                let row = &mut dx[(first + l) * d..][..d];
+                for (((out, &x), &g), &gm) in row.iter_mut().zip(xrow).zip(dyrow).zip(gamma) {
+                    *out = inv * (g * gm - m1 - (x - mean) * inv * m2);
+                }
+            }
+            if let Some(dgamma) = dgamma.as_deref_mut() {
+                for ((dg, &x), &g) in dgamma.iter_mut().zip(xrow).zip(dyrow) {
+                    *dg += g * ((x - mean) * inv);
+                }
+            }
+            if let Some(dbeta) = dbeta.as_deref_mut() {
+                for (db, &g) in dbeta.iter_mut().zip(dyrow) {
+                    *db += g;
+                }
+            }
+        }
+    }
+}
+
+/// `Σ x²` of each slice of `xs`, each one chain in ascending element
+/// order from the neutral element `Iterator::sum` starts at — the bits
+/// of `xs[i].iter().map(|x| x * x).sum::<f32>()` — with the chains of up
+/// to eight slices interleaved, so their adds overlap instead of each
+/// waiting for the one before it. Slices of similar length share a group
+/// (longest first); a group walks in lockstep up to its shortest live
+/// slice, and the longer ones carry on.
+pub fn sums_of_squares(xs: &[&[f32]]) -> Vec<f32> {
+    let _t = profiled!("sums_of_squares");
+    let mut order: Vec<usize> = (0..xs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(xs[i].len()));
+    let mut groups: Vec<(&[usize], [f32; 8])> =
+        order.chunks(8).map(|g| (g, [sum_start(); 8])).collect();
+    let run = |(group, acc): &mut (&[usize], [f32; 8])| {
+        let mut live: Vec<usize> = (0..group.len()).collect();
+        let mut pos = 0;
+        loop {
+            live.retain(|&l| xs[group[l]].len() > pos);
+            let Some(end) = live.iter().map(|&l| xs[group[l]].len()).min() else { break };
+            // A block of lanes as wide as the live slices need; lanes past
+            // `live` re-read the first live slice into a sum that is
+            // thrown away, and a slice left alone runs one plain chain.
+            let lane = |l: usize| live.get(l).copied().unwrap_or(live[0]);
+            let src = |l: usize| &xs[group[lane(l)]][pos..end];
+            let sums: Vec<f32> = match live.len() {
+                1 => vec![src(0).iter().fold(acc[live[0]], |s, x| s + x * x)],
+                2..=4 => {
+                    let src: [&[f32]; 4] = from_fn(src);
+                    chains4(end - pos, from_fn(|l| acc[lane(l)]), |l, j| src[l][j] * src[l][j])
+                        .to_vec()
+                }
+                _ => {
+                    let src: [&[f32]; 8] = from_fn(src);
+                    chains8(end - pos, from_fn(|l| acc[lane(l)]), |l, j| src[l][j] * src[l][j])
+                        .to_vec()
+                }
+            };
+            for (&slot, sum) in live.iter().zip(sums) {
+                acc[slot] = sum;
+            }
+            pos = end;
+        }
+    };
+    groups.iter_mut().for_each(run);
+    let mut out = vec![sum_start(); xs.len()];
+    for (group, acc) in &groups {
+        for (&i, &sum) in group.iter().zip(acc) {
+            out[i] = sum;
+        }
+    }
+    out
 }
 
 /// Strided gather copy: `out[i] = src[offset(i)]` where `offset` walks
@@ -1411,10 +1639,12 @@ mod tests {
     #[test]
     fn nt_panel_path_matches_dot_path() {
         // Above the transpose threshold `m < n` runs as `Cᵀ = B · Aᵀ` over
-        // a zero-padded panel (`m` short of, at and past a multiple of 8)
-        // and `m ≥ n` as `A · (Bᵀ)`; both must agree bit for bit with the
-        // row-dot-product kernel kept below it.
-        for (m, k, n) in [(9, 33, 21), (8, 5, 9), (31, 40, 64), (21, 33, 9), (9, 1, 9)] {
+        // a zero-padded panel (`m` short of, at and past a multiple of 8;
+        // past `NT_CHUNK` in chunks, the last one short) and `m ≥ n` as
+        // `A · (Bᵀ)`; both must agree bit for bit with the row-dot-product
+        // kernel kept below it.
+        let shapes = [(9, 33, 21), (8, 5, 9), (31, 40, 64), (21, 33, 9), (9, 1, 9), (63, 26, 70)];
+        for (m, k, n) in shapes.into_iter().chain([(32, 7, 33), (65, 3, 97)]) {
             let (a, b) = (spiked(&[m, k], 5), spiked(&[n, k], 6));
             let mut dot = vec![0.0f32; m * n];
             matmul_nt_rows(a.data(), b.data(), &mut dot, m, k, n);
@@ -1607,6 +1837,130 @@ mod tests {
         }
         assert_eq!(&fused[32..], beta.data(), "a constant row normalises to beta");
         fused_layer_norm(&[], gamma.data(), beta.data(), eps, &mut []); // zero rows
+    }
+
+    /// Ragged layer-norm shapes: row counts around the lane width
+    /// (`LN_LANES` is 8; 17 and 63 leave partial blocks) at the widths the
+    /// model runs (`d` = 312 and 1200), a head width and a single column.
+    const RAGGED: [(usize, usize); 8] =
+        [(1, 1), (7, 26), (17, 1), (17, 312), (63, 312), (9, 1200), (33, 26), (2, 1200)];
+
+    /// The one-row-at-a-time backward the lane kernel replaced.
+    fn scalar_layer_norm_backward(
+        x: &[f32],
+        gamma: &[f32],
+        dy: &[f32],
+        eps: f32,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+        let d = gamma.len();
+        let (mut dx, mut dgamma, mut dbeta) = (vec![0.0; x.len()], vec![0.0; d], vec![0.0; d]);
+        for (r, (row, grow)) in x.chunks(d).zip(dy.chunks(d)).enumerate() {
+            let mean = row.iter().sum::<f32>() / d as f32;
+            let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
+            let inv = 1.0 / (var + eps).sqrt();
+            let (mut sum_dyg, mut sum_dyg_xhat) = (0.0f32, 0.0f32);
+            for j in 0..d {
+                let dyg = grow[j] * gamma[j];
+                sum_dyg += dyg;
+                sum_dyg_xhat += dyg * ((row[j] - mean) * inv);
+            }
+            let (m1, m2) = (sum_dyg / d as f32, sum_dyg_xhat / d as f32);
+            for j in 0..d {
+                let xhat = (row[j] - mean) * inv;
+                dx[r * d + j] = inv * (grow[j] * gamma[j] - m1 - xhat * m2);
+                dgamma[j] += grow[j] * xhat;
+                dbeta[j] += grow[j];
+            }
+        }
+        (dx, dgamma, dbeta)
+    }
+
+    #[test]
+    fn lane_layer_norm_statistics_match_the_one_row_loop_bit_for_bit() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (seed, &(rows, d)) in (60u32..).zip(RAGGED.iter()) {
+            let mut x = spiked(&[rows, d], seed);
+            x.row_mut(rows - 1).fill(-0.0); // an all-negative-zero row
+            let (gamma, beta) = (pseudo(&[d], seed + 100), pseudo(&[d], seed + 200));
+            let dy = spiked(&[rows, d], seed + 300);
+            let eps = 1e-5f32;
+            let mut fused = vec![0.0f32; rows * d];
+            fused_layer_norm(x.data(), gamma.data(), beta.data(), eps, &mut fused);
+            for (r, row) in x.data().chunks(d).enumerate() {
+                let mean = row.iter().sum::<f32>() / d as f32;
+                let var = row.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / d as f32;
+                let inv = 1.0 / (var + eps).sqrt();
+                let want: Vec<f32> = (0..d)
+                    .map(|j| (row[j] - mean) * inv * gamma.data()[j] + beta.data()[j])
+                    .collect();
+                assert_eq!(bits(&fused[r * d..(r + 1) * d]), bits(&want), "{rows}x{d} row {r}");
+            }
+            let (dx, dgamma, dbeta) =
+                scalar_layer_norm_backward(x.data(), gamma.data(), dy.data(), eps);
+            let mut got = (vec![7.0f32; rows * d], vec![0.0f32; d], vec![0.0f32; d]);
+            layer_norm_backward(
+                x.data(),
+                gamma.data(),
+                dy.data(),
+                eps,
+                Some(&mut got.0),
+                Some(&mut got.1),
+                Some(&mut got.2),
+            );
+            assert_eq!(bits(&got.0), bits(&dx), "{rows}x{d} dx");
+            assert_eq!(bits(&got.1), bits(&dgamma), "{rows}x{d} dgamma");
+            assert_eq!(bits(&got.2), bits(&dbeta), "{rows}x{d} dbeta");
+            // Each output on its own gives the same bits.
+            let mut alone = vec![0.0f32; d];
+            layer_norm_backward(
+                x.data(),
+                gamma.data(),
+                dy.data(),
+                eps,
+                None,
+                Some(&mut alone),
+                None,
+            );
+            assert_eq!(bits(&alone), bits(&dgamma), "{rows}x{d} dgamma alone");
+        }
+    }
+
+    #[test]
+    fn interleaved_sums_of_squares_match_one_chain_each_bit_for_bit() {
+        // Lengths that end the lockstep at every point of a group, an
+        // empty slice, more slices than one group holds, and -0.0 alone.
+        let lens = [312, 1, 0, 26 * 26, 1200, 312 * 17, 63, 1200 * 9, 5, 312, 26, 8, 9, 1];
+        let data: Vec<Tensor> =
+            lens.iter().zip(70u32..).map(|(&n, seed)| spiked(&[n], seed)).collect();
+        let mut slices: Vec<&[f32]> = data.iter().map(Tensor::data).collect();
+        let negative_zero = [-0.0f32];
+        slices.push(&negative_zero);
+        let want: Vec<u32> =
+            slices.iter().map(|s| s.iter().map(|x| x * x).sum::<f32>().to_bits()).collect();
+        let got: Vec<u32> = sums_of_squares(&slices).iter().map(|x| x.to_bits()).collect();
+        assert_eq!(got, want);
+        assert!(sums_of_squares(&[]).is_empty());
+    }
+
+    #[test]
+    fn block_transposer_matches_the_element_loop() {
+        // Full 8 x 8 tiles, fringes on either side, strides wider than
+        // the corner (the `matmul_nt` panel), and a 1-wide matrix.
+        for &(rows, cols, src_pad, dst_pad) in
+            &[(63, 312, 0, 1), (17, 26, 3, 0), (1, 1200, 0, 7), (40, 33, 5, 5), (8, 8, 0, 0)]
+        {
+            let (ss, ds) = (cols + src_pad, rows + dst_pad);
+            let src = pseudo(&[rows * ss], 80 + rows as u32);
+            let mut got = vec![-1.0f32; cols * ds];
+            let mut want = got.clone();
+            transpose_strided(src.data(), &mut got, rows, cols, ss, ds);
+            for r in 0..rows {
+                for c in 0..cols {
+                    want[c * ds + r] = src.data()[r * ss + c];
+                }
+            }
+            assert_eq!(got, want, "{rows}x{cols} strides {ss}/{ds}");
+        }
     }
 
     #[test]

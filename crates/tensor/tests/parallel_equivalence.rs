@@ -128,13 +128,14 @@ fn shapes() -> Vec<(usize, usize, usize)> {
 /// wide `n` (`m < n`: `Cᵀ = B · Aᵀ` over the panel padded to a multiple of
 /// 8 — exact, one short and one over), a narrow `n < 8` (`m ≥ n` or the
 /// tiny path) and `k = 1`; the training backward's own `dA = g · Wᵀ`
-/// shapes come last.
+/// shapes come last, a table's and a stacked group's (`m` past the
+/// 32-row chunk of the `m < n` orientation).
 fn nt_shapes() -> Vec<(usize, usize, usize)> {
     let mut all = Vec::new();
     for m in [1, 7, 8, 28, 31, 64] {
         all.extend([(m, 90, 200), (m, 37, 5), (m, 1, 70), (m, 1, 3), (m, 50, m)]);
     }
-    all.extend([(28, 1200, 312), (31, 312, 1200), (64, 50, 31)]);
+    all.extend([(28, 1200, 312), (31, 312, 1200), (64, 50, 31), (63, 1200, 312), (63, 312, 1200)]);
     all
 }
 
