@@ -270,6 +270,8 @@ impl Ir {
     }
 
     /// Table `seg`'s encoder output `[n, d]` — what its heads gather from.
+    /// A table of a group that has no head has no node of its own rows:
+    /// this is then the group's stacked output.
     pub fn encoder_output(&self, seg: usize) -> TensorId {
         self.outputs[seg].0
     }
@@ -604,7 +606,9 @@ pub fn lower_model_plan(plan: &ModelPlan) -> Result<Ir, AuditError> {
 /// concatenated back. A stacked node's parameters are one source each
 /// (its executor binds one leaf per table for a gradient summed over
 /// rows, so each table's sum is its own); a per-table node's are that
-/// table's own sources. One plan lowers exactly as [`lower_model_plan`].
+/// table's own sources. One plan lowers exactly as [`lower_model_plan`],
+/// and a group of encode-only plans ends on the stacked encoder output
+/// `[Σn, d]` — a batch of the compiled forward.
 ///
 /// The plans must agree on everything but their per-input counts and
 /// whether the input carries a visibility mask.
@@ -716,10 +720,13 @@ pub fn lower_group_plan(plans: &[ModelPlan]) -> Result<Ir, AuditError> {
     }
 
     // ---- Pre-training heads (Eqns. 5–6), per table -------------------
+    // Only a table with a head takes its rows of the stacked output, so an
+    // encode-only group ends on the stacked `[Σn, d]` output itself.
     let mut outputs = Vec::with_capacity(plans.len());
     for (s, q) in plans.iter().enumerate() {
         b.seg = Some(s);
-        let out = if stacked { b.slice(h, rows[s].clone(), "encoder.rows")? } else { h };
+        let headed = q.n_mlm_targets + q.n_mer_targets > 0;
+        let out = if stacked && headed { b.slice(h, rows[s].clone(), "encoder.rows")? } else { h };
         outputs.push((out, lower_heads(&mut b, q, out)?));
     }
 
@@ -1049,6 +1056,28 @@ mod tests {
         let ir = lower_model_plan(&plan).expect("plan lowers");
         assert!(!ir.nodes().iter().any(|n| matches!(n.kind, OpKind::Mask)));
         assert!(!ir.nodes().iter().any(|n| matches!(n.kind, OpKind::Source(SourceKind::Mask))));
+    }
+
+    #[test]
+    fn an_encode_only_group_ends_on_its_stacked_output() {
+        let encode = |n_tokens, use_visibility| ModelPlan {
+            n_tokens,
+            n_mlm_targets: 0,
+            n_mer_targets: 0,
+            n_candidates: 0,
+            use_visibility,
+            ..paper_plan()
+        };
+        let plans = [encode(24, true), encode(7, false), encode(24, true)];
+        let rows: usize = plans.iter().map(|p| p.n_tokens + p.n_seq_entities).sum();
+        let ir = lower_group_plan(&plans).expect("group lowers");
+        assert_eq!(ir.node_at(ir.len() - 1).shape, vec![rows, 312]);
+        assert_eq!(ir.find("encoder.rows"), None, "no head takes its table's rows");
+        // Only a table with a head slices its rows of the stacked output.
+        let headed = [paper_plan(), encode(7, false)];
+        let ir = lower_group_plan(&headed).expect("group lowers");
+        assert!(ir.find_in("encoder.rows", 0).is_some());
+        assert_eq!(ir.find_in("encoder.rows", 1), None);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `turl-audit`: static analysis for the TURL workspace.
 //!
 //! Auditors, allocation-free with respect to model state (the parity
-//! auditor only reads gradients already held by the stores):
+//! auditor only reads values already held by the stores):
 //!
 //! * [`lower_model_plan`] ([`ir`]) — lowers a [`ModelPlan`] to a typed
 //!   dataflow IR of an entire TURL forward pass (embeddings → masked
@@ -25,12 +25,10 @@
 //!   — re-derive the §4.3 visibility relation independently and compare
 //!   a concrete matrix pair-by-pair; validate the §4.4 MLM/MER masking
 //!   ratios and derive the MER branch fractions (10/63/27 at defaults).
-//! * [`check_grad_parity`] ([`parallel`]) — compares the gradients left
-//!   by a serial (1-thread) and a parallel seeded training step parameter
-//!   by parameter, enforcing the pool's split-invariance guarantee.
 //! * [`check_value_parity`] ([`resume`]) — compares parameter *values*
 //!   bit-for-bit between a reference run and an interrupted-and-resumed
-//!   run, enforcing the checkpoint subsystem's exact-resume guarantee.
+//!   (or wider-pool) run, enforcing the checkpoint subsystem's
+//!   exact-resume and the pool's split-invariance guarantees.
 //! * [`check_metrics_log`] ([`obs`]) — validates a recorded
 //!   `--metrics-out` JSONL stream: every line schema-valid, the stream
 //!   alive (events and spans present), and the observed §4.4
@@ -44,7 +42,6 @@ pub mod error;
 pub mod ir;
 pub mod liveness;
 pub mod obs;
-pub mod parallel;
 pub mod plan;
 pub mod range;
 pub mod resume;
@@ -60,13 +57,12 @@ pub use liveness::{
     LiveRange,
 };
 pub use obs::{check_metrics_log, MetricsLogReport};
-pub use parallel::{check_grad_parity, ParityReport};
 pub use plan::{
     analyze_model_plan, analyze_model_plan_with, check_model_plan, ModelPlan, PlanAnalysis,
     PlanNumerics, PlanReport,
 };
 pub use range::{analyze_ranges, analyze_ranges_with, quantized_range, RangeAnalysis, ValueRange};
-pub use resume::check_value_parity;
+pub use resume::{check_value_parity, ParityReport};
 pub use tape::{audit_tape, TapeReport};
 pub use visibility::{
     lint_additive_mask, lint_visibility, validate_masking_config, MaskingRatios, VisibilityReport,

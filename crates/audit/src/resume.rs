@@ -1,23 +1,31 @@
-//! Resume-parity auditor.
+//! Parameter-parity auditor.
 //!
 //! The crash-safe checkpoint subsystem promises *exact* resume: a run
 //! interrupted at any optimizer step and restarted from its checkpoint
-//! must produce bit-identical parameters to the uninterrupted run. This
-//! module compares the parameter **values** of two stores — one from the
-//! reference run, one from the interrupted-and-resumed run — and reports
-//! any divergence in parameter sets, shapes, or values. Unlike the
-//! gradient parity check, values are compared through their bit patterns
-//! so `-0.0` vs `0.0` and NaN payload differences are caught too.
+//! must produce bit-identical parameters to the uninterrupted run; the
+//! worker pool promises that a training step leaves the same parameters
+//! at any width. This module compares the parameter **values** of two
+//! stores — the reference run's and the resumed (or wider) run's — and
+//! reports any divergence in parameter sets, shapes, or values. Values
+//! are compared through their bit patterns, so `-0.0` vs `0.0` and NaN
+//! payload differences are caught too.
 
 use crate::error::AuditError;
-use crate::parallel::ParityReport;
 use turl_nn::ParamStore;
+
+/// Summary of a successful parity check.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ParityReport {
+    /// Number of parameters compared.
+    pub n_params: usize,
+    /// Total scalars compared across all parameters.
+    pub n_scalars: usize,
+}
 
 /// Compare the parameter values of `reference` and `resumed` stores
 /// parameter by parameter. Both stores must hold the same parameters
 /// (matched by name and registration order); every pair of values must
 /// agree in shape and be bit-identical element-wise (`f32::to_bits`).
-/// On success the report's `max_abs_diff` is `0.0` by construction.
 pub fn check_value_parity(
     reference: &ParamStore,
     resumed: &ParamStore,
@@ -65,7 +73,7 @@ pub fn check_value_parity(
         n_scalars += va.len();
     }
     if errors.is_empty() {
-        Ok(ParityReport { n_params: reference.len(), n_scalars, max_abs_diff: 0.0 })
+        Ok(ParityReport { n_params: reference.len(), n_scalars })
     } else {
         Err(errors)
     }
@@ -89,7 +97,6 @@ mod tests {
         let r = check_value_parity(&a, &b).expect("identical values must pass");
         assert_eq!(r.n_params, 1);
         assert_eq!(r.n_scalars, 3);
-        assert_eq!(r.max_abs_diff, 0.0);
     }
 
     #[test]

@@ -404,10 +404,11 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
         out.push(entry("infer_step", enc_size, t, ns, enc_rows));
 
         // Cross-request micro-batching (the `turl serve` fast path): 4
-        // tables coalesced under one block-diagonal §4.3 mask and pushed
-        // through a single compiled forward, including the per-batch
-        // assembly and per-member output extraction the server performs.
-        // Directly comparable to 4x the `infer_step` row above.
+        // tables stacked as row segments through one compiled forward
+        // (row-wise ops once over all rows, attention per table),
+        // including the per-batch assembly and per-member output
+        // extraction the server performs. Directly comparable to 4x the
+        // `infer_step` row above.
         let micro: Vec<&EncodedInput> = world.data.iter().take(4).map(|(_, e)| e).collect();
         let micro_rows: usize = world.rows.iter().take(4).sum();
         let micro_size = format!(

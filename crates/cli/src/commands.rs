@@ -161,8 +161,8 @@ symbolic model forward plan (shape-flow, value ranges, NaN reachability,
 arena liveness — including a sweep of deliberately degenerate
 configurations that must each surface as a typed error), every
 table's §4.3 visibility matrix, the autograd tape of one real training
-step, serial-vs-parallel gradient parity of the data-parallel training
-path, checkpoint resume parity (interrupt + restore + continue must
+step, serial-vs-parallel parity of the parameters one data-parallel
+training step leaves, checkpoint resume parity (interrupt + restore + continue must
 match the uninterrupted run bit-for-bit, even when the newest
 checkpoint file is corrupt), and the observability layer itself (a
 short instrumented run must yield a schema-valid metrics stream with
@@ -874,9 +874,10 @@ pub fn audit(opts: &Options) -> Result<(), String> {
     }
     info(format!("visibility: linted {n_tables} tables across all splits"));
 
-    // 3. Serial-vs-parallel gradient parity: the same seeded training
-    //    step on 1 worker and on 4 must leave bit-identical gradients
-    //    (the pool's split-invariance guarantee).
+    // 3. Serial-vs-parallel parity: the same seeded training step on 1
+    //    worker and on 4 must leave bit-identical parameter values (the
+    //    pool's split-invariance guarantee; the step has already spent
+    //    and zeroed its gradients).
     {
         let saved = turl_tensor::pool::n_threads();
         let data = encode(&s, &s.splits.train[..4.min(s.splits.train.len())]);
@@ -895,17 +896,18 @@ pub fn audit(opts: &Options) -> Result<(), String> {
         let (loss_4, store_4) = run(4);
         turl_tensor::pool::set_threads(saved);
         if loss_1.map(f32::to_bits) != loss_4.map(f32::to_bits) {
-            violations
-                .push(format!("grad parity: 1-thread loss {loss_1:?} != 4-thread loss {loss_4:?}"));
+            violations.push(format!(
+                "thread parity: 1-thread loss {loss_1:?} != 4-thread loss {loss_4:?}"
+            ));
         }
-        match turl_audit::check_grad_parity(&store_1, &store_4, 0.0) {
+        match turl_audit::check_value_parity(&store_1, &store_4) {
             Ok(report) => info(format!(
-                "parity: ok — {} params / {} gradient scalars bit-identical across 1 vs 4 threads",
+                "parity: ok — {} params / {} values bit-identical across 1 vs 4 threads",
                 report.n_params, report.n_scalars
             )),
             Err(errs) => {
                 for e in errs.into_iter().take(5) {
-                    violations.push(format!("grad parity: {e}"));
+                    violations.push(format!("thread parity: {e}"));
                 }
             }
         }

@@ -1,163 +1,100 @@
-//! Cross-request micro-batching: coalesce several encoded tables into
-//! one batched forward that is **bit-exact** with running each table
-//! alone.
+//! Cross-request micro-batching: several encoded tables through one
+//! compiled forward, every member's rows **bit-exact** with its solo
+//! encode.
 //!
-//! Batching here is not a new execution mode — it is a §4.3 visibility
-//! mask. [`TableBatch::build`] concatenates the member inputs (all
-//! tokens first, then all entity cells, preserving per-table order) and
-//! builds a block-structured additive mask: within a table the original
-//! mask entries are copied verbatim, across tables everything is
-//! `-1e9`-masked. The fused softmax then assigns cross-table positions
-//! an attention weight of exactly `+0.0` (`exp(-1e9 - mx)` underflows),
-//! and the reassociation-free single-accumulator kernels guarantee that
-//! adding those exact zeros never perturbs a running sum — so every row
-//! of the batched encode carries the same bits as the corresponding row
-//! of a solo encode. The `batched_parity` tests assert this down to
-//! `f32::to_bits`.
-//!
-//! Only inputs that carry a visibility mask can batch (an unmasked
-//! input has nothing to keep its neighbors invisible); callers fall
-//! back to single-table forwards otherwise.
+//! A batch is a pre-training group without heads:
+//! `turl_audit::lower_group_plan` stacks the members as row segments,
+//! runs each row-wise op (the encoder's linears, layer norms, GELU and
+//! residual adds) once over all their rows, and runs what mixes rows —
+//! the embedding layer, attention — per member. Member `s` is one
+//! contiguous row range of the `[Σn, d]` output. A row-wise kernel
+//! computes each output element as the same FMA chain whatever the row
+//! count, and attention only ever sees one member's rows, so the range
+//! holds the bits of that member's solo encode, masked or not.
 
 use crate::input::EncodedInput;
 use turl_exec::ExecError;
 use turl_tensor::Tensor;
 
-/// Row extents of one member table inside the concatenated input.
+/// The tables one compiled forward runs: a single input, or the members
+/// of a [`TableBatch`] stacked as row segments. `From<&EncodedInput>`
+/// lets a single-table call site pass its input as it is.
 #[derive(Debug, Clone, Copy)]
-struct Span {
-    tok_off: usize,
-    tok_len: usize,
-    ent_off: usize,
-    ent_len: usize,
+pub enum Tables<'a> {
+    /// One table.
+    One(&'a EncodedInput),
+    /// Several tables, stacked in order.
+    Stacked(&'a [&'a EncodedInput]),
+}
+
+impl<'a> From<&'a EncodedInput> for Tables<'a> {
+    fn from(input: &'a EncodedInput) -> Self {
+        Tables::One(input)
+    }
+}
+
+impl<'a> Tables<'a> {
+    /// The member tables, in row order.
+    pub(crate) fn members(&self) -> &[&'a EncodedInput] {
+        match self {
+            Tables::One(input) => std::slice::from_ref(input),
+            Tables::Stacked(inputs) => inputs,
+        }
+    }
 }
 
 /// Several encoded tables coalesced into one forward-sized input.
-pub struct TableBatch {
-    input: EncodedInput,
-    spans: Vec<Span>,
-    total_tokens: usize,
+pub struct TableBatch<'a> {
+    members: Vec<&'a EncodedInput>,
+    /// Member `s`'s rows of the batched encode: `starts[s]..starts[s + 1]`.
+    starts: Vec<usize>,
 }
 
-impl TableBatch {
-    /// Coalesce `inputs` into one batched input. Every member must be
-    /// non-empty and carry a visibility mask; otherwise a typed
-    /// [`ExecError::Binding`] is returned and the caller should run the
-    /// members individually.
-    pub fn build(inputs: &[&EncodedInput]) -> Result<Self, ExecError> {
+impl<'a> TableBatch<'a> {
+    /// Coalesce `inputs` into one batch, in order. Only an empty list is
+    /// refused, as a typed [`ExecError::Binding`]; a member the forward
+    /// cannot run (an empty table) fails the batched encode instead.
+    pub fn build(inputs: &[&'a EncodedInput]) -> Result<Self, ExecError> {
         if inputs.is_empty() {
             return Err(ExecError::Binding("cannot batch zero inputs".into()));
         }
-        let mut spans = Vec::with_capacity(inputs.len());
-        let mut total_tokens = 0usize;
-        let mut total_entities = 0usize;
-        for (i, inp) in inputs.iter().enumerate() {
-            if inp.seq_len() == 0 {
-                return Err(ExecError::Binding(format!("batch member {i} is empty")));
-            }
-            let mask = inp
-                .mask
-                .as_ref()
-                .ok_or_else(|| ExecError::Binding(format!("batch member {i} has no mask")))?;
-            let n = inp.seq_len();
-            if mask.shape() != [n, n] {
-                return Err(ExecError::Binding(format!(
-                    "batch member {i}: mask shape {:?} != [{n}, {n}]",
-                    mask.shape()
-                )));
-            }
-            spans.push(Span {
-                tok_off: total_tokens,
-                tok_len: inp.token_ids.len(),
-                ent_off: total_entities,
-                ent_len: inp.entities.len(),
-            });
-            total_tokens += inp.token_ids.len();
-            total_entities += inp.entities.len();
+        let mut starts = vec![0];
+        for input in inputs {
+            starts.push(starts[starts.len() - 1] + input.seq_len());
         }
-
-        let mut token_ids = Vec::with_capacity(total_tokens);
-        let mut token_types = Vec::with_capacity(total_tokens);
-        let mut token_pos = Vec::with_capacity(total_tokens);
-        let mut entities = Vec::with_capacity(total_entities);
-        for inp in inputs {
-            token_ids.extend_from_slice(&inp.token_ids);
-            token_types.extend_from_slice(&inp.token_types);
-            token_pos.extend_from_slice(&inp.token_pos);
-            entities.extend(inp.entities.iter().cloned());
-        }
-
-        // Block-structured additive mask: everything cross-table starts
-        // masked; each member's own mask entries are copied bit-for-bit
-        // into its block so within-table visibility is unchanged.
-        let n = total_tokens + total_entities;
-        let mut mask = vec![-1e9f32; n * n];
-        for (span, inp) in spans.iter().zip(inputs.iter()) {
-            let local = inp.mask.as_ref().expect("checked above").data();
-            let ln = inp.seq_len();
-            let global = |r: usize| {
-                if r < span.tok_len {
-                    span.tok_off + r
-                } else {
-                    total_tokens + span.ent_off + (r - span.tok_len)
-                }
-            };
-            for r in 0..ln {
-                let gr = global(r);
-                for c in 0..ln {
-                    mask[gr * n + global(c)] = local[r * ln + c];
-                }
-            }
-        }
-
-        Ok(Self {
-            input: EncodedInput {
-                token_ids,
-                token_types,
-                token_pos,
-                entities,
-                mask: Some(Tensor::from_vec(vec![n, n], mask)),
-            },
-            spans,
-            total_tokens,
-        })
+        Ok(Self { members: inputs.to_vec(), starts })
     }
 
-    /// The concatenated input to feed one compiled forward.
-    pub fn input(&self) -> &EncodedInput {
-        &self.input
+    /// The members, for one compiled forward.
+    pub fn input(&self) -> Tables<'_> {
+        Tables::Stacked(&self.members)
     }
 
     /// Number of member tables.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.members.len()
     }
 
     /// True when the batch holds no members (never, post-`build`).
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.members.is_empty()
     }
 
-    /// Map member `item`'s local sequence row to its row in the batched
-    /// encode.
-    pub fn global_row(&self, item: usize, local_row: usize) -> usize {
-        let s = self.spans[item];
-        debug_assert!(local_row < s.tok_len + s.ent_len);
-        if local_row < s.tok_len {
-            s.tok_off + local_row
-        } else {
-            self.total_tokens + s.ent_off + (local_row - s.tok_len)
-        }
-    }
-
-    /// Copy member `item`'s rows out of the batched encode `h`, in the
-    /// member's original row order — bit-identical to a solo encode of
-    /// that member.
+    /// Copy member `item`'s rows out of the batched encode `h` —
+    /// bit-identical to a solo encode of that member.
+    ///
+    /// # Panics
+    /// Panics when `h` is not this batch's `[Σn, d]` encode.
     pub fn extract(&self, item: usize, h: &Tensor) -> Tensor {
-        let s = self.spans[item];
-        let rows: Vec<usize> =
-            (0..s.tok_len + s.ent_len).map(|r| self.global_row(item, r)).collect();
-        h.index_select0(&rows)
+        let total = self.starts[self.members.len()];
+        assert!(
+            h.shape().len() == 2 && h.shape()[0] == total,
+            "a batch of {total} rows cannot extract from {:?}",
+            h.shape()
+        );
+        let d = h.shape()[1];
+        let (start, end) = (self.starts[item], self.starts[item + 1]);
+        Tensor::from_slice(vec![end - start, d], &h.data()[start * d..end * d])
     }
 }
 
@@ -165,100 +102,162 @@ impl TableBatch {
 mod tests {
     use super::*;
     use crate::config::TurlConfig;
-    use crate::model::TurlModel;
+    use crate::input::EntityInput;
+    use crate::model::{TapeTable, TurlModel};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use turl_nn::ParamStore;
+    use rand::{Rng, SeedableRng};
+    use std::sync::OnceLock;
+    use turl_audit::{lower_group_plan, ModelPlan};
+    use turl_nn::{export_artifact, load_artifact, ExportOptions, Forward, ParamStore};
 
-    fn masked_input(tokens: usize, ents: usize, seed: u64) -> EncodedInput {
-        // §4.3-shaped visibility: diagonal always visible, off-diagonal
-        // pseudo-randomly masked, like real table masks.
-        use rand::Rng;
+    const N_WORDS: usize = 40;
+    const N_ENTITIES: usize = 15;
+
+    /// A model; its f32 store; that store exported to an int8 artifact
+    /// and loaded back; and the loaded weights dequantized, which the
+    /// tape reads in place of the int8 store.
+    struct Fixture {
+        model: TurlModel,
+        f32_store: ParamStore,
+        int8_store: ParamStore,
+        int8_dense: ParamStore,
+    }
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let mut f32_store = ParamStore::new();
+            let mut rng = StdRng::seed_from_u64(12);
+            let model =
+                TurlModel::new(&mut f32_store, &mut rng, TurlConfig::tiny(12), N_WORDS, N_ENTITIES);
+            let dir = std::env::temp_dir().join(format!("turl-batch-{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            let path = dir.join("int8.artifact");
+            let opts = ExportOptions { quantize: true, min_quant_elems: 0 };
+            export_artifact(&f32_store, &path, &opts).expect("int8 export");
+            let int8_store = load_artifact(&path).expect("int8 load");
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut int8_dense = ParamStore::new();
+            for id in int8_store.ids() {
+                let value = int8_store.value(id).dequantize();
+                int8_dense.register_inference(int8_store.name(id).to_string(), value);
+            }
+            Fixture { model, f32_store, int8_store, int8_dense }
+        })
+    }
+
+    /// One member table: `tokens` metadata tokens (positions past
+    /// `max_position` when `past_max`), `mention_lens` cycled over its
+    /// `ents` entity cells, and, when `masked`, a random visibility mask
+    /// that may leave a row nothing to attend to.
+    fn member(
+        seed: u64,
+        tokens: usize,
+        ents: usize,
+        masked: bool,
+        mention_lens: &[usize],
+        past_max: bool,
+    ) -> EncodedInput {
         let mut rng = StdRng::seed_from_u64(seed);
         let n = tokens + ents;
-        let mut m = Tensor::zeros(vec![n, n]);
-        for r in 0..n {
-            for c in 0..n {
-                if r != c && rng.gen::<f32>() < 0.3 {
-                    m.data_mut()[r * n + c] = -1e9;
+        let mask = masked.then(|| {
+            let mut m = Tensor::zeros(vec![n, n]);
+            for v in m.data_mut() {
+                if rng.gen::<f32>() < 0.4 {
+                    *v = -1e9;
                 }
             }
-        }
+            m
+        });
+        let shift = if past_max { TurlConfig::tiny(12).max_position } else { 0 };
         EncodedInput {
-            token_ids: (0..tokens).map(|i| (i * 7 + seed as usize) % 50).collect(),
+            token_ids: (0..tokens).map(|_| rng.gen_range(0..N_WORDS)).collect(),
             token_types: (0..tokens).map(|i| i % 2).collect(),
-            token_pos: (0..tokens).collect(),
+            token_pos: (0..tokens).map(|i| i + shift).collect(),
             entities: (0..ents)
-                .map(|i| crate::input::EntityInput {
-                    emb_index: (i * 3 + seed as usize) % 21,
-                    mention: vec![(i * 5) % 50; (i % 3) + 1],
+                .map(|i| EntityInput {
+                    emb_index: rng.gen_range(0..=N_ENTITIES),
+                    mention: (0..mention_lens[i % mention_lens.len()])
+                        .map(|_| rng.gen_range(0..N_WORDS))
+                        .collect(),
                     type_idx: i % 3,
                 })
                 .collect(),
-            mask: Some(m),
+            mask,
         }
     }
 
-    #[test]
-    fn batched_encode_is_bit_exact_vs_solo() {
-        let cfg = TurlConfig::small(12);
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(12);
-        let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
-        let mut cf = model.compiled();
+    fn same_bits(got: &Tensor, want: &Tensor) -> bool {
+        got.shape() == want.shape()
+            && got.data().iter().zip(want.data()).all(|(a, b)| a.to_bits() == b.to_bits())
+    }
 
-        // Same-shape members (the serve coalescing rule) and, separately,
-        // mixed shapes: the mask argument covers both.
-        let groups: [Vec<EncodedInput>; 2] = [
-            (0..4).map(|i| masked_input(6, 3, 100 + i)).collect(),
-            vec![masked_input(5, 2, 7), masked_input(8, 4, 8), masked_input(3, 1, 9)],
-        ];
-        for inputs in &groups {
+    /// Each member: (tokens, entities, masked, mention lengths, positions
+    /// past `max_position`). Tokens-only, entities-only and mention-less
+    /// members all occur; an empty one gets a token.
+    fn members() -> impl Strategy<Value = Vec<(usize, usize, bool, Vec<usize>, bool)>> {
+        let one = (0usize..6, 0usize..5, any::<bool>(), proptest::collection::vec(0usize..3, 1..3))
+            .prop_map(|(t, e, m, l)| (t.max(usize::from(t + e == 0)), e, m, l));
+        proptest::collection::vec((one, 0u8..5), 1..6)
+            .prop_map(|v| v.into_iter().map(|((t, e, m, l), p)| (t, e, m, l, p == 0)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Every member of a batch holds the bits of its solo compiled
+        /// encode and of an inference-mode tape run over the same
+        /// `lower_group_plan` group, over f32 and int8-exported weights.
+        #[test]
+        fn batched_encode_is_bit_exact_vs_solo(
+            seed in 0u64..1_000,
+            shapes in members(),
+            same_shape in any::<bool>(),
+            int8 in any::<bool>(),
+        ) {
+            let fx = fixture();
+            let model = &fx.model;
+            let (store, dense) = if int8 {
+                (&fx.int8_store, &fx.int8_dense)
+            } else {
+                (&fx.f32_store, &fx.f32_store)
+            };
+            // Same-shape members are what serve coalesces.
+            let inputs: Vec<EncodedInput> = (0..shapes.len())
+                .map(|i| {
+                    let (t, e, m, l, p) = &shapes[if same_shape { 0 } else { i }];
+                    member(seed * 8 + i as u64, *t, *e, *m, l, *p)
+                })
+                .collect();
             let refs: Vec<&EncodedInput> = inputs.iter().collect();
             let batch = TableBatch::build(&refs).expect("batch builds");
-            let hb = cf.encode(&model, &store, batch.input()).expect("batched encode");
-            for (i, inp) in inputs.iter().enumerate() {
-                let solo = cf.encode(&model, &store, inp).expect("solo encode");
-                let part = batch.extract(i, &hb);
-                assert_eq!(part.shape(), solo.shape());
-                for (a, b) in part.data().iter().zip(solo.data().iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "batched encode diverged (member {i})");
-                }
-            }
-        }
-    }
+            prop_assert_eq!(batch.len(), inputs.len());
+            let mut cf = model.compiled();
+            let hb = cf.encode(model, store, batch.input()).expect("batched encode");
 
-    #[test]
-    fn batched_mer_head_matches_solo() {
-        let cfg = TurlConfig::small(13);
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(13);
-        let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
-        let mut cf = model.compiled();
-        let inputs: Vec<EncodedInput> = (0..3).map(|i| masked_input(6, 3, 40 + i)).collect();
-        let refs: Vec<&EncodedInput> = inputs.iter().collect();
-        let batch = TableBatch::build(&refs).expect("batch builds");
-        let hb = cf.encode(&model, &store, batch.input()).expect("batched encode");
-        let candidates = [0usize, 3, 7, 19];
-        for (i, inp) in inputs.iter().enumerate() {
-            let solo_h = cf.encode(&model, &store, inp).expect("solo encode");
-            let want = cf
-                .mer_logits(&model, &store, &solo_h, &[inp.entity_row(1)], &candidates)
-                .expect("solo mer");
-            let grow = batch.global_row(i, inp.entity_row(1));
-            let got =
-                cf.mer_logits(&model, &store, &hb, &[grow], &candidates).expect("batched mer");
-            for (a, b) in got.data().iter().zip(want.data().iter()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batched MER diverged (member {i})");
+            let plans: Vec<ModelPlan> = inputs.iter().map(|i| model.forward_plan(i)).collect();
+            let ir = lower_group_plan(&plans).expect("group lowers");
+            let tables: Vec<TapeTable> =
+                inputs.iter().map(|input| TapeTable { input, heads: &[] }).collect();
+            let mut rngs: Vec<StdRng> = (0..inputs.len()).map(|_| StdRng::seed_from_u64(0)).collect();
+            let mut f = Forward::inference(dense);
+            let vars = model.run_ir(&mut f, dense, &mut rngs, &ir, &tables);
+            let tape = f.graph.value(*vars.last().expect("a group has nodes"));
+
+            for (s, input) in inputs.iter().enumerate() {
+                let solo = cf.encode(model, store, input).expect("solo encode");
+                prop_assert!(same_bits(&batch.extract(s, &hb), &solo), "batch vs solo, member {}", s);
+                prop_assert!(same_bits(&batch.extract(s, tape), &solo), "tape vs solo, member {}", s);
             }
         }
     }
 
     #[test]
     fn unmasked_members_are_rejected() {
-        let mut a = masked_input(4, 2, 1);
-        a.mask = None;
-        assert!(TableBatch::build(&[&a]).is_err());
+        // Only an empty batch is: an unmasked member batches like any other.
+        let input = member(1, 4, 2, false, &[1], false);
+        assert_eq!(TableBatch::build(&[&input, &input]).expect("unmasked members batch").len(), 2);
         assert!(TableBatch::build(&[]).is_err());
     }
 }

@@ -14,28 +14,43 @@
 //! The compiled pass is **bit-exact** against `encode` under an
 //! inference-mode `Forward` (every fused kernel is reassociation-free;
 //! see `turl_tensor::ops`), which the `compiled_parity` test suite
-//! asserts down to `f32::to_bits`.
+//! asserts down to `f32::to_bits`. Several tables run as one batch the
+//! way the pre-trainer runs a group (see [`TableBatch`]).
+//!
+//! [`TableBatch`]: crate::TableBatch
 //!
 //! [`Graph`]: turl_tensor::Graph
 
-use crate::input::{EncodedInput, InputBinding};
+use crate::batch::Tables;
+use crate::input::InputBinding;
 use crate::model::{param_name, TurlModel};
-use turl_audit::{lower_model_plan, ModelPlan};
+use turl_audit::{lower_group_plan, ModelPlan};
 use turl_exec::{compile, Arena, CompiledPlan, ExecError, SourceValue};
 use turl_nn::{ParamId, ParamStore};
 use turl_tensor::Tensor;
 
 /// One compiled specialization: the executable plan plus its resolved
-/// parameter bindings.
+/// bindings.
 struct Entry {
-    /// The forward plan this entry was compiled from: the model's
-    /// config-level plan at one input's sequence shape and masking.
-    key: ModelPlan,
+    /// The forward plans this entry was compiled from, one per member
+    /// table: the model's config-level plan at that input's sequence
+    /// shape and masking.
+    key: Vec<ModelPlan>,
     plan: CompiledPlan,
-    /// Per plan source, in plan order: the parameter it reads, resolved
-    /// against the store once at compile, or `None` for a source
-    /// [`InputBinding`] builds per input.
-    params: Vec<Option<ParamId>>,
+    /// Per plan source, in plan order: the member whose input it reads
+    /// (`IrNode::seg`), and the parameter it reads instead, resolved
+    /// against the store once at compile, when it is one.
+    sources: Vec<(usize, Option<ParamId>)>,
+    /// Per plan gather, in plan order: where its indices come from.
+    gathers: Vec<Indices>,
+}
+
+/// Where a compiled gather's index list comes from.
+enum Indices {
+    /// The [`InputBinding`] of this member's input.
+    Member(usize),
+    /// These rows of a stacked node ([`turl_audit::Ir::slice_rows`]).
+    Rows(Vec<usize>),
 }
 
 /// Default [plan-cache](CompiledForward::set_plan_cache_cap) capacity:
@@ -44,16 +59,18 @@ pub const DEFAULT_PLAN_CACHE_CAP: usize = 64;
 
 /// A reusable compiled-inference context for one model + store pair.
 ///
-/// Create once, call [`encode`](CompiledForward::encode) per input.
-/// Plans are compiled lazily per input shape and cached in an LRU
-/// bounded at [`DEFAULT_PLAN_CACHE_CAP`] shapes (tunable via
+/// Create once, call [`encode`](CompiledForward::encode) per input or
+/// per [`TableBatch`](crate::TableBatch). Plans are compiled lazily per
+/// input shape (a batch's: its members' shapes, in order) and cached in
+/// an LRU bounded at [`DEFAULT_PLAN_CACHE_CAP`] shapes (tunable via
 /// [`set_plan_cache_cap`](CompiledForward::set_plan_cache_cap)) — a
 /// long-running server fed arbitrary table shapes holds at most `cap`
 /// compiled schedules, recompiling on re-entry after eviction. The
 /// arena and all index/constant scratch buffers are reused across
 /// calls, so the steady state allocates nothing sized by the model or
-/// the table: per call it builds the two binding lists `run` takes
-/// (one slice per source, one per gather) and the output tensor (use
+/// the table: per call it builds the cache key (one plan per member),
+/// the two binding lists `run` takes (one slice per source, one per
+/// gather) and the output tensor (use
 /// [`encode_into`](CompiledForward::encode_into) to drop that one).
 pub struct CompiledForward {
     /// MRU-first: index 0 is the most recently used plan.
@@ -61,8 +78,8 @@ pub struct CompiledForward {
     plan_cache_cap: usize,
     plan_evictions: u64,
     arena: Arena,
-    /// Reused per-call input binding.
-    bound: InputBinding,
+    /// Reused per-call input bindings, one per member table.
+    bound: Vec<InputBinding>,
 }
 
 impl Default for CompiledForward {
@@ -72,7 +89,7 @@ impl Default for CompiledForward {
             plan_cache_cap: DEFAULT_PLAN_CACHE_CAP,
             plan_evictions: 0,
             arena: Arena::default(),
-            bound: InputBinding::default(),
+            bound: Vec::new(),
         }
     }
 }
@@ -117,16 +134,16 @@ impl CompiledForward {
         }
     }
 
-    /// The compiled plan for `input`'s shape, compiling it on a miss —
+    /// The compiled plan for `tables`' shapes, compiling it on a miss —
     /// exposed so callers (CLI `infer`, benches) can report schedule
     /// statistics such as arena size and reuse factor.
-    pub fn plan_for(
+    pub fn plan_for<'t>(
         &mut self,
         model: &TurlModel,
         store: &ParamStore,
-        input: &EncodedInput,
+        tables: impl Into<Tables<'t>>,
     ) -> Result<&CompiledPlan, ExecError> {
-        let idx = self.entry_index(model, store, input)?;
+        let idx = self.entry_index(model, store, tables.into())?;
         Ok(&self.entries[idx].plan)
     }
 
@@ -134,14 +151,15 @@ impl CompiledForward {
         &mut self,
         model: &TurlModel,
         store: &ParamStore,
-        input: &EncodedInput,
+        tables: Tables,
     ) -> Result<usize, ExecError> {
-        if input.token_ids.is_empty() && input.entities.is_empty() {
+        let members = tables.members();
+        if members.is_empty() || members.iter().any(|m| m.seq_len() == 0) {
             return Err(ExecError::Binding(
                 "empty input: at least one token or entity cell is required".into(),
             ));
         }
-        let key = model.forward_plan(input);
+        let key: Vec<ModelPlan> = members.iter().map(|m| model.forward_plan(m)).collect();
         if let Some(i) = self.entries.iter().position(|e| e.key == key) {
             // LRU move-to-front: the hit becomes the most recent entry.
             self.entries[0..=i].rotate_right(1);
@@ -149,23 +167,31 @@ impl CompiledForward {
         }
 
         // No heads: compiled plans are encode-only.
-        let ir = lower_model_plan(&key)
+        let ir = lower_group_plan(&key)
             .map_err(|e| ExecError::Unsupported(format!("plan does not lower: {e}")))?;
         let compiled = compile(&ir)?;
 
         // Resolve every parameter source once, by name.
-        let params = compiled
+        let sources = compiled
             .sources
             .iter()
-            .map(|spec| match param_name(&spec.kind, &spec.label) {
-                Some(name) => store
-                    .find(&name)
-                    .map(Some)
-                    .ok_or_else(|| ExecError::Binding(format!("parameter '{name}' not in store"))),
-                None => Ok(None),
+            .map(|spec| {
+                let seg = ir.node_at(spec.id.index()).seg.unwrap_or(0);
+                match param_name(&spec.kind, &spec.label) {
+                    Some(name) => store.find(&name).map(|id| (seg, Some(id))).ok_or_else(|| {
+                        ExecError::Binding(format!("parameter '{name}' not in store"))
+                    }),
+                    None => Ok((seg, None)),
+                }
             })
             .collect::<Result<Vec<_>, _>>()?;
-        self.entries.insert(0, Entry { key, plan: compiled, params });
+        let gathers = (compiled.gathers.iter())
+            .map(|spec| match ir.slice_rows(spec.id) {
+                Some(rows) => Indices::Rows(rows.collect()),
+                None => Indices::Member(ir.node_at(spec.id.index()).seg.unwrap_or(0)),
+            })
+            .collect();
+        self.entries.insert(0, Entry { key, plan: compiled, sources, gathers });
         while self.entries.len() > self.plan_cache_cap {
             self.entries.pop();
             self.plan_evictions += 1;
@@ -174,17 +200,20 @@ impl CompiledForward {
         Ok(0)
     }
 
-    /// Run the compiled encoder over `input`, returning contextualized
+    /// Run the compiled encoder over `tables`, returning contextualized
     /// representations `[n, d_model]` — the graph-free equivalent of
-    /// [`TurlModel::encode`] under an inference-mode `Forward`.
-    pub fn encode(
+    /// [`TurlModel::encode`] under an inference-mode `Forward`. For a
+    /// batch, `n` is the members' total and member `s` the `s`-th block
+    /// of rows ([`TableBatch::extract`](crate::TableBatch::extract)).
+    pub fn encode<'t>(
         &mut self,
         model: &TurlModel,
         store: &ParamStore,
-        input: &EncodedInput,
+        tables: impl Into<Tables<'t>>,
     ) -> Result<Tensor, ExecError> {
-        let idx = self.entry_index(model, store, input)?;
-        self.run_entry(idx, model, store, input)?;
+        let tables = tables.into();
+        let idx = self.entry_index(model, store, tables)?;
+        self.run_entry(idx, model, store, tables)?;
         let plan = &self.entries[idx].plan;
         let out = plan.output_in(&self.arena);
         Ok(Tensor::from_vec(plan.output_shape.clone(), out.to_vec()))
@@ -193,15 +222,16 @@ impl CompiledForward {
     /// Like [`encode`](CompiledForward::encode) but writing into an
     /// existing tensor of the right shape — the zero-allocation steady
     /// state used by the throughput bench.
-    pub fn encode_into(
+    pub fn encode_into<'t>(
         &mut self,
         model: &TurlModel,
         store: &ParamStore,
-        input: &EncodedInput,
+        tables: impl Into<Tables<'t>>,
         out: &mut Tensor,
     ) -> Result<(), ExecError> {
-        let idx = self.entry_index(model, store, input)?;
-        self.run_entry(idx, model, store, input)?;
+        let tables = tables.into();
+        let idx = self.entry_index(model, store, tables)?;
+        self.run_entry(idx, model, store, tables)?;
         let plan = &self.entries[idx].plan;
         if out.shape() != plan.output_shape.as_slice() {
             return Err(ExecError::Binding(format!(
@@ -268,18 +298,32 @@ impl CompiledForward {
         idx: usize,
         model: &TurlModel,
         store: &ParamStore,
-        input: &EncodedInput,
+        tables: Tables,
     ) -> Result<(), ExecError> {
-        self.bound.bind(input, &model.cfg);
+        let members = tables.members();
+        if self.bound.len() < members.len() {
+            self.bound.resize_with(members.len(), InputBinding::default);
+        }
+        for (bound, input) in self.bound.iter_mut().zip(members) {
+            bound.bind(input, &model.cfg);
+        }
         let entry = &self.entries[idx];
         let mut gathers: Vec<&[usize]> = Vec::with_capacity(entry.plan.gathers.len());
-        for spec in &entry.plan.gathers {
-            gathers.push(self.bound.indices(input, &spec.label).ok_or_else(|| {
-                ExecError::Binding(format!("no runtime index source for gather '{}'", spec.label))
-            })?);
+        for (spec, indices) in entry.plan.gathers.iter().zip(&entry.gathers) {
+            gathers.push(match indices {
+                Indices::Rows(rows) => rows,
+                Indices::Member(s) => {
+                    self.bound[*s].indices(members[*s], &spec.label).ok_or_else(|| {
+                        ExecError::Binding(format!(
+                            "no runtime index source for gather '{}'",
+                            spec.label
+                        ))
+                    })?
+                }
+            });
         }
-        let mut sources: Vec<SourceValue> = Vec::with_capacity(entry.params.len());
-        for (spec, param) in entry.plan.sources.iter().zip(&entry.params) {
+        let mut sources: Vec<SourceValue> = Vec::with_capacity(entry.sources.len());
+        for (spec, (seg, param)) in entry.plan.sources.iter().zip(&entry.sources) {
             sources.push(match param {
                 Some(id) => {
                     let t = store.value(*id);
@@ -290,11 +334,11 @@ impl CompiledForward {
                         None => SourceValue::F32(t.data()),
                     }
                 }
-                None => {
-                    SourceValue::F32(self.bound.source(input, &spec.kind).ok_or_else(|| {
+                None => SourceValue::F32(
+                    self.bound[*seg].source(members[*seg], &spec.kind).ok_or_else(|| {
                         ExecError::Binding(format!("input has no '{}'", spec.label))
-                    })?)
-                }
+                    })?,
+                ),
             });
         }
 
@@ -322,6 +366,7 @@ impl TurlModel {
 mod tests {
     use super::*;
     use crate::config::TurlConfig;
+    use crate::input::EncodedInput;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use turl_nn::Forward;
@@ -393,7 +438,7 @@ mod tests {
             n_candidates: candidates.len(),
             ..model.forward_plan(&input)
         };
-        let ir = lower_model_plan(&plan).expect("plan lowers");
+        let ir = turl_audit::lower_model_plan(&plan).expect("plan lowers");
         let shifted = candidates.map(|c| c + 1);
         let heads: [(&str, &[usize]); 3] =
             [("mer.rows", &rows), ("mer.candidates", &shifted), ("mer.loss", &[0; 3])];
@@ -426,5 +471,32 @@ mod tests {
         let other = build_input(5, 2, true, 2);
         cf.encode(&model, &store, &other).expect("third");
         assert_eq!(cf.compiled_shapes(), 2);
+    }
+
+    #[test]
+    fn a_batch_of_one_is_the_solo_plan() {
+        let cfg = TurlConfig::tiny(3);
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(3);
+        let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
+        let mut cf = model.compiled();
+        let input = build_input(4, 2, true, 1);
+        let solo = cf.encode(&model, &store, &input).expect("solo");
+        let one = crate::TableBatch::build(&[&input]).expect("batch of one");
+        let batched = cf.encode(&model, &store, one.input()).expect("batch of one");
+        assert_eq!(cf.compiled_shapes(), 1, "a batch of one must reuse the solo plan");
+        assert!(solo.data().iter().zip(batched.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
+        // Same-shape batches: one plan per member count, whatever the
+        // members hold.
+        let (a, b) = (build_input(4, 2, true, 2), build_input(4, 2, true, 3));
+        for pair in [[&a, &b], [&b, &input]] {
+            let batch = crate::TableBatch::build(&pair).expect("pair");
+            cf.encode(&model, &store, batch.input()).expect("pair encode");
+        }
+        assert_eq!(cf.compiled_shapes(), 2);
+        // An empty member fails the batch with a typed error.
+        let empty = build_input(0, 0, false, 4);
+        let batch = crate::TableBatch::build(&[&input, &empty]).expect("batch builds");
+        assert!(matches!(cf.encode(&model, &store, batch.input()), Err(ExecError::Binding(_))));
     }
 }

@@ -36,7 +36,7 @@ mod pretrain;
 pub mod probe;
 pub mod tasks;
 
-pub use batch::TableBatch;
+pub use batch::{TableBatch, Tables};
 pub use compiled::{rank_descending, CompiledForward, DEFAULT_PLAN_CACHE_CAP};
 pub use config::{CandidateConfig, PretrainConfig, TurlConfig};
 pub use extensions::{AuxRelationObjective, RelationPair};

@@ -9,8 +9,9 @@
 //!    equality is the contract, not a tolerance.
 //! 2. Named degenerate inputs — no mention token at all, a lone token,
 //!    a lone entity, a position past `max_position` — on which the
-//!    compiled schedule must cover the IR exactly and tape, compiled and
-//!    batched encodes must agree on every bit.
+//!    compiled schedule must cover the IR exactly and tape and compiled
+//!    encodes must agree on every bit. (Batched encodes are pinned
+//!    against both by `batch::tests` in the crate.)
 //! 3. A re-check of the range analysis (PR 5) against *executed* fused
 //!    outputs: values produced by the compiled path must lie inside the
 //!    statically derived interval of the IR's output node.
@@ -20,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use turl_audit::{analyze_ranges, lower_model_plan};
 use turl_core::audit::{model_plan, plan_for_input};
-use turl_core::{EncodedInput, EntityInput, TableBatch, TurlConfig, TurlModel};
+use turl_core::{EncodedInput, EntityInput, TurlConfig, TurlModel};
 use turl_exec::compile;
 use turl_nn::{Forward, ParamStore};
 use turl_tensor::Tensor;
@@ -144,21 +145,12 @@ fn assert_same_bits(got: &Tensor, want: &Tensor, what: &str) {
 }
 
 /// The corners of the input space, by name: the schedule covers the IR
-/// exactly (no dropped, duplicated or reordered node) and the three
-/// executors — tape, compiled, compiled over a coalesced batch — agree
-/// on every bit.
+/// exactly (no dropped, duplicated or reordered node) and the two
+/// executors — tape and compiled — agree on every bit.
 #[test]
 fn degenerate_inputs_are_bit_identical_across_executors() {
     let case = |tokens, ents, mention_lens: &[usize]| {
-        let mut c = build_case(7, tokens, ents, 2, 2, 1e-5, true, false, mention_lens);
-        // Every element sees itself, as in a real §4.3 matrix: a row
-        // with nothing visible in its own table is what batching cannot
-        // keep apart from its neighbours.
-        let m = c.input.mask.as_mut().expect("masked case");
-        for i in 0..tokens + ents {
-            m.set2(i, i, 0.0);
-        }
-        c
+        build_case(7, tokens, ents, 2, 2, 1e-5, true, false, mention_lens)
     };
     let mut past_max = case(4, 2, &[1, 2]);
     past_max.input.token_pos[3] = past_max.cfg.max_position + 5;
@@ -195,21 +187,6 @@ fn degenerate_inputs_are_bit_identical_across_executors() {
     let mut at_max = case(4, 2, &[1, 2]);
     at_max.input.token_pos[3] = cfg.max_position - 1;
     assert_same_bits(&graph_encode(&at_max, &store, &model), &solo[6], "clamp");
-
-    // Batched: every case coalesced into one forward (ZeroConst members
-    // become all-zero rows of the batch's averaging matrix), and the
-    // mention-less cases alone (the batch itself takes the ZeroConst
-    // branch).
-    for members in [(0..cases.len()).collect::<Vec<_>>(), vec![0, 1]] {
-        let inputs: Vec<&EncodedInput> = members.iter().map(|&i| &cases[i].1.input).collect();
-        let batch = TableBatch::build(&inputs).expect("batch builds");
-        let hb = cf.encode(&model, &store, batch.input()).expect("batched encode");
-        let tape = graph_encode(&Case { cfg, input: batch.input().clone() }, &store, &model);
-        assert_same_bits(&hb, &tape, "batched tape vs compiled");
-        for (slot, &i) in members.iter().enumerate() {
-            assert_same_bits(&batch.extract(slot, &hb), &solo[i], cases[i].0);
-        }
-    }
 }
 
 /// The PR-5 value-range analysis, re-checked against *executed* fused

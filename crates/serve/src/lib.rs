@@ -11,9 +11,10 @@
 //!
 //! 1. **Bit-exact serving.** Every response is bit-identical to what
 //!    offline `turl infer` computes on the same table, including under
-//!    concurrent load: cross-request micro-batching is a §4.3
-//!    block-diagonal visibility mask over reassociation-free kernels
-//!    (proven exact in `turl-core`'s `batch` module), and the encode
+//!    concurrent load: a cross-request micro-batch stacks its tables
+//!    as row segments and runs attention per table, over kernels whose
+//!    per-row bits do not depend on the row count (proven exact in
+//!    `turl-core`'s `batch` module), and the encode
 //!    cache keys on canonical input bytes so a hit replays the same
 //!    bits.
 //! 2. **Bounded everything.** Requests in flight are bounded by the

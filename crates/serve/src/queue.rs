@@ -30,8 +30,7 @@ pub struct ShapeKey {
     pub n_entities: usize,
     /// Total mention tokens across cells.
     pub n_mention_tokens: usize,
-    /// Whether the input carries a visibility mask (only masked inputs
-    /// can batch — the mask is what keeps neighbors invisible).
+    /// Whether the input carries a visibility mask.
     pub masked: bool,
 }
 
@@ -121,7 +120,7 @@ impl BatchQueue {
     }
 
     /// Pull the next batch: blocks for the first job, then coalesces up
-    /// to `max_batch` *same-shape, masked* jobs, waiting at most
+    /// to `max_batch` *same-shape* jobs, waiting at most
     /// `max_wait` for more to arrive. Returns `None` once the queue is
     /// closed and drained — the worker's exit signal.
     pub fn next_batch(&self, max_batch: usize, max_wait: Duration) -> Option<Vec<Job>> {
@@ -144,7 +143,7 @@ impl BatchQueue {
         first.selected = Some(Instant::now());
         let key = first.shape;
         let mut batch = vec![first];
-        if !key.masked || max_batch <= 1 {
+        if max_batch <= 1 {
             return Some(batch);
         }
         let deadline = Instant::now() + max_wait;
@@ -205,5 +204,47 @@ impl BatchQueue {
         inner.closed = true;
         drop(inner);
         self.cond.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::sync_channel;
+
+    fn job(n: usize, masked: bool) -> Job {
+        let input = EncodedInput {
+            token_ids: vec![1; n],
+            token_types: vec![0; n],
+            token_pos: (0..n).collect(),
+            entities: Vec::new(),
+            mask: masked.then(|| turl_tensor::Tensor::zeros(vec![n, n])),
+        };
+        Job {
+            shape: ShapeKey::of(&input),
+            input,
+            hash: 0,
+            key: Vec::new(),
+            head: Head::Encode,
+            reply: sync_channel(1).0,
+            enqueued: Instant::now(),
+            selected: None,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn same_shape_jobs_coalesce_masked_or_not() {
+        let queue = BatchQueue::new(16);
+        for (tokens, masked) in [(3, false), (4, false), (3, false), (3, true), (3, true)] {
+            assert!(queue.push(job(tokens, masked)).is_ok());
+        }
+        let pull = || {
+            let batch = queue.next_batch(8, Duration::ZERO).expect("a job is queued");
+            (batch.len(), batch[0].input.token_ids.len(), batch[0].shape.masked)
+        };
+        assert_eq!(pull(), (2, 3, false), "the unmasked 3-token jobs ride together");
+        assert_eq!(pull(), (1, 4, false));
+        assert_eq!(pull(), (2, 3, true));
     }
 }

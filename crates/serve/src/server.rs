@@ -539,7 +539,6 @@ fn worker_loop(ctx: &ServerCtx) {
         ctx.inst.batches.inc();
         ctx.inst.batched_tables.add(batch.len() as u64);
         ctx.inst.batch_size.observe(batch.len() as f64);
-        let k = batch.len() as u64;
         for job in &batch {
             // enqueued → selected is queue wait; selected → dispatch is
             // batch assembly (waiting for same-shape stragglers).
@@ -551,16 +550,9 @@ fn worker_loop(ctx: &ServerCtx) {
             if let Some(cell) = &job.trace {
                 cell.record(Stage::QueueWait, wait_ns);
                 cell.record(Stage::BatchAssemble, asm_ns);
-                cell.set_batch(k, k.saturating_sub(1));
             }
         }
-        if batch.len() > 1 {
-            run_batched(ctx, &mut cf, batch);
-        } else {
-            for job in batch {
-                run_single(ctx, &mut cf, job);
-            }
-        }
+        run_batch(ctx, &mut cf, batch);
         // Per-worker cache stats; exact with the default single worker,
         // last-writer-wins otherwise.
         ctx.inst.plan_cache_size.set(cf.compiled_shapes() as f64);
@@ -569,58 +561,44 @@ fn worker_loop(ctx: &ServerCtx) {
     }
 }
 
-fn run_batched(ctx: &ServerCtx, cf: &mut turl_core::CompiledForward, batch: Vec<Job>) {
-    let inputs: Vec<&turl_core::EncodedInput> = batch.iter().map(|j| &j.input).collect();
-    let coalesced = match TableBatch::build(&inputs) {
-        Ok(b) => b,
-        Err(_) => {
-            // Coalescing refused (should not happen post-validation) —
-            // serve every member solo rather than failing the requests.
-            for job in batch {
-                run_single(ctx, cf, job);
-            }
-            return;
-        }
-    };
+/// One compiled forward over `batch`'s tables stacked as row segments
+/// (a batch of one is a solo forward), then each member's head. When
+/// the batch fails, every member is run again alone, so each gets its
+/// own result or its own typed error.
+fn run_batch(ctx: &ServerCtx, cf: &mut turl_core::CompiledForward, batch: Vec<Job>) {
     let t_fwd = Instant::now();
-    match cf.encode(ctx.session.model(), ctx.session.store(), coalesced.input()) {
-        Ok(hb) => {
+    let inputs: Vec<&turl_core::EncodedInput> = batch.iter().map(|j| &j.input).collect();
+    let encoded = TableBatch::build(&inputs).and_then(|tb| {
+        let h = cf.encode(ctx.session.model(), ctx.session.store(), tb.input())?;
+        Ok(match tb.len() {
+            1 => vec![h],
+            k => (0..k).map(|i| tb.extract(i, &h)).collect(),
+        })
+    });
+    match encoded {
+        Ok(hs) => {
             // Each member's forward share is the amortized batch time.
-            let share_ns = (t_fwd.elapsed().as_nanos() as u64) / batch.len().max(1) as u64;
-            for (i, job) in batch.into_iter().enumerate() {
+            let k = batch.len() as u64;
+            let share_ns = (t_fwd.elapsed().as_nanos() as u64) / k;
+            for (job, h) in batch.into_iter().zip(hs) {
                 ctx.inst.observe_stage(Stage::Forward, share_ns);
                 if let Some(cell) = &job.trace {
                     cell.record(Stage::Forward, share_ns);
+                    cell.set_batch(k, k - 1);
                 }
-                let h = Arc::new(coalesced.extract(i, &hb));
-                finish(ctx, cf, job, h);
+                finish(ctx, cf, job, Arc::new(h));
             }
         }
-        Err(_) => {
-            // The batched shape failed to compile/run; members may still
-            // work solo (and solo is the parity-bearing path anyway).
-            for job in batch {
-                run_single(ctx, cf, job);
+        Err(e) => match <[Job; 1]>::try_from(batch) {
+            Ok([job]) => {
+                let _ = job.reply.send(Err(exec_to_serve(e)));
             }
-        }
-    }
-}
-
-fn run_single(ctx: &ServerCtx, cf: &mut turl_core::CompiledForward, job: Job) {
-    let t_fwd = Instant::now();
-    match cf.encode(ctx.session.model(), ctx.session.store(), &job.input) {
-        Ok(h) => {
-            let fwd_ns = t_fwd.elapsed().as_nanos() as u64;
-            ctx.inst.observe_stage(Stage::Forward, fwd_ns);
-            if let Some(cell) = &job.trace {
-                cell.record(Stage::Forward, fwd_ns);
-                cell.set_batch(1, 0);
+            Err(batch) => {
+                for job in batch {
+                    run_batch(ctx, cf, vec![job]);
+                }
             }
-            finish(ctx, cf, job, Arc::new(h));
-        }
-        Err(e) => {
-            let _ = job.reply.send(Err(exec_to_serve(e)));
-        }
+        },
     }
 }
 

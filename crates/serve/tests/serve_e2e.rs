@@ -34,6 +34,10 @@ fn sample_table(i: usize, rows: usize) -> Table {
 }
 
 fn make_session(seed: u64) -> Session {
+    session_with_visibility(seed, true)
+}
+
+fn session_with_visibility(seed: u64, use_visibility: bool) -> Session {
     let texts =
         ["films by director 0 1 2 3 4 5 6 7 8 9 festival film alpha beta gamma delta epsilon"];
     let vocab = Vocab::build(texts.iter().map(|s| &**s), 1);
@@ -41,7 +45,7 @@ fn make_session(seed: u64) -> Session {
     let mut store = ParamStore::new();
     let mut rng = StdRng::seed_from_u64(seed);
     let model = TurlModel::new(&mut store, &mut rng, cfg, vocab.len(), 30);
-    Session::new(model, store, vocab, true)
+    Session::new(model, store, vocab, use_visibility)
 }
 
 fn serve(session: Arc<Session>, opts: ServeOptions) -> (turl_serve::ServerHandle, String) {
@@ -161,6 +165,76 @@ fn concurrent_responses_are_bit_identical_to_offline_infer() {
         t.join().expect("client thread");
     }
     handle.shutdown();
+}
+
+/// Same-shape requests released together reach one worker within its
+/// wait window, so they run as one batched forward — masked or not —
+/// and every body equals the solo offline encode's, byte for byte.
+#[test]
+fn coalesced_batches_answer_like_solo_encodes() {
+    for use_visibility in [true, false] {
+        let session = Arc::new(session_with_visibility(43, use_visibility));
+        let opts = ServeOptions {
+            workers: 1,
+            conns: 4,
+            max_batch: 4,
+            max_wait_us: 500_000,
+            cache_cap: 0,
+            ..loopback_opts()
+        };
+        let (handle, addr) = serve(Arc::clone(&session), opts);
+        // The counters are process-wide, so this server's are deltas.
+        let metrics = || -> MetricsResponse {
+            let (_, body) = get(&addr, "/metrics.json").expect("metrics");
+            serde_json::from_str(&body).expect("metrics json")
+        };
+        let before = metrics();
+
+        // Four tables of one shape: the caption's digit is one token.
+        let mut cf = session.model().compiled();
+        let mut cases = Vec::new();
+        for i in 0..4 {
+            let body =
+                serde_json::to_string(&TableRequest { table: sample_table(i, 3) }).expect("json");
+            let (input, head) = session.build_job("/v1/encode", &body).expect("job");
+            let h = cf.encode(session.model(), session.store(), &input).expect("solo encode");
+            let want = session.apply_head(&cf, &head, &h, false).expect("offline body");
+            cases.push((body, want));
+        }
+
+        let gate = Arc::new(std::sync::Barrier::new(cases.len()));
+        let threads: Vec<_> = (cases.into_iter().enumerate())
+            .map(|(i, (body, want))| {
+                let (addr, gate) = (addr.clone(), Arc::clone(&gate));
+                std::thread::spawn(move || {
+                    gate.wait();
+                    let (status, resp) = post(&addr, "/v1/encode", &body).expect("request");
+                    assert_eq!(status, 200, "{resp}");
+                    assert_eq!(resp, want, "table {i} (visibility {use_visibility})");
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("client thread");
+        }
+
+        let after = metrics();
+        let (tables, batches) =
+            (after.batched_tables - before.batched_tables, after.batches - before.batches);
+        assert!(
+            tables > batches,
+            "no batch formed (visibility {use_visibility}): {tables} tables in {batches} batches"
+        );
+        // Other tests' servers bump the same counters; this server's own
+        // traces show the batch too.
+        let (_, jsonl) = get(&addr, "/admin/traces").expect("traces");
+        let events = turl_obs::parse_jsonl(&jsonl).expect("trace JSONL");
+        let widest = (events.iter())
+            .map(|ev| turl_obs::RequestTrace::from_event(ev).expect("trace fields").0.batch_size)
+            .max();
+        assert!(widest > Some(1), "no request rode a batch (visibility {use_visibility})");
+        handle.shutdown();
+    }
 }
 
 #[test]
