@@ -113,18 +113,6 @@ pub enum AuditError {
         /// The non-finite value found.
         value: f32,
     },
-    /// A `--metrics-out` stream holds a line that is not a schema-valid
-    /// event (bad JSON, or reserved fields missing/mistyped).
-    MetricsSchema {
-        /// Parser message, naming the 1-based line.
-        detail: String,
-    },
-    /// A metrics stream recorded no events or no spans — the
-    /// instrumentation layer was silently dead.
-    DeadInstrumentation {
-        /// What exactly was missing.
-        detail: String,
-    },
     /// Value-range analysis found an op whose output may contain NaN
     /// even under the proven pre-conditions (init bounds + config).
     NanReachable {
@@ -150,18 +138,6 @@ pub enum AuditError {
         tensor: String,
         /// The configured epsilon that fails to bound the denominator.
         eps: f64,
-    },
-    /// An observed §4.4 mask-selection ratio drifted beyond tolerance
-    /// from its configured target.
-    MaskRatioDrift {
-        /// Which ratio (`mlm` or `mer`).
-        field: &'static str,
-        /// Observed selected/candidates ratio.
-        observed: f64,
-        /// Configured target (0.20 / 0.60 at paper defaults).
-        target: f64,
-        /// Absolute tolerance the drift exceeded.
-        tolerance: f64,
     },
 }
 
@@ -204,12 +180,6 @@ impl fmt::Display for AuditError {
             AuditError::NonFiniteLeaf { node, index, value } => {
                 write!(f, "leaf {node} holds non-finite value {value} at element {index}")
             }
-            AuditError::MetricsSchema { detail } => {
-                write!(f, "metrics stream schema violation: {detail}")
-            }
-            AuditError::DeadInstrumentation { detail } => {
-                write!(f, "instrumentation dead: {detail}")
-            }
             AuditError::NanReachable { op, tensor } => {
                 write!(f, "NaN reachable at `{op}` output `{tensor}`")
             }
@@ -221,13 +191,6 @@ impl fmt::Display for AuditError {
                     f,
                     "degenerate normalizer at `{tensor}`: eps = {eps} cannot prove a nonzero \
                      denominator"
-                )
-            }
-            AuditError::MaskRatioDrift { field, observed, target, tolerance } => {
-                write!(
-                    f,
-                    "mask ratio `{field}` drifted: observed {observed:.4} vs target {target:.2} \
-                     (tolerance {tolerance:.4})"
                 )
             }
         }

@@ -1,7 +1,6 @@
 //! `turl-audit`: static analysis for the TURL workspace.
 //!
-//! Auditors, allocation-free with respect to model state (the parity
-//! auditor only reads values already held by the stores):
+//! Auditors, allocation-free with respect to model state:
 //!
 //! * [`lower_model_plan`] ([`ir`]) — lowers a [`ModelPlan`] to a typed
 //!   dataflow IR of an entire TURL forward pass (embeddings → masked
@@ -25,14 +24,6 @@
 //!   — re-derive the §4.3 visibility relation independently and compare
 //!   a concrete matrix pair-by-pair; validate the §4.4 MLM/MER masking
 //!   ratios and derive the MER branch fractions (10/63/27 at defaults).
-//! * [`check_value_parity`] ([`resume`]) — compares parameter *values*
-//!   bit-for-bit between a reference run and an interrupted-and-resumed
-//!   (or wider-pool) run, enforcing the checkpoint subsystem's
-//!   exact-resume and the pool's split-invariance guarantees.
-//! * [`check_metrics_log`] ([`obs`]) — validates a recorded
-//!   `--metrics-out` JSONL stream: every line schema-valid, the stream
-//!   alive (events and spans present), and the observed §4.4
-//!   mask-selection ratios within drift tolerance of their targets.
 //!
 //! Every violation is a typed [`AuditError`] naming the op or structure
 //! and the offending dimensions, suitable both for test assertions and
@@ -41,10 +32,8 @@
 pub mod error;
 pub mod ir;
 pub mod liveness;
-pub mod obs;
 pub mod plan;
 pub mod range;
-pub mod resume;
 pub mod tape;
 pub mod visibility;
 
@@ -56,13 +45,11 @@ pub use liveness::{
     live_ranges, plan_arena, plan_layout, ArenaLayout, ArenaPlan, ArenaRequest, ArenaSlot,
     LiveRange,
 };
-pub use obs::{check_metrics_log, MetricsLogReport};
 pub use plan::{
     analyze_model_plan, analyze_model_plan_with, check_model_plan, ModelPlan, PlanAnalysis,
     PlanNumerics, PlanReport,
 };
 pub use range::{analyze_ranges, analyze_ranges_with, quantized_range, RangeAnalysis, ValueRange};
-pub use resume::{check_value_parity, ParityReport};
 pub use tape::{audit_tape, TapeReport};
 pub use visibility::{
     lint_additive_mask, lint_visibility, validate_masking_config, MaskingRatios, VisibilityReport,

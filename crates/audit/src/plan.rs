@@ -19,7 +19,7 @@ use crate::range::ValueRange;
 /// everything about the model's arithmetic that is not a shape.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanNumerics {
-    /// Layer-norm variance epsilon (`turl_nn::LayerNorm`).
+    /// Layer-norm variance epsilon (`TransformerConfig::ln_eps`).
     pub ln_eps: f64,
     /// Hard magnitude bound on embedding-table initialization. The
     /// default is the Box–Muller sampler's guarantee for the BERT-style

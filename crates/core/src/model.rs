@@ -8,7 +8,7 @@ use rand::Rng;
 use std::sync::OnceLock;
 use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind, TensorId};
 use turl_exec::ExecError;
-use turl_nn::{Dropout, Embedding, Forward, LayerNorm, Linear, ParamId, ParamStore};
+use turl_nn::{Dropout, Embedding, Forward, Linear, ParamId, ParamStore};
 use turl_obs::{metrics_enabled, op_timer, register_op, OpId};
 use turl_tensor::{GradForm, Tensor, Var};
 
@@ -136,20 +136,8 @@ pub struct TurlModel {
     pub cfg: TurlConfig,
     /// Word embeddings `w` (shared with both output softmaxes).
     pub word_emb: Embedding,
-    /// Token type embeddings `t` (caption vs header).
-    pub token_type_emb: Embedding,
-    /// Position embeddings `p`.
-    pub pos_emb: Embedding,
     /// Entity embeddings `e^e` (row 0 is the entity `[MASK]`).
     pub ent_emb: Embedding,
-    /// Entity type embeddings `t_e` (topic / subject / object).
-    pub ent_type_emb: Embedding,
-    /// The `LINEAR([e^e; e^m])` fusion of Eqn. 2.
-    pub fuse: Linear,
-    /// Embedding layer norm.
-    pub ln_embed: LayerNorm,
-    /// MLM output projection (Eqn. 5).
-    pub mlm_proj: Linear,
     /// MER output projection (Eqn. 6).
     pub mer_proj: Linear,
     /// Every parameter [`TurlModel::new`] registered, under its id (the
@@ -174,10 +162,16 @@ impl TurlModel {
         }
         let (d, ff) = (cfg.encoder.d_model, cfg.encoder.d_intermediate);
         let first = store.len();
-        // The encoder blocks' parameters come first — registration order is
-        // the RNG's draw order, so it fixes every init bit — under the
-        // names the IR's sources carry (`param_name`). No layer holds
-        // them: every forward binds by name.
+        // A layer norm's affine pair, γ = 1 and β = 0; it draws nothing.
+        let layer_norm = |store: &mut ParamStore, name: &str| {
+            store.register(format!("{name}.gamma"), Tensor::ones(vec![d]));
+            store.register(format!("{name}.beta"), Tensor::zeros(vec![d]));
+        };
+        // Registration order is the RNG's draw order, so it fixes every
+        // init bit. The encoder blocks' parameters come first, under the
+        // names the IR's sources carry (`param_name`). The model holds only
+        // the three layers tasks read directly: every forward binds by
+        // name.
         for i in 0..cfg.encoder.n_layers {
             let blk = format!("turl.block{i}");
             for w in ["wq", "wk", "wv", "wo"] {
@@ -186,22 +180,19 @@ impl TurlModel {
             Linear::new(store, rng, &format!("{blk}.ffn.lin1"), d, ff, true);
             Linear::new(store, rng, &format!("{blk}.ffn.lin2"), ff, d, true);
             for ln in ["ln1", "ln2"] {
-                LayerNorm::new(store, &format!("{blk}.{ln}"), d, cfg.encoder.ln_eps);
+                layer_norm(store, &format!("{blk}.{ln}"));
             }
         }
-        let mut model = Self {
-            word_emb: Embedding::new(store, rng, "turl.word_emb", n_words, d),
-            token_type_emb: Embedding::new(store, rng, "turl.token_type_emb", 2, d),
-            pos_emb: Embedding::new(store, rng, "turl.pos_emb", cfg.max_position, d),
-            ent_emb: Embedding::new(store, rng, "turl.ent_emb", n_entities + 1, d),
-            ent_type_emb: Embedding::new(store, rng, "turl.ent_type_emb", 3, d),
-            fuse: Linear::new(store, rng, "turl.fuse", 2 * d, d, true),
-            ln_embed: LayerNorm::new(store, "turl.ln_embed", d, cfg.encoder.ln_eps),
-            mlm_proj: Linear::new(store, rng, "turl.mlm_proj", d, d, true),
-            mer_proj: Linear::new(store, rng, "turl.mer_proj", d, d, true),
-            cfg,
-            params: Vec::new(),
-        };
+        let word_emb = Embedding::new(store, rng, "turl.word_emb", n_words, d);
+        Embedding::new(store, rng, "turl.token_type_emb", 2, d);
+        Embedding::new(store, rng, "turl.pos_emb", cfg.max_position, d);
+        let ent_emb = Embedding::new(store, rng, "turl.ent_emb", n_entities + 1, d);
+        Embedding::new(store, rng, "turl.ent_type_emb", 3, d);
+        Linear::new(store, rng, "turl.fuse", 2 * d, d, true);
+        layer_norm(store, "turl.ln_embed");
+        Linear::new(store, rng, "turl.mlm_proj", d, d, true);
+        let mer_proj = Linear::new(store, rng, "turl.mer_proj", d, d, true);
+        let mut model = Self { word_emb, ent_emb, mer_proj, cfg, params: Vec::new() };
         model.params = store.ids().skip(first).map(|id| (id, store.name(id).to_string())).collect();
         model
     }

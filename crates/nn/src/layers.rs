@@ -1,4 +1,4 @@
-//! Basic layers: linear, embedding, layer norm, dropout.
+//! Basic layers: linear, embedding, dropout.
 
 use crate::params::{Forward, ParamId, ParamStore};
 use rand::Rng;
@@ -80,31 +80,6 @@ impl Embedding {
     pub fn forward(&self, f: &mut Forward, store: &ParamStore, ids: &[usize]) -> Var {
         let w = f.param(store, self.weight, GradForm::Rows);
         f.graph.index_select0(w, ids)
-    }
-}
-
-/// The learned affine parameters of a layer normalization over the last
-/// axis (`Graph::layer_norm` computes it).
-#[derive(Debug, Clone)]
-pub struct LayerNorm {
-    /// Scale parameter `[dim]`.
-    pub gamma: ParamId,
-    /// Shift parameter `[dim]`.
-    pub beta: ParamId,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
-}
-
-impl LayerNorm {
-    /// Create a layer norm with `gamma = 1`, `beta = 0` and the given
-    /// variance epsilon (BERT standard: `1e-5`). The epsilon is part of
-    /// the layer's arithmetic — the plan-level range analysis uses it to
-    /// prove the normalizer denominator nonzero — so it is configured
-    /// here rather than hardcoded.
-    pub fn new(store: &mut ParamStore, name: &str, dim: usize, eps: f32) -> Self {
-        let gamma = store.register(format!("{name}.gamma"), Tensor::ones(vec![dim]));
-        let beta = store.register(format!("{name}.beta"), Tensor::zeros(vec![dim]));
-        Self { gamma, beta, eps }
     }
 }
 
@@ -222,12 +197,13 @@ mod tests {
     #[test]
     fn layer_norm_standardizes() {
         let mut s = ParamStore::new();
-        let ln = LayerNorm::new(&mut s, "ln", 4, 1e-5);
+        let gamma = s.register("ln.gamma", Tensor::ones(vec![4]));
+        let beta = s.register("ln.beta", Tensor::zeros(vec![4]));
         let mut f = Forward::new(&s);
         let x = f.graph.constant(Tensor::from_vec(vec![1, 4], vec![10., 20., 30., 40.]));
-        let g = f.param(&s, ln.gamma, GradForm::Dense);
-        let b = f.param(&s, ln.beta, GradForm::Dense);
-        let y = f.graph.layer_norm(x, g, b, ln.eps);
+        let g = f.param(&s, gamma, GradForm::Dense);
+        let b = f.param(&s, beta, GradForm::Dense);
+        let y = f.graph.layer_norm(x, g, b, 1e-5);
         let row = f.graph.value(y).row(0).to_vec();
         let mean: f32 = row.iter().sum::<f32>() / 4.0;
         assert!(mean.abs() < 1e-4);

@@ -2,7 +2,7 @@
 //!
 //! The crate provides the layer vocabulary needed by the TURL reproduction:
 //! a central [`ParamStore`] owning all trainable tensors, composable layers
-//! ([`Linear`], [`Embedding`], [`LayerNorm`], [`Dropout`]), the encoder's
+//! ([`Linear`], [`Embedding`], [`Dropout`]), the encoder's
 //! [`TransformerConfig`], and an [`Adam`] optimizer with linear
 //! learning-rate decay. The Transformer itself has no forward here: it
 //! is the IR `turl-audit` lowers and `turl-core` runs.
@@ -48,7 +48,7 @@ pub use artifact::{
     export_artifact, load_artifact, ArtifactSummary, ExportOptions, ARTIFACT_ALIGN, ARTIFACT_MAGIC,
     ARTIFACT_VERSION,
 };
-pub use layers::{Dropout, Embedding, LayerNorm, Linear};
+pub use layers::{Dropout, Embedding, Linear};
 pub use optim::{clip_grad_norm, Adam, AdamConfig, ClipReport};
 pub use params::{Forward, ParamId, ParamStore, Reduced};
 pub use schedule::LinearDecaySchedule;

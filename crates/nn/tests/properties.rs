@@ -5,9 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use turl_nn::{
-    clip_grad_norm, Adam, AdamConfig, Embedding, Forward, LayerNorm, Linear, ParamStore,
-};
+use turl_nn::{clip_grad_norm, Adam, AdamConfig, Embedding, Forward, Linear, ParamStore};
 use turl_tensor::{GradForm, Tensor};
 
 proptest! {
@@ -42,12 +40,13 @@ proptest! {
         let row0: Vec<f32> = data[..4].to_vec();
         prop_assume!(row0.iter().any(|&x| (x - row0[0]).abs() > 1e-3));
         let mut store = ParamStore::new();
-        let ln = LayerNorm::new(&mut store, "ln", 4, 1e-5);
+        let gamma = store.register("ln.gamma", Tensor::ones(vec![4]));
+        let beta = store.register("ln.beta", Tensor::zeros(vec![4]));
         let mut f = Forward::inference(&store);
         let x = f.graph.constant(Tensor::from_vec(vec![2, 4], data));
-        let g = f.param(&store, ln.gamma, GradForm::Dense);
-        let b = f.param(&store, ln.beta, GradForm::Dense);
-        let y = f.graph.layer_norm(x, g, b, ln.eps);
+        let g = f.param(&store, gamma, GradForm::Dense);
+        let b = f.param(&store, beta, GradForm::Dense);
+        let y = f.graph.layer_norm(x, g, b, 1e-5);
         let out = f.graph.value(y);
         prop_assert!(out.all_finite());
         let mean: f32 = out.row(0).iter().sum::<f32>() / 4.0;

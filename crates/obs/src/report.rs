@@ -184,7 +184,9 @@ fn median(sorted: &[f64]) -> f64 {
 ///
 /// Errors encode the CI contract: an empty stream or a run that
 /// recorded no spans fails outright (it means instrumentation was
-/// silently dead), while soft issues land in [`Summary::anomalies`].
+/// silently dead), and so does a step whose `wgrad_ns` exceeds the
+/// `reduce_ns` it is part of (the phases no longer partition the step),
+/// while soft issues land in [`Summary::anomalies`].
 pub fn summarize(events: &[Event]) -> Result<Summary, String> {
     if events.is_empty() {
         return Err("metrics stream contains zero events".to_string());
@@ -223,7 +225,16 @@ pub fn summarize(events: &[Event]) -> Result<Summary, String> {
                 for (i, key) in PHASE_KEYS.iter().enumerate() {
                     s.phase_ns[i] += ev.u64_field(key).unwrap_or(0);
                 }
-                s.wgrad_ns += ev.u64_field("wgrad_ns").unwrap_or(0);
+                let wgrad = ev.u64_field("wgrad_ns");
+                if let (Some(w), Some(r)) = (wgrad, ev.u64_field("reduce_ns")) {
+                    if w > r {
+                        return Err(format!(
+                            "step {}: wgrad_ns {w} exceeds the reduce_ns {r} it is part of",
+                            ev.step
+                        ));
+                    }
+                }
+                s.wgrad_ns += wgrad.unwrap_or(0);
                 s.mlm.selected += ev.u64_field("mlm_selected").unwrap_or(0);
                 s.mlm.total += ev.u64_field("mlm_candidates").unwrap_or(0);
                 s.mer.selected += ev.u64_field("mer_selected").unwrap_or(0);
@@ -745,6 +756,25 @@ mod tests {
         assert!(text.contains("(weight gradients "), "{text}");
         assert!(!text.contains("tensor buffers"), "{text}");
         assert!(text.contains("MLM: observed 0.2000"), "{text}");
+    }
+
+    #[test]
+    fn weight_gradient_time_must_fit_inside_the_reduce_phase() {
+        let with_phases = |reduce_ns: u64, wgrad_ns: u64| {
+            let mut step = step_event(1, 8.0);
+            for (key, value) in &mut step.fields {
+                match key.as_str() {
+                    "reduce_ns" => *value = FieldValue::U64(reduce_ns),
+                    "wgrad_ns" => *value = FieldValue::U64(wgrad_ns),
+                    _ => {}
+                }
+            }
+            vec![step, span_event("epoch")]
+        };
+        assert!(summarize(&with_phases(900, 700)).is_ok());
+        assert!(summarize(&with_phases(900, 900)).is_ok());
+        let err = summarize(&with_phases(900, 901)).expect_err("wgrad outside reduce");
+        assert!(err.contains("wgrad_ns") && err.contains("step 1"), "{err}");
     }
 
     fn gauge_event(name: &str, value: f64) -> Event {

@@ -191,6 +191,13 @@ fn cli_metrics_out_and_report_roundtrip() {
 }
 
 #[test]
+fn cli_audit_holds_on_a_generated_world() {
+    let (ok, text) = run_turl(&["audit", "--entities", "200", "--tables", "30", "--seed", "7"]);
+    assert!(ok, "audit failed: {text}");
+    assert!(text.contains("audit: all invariants hold"), "{text}");
+}
+
+#[test]
 fn cli_rejects_bad_arguments() {
     let (ok, text) = run_turl(&["world", "--entities", "many"]);
     assert!(!ok);
