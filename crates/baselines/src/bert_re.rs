@@ -11,7 +11,7 @@ use turl_core::{EncodedInput, TurlConfig, TurlModel};
 use turl_data::{tokenize, Table, Vocab};
 use turl_kb::tasks::metrics::{average_precision, mean_average_precision, PrfAccumulator};
 use turl_kb::tasks::RelationExample;
-use turl_nn::{clip_grad_norm, Adam, AdamConfig, Forward, Linear, ParamStore, TransformerConfig};
+use turl_nn::{Adam, AdamConfig, Forward, Linear, ParamStore, TransformerConfig};
 use turl_tensor::Tensor;
 
 /// Baseline configuration.
@@ -129,22 +129,24 @@ impl BertStyleRe {
             let mut order: Vec<usize> = (0..examples.len()).collect();
             order.shuffle(&mut rng);
             for chunk in order.chunks(self.cfg.batch_size) {
-                let mut store = std::mem::take(&mut self.store);
+                let mut parts = Vec::with_capacity(chunk.len());
                 for &i in chunk {
                     let ex = &examples[i];
                     let input = self.input(vocab, tables, ex);
-                    let mut f = Forward::new(&store);
-                    let logits = self.logits(&mut f, &store, &mut rng, &input);
+                    let mut f = Forward::new(&self.store);
+                    let logits = self.logits(&mut f, &self.store, &mut rng, &input);
                     let mut targets = Tensor::zeros(vec![1, self.n_labels]);
                     for &l in &ex.labels {
                         targets.data_mut()[l] = 1.0;
                     }
                     let loss = f.graph.bce_with_logits(logits, targets);
-                    f.backprop(loss, &mut store);
+                    f.graph.backward(loss);
+                    parts.push(f.take_grads());
                 }
-                clip_grad_norm(&mut store, 5.0);
-                opt.step(&mut store);
-                self.store = store;
+                let norm = self.store.reduce(&parts).grad_norm;
+                if opt.step_clipped(&mut self.store, norm, 5.0).non_finite {
+                    continue;
+                }
                 step_count += 1;
                 if let Some((eval_tables, eval_ex, every)) = curve_eval {
                     if step_count.is_multiple_of(every) {

@@ -7,7 +7,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use turl_nn::{clip_grad_norm, Adam, AdamConfig, Forward, Linear, ParamStore};
+use turl_nn::{Adam, AdamConfig, Forward, Linear, ParamStore};
 use turl_tensor::Tensor;
 
 /// Number of features extracted per column.
@@ -154,21 +154,21 @@ impl Sherlock {
             let mut order: Vec<usize> = (0..train.len()).collect();
             order.shuffle(&mut rng);
             for chunk in order.chunks(16) {
-                let mut store = std::mem::take(&mut self.store);
+                let mut parts = Vec::with_capacity(chunk.len());
                 for &i in chunk {
                     let (features, labels) = &train[i];
-                    let mut fwd = Forward::new(&store);
-                    let logits = self.logits_graph(&mut fwd, &store, features);
+                    let mut fwd = Forward::new(&self.store);
+                    let logits = self.logits_graph(&mut fwd, &self.store, features);
                     let mut targets = Tensor::zeros(vec![1, self.n_labels]);
                     for &l in labels {
                         targets.data_mut()[l] = 1.0;
                     }
                     let loss = fwd.graph.bce_with_logits(logits, targets);
-                    fwd.backprop(loss, &mut store);
+                    fwd.graph.backward(loss);
+                    parts.push(fwd.take_grads());
                 }
-                clip_grad_norm(&mut store, 5.0);
-                opt.step(&mut store);
-                self.store = store;
+                let norm = self.store.reduce(&parts).grad_norm;
+                opt.step_clipped(&mut self.store, norm, 5.0);
             }
             let f1 = self.micro_f1(validation);
             if f1 > best_f1 {

@@ -6,7 +6,8 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use turl_nn::{clip_grad_norm, Adam, AdamConfig, ParamStore};
+use turl_nn::{Adam, AdamConfig, Forward, ParamStore};
+use turl_tensor::Var;
 
 /// Fine-tuning hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,13 +46,18 @@ impl FinetuneStats {
     }
 }
 
-/// Run batched epochs: `step(example_index, store)` must run one forward /
-/// backward pass (accumulating gradients into `store`) and return the loss.
+/// Run batched epochs: `loss_of(example_index, f, store)` records one
+/// example's forward pass on the fresh tape `f` and returns its loss, or
+/// `None` when the example has nothing to train on (it counts in the
+/// epoch's mean loss as 0). Each batch's gradients reach the store through
+/// [`ParamStore::reduce`], one list per example in batch order, and one
+/// [`Adam::step_clipped`]; a batch whose gradient norm is non-finite is
+/// skipped and not counted in [`FinetuneStats::steps`].
 pub fn train_batched(
     cfg: &FinetuneConfig,
     store: &mut ParamStore,
     n_examples: usize,
-    mut step: impl FnMut(usize, &mut ParamStore) -> f32,
+    mut loss_of: impl FnMut(usize, &mut Forward, &ParamStore) -> Option<Var>,
 ) -> FinetuneStats {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut opt = Adam::new(AdamConfig { lr: cfg.lr, ..Default::default() });
@@ -60,17 +66,22 @@ pub fn train_batched(
         let mut order: Vec<usize> = (0..n_examples).collect();
         order.shuffle(&mut rng);
         let mut epoch_loss = 0.0f32;
-        let mut n = 0usize;
         for chunk in order.chunks(cfg.batch_size.max(1)) {
+            let mut parts = Vec::with_capacity(chunk.len());
             for &i in chunk {
-                epoch_loss += step(i, store);
-                n += 1;
+                let mut f = Forward::new(store);
+                if let Some(loss) = loss_of(i, &mut f, store) {
+                    epoch_loss += f.graph.value(loss).item();
+                    f.graph.backward(loss);
+                    parts.push(f.take_grads());
+                }
             }
-            clip_grad_norm(store, cfg.max_grad_norm);
-            opt.step(store);
-            stats.steps += 1;
+            let norm = store.reduce(&parts).grad_norm;
+            if !opt.step_clipped(store, norm, cfg.max_grad_norm).non_finite {
+                stats.steps += 1;
+            }
         }
-        stats.epoch_losses.push(epoch_loss / n.max(1) as f32);
+        stats.epoch_losses.push(epoch_loss / n_examples.max(1) as f32);
     }
     stats
 }
@@ -78,7 +89,6 @@ pub fn train_batched(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turl_nn::Forward;
     use turl_tensor::{GradForm, Tensor};
 
     #[test]
@@ -87,21 +97,32 @@ mod tests {
         let w = store.register("w", Tensor::zeros(vec![1]));
         // fit w to minimize (w - i mod 2)² over examples; optimum w = 0.5
         let cfg = FinetuneConfig { epochs: 30, lr: 0.1, batch_size: 2, ..Default::default() };
-        let stats = train_batched(&cfg, &mut store, 4, |i, store| {
+        let stats = train_batched(&cfg, &mut store, 4, |i, f, store| {
             let target = (i % 2) as f32;
-            let mut f = Forward::new(store);
             let wv = f.param(store, w, GradForm::Dense);
             let t = f.graph.constant(Tensor::scalar(target));
             let d = f.graph.sub(wv, t);
             let sq = f.graph.mul(d, d);
-            let l = f.graph.sum_all(sq);
-            let out = f.graph.value(l).item();
-            f.backprop(l, store);
-            out
+            Some(f.graph.sum_all(sq))
         });
         assert_eq!(stats.epoch_losses.len(), 30);
         assert!((store.value(w).data()[0] - 0.5).abs() < 0.1);
         assert!(stats.final_loss() < stats.epoch_losses[0]);
         assert!(stats.steps == 60);
+    }
+
+    #[test]
+    fn a_batch_with_a_non_finite_loss_is_skipped() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::ones(vec![2]));
+        // Three single-example batches; example 1's loss is NaN.
+        let cfg = FinetuneConfig { epochs: 1, batch_size: 1, ..Default::default() };
+        let stats = train_batched(&cfg, &mut store, 3, |i, f, store| {
+            let wv = f.param(store, w, GradForm::Dense);
+            let scaled = f.graph.scale(wv, if i == 1 { f32::NAN } else { 2.0 });
+            Some(f.graph.sum_all(scaled))
+        });
+        assert_eq!(stats.steps, 2, "the NaN batch counted as a step");
+        assert!(store.value(w).data().iter().all(|v| v.is_finite()));
     }
 }

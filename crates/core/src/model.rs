@@ -704,7 +704,8 @@ mod tests {
         // MER only: the plan's root is `mer.loss` itself, no `loss` sum.
         let (ir, vars) = run_heads(&model, &store, &mut f, &toy_input(), &[], &[4], &[2, 3, 4]);
         assert_eq!(ir.find("mer.loss").map(|t| t.index()), Some(ir.len() - 1));
-        f.backprop(*vars.last().unwrap(), &mut store);
+        f.graph.backward(*vars.last().unwrap());
+        store.reduce(&[f.take_grads()]);
         // Every block's linear weights reach the store too, as `Product`
         // parts.
         let blocks = (0..model.cfg.encoder.n_layers).flat_map(|i| {

@@ -67,15 +67,11 @@ impl ColumnTypeModel {
     ) -> FinetuneStats {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xC02);
         let mut store = std::mem::take(&mut self.store);
-        let stats = train_batched(cfg, &mut store, examples.len(), |i, store| {
+        let stats = train_batched(cfg, &mut store, examples.len(), |i, f, store| {
             let ex = &examples[i];
-            let mut f = Forward::new(store);
-            let logits = self.logits(&mut f, store, &mut rng, tables, vocab, ex);
+            let logits = self.logits(f, store, &mut rng, tables, vocab, ex);
             let targets = multi_hot(&ex.labels, self.n_labels);
-            let loss = f.graph.bce_with_logits(logits, targets);
-            let out = f.graph.value(loss).item();
-            f.backprop(loss, store);
-            out
+            Some(f.graph.bce_with_logits(logits, targets))
         });
         self.store = store;
         stats

@@ -167,22 +167,20 @@ impl EntityLinkingModel {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE2);
         let d = self.model.d_model();
         let mut store = std::mem::take(&mut self.store);
-        let stats = train_batched(cfg, &mut store, groups.len(), |i, store| {
+        let stats = train_batched(cfg, &mut store, groups.len(), |i, f, store| {
             let (table_idx, ms) = &groups[i];
             let (inst, enc) = self.encode_for_linking(&tables[*table_idx], vocab);
             let resolved = Self::resolve(&inst, ms);
             if resolved.is_empty() {
-                return 0.0;
+                return None;
             }
-            let mut f = Forward::new(store);
-            let h = self.model.encode(&mut f, store, &mut rng, &enc);
-            let mut total = 0.0f32;
+            let h = self.model.encode(f, store, &mut rng, &enc);
             let mut losses = Vec::new();
             for r in &resolved {
                 let row = inst.entity_seq_index(r.entity_index);
                 let sel = f.graph.index_select0(h, &[row]);
-                let q = self.proj.forward(&mut f, store, sel);
-                let cand = self.candidate_reprs(&mut f, store, catalog, &r.mention.candidates, d);
+                let q = self.proj.forward(f, store, sel);
+                let cand = self.candidate_reprs(f, store, catalog, &r.mention.candidates, d);
                 let logits = f.graph.matmul_nt(q, cand);
                 let gold = r
                     .mention
@@ -197,10 +195,7 @@ impl EntityLinkingModel {
                 loss = f.graph.add(loss, l);
             }
             let n = losses.len() as f32;
-            let loss = f.graph.scale(loss, 1.0 / n);
-            total += f.graph.value(loss).item();
-            f.backprop(loss, store);
-            total
+            Some(f.graph.scale(loss, 1.0 / n))
         });
         self.store = store;
         stats

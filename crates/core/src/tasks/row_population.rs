@@ -112,23 +112,19 @@ impl RowPopulationModel {
         let usable: Vec<&RowPopulationExample> =
             examples.iter().filter(|e| !e.candidates.is_empty()).collect();
         let mut store = std::mem::take(&mut self.store);
-        let stats = train_batched(cfg, &mut store, usable.len(), |i, store| {
+        let stats = train_batched(cfg, &mut store, usable.len(), |i, f, store| {
             let ex = usable[i];
             let (enc, mask_cell) = self.encode_query(vocab, kb, ex);
-            let mut f = Forward::new(store);
-            let h = self.model.encode(&mut f, store, &mut rng, &enc);
+            let h = self.model.encode(f, store, &mut rng, &enc);
             let row = enc.entity_row(mask_cell);
-            let logits = self.candidate_scores(&mut f, store, h, row, &ex.candidates);
+            let logits = self.candidate_scores(f, store, h, row, &ex.candidates);
             let mut targets = Tensor::zeros(vec![1, ex.candidates.len()]);
             for (j, c) in ex.candidates.iter().enumerate() {
                 if ex.gold.contains(c) {
                     targets.data_mut()[j] = 1.0;
                 }
             }
-            let loss = f.graph.bce_with_logits(logits, targets);
-            let out = f.graph.value(loss).item();
-            f.backprop(loss, store);
-            out
+            Some(f.graph.bce_with_logits(logits, targets))
         });
         self.store = store;
         stats

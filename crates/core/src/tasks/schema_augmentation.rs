@@ -108,18 +108,14 @@ impl SchemaAugModel {
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5AF);
         let mut store = std::mem::take(&mut self.store);
         let n_headers = self.n_headers;
-        let stats = train_batched(cfg, &mut store, examples.len(), |i, store| {
+        let stats = train_batched(cfg, &mut store, examples.len(), |i, f, store| {
             let ex = &examples[i];
-            let mut f = Forward::new(store);
-            let logits = self.logits(&mut f, store, &mut rng, vocab, headers, ex);
+            let logits = self.logits(f, store, &mut rng, vocab, headers, ex);
             let mut targets = Tensor::zeros(vec![1, n_headers]);
             for &g in &ex.gold {
                 targets.data_mut()[g] = 1.0;
             }
-            let loss = f.graph.bce_with_logits(logits, targets);
-            let out = f.graph.value(loss).item();
-            f.backprop(loss, store);
-            out
+            Some(f.graph.bce_with_logits(logits, targets))
         });
         self.store = store;
         stats

@@ -108,7 +108,8 @@ fn assert_forward_within_ranges(cfg: TurlConfig, seed: u64, input: &EncodedInput
     }
 
     if training {
-        f.backprop(*vars.last().expect("the loss node"), &mut store);
+        f.graph.backward(*vars.last().expect("the loss node"));
+        store.reduce(&[f.take_grads()]);
         let wid = store.find("turl.word_emb.weight").expect("registered");
         assert!(store.grad(wid).norm() > 0.0, "backward reaches the embeddings");
     }

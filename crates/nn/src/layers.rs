@@ -169,7 +169,8 @@ mod tests {
             let d = f.graph.sub(y, t);
             let sq = f.graph.mul(d, d);
             let l = f.graph.mean_all(sq);
-            f.backprop(l, &mut s);
+            f.graph.backward(l);
+            s.reduce(&[f.take_grads()]);
             // plain SGD for this test
             for id in s.ids().collect::<Vec<_>>() {
                 let g = s.grad(id).clone();

@@ -11,8 +11,10 @@
 //!
 //! Each training step builds a fresh autograd [`Forward`] context over the
 //! shared [`ParamStore`]; layers bind their parameters into the graph on
-//! first use, the loss is backpropagated, and `Forward::backprop`
-//! moves gradients back into the store for the optimizer.
+//! first use, and the loss is backpropagated. [`Forward::take_grads`]
+//! hands the gradients out, [`ParamStore::reduce`] sums a step's lists of
+//! them into the store and returns their norm, and
+//! [`Adam::step_clipped`] clips to a maximum norm and takes the step.
 //!
 //! ```
 //! use turl_nn::{Forward, Linear, ParamStore, Adam, AdamConfig};
@@ -28,8 +30,9 @@
 //!     let x = f.graph.constant(Tensor::ones(vec![3, 4]));
 //!     let y = lin.forward(&mut f, &store, x);
 //!     let loss = f.graph.mean_all(y);
-//!     f.backprop(loss, &mut store);
-//!     opt.step(&mut store);
+//!     f.graph.backward(loss);
+//!     let reduced = store.reduce(&[f.take_grads()]);
+//!     opt.step_clipped(&mut store, reduced.grad_norm, 1.0);
 //! }
 //! ```
 
@@ -49,7 +52,7 @@ pub use artifact::{
     ARTIFACT_VERSION,
 };
 pub use layers::{Dropout, Embedding, Linear};
-pub use optim::{clip_grad_norm, Adam, AdamConfig, ClipReport};
+pub use optim::{Adam, AdamConfig, ClipReport};
 pub use params::{Forward, ParamId, ParamStore, Reduced};
 pub use schedule::LinearDecaySchedule;
 pub use serialize::{

@@ -63,10 +63,16 @@ impl Adam {
         self.step_scaled(store, 1.0);
     }
 
-    /// [`clip_grad_norm`] then [`step`](Adam::step) as one pass over the
-    /// parameters, for gradients whose global L2 norm the caller already
-    /// has (from [`ParamStore::reduce`]). A non-finite norm zeroes the
-    /// gradients and takes no step, as `clip_grad_norm` documents.
+    /// Clip the gradients to global L2 norm `max_norm` and take one step,
+    /// as one pass over the parameters: `norm` is their norm, which the
+    /// caller has from [`ParamStore::reduce`], and a gradient above the
+    /// limit is multiplied once by `max_norm / norm` as it is read.
+    ///
+    /// A non-finite norm (any NaN/inf gradient element) would pass the
+    /// `norm > max_norm` comparison as false and flow unclipped into Adam,
+    /// corrupting `m`/`v` for good; instead it zeroes every gradient and
+    /// takes no step, leaving values, moments and [`steps`](Adam::steps)
+    /// as they were.
     pub fn step_clipped(&mut self, store: &mut ParamStore, norm: f32, max_norm: f32) -> ClipReport {
         let report = ClipReport::of(norm, max_norm);
         if report.non_finite {
@@ -113,7 +119,7 @@ impl Adam {
     }
 }
 
-/// Outcome of [`clip_grad_norm`].
+/// Outcome of [`Adam::step_clipped`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClipReport {
     /// Pre-clip global L2 norm (possibly non-finite).
@@ -121,31 +127,9 @@ pub struct ClipReport {
     /// True when the gradients were rescaled to `max_norm`.
     pub clipped: bool,
     /// True when the norm was non-finite. All gradients have been zeroed
-    /// (and their touched flags cleared), so a following optimizer step is
-    /// a no-op; the caller should count and skip the batch rather than let
-    /// NaN/inf poison the Adam moments.
+    /// (and their touched flags cleared) and no step was taken; the
+    /// caller counts the batch as skipped.
     pub non_finite: bool,
-}
-
-/// Scale all touched gradients so their global L2 norm is at most `max_norm`.
-///
-/// A non-finite norm (any NaN/inf gradient element) would previously pass
-/// the `norm > max_norm` comparison as false and flow unclipped into Adam,
-/// permanently corrupting `m`/`v`; it now zeroes every gradient instead and
-/// reports `non_finite` so the caller can skip the step.
-pub fn clip_grad_norm(store: &mut ParamStore, max_norm: f32) -> ClipReport {
-    let report = ClipReport::of(store.grad_norm(), max_norm);
-    if report.non_finite {
-        store.zero_grads();
-    } else if report.clipped {
-        let scale = max_norm / report.norm;
-        for e in store.entries_mut() {
-            if e.touched {
-                e.grad.scale_inplace(scale);
-            }
-        }
-    }
-    report
 }
 
 impl ClipReport {
@@ -177,15 +161,20 @@ mod tests {
     use crate::params::Forward;
     use turl_tensor::{GradForm, GradPart, Tensor};
 
-    /// Minimize f(w) = (w - 3)^2 elementwise.
-    fn quadratic_step(store: &mut ParamStore, id: crate::ParamId) {
+    /// Minimize f(w) = (w - 3)^2 elementwise; returns the gradient norm.
+    fn quadratic_step(store: &mut ParamStore, id: crate::ParamId) -> f32 {
         let mut f = Forward::new(store);
         let w = f.param(store, id, GradForm::Dense);
         let target = f.graph.constant(Tensor::full(vec![2], 3.0));
         let d = f.graph.sub(w, target);
         let sq = f.graph.mul(d, d);
         let l = f.graph.sum_all(sq);
-        f.backprop(l, store);
+        f.graph.backward(l);
+        store.reduce(&[f.take_grads()]).grad_norm
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
@@ -214,46 +203,15 @@ mod tests {
         assert_eq!(store.value(id).data(), &[0.0, 0.0]);
     }
 
+    /// A clipped step is [`Adam::step`] on the gradients multiplied by
+    /// `max_norm / norm` beforehand, bit for bit; under the limit it is
+    /// `step` itself.
     #[test]
-    fn clip_reduces_norm() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::zeros(vec![2]));
-        quadratic_step(&mut store, id); // grad = 2*(0-3) = -6 per element
-        let report = clip_grad_norm(&mut store, 1.0);
-        assert!(report.norm > 1.0);
-        assert!(report.clipped);
-        assert!(!report.non_finite);
-        assert!((store.grad_norm() - 1.0).abs() < 1e-4);
-        let _ = id;
-    }
-
-    #[test]
-    fn non_finite_grads_are_zeroed_and_step_skipped() {
-        let mut store = ParamStore::new();
-        let id = store.register("w", Tensor::ones(vec![2]));
-        store.accumulate(vec![(id, Tensor::from_vec(vec![2], vec![f32::NAN, 1.0]))]);
-        let report = clip_grad_norm(&mut store, 1.0);
-        assert!(report.non_finite);
-        assert!(!report.clipped);
-        assert!(!report.norm.is_finite());
-        assert_eq!(store.grad(id).data(), &[0.0, 0.0]);
-        // the grads are untouched now, so Adam leaves value and moments alone
-        let mut opt = Adam::new(AdamConfig::default());
-        opt.step(&mut store);
-        assert_eq!(store.value(id).data(), &[1.0, 1.0]);
-        // an infinite norm takes the same path
-        store.accumulate(vec![(id, Tensor::from_vec(vec![2], vec![f32::INFINITY, 0.0]))]);
-        assert!(clip_grad_norm(&mut store, 1.0).non_finite);
-        assert_eq!(store.grad(id).data(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn step_clipped_matches_clip_then_step_bit_for_bit() {
-        let grads = |scale: f32| {
-            vec![
-                Tensor::from_vec(vec![3], vec![0.3 * scale, -1.7 * scale, 0.9 * scale]),
-                Tensor::from_vec(vec![2], vec![-0.0, 2.5 * scale]),
-            ]
+    fn a_clipped_step_is_a_step_on_prescaled_gradients() {
+        let parts = |ids: &[crate::ParamId], scale: f32| {
+            let grads = [vec![0.3 * scale, -1.7 * scale, 0.9 * scale], vec![-0.0, 2.5 * scale]];
+            let dense = grads.map(|g| GradPart::Dense(Tensor::from_vec(vec![g.len()], g)));
+            vec![ids.iter().copied().zip(dense).collect()]
         };
         let fresh = || {
             let mut store = ParamStore::new();
@@ -264,34 +222,58 @@ mod tests {
             (store, ids, Adam::new(AdamConfig { weight_decay: 0.01, ..AdamConfig::default() }))
         };
         let saved = pool::n_threads();
-        // Norm above the limit (rescaled), below it (untouched), and NaN.
-        for (scale, threads) in [(1.0, 1), (1.0, 2), (0.01, 2), (f32::NAN, 2)] {
+        // Norm above the limit (rescaled) and below it (untouched).
+        for (scale, threads) in [(1.0, 1), (1.0, 2), (0.01, 2)] {
             pool::set_threads(threads);
-            let (mut two_pass, ids, mut opt_a) = fresh();
+            let (mut prescaled, ids, mut opt_a) = fresh();
             let (mut fused, _, mut opt_b) = fresh();
             for _ in 0..3 {
-                two_pass.accumulate(ids.iter().copied().zip(grads(scale)).collect());
-                let want = clip_grad_norm(&mut two_pass, 1.0);
-                if !want.non_finite {
-                    opt_a.step(&mut two_pass);
+                let norm = prescaled.reduce(&parts(&ids, scale)).grad_norm;
+                if norm > 1.0 {
+                    for e in prescaled.entries_mut().iter_mut().filter(|e| e.touched) {
+                        e.grad.scale_inplace(1.0 / norm);
+                    }
                 }
-                let dense = ids.iter().copied().zip(grads(scale).into_iter().map(GradPart::Dense));
-                let norm = fused.reduce(&[dense.collect()]).grad_norm;
-                let got = opt_b.step_clipped(&mut fused, norm, 1.0);
-                assert_eq!((got.clipped, got.non_finite), (want.clipped, want.non_finite));
-                assert_eq!(got.norm.to_bits(), want.norm.to_bits());
+                opt_a.step(&mut prescaled);
+                let fused_norm = fused.reduce(&parts(&ids, scale)).grad_norm;
+                let got = opt_b.step_clipped(&mut fused, fused_norm, 1.0);
+                assert_eq!(got.norm.to_bits(), norm.to_bits());
+                assert_eq!((got.clipped, got.non_finite), (norm > 1.0, false), "scale {scale}");
             }
-            assert_eq!(opt_a.steps(), opt_b.steps(), "scale {scale}");
-            let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            for (ea, eb) in two_pass.entries().iter().zip(fused.entries()) {
+            assert_eq!((opt_a.steps(), opt_b.steps()), (3, 3));
+            for (ea, eb) in prescaled.entries().iter().zip(fused.entries()) {
                 for (x, y) in [(&*ea.value, &*eb.value), (&ea.m, &eb.m), (&ea.v, &eb.v)] {
                     assert_eq!(bits(x), bits(y), "`{}` at scale {scale}", ea.name);
                 }
-                assert_eq!(bits(&eb.grad), vec![0; eb.grad.len()], "grads not zeroed");
-                assert!(!eb.touched);
+                assert!(bits(&eb.grad).iter().all(|&b| b == 0) && !eb.touched, "grads not zeroed");
             }
         }
         pool::set_threads(saved);
+    }
+
+    #[test]
+    fn non_finite_grads_are_zeroed_and_step_skipped() {
+        let mut store = ParamStore::new();
+        let id = store.register("w", Tensor::ones(vec![2]));
+        let mut opt = Adam::new(AdamConfig::default());
+        let norm = quadratic_step(&mut store, id);
+        opt.step_clipped(&mut store, norm, 1.0); // the moments are nonzero from here on
+        let state = |s: &ParamStore| {
+            let e = &s.entries()[id.index()];
+            [bits(&e.value), bits(&e.m), bits(&e.v)]
+        };
+        let before = state(&store);
+        // A NaN and an infinite norm take the same path.
+        for bad in [f32::NAN, f32::INFINITY] {
+            let part = GradPart::Dense(Tensor::from_vec(vec![2], vec![bad, 1.0]));
+            let norm = store.reduce(&[vec![(id, part)]]).grad_norm;
+            let report = opt.step_clipped(&mut store, norm, 1.0);
+            assert!(report.non_finite && !report.clipped && !report.norm.is_finite());
+            assert_eq!(store.grad(id).data(), &[0.0, 0.0]);
+            assert!(!store.entries()[id.index()].touched);
+            assert_eq!(state(&store), before, "values or moments moved");
+            assert_eq!(opt.steps(), 1, "Adam's step counter advanced");
+        }
     }
 
     #[test]
@@ -305,7 +287,8 @@ mod tests {
         let d = f.graph.sub(w, target);
         let sq = f.graph.mul(d, d);
         let l = f.graph.sum_all(sq);
-        f.backprop(l, &mut store);
+        f.graph.backward(l);
+        store.reduce(&[f.take_grads()]);
         opt.step(&mut store); // `f` still holds the leaf
         assert_eq!(f.graph.value(w).data(), &[0.0, 0.0], "the step wrote through a live tape");
         assert!(store.value(id).data().iter().all(|&v| v > 0.0), "the store did not move");

@@ -272,37 +272,22 @@ impl ParamStore {
         }
     }
 
-    /// Add one tape's gradient parts ([`Forward::take_grads`]) into the
-    /// store, each parameter's in list order, by the code
-    /// [`reduce`](Self::reduce) runs.
-    pub fn accumulate_parts(&mut self, parts: &[(ParamId, GradPart)]) {
-        let mut by_param = vec![Vec::new(); self.entries.len()];
-        for (id, part) in parts {
-            by_param[id.0].push((0, part));
-        }
-        for (e, parts) in self.entries.iter_mut().zip(by_param) {
-            if !parts.is_empty() {
-                add_parts(&mut e.grad, &parts);
-                e.touched = true;
-            }
-        }
-    }
-
-    /// Sum one step's per-table gradient parts into the store and return
-    /// the global L2 norm of the result: [`accumulate_parts`] for each
-    /// table in slice order, then [`grad_norm`](Self::grad_norm).
+    /// Sum one step's per-table gradient parts ([`Forward::take_grads`],
+    /// [`Forward::take_segment_grads`]) into the store and return the
+    /// global L2 norm over every touched gradient, for
+    /// [`Adam::step_clipped`](crate::Adam::step_clipped): how every
+    /// trainer hands a step's gradients to the optimizer. One call over
+    /// several tables gives the bits of one call per table in slice order.
     ///
     /// The work fans out over tasks of a few parameters each. Each
     /// parameter adds its tables' parts in slice order (`add_parts`) — its
     /// products in one kernel call — and sums its own squares in element
     /// order ([`ops::sums_of_squares`], a task's chains side by side), and
     /// the per-parameter sums are added in registration order, so the
-    /// result has the bits of the serial calls at any thread count. A parameter
+    /// result has the same bits at any thread count. A parameter
     /// has a `Product` part in every table of a step that reaches it or in
     /// none; a table may be `Rows` in one tape and `Dense` in the next
     /// (`word_emb`, which only the tapes with an MLM head multiply by).
-    ///
-    /// [`accumulate_parts`]: Self::accumulate_parts
     pub fn reduce(&mut self, tables: &[Vec<(ParamId, GradPart)>]) -> Reduced {
         struct Work<'a> {
             e: &'a mut ParamEntry,
@@ -372,15 +357,6 @@ impl ParamStore {
                 e.touched = false;
             }
         }
-    }
-
-    /// Global L2 norm over all touched gradients: each one's sum of
-    /// squares in element order ([`ops::sums_of_squares`], which overlaps
-    /// the parameters' chains), the sums added in registration order.
-    pub fn grad_norm(&self) -> f32 {
-        let touched: Vec<&[f32]> =
-            self.entries.iter().filter(|e| e.touched).map(|e| e.grad.data()).collect();
-        ops::sums_of_squares(&touched).into_iter().sum::<f32>().sqrt()
     }
 
     pub(crate) fn entries_mut(&mut self) -> &mut [ParamEntry] {
@@ -525,15 +501,14 @@ impl Forward {
     /// [`take_segment_grads`](Forward::take_segment_grads) of a tape of
     /// one table: its one list.
     ///
-    /// Feed the result to [`ParamStore::accumulate_parts`], or one list
-    /// per table of a step to [`ParamStore::reduce`].
+    /// Feed one list per table of a step to [`ParamStore::reduce`].
     pub fn take_grads(&mut self) -> Vec<(ParamId, GradPart)> {
         self.take_segment_grads(1).pop().expect("one table")
     }
 
     /// After `graph.backward`, every parameter gradient as a tensor, in
     /// parameter (registration) order: a `Dense` part moved off the tape,
-    /// any other what [`ParamStore::accumulate_parts`] adds to a zero
+    /// any other what [`ParamStore::reduce`] adds to a zero
     /// gradient, formed here from zeros by the same code.
     ///
     /// Feed the result to [`ParamStore::accumulate`].
@@ -551,12 +526,6 @@ impl Forward {
             (id, grad)
         });
         formed.collect()
-    }
-
-    /// Convenience: backward from `loss`, then accumulate into `store`.
-    pub fn backprop(&mut self, loss: Var, store: &mut ParamStore) {
-        self.graph.backward(loss);
-        store.accumulate_parts(&self.take_grads());
     }
 }
 
@@ -637,10 +606,10 @@ mod tests {
             let mut f = Forward::new(&s);
             let v = f.param(&s, id, GradForm::Dense);
             let l = f.graph.sum_all(v);
-            f.backprop(l, &mut s);
+            f.graph.backward(l);
+            assert!(s.reduce(&[f.take_grads()]).grad_norm > 0.0);
         }
         assert_eq!(s.grad(id).data(), &[2.0, 2.0]);
-        assert!(s.grad_norm() > 0.0);
         s.zero_grads();
         assert_eq!(s.grad(id).data(), &[0.0, 0.0]);
     }
@@ -689,7 +658,11 @@ mod tests {
             });
             serial.accumulate(formed.collect());
         }
-        let want = serial.grad_norm();
+        // The norm: each touched gradient's squares in element order, the
+        // sums added in registration order.
+        let touched: Vec<&[f32]> =
+            serial.entries().iter().filter(|e| e.touched).map(|e| e.grad.data()).collect();
+        let want = ops::sums_of_squares(&touched).into_iter().sum::<f32>().sqrt();
         let saved = pool::n_threads();
         for threads in [1, 2, 4] {
             pool::set_threads(threads);
@@ -700,7 +673,7 @@ mod tests {
                 let (got, want) = (s.grad(id).data(), serial.grad(id).data());
                 assert!(got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()));
             }
-            assert_eq!(s.grad_norm().to_bits(), want.to_bits());
+            assert_eq!(s.reduce(&[]).grad_norm.to_bits(), want.to_bits(), "no tables");
         }
         pool::set_threads(saved);
     }
@@ -757,9 +730,9 @@ mod tests {
 
     /// Four tapes of `w` read the way `reader` admits, bound `reader` (and
     /// for a table also with tapes 1 and 2 `Dense` between its `Rows`
-    /// ones): through `reduce` at 1, 2 and 4 threads, `take_param_grads`
-    /// and `accumulate_parts`, the store gets the bits of the tapes bound
-    /// `Dense`.
+    /// ones): through `reduce` over the four at 1, 2 and 4 threads,
+    /// `take_param_grads` and one `reduce` per tape, the store gets the
+    /// bits of the tapes bound `Dense`, fed one `reduce` per tape.
     fn reaches_the_store_with_the_dense_bits(reader: GradForm) {
         let fresh = || {
             let mut s = ParamStore::new();
@@ -790,12 +763,12 @@ mod tests {
         for (name, seed) in seeds {
             // The reference: every tape binds `w` `Dense`.
             let mut dense = fresh();
+            let mut want_norm = 0;
             for t in 0..4 {
-                dense.accumulate_parts(
-                    &form_tape(&dense, t, GradForm::Dense, reader, seed).take_grads(),
-                );
+                let parts = form_tape(&dense, t, GradForm::Dense, reader, seed).take_grads();
+                want_norm = dense.reduce(&[parts]).grad_norm.to_bits();
             }
-            let (want, want_norm) = (bits(&dense), dense.grad_norm().to_bits());
+            let want = bits(&dense);
             if name == "all -0.0" {
                 let w = dense.find("w").unwrap();
                 assert!(dense.grad(w).data().iter().all(|x| x.to_bits() == 0), "dense -0.0");
@@ -830,10 +803,10 @@ mod tests {
                 let grads = form_tape(&formed, t, reader, reader, seed).take_param_grads();
                 assert_eq!(grads[0].1.shape(), &[6, 3]);
                 formed.accumulate(grads);
-                added.accumulate_parts(&form_tape(&added, t, reader, reader, seed).take_grads());
+                added.reduce(&[form_tape(&added, t, reader, reader, seed).take_grads()]);
             }
             assert!(bits(&formed) == want, "{name}: take_param_grads");
-            assert!(bits(&added) == want, "{name}: accumulate_parts");
+            assert!(bits(&added) == want, "{name}: one reduce per tape");
         }
         pool::set_threads(saved);
     }

@@ -679,7 +679,8 @@ mod tests {
             let d = f.graph.sub(w, target);
             let sq = f.graph.mul(d, d);
             let l = f.graph.sum_all(sq);
-            f.backprop(l, &mut store);
+            f.graph.backward(l);
+            store.reduce(&[f.take_grads()]);
             opt.step(&mut store);
         }
         (store, opt)

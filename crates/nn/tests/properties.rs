@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use turl_nn::{clip_grad_norm, Adam, AdamConfig, Embedding, Forward, Linear, ParamStore};
+use turl_nn::{Adam, AdamConfig, Embedding, Forward, Linear, ParamStore};
+use turl_tensor::GradPart;
 use turl_tensor::{GradForm, Tensor};
 
 proptest! {
@@ -24,7 +25,8 @@ proptest! {
             let d = f.graph.sub(w, t);
             let sq = f.graph.mul(d, d);
             let l = f.graph.sum_all(sq);
-            f.backprop(l, &mut store);
+            f.graph.backward(l);
+            store.reduce(&[f.take_grads()]);
             opt.step(&mut store);
         }
         for (v, t) in store.value(id).data().iter().zip(target.iter()) {
@@ -54,15 +56,21 @@ proptest! {
     }
 
     #[test]
-    fn clip_grad_norm_bounds_any_gradient(scale in 1.0f32..1e6) {
+    fn step_clipped_bounds_any_gradient(scale in 1.0f32..1e6) {
         let mut store = ParamStore::new();
         let id = store.register("w", Tensor::zeros(vec![4]));
-        store.accumulate(vec![(id, Tensor::full(vec![4], scale))]);
-        let report = clip_grad_norm(&mut store, 1.0);
-        prop_assert!(report.norm >= 1.0);
-        prop_assert!(!report.non_finite);
-        prop_assert!((store.grad_norm() - 1.0).abs() < 1e-3);
-        prop_assert!(store.grad(id).all_finite());
+        let part = GradPart::Dense(Tensor::full(vec![4], scale));
+        let norm = store.reduce(&[vec![(id, part)]]).grad_norm;
+        prop_assert!(norm >= 1.0 && norm.is_finite());
+        // With lr 1 and eps 1, Adam's first step moves each element by
+        // g / (|g| + 1) of the gradient `g` it applied: recover that norm.
+        let mut opt = Adam::new(AdamConfig { lr: 1.0, eps: 1.0, ..Default::default() });
+        let report = opt.step_clipped(&mut store, norm, 1.0);
+        prop_assert!(report.clipped && !report.non_finite);
+        let applied = store.value(id).data().iter().map(|&d| d / (1.0 - d.abs()));
+        let applied_norm = applied.map(|g| g * g).sum::<f32>().sqrt();
+        prop_assert!((applied_norm - 1.0).abs() < 1e-3, "applied norm {applied_norm}");
+        prop_assert_eq!(store.reduce(&[]).grad_norm, 0.0, "gradients left over");
     }
 
     #[test]
@@ -74,7 +82,8 @@ proptest! {
         let mut f = Forward::new(&store);
         let v = emb.forward(&mut f, &store, &[1, 3]);
         let l = f.graph.sum_all(v);
-        f.backprop(l, &mut store);
+        f.graph.backward(l);
+        store.reduce(&[f.take_grads()]);
         let g = store.grad(emb.weight);
         for row in 0..6 {
             let sum: f32 = g.data()[row * 4..(row + 1) * 4].iter().sum();

@@ -89,7 +89,7 @@ impl Histogram {
     }
 
     /// Index of the bucket a sample falls into (last index = overflow).
-    pub fn bucket_index(&self, x: f64) -> usize {
+    fn bucket_index(&self, x: f64) -> usize {
         if !x.is_finite() {
             return self.bounds.len();
         }

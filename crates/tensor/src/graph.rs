@@ -297,13 +297,6 @@ impl Graph {
         self.nodes[v.0].grad.as_ref()
     }
 
-    /// Take (move out) the gradient at a node, leaving `None`. Panics
-    /// like [`grad`](Graph::grad).
-    pub fn take_grad(&mut self, v: Var) -> Option<Tensor> {
-        self.check_grad_held(v);
-        self.nodes[v.0].grad.take()
-    }
-
     fn check_grad_held(&self, v: Var) {
         if self.nodes[v.0].grad.is_none() && self.is_released(v) {
             released(v.0, "its gradient is gone, only leaves keep theirs");
@@ -643,12 +636,6 @@ impl Graph {
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
         let value = self.value(a).map(|x| x * c);
         self.push(value, vec![a], Box::new(move |g, _, _, _| vec![Some(g.map(|x| x * c))]))
-    }
-
-    /// `a + c` for scalar constant `c`.
-    pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let value = self.value(a).map(|x| x + c);
-        self.push(value, vec![a], Box::new(|g, _, _, _| vec![Some(g.clone())]))
     }
 
     /// Elementwise negation.

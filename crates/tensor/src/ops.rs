@@ -927,7 +927,7 @@ impl Compiled for NtRows<'_> {
 
 /// Blocked `[rows, cols] → [cols, rows]` transpose: `dst[c * rows + r] =
 /// src[r * cols + c]`. `dst` must hold exactly `rows * cols` elements.
-pub fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+fn transpose_into(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
     assert_eq!(src.len(), rows * cols, "transpose src size");
     assert_eq!(dst.len(), rows * cols, "transpose dst size");
     transpose_strided(src, dst, rows, cols, cols, rows);

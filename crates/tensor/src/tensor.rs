@@ -15,10 +15,10 @@ use crate::shape::{
 /// representation autograd and training ever produce — every method
 /// below keeps its exact pre-storage-split semantics there) or
 /// block-quantized int8 weights for the inference path. The `f32`
-/// accessors ([`data`](Tensor::data), [`data_mut`](Tensor::data_mut),
-/// [`into_data`](Tensor::into_data)) are *typed*: they panic on
-/// quantized storage instead of silently dequantizing, so a quantized
-/// tensor can never leak into a training-path kernel. Inference kernels
+/// accessors ([`data`](Tensor::data), [`data_mut`](Tensor::data_mut))
+/// are *typed*: they panic on quantized storage instead of silently
+/// dequantizing, so a quantized tensor can never leak into a
+/// training-path kernel. Inference kernels
 /// branch on [`dtype`](Tensor::dtype) and read quantized weights through
 /// [`quantized`](Tensor::quantized).
 ///
@@ -167,20 +167,6 @@ impl Tensor {
         self.f32s_mut()
     }
 
-    /// Consume the tensor, returning its backing buffer.
-    ///
-    /// # Panics
-    /// Panics on quantized storage.
-    #[track_caller]
-    pub fn into_data(self) -> Vec<f32> {
-        match self.storage {
-            Storage::F32(d) => d,
-            Storage::I8Block(_) => {
-                panic!("into_data on a quantized tensor {:?}; use dequantize()", self.shape)
-            }
-        }
-    }
-
     /// Non-panicking dense view: `Some` only for `f32` storage.
     pub fn as_f32(&self) -> Option<&[f32]> {
         match &self.storage {
@@ -267,13 +253,6 @@ impl Tensor {
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let data = self.f32s().iter().map(|&x| f(x)).collect();
         Tensor { shape: self.shape.clone(), storage: Storage::F32(data) }
-    }
-
-    /// Apply a function elementwise in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in self.f32s_mut() {
-            *x = f(*x);
-        }
     }
 
     /// `self += other` (shapes must match exactly).
