@@ -463,7 +463,7 @@ impl IrBuilder {
 
     /// Mark `t` as a training-mode dropout site (see
     /// [`Ir::dropout_sites`]).
-    pub fn dropout_site(&mut self, t: TensorId) {
+    fn dropout_site(&mut self, t: TensorId) {
         self.dropout_sites.push(t);
     }
 

@@ -210,7 +210,7 @@ impl ValueRange {
     /// weights (softmax output, or a mention-averaging matrix), every
     /// output element is a convex combination of the right operand's
     /// elements and stays inside its hull. Far tighter than [`Self::dot`].
-    pub fn convex_combination(self, values: Self) -> Self {
+    fn convex_combination(self, values: Self) -> Self {
         Self {
             lo: values.lo,
             hi: values.hi,

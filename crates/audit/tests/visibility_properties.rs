@@ -48,20 +48,8 @@ fn arb_table() -> impl Strategy<Value = Table> {
         })
 }
 
-fn vocab_for(t: &Table) -> Vocab {
-    let mut texts = vec![t.full_caption()];
-    texts.extend(t.headers.clone());
-    for row in &t.rows {
-        for c in row {
-            texts.push(c.text.clone());
-        }
-    }
-    texts.push("topic".into());
-    Vocab::build(texts.iter().map(String::as_str), 1)
-}
-
 fn instance(t: &Table) -> TableInstance {
-    TableInstance::from_table(t, &vocab_for(t), &LinearizeConfig::default())
+    TableInstance::from_table(t, &Vocab::from_tables([t], ["topic"]), &LinearizeConfig::default())
 }
 
 proptest! {

@@ -208,7 +208,7 @@ impl Sherlock {
     }
 
     /// Micro-F1 over `(features, labels)` pairs.
-    pub fn micro_f1(&self, data: &[(Vec<f32>, Vec<usize>)]) -> f64 {
+    fn micro_f1(&self, data: &[(Vec<f32>, Vec<usize>)]) -> f64 {
         let mut acc = turl_kb::tasks::metrics::PrfAccumulator::new();
         for (features, labels) in data {
             acc.add_sets(&self.predict(features), labels);

@@ -5,7 +5,7 @@
 //! removes each source and measures the object-entity prediction probe.
 
 use turl_bench::{ExperimentWorld, Scale};
-use turl_core::{probe, CandidateConfig, Pretrainer, TurlConfig};
+use turl_core::{encode_tables, probe, CandidateConfig, Pretrainer, TurlConfig};
 
 fn main() {
     let scale = Scale::from_env();
@@ -31,8 +31,8 @@ fn main() {
     println!("== Ablation: MER candidate-set composition (Eqn. 6) ==\n");
     for (name, cand) in variants {
         let cfg = TurlConfig { candidates: cand, ..world.turl_config() };
-        let data = world.encode_split(&world.splits.train, &cfg);
-        let val = world.encode_split(&world.splits.validation, &cfg);
+        let data = encode_tables(&world.splits.train, &world.vocab, &cfg);
+        let val = encode_tables(&world.splits.validation, &world.vocab, &cfg);
         let mut pt = Pretrainer::new(
             cfg,
             world.vocab.len(),

@@ -5,7 +5,7 @@
 //! This sweep varies that share (0%, 30%, 60%) and measures the probe.
 
 use turl_bench::{ExperimentWorld, Scale};
-use turl_core::{probe, PretrainConfig, Pretrainer, TurlConfig};
+use turl_core::{encode_tables, probe, PretrainConfig, Pretrainer, TurlConfig};
 
 const SHARES: [f64; 3] = [0.0, 0.3, 0.6];
 
@@ -25,8 +25,8 @@ fn main() {
             pretrain: PretrainConfig { mer_mention_keep_share: share, ..base.pretrain },
             ..base
         };
-        let data = world.encode_split(&world.splits.train, &cfg);
-        let val = world.encode_split(&world.splits.validation, &cfg);
+        let data = encode_tables(&world.splits.train, &world.vocab, &cfg);
+        let val = encode_tables(&world.splits.validation, &world.vocab, &cfg);
         let mut pt = Pretrainer::new(
             cfg,
             world.vocab.len(),

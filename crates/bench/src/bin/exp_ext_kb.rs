@@ -7,7 +7,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use turl_bench::{ExperimentWorld, Scale};
 use turl_core::tasks::cell_filling::CellFiller;
-use turl_core::{probe, AuxRelationObjective, Pretrainer};
+use turl_core::{encode_tables, probe, AuxRelationObjective, Pretrainer};
 use turl_kb::tasks::build_cell_filling;
 
 fn main() {
@@ -15,8 +15,8 @@ fn main() {
     let world = ExperimentWorld::build(scale);
     let cfg = world.turl_config();
     let epochs = scale.pretrain_epochs();
-    let data = world.encode_split(&world.splits.train, &cfg);
-    let val = world.encode_split(&world.splits.validation, &cfg);
+    let data = encode_tables(&world.splits.train, &world.vocab, &cfg);
+    let val = encode_tables(&world.splits.validation, &world.vocab, &cfg);
     let cf_eval = build_cell_filling(&world.splits.test, &world.cooccur, 3, true);
     let probe_cells = match scale {
         Scale::Smoke => 80,

@@ -5,7 +5,7 @@
 //! validation set after every epoch (§6.8).
 
 use turl_bench::{ExperimentWorld, Scale};
-use turl_core::{probe, Pretrainer, TurlConfig};
+use turl_core::{encode_tables, probe, Pretrainer, TurlConfig};
 
 fn main() {
     let scale = Scale::from_env();
@@ -25,8 +25,8 @@ fn main() {
     let mut curves: Vec<Vec<f64>> = Vec::new();
     for (use_vis, _) in &variants {
         let cfg = TurlConfig { use_visibility: *use_vis, ..world.turl_config() };
-        let data = world.encode_split(&world.splits.train, &cfg);
-        let val = world.encode_split(&world.splits.validation, &cfg);
+        let data = encode_tables(&world.splits.train, &world.vocab, &cfg);
+        let val = encode_tables(&world.splits.validation, &world.vocab, &cfg);
         let mut pt = Pretrainer::new(
             cfg,
             world.vocab.len(),

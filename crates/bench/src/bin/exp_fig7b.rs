@@ -5,7 +5,7 @@
 //! picks 0.6: 0.8 over-relies on metadata, 0.2 under-trains entity cells.
 
 use turl_bench::{ExperimentWorld, Scale};
-use turl_core::{probe, PretrainConfig, Pretrainer, TurlConfig};
+use turl_core::{encode_tables, probe, PretrainConfig, Pretrainer, TurlConfig};
 
 const RATIOS: [f64; 4] = [0.2, 0.4, 0.6, 0.8];
 
@@ -29,8 +29,8 @@ fn main() {
             pretrain: PretrainConfig { mer_select_ratio: ratio, ..base.pretrain },
             ..base
         };
-        let data = world.encode_split(&world.splits.train, &cfg);
-        let val = world.encode_split(&world.splits.validation, &cfg);
+        let data = encode_tables(&world.splits.train, &world.vocab, &cfg);
+        let val = encode_tables(&world.splits.validation, &world.vocab, &cfg);
         let mut pt = Pretrainer::new(
             cfg,
             world.vocab.len(),

@@ -10,11 +10,11 @@
 pub mod throughput;
 
 use std::path::PathBuf;
-use turl_core::{EncodedInput, Pretrainer, TurlConfig};
-use turl_data::{CorpusStats, LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, Pretrainer, TurlConfig};
+use turl_data::{CorpusStats, Vocab};
 use turl_kb::{
-    generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig, CorpusSplits,
-    KnowledgeBase, LookupIndex, PipelineConfig, TableSearchIndex, WorldConfig,
+    generate_splits, CooccurrenceIndex, CorpusConfig, CorpusSplits, KnowledgeBase, LookupIndex,
+    PipelineConfig, TableSearchIndex, WorldConfig,
 };
 use turl_nn::TransformerConfig;
 
@@ -124,20 +124,9 @@ impl ExperimentWorld {
             max_eval_tables: (scale.n_tables() / 8).max(20),
             ..Default::default()
         };
-        let splits =
-            partition(identify_relational(generate_corpus(&kb, &corpus_cfg), &pcfg), &pcfg);
-        let texts: Vec<String> = splits
-            .train
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v
-            })
-            .chain(kb.entities.iter().map(|e| e.description.clone()))
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let splits = generate_splits(&kb, &corpus_cfg, &pcfg);
+        let vocab =
+            Vocab::from_tables(&splits.train, kb.entities.iter().map(|e| e.description.as_str()));
         let cooccur = CooccurrenceIndex::build(&splits.train);
         let search = TableSearchIndex::build(&splits.train);
         let lookup = LookupIndex::build(&kb);
@@ -150,23 +139,7 @@ impl ExperimentWorld {
             Scale::Smoke => TransformerConfig::tiny(),
             _ => TransformerConfig::small(),
         };
-        TurlConfig { encoder, linearize: LinearizeConfig::default(), ..TurlConfig::small(7) }
-    }
-
-    /// Pre-encode a split for pre-training / probing.
-    pub fn encode_split(
-        &self,
-        tables: &[turl_data::Table],
-        cfg: &TurlConfig,
-    ) -> Vec<(TableInstance, EncodedInput)> {
-        tables
-            .iter()
-            .map(|t| {
-                let inst = TableInstance::from_table(t, &self.vocab, &cfg.linearize);
-                let enc = EncodedInput::from_instance(&inst, &self.vocab, cfg.use_visibility);
-                (inst, enc)
-            })
-            .collect()
+        TurlConfig { encoder, ..TurlConfig::small(7) }
     }
 
     /// Print the Table 3 style corpus summary.
@@ -192,7 +165,7 @@ impl ExperimentWorld {
 }
 
 /// Cache directory for pre-trained weights (model artifacts).
-pub fn cache_dir() -> PathBuf {
+fn cache_dir() -> PathBuf {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/turl-cache");
     std::fs::create_dir_all(&dir).ok();
     dir
@@ -227,7 +200,7 @@ pub fn pretrained(world: &ExperimentWorld, cfg: TurlConfig, tag: &str) -> Pretra
             return pt;
         }
     }
-    let data = world.encode_split(&world.splits.train, &cfg);
+    let data = encode_tables(&world.splits.train, &world.vocab, &cfg);
     let epochs = world.scale.pretrain_epochs();
     turl_obs::warn(format!(
         "[pretrain:{tag}] {} tables x {epochs} epochs (d={}, layers={})",
@@ -245,19 +218,6 @@ pub fn pretrained(world: &ExperimentWorld, cfg: TurlConfig, tag: &str) -> Pretra
     ));
     turl_nn::export_artifact(&pt.store, &path, &turl_nn::ExportOptions::default()).ok();
     pt
-}
-
-/// Collect all texts of a table split (vocab-building helper for tests).
-pub fn split_texts(tables: &[turl_data::Table]) -> Vec<String> {
-    tables
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -25,8 +25,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use turl_core::{EncodedInput, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, EncodedInput, Pretrainer, TurlConfig};
+use turl_data::{TableInstance, Vocab};
 use turl_kb::{
     generate_corpus, identify_relational, CooccurrenceIndex, CorpusConfig, KnowledgeBase,
     PipelineConfig, WorldConfig,
@@ -155,25 +155,9 @@ fn build_world(quick: bool) -> BenchWorld {
         generate_corpus(&kb, &CorpusConfig { n_tables, ..CorpusConfig::tiny(6) }),
         &PipelineConfig::default(),
     );
-    let texts: Vec<String> = tables
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let vocab = Vocab::from_tables(&tables, []);
     let cfg = TurlConfig::small(3);
-    let data: Vec<(TableInstance, EncodedInput)> = tables
-        .iter()
-        .map(|t| {
-            let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-            let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-            (inst, enc)
-        })
-        .collect();
+    let data = encode_tables(&tables, &vocab, &cfg);
     let cooccur = CooccurrenceIndex::build(&tables);
     let rows = data.iter().map(|(_, e)| e.token_ids.len() + e.entities.len()).collect::<Vec<_>>();
     let mask_word = vocab.mask_id() as usize;

@@ -6,14 +6,14 @@ use rand::SeedableRng;
 use std::path::{Path, PathBuf};
 use turl_core::tasks::cell_filling::CellFiller;
 use turl_core::{
-    bind_store, probe as probe_mod, CheckpointPolicy, EncodedInput, Pretrainer, TurlConfig,
-    TurlModel,
+    bind_store, encode_tables, probe as probe_mod, CheckpointPolicy, EncodedInput, Pretrainer,
+    TurlConfig, TurlModel,
 };
 use turl_data::{CorpusStats, LinearizeConfig, TableInstance, Vocab};
 use turl_kb::tasks::build_cell_filling;
 use turl_kb::{
-    generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig, CorpusSplits,
-    KnowledgeBase, PipelineConfig, WorldConfig,
+    generate_splits, CooccurrenceIndex, CorpusConfig, CorpusSplits, KnowledgeBase, PipelineConfig,
+    WorldConfig,
 };
 use turl_nn::ParamStore;
 use turl_obs::{info, warn};
@@ -191,42 +191,16 @@ fn setup(opts: &Options) -> Result<Setup, String> {
     let kb =
         KnowledgeBase::generate(&WorldConfig { n_entities: entities, ..WorldConfig::small(seed) });
     let pcfg = PipelineConfig { max_eval_tables: (tables / 8).max(10), ..Default::default() };
-    let splits = partition(
-        identify_relational(
-            generate_corpus(
-                &kb,
-                &CorpusConfig { n_tables: tables, ..CorpusConfig::small(seed + 1) },
-            ),
-            &pcfg,
-        ),
+    let splits = generate_splits(
+        &kb,
+        &CorpusConfig { n_tables: tables, ..CorpusConfig::small(seed + 1) },
         &pcfg,
     );
-    let texts: Vec<String> = splits
-        .train
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .chain(kb.entities.iter().map(|e| e.description.clone()))
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let vocab =
+        Vocab::from_tables(&splits.train, kb.entities.iter().map(|e| e.description.as_str()));
     let cooccur = CooccurrenceIndex::build(&splits.train);
     let cfg = TurlConfig::tiny(seed);
     Ok(Setup { kb, splits, vocab, cooccur, cfg })
-}
-
-fn encode(s: &Setup, tables: &[turl_data::Table]) -> Vec<(TableInstance, EncodedInput)> {
-    tables
-        .iter()
-        .map(|t| {
-            let inst = TableInstance::from_table(t, &s.vocab, &LinearizeConfig::default());
-            let enc = EncodedInput::from_instance(&inst, &s.vocab, s.cfg.use_visibility);
-            (inst, enc)
-        })
-        .collect()
 }
 
 /// The model `s` describes, its parameters registered into `store`
@@ -281,7 +255,7 @@ fn model_and_store(s: &Setup, opts: &Options) -> Result<(TurlModel, ParamStore),
     let mut pt =
         Pretrainer::new(s.cfg, s.vocab.len(), s.kb.n_entities(), s.vocab.mask_id() as usize);
     let epochs = opts.get_usize("epochs", 6)?;
-    let data = encode(s, &s.splits.train);
+    let data = encode_tables(&s.splits.train, &s.vocab, &s.cfg);
     info(format!("pre-training: {} tables x {epochs} epochs ...", data.len()));
     let stats = pt.train(&data, &s.cooccur, epochs);
     info(format!(
@@ -374,7 +348,7 @@ pub fn pretrain(opts: &Options) -> Result<(), String> {
         }
     }
 
-    let data = encode(&s, &s.splits.train);
+    let data = encode_tables(&s.splits.train, &s.vocab, &s.cfg);
     info(format!(
         "pre-training: {} tables until {epochs} total epochs ({} kernel) ...",
         data.len(),
@@ -408,7 +382,7 @@ pub fn pretrain(opts: &Options) -> Result<(), String> {
 pub fn probe(opts: &Options) -> Result<(), String> {
     let s = setup(opts)?;
     let (model, store) = model_and_store(&s, opts)?;
-    let val = encode(&s, &s.splits.validation);
+    let val = encode_tables(&s.splits.validation, &s.vocab, &s.cfg);
     let acc = probe_mod::object_entity_accuracy(
         &model,
         &store,
@@ -439,7 +413,7 @@ pub fn infer(opts: &Options) -> Result<(), String> {
     };
     let (model, store) = (&model, &store);
     let reps = opts.get_usize("reps", 10)?;
-    let data = encode(&s, &s.splits.validation);
+    let data = encode_tables(&s.splits.validation, &s.vocab, &s.cfg);
     if data.is_empty() {
         return Err("validation split is empty".to_string());
     }
@@ -998,7 +972,7 @@ pub fn client(opts: &Options) -> Result<(), String> {
         }
         let (model, store) = load_model(&s, &artifact)?;
         let mut cf = model.compiled();
-        let data = encode(&s, &s.splits.validation);
+        let data = encode_tables(&s.splits.validation, &s.vocab, &s.cfg);
         data.iter()
             .map(|(_, enc)| {
                 cf.encode(&model, &store, enc)

@@ -37,7 +37,7 @@ impl AuxRelationObjective {
     /// (subject-cell, object-cell) row pair, labeled with the first KB
     /// relation that holds, or the "no relation" class. At most
     /// `max_pairs` pairs are kept (positives first).
-    pub fn relation_pairs(
+    fn relation_pairs(
         inst: &TableInstance,
         kb: &KnowledgeBase,
         max_pairs: usize,
@@ -180,7 +180,8 @@ impl AuxRelationObjective {
 mod tests {
     use super::*;
     use crate::config::TurlConfig;
-    use turl_data::{LinearizeConfig, Vocab};
+    use crate::input::encode_tables;
+    use turl_data::Vocab;
     use turl_kb::{
         generate_corpus, identify_relational, CooccurrenceIndex, CorpusConfig, PipelineConfig,
         WorldConfig,
@@ -192,25 +193,9 @@ mod tests {
             generate_corpus(&kb, &CorpusConfig { n_tables: 50, ..CorpusConfig::tiny(701) }),
             &PipelineConfig::default(),
         );
-        let texts: Vec<String> = tables
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let vocab = Vocab::from_tables(&tables, []);
         let cfg = TurlConfig::tiny(702);
-        let data = tables
-            .iter()
-            .map(|t| {
-                let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-                let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-                (inst, enc)
-            })
-            .collect();
+        let data = encode_tables(&tables, &vocab, &cfg);
         let cooccur = CooccurrenceIndex::build(&tables);
         (kb, vocab, data, cooccur)
     }

@@ -8,7 +8,7 @@
 
 use crate::config::TurlConfig;
 use turl_audit::SourceKind;
-use turl_data::{TableInstance, TokenScope, VisibilityMatrix, Vocab};
+use turl_data::{Table, TableInstance, TokenScope, VisibilityMatrix, Vocab};
 use turl_tensor::Tensor;
 
 /// One entity cell, ready for the embedding layer.
@@ -36,6 +36,24 @@ pub struct EncodedInput {
     pub entities: Vec<EntityInput>,
     /// Additive visibility mask (`[n, n]`), or `None` for full visibility.
     pub mask: Option<Tensor>,
+}
+
+/// Linearize and encode each table as `cfg` says (its `linearize` and
+/// `use_visibility`), with no masking applied: the input pre-training,
+/// probing and serving start from.
+pub fn encode_tables(
+    tables: &[Table],
+    vocab: &Vocab,
+    cfg: &TurlConfig,
+) -> Vec<(TableInstance, EncodedInput)> {
+    tables
+        .iter()
+        .map(|t| {
+            let inst = TableInstance::from_table(t, vocab, &cfg.linearize);
+            let enc = EncodedInput::from_instance(&inst, vocab, cfg.use_visibility);
+            (inst, enc)
+        })
+        .collect()
 }
 
 impl EncodedInput {

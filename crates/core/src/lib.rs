@@ -41,7 +41,7 @@ pub use compiled::{rank_descending, CompiledForward, DEFAULT_PLAN_CACHE_CAP};
 pub use config::{CandidateConfig, PretrainConfig, TurlConfig};
 pub use extensions::{AuxRelationObjective, RelationPair};
 pub use finetune::{FinetuneConfig, FinetuneStats};
-pub use input::{EncodedInput, EntityInput};
+pub use input::{encode_tables, EncodedInput, EntityInput};
 pub use model::{bind_store, TapeTable, TurlModel};
 pub use pretrain::{
     apply_mask_plan, build_candidates, random_entity_id, random_word_id, CheckpointPolicy,

@@ -278,12 +278,6 @@ impl Pretrainer {
         &self.progress
     }
 
-    /// Use the paper's linearly decreasing learning rate over a planned
-    /// number of optimizer steps (optionally with warmup).
-    pub fn set_schedule(&mut self, schedule: LinearDecaySchedule) {
-        self.schedule = Some(schedule);
-    }
-
     /// Install the KB-relation auxiliary objective (the paper's
     /// future-work extension; see [`crate::AuxRelationObjective`]).
     pub fn set_aux_relations(&mut self, aux: AuxRelationObjective) {
@@ -833,7 +827,8 @@ impl Pretrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use turl_data::{LinearizeConfig, Vocab};
+    use crate::input::encode_tables;
+    use turl_data::Vocab;
     use turl_kb::{
         generate_corpus, identify_relational, CorpusConfig, KnowledgeBase, PipelineConfig,
         WorldConfig,
@@ -845,25 +840,9 @@ mod tests {
             generate_corpus(&kb, &CorpusConfig { n_tables: 40, ..CorpusConfig::tiny(14) }),
             &PipelineConfig::default(),
         );
-        let texts: Vec<String> = tables
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let vocab = Vocab::from_tables(&tables, []);
         let cfg = TurlConfig::tiny(1);
-        let data: Vec<(TableInstance, EncodedInput)> = tables
-            .iter()
-            .map(|t| {
-                let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-                let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-                (inst, enc)
-            })
-            .collect();
+        let data = encode_tables(&tables, &vocab, &cfg);
         let cooccur = CooccurrenceIndex::build(&tables);
         (kb, vocab, data, cooccur)
     }
@@ -934,7 +913,7 @@ mod tests {
             vocab.mask_id() as usize,
         );
         let base_lr = pt.opt.config.lr;
-        pt.set_schedule(turl_nn::LinearDecaySchedule::new(base_lr, 0, 40));
+        pt.schedule = Some(turl_nn::LinearDecaySchedule::new(base_lr, 0, 40));
         pt.train(&data[..8], &cooccur, 4);
         assert!(pt.opt.config.lr < base_lr, "lr must have decayed");
         assert!(pt.opt.config.lr >= 0.0);

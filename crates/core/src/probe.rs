@@ -75,8 +75,9 @@ pub fn object_entity_accuracy(
 mod tests {
     use super::*;
     use crate::config::TurlConfig;
+    use crate::input::encode_tables;
     use crate::pretrain::Pretrainer;
-    use turl_data::{LinearizeConfig, Vocab};
+    use turl_data::Vocab;
     use turl_kb::{
         generate_corpus, identify_relational, CorpusConfig, KnowledgeBase, PipelineConfig,
         WorldConfig,
@@ -89,25 +90,9 @@ mod tests {
             generate_corpus(&kb, &CorpusConfig { n_tables: 30, ..CorpusConfig::tiny(18) }),
             &PipelineConfig::default(),
         );
-        let texts: Vec<String> = tables
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let vocab = Vocab::from_tables(&tables, []);
         let cfg = TurlConfig::tiny(3);
-        let data: Vec<(TableInstance, EncodedInput)> = tables
-            .iter()
-            .map(|t| {
-                let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-                let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-                (inst, enc)
-            })
-            .collect();
+        let data = encode_tables(&tables, &vocab, &cfg);
         let cooccur = CooccurrenceIndex::build(&tables);
         let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
         let acc_before = object_entity_accuracy(

@@ -143,32 +143,14 @@ mod tests {
     use crate::config::TurlConfig;
     use crate::pretrain::Pretrainer;
     use turl_kb::tasks::build_cell_filling;
-    use turl_kb::{
-        generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig,
-        PipelineConfig, WorldConfig,
-    };
+    use turl_kb::{generate_splits, CooccurrenceIndex, CorpusConfig, PipelineConfig, WorldConfig};
 
     fn setup() -> (KnowledgeBase, Vocab, Vec<Table>, Vec<CellFillingExample>) {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(63));
         let pcfg = PipelineConfig { max_eval_tables: 16, ..Default::default() };
-        let splits = partition(
-            identify_relational(
-                generate_corpus(&kb, &CorpusConfig { n_tables: 120, ..CorpusConfig::tiny(64) }),
-                &pcfg,
-            ),
-            &pcfg,
-        );
-        let texts: Vec<String> = splits
-            .train
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 120, ..CorpusConfig::tiny(64) }, &pcfg);
+        let vocab = Vocab::from_tables(&splits.train, []);
         let cooccur = CooccurrenceIndex::build(&splits.train);
         let examples = build_cell_filling(&splits.test, &cooccur, 3, true);
         assert!(!examples.is_empty());

@@ -128,10 +128,7 @@ mod tests {
     use crate::pretrain::Pretrainer;
     use crate::tasks::clone_pretrained;
     use turl_kb::tasks::build_column_type_task;
-    use turl_kb::{
-        generate_corpus, identify_relational, partition, CorpusConfig, KnowledgeBase,
-        PipelineConfig, WorldConfig,
-    };
+    use turl_kb::{generate_splits, CorpusConfig, KnowledgeBase, PipelineConfig, WorldConfig};
 
     struct Fixture {
         kb: KnowledgeBase,
@@ -143,24 +140,9 @@ mod tests {
     fn fixture() -> Fixture {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(23));
         let pcfg = PipelineConfig { max_eval_tables: 20, ..Default::default() };
-        let splits = partition(
-            identify_relational(
-                generate_corpus(&kb, &CorpusConfig { n_tables: 80, ..CorpusConfig::tiny(24) }),
-                &pcfg,
-            ),
-            &pcfg,
-        );
-        let texts: Vec<String> = splits
-            .train
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 80, ..CorpusConfig::tiny(24) }, &pcfg);
+        let vocab = Vocab::from_tables(&splits.train, []);
         let task =
             build_column_type_task(&kb, &splits.train, &splits.validation, &splits.test, 3, 3);
         assert!(!task.train.is_empty() && !task.test.is_empty());

@@ -266,7 +266,7 @@ impl EntityLinkingModel {
 
 /// Mean embedding rows for a batch of id lists: `[lists.len(), d]`, zero
 /// rows for empty lists.
-pub fn mean_embedding_rows(
+fn mean_embedding_rows(
     f: &mut Forward,
     store: &ParamStore,
     emb: &Embedding,
@@ -299,33 +299,17 @@ mod tests {
     use crate::tasks::clone_pretrained;
     use turl_kb::tasks::build_entity_linking;
     use turl_kb::{
-        generate_corpus, identify_relational, partition, CorpusConfig, KnowledgeBase, LookupIndex,
-        PipelineConfig, WorldConfig,
+        generate_splits, CorpusConfig, KnowledgeBase, LookupIndex, PipelineConfig, WorldConfig,
     };
 
     #[test]
     fn entity_linking_beats_lookup_top1_on_ambiguous_mentions() {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(43));
         let pcfg = PipelineConfig { max_eval_tables: 16, ..Default::default() };
-        let splits = partition(
-            identify_relational(
-                generate_corpus(&kb, &CorpusConfig { n_tables: 70, ..CorpusConfig::tiny(44) }),
-                &pcfg,
-            ),
-            &pcfg,
-        );
-        let texts: Vec<String> = splits
-            .train
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v.extend(kb.entities.iter().map(|e| e.description.clone()));
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 70, ..CorpusConfig::tiny(44) }, &pcfg);
+        let vocab =
+            Vocab::from_tables(&splits.train, kb.entities.iter().map(|e| e.description.as_str()));
         let index = LookupIndex::build(&kb);
         let train_ds = build_entity_linking(&splits.train, &index, 20, true);
         let eval_ds = build_entity_linking(&splits.test, &index, 20, false);

@@ -127,33 +127,15 @@ mod tests {
     use crate::pretrain::Pretrainer;
     use crate::tasks::clone_pretrained;
     use turl_kb::tasks::build_relation_task;
-    use turl_kb::{
-        generate_corpus, identify_relational, partition, CorpusConfig, KnowledgeBase,
-        PipelineConfig, WorldConfig,
-    };
+    use turl_kb::{generate_splits, CorpusConfig, KnowledgeBase, PipelineConfig, WorldConfig};
 
     #[test]
     fn relation_finetune_learns() {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(33));
         let pcfg = PipelineConfig { max_eval_tables: 20, ..Default::default() };
-        let splits = partition(
-            identify_relational(
-                generate_corpus(&kb, &CorpusConfig { n_tables: 80, ..CorpusConfig::tiny(34) }),
-                &pcfg,
-            ),
-            &pcfg,
-        );
-        let texts: Vec<String> = splits
-            .train
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 80, ..CorpusConfig::tiny(34) }, &pcfg);
+        let vocab = Vocab::from_tables(&splits.train, []);
         let task = build_relation_task(&kb, &splits.train, &splits.validation, &splits.test, 3, 2);
         assert!(!task.train.is_empty());
         let eval_split = if task.test.is_empty() { &task.validation } else { &task.test };

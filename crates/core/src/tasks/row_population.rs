@@ -178,32 +178,15 @@ mod tests {
     use crate::pretrain::Pretrainer;
     use crate::tasks::clone_pretrained;
     use turl_kb::tasks::build_row_population;
-    use turl_kb::{
-        generate_corpus, identify_relational, partition, CorpusConfig, PipelineConfig,
-        TableSearchIndex, WorldConfig,
-    };
+    use turl_kb::{generate_splits, CorpusConfig, PipelineConfig, TableSearchIndex, WorldConfig};
 
     #[test]
     fn row_population_trains_and_ranks() {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(53));
         let pcfg = PipelineConfig { max_eval_tables: 20, ..Default::default() };
-        let splits = partition(
-            identify_relational(
-                generate_corpus(&kb, &CorpusConfig { n_tables: 120, ..CorpusConfig::tiny(54) }),
-                &pcfg,
-            ),
-            &pcfg,
-        );
-        let texts: Vec<String> = splits
-            .train
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 120, ..CorpusConfig::tiny(54) }, &pcfg);
+        let vocab = Vocab::from_tables(&splits.train, []);
         let search = TableSearchIndex::build(&splits.train);
         let train_ex = build_row_population(&splits.train, &search, 1, 4, 10);
         let eval_ex = build_row_population(&splits.test, &search, 1, 5, 10);

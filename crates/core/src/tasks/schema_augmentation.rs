@@ -148,32 +148,15 @@ mod tests {
     use crate::pretrain::Pretrainer;
     use crate::tasks::clone_pretrained;
     use turl_kb::tasks::{build_header_vocab, build_schema_augmentation};
-    use turl_kb::{
-        generate_corpus, identify_relational, partition, CorpusConfig, KnowledgeBase,
-        PipelineConfig, WorldConfig,
-    };
+    use turl_kb::{generate_splits, CorpusConfig, KnowledgeBase, PipelineConfig, WorldConfig};
 
     #[test]
     fn schema_augmentation_learns_caption_header_correlation() {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(73));
         let pcfg = PipelineConfig { max_eval_tables: 20, ..Default::default() };
-        let splits = partition(
-            identify_relational(
-                generate_corpus(&kb, &CorpusConfig { n_tables: 100, ..CorpusConfig::tiny(74) }),
-                &pcfg,
-            ),
-            &pcfg,
-        );
-        let texts: Vec<String> = splits
-            .train
-            .iter()
-            .flat_map(|t| {
-                let mut v = vec![t.full_caption()];
-                v.extend(t.headers.clone());
-                v
-            })
-            .collect();
-        let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 100, ..CorpusConfig::tiny(74) }, &pcfg);
+        let vocab = Vocab::from_tables(&splits.train, []);
         let headers = build_header_vocab(&splits.train, 2);
         let train_ex = build_schema_augmentation(&splits.train, &headers, 0);
         let eval_ex = build_schema_augmentation(&splits.test, &headers, 0);

@@ -7,8 +7,8 @@
 //! and without the relation objective's per-table head.
 
 use proptest::prelude::*;
-use turl_core::{AuxRelationObjective, EncodedInput, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, AuxRelationObjective, EncodedInput, Pretrainer, TurlConfig};
+use turl_data::{TableInstance, Vocab};
 use turl_kb::{
     generate_corpus, identify_relational, CooccurrenceIndex, CorpusConfig, KnowledgeBase,
     PipelineConfig, WorldConfig,
@@ -27,24 +27,8 @@ fn setup() -> Fixture {
         generate_corpus(&kb, &CorpusConfig { n_tables: 60, ..CorpusConfig::tiny(14) }),
         &PipelineConfig::default(),
     );
-    let texts: Vec<String> = tables
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
-    let data = tables
-        .iter()
-        .map(|t| {
-            let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-            let enc = EncodedInput::from_instance(&inst, &vocab, true);
-            (inst, enc)
-        })
-        .collect();
+    let vocab = Vocab::from_tables(&tables, []);
+    let data = encode_tables(&tables, &vocab, &config());
     let cooccur = CooccurrenceIndex::build(&tables);
     (kb, vocab, data, cooccur)
 }

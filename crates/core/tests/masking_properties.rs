@@ -28,14 +28,7 @@ fn table_with(n_rows: usize, n_cols: usize) -> (TableInstance, Vocab) {
         rows,
         subject_column: 0,
     };
-    let mut texts = vec![t.full_caption()];
-    texts.extend(t.headers.clone());
-    for row in &t.rows {
-        for c in row {
-            texts.push(c.text.clone());
-        }
-    }
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let vocab = Vocab::from_tables([&t], []);
     let inst = TableInstance::from_table(&t, &vocab, &LinearizeConfig::default());
     (inst, vocab)
 }

@@ -11,8 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
-use turl_core::{EncodedInput, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, EncodedInput, Pretrainer, TurlConfig};
+use turl_data::{TableInstance, Vocab};
 use turl_kb::{
     generate_corpus, identify_relational, CooccurrenceIndex, CorpusConfig, KnowledgeBase,
     PipelineConfig, WorldConfig,
@@ -78,25 +78,9 @@ fn setup() -> Fixture {
         generate_corpus(&kb, &CorpusConfig { n_tables: 40, ..CorpusConfig::tiny(14) }),
         &PipelineConfig::default(),
     );
-    let texts: Vec<String> = tables
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let vocab = Vocab::from_tables(&tables, []);
     let cfg = TurlConfig::tiny(1);
-    let data = tables
-        .iter()
-        .map(|t| {
-            let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-            let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-            (inst, enc)
-        })
-        .collect();
+    let data = encode_tables(&tables, &vocab, &cfg);
     let cooccur = CooccurrenceIndex::build(&tables);
     (kb, vocab, data, cooccur)
 }

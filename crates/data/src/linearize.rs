@@ -186,17 +186,6 @@ mod tests {
     use super::*;
     use crate::model::{Cell, EntityRef};
 
-    fn vocab_for(table: &Table) -> Vocab {
-        let mut texts = vec![table.full_caption()];
-        texts.extend(table.headers.clone());
-        for row in &table.rows {
-            for c in row {
-                texts.push(c.text.clone());
-            }
-        }
-        Vocab::build(texts.iter().map(|s| s.as_str()), 1)
-    }
-
     fn sample() -> Table {
         Table {
             id: "t1".into(),
@@ -216,7 +205,7 @@ mod tests {
     #[test]
     fn linearization_order_and_counts() {
         let t = sample();
-        let v = vocab_for(&t);
+        let v = Vocab::from_tables([&t], []);
         let inst = TableInstance::from_table(&t, &v, &LinearizeConfig::default());
         // caption: "awards best direction" = 3 tokens; headers: year, director
         assert_eq!(inst.tokens.len(), 5);
@@ -235,7 +224,7 @@ mod tests {
     #[test]
     fn type_indices_follow_paper() {
         let t = sample();
-        let v = vocab_for(&t);
+        let v = Vocab::from_tables([&t], []);
         let inst = TableInstance::from_table(&t, &v, &LinearizeConfig::default());
         assert_eq!(inst.entities[0].type_index(), 0); // topic
         assert_eq!(inst.entities[1].type_index(), 1); // subject
@@ -246,7 +235,7 @@ mod tests {
     fn truncation_limits_apply() {
         let mut t = sample();
         t.caption = "a b c d e f g h i j k l m n o p".into();
-        let v = vocab_for(&t);
+        let v = Vocab::from_tables([&t], []);
         let cfg = LinearizeConfig { max_caption_tokens: 4, max_rows: 1, ..Default::default() };
         let inst = TableInstance::from_table(&t, &v, &cfg);
         let caption_tokens =
@@ -259,7 +248,7 @@ mod tests {
     #[test]
     fn helpers_locate_columns() {
         let t = sample();
-        let v = vocab_for(&t);
+        let v = Vocab::from_tables([&t], []);
         let inst = TableInstance::from_table(&t, &v, &LinearizeConfig::default());
         assert_eq!(inst.entities_in_column(0).len(), 2);
         assert_eq!(inst.entities_in_column(1).len(), 1);
@@ -270,7 +259,7 @@ mod tests {
     #[test]
     fn mention_tokens_match_vocab_encoding() {
         let t = sample();
-        let v = vocab_for(&t);
+        let v = Vocab::from_tables([&t], []);
         let inst = TableInstance::from_table(&t, &v, &LinearizeConfig::default());
         let satyajit = &inst.entities[2];
         assert_eq!(satyajit.mention_tokens, v.encode("Satyajit Ray"));

@@ -60,14 +60,6 @@ impl CorpusStats {
             entities: SplitSummary::of(&ents),
         }
     }
-
-    /// Render one row block of Table 3.
-    pub fn format_row(&self, label: &str) -> String {
-        format!(
-            "{label:>14} | min {:>5.0} | mean {:>7.1} | median {:>5.0} | max {:>6.0}",
-            self.rows.min, self.rows.mean, self.rows.median, self.rows.max
-        )
-    }
 }
 
 #[cfg(test)]
@@ -128,14 +120,5 @@ mod tests {
         assert_eq!(s.entity_columns.max, 3.0);
         assert_eq!(s.entities.min, 4.0);
         assert_eq!(s.entities.max, 12.0);
-    }
-
-    #[test]
-    fn format_row_mentions_all_stats() {
-        let s = CorpusStats::compute(&[table_with(3, 1)]);
-        let line = s.format_row("train");
-        assert!(line.contains("train"));
-        assert!(line.contains("min"));
-        assert!(line.contains("median"));
     }
 }

@@ -4,6 +4,7 @@
 //! word-level vocabulary from the training corpus with the same special
 //! tokens, which plays the identical role for our synthetic corpus.
 
+use crate::model::Table;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -66,8 +67,26 @@ impl Vocab {
         v
     }
 
+    /// The corpus vocabulary: every caption, header and cell text of
+    /// `tables`, plus `extra_texts` (say, the KB's entity descriptions),
+    /// at min count 1. Ids depend only on the multiset of texts.
+    pub fn from_tables<'t, 'a>(
+        tables: impl IntoIterator<Item = &'t Table>,
+        extra_texts: impl IntoIterator<Item = &'a str>,
+    ) -> Self {
+        let tables: Vec<&Table> = tables.into_iter().collect();
+        let captions: Vec<String> = tables.iter().map(|t| t.full_caption()).collect();
+        let mut texts: Vec<&str> = extra_texts.into_iter().collect();
+        texts.extend(captions.iter().map(String::as_str));
+        for t in tables {
+            texts.extend(t.headers.iter().map(String::as_str));
+            texts.extend(t.rows.iter().flatten().map(|c| c.text.as_str()));
+        }
+        Self::build(texts.into_iter(), 1)
+    }
+
     /// Rebuild the token → id index (needed after deserialization).
-    pub fn rebuild_index(&mut self) {
+    fn rebuild_index(&mut self) {
         self.index = self.tokens.iter().enumerate().map(|(i, t)| (t.clone(), i as u32)).collect();
     }
 
@@ -96,13 +115,8 @@ impl Vocab {
         &self.tokens[id as usize]
     }
 
-    /// Id of `[PAD]`.
-    pub fn pad_id(&self) -> u32 {
-        0
-    }
-
     /// Id of `[UNK]`.
-    pub fn unk_id(&self) -> u32 {
+    fn unk_id(&self) -> u32 {
         1
     }
 

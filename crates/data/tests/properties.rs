@@ -51,18 +51,6 @@ fn arb_table() -> impl Strategy<Value = Table> {
         })
 }
 
-fn vocab_for(t: &Table) -> Vocab {
-    let mut texts = vec![t.full_caption()];
-    texts.extend(t.headers.clone());
-    for row in &t.rows {
-        for c in row {
-            texts.push(c.text.clone());
-        }
-    }
-    texts.push("topic".into());
-    Vocab::build(texts.iter().map(String::as_str), 1)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -102,7 +90,7 @@ proptest! {
 
     #[test]
     fn linearization_counts_match_table(table in arb_table()) {
-        let vocab = vocab_for(&table);
+        let vocab = Vocab::from_tables([&table], ["topic"]);
         let cfg = LinearizeConfig { max_rows: 100, ..Default::default() };
         let inst = TableInstance::from_table(&table, &vocab, &cfg);
         // one entity item per linked cell plus the topic entity
@@ -121,7 +109,7 @@ proptest! {
 
     #[test]
     fn visibility_matrix_invariants(table in arb_table()) {
-        let vocab = vocab_for(&table);
+        let vocab = Vocab::from_tables([&table], ["topic"]);
         let inst = TableInstance::from_table(&table, &vocab, &LinearizeConfig::default());
         let m = VisibilityMatrix::build(&inst);
         let n = m.n();
@@ -153,7 +141,7 @@ proptest! {
 
     #[test]
     fn truncation_is_monotone(table in arb_table(), max_rows in 1usize..6) {
-        let vocab = vocab_for(&table);
+        let vocab = Vocab::from_tables([&table], ["topic"]);
         let small = TableInstance::from_table(
             &table,
             &vocab,

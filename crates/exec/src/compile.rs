@@ -261,7 +261,7 @@ impl<O> StepKind<O> {
     /// The same step over another operand type: `f` converts every `O`
     /// it holds — the operands it reads and, for the `*NT` kinds, the
     /// scratch it writes — and the first error aborts.
-    pub fn try_map<P, E>(self, mut f: impl FnMut(O) -> Result<P, E>) -> Result<StepKind<P>, E> {
+    fn try_map<P, E>(self, mut f: impl FnMut(O) -> Result<P, E>) -> Result<StepKind<P>, E> {
         Ok(match self {
             StepKind::Gather { table, gather, row_len } => {
                 StepKind::Gather { table: f(table)?, gather, row_len }

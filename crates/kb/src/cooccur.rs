@@ -91,7 +91,7 @@ impl CooccurrenceIndex {
     }
 
     /// All `(object, source header)` pairs observed in rows led by `subject`.
-    pub fn row_pairs_of(&self, subject: EntityId) -> &[(EntityId, String)] {
+    fn row_pairs_of(&self, subject: EntityId) -> &[(EntityId, String)] {
         self.row_pairs.get(&subject).map(Vec::as_slice).unwrap_or(&[])
     }
 

@@ -13,7 +13,8 @@
 //!   values, junk columns ([`CorpusConfig`], [`generate_corpus`]);
 //! * the paper's §5.1 pre-processing pipeline — relational-table
 //!   identification, subject-column detection, filtering, and train /
-//!   validation / test partitioning ([`partition`]);
+//!   validation / test partitioning ([`partition`]), chained after corpus
+//!   generation by [`generate_splits`];
 //! * a candidate-generation [`LookupIndex`] playing the role of the
 //!   Wikidata Lookup service;
 //! * dataset builders for the six TUBE benchmark tasks (module
@@ -39,7 +40,7 @@ mod world;
 pub use cooccur::CooccurrenceIndex;
 pub use corpus::{generate_corpus, CorpusConfig};
 pub use lookup::{LookupIndex, LookupResult};
-pub use pipeline::{identify_relational, partition, CorpusSplits, PipelineConfig};
+pub use pipeline::{generate_splits, identify_relational, partition, CorpusSplits, PipelineConfig};
 pub use schema::{NameKind, RelationDef, RelationId, Schema, TypeDef, TypeId};
 pub use search::TableSearchIndex;
 pub use world::{EntityMeta, KnowledgeBase, WorldConfig};

@@ -116,11 +116,6 @@ impl LookupIndex {
         }
         LookupResult { candidates: out }
     }
-
-    /// Number of distinct exact aliases indexed.
-    pub fn n_aliases(&self) -> usize {
-        self.exact.len()
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +178,7 @@ mod tests {
         let kb = kb();
         let full = LookupIndex::build(&kb);
         let degraded = LookupIndex::build_with(&kb, 0.8, 1);
-        assert!(degraded.n_aliases() < full.n_aliases());
+        assert!(degraded.exact.len() < full.exact.len());
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! identification, subject-column detection, filtering, and partitioning
 //! into pre-training / validation / test splits.
 
+use crate::corpus::{generate_corpus, CorpusConfig};
+use crate::world::KnowledgeBase;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -168,11 +170,20 @@ pub fn partition(tables: Vec<Table>, cfg: &PipelineConfig) -> CorpusSplits {
     CorpusSplits { train, validation, test }
 }
 
+/// The whole §5.1 chain: generate a corpus from `kb`, keep its relational
+/// tables and partition them.
+pub fn generate_splits(
+    kb: &KnowledgeBase,
+    corpus: &CorpusConfig,
+    pipeline: &PipelineConfig,
+) -> CorpusSplits {
+    partition(identify_relational(generate_corpus(kb, corpus), pipeline), pipeline)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{generate_corpus, CorpusConfig};
-    use crate::world::{KnowledgeBase, WorldConfig};
+    use crate::world::WorldConfig;
     use turl_data::EntityRef;
 
     fn relational() -> Vec<Table> {

@@ -266,11 +266,6 @@ impl Schema {
     pub fn type_by_name(&self, name: &str) -> Option<TypeId> {
         self.types.iter().position(|t| t.name == name)
     }
-
-    /// Look up a relation id by name.
-    pub fn relation_by_name(&self, name: &str) -> Option<RelationId> {
-        self.relations.iter().position(|r| r.name == name)
-    }
 }
 
 #[cfg(test)]

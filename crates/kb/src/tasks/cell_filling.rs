@@ -76,20 +76,15 @@ pub fn build_cell_filling(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{generate_corpus, CorpusConfig};
-    use crate::pipeline::{identify_relational, partition, PipelineConfig};
+    use crate::corpus::CorpusConfig;
+    use crate::pipeline::{generate_splits, PipelineConfig};
     use crate::world::{KnowledgeBase, WorldConfig};
 
     fn setup() -> (Vec<CellFillingExample>, Vec<CellFillingExample>) {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(91));
         let cfg = PipelineConfig { max_eval_tables: 40, ..Default::default() };
-        let splits = partition(
-            identify_relational(
-                generate_corpus(&kb, &CorpusConfig { n_tables: 300, ..CorpusConfig::tiny(92) }),
-                &cfg,
-            ),
-            &cfg,
-        );
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 300, ..CorpusConfig::tiny(92) }, &cfg);
         let cooccur = CooccurrenceIndex::build(&splits.train);
         let unfiltered = build_cell_filling(&splits.test, &cooccur, 3, false);
         let filtered = build_cell_filling(&splits.test, &cooccur, 3, true);

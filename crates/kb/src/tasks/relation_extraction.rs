@@ -123,17 +123,14 @@ pub fn build_relation_task(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{generate_corpus, CorpusConfig};
-    use crate::pipeline::{identify_relational, partition, PipelineConfig};
+    use crate::corpus::CorpusConfig;
+    use crate::pipeline::{generate_splits, PipelineConfig};
     use crate::world::WorldConfig;
 
     fn task() -> (KnowledgeBase, RelationTask) {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(71));
         let cfg = PipelineConfig { max_eval_tables: 30, ..Default::default() };
-        let splits = partition(
-            identify_relational(generate_corpus(&kb, &CorpusConfig::tiny(72)), &cfg),
-            &cfg,
-        );
+        let splits = generate_splits(&kb, &CorpusConfig::tiny(72), &cfg);
         let task = build_relation_task(&kb, &splits.train, &splits.validation, &splits.test, 3, 3);
         (kb, task)
     }

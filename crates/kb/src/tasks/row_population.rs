@@ -77,20 +77,15 @@ pub fn build_row_population(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{generate_corpus, CorpusConfig};
-    use crate::pipeline::{identify_relational, partition, PipelineConfig};
+    use crate::corpus::CorpusConfig;
+    use crate::pipeline::{generate_splits, PipelineConfig};
     use crate::world::{KnowledgeBase, WorldConfig};
 
     fn setup() -> (Vec<Table>, Vec<Table>, TableSearchIndex) {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(81));
         let cfg = PipelineConfig { max_eval_tables: 40, ..Default::default() };
-        let splits = partition(
-            identify_relational(
-                generate_corpus(&kb, &CorpusConfig { n_tables: 250, ..CorpusConfig::tiny(82) }),
-                &cfg,
-            ),
-            &cfg,
-        );
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 250, ..CorpusConfig::tiny(82) }, &cfg);
         let search = TableSearchIndex::build(&splits.train);
         (splits.train, splits.test, search)
     }

@@ -100,17 +100,14 @@ pub fn build_schema_augmentation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::corpus::{generate_corpus, CorpusConfig};
-    use crate::pipeline::{identify_relational, partition, PipelineConfig};
+    use crate::corpus::CorpusConfig;
+    use crate::pipeline::{generate_splits, PipelineConfig};
     use crate::world::{KnowledgeBase, WorldConfig};
 
     fn setup() -> (HeaderVocab, Vec<SchemaAugExample>, Vec<SchemaAugExample>) {
         let kb = KnowledgeBase::generate(&WorldConfig::tiny(95));
         let cfg = PipelineConfig { max_eval_tables: 40, ..Default::default() };
-        let splits = partition(
-            identify_relational(generate_corpus(&kb, &CorpusConfig::tiny(96)), &cfg),
-            &cfg,
-        );
+        let splits = generate_splits(&kb, &CorpusConfig::tiny(96), &cfg);
         let vocab = build_header_vocab(&splits.train, 3);
         let zero = build_schema_augmentation(&splits.test, &vocab, 0);
         let one = build_schema_augmentation(&splits.test, &vocab, 1);

@@ -106,7 +106,7 @@ impl FieldValue {
     }
 
     /// Interpret as a float, decoding the non-finite guard strings.
-    pub fn as_f64(&self) -> Option<f64> {
+    fn as_f64(&self) -> Option<f64> {
         match self {
             FieldValue::U64(n) => Some(*n as f64),
             FieldValue::I64(n) => Some(*n as f64),
@@ -122,7 +122,7 @@ impl FieldValue {
     }
 
     /// Interpret as an unsigned integer (floats with no fraction qualify).
-    pub fn as_u64(&self) -> Option<u64> {
+    fn as_u64(&self) -> Option<u64> {
         match self {
             FieldValue::U64(n) => Some(*n),
             FieldValue::I64(n) => u64::try_from(*n).ok(),

@@ -1,53 +1,21 @@
 //! A tiny blocking HTTP client for the daemon — used by `turl client`,
 //! the CI smoke script, and the in-process integration tests. The
-//! one-shot [`post`]/[`get`] helpers open a fresh connection per
-//! request (`Connection: close`); the [`Client`] struct keeps one
-//! connection alive across requests and tracks its reuse rate.
+//! [`Client`] struct keeps one connection alive across requests and
+//! tracks its reuse rate; the one-shot [`post`]/[`get`] helpers are a
+//! fresh `Client` per request.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Send one request and return `(status, body)`.
-pub fn http_request(
-    addr: &str,
-    method: &str,
-    path: &str,
-    body: Option<&str>,
-) -> Result<(u16, String), String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
-    let payload = body.unwrap_or("");
-    let req = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    );
-    stream.write_all(req.as_bytes()).map_err(|e| format!("write to {addr} failed: {e}"))?;
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).map_err(|e| format!("read from {addr} failed: {e}"))?;
-    let text = String::from_utf8_lossy(&raw);
-    let (head, resp_body) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| format!("malformed response from {addr}: no header terminator"))?;
-    let status_line = head.lines().next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| format!("malformed status line from {addr}: `{status_line}`"))?;
-    Ok((status, resp_body.to_string()))
-}
-
 /// POST a JSON body on a fresh connection.
 pub fn post(addr: &str, path: &str, json: &str) -> Result<(u16, String), String> {
-    http_request(addr, "POST", path, Some(json))
+    Client::new(addr).post(path, json)
 }
 
 /// GET a path on a fresh connection.
 pub fn get(addr: &str, path: &str) -> Result<(u16, String), String> {
-    http_request(addr, "GET", path, None)
+    Client::new(addr).get(path)
 }
 
 /// A keep-alive HTTP client: holds one connection to the daemon open

@@ -36,17 +36,25 @@ pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// this long for parked acceptors to notice the stop flag.
 pub const KEEP_ALIVE_IDLE: Duration = Duration::from_secs(2);
 
-/// Read and parse one request from the stream. `Ok(None)` means the
-/// peer closed (or idled past `idle`) before sending any bytes — the
-/// clean end of a keep-alive connection, not an error. Every malformed
-/// input is a typed [`ServeError::BadRequest`] the caller turns into a
-/// 400.
-pub fn read_request(stream: &mut TcpStream, idle: Duration) -> Result<Option<Request>, ServeError> {
-    let _ = stream.set_read_timeout(Some(idle));
+/// Read and parse one request from the stream. `pending` holds the
+/// connection's bytes read past the previous request (a pipelining
+/// client's next request); parsing starts from them, and on return they
+/// are whatever followed this request. `Ok(None)` means the peer closed
+/// (or idled past `idle`) before sending any bytes — the clean end of a
+/// keep-alive connection, not an error. Every malformed input is a typed
+/// [`ServeError::BadRequest`] the caller turns into a 400.
+pub fn read_request(
+    stream: &mut TcpStream,
+    idle: Duration,
+    pending: &mut Vec<u8>,
+) -> Result<Option<Request>, ServeError> {
+    // Buffered bytes are a request that has started: hold it to the full
+    // I/O timeout, as below.
+    let _ = stream.set_read_timeout(Some(if pending.is_empty() { idle } else { IO_TIMEOUT }));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
 
     // Read until the blank line ending the header block.
-    let mut buf: Vec<u8> = Vec::with_capacity(1024);
+    let mut buf = std::mem::take(pending);
     let mut chunk = [0u8; 1024];
     let header_end = loop {
         if let Some(i) = find_header_end(&buf) {
@@ -143,9 +151,8 @@ pub fn read_request(stream: &mut TcpStream, idle: Duration) -> Result<Option<Req
         body.extend_from_slice(&chunk[..n]);
     }
     // Keep-alive framing: anything past Content-Length belongs to the
-    // next request, but this minimal server reads requests strictly
-    // one at a time, so pipelined bytes are dropped with the close.
-    body.truncate(content_length);
+    // next request.
+    *pending = body.split_off(content_length);
     let body = String::from_utf8(body)
         .map_err(|_| ServeError::BadRequest("body is not valid UTF-8".into()))?;
     Ok(Some(Request { method, path, body, keep_alive, request_id }))

@@ -266,15 +266,9 @@ impl ServerHandle {
         self.addr
     }
 
-    /// True once a stop was requested (`/admin/shutdown` or
-    /// [`request_stop`](ServerHandle::request_stop)).
+    /// True once a stop was requested (`/admin/shutdown`).
     pub fn stop_requested(&self) -> bool {
         self.ctx.stop.load(Ordering::SeqCst)
-    }
-
-    /// Ask the server to stop accepting work.
-    pub fn request_stop(&self) {
-        self.ctx.stop.store(true, Ordering::SeqCst);
     }
 
     /// The trace reservoir rendered as JSONL (what `/admin/traces`
@@ -364,10 +358,11 @@ fn accept_loop(listener: &TcpListener, ctx: &ServerCtx) {
 /// peer closes, asks to close, idles out, or the server is stopping.
 fn handle_conn(stream: &mut TcpStream, ctx: &ServerCtx) {
     let mut first = true;
+    let mut pending = Vec::new();
     loop {
         let idle = if first { IO_TIMEOUT } else { KEEP_ALIVE_IDLE };
         first = false;
-        let req = match read_request(stream, idle) {
+        let req = match read_request(stream, idle, &mut pending) {
             Ok(Some(r)) => r,
             Ok(None) => return, // clean close or idle between requests
             Err(e) => {

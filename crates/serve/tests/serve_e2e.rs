@@ -3,6 +3,8 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use turl_core::{TurlConfig, TurlModel};
 use turl_data::{Cell, EntityRef, Table, Vocab};
@@ -524,8 +526,7 @@ fn traces_endpoint_serves_schema_valid_jsonl_and_echoes_request_ids() {
 
     // A caller-supplied x-request-id must round-trip into the sampled
     // trace ids and the response header.
-    use std::io::{Read, Write};
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut stream = TcpStream::connect(&addr).expect("connect");
     let req = format!(
         "POST /v1/encode HTTP/1.1\r\nHost: {addr}\r\nx-request-id: my-trace-7\r\n\
          Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
@@ -544,41 +545,40 @@ fn traces_endpoint_serves_schema_valid_jsonl_and_echoes_request_ids() {
     handle.shutdown();
 }
 
+/// Read one `Content-Length`-framed response off `stream`, starting from
+/// the bytes already in `buf` and leaving there whatever follows it.
+fn read_response(stream: &mut TcpStream, buf: &mut Vec<u8>) -> (String, String) {
+    let mut chunk = [0u8; 512];
+    loop {
+        if let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = String::from_utf8_lossy(&buf[..end]).into_owned();
+            let len: usize = head
+                .lines()
+                .find_map(|l| {
+                    l.to_ascii_lowercase().strip_prefix("content-length:").map(String::from)
+                })
+                .and_then(|v| v.trim().parse().ok())
+                .expect("content-length");
+            if buf.len() >= end + 4 + len {
+                let body = String::from_utf8_lossy(&buf[end + 4..end + 4 + len]).into_owned();
+                buf.drain(..end + 4 + len);
+                return (head, body);
+            }
+        }
+        let n = stream.read(&mut chunk).expect("read");
+        assert!(n > 0, "connection closed mid-response");
+        buf.extend_from_slice(&chunk[..n]);
+    }
+}
+
 #[test]
 fn keep_alive_serves_multiple_requests_on_one_connection() {
-    use std::io::{Read, Write};
     let session = Arc::new(make_session(51));
     let (handle, addr) = serve(Arc::clone(&session), loopback_opts());
     let body = serde_json::to_string(&TableRequest { table: sample_table(8, 2) }).expect("json");
 
-    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
-    let read_one = |stream: &mut std::net::TcpStream| -> (String, String) {
-        // Read headers, then exactly Content-Length body bytes.
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 512];
-        let header_end = loop {
-            if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-                break i;
-            }
-            let n = stream.read(&mut chunk).expect("read");
-            assert!(n > 0, "connection closed mid-response");
-            buf.extend_from_slice(&chunk[..n]);
-        };
-        let head = String::from_utf8_lossy(&buf[..header_end]).into_owned();
-        let len: usize = head
-            .lines()
-            .find_map(|l| l.to_ascii_lowercase().strip_prefix("content-length:").map(String::from))
-            .and_then(|v| v.trim().parse().ok())
-            .expect("content-length");
-        let mut body = buf[header_end + 4..].to_vec();
-        while body.len() < len {
-            let n = stream.read(&mut chunk).expect("read");
-            assert!(n > 0, "connection closed mid-body");
-            body.extend_from_slice(&chunk[..n]);
-        }
-        body.truncate(len);
-        (head, String::from_utf8_lossy(&body).into_owned())
-    };
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    let mut buf = Vec::new();
 
     // Two requests down the same connection: the first response must
     // say keep-alive and the second must still be answered.
@@ -588,7 +588,7 @@ fn keep_alive_serves_multiple_requests_on_one_connection() {
             body.len()
         );
         stream.write_all(req.as_bytes()).expect("write");
-        let (head, resp_body) = read_one(&mut stream);
+        let (head, resp_body) = read_response(&mut stream, &mut buf);
         assert!(head.starts_with("HTTP/1.1 200"), "round {round}: {head}");
         assert!(
             head.to_ascii_lowercase().contains("connection: keep-alive"),
@@ -607,6 +607,27 @@ fn keep_alive_serves_multiple_requests_on_one_connection() {
     assert_eq!(client.requests(), 4);
     assert_eq!(client.connects(), 1, "client should reuse one connection");
     assert!(client.reuse_rate() > 0.7);
+    handle.shutdown();
+}
+
+/// Two requests in one write (HTTP pipelining) each get a response, in
+/// order: the bytes read past the first request are the second one.
+#[test]
+fn pipelined_requests_each_get_a_response() {
+    let session = Arc::new(make_session(53));
+    let (handle, addr) = serve(session, loopback_opts());
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_read_timeout(Some(std::time::Duration::from_secs(5))).expect("read timeout");
+    let req = format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n");
+    stream.write_all(format!("{req}{req}").as_bytes()).expect("write");
+    let mut buf = Vec::new();
+    for i in 0..2 {
+        let (head, body) = read_response(&mut stream, &mut buf);
+        assert!(head.starts_with("HTTP/1.1 200"), "response {i}: {head}");
+        let health: HealthResponse = serde_json::from_str(&body).expect("health json");
+        assert!(health.ok);
+    }
+    drop(stream);
     handle.shutdown();
 }
 

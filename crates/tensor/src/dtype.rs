@@ -243,7 +243,7 @@ impl QuantBlocks {
     }
 
     /// Dequantize everything into `out` (`out.len() == len()`).
-    pub fn dequantize_into(&self, out: &mut [f32]) {
+    fn dequantize_into(&self, out: &mut [f32]) {
         assert_eq!(out.len(), self.len(), "dequantize_into: out length != len");
         for (r, orow) in out.chunks_mut(self.cols.max(1)).take(self.rows).enumerate() {
             self.dequantize_row_into(r, orow);

@@ -350,12 +350,6 @@ impl Graph {
         self.nodes[v.0].grad.as_ref().map(Tensor::shape)
     }
 
-    /// Whether `v` recorded a backward closure (differentiable interior
-    /// node on a grad-requiring path) the sweep has not run yet.
-    pub fn has_backward(&self, v: Var) -> bool {
-        self.nodes[v.0].backward.is_some()
-    }
-
     /// Time the backward closures of the nodes recorded since the tape
     /// held `since` nodes under `op` (the caller names it, e.g. after the
     /// IR op the nodes lower from); [`backward`](Graph::backward) runs
@@ -1597,7 +1591,7 @@ mod tests {
     fn the_sweep_releases_computed_nodes_and_keeps_what_is_still_handed_out() {
         let (mut g, x, lhs, y, loss) = swept_tape();
         assert!(g.vars().all(|v| g.is_released(v) != g.is_leaf(v)));
-        assert!(g.vars().all(|v| !g.has_backward(v)), "a closure outlived the sweep");
+        assert!(g.vars().all(|v| g.nodes[v.0].backward.is_none()), "a closure outlived the sweep");
         // Leaves, the root's value, and both factors of the product.
         assert_eq!(g.value(loss).shape(), &[1]);
         assert_eq!(g.grad(x).unwrap().shape(), &[3, 2]);
@@ -1665,7 +1659,7 @@ mod tests {
             assert!(g.grad(v).is_none());
         }
         let inert = g.mul(c, c);
-        assert!(!g.has_backward(inert));
+        assert!(g.nodes[inert.0].backward.is_none());
     }
 
     #[test]

@@ -268,15 +268,10 @@ pub fn parallel_for_each_mut<T: Send, F: Fn(usize, &mut T) + Sync>(items: &mut [
     });
 }
 
-/// Split `0..n` into at most [`n_threads`] contiguous ranges of
-/// near-equal size. Returns `(start, end)` pairs; empty ranges are
-/// omitted. Used by kernels to turn "parallel over rows" into a bounded
-/// number of pool tasks.
-pub fn split_ranges(n: usize) -> Vec<(usize, usize)> {
-    split_ranges_for(n, n_threads())
-}
-
-/// As [`split_ranges`], but with an explicit way count (for tests).
+/// Split `0..n` into at most `ways` contiguous ranges of near-equal
+/// size. Returns `(start, end)` pairs; empty ranges are omitted. Used by
+/// kernels to turn "parallel over rows" into a bounded number of pool
+/// tasks.
 pub fn split_ranges_for(n: usize, ways: usize) -> Vec<(usize, usize)> {
     let ways = ways.clamp(1, n.max(1));
     let base = n / ways;

@@ -6,34 +6,18 @@
 //!
 //! Run with `cargo run -p turl-examples --bin pretrain_and_probe`.
 
-use turl_core::{probe, EncodedInput, PretrainConfig, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, probe, PretrainConfig, Pretrainer, TurlConfig};
+use turl_data::Vocab;
 use turl_kb::{
-    generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig,
-    KnowledgeBase, PipelineConfig, WorldConfig,
+    generate_splits, CooccurrenceIndex, CorpusConfig, KnowledgeBase, PipelineConfig, WorldConfig,
 };
 
 fn main() {
     let kb = KnowledgeBase::generate(&WorldConfig::tiny(41));
     let pcfg = PipelineConfig { max_eval_tables: 30, ..Default::default() };
-    let splits = partition(
-        identify_relational(
-            generate_corpus(&kb, &CorpusConfig { n_tables: 220, ..CorpusConfig::tiny(42) }),
-            &pcfg,
-        ),
-        &pcfg,
-    );
-    let texts: Vec<String> = splits
-        .train
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let splits =
+        generate_splits(&kb, &CorpusConfig { n_tables: 220, ..CorpusConfig::tiny(42) }, &pcfg);
+    let vocab = Vocab::from_tables(&splits.train, []);
     let cooccur = CooccurrenceIndex::build(&splits.train);
 
     let base = TurlConfig::tiny(43);
@@ -57,18 +41,8 @@ fn main() {
     }
     println!();
     for (name, cfg) in variants {
-        let encode = |tables: &[turl_data::Table]| -> Vec<(TableInstance, EncodedInput)> {
-            tables
-                .iter()
-                .map(|t| {
-                    let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-                    let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-                    (inst, enc)
-                })
-                .collect()
-        };
-        let data = encode(&splits.train);
-        let val = encode(&splits.validation);
+        let data = encode_tables(&splits.train, &vocab, &cfg);
+        let val = encode_tables(&splits.validation, &vocab, &cfg);
         let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
         print!("{name:<34}");
         for _ in 0..epochs {

@@ -8,11 +8,10 @@
 //!
 //! Run with `cargo run -p turl-examples --bin quickstart`.
 
-use turl_core::{probe, EncodedInput, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, probe, Pretrainer, TurlConfig};
+use turl_data::Vocab;
 use turl_kb::{
-    generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig,
-    KnowledgeBase, PipelineConfig, WorldConfig,
+    generate_splits, CooccurrenceIndex, CorpusConfig, KnowledgeBase, PipelineConfig, WorldConfig,
 };
 
 fn main() {
@@ -25,9 +24,9 @@ fn main() {
         kb.schema.relations.len(),
         kb.facts().len()
     );
-    let raw = generate_corpus(&kb, &CorpusConfig { n_tables: 250, ..CorpusConfig::tiny(2) });
     let pcfg = PipelineConfig { max_eval_tables: 30, ..Default::default() };
-    let splits = partition(identify_relational(raw, &pcfg), &pcfg);
+    let splits =
+        generate_splits(&kb, &CorpusConfig { n_tables: 250, ..CorpusConfig::tiny(2) }, &pcfg);
     println!(
         "corpus after the Section 5.1 pipeline: {} train / {} dev / {} test tables",
         splits.train.len(),
@@ -45,30 +44,10 @@ fn main() {
     }
 
     // 2. Pre-train --------------------------------------------------------
-    let texts: Vec<String> = splits
-        .train
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let vocab = Vocab::from_tables(&splits.train, []);
     let cfg = TurlConfig::tiny(3);
-    let encode = |tables: &[turl_data::Table]| -> Vec<(TableInstance, EncodedInput)> {
-        tables
-            .iter()
-            .map(|t| {
-                let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-                let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-                (inst, enc)
-            })
-            .collect()
-    };
-    let data = encode(&splits.train);
-    let val = encode(&splits.validation);
+    let data = encode_tables(&splits.train, &vocab, &cfg);
+    let val = encode_tables(&splits.validation, &vocab, &cfg);
     let cooccur = CooccurrenceIndex::build(&splits.train);
     let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
     println!("\npre-training ({} tables, {} parameters)...", data.len(), pt.store.num_scalars());

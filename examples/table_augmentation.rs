@@ -8,50 +8,27 @@ use turl_core::tasks::cell_filling::CellFiller;
 use turl_core::tasks::clone_pretrained;
 use turl_core::tasks::row_population::RowPopulationModel;
 use turl_core::tasks::schema_augmentation::SchemaAugModel;
-use turl_core::{EncodedInput, FinetuneConfig, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, FinetuneConfig, Pretrainer, TurlConfig};
+use turl_data::Vocab;
 use turl_kb::tasks::{
     build_cell_filling, build_header_vocab, build_row_population, build_schema_augmentation,
 };
 use turl_kb::{
-    generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig,
-    KnowledgeBase, PipelineConfig, TableSearchIndex, WorldConfig,
+    generate_splits, CooccurrenceIndex, CorpusConfig, KnowledgeBase, PipelineConfig,
+    TableSearchIndex, WorldConfig,
 };
 
 fn main() {
     let kb = KnowledgeBase::generate(&WorldConfig::tiny(31));
     let pcfg = PipelineConfig { max_eval_tables: 24, ..Default::default() };
-    let splits = partition(
-        identify_relational(
-            generate_corpus(&kb, &CorpusConfig { n_tables: 260, ..CorpusConfig::tiny(32) }),
-            &pcfg,
-        ),
-        &pcfg,
-    );
-    let texts: Vec<String> = splits
-        .train
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let splits =
+        generate_splits(&kb, &CorpusConfig { n_tables: 260, ..CorpusConfig::tiny(32) }, &pcfg);
+    let vocab = Vocab::from_tables(&splits.train, []);
     let cooccur = CooccurrenceIndex::build(&splits.train);
     let search = TableSearchIndex::build(&splits.train);
 
     let cfg = TurlConfig::tiny(33);
-    let data: Vec<(TableInstance, EncodedInput)> = splits
-        .train
-        .iter()
-        .map(|t| {
-            let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-            let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-            (inst, enc)
-        })
-        .collect();
+    let data = encode_tables(&splits.train, &vocab, &cfg);
     let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
     println!("pre-training on {} tables ...", data.len());
     pt.train(&data, &cooccur, 8);

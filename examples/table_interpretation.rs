@@ -11,49 +11,26 @@ use turl_core::tasks::column_type::ColumnTypeModel;
 use turl_core::tasks::entity_linking::{CandidateCatalog, EntityLinkingModel};
 use turl_core::tasks::relation_extraction::RelationModel;
 use turl_core::tasks::{clone_pretrained, InputChannels};
-use turl_core::{EncodedInput, FinetuneConfig, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, FinetuneConfig, Pretrainer, TurlConfig};
+use turl_data::Vocab;
 use turl_kb::tasks::{build_column_type_task, build_entity_linking, build_relation_task};
 use turl_kb::{
-    generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig,
-    KnowledgeBase, LookupIndex, PipelineConfig, WorldConfig,
+    generate_splits, CooccurrenceIndex, CorpusConfig, KnowledgeBase, LookupIndex, PipelineConfig,
+    WorldConfig,
 };
 
 fn main() {
     // world + corpus
     let kb = KnowledgeBase::generate(&WorldConfig::tiny(21));
     let pcfg = PipelineConfig { max_eval_tables: 24, ..Default::default() };
-    let splits = partition(
-        identify_relational(
-            generate_corpus(&kb, &CorpusConfig { n_tables: 220, ..CorpusConfig::tiny(22) }),
-            &pcfg,
-        ),
-        &pcfg,
-    );
-    let texts: Vec<String> = splits
-        .train
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .chain(kb.entities.iter().map(|e| e.description.clone()))
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let splits =
+        generate_splits(&kb, &CorpusConfig { n_tables: 220, ..CorpusConfig::tiny(22) }, &pcfg);
+    let vocab =
+        Vocab::from_tables(&splits.train, kb.entities.iter().map(|e| e.description.as_str()));
 
     // pre-train
     let cfg = TurlConfig::tiny(23);
-    let data: Vec<(TableInstance, EncodedInput)> = splits
-        .train
-        .iter()
-        .map(|t| {
-            let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-            let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-            (inst, enc)
-        })
-        .collect();
+    let data = encode_tables(&splits.train, &vocab, &cfg);
     let cooccur = CooccurrenceIndex::build(&splits.train);
     let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
     println!("pre-training on {} tables ...", data.len());

@@ -1,11 +1,11 @@
 //! End-to-end integration: world generation → §5.1 pipeline →
 //! pre-training → weights file → fine-tuning, across all crates.
 
-use turl_core::{bind_store, probe, EncodedInput, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{bind_store, encode_tables, probe, Pretrainer, TurlConfig};
+use turl_data::Vocab;
 use turl_kb::{
-    generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig, CorpusSplits,
-    KnowledgeBase, PipelineConfig, WorldConfig,
+    generate_splits, CooccurrenceIndex, CorpusConfig, CorpusSplits, KnowledgeBase, PipelineConfig,
+    WorldConfig,
 };
 use turl_nn::{export_artifact, load_artifact, ExportOptions, Forward};
 
@@ -19,48 +19,21 @@ struct World {
 fn world(seed: u64) -> World {
     let kb = KnowledgeBase::generate(&WorldConfig::tiny(seed));
     let pcfg = PipelineConfig { max_eval_tables: 20, ..Default::default() };
-    let splits = partition(
-        identify_relational(
-            generate_corpus(&kb, &CorpusConfig { n_tables: 150, ..CorpusConfig::tiny(seed + 1) }),
-            &pcfg,
-        ),
+    let splits = generate_splits(
+        &kb,
+        &CorpusConfig { n_tables: 150, ..CorpusConfig::tiny(seed + 1) },
         &pcfg,
     );
-    let texts: Vec<String> = splits
-        .train
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let vocab = Vocab::from_tables(&splits.train, []);
     let cooccur = CooccurrenceIndex::build(&splits.train);
     World { kb, splits, vocab, cooccur }
-}
-
-fn encode(
-    w: &World,
-    tables: &[turl_data::Table],
-    cfg: &TurlConfig,
-) -> Vec<(TableInstance, EncodedInput)> {
-    tables
-        .iter()
-        .map(|t| {
-            let inst = TableInstance::from_table(t, &w.vocab, &LinearizeConfig::default());
-            let enc = EncodedInput::from_instance(&inst, &w.vocab, cfg.use_visibility);
-            (inst, enc)
-        })
-        .collect()
 }
 
 #[test]
 fn pretraining_is_deterministic_given_seed() {
     let w = world(100);
     let cfg = TurlConfig::tiny(5);
-    let data = encode(&w, &w.splits.train[..20.min(w.splits.train.len())], &cfg);
+    let data = encode_tables(&w.splits.train[..20.min(w.splits.train.len())], &w.vocab, &cfg);
     let run = || {
         let mut pt =
             Pretrainer::new(cfg, w.vocab.len(), w.kb.n_entities(), w.vocab.mask_id() as usize);
@@ -77,7 +50,7 @@ fn pretraining_is_deterministic_given_seed() {
 fn checkpoint_roundtrip_preserves_predictions() {
     let w = world(200);
     let cfg = TurlConfig::tiny(6);
-    let data = encode(&w, &w.splits.train[..20.min(w.splits.train.len())], &cfg);
+    let data = encode_tables(&w.splits.train[..20.min(w.splits.train.len())], &w.vocab, &cfg);
     let mut pt = Pretrainer::new(cfg, w.vocab.len(), w.kb.n_entities(), w.vocab.mask_id() as usize);
     pt.train(&data, &w.cooccur, 2);
 
@@ -113,8 +86,8 @@ fn checkpoint_roundtrip_preserves_predictions() {
 fn pretraining_improves_object_entity_probe() {
     let w = world(300);
     let cfg = TurlConfig::tiny(7);
-    let train = encode(&w, &w.splits.train, &cfg);
-    let val = encode(&w, &w.splits.validation, &cfg);
+    let train = encode_tables(&w.splits.train, &w.vocab, &cfg);
+    let val = encode_tables(&w.splits.validation, &w.vocab, &cfg);
     let mut pt = Pretrainer::new(cfg, w.vocab.len(), w.kb.n_entities(), w.vocab.mask_id() as usize);
     let mask = w.vocab.mask_id() as usize;
     let before =
@@ -146,8 +119,8 @@ fn visibility_variant_changes_representations_but_not_interface() {
     let w = world(500);
     let cfg_vis = TurlConfig::tiny(8);
     let cfg_novis = TurlConfig { use_visibility: false, ..cfg_vis };
-    let with_v = encode(&w, &w.splits.train[..1], &cfg_vis);
-    let without_v = encode(&w, &w.splits.train[..1], &cfg_novis);
+    let with_v = encode_tables(&w.splits.train[..1], &w.vocab, &cfg_vis);
+    let without_v = encode_tables(&w.splits.train[..1], &w.vocab, &cfg_novis);
     assert!(with_v[0].1.mask.is_some());
     assert!(without_v[0].1.mask.is_none());
     let pt = Pretrainer::new(cfg_vis, w.vocab.len(), w.kb.n_entities(), w.vocab.mask_id() as usize);

@@ -6,38 +6,23 @@ use turl_baselines::{rank_exact, rank_h2h, EntiTables, KnnSchema, SkipGramConfig
 use turl_core::tasks::cell_filling::CellFiller;
 use turl_core::tasks::clone_pretrained;
 use turl_core::tasks::row_population::RowPopulationModel;
-use turl_core::{EncodedInput, FinetuneConfig, Pretrainer, TurlConfig};
-use turl_data::{LinearizeConfig, TableInstance, Vocab};
+use turl_core::{encode_tables, FinetuneConfig, Pretrainer, TurlConfig};
+use turl_data::Vocab;
 use turl_kb::tasks::metrics::{average_precision, mean_average_precision};
 use turl_kb::tasks::{
     build_cell_filling, build_header_vocab, build_row_population, build_schema_augmentation,
 };
 use turl_kb::{
-    generate_corpus, identify_relational, partition, CooccurrenceIndex, CorpusConfig, CorpusSplits,
-    KnowledgeBase, PipelineConfig, TableSearchIndex, WorldConfig,
+    generate_splits, CooccurrenceIndex, CorpusConfig, CorpusSplits, KnowledgeBase, PipelineConfig,
+    TableSearchIndex, WorldConfig,
 };
 
 fn setup() -> (KnowledgeBase, CorpusSplits, Vocab, CooccurrenceIndex, TableSearchIndex) {
     let kb = KnowledgeBase::generate(&WorldConfig::tiny(600));
     let pcfg = PipelineConfig { max_eval_tables: 30, ..Default::default() };
-    let splits = partition(
-        identify_relational(
-            generate_corpus(&kb, &CorpusConfig { n_tables: 260, ..CorpusConfig::tiny(601) }),
-            &pcfg,
-        ),
-        &pcfg,
-    );
-    let texts: Vec<String> = splits
-        .train
-        .iter()
-        .flat_map(|t| {
-            let mut v = vec![t.full_caption()];
-            v.extend(t.headers.clone());
-            v.extend(t.rows.iter().flatten().map(|c| c.text.clone()));
-            v
-        })
-        .collect();
-    let vocab = Vocab::build(texts.iter().map(String::as_str), 1);
+    let splits =
+        generate_splits(&kb, &CorpusConfig { n_tables: 260, ..CorpusConfig::tiny(601) }, &pcfg);
+    let vocab = Vocab::from_tables(&splits.train, []);
     let cooccur = CooccurrenceIndex::build(&splits.train);
     let search = TableSearchIndex::build(&splits.train);
     (kb, splits, vocab, cooccur, search)
@@ -127,15 +112,7 @@ fn schema_augmentation_knn_and_turl_rank_same_space() {
 fn fine_tuning_from_pretrained_beats_from_scratch_on_row_population() {
     let (kb, splits, vocab, cooccur, search) = setup();
     let cfg = TurlConfig::tiny(605);
-    let data: Vec<(TableInstance, EncodedInput)> = splits
-        .train
-        .iter()
-        .map(|t| {
-            let inst = TableInstance::from_table(t, &vocab, &LinearizeConfig::default());
-            let enc = EncodedInput::from_instance(&inst, &vocab, cfg.use_visibility);
-            (inst, enc)
-        })
-        .collect();
+    let data = encode_tables(&splits.train, &vocab, &cfg);
     let mut pt = Pretrainer::new(cfg, vocab.len(), kb.n_entities(), vocab.mask_id() as usize);
     pt.train(&data, &cooccur, 6);
 
