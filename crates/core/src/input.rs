@@ -2,9 +2,11 @@
 //!
 //! An [`EncodedInput`] is a linearized table after masking decisions have
 //! been applied: integer ids for every embedding lookup plus the additive
-//! visibility mask. Pre-training mutates a clean encoding according to a
-//! [`crate::MaskPlan`]; fine-tuning tasks construct encodings directly
-//! (possibly with appended `[MASK]` cells or stripped metadata).
+//! visibility mask. Every encoding starts from a linearized table
+//! ([`EncodedInput::from_instance`]): pre-training mutates a clean encoding
+//! according to a [`crate::MaskPlan`], and the row population, cell
+//! filling and schema augmentation queries are partial tables that go
+//! through the same linearizer, their `[MASK]` cell or token added after.
 
 use crate::config::TurlConfig;
 use turl_audit::SourceKind;

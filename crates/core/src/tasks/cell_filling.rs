@@ -3,10 +3,11 @@
 //! pre-training task, we do not fine-tune the model" — the pre-trained MER
 //! head ranks the candidates directly.
 
+use super::query_table;
 use crate::compiled::rank_descending;
-use crate::input::{EncodedInput, EntityInput};
+use crate::input::EncodedInput;
 use crate::model::TurlModel;
-use turl_data::{tokenize, Table, Vocab};
+use turl_data::{Cell, Table, TableInstance, Vocab};
 use turl_kb::tasks::metrics::hit_at_k;
 use turl_kb::tasks::CellFillingExample;
 use turl_kb::KnowledgeBase;
@@ -26,8 +27,9 @@ impl<'a> CellFiller<'a> {
         Self { model, store }
     }
 
-    /// Build the query: table caption, subject header, target header, the
-    /// subject entity cell, and a masked object cell in the same row.
+    /// Build the query, a one-row table under the source table's caption:
+    /// the subject cell under its header and a masked object cell under
+    /// the target header. Returns the encoding and the masked cell.
     fn encode_query(
         &self,
         vocab: &Vocab,
@@ -35,52 +37,14 @@ impl<'a> CellFiller<'a> {
         table: &Table,
         ex: &CellFillingExample,
     ) -> (EncodedInput, usize) {
-        let mask_word = vocab.mask_id() as usize;
-        let lin = &self.model.cfg.linearize;
-        let mut token_ids = Vec::new();
-        let mut token_types = Vec::new();
-        let mut token_pos = Vec::new();
-        for (pos, id) in
-            vocab.encode(&table.full_caption()).into_iter().take(lin.max_caption_tokens).enumerate()
-        {
-            token_ids.push(id as usize);
-            token_types.push(0);
-            token_pos.push(pos);
-        }
         let subj_header = table.headers.get(table.subject_column).cloned().unwrap_or_default();
-        for (hi, header) in [subj_header, ex.target_header.clone()].iter().enumerate() {
-            for (pos, t) in tokenize(header).iter().take(lin.max_header_tokens).enumerate() {
-                token_ids.push(vocab.id_or_unk(t) as usize);
-                token_types.push(1);
-                token_pos.push(pos);
-                let _ = hi;
-            }
-        }
-        let subj_mention: Vec<usize> = {
-            let m: Vec<usize> = vocab
-                .encode(&kb.entity(ex.subject).name)
-                .into_iter()
-                .take(lin.max_mention_tokens)
-                .map(|t| t as usize)
-                .collect();
-            if m.is_empty() {
-                vec![mask_word]
-            } else {
-                m
-            }
-        };
-        let entities = vec![
-            EntityInput { emb_index: ex.subject as usize + 1, mention: subj_mention, type_idx: 1 },
-            EntityInput { emb_index: 0, mention: vec![mask_word], type_idx: 2 },
-        ];
-        let enc = EncodedInput {
-            token_ids,
-            token_types,
-            token_pos,
-            entities,
-            // two cells in one row plus metadata: everything mutually visible
-            mask: None,
-        };
+        let headers = vec![subj_header, ex.target_header.clone()];
+        // The object cell's entity and mention are masked below.
+        let row = vec![Cell::linked(ex.subject, &kb.entity(ex.subject).name), Cell::linked(0, "")];
+        let query = query_table(table.full_caption(), headers, vec![row]);
+        let inst = TableInstance::from_table(&query, vocab, &self.model.cfg.linearize);
+        let mut enc = EncodedInput::from_instance(&inst, vocab, false);
+        enc.mask_entity(1, true, vocab.mask_id() as usize);
         (enc, 1)
     }
 
@@ -155,6 +119,23 @@ mod tests {
         let examples = build_cell_filling(&splits.test, &cooccur, 3, true);
         assert!(!examples.is_empty());
         (kb, vocab, splits.test, examples)
+    }
+
+    #[test]
+    fn query_encoding_is_pinned() {
+        let (kb, splits, vocab, model, store) = crate::tasks::tests::golden_world();
+        let cooccur = CooccurrenceIndex::build(&splits.train);
+        let ex = &build_cell_filling(&splits.test, &cooccur, 3, true)[0];
+        let query = CellFiller::new(&model, &store).encode_query(
+            &vocab,
+            &kb,
+            &splits.test[ex.table_idx],
+            ex,
+        );
+        assert_eq!(
+            crate::tasks::tests::render_query(query),
+            "[12, 48, 5, 6, 22, 163, 174] [0, 0, 0, 0, 1, 1, 1] [0, 1, 2, 3, 0, 0, 1] [(40, [164, 99], 1), (0, [2], 2)] @1"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Entity linking (§6.2): disambiguate cell mentions against candidate
 //! entities represented by their KB name, description and types (Eqn. 8).
 
+use super::{encode_table_with_channels, InputChannels};
 use crate::finetune::{train_batched, FinetuneConfig, FinetuneStats};
 use crate::model::TurlModel;
 use rand::rngs::StdRng;
@@ -114,22 +115,6 @@ impl EntityLinkingModel {
         f.graph.concat_cols(&[name_part, desc_part, type_part])
     }
 
-    /// Encode a table for entity linking: metadata plus all linked cells
-    /// as mention-only entities (no pre-trained entity embeddings; §6.2).
-    fn encode_for_linking(
-        &self,
-        table: &Table,
-        vocab: &Vocab,
-    ) -> (TableInstance, crate::input::EncodedInput) {
-        let inst = TableInstance::from_table(table, vocab, &self.model.cfg.linearize);
-        let mut enc =
-            crate::input::EncodedInput::from_instance(&inst, vocab, self.model.cfg.use_visibility);
-        for e in &mut enc.entities {
-            e.emb_index = 0;
-        }
-        (inst, enc)
-    }
-
     fn resolve<'a>(inst: &TableInstance, mentions: &[&'a ElMention]) -> Vec<ResolvedMention<'a>> {
         mentions
             .iter()
@@ -169,7 +154,13 @@ impl EntityLinkingModel {
         let mut store = std::mem::take(&mut self.store);
         let stats = train_batched(cfg, &mut store, groups.len(), |i, f, store| {
             let (table_idx, ms) = &groups[i];
-            let (inst, enc) = self.encode_for_linking(&tables[*table_idx], vocab);
+            let (inst, enc) = encode_table_with_channels(
+                &tables[*table_idx],
+                vocab,
+                &self.model.cfg.linearize,
+                self.model.cfg.use_visibility,
+                InputChannels::without_embedding(),
+            );
             let resolved = Self::resolve(&inst, ms);
             if resolved.is_empty() {
                 return None;
@@ -218,7 +209,13 @@ impl EntityLinkingModel {
         }
         let mut out: Vec<Option<u32>> = vec![None; mentions.len()];
         for (table_idx, ms) in by_table {
-            let (inst, enc) = self.encode_for_linking(&tables[table_idx], vocab);
+            let (inst, enc) = encode_table_with_channels(
+                &tables[table_idx],
+                vocab,
+                &self.model.cfg.linearize,
+                self.model.cfg.use_visibility,
+                InputChannels::without_embedding(),
+            );
             let mut f = Forward::inference(&self.store);
             let h = self.model.encode(&mut f, &self.store, &mut rng, &enc);
             for (orig_idx, m) in ms {

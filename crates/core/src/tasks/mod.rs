@@ -16,7 +16,7 @@ use crate::input::EncodedInput;
 use crate::model::TurlModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use turl_data::{LinearizeConfig, Table, TableInstance, Vocab};
+use turl_data::{Cell, LinearizeConfig, Table, TableInstance, Vocab};
 use turl_nn::{Forward, ParamStore};
 use turl_tensor::{Tensor, Var};
 
@@ -119,6 +119,24 @@ pub fn encode_table_with_channels(
     (inst, enc)
 }
 
+/// A task query (§6.5–§6.7) as the partial table the model reads through
+/// the §4.2 linearization: a caption, headers and `rows` whose first
+/// column is the subject column, and no topic entity. The queries are
+/// encoded with full visibility; whether §4.3's mask belongs on them is
+/// an open fidelity question.
+fn query_table(caption: String, headers: Vec<String>, rows: Vec<Vec<Cell>>) -> Table {
+    Table {
+        id: String::new(),
+        page_title: String::new(),
+        section_title: String::new(),
+        caption,
+        topic_entity: None,
+        headers,
+        subject_column: 0,
+        rows,
+    }
+}
+
 /// Aggregated column representation `h_c` (Eqn. 9): mean header-token
 /// representation concatenated with mean entity-cell representation, shape
 /// `[1, 2 d]`. Missing channels contribute zero vectors.
@@ -166,6 +184,36 @@ pub fn predict_labels(logits: &Tensor) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use turl_kb::{generate_splits, CorpusConfig, CorpusSplits, KnowledgeBase, PipelineConfig};
+
+    /// The fixed tiny world of the task-query golden tests, with a model
+    /// whose linearization limits are tight enough to truncate.
+    pub(super) fn golden_world() -> (KnowledgeBase, CorpusSplits, Vocab, TurlModel, ParamStore) {
+        let kb = KnowledgeBase::generate(&turl_kb::WorldConfig::tiny(81));
+        let pcfg = PipelineConfig { max_eval_tables: 12, ..Default::default() };
+        let splits =
+            generate_splits(&kb, &CorpusConfig { n_tables: 60, ..CorpusConfig::tiny(82) }, &pcfg);
+        let vocab = Vocab::from_tables(&splits.train, []);
+        let linearize = LinearizeConfig {
+            max_caption_tokens: 4,
+            max_header_tokens: 2,
+            max_mention_tokens: 2,
+            ..Default::default()
+        };
+        let cfg = TurlConfig { linearize, ..TurlConfig::tiny(83) };
+        let mut store = ParamStore::new();
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let model = TurlModel::new(&mut store, &mut rng, cfg, vocab.len(), kb.n_entities());
+        (kb, splits, vocab, model, store)
+    }
+
+    /// Everything a task query feeds the model, and the row it reads.
+    pub(super) fn render_query((enc, row): (EncodedInput, usize)) -> String {
+        assert!(enc.mask.is_none());
+        let cells: Vec<_> =
+            enc.entities.iter().map(|e| (e.emb_index, &e.mention, e.type_idx)).collect();
+        format!("{:?} {:?} {:?} {cells:?} @{row}", enc.token_ids, enc.token_types, enc.token_pos)
+    }
 
     #[test]
     fn multi_hot_sets_bits() {

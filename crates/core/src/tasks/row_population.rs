@@ -2,13 +2,14 @@
 //! table, scoring a `[MASK]` cell against candidate entity embeddings
 //! (Eqn. 13).
 
+use super::query_table;
 use crate::compiled::rank_descending;
 use crate::finetune::{train_batched, FinetuneConfig, FinetuneStats};
-use crate::input::{EncodedInput, EntityInput};
+use crate::input::EncodedInput;
 use crate::model::TurlModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use turl_data::{tokenize, Vocab};
+use turl_data::{Cell, TableInstance, Vocab};
 use turl_kb::tasks::metrics::{average_precision, candidate_recall, mean_average_precision};
 use turl_kb::tasks::RowPopulationExample;
 use turl_kb::KnowledgeBase;
@@ -33,56 +34,24 @@ impl RowPopulationModel {
         Self { model, store, proj }
     }
 
-    /// Build the query input: caption tokens, seed subject cells, and an
-    /// appended `[MASK]` subject cell whose representation ranks
-    /// candidates.
+    /// Build the query, a one-column table under the example's caption: a
+    /// subject cell per seed, then a masked subject cell whose
+    /// representation ranks the candidates. Returns the encoding and the
+    /// masked cell.
     fn encode_query(
         &self,
         vocab: &Vocab,
         kb: &KnowledgeBase,
         ex: &RowPopulationExample,
     ) -> (EncodedInput, usize) {
-        let mask_word = vocab.mask_id() as usize;
-        let caption_ids: Vec<usize> = tokenize(&ex.caption)
-            .iter()
-            .take(self.model.cfg.linearize.max_caption_tokens)
-            .map(|t| vocab.id_or_unk(t) as usize)
-            .collect();
-        let n_tok = caption_ids.len();
-        let mut entities: Vec<EntityInput> = ex
-            .seeds
-            .iter()
-            .map(|&s| EntityInput {
-                emb_index: s as usize + 1,
-                mention: {
-                    let m: Vec<usize> = vocab
-                        .encode(&kb.entity(s).name)
-                        .into_iter()
-                        .take(self.model.cfg.linearize.max_mention_tokens)
-                        .map(|t| t as usize)
-                        .collect();
-                    if m.is_empty() {
-                        vec![mask_word]
-                    } else {
-                        m
-                    }
-                },
-                type_idx: 1,
-            })
-            .collect();
-        entities.push(EntityInput { emb_index: 0, mention: vec![mask_word], type_idx: 1 });
-        let mask_cell = entities.len() - 1;
-        // caption sees everything; subject-column cells see each other:
-        // with only same-column elements present, full visibility is the
-        // correct visibility matrix here.
-        let enc = EncodedInput {
-            token_ids: caption_ids.clone(),
-            token_types: vec![0; n_tok],
-            token_pos: (0..n_tok).collect(),
-            entities,
-            mask: None,
-        };
-        (enc, mask_cell)
+        let mut rows: Vec<Vec<Cell>> =
+            ex.seeds.iter().map(|&s| vec![Cell::linked(s, &kb.entity(s).name)]).collect();
+        rows.push(vec![Cell::linked(0, "")]);
+        let query = query_table(ex.caption.clone(), Vec::new(), rows);
+        let inst = TableInstance::from_table(&query, vocab, &self.model.cfg.linearize);
+        let mut enc = EncodedInput::from_instance(&inst, vocab, false);
+        enc.mask_entity(ex.seeds.len(), true, vocab.mask_id() as usize);
+        (enc, ex.seeds.len())
     }
 
     fn candidate_scores(
@@ -179,6 +148,18 @@ mod tests {
     use crate::tasks::clone_pretrained;
     use turl_kb::tasks::build_row_population;
     use turl_kb::{generate_splits, CorpusConfig, PipelineConfig, TableSearchIndex, WorldConfig};
+
+    #[test]
+    fn query_encoding_is_pinned() {
+        let (kb, splits, vocab, model, store) = crate::tasks::tests::golden_world();
+        let search = TableSearchIndex::build(&splits.train);
+        let ex = &build_row_population(&splits.test, &search, 1, 3, 10)[0];
+        let query = RowPopulationModel::new(model, store).encode_query(&vocab, &kb, ex);
+        assert_eq!(
+            crate::tasks::tests::render_query(query),
+            "[12, 48, 5, 6] [0, 0, 0, 0] [0, 1, 2, 3] [(71, [175, 228], 1), (0, [2], 1)] @1"
+        );
+    }
 
     #[test]
     fn row_population_trains_and_ranks() {

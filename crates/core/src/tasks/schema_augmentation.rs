@@ -3,13 +3,14 @@
 //! table caption, seed headers and a `[MASK]` token as input ... the output
 //! for `[MASK]` is then used to predict the headers."
 
+use super::query_table;
 use crate::compiled::rank_descending;
 use crate::finetune::{train_batched, FinetuneConfig, FinetuneStats};
 use crate::input::EncodedInput;
 use crate::model::TurlModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use turl_data::{tokenize, Vocab};
+use turl_data::{TableInstance, TokenItem, TokenScope, Vocab};
 use turl_kb::tasks::metrics::{average_precision, mean_average_precision};
 use turl_kb::tasks::{HeaderVocab, SchemaAugExample};
 use turl_nn::{Embedding, Forward, Linear, ParamStore};
@@ -37,7 +38,8 @@ impl SchemaAugModel {
         Self { model, store, header_emb, proj, n_headers: vocab_size }
     }
 
-    /// Caption + seed headers + `[MASK]` token; returns the encoding and
+    /// Build the query, a table of the example's caption and seed headers
+    /// and no rows, followed by a `[MASK]` token. Returns the encoding and
     /// the sequence row of the `[MASK]`.
     fn encode_query(
         &self,
@@ -45,39 +47,12 @@ impl SchemaAugModel {
         headers: &HeaderVocab,
         ex: &SchemaAugExample,
     ) -> (EncodedInput, usize) {
-        let lin = &self.model.cfg.linearize;
-        let mut token_ids: Vec<usize> = Vec::new();
-        let mut token_types = Vec::new();
-        let mut token_pos = Vec::new();
-        for (pos, id) in
-            vocab.encode(&ex.caption).into_iter().take(lin.max_caption_tokens).enumerate()
-        {
-            token_ids.push(id as usize);
-            token_types.push(0);
-            token_pos.push(pos);
-        }
-        for (hi, &seed) in ex.seeds.iter().enumerate() {
-            for (pos, t) in
-                tokenize(headers.header(seed)).iter().take(lin.max_header_tokens).enumerate()
-            {
-                token_ids.push(vocab.id_or_unk(t) as usize);
-                token_types.push(1);
-                token_pos.push(pos);
-                let _ = hi;
-            }
-        }
-        token_ids.push(vocab.mask_id() as usize);
-        token_types.push(0);
-        token_pos.push(0);
-        let mask_row = token_ids.len() - 1;
-        let enc = EncodedInput {
-            token_ids,
-            token_types,
-            token_pos,
-            entities: Vec::new(),
-            mask: None, // metadata-only query: full visibility
-        };
-        (enc, mask_row)
+        let seed_headers = ex.seeds.iter().map(|&s| headers.header(s).to_string()).collect();
+        let query = query_table(ex.caption.clone(), seed_headers, Vec::new());
+        let mut inst = TableInstance::from_table(&query, vocab, &self.model.cfg.linearize);
+        let mask = TokenItem { token: vocab.mask_id(), scope: TokenScope::Caption, position: 0 };
+        inst.tokens.push(mask);
+        (EncodedInput::from_instance(&inst, vocab, false), inst.tokens.len() - 1)
     }
 
     fn logits(
@@ -149,6 +124,19 @@ mod tests {
     use crate::tasks::clone_pretrained;
     use turl_kb::tasks::{build_header_vocab, build_schema_augmentation};
     use turl_kb::{generate_splits, CorpusConfig, KnowledgeBase, PipelineConfig, WorldConfig};
+
+    #[test]
+    fn query_encoding_is_pinned() {
+        let (_, splits, vocab, model, store) = crate::tasks::tests::golden_world();
+        let headers = build_header_vocab(&splits.train, 2);
+        let ex = &build_schema_augmentation(&splits.test, &headers, 2)[0];
+        let query =
+            SchemaAugModel::new(model, store, headers.len()).encode_query(&vocab, &headers, ex);
+        assert_eq!(
+            crate::tasks::tests::render_query(query),
+            "[12, 48, 5, 6, 22, 163, 174, 2] [0, 0, 0, 0, 1, 1, 1, 0] [0, 1, 2, 3, 0, 0, 1, 0] [] @7"
+        );
+    }
 
     #[test]
     fn schema_augmentation_learns_caption_header_correlation() {

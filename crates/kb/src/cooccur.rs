@@ -6,12 +6,9 @@
 //! co-occurrence statistics used by MER candidate construction and the
 //! EntiTables baseline.
 
+use crate::normalize;
 use std::collections::{HashMap, HashSet};
-use turl_data::{tokenize, EntityId, Table};
-
-fn normalize_header(h: &str) -> String {
-    tokenize(h).join(" ")
-}
+use turl_data::{EntityId, Table};
 
 /// Co-occurrence index over a table corpus.
 #[derive(Debug, Clone, Default)]
@@ -57,7 +54,7 @@ impl CooccurrenceIndex {
                     if c == sc {
                         continue;
                     }
-                    let h = normalize_header(&t.headers[c]);
+                    let h = normalize(&t.headers[c]);
                     row_pairs.entry(subj).or_default().push((obj, h.clone()));
                     pair_headers.entry((subj, obj)).or_default().insert(h);
                 }
@@ -103,8 +100,8 @@ impl CooccurrenceIndex {
     /// Eqn. 14: `P(h'|h)` — relevance of source header `h_src` to target
     /// header `h_tgt`.
     pub fn p_header_given(&self, h_src: &str, h_tgt: &str) -> f64 {
-        let h_src = normalize_header(h_src);
-        let h_tgt = normalize_header(h_tgt);
+        let h_src = normalize(h_src);
+        let h_tgt = normalize(h_tgt);
         let n = self.header_pair_counts.get(&(h_src, h_tgt.clone())).copied().unwrap_or(0);
         let total = self.header_totals.get(&h_tgt).copied().unwrap_or(0);
         if total == 0 {

@@ -44,3 +44,9 @@ pub use pipeline::{generate_splits, identify_relational, partition, CorpusSplits
 pub use schema::{NameKind, RelationDef, RelationId, Schema, TypeDef, TypeId};
 pub use search::TableSearchIndex;
 pub use world::{EntityMeta, KnowledgeBase, WorldConfig};
+
+/// The form in which headers, aliases and mentions are compared: their
+/// tokens joined by single spaces.
+pub(crate) fn normalize(text: &str) -> String {
+    turl_data::tokenize(text).join(" ")
+}

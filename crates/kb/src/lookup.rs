@@ -6,6 +6,7 @@
 //! imperfect recall of a real lookup service (the paper's Oracle recall is
 //! 64–76%).
 
+use crate::normalize;
 use crate::world::KnowledgeBase;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -29,10 +30,6 @@ impl LookupResult {
     pub fn contains(&self, gold: EntityId) -> bool {
         self.candidates.contains(&gold)
     }
-}
-
-fn normalize(s: &str) -> String {
-    tokenize(s).join(" ")
 }
 
 /// Alias → entities index with popularity-ranked results.

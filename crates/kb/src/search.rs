@@ -6,6 +6,7 @@
 //! of BM25 — same role, same inputs) and as the kNN searcher of the schema
 //! augmentation baseline (§6.7).
 
+use crate::normalize;
 use std::collections::{BTreeMap, HashMap};
 use turl_data::{tokenize, EntityId, Table};
 
@@ -23,10 +24,6 @@ pub struct TableSearchIndex {
     subject_entities: Vec<Vec<EntityId>>,
     headers: Vec<Vec<String>>,
     captions: Vec<String>,
-}
-
-fn normalize_header(h: &str) -> String {
-    tokenize(h).join(" ")
 }
 
 impl TableSearchIndex {
@@ -68,10 +65,8 @@ impl TableSearchIndex {
             }
             subject_entities.push(subj);
         }
-        let headers = tables
-            .iter()
-            .map(|t| t.headers.iter().map(|h| normalize_header(h)).collect())
-            .collect();
+        let headers =
+            tables.iter().map(|t| t.headers.iter().map(|h| normalize(h)).collect()).collect();
         let captions = tables.iter().map(|t| t.full_caption()).collect();
         Self { vectors, idf, entity_postings, subject_entities, headers, captions }
     }
@@ -242,7 +237,7 @@ mod tests {
         let (_, idx) = index();
         for i in 0..idx.n_tables() {
             for h in idx.headers(i) {
-                assert_eq!(h, &normalize_header(h));
+                assert_eq!(h, &normalize(h));
             }
         }
     }

@@ -3,7 +3,8 @@
 //! co-occurrence in the pre-training corpus (Eqn. 14 filtering).
 
 use crate::cooccur::CooccurrenceIndex;
-use turl_data::{tokenize, EntityId, Table};
+use crate::normalize;
+use turl_data::{EntityId, Table};
 
 /// One cell-filling instance.
 #[derive(Debug, Clone)]
@@ -45,7 +46,7 @@ pub fn build_cell_filling(
             if oc == sc {
                 continue;
             }
-            let header = tokenize(&t.headers[oc]).join(" ");
+            let header = normalize(&t.headers[oc]);
             let pairs: Vec<(EntityId, EntityId)> = t
                 .rows
                 .iter()
@@ -127,7 +128,7 @@ mod tests {
     fn headers_are_normalized() {
         let (unfiltered, _) = setup();
         for ex in unfiltered.iter().take(50) {
-            assert_eq!(ex.target_header, tokenize(&ex.target_header).join(" "));
+            assert_eq!(ex.target_header, normalize(&ex.target_header));
         }
     }
 }

@@ -1,8 +1,9 @@
 //! Schema-augmentation dataset (§6.7): given a caption and zero or a few
 //! seed headers, recommend the remaining headers from a header vocabulary.
 
+use crate::normalize;
 use std::collections::HashMap;
-use turl_data::{tokenize, Table};
+use turl_data::Table;
 
 /// Normalized header vocabulary (headers appearing in at least `min_tables`
 /// distinct tables).
@@ -37,10 +38,6 @@ impl HeaderVocab {
     pub fn headers(&self) -> &[String] {
         &self.headers
     }
-}
-
-fn normalize(h: &str) -> String {
-    tokenize(h).join(" ")
 }
 
 /// Build the header vocabulary from the pre-training corpus.

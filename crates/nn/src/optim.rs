@@ -99,21 +99,23 @@ impl Adam {
             if !e.touched {
                 return;
             }
-            if !e.frozen {
+            if e.frozen {
+                e.grad.zero_();
+            } else {
+                // Zeroing each gradient as it is read saves a second walk
+                // over it; the zipped slices carry no bounds checks.
                 let vd = Arc::make_mut(&mut e.value).data_mut();
-                let gd = e.grad.data();
-                let md = e.m.data_mut();
-                let sd = e.v.data_mut();
-                for i in 0..vd.len() {
-                    let g = gd[i] * grad_scale + c.weight_decay * vd[i];
-                    md[i] = c.beta1 * md[i] + (1.0 - c.beta1) * g;
-                    sd[i] = c.beta2 * sd[i] + (1.0 - c.beta2) * g * g;
-                    let mhat = md[i] / bc1;
-                    let vhat = sd[i] / bc2;
-                    vd[i] -= c.lr * mhat / (vhat.sqrt() + c.eps);
+                let moments = e.m.data_mut().iter_mut().zip(e.v.data_mut());
+                for ((v, g), (m, s)) in vd.iter_mut().zip(e.grad.data_mut()).zip(moments) {
+                    let gs = *g * grad_scale + c.weight_decay * *v;
+                    *m = c.beta1 * *m + (1.0 - c.beta1) * gs;
+                    *s = c.beta2 * *s + (1.0 - c.beta2) * gs * gs;
+                    let mhat = *m / bc1;
+                    let vhat = *s / bc2;
+                    *v -= c.lr * mhat / (vhat.sqrt() + c.eps);
+                    *g = 0.0;
                 }
             }
-            e.grad.zero_();
             e.touched = false;
         });
     }
