@@ -237,7 +237,7 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
         let v = paper_pt.store.value(id);
         let stored =
             if v.shape().len() == 2 && v.len() >= 1024 { v.quantize_i8() } else { v.clone() };
-        quant_store.register_inference(paper_pt.store.name(id).to_string(), stored);
+        quant_store.register(paper_pt.store.name(id).to_string(), stored);
     }
 
     let mut out = Vec::new();

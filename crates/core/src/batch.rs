@@ -141,7 +141,7 @@ mod tests {
             let mut int8_dense = ParamStore::new();
             for id in int8_store.ids() {
                 let value = int8_store.value(id).dequantize();
-                int8_dense.register_inference(int8_store.name(id).to_string(), value);
+                int8_dense.register(int8_store.name(id).to_string(), value);
             }
             Fixture { model, f32_store, int8_store, int8_dense }
         })

@@ -487,17 +487,17 @@ mod tests {
         // matrices block-quantized — after `lead` and without `skip`
         let rebuilt = |lead: Option<&str>, skip: &str| {
             let mut out = ParamStore::new();
-            lead.map(|name| out.register_inference(name, Tensor::zeros(vec![3])));
+            lead.map(|name| out.register(name, Tensor::zeros(vec![3])));
             for id in store.ids().filter(|&id| store.name(id) != skip) {
                 let t = store.value(id);
                 let t = if t.len() >= 256 { t.quantize_i8() } else { t.clone() };
-                out.register_inference(store.name(id), t);
+                out.register(store.name(id), t);
             }
             out
         };
         let refusal = |s: &ParamStore| bind_store(&model, s).unwrap_err().to_string();
         let mut extra = rebuilt(None, "");
-        extra.register_inference("task.head", Tensor::zeros(vec![3]));
+        extra.register("task.head", Tensor::zeros(vec![3]));
         assert_eq!(bind_store(&model, &extra), Ok(()), "int8 weights and trailing extras bind");
 
         // written for another entity vocabulary
@@ -715,7 +715,7 @@ mod tests {
         let embeddings = ["turl.word_emb.weight", "turl.ent_emb.weight", "turl.fuse.weight"];
         for name in embeddings.map(String::from).into_iter().chain(blocks) {
             let id = store.find(&name).unwrap();
-            assert!(store.grad(id).norm() > 0.0, "no grad for {name}");
+            assert!(store.grad(id).is_some_and(|g| g.norm() > 0.0), "no grad for {name}");
         }
     }
 

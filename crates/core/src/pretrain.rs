@@ -597,6 +597,7 @@ impl Pretrainer {
                 (par_ns, 0)
             };
             turl_obs::set_step(self.opt.steps());
+            self.store.record_memory();
             turl_obs::histogram("step_loss", &[0.5, 1.0, 2.0, 4.0, 8.0, 16.0])
                 .observe(f64::from(mean));
             turl_obs::emit(
@@ -919,12 +920,14 @@ mod tests {
         assert!(pt.opt.config.lr >= 0.0);
     }
 
-    /// `(name, value, Adam m, Adam v)` bits of every parameter.
+    /// `(name, value, Adam m, Adam v)` bits of every parameter; a moment
+    /// never allocated is empty.
     fn state_bits(store: &ParamStore) -> Vec<(String, [Vec<u32>; 3])> {
         let bits = |t: &turl_tensor::Tensor| t.data().iter().map(|x| x.to_bits()).collect();
+        let moment = |t: &Option<turl_tensor::Tensor>| t.as_ref().map_or_else(Vec::new, bits);
         snapshot_params(store)
             .into_iter()
-            .map(|r| (r.name, [bits(&r.value), bits(&r.m), bits(&r.v)]))
+            .map(|r| (r.name, [bits(&r.value), moment(&r.m), moment(&r.v)]))
             .collect()
     }
 

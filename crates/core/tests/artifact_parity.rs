@@ -109,8 +109,8 @@ fn quantized_store_matches_dequantized_weights_bit_exactly() {
         } else {
             (v.clone(), v.clone())
         };
-        quant.register_inference(store.name(id).to_string(), q);
-        dequant.register_inference(store.name(id).to_string(), d);
+        quant.register(store.name(id).to_string(), q);
+        dequant.register(store.name(id).to_string(), d);
     }
     assert!(n_quantized > 0, "model must have rank-2 params to exercise q8");
 

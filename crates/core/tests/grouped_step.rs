@@ -63,7 +63,10 @@ fn two_steps(
     let bits = |t: &turl_tensor::Tensor| t.data().iter().map(|x| x.to_bits()).collect();
     let state = snapshot_params(&pt.store)
         .into_iter()
-        .map(|r| (r.name, [bits(&r.value), bits(&r.m), bits(&r.v)]))
+        .map(|r| {
+            let moment = |t: &Option<turl_tensor::Tensor>| t.as_ref().map_or_else(Vec::new, bits);
+            (r.name, [bits(&r.value), moment(&r.m), moment(&r.v)])
+        })
         .collect();
     (losses, state)
 }

@@ -39,7 +39,9 @@
 
 use std::path::Path;
 
-use crate::codec::{decode_tensor, encode_tensor, push_u32, Reader};
+use turl_tensor::Tensor;
+
+use crate::codec::{record_len, Layout};
 use crate::params::ParamStore;
 use crate::serialize::{read_framed, write_framed, SerializeError};
 
@@ -110,38 +112,46 @@ pub fn export_artifact(
     if store.len() > u32::MAX as usize {
         return Err(SerializeError::InvalidState("too many tensors for artifact".to_string()));
     }
-    let mut payload = Vec::new();
-    push_u32(&mut payload, store.len() as u32);
+    // The policy, and so each record's layout and length, is known from
+    // the shapes: the header states the payload length before a tensor
+    // is quantized, and each is quantized once, as it is written.
+    let requantize = |value: &Tensor| {
+        opts.quantize
+            && value.as_f32().is_some()
+            && value.shape().len() == 2
+            && value.len() >= opts.min_quant_elems
+    };
+    let mut payload_bytes = 4u64;
     let mut quantized = 0usize;
     let mut dense_f32_bytes = 0u64;
     for id in store.ids() {
         let value = store.value(id);
         dense_f32_bytes += 4 * value.len() as u64;
-        let quantize = opts.quantize
-            && value.as_f32().is_some()
-            && value.shape().len() == 2
-            && value.len() >= opts.min_quant_elems;
-        let requantized;
-        let stored = if quantize {
-            requantized = value.quantize_i8();
-            &requantized
-        } else {
-            value
+        let layout = match value.shape() {
+            &[rows, cols] if requantize(value) => Layout::I8 { rows, cols },
+            _ => Layout::of(value),
         };
-        if stored.quantized().is_some() {
+        if matches!(layout, Layout::I8 { .. }) {
             quantized += 1;
         }
-        encode_tensor(&mut payload, store.name(id), stored)?;
+        payload_bytes += record_len(payload_bytes, store.name(id), value.shape(), layout);
     }
-    let summary = ArtifactSummary {
-        tensors: store.len(),
-        quantized,
-        payload_bytes: payload.len() as u64,
-        dense_f32_bytes,
-    };
-    let result = write_framed(path, ARTIFACT_MAGIC, ARTIFACT_VERSION, &payload);
+    let summary =
+        ArtifactSummary { tensors: store.len(), quantized, payload_bytes, dense_f32_bytes };
+    let result = write_framed(path, ARTIFACT_MAGIC, ARTIFACT_VERSION, payload_bytes, |sink| {
+        sink.put_u32(store.len() as u32)?;
+        for id in store.ids() {
+            let value = store.value(id);
+            if requantize(value) {
+                sink.tensor(store.name(id), &value.quantize_i8())?;
+            } else {
+                sink.tensor(store.name(id), value)?;
+            }
+        }
+        Ok(())
+    });
     if turl_obs::metrics_enabled() {
-        turl_obs::gauge("artifact_bytes").set(payload.len() as f64);
+        turl_obs::gauge("artifact_bytes").set(payload_bytes as f64);
         turl_obs::histogram("artifact_write_ms", ARTIFACT_LATENCY_BUCKETS_MS)
             .observe(timer.elapsed_ns() as f64 / 1.0e6);
     }
@@ -159,10 +169,10 @@ const ARTIFACT_LATENCY_BUCKETS_MS: &[f64] = &[1.0, 5.0, 20.0, 100.0, 500.0, 2000
 
 /// Load an artifact into a fresh inference-only [`ParamStore`].
 ///
-/// Tensors are registered (via [`ParamStore::register_inference`]) in
-/// the order they were exported, so `ParamId` indices match the
-/// exporting store. The returned store has no gradient or optimizer
-/// state and every entry is frozen.
+/// Tensors are read straight into the store, one record at a time, and
+/// registered in the order they were exported, so `ParamId` indices
+/// match the exporting store. Every entry is frozen, and no gradient or
+/// optimizer state is allocated (see [`ParamStore`]).
 pub fn load_artifact(path: &Path) -> Result<ParamStore, SerializeError> {
     let span = turl_obs::span("artifact_read");
     let timer = turl_obs::Timer::start();
@@ -176,21 +186,24 @@ pub fn load_artifact(path: &Path) -> Result<ParamStore, SerializeError> {
 }
 
 fn load_artifact_inner(path: &Path) -> Result<ParamStore, SerializeError> {
-    let payload = read_framed(path, ARTIFACT_MAGIC, ARTIFACT_VERSION)?;
-    if turl_obs::metrics_enabled() {
-        turl_obs::gauge("artifact_bytes").set(payload.len() as f64);
-    }
-    let mut r = Reader { buf: &payload, pos: 0 };
-    let n_tensors = r.u32("tensor count")? as usize;
-    let mut store = ParamStore::new();
-    for _ in 0..n_tensors {
-        let (name, tensor) = decode_tensor(&mut r)?;
-        if store.find(&name).is_some() {
-            return Err(SerializeError::InvalidState(format!("duplicate tensor name `{name}`")));
+    let (store, payload_bytes) = read_framed(path, ARTIFACT_MAGIC, ARTIFACT_VERSION, |r| {
+        let n_tensors = r.u32("tensor count")? as usize;
+        let mut store = ParamStore::new();
+        for _ in 0..n_tensors {
+            let (name, tensor) = r.tensor()?;
+            if store.find(&name).is_some() {
+                return Err(SerializeError::InvalidState(format!(
+                    "duplicate tensor name `{name}`"
+                )));
+            }
+            let id = store.register(name, tensor);
+            store.set_frozen(id, true);
         }
-        store.register_inference(name, tensor);
+        Ok((store, r.pos))
+    })?;
+    if turl_obs::metrics_enabled() {
+        turl_obs::gauge("artifact_bytes").set(payload_bytes as f64);
     }
-    r.finish()?;
     Ok(store)
 }
 
@@ -198,7 +211,6 @@ fn load_artifact_inner(path: &Path) -> Result<ParamStore, SerializeError> {
 mod tests {
     use super::*;
     use std::fs;
-    use turl_tensor::Tensor;
 
     fn tmp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("turl-artifact-{tag}-{}", std::process::id()));
@@ -339,7 +351,7 @@ mod tests {
     fn checkpoint_magic_is_rejected() {
         let dir = tmp_dir("magic");
         let path = dir.join("file");
-        write_framed(&path, "turl-trainer-checkpoint", 1, b"{}").unwrap();
+        write_framed(&path, "turl-trainer-checkpoint", 1, 2, |sink| sink.put(b"{}")).unwrap();
         match load_artifact(&path) {
             Err(SerializeError::BadHeader(msg)) => assert!(msg.contains("magic")),
             Err(other) => panic!("expected BadHeader, got {other:?}"),
@@ -376,23 +388,25 @@ mod tests {
         let dir = tmp_dir("align");
         let path = dir.join("model.turl");
         export_artifact(&demo_store(), &path, &ExportOptions::default()).unwrap();
-        let payload = read_framed(&path, ARTIFACT_MAGIC, ARTIFACT_VERSION).unwrap();
         // Walk the metadata by hand and check each data section offset.
-        let mut r = Reader { buf: &payload, pos: 0 };
-        let n = r.u32("count").unwrap();
-        for _ in 0..n {
-            let name_len = r.u16("nl").unwrap() as usize;
-            r.take(name_len, "name").unwrap();
-            let _tag = r.u8("tag").unwrap();
-            let rank = r.u8("rank").unwrap() as usize;
-            let mut len = 1usize;
-            for _ in 0..rank {
-                len *= r.u32("dim").unwrap() as usize;
+        read_framed(&path, ARTIFACT_MAGIC, ARTIFACT_VERSION, |r| {
+            let n = r.u32("count")?;
+            for _ in 0..n {
+                let name_len = r.u16("nl")? as usize;
+                r.take(name_len, "name")?;
+                let _tag = r.u8("tag")?;
+                let rank = r.u8("rank")? as usize;
+                let mut len = 1usize;
+                for _ in 0..rank {
+                    len *= r.u32("dim")? as usize;
+                }
+                r.align()?;
+                assert_eq!(r.pos % ARTIFACT_ALIGN as u64, 0);
+                r.take(4 * len, "data")?;
             }
-            r.align().unwrap();
-            assert_eq!(r.pos % ARTIFACT_ALIGN, 0);
-            r.take(4 * len, "data").unwrap();
-        }
+            Ok(())
+        })
+        .unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 }

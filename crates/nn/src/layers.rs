@@ -173,7 +173,7 @@ mod tests {
             s.reduce(&[f.take_grads()]);
             // plain SGD for this test
             for id in s.ids().collect::<Vec<_>>() {
-                let g = s.grad(id).clone();
+                let g = s.grad(id).unwrap().clone();
                 s.value_mut(id).axpy(-0.1, &g);
             }
             s.zero_grads();

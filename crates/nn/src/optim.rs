@@ -3,7 +3,7 @@
 use crate::params::ParamStore;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
-use turl_tensor::pool;
+use turl_tensor::{pool, Tensor};
 
 /// Adam hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -95,18 +95,29 @@ impl Adam {
         let c = self.config;
         let bc1 = 1.0 - c.beta1.powi(self.t as i32);
         let bc2 = 1.0 - c.beta2.powi(self.t as i32);
+        // Moments are allocated by the first step that reaches them, on
+        // this thread for the reason `ParamStore::reduce` allocates
+        // gradients on the caller's.
+        for e in store.entries_mut().iter_mut().filter(|e| e.touched && !e.frozen) {
+            let zeros = || Tensor::zeros(e.value.shape().to_vec());
+            e.m.get_or_insert_with(zeros);
+            e.v.get_or_insert_with(zeros);
+        }
         pool::parallel_for_each_mut(store.entries_mut(), |_, e| {
             if !e.touched {
                 return;
             }
+            let grad = e.grad.as_mut().expect("a touched parameter has a gradient");
             if e.frozen {
-                e.grad.zero_();
+                grad.zero_();
             } else {
                 // Zeroing each gradient as it is read saves a second walk
                 // over it; the zipped slices carry no bounds checks.
+                let (m, s) = (e.m.as_mut(), e.v.as_mut());
+                let (m, s) = m.zip(s).expect("allocated above");
+                let moments = m.data_mut().iter_mut().zip(s.data_mut());
                 let vd = Arc::make_mut(&mut e.value).data_mut();
-                let moments = e.m.data_mut().iter_mut().zip(e.v.data_mut());
-                for ((v, g), (m, s)) in vd.iter_mut().zip(e.grad.data_mut()).zip(moments) {
+                for ((v, g), (m, s)) in vd.iter_mut().zip(grad.data_mut()).zip(moments) {
                     let gs = *g * grad_scale + c.weight_decay * *v;
                     *m = c.beta1 * *m + (1.0 - c.beta1) * gs;
                     *s = c.beta2 * *s + (1.0 - c.beta2) * gs * gs;
@@ -233,7 +244,7 @@ mod tests {
                 let norm = prescaled.reduce(&parts(&ids, scale)).grad_norm;
                 if norm > 1.0 {
                     for e in prescaled.entries_mut().iter_mut().filter(|e| e.touched) {
-                        e.grad.scale_inplace(1.0 / norm);
+                        e.grad.as_mut().unwrap().scale_inplace(1.0 / norm);
                     }
                 }
                 opt_a.step(&mut prescaled);
@@ -244,10 +255,13 @@ mod tests {
             }
             assert_eq!((opt_a.steps(), opt_b.steps()), (3, 3));
             for (ea, eb) in prescaled.entries().iter().zip(fused.entries()) {
-                for (x, y) in [(&*ea.value, &*eb.value), (&ea.m, &eb.m), (&ea.v, &eb.v)] {
+                let (am, bm) = (ea.m.as_ref().unwrap(), eb.m.as_ref().unwrap());
+                let (av, bv) = (ea.v.as_ref().unwrap(), eb.v.as_ref().unwrap());
+                for (x, y) in [(&*ea.value, &*eb.value), (am, bm), (av, bv)] {
                     assert_eq!(bits(x), bits(y), "`{}` at scale {scale}", ea.name);
                 }
-                assert!(bits(&eb.grad).iter().all(|&b| b == 0) && !eb.touched, "grads not zeroed");
+                let grad = eb.grad.as_ref().unwrap();
+                assert!(bits(grad).iter().all(|&b| b == 0) && !eb.touched, "grads not zeroed");
             }
         }
         pool::set_threads(saved);
@@ -262,7 +276,7 @@ mod tests {
         opt.step_clipped(&mut store, norm, 1.0); // the moments are nonzero from here on
         let state = |s: &ParamStore| {
             let e = &s.entries()[id.index()];
-            [bits(&e.value), bits(&e.m), bits(&e.v)]
+            [&*e.value, e.m.as_ref().unwrap(), e.v.as_ref().unwrap()].map(bits)
         };
         let before = state(&store);
         // A NaN and an infinite norm take the same path.
@@ -271,7 +285,7 @@ mod tests {
             let norm = store.reduce(&[vec![(id, part)]]).grad_norm;
             let report = opt.step_clipped(&mut store, norm, 1.0);
             assert!(report.non_finite && !report.clipped && !report.norm.is_finite());
-            assert_eq!(store.grad(id).data(), &[0.0, 0.0]);
+            assert_eq!(store.grad(id).unwrap().data(), &[0.0, 0.0]);
             assert!(!store.entries()[id.index()].touched);
             assert_eq!(state(&store), before, "values or moments moved");
             assert_eq!(opt.steps(), 1, "Adam's step counter advanced");

@@ -129,22 +129,38 @@ pub(crate) struct ParamEntry {
     /// Shared with every live tape that bound it ([`Forward::param`]);
     /// written through `Arc::make_mut`, which copies only while one does.
     pub value: Arc<Tensor>,
-    pub grad: Tensor,
-    /// Adam first-moment state.
-    pub m: Tensor,
-    /// Adam second-moment state.
-    pub v: Tensor,
-    /// Whether a gradient has been accumulated since the last optimizer step.
+    /// Allocated the first time a gradient is added; zeros until then.
+    pub grad: Option<Tensor>,
+    /// Adam first-moment state, allocated the first time the optimizer
+    /// steps the parameter; zeros until then.
+    pub m: Option<Tensor>,
+    /// Adam second-moment state, allocated with `m`.
+    pub v: Option<Tensor>,
+    /// Whether a gradient has been accumulated since the last optimizer
+    /// step (so `grad` is allocated).
     pub touched: bool,
     /// Frozen parameters are skipped by the optimizer.
     pub frozen: bool,
+}
+
+impl ParamEntry {
+    /// The gradient, allocated as zeros of the value's shape on first use.
+    fn grad_mut(&mut self) -> &mut Tensor {
+        let shape = self.value.shape();
+        self.grad.get_or_insert_with(|| Tensor::zeros(shape.to_vec()))
+    }
 }
 
 /// Owns every trainable tensor of a model, along with optimizer state.
 ///
 /// Layers hold [`ParamId`] handles; the store is the single source of truth
 /// for values, gradients, and Adam moments, which makes checkpointing and
-/// optimizer stepping trivial.
+/// optimizer stepping trivial. Only values are allocated up front: a
+/// parameter's gradient is allocated the first time
+/// [`reduce`](ParamStore::reduce) or [`accumulate`](ParamStore::accumulate)
+/// adds to it, and its Adam moments the first time the optimizer steps
+/// it, so a store that only serves or evaluates holds its weights once.
+/// State that was never allocated reads, and is checkpointed, as zeros.
 #[derive(Default)]
 pub struct ParamStore {
     entries: Vec<ParamEntry>,
@@ -157,49 +173,24 @@ impl ParamStore {
         Self::default()
     }
 
-    /// Register a new named parameter. Names must be unique.
+    /// Register a new named parameter. Names must be unique. The value
+    /// may be block-quantized, for a store that is only read (a loaded
+    /// int8 artifact, with every entry [frozen](ParamStore::set_frozen)).
     ///
     /// # Panics
     /// Panics if `name` is already registered.
     pub fn register(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
         let name = name.into();
         assert!(!self.by_name.contains_key(&name), "duplicate parameter name {name}");
-        let shape = value.shape().to_vec();
         let id = ParamId(self.entries.len());
         self.entries.push(ParamEntry {
             name: name.clone(),
-            grad: Tensor::zeros(shape.clone()),
-            m: Tensor::zeros(shape.clone()),
-            v: Tensor::zeros(shape),
             value: Arc::new(value),
+            grad: None,
+            m: None,
+            v: None,
             touched: false,
             frozen: false,
-        });
-        self.by_name.insert(name, id);
-        id
-    }
-
-    /// Register a parameter for inference only. The value may be
-    /// block-quantized; no gradient or optimizer state is allocated
-    /// (shape-`[0]` placeholders), and the entry is born frozen so the
-    /// optimizer can never write through it. This is the registration
-    /// path used when binding a model artifact into a store — such a
-    /// store drives `CompiledForward` but cannot be trained or resumed.
-    ///
-    /// # Panics
-    /// Panics if `name` is already registered.
-    pub fn register_inference(&mut self, name: impl Into<String>, value: Tensor) -> ParamId {
-        let name = name.into();
-        assert!(!self.by_name.contains_key(&name), "duplicate parameter name {name}");
-        let id = ParamId(self.entries.len());
-        self.entries.push(ParamEntry {
-            name: name.clone(),
-            grad: Tensor::zeros(vec![0]),
-            m: Tensor::zeros(vec![0]),
-            v: Tensor::zeros(vec![0]),
-            value: Arc::new(value),
-            touched: false,
-            frozen: true,
         });
         self.by_name.insert(name, id);
         id
@@ -232,9 +223,33 @@ impl ParamStore {
         Arc::make_mut(&mut self.entries[id.0].value)
     }
 
-    /// Accumulated gradient of a parameter.
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.entries[id.0].grad
+    /// Accumulated gradient of a parameter; `None` until a gradient is
+    /// first added to it.
+    pub fn grad(&self, id: ParamId) -> Option<&Tensor> {
+        self.entries[id.0].grad.as_ref()
+    }
+
+    /// Bytes held by parameter values.
+    pub fn value_bytes(&self) -> usize {
+        self.entries.iter().map(|e| e.value.byte_len()).sum()
+    }
+
+    /// Bytes held by the gradients and Adam moments allocated so far.
+    pub fn state_bytes(&self) -> usize {
+        let state = self.entries.iter().flat_map(|e| [&e.grad, &e.m, &e.v]);
+        state.flatten().map(Tensor::byte_len).sum()
+    }
+
+    /// Report the store's two memory owners as the gauges
+    /// `mem.param_values_bytes` ([`value_bytes`](ParamStore::value_bytes))
+    /// and `mem.optimizer_state_bytes`
+    /// ([`state_bytes`](ParamStore::state_bytes)); with metrics off,
+    /// nothing is computed.
+    pub fn record_memory(&self) {
+        if turl_obs::metrics_enabled() {
+            turl_obs::gauge("mem.param_values_bytes").set(self.value_bytes() as f64);
+            turl_obs::gauge("mem.optimizer_state_bytes").set(self.state_bytes() as f64);
+        }
     }
 
     /// Parameter name.
@@ -267,7 +282,7 @@ impl ParamStore {
     pub fn accumulate(&mut self, grads: Vec<(ParamId, Tensor)>) {
         for (id, g) in grads {
             let e = &mut self.entries[id.0];
-            e.grad.add_assign(&g);
+            e.grad_mut().add_assign(&g);
             e.touched = true;
         }
     }
@@ -307,11 +322,18 @@ impl ParamStore {
                 work[id.0].parts.push((t, part));
             }
         }
+        // A gradient is allocated here, on the caller's thread, not in a
+        // pool task: a worker's allocation lands in its own malloc arena,
+        // where freeing a step's temporaries trims and refaults pages
+        // every step (half again the minor faults, ~15 % slower steps).
+        for w in work.iter_mut().filter(|w| !w.parts.is_empty()) {
+            w.e.grad_mut();
+        }
         // Tasks of REDUCE_GROUP parameters of similar size, largest
         // first: each adds its parameters' parts, then sums their squares
         // while the gradients are still in cache, the chains interleaved.
         let mut work: Vec<(usize, Work)> = work.into_iter().enumerate().collect();
-        work.sort_by_key(|(_, w)| std::cmp::Reverse(w.e.grad.len()));
+        work.sort_by_key(|(_, w)| std::cmp::Reverse(w.e.value.len()));
         let mut tasks: Vec<(&mut [(usize, Work)], u64)> =
             work.chunks_mut(REDUCE_GROUP).map(|task| (task, 0)).collect();
         pool::parallel_for_each_mut(&mut tasks, |_, (task, busy_ns)| {
@@ -325,12 +347,15 @@ impl ParamStore {
                     w.e.name
                 );
                 if !w.parts.is_empty() {
-                    w.wgrad_ns = add_parts(&mut w.e.grad, &w.parts);
+                    let grad = w.e.grad.as_mut().expect("allocated above");
+                    w.wgrad_ns = add_parts(grad, &w.parts);
                     w.e.touched = true;
                 }
             }
-            let touched: Vec<&[f32]> =
-                task.iter().filter(|(_, w)| w.e.touched).map(|(_, w)| w.e.grad.data()).collect();
+            let touched: Vec<&[f32]> = (task.iter())
+                .filter_map(|(_, w)| w.e.grad.as_ref().filter(|_| w.e.touched))
+                .map(Tensor::data)
+                .collect();
             let sums = ops::sums_of_squares(&touched);
             for ((_, w), sum) in task.iter_mut().filter(|(_, w)| w.e.touched).zip(sums) {
                 w.sq_sum = sum;
@@ -351,11 +376,9 @@ impl ParamStore {
 
     /// Zero every gradient and clear touched flags.
     pub fn zero_grads(&mut self) {
-        for e in &mut self.entries {
-            if e.touched {
-                e.grad.zero_();
-                e.touched = false;
-            }
+        for e in self.entries.iter_mut().filter(|e| e.touched) {
+            e.grad_mut().zero_();
+            e.touched = false;
         }
     }
 
@@ -609,9 +632,9 @@ mod tests {
             f.graph.backward(l);
             assert!(s.reduce(&[f.take_grads()]).grad_norm > 0.0);
         }
-        assert_eq!(s.grad(id).data(), &[2.0, 2.0]);
+        assert_eq!(s.grad(id).unwrap().data(), &[2.0, 2.0]);
         s.zero_grads();
-        assert_eq!(s.grad(id).data(), &[0.0, 0.0]);
+        assert_eq!(s.grad(id).unwrap().data(), &[0.0, 0.0]);
     }
 
     #[test]
@@ -660,8 +683,11 @@ mod tests {
         }
         // The norm: each touched gradient's squares in element order, the
         // sums added in registration order.
-        let touched: Vec<&[f32]> =
-            serial.entries().iter().filter(|e| e.touched).map(|e| e.grad.data()).collect();
+        let touched: Vec<&[f32]> = serial
+            .ids()
+            .filter(|&id| serial.entries()[id.0].touched)
+            .map(|id| serial.grad(id).unwrap().data())
+            .collect();
         let want = ops::sums_of_squares(&touched).into_iter().sum::<f32>().sqrt();
         let saved = pool::n_threads();
         for threads in [1, 2, 4] {
@@ -669,9 +695,11 @@ mod tests {
             let (mut s, ids) = fresh();
             let norm = s.reduce(&tables(&ids)).grad_norm;
             assert_eq!(norm.to_bits(), want.to_bits(), "norm at {threads} threads");
+            let bits = |g: Option<&Tensor>| -> Option<Vec<u32>> {
+                g.map(|g| g.data().iter().map(|x| x.to_bits()).collect())
+            };
             for &id in &ids {
-                let (got, want) = (s.grad(id).data(), serial.grad(id).data());
-                assert!(got.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()));
+                assert_eq!(bits(s.grad(id)), bits(serial.grad(id)));
             }
             assert_eq!(s.reduce(&[]).grad_norm.to_bits(), want.to_bits(), "no tables");
         }
@@ -741,7 +769,9 @@ mod tests {
             s
         };
         let bits = |s: &ParamStore| -> Vec<Vec<u32>> {
-            s.ids().map(|id| s.grad(id).data().iter().map(|x| x.to_bits()).collect()).collect()
+            s.ids()
+                .map(|id| s.grad(id).unwrap().data().iter().map(|x| x.to_bits()).collect())
+                .collect()
         };
         // Spiked: full 24-bit mantissas over 13 binades, so every add
         // rounds and a sum taken in another order is another float.
@@ -771,7 +801,10 @@ mod tests {
             let want = bits(&dense);
             if name == "all -0.0" {
                 let w = dense.find("w").unwrap();
-                assert!(dense.grad(w).data().iter().all(|x| x.to_bits() == 0), "dense -0.0");
+                assert!(
+                    dense.grad(w).unwrap().data().iter().all(|x| x.to_bits() == 0),
+                    "dense -0.0"
+                );
             }
             for threads in [1, 2, 4] {
                 pool::set_threads(threads);
@@ -872,10 +905,12 @@ mod tests {
     #[test]
     fn inference_registration_is_frozen_and_stateless() {
         let mut s = ParamStore::new();
-        let t = Tensor::from_vec(vec![2, 2], vec![1.0, 2.0, 3.0, 4.0]);
-        let id = s.register_inference("w", t.clone());
+        let t = Tensor::from_vec(vec![2, 32], (0..64).map(|i| i as f32).collect()).quantize_i8();
+        let id = s.register("w", t.clone());
+        s.set_frozen(id, true);
         assert!(s.is_frozen(id));
-        assert_eq!(s.grad(id).len(), 0);
+        assert!(s.grad(id).is_none());
+        assert_eq!((s.value_bytes(), s.state_bytes()), (t.byte_len(), 0));
         assert_eq!(s.value(id), &t);
         assert_eq!(s.find("w"), Some(id));
     }

@@ -84,7 +84,7 @@ proptest! {
         let l = f.graph.sum_all(v);
         f.graph.backward(l);
         store.reduce(&[f.take_grads()]);
-        let g = store.grad(emb.weight);
+        let g = store.grad(emb.weight).unwrap();
         for row in 0..6 {
             let sum: f32 = g.data()[row * 4..(row + 1) * 4].iter().sum();
             if row == 1 || row == 3 {

@@ -8,6 +8,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use crate::protocol::MAX_BODY_BYTES;
+
 /// POST a JSON body on a fresh connection.
 pub fn post(addr: &str, path: &str, json: &str) -> Result<(u16, String), String> {
     Client::new(addr).post(path, json)
@@ -168,15 +170,19 @@ fn write_and_read(
         }
     }
 
-    // Read the body up to Content-Length.
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(|e| format!("read from {addr} failed: {e}"))?;
-        if n == 0 {
-            return Err(format!("connection to {addr} closed mid-body"));
-        }
-        body.extend_from_slice(&chunk[..n]);
+    // Read the body up to Content-Length into a buffer sized once (up to
+    // a cap: the length is the server's word), so a kept body is exactly
+    // its length, and hand the buffer on as the string.
+    let early = &buf[header_end + 4..];
+    let mut body = Vec::with_capacity(content_length.min(MAX_BODY_BYTES));
+    body.extend_from_slice(&early[..early.len().min(content_length)]);
+    let rest = (content_length - body.len()) as u64;
+    (stream.take(rest).read_to_end(&mut body))
+        .map_err(|e| format!("read from {addr} failed: {e}"))?;
+    if body.len() < content_length {
+        return Err(format!("connection to {addr} closed mid-body"));
     }
-    body.truncate(content_length);
-    Ok((status, server_close, String::from_utf8_lossy(&body).into_owned()))
+    let body = String::from_utf8(body)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    Ok((status, server_close, body))
 }

@@ -140,19 +140,22 @@ pub fn read_request(
         )));
     }
 
-    let mut body = buf[header_end + 4..].to_vec();
-    while body.len() < content_length {
-        let n = stream
-            .read(&mut chunk)
-            .map_err(|e| ServeError::BadRequest(format!("read failed: {e}")))?;
-        if n == 0 {
-            return Err(ServeError::BadRequest("connection closed mid-body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
+    // The body buffer is sized once, from the checked Content-Length, and
+    // the rest read straight into it; keep-alive framing: anything read
+    // past Content-Length with the headers belongs to the next request.
+    let (early, next) =
+        buf[header_end + 4..].split_at(content_length.min(buf.len() - header_end - 4));
+    let mut body = Vec::with_capacity(content_length);
+    body.extend_from_slice(early);
+    *pending = next.to_vec();
+    let rest = (content_length - body.len()) as u64;
+    stream
+        .take(rest)
+        .read_to_end(&mut body)
+        .map_err(|e| ServeError::BadRequest(format!("read failed: {e}")))?;
+    if body.len() < content_length {
+        return Err(ServeError::BadRequest("connection closed mid-body".into()));
     }
-    // Keep-alive framing: anything past Content-Length belongs to the
-    // next request.
-    *pending = body.split_off(content_length);
     let body = String::from_utf8(body)
         .map_err(|_| ServeError::BadRequest("body is not valid UTF-8".into()))?;
     Ok(Some(Request { method, path, body, keep_alive, request_id }))

@@ -59,6 +59,7 @@ impl Session {
     /// may hold artifact-loaded quantized tensors; the compiled executor
     /// streams them through the in-register-dequant kernels).
     pub fn new(model: TurlModel, store: ParamStore, vocab: Vocab, use_visibility: bool) -> Self {
+        store.record_memory();
         Self {
             model,
             store,
