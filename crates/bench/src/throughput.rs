@@ -56,7 +56,7 @@ pub struct BenchEntry {
     /// Cores available on the recording machine: what a multi-thread
     /// row's scaling has to be read against.
     pub available_cores: usize,
-    /// Mean wall-clock nanoseconds per iteration.
+    /// Median wall-clock nanoseconds of one iteration.
     pub ns_per_iter: u64,
     /// Work rate: sequence rows per second for model ops, output rows per
     /// second for kernels.
@@ -99,18 +99,28 @@ const FWD_ROWS: usize = 28;
 /// linearized length of the benchmark's 4-table batches).
 const WGRAD_ROWS: usize = 31;
 
-/// Time `f` and return mean ns/iter: one warmup call, then iterations
-/// until `min_total` elapses (at least 3).
+/// Rows of the stacked-group kernel measurements: two tables' worth, as
+/// the training step stacks them per pool worker at the benchmark's
+/// 4-table batches on two threads. 63 is not a multiple of any tile
+/// height, so a remainder tile runs too.
+const STACKED_ROWS: usize = 63;
+
+/// Time `f` and return the median ns of one call: one warmup call, then
+/// timed calls until `min_total_ms` elapses (at least 3). The median, not
+/// the mean, is what the regression gate compares, so one slow call (a
+/// cold page cache, a preempted thread) does not trip it.
 fn time_ns<F: FnMut()>(mut f: F, min_total_ms: u64) -> u64 {
     f(); // warmup
     let min_total = std::time::Duration::from_millis(min_total_ms);
     let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < min_total || iters < 3 {
+    let mut samples = Vec::new();
+    while start.elapsed() < min_total || samples.len() < 3 {
+        let call = Instant::now();
         f();
-        iters += 1;
+        samples.push(call.elapsed().as_nanos() as u64);
     }
-    (start.elapsed().as_nanos() / u128::from(iters)) as u64
+    samples.sort_unstable();
+    samples[samples.len() / 2]
 }
 
 fn entry(op: &str, size: String, threads: usize, ns: u64, rows_per_iter: usize) -> BenchEntry {
@@ -209,6 +219,12 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
     // `[28, 1200]` and its bias.
     let ffn_pre = normal_init(&mut rng, vec![FWD_ROWS, 1200], 0.0, 1.0);
     let ffn_bias = normal_init(&mut rng, vec![1200], 0.0, 1.0);
+    // The forward shapes over a stacked group's activations, per `k`
+    // (drawn last, so every other row keeps its inputs).
+    let stacked: Vec<Tensor> = fwd_shapes
+        .iter()
+        .map(|(_, w, _)| normal_init(&mut rng, vec![STACKED_ROWS, w.shape()[0]], 0.0, 1.0))
+        .collect();
 
     let mut world = build_world(quick);
     let batch: Vec<(TableInstance, EncodedInput)> = world.data.iter().take(8).cloned().collect();
@@ -256,26 +272,30 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             );
             out.push(entry(name, kernel_size.clone(), t, ns, mm_dim));
         }
-        for (x, w, wq) in &fwd_shapes {
+        for ((x, w, wq), xs) in fwd_shapes.iter().zip(&stacked) {
             let (k, n) = (w.shape()[0], w.shape()[1]);
-            let size = format!("m={FWD_ROWS},k={k},n={n}");
-            let mut y = vec![0.0f32; FWD_ROWS * n];
-            let ns = time_ns(
-                || {
-                    ops::matmul_into(x.data(), w.data(), &mut y, FWD_ROWS, k, n);
-                    std::hint::black_box(y[0]);
-                },
-                window_ms,
-            );
-            out.push(entry("matmul", size.clone(), t, ns, FWD_ROWS));
+            let mut y = vec![0.0f32; STACKED_ROWS * n];
+            for (rows, x) in [(FWD_ROWS, x), (STACKED_ROWS, xs)] {
+                let y = &mut y[..rows * n];
+                let ns = time_ns(
+                    || {
+                        ops::matmul_into(x.data(), w.data(), y, rows, k, n);
+                        std::hint::black_box(y[0]);
+                    },
+                    window_ms,
+                );
+                out.push(entry("matmul", format!("m={rows},k={k},n={n}"), t, ns, rows));
+            }
+            let y = &mut y[..FWD_ROWS * n];
             let blocks = wq.quantized().expect("quantize_i8 yields quantized storage");
             let ns = time_ns(
                 || {
-                    ops::matmul_q8_into(x.data(), blocks, &mut y, FWD_ROWS, k, n);
+                    ops::matmul_q8_into(x.data(), blocks, y, FWD_ROWS, k, n);
                     std::hint::black_box(y[0]);
                 },
                 window_ms,
             );
+            let size = format!("m={FWD_ROWS},k={k},n={n}");
             out.push(entry_dtyped("matmul", size, "i8b32", t, ns, FWD_ROWS));
         }
         // The fused bias + GELU epilogue the compiled forward runs after
@@ -319,18 +339,24 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             out.push(entry("matmul_tn_acc", size, t, ns, m));
         }
         // The FFN input gradients of the same backward, `dy · wᵀ` against
-        // each FFN weight as stored: 28 rows against a far taller `w`, the
-        // orientation `matmul_nt` runs as `Cᵀ = w · dyᵀ`.
-        for (dy, w) in [(&fwd_shapes[2].0, &fwd_shapes[1].1), (&fwd_shapes[0].0, &fwd_shapes[2].1)]
-        {
+        // each FFN weight as stored: a table's or a stacked group's rows
+        // against a far taller `w`, the orientation `matmul_nt` runs as
+        // `Cᵀ = w · dyᵀ`.
+        for (dy, w) in [
+            (&fwd_shapes[2].0, &fwd_shapes[1].1),
+            (&fwd_shapes[0].0, &fwd_shapes[2].1),
+            (&stacked[2], &fwd_shapes[1].1),
+            (&stacked[0], &fwd_shapes[2].1),
+        ] {
             let ns = time_ns(
                 || {
                     std::hint::black_box(ops::matmul_nt(dy, w));
                 },
                 window_ms,
             );
-            let size = format!("m={FWD_ROWS},k={},n={}", w.shape()[1], w.shape()[0]);
-            out.push(entry("matmul_nt", size, t, ns, FWD_ROWS));
+            let rows = dy.shape()[0];
+            let size = format!("m={rows},k={},n={}", w.shape()[1], w.shape()[0]);
+            out.push(entry("matmul_nt", size, t, ns, rows));
         }
         let bmm_size = format!("b={heads},m={hd},k={hd},n={hd}");
         let bkernels: [(&str, Kern); 3] =

@@ -336,13 +336,9 @@ pub fn pretrain(opts: &Options) -> Result<(), String> {
         }
         match rec.checkpoint {
             Some((path, ckpt)) => {
-                pt.restore(&ckpt).map_err(|e| e.to_string())?;
-                info(format!(
-                    "resumed from {} (epoch {}, step {})",
-                    path.display(),
-                    ckpt.progress.epoch,
-                    ckpt.progress.steps
-                ));
+                let (epoch, step) = (ckpt.progress.epoch, ckpt.progress.steps);
+                pt.restore(ckpt).map_err(|e| e.to_string())?;
+                info(format!("resumed from {} (epoch {epoch}, step {step})", path.display()));
             }
             None => info(format!("no usable checkpoint in {ckpt_dir}; starting fresh")),
         }

@@ -787,10 +787,11 @@ impl Pretrainer {
         }
     }
 
-    /// Restore a snapshot into this trainer. The checkpoint must match the
-    /// live model parameter-for-parameter (name, shape, order); on any
-    /// mismatch the trainer is left unchanged and a typed error returned.
-    pub fn restore(&mut self, ckpt: &TrainerCheckpoint) -> Result<(), SerializeError> {
+    /// Restore a snapshot into this trainer, moving its tensors into the
+    /// store. The checkpoint must match the live model parameter-for-
+    /// parameter (name, shape, order); on any mismatch the trainer is left
+    /// unchanged and a typed error returned.
+    pub fn restore(&mut self, ckpt: TrainerCheckpoint) -> Result<(), SerializeError> {
         if ckpt.version != CHECKPOINT_VERSION {
             return Err(SerializeError::UnsupportedVersion {
                 found: ckpt.version,
@@ -798,14 +799,14 @@ impl Pretrainer {
             });
         }
         let rng_words = ckpt.rng.to_words()?;
-        restore_params(&mut self.store, &ckpt.params)?;
+        restore_params(&mut self.store, ckpt.params)?;
         self.opt.config = ckpt.adam;
         self.opt.set_steps(ckpt.adam_steps);
         self.rng = StdRng::from_state(rng_words);
         if ckpt.schedule.is_some() {
             self.schedule = ckpt.schedule;
         }
-        self.progress = ckpt.progress.clone();
+        self.progress = ckpt.progress;
         Ok(())
     }
 
@@ -924,7 +925,9 @@ mod tests {
     /// never allocated is empty.
     fn state_bits(store: &ParamStore) -> Vec<(String, [Vec<u32>; 3])> {
         let bits = |t: &turl_tensor::Tensor| t.data().iter().map(|x| x.to_bits()).collect();
-        let moment = |t: &Option<turl_tensor::Tensor>| t.as_ref().map_or_else(Vec::new, bits);
+        let moment = |t: &Option<std::sync::Arc<turl_tensor::Tensor>>| {
+            t.as_deref().map_or_else(Vec::new, bits)
+        };
         snapshot_params(store)
             .into_iter()
             .map(|r| (r.name, [bits(&r.value), moment(&r.m), moment(&r.v)]))
@@ -1191,7 +1194,7 @@ mod tests {
         assert!(step > 0);
         let ckpt = turl_nn::load_trainer_checkpoint(&mid_path).unwrap();
         let mut c = fresh();
-        c.restore(&ckpt).unwrap();
+        c.restore(ckpt).unwrap();
         assert_eq!(c.opt.steps(), step);
         let stats_c = c.train_until(slice, &cooccur, 3, None).unwrap();
 
@@ -1252,8 +1255,9 @@ mod tests {
             kb.n_entities(),
             vocab.mask_id() as usize,
         );
-        resumed.restore(&ckpt).unwrap();
-        assert_eq!(resumed.opt.steps(), ckpt.adam_steps);
+        let adam_steps = ckpt.adam_steps;
+        resumed.restore(ckpt).unwrap();
+        assert_eq!(resumed.opt.steps(), adam_steps);
         std::fs::remove_dir_all(&dir).ok();
     }
 

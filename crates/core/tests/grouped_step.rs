@@ -64,7 +64,9 @@ fn two_steps(
     let state = snapshot_params(&pt.store)
         .into_iter()
         .map(|r| {
-            let moment = |t: &Option<turl_tensor::Tensor>| t.as_ref().map_or_else(Vec::new, bits);
+            let moment = |t: &Option<std::sync::Arc<turl_tensor::Tensor>>| {
+                t.as_deref().map_or_else(Vec::new, bits)
+            };
             (r.name, [bits(&r.value), moment(&r.m), moment(&r.v)])
         })
         .collect();

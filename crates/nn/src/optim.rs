@@ -99,7 +99,7 @@ impl Adam {
         // this thread for the reason `ParamStore::reduce` allocates
         // gradients on the caller's.
         for e in store.entries_mut().iter_mut().filter(|e| e.touched && !e.frozen) {
-            let zeros = || Tensor::zeros(e.value.shape().to_vec());
+            let zeros = || Arc::new(Tensor::zeros(e.value.shape().to_vec()));
             e.m.get_or_insert_with(zeros);
             e.v.get_or_insert_with(zeros);
         }
@@ -113,8 +113,8 @@ impl Adam {
             } else {
                 // Zeroing each gradient as it is read saves a second walk
                 // over it; the zipped slices carry no bounds checks.
-                let (m, s) = (e.m.as_mut(), e.v.as_mut());
-                let (m, s) = m.zip(s).expect("allocated above");
+                let (m, s) = e.m.as_mut().zip(e.v.as_mut()).expect("allocated above");
+                let (m, s) = (Arc::make_mut(m), Arc::make_mut(s));
                 let moments = m.data_mut().iter_mut().zip(s.data_mut());
                 let vd = Arc::make_mut(&mut e.value).data_mut();
                 for ((v, g), (m, s)) in vd.iter_mut().zip(grad.data_mut()).zip(moments) {
@@ -255,8 +255,8 @@ mod tests {
             }
             assert_eq!((opt_a.steps(), opt_b.steps()), (3, 3));
             for (ea, eb) in prescaled.entries().iter().zip(fused.entries()) {
-                let (am, bm) = (ea.m.as_ref().unwrap(), eb.m.as_ref().unwrap());
-                let (av, bv) = (ea.v.as_ref().unwrap(), eb.v.as_ref().unwrap());
+                let (am, bm) = (ea.m.as_deref().unwrap(), eb.m.as_deref().unwrap());
+                let (av, bv) = (ea.v.as_deref().unwrap(), eb.v.as_deref().unwrap());
                 for (x, y) in [(&*ea.value, &*eb.value), (am, bm), (av, bv)] {
                     assert_eq!(bits(x), bits(y), "`{}` at scale {scale}", ea.name);
                 }
@@ -276,7 +276,7 @@ mod tests {
         opt.step_clipped(&mut store, norm, 1.0); // the moments are nonzero from here on
         let state = |s: &ParamStore| {
             let e = &s.entries()[id.index()];
-            [&*e.value, e.m.as_ref().unwrap(), e.v.as_ref().unwrap()].map(bits)
+            [&*e.value, e.m.as_deref().unwrap(), e.v.as_deref().unwrap()].map(bits)
         };
         let before = state(&store);
         // A NaN and an infinite norm take the same path.

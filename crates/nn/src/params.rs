@@ -132,10 +132,11 @@ pub(crate) struct ParamEntry {
     /// Allocated the first time a gradient is added; zeros until then.
     pub grad: Option<Tensor>,
     /// Adam first-moment state, allocated the first time the optimizer
-    /// steps the parameter; zeros until then.
-    pub m: Option<Tensor>,
+    /// steps the parameter; zeros until then. Shared, like `value`, with
+    /// a checkpoint being written ([`crate::snapshot_params`]).
+    pub m: Option<Arc<Tensor>>,
     /// Adam second-moment state, allocated with `m`.
-    pub v: Option<Tensor>,
+    pub v: Option<Arc<Tensor>>,
     /// Whether a gradient has been accumulated since the last optimizer
     /// step (so `grad` is allocated).
     pub touched: bool,
@@ -236,8 +237,9 @@ impl ParamStore {
 
     /// Bytes held by the gradients and Adam moments allocated so far.
     pub fn state_bytes(&self) -> usize {
-        let state = self.entries.iter().flat_map(|e| [&e.grad, &e.m, &e.v]);
-        state.flatten().map(Tensor::byte_len).sum()
+        let grads = self.entries.iter().flat_map(|e| &e.grad);
+        let moments = self.entries.iter().flat_map(|e| [&e.m, &e.v]).flatten().map(|t| &**t);
+        grads.chain(moments).map(Tensor::byte_len).sum()
     }
 
     /// Report the store's two memory owners as the gauges

@@ -149,13 +149,14 @@ impl From<serde_json::Error> for SerializeError {
 pub struct ParamRecord {
     /// Registered parameter name.
     pub name: String,
-    /// Current value.
-    pub value: Tensor,
+    /// Current value. A snapshot shares it with the store
+    /// ([`snapshot_params`]), a restore moves it in ([`restore_params`]).
+    pub value: Arc<Tensor>,
     /// Adam first moment; `None` while the optimizer has never stepped
     /// the parameter, which is all zeros (and is written as such).
-    pub m: Option<Tensor>,
+    pub m: Option<Arc<Tensor>>,
     /// Adam second moment; `None` like `m`.
-    pub v: Option<Tensor>,
+    pub v: Option<Arc<Tensor>>,
     /// Whether the optimizer skips this parameter.
     pub frozen: bool,
 }
@@ -233,14 +234,17 @@ pub struct TrainerCheckpoint {
     pub params: Vec<ParamRecord>,
 }
 
-/// Capture every parameter's value, Adam moments and frozen flag.
+/// Capture every parameter's value, Adam moments and frozen flag. The
+/// records share the store's tensors rather than copy them: a snapshot
+/// costs no tensor bytes, and the optimizer's next step copies a tensor
+/// (`Arc::make_mut`) only while a snapshot still holds it.
 pub fn snapshot_params(store: &ParamStore) -> Vec<ParamRecord> {
     store
         .entries()
         .iter()
         .map(|e| ParamRecord {
             name: e.name.clone(),
-            value: Tensor::clone(&e.value),
+            value: Arc::clone(&e.value),
             m: e.m.clone(),
             v: e.v.clone(),
             frozen: e.frozen,
@@ -248,14 +252,15 @@ pub fn snapshot_params(store: &ParamStore) -> Vec<ParamRecord> {
         .collect()
 }
 
-/// Restore parameter values and Adam moments into a live store.
+/// Restore parameter values and Adam moments into a live store, moving
+/// the records' tensors in.
 ///
 /// Strict: the records must match the store's parameters one-to-one, in
 /// registration order, by name and shape; every tensor must be finite.
 /// On success, gradients are reset so the next step starts clean.
 pub fn restore_params(
     store: &mut ParamStore,
-    records: &[ParamRecord],
+    records: Vec<ParamRecord>,
 ) -> Result<(), SerializeError> {
     if records.len() != store.len() {
         return Err(SerializeError::ParamMismatch {
@@ -287,7 +292,7 @@ pub fn restore_params(
                 ),
             });
         }
-        for t in [Some(&r.value), r.m.as_ref(), r.v.as_ref()].into_iter().flatten() {
+        for t in record_tensors(r).into_iter().flatten() {
             if t.shape() != r.value.shape() {
                 return Err(SerializeError::ParamMismatch {
                     detail: format!(
@@ -303,10 +308,10 @@ pub fn restore_params(
             }
         }
     }
-    for (e, r) in store.entries_mut().iter_mut().zip(records.iter()) {
-        e.value = Arc::new(r.value.clone());
-        e.m = r.m.clone();
-        e.v = r.v.clone();
+    for (e, r) in store.entries_mut().iter_mut().zip(records) {
+        e.value = r.value;
+        e.m = r.m;
+        e.v = r.v;
         e.frozen = r.frozen;
         if let Some(grad) = &mut e.grad {
             grad.zero_();
@@ -499,7 +504,7 @@ struct ParamMeta {
 /// Each record's tensors, `value, m, v`; a moment that was never
 /// allocated is `None` and written as zeros of the value's shape.
 fn record_tensors(r: &ParamRecord) -> [Option<&Tensor>; 3] {
-    [Some(&r.value), r.m.as_ref(), r.v.as_ref()]
+    [Some(&r.value), r.m.as_deref(), r.v.as_deref()]
 }
 
 fn write_checkpoint(ckpt: &TrainerCheckpoint, path: &Path) -> Result<u64, SerializeError> {
@@ -577,7 +582,8 @@ fn decode_checkpoint<R: Read>(r: &mut Source<R>) -> Result<TrainerCheckpoint, Se
                 )));
             }
         }
-        params.push(ParamRecord { name: p.name, value, m: Some(m), v: Some(v), frozen: p.frozen });
+        let (value, m, v) = (Arc::new(value), Some(Arc::new(m)), Some(Arc::new(v)));
+        params.push(ParamRecord { name: p.name, value, m, v, frozen: p.frozen });
     }
     Ok(TrainerCheckpoint {
         version: CHECKPOINT_VERSION,
@@ -804,9 +810,9 @@ mod tests {
             assert_eq!(a.frozen, b.frozen);
             // state never allocated comes back as the zeros it was written as
             let zeros = Tensor::zeros(a.value.shape().to_vec());
-            let (am, av) = (a.m.as_ref().unwrap_or(&zeros), a.v.as_ref().unwrap_or(&zeros));
-            let (bm, bv) = (b.m.as_ref().unwrap(), b.v.as_ref().unwrap());
-            for (x, y) in [(&a.value, &b.value), (am, bm), (av, bv)] {
+            let (am, av) = (a.m.as_deref().unwrap_or(&zeros), a.v.as_deref().unwrap_or(&zeros));
+            let (bm, bv) = (b.m.as_deref().unwrap(), b.v.as_deref().unwrap());
+            for (x, y) in [(&*a.value, &*b.value), (am, bm), (av, bv)] {
                 assert_eq!(x.shape(), y.shape());
                 for (p, q) in x.data().iter().zip(y.data().iter()) {
                     assert_eq!(p.to_bits(), q.to_bits());
@@ -817,7 +823,7 @@ mod tests {
         let mut fresh = ParamStore::new();
         fresh.register("w", Tensor::zeros(vec![3]));
         fresh.register("frozen", Tensor::zeros(vec![2]));
-        restore_params(&mut fresh, &loaded.params).unwrap();
+        restore_params(&mut fresh, loaded.params).unwrap();
         let id = fresh.find("w").unwrap();
         let orig = store.find("w").unwrap();
         assert_eq!(fresh.value(id).data(), store.value(orig).data());
@@ -936,7 +942,7 @@ mod tests {
         assert!(rejected(&|p| p.clear()));
         // and the writer refuses what the format cannot hold: an int8 store
         let mut quantized = checkpoint_of(&store, &opt);
-        quantized.params[0].value = Tensor::ones(vec![2, 32]).quantize_i8();
+        quantized.params[0].value = Arc::new(Tensor::ones(vec![2, 32]).quantize_i8());
         std::fs::remove_file(&path).unwrap();
         let refused = save_trainer_checkpoint(&quantized, &path);
         assert!(matches!(refused, Err(SerializeError::InvalidState(_))) && !path.exists());
@@ -979,19 +985,19 @@ mod tests {
         let mut few = ParamStore::new();
         few.register("w", Tensor::zeros(vec![3]));
         assert!(matches!(
-            restore_params(&mut few, &records),
+            restore_params(&mut few, records.clone()),
             Err(SerializeError::ParamMismatch { .. })
         ));
         // wrong name
         let mut named = ParamStore::new();
         named.register("w", Tensor::zeros(vec![3]));
         named.register("other", Tensor::zeros(vec![2]));
-        assert!(restore_params(&mut named, &records).is_err());
+        assert!(restore_params(&mut named, records.clone()).is_err());
         // wrong shape — and the store is left untouched by the failure
         let mut shaped = ParamStore::new();
         shaped.register("w", Tensor::zeros(vec![4]));
         shaped.register("frozen", Tensor::zeros(vec![2]));
-        assert!(restore_params(&mut shaped, &records).is_err());
+        assert!(restore_params(&mut shaped, records.clone()).is_err());
         assert_eq!(shaped.value(shaped.find("w").unwrap()).data(), &[0.0; 4]);
         std::mem::drop(records);
     }

@@ -16,20 +16,23 @@
 //! All of them — and [`matmul_q8_into`], whose `B` is dequantized in
 //! register — run one block kernel (`block`) over a rows × columns
 //! rectangle of the output. It is register-tiled: an `R × W` accumulator
-//! block (`R` ≤ `MR` rows, so the `m mod 4` remainder runs at vector
-//! rate too) lives in registers across the whole `k` loop, and column
-//! panels are walked outermost so a `B` panel is fetched from beyond L1
-//! once and reused by every row tile. On x86-64 the same source body is
-//! compiled three times — for the baseline, with AVX2 and with AVX-512F
-//! enabled — and the widest the CPU has is picked at run time
-//! ([`kernel_body`] names it). The panel width `W` belongs to the pair
-//! (compiled body, product), each chosen by measurement (DESIGN §5f):
-//! 16 columns everywhere except the f32 products under AVX-512, which run
-//! 4 × 64 tiles; the int8 product keeps 16 there (a 32-wide fragment's
+//! block lives in registers across the whole `k` loop, and column panels
+//! are walked outermost so a `B` panel is fetched from beyond L1 once and
+//! reused by every row tile. On x86-64 the same source body is compiled
+//! three times — for the baseline, with AVX2 and with AVX-512F enabled —
+//! and the widest the CPU has is picked at run time ([`kernel_body`]
+//! names it). The panel width `W` belongs to the pair (compiled body,
+//! product), each chosen by measurement (DESIGN §5f): 16 columns
+//! everywhere except the f32 products under AVX-512, which run 64-wide
+//! panels; the int8 product keeps 16 there (a 32-wide fragment's
 //! `i8 → f32` convert costs more than the wider multiply saves). What
 //! depends on `W` follows the product's own width: the fringe cascade
 //! (`W`, `W/2`, … down to 8 columns, then single columns) and the unit a
-//! column split is cut in.
+//! column split is cut in. The tile height belongs to (body, product,
+//! panel width) in the same way — as many rows as keep the accumulators
+//! in the vector registers: 6 × 64 and 12 × 32 under AVX-512 — and the
+//! `rows mod R` remainder runs as a cascade of shorter tiles at the same
+//! vector rate.
 //!
 //! The numeric contract (DESIGN §5f), named by [`NUMERICS`]: every
 //! product element is one accumulator that starts at `+0.0` and takes one
@@ -85,12 +88,10 @@ macro_rules! profiled {
 mod tanh;
 pub use tanh::{gelu, gelu_fwd, gelu_grad, gelu_tanh, gelu_tanh_into, tanh_into};
 
-/// Rows per full register tile of the block kernel, under every body and
-/// product. Measured, not assumed (DESIGN §5f): with eight rows per step
-/// LLVM stops holding the tile in registers — 8×32 and 8×16 under AVX-512
-/// run at ~2 GMAC/s, a seventeenth of the 4-row rate, 8×16 under AVX2 at
-/// 0.6× — so a taller tile needs `Lhs::steps` restructured first.
-const MR: usize = 4;
+/// The tallest register tile of the block kernel ([`Body::tile_rows`]):
+/// the rows `product` writes out one by one and the first height of
+/// `panel`'s cascade.
+const MAX_MR: usize = 12;
 /// The narrowest multi-column panel: every body's fringe cascade halves
 /// the panel width down to this, and only what is left runs one column at
 /// a time.
@@ -236,8 +237,11 @@ pub fn bmm_tn(a: &Tensor, b: &Tensor) -> Tensor {
 trait Lhs<'a>: Copy + Sync {
     /// View `a` (`m * k` elements in this layout) as the left operand.
     fn new(a: &'a [f32], m: usize, k: usize) -> Self;
-    /// `[A[i0, kk], …, A[i0 + R - 1, kk]]` for `kk` ascending over `0..k`.
-    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = [f32; R]>;
+    /// One reader per step, for `kk` ascending over `0..k`: called with
+    /// `r < R`, the reader of step `kk` returns `A[i0 + r, kk]`, straight
+    /// from memory — no `[f32; R]` is built per step, so a tall tile's
+    /// accumulators keep the registers to themselves.
+    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = impl Fn(usize) -> f32>;
 }
 
 /// `A` stored `[m, k]` row-major (`matmul`, `matmul_nt`, `matmul_q8`).
@@ -253,9 +257,16 @@ impl<'a> Lhs<'a> for RowMajor<'a> {
         Self { a, k }
     }
     #[inline(always)]
-    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = [f32; R]> {
-        let rows: [&[f32]; R] = from_fn(|r| &self.a[(i0 + r) * self.k..][..self.k]);
-        (0..self.k).map(move |kk| from_fn(|r| rows[r][kk]))
+    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = impl Fn(usize) -> f32> {
+        let (a, k) = (self.a, self.k);
+        // A plain loop, not `from_fn`: unrolled early, its stores leave
+        // every row a known pointer of length `k`, so the step loop below
+        // has no per-row bounds check and nothing of it lives in memory.
+        let mut rows: [&[f32]; R] = [&a[..0]; R];
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = &a[(i0 + r) * k..][..k];
+        }
+        (0..k).map(move |kk| move |r: usize| rows[r][kk])
     }
 }
 
@@ -273,10 +284,10 @@ impl<'a> Lhs<'a> for KMajor<'a> {
         Self { a, m }
     }
     #[inline(always)]
-    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = [f32; R]> {
+    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = impl Fn(usize) -> f32> {
         self.a.chunks_exact(self.m).map(move |row| {
-            let vals = &row[i0..i0 + R];
-            from_fn(|r| vals[r])
+            let vals: &[f32; R] = row[i0..i0 + R].try_into().expect("R values");
+            move |r: usize| vals[r]
         })
     }
 }
@@ -307,10 +318,11 @@ impl<'a> F32<'a> {
 }
 
 impl Rhs for F32<'_> {
-    /// 4×16 at 8 lanes: two vectors per tile row, one whole cache line of
-    /// `B` per `k` step. 4×64 at 16 lanes: four vectors per row, sixteen
-    /// independent fused multiply-adds per step against 4×32's eight,
-    /// 17–25 % faster on the forward shapes (DESIGN §5f).
+    /// 16 columns at 8 lanes: two vectors per tile row, one whole cache
+    /// line of `B` per `k` step. 64 at 16 lanes: four vectors per row,
+    /// sixteen independent fused multiply-adds per step of a 4-row tile
+    /// against 4×32's eight, 17–25 % faster on the forward shapes, and
+    /// 24 at the 6 rows [`Body::tile_rows`] gives it (DESIGN §5f).
     #[inline(always)]
     fn nr(body: Body) -> usize {
         match body {
@@ -441,9 +453,37 @@ trait Product: Copy + Sync {
     ) -> [[f32; W]; R];
 }
 
-/// `A · B`: the accumulators start at `+0.0`, stay in registers across the
-/// whole `k` loop and take one fused multiply-add per step, lanes running
-/// across columns.
+/// `A · B` over the `R × W` tile at `(i0, j0)`: the accumulators start at
+/// `+0.0`, stay in registers across the whole `k` loop and take one fused
+/// multiply-add per step, lanes running across columns.
+#[inline(always)]
+fn product<'a, const R: usize, const W: usize, A: Lhs<'a>, B: Rhs>(
+    (a, b): (A, B),
+    i0: usize,
+    j0: usize,
+) -> [[f32; W]; R] {
+    let mut acc = [[0.0f32; W]; R];
+    for (av, bv) in a.steps::<R>(i0).zip(b.steps::<W>(j0)) {
+        // One statement per row, not a loop over rows: a row loop the
+        // compiler does not unroll first can be vectorized across rows —
+        // contiguous `A` reads, gathered accumulators — which it chose for
+        // the `KMajor` 12 × 32 tile at a fortieth of the column rate.
+        macro_rules! rows {
+            ($($r:literal)*) => {$(
+                if let Some(acc) = acc.get_mut($r) {
+                    let a = av($r);
+                    for c in 0..W {
+                        acc[c] = a.mul_add(bv[c], acc[c]);
+                    }
+                }
+            )*};
+        }
+        rows!(0 1 2 3 4 5 6 7 8 9 10 11); // up to MAX_MR
+    }
+    acc
+}
+
+/// `A · B`, as computed.
 impl<'a, A: Lhs<'a>, B: Rhs> Product for (A, B) {
     #[inline(always)]
     fn nr(body: Body) -> usize {
@@ -456,24 +496,19 @@ impl<'a, A: Lhs<'a>, B: Rhs> Product for (A, B) {
         i0: usize,
         j0: usize,
     ) -> [[f32; W]; R] {
-        let mut acc = [[0.0f32; W]; R];
-        for (av, bv) in self.0.steps::<R>(i0).zip(self.1.steps::<W>(j0)) {
-            for r in 0..R {
-                for c in 0..W {
-                    acc[r][c] = av[r].mul_add(bv[c], acc[r][c]);
-                }
-            }
-        }
-        acc
+        product::<R, W, A, B>(self, i0, j0)
     }
 }
 
 /// `out + A₀ · B₀ + A₁ · B₁ + …`, added left to right: the tile starts
-/// from the output's own cells and adds each part's product — itself one
-/// accumulator from `+0.0` in ascending `k`, exactly the `(A, B)` tile —
-/// in slice order. Per element that is the arithmetic of computing every
-/// `Aᵢ · Bᵢ` into a tensor of its own and adding those tensors to `out`
-/// one after the other; only the tensors never exist.
+/// from the output's own cells, and each part's product — one
+/// accumulator from `+0.0` in ascending `k`, exactly the `(A, B)` tile,
+/// held in registers — is added into that running sum once the part is
+/// done, in slice order. The sum waits in memory while a part runs, so
+/// the part's accumulators keep every register they need (an f32 stored
+/// and read back is the same f32). Per element that is the arithmetic of
+/// computing every `Aᵢ · Bᵢ` into a tensor of its own and adding those
+/// tensors to `out` one after the other; only the tensors never exist.
 #[derive(Clone, Copy)]
 struct Accumulate<'p, A, B>(&'p [(A, B)]);
 
@@ -490,43 +525,56 @@ impl<'a, A: Lhs<'a>, B: Rhs> Product for Accumulate<'_, A, B> {
         j0: usize,
     ) -> [[f32; W]; R] {
         // SAFETY: the cells belong to this tile alone (`OutPtr` docs).
-        let mut acc: [[f32; W]; R] = from_fn(|r| unsafe { out.load(i0 + r, j0) });
+        let mut sum: [[f32; W]; R] = from_fn(|r| unsafe { out.load(i0 + r, j0) });
         for &part in self.0 {
-            let t = part.tile::<R, W>(out, i0, j0);
-            for r in 0..R {
-                for c in 0..W {
-                    acc[r][c] += t[r][c];
+            let t = product::<R, W, A, B>(part, i0, j0);
+            for (sum, t) in sum.iter_mut().zip(&t) {
+                for (s, t) in sum.iter_mut().zip(t) {
+                    *s += t;
                 }
             }
         }
-        acc
+        sum
     }
 }
 
 /// One `R × W` register tile of `out` at `(i0, j0)`, computed and stored.
 #[inline(always)]
 fn tile<const R: usize, const W: usize, P: Product>(p: P, out: OutPtr, i0: usize, j0: usize) {
-    for (r, vals) in p.tile::<R, W>(out, i0, j0).into_iter().enumerate() {
+    for (r, vals) in p.tile::<R, W>(out, i0, j0).iter().enumerate() {
         // SAFETY: the cells belong to this tile alone (`OutPtr` docs).
-        unsafe { out.store(i0 + r, j0, vals) };
+        unsafe { out.store(i0 + r, j0, *vals) };
     }
 }
 
-/// All row tiles of one `W`-wide column panel: full `MR`-row tiles, then
-/// the `rows mod MR` remainder as one shorter tile at the same vector rate.
+/// All row tiles of one `W`-wide column panel: full tiles of the height
+/// `body` gives this width, then the remainder as a cascade of shorter
+/// tiles, each height at most once, at the same vector rate. A panel so
+/// compiles at most five tile heights: the kernel is inlined whole into
+/// each body's wrapper, and one instance per remainder height grew that
+/// function until LLVM stopped inlining the operands' iterator adapters
+/// into it (DESIGN §5f).
 #[inline(always)]
-fn panel<const W: usize, P: Product>(p: P, out: OutPtr, rows: &Range<usize>, j0: usize) {
+fn panel<const W: usize, P: Product>(
+    body: Body,
+    p: P,
+    out: OutPtr,
+    rows: &Range<usize>,
+    j0: usize,
+) {
+    let mr = body.tile_rows(W);
     let mut i0 = rows.start;
-    while i0 + MR <= rows.end {
-        tile::<MR, W, P>(p, out, i0, j0);
-        i0 += MR;
+    macro_rules! cascade {
+        ($($r:literal)*) => {$(
+            if $r <= mr {
+                while rows.end - i0 >= $r {
+                    tile::<$r, W, P>(p, out, i0, j0);
+                    i0 += $r;
+                }
+            }
+        )*};
     }
-    match rows.end - i0 {
-        3 => tile::<3, W, P>(p, out, i0, j0),
-        2 => tile::<2, W, P>(p, out, i0, j0),
-        1 => tile::<1, W, P>(p, out, i0, j0),
-        _ => {}
-    }
+    cascade!(12 6 4 2 1); // MAX_MR first; every `tile_rows` is one of them
 }
 
 /// One compilation of a [`Compiled`] kernel ([`block`], the `tanh`
@@ -565,6 +613,24 @@ impl Body {
     /// call runs.
     fn widest() -> Body {
         Body::ALL.into_iter().rev().find(|b| b.available()).unwrap_or(Body::Portable)
+    }
+
+    /// Rows per full register tile of a `w`-wide panel, for every
+    /// product: as many as keep the tile's accumulators — `w / lanes`
+    /// vectors per row — within the vector registers a step can spare (24
+    /// of AVX-512's 32, 12 of AVX2's 16), up to [`MAX_MR`]. So 6 × 64 and
+    /// 12 × 32 under AVX-512, 6 × 16 under AVX2, and 12 rows for the
+    /// 16-wide int8 panels under AVX-512 and every 8-wide or single-column
+    /// fringe. Measured, not assumed (DESIGN §5f). The portable body keeps
+    /// 4 rows at every width.
+    #[inline(always)]
+    fn tile_rows(self, w: usize) -> usize {
+        let (lanes, accumulators) = match self {
+            Body::Avx512 => (16, 24),
+            Body::Avx2 => (8, 12),
+            Body::Portable => return 4,
+        };
+        (accumulators / w.div_ceil(lanes)).min(MAX_MR)
     }
 
     const fn name(self) -> &'static str {
@@ -611,7 +677,7 @@ fn block<P: Product>(body: Body, p: P, out: OutPtr, rows: Range<usize>, cols: Ra
         ($w:literal) => {
             if $w <= nr {
                 while j0 + $w <= cols.end {
-                    panel::<$w, P>(p, out, &rows, j0);
+                    panel::<$w, P>(body, p, out, &rows, j0);
                     j0 += $w;
                 }
             }
@@ -622,7 +688,7 @@ fn block<P: Product>(body: Body, p: P, out: OutPtr, rows: Range<usize>, cols: Ra
     panels!(16);
     panels!(8); // MIN_PANEL
     for j in j0..cols.end {
-        panel::<1, P>(p, out, &rows, j);
+        panel::<1, P>(body, p, out, &rows, j);
     }
 }
 
@@ -712,10 +778,10 @@ fn aligned_ranges(extent: usize, unit: usize, ways: usize) -> Vec<Range<usize>> 
 /// One block unless the call [`fans_out`]. Otherwise the
 /// output is split `T` ways along the axis that makes each thread read
 /// the fewest operand bytes: column panels when `m < n` (every thread
-/// reads all of `A` and `1/T` of `B`: `m·k + k·n/T` elements), `MR`-
-/// aligned row ranges otherwise (`m·k/T + k·n`). Either way each element
-/// is computed by exactly one tile in the same order, so the split never
-/// shows in the result.
+/// reads all of `A` and `1/T` of `B`: `m·k + k·n/T` elements), row ranges
+/// aligned to the full panel's tile height otherwise (`m·k/T + k·n`).
+/// Either way each element is computed by exactly one tile in the same
+/// order, so the split never shows in the result.
 fn gemm<P: Product>(p: P, out: OutPtr, m: usize, k: usize, n: usize) {
     if m == 0 || n == 0 {
         return;
@@ -723,8 +789,9 @@ fn gemm<P: Product>(p: P, out: OutPtr, m: usize, k: usize, n: usize) {
     if !fans_out(m * k * n) {
         return run_block(p, out, 0..m, 0..n);
     }
+    let body = Body::widest();
     let (by_cols, unit, extent) =
-        if m < n { (true, P::nr(Body::widest()), n) } else { (false, MR, m) };
+        if m < n { (true, P::nr(body), n) } else { (false, body.tile_rows(P::nr(body)), m) };
     let spans = aligned_ranges(extent, unit, pool::n_threads());
     pool::parallel_for(spans.len(), |t| {
         let span = spans[t].clone();
@@ -2156,13 +2223,14 @@ mod tests {
         // Every fringe of the widest cascade (`n mod 64`: nothing, single
         // columns only, an 8-panel with and without single columns, a
         // 16-panel, 16 + 8, 16 + 8 + singles, a 32-panel alone, with
-        // singles and with 16 + 8 + singles) against every tile height
-        // (`m mod 4`), `k = 0` included; two full 64-panels, so a 64-wide
-        // split has a unit for each of up to three ranges, and four or
+        // singles and with 16 + 8 + singles) against full tiles of 4, 6
+        // and 12 rows, remainders of one to five rows under each and two
+        // full tiles stacked, `k = 0` included; two full 64-panels, so a
+        // 64-wide split has a unit for each of up to three ranges, and four or
         // more quant blocks per row, so a misaligned fragment would read
         // a neighbour's scale. Miri interprets two of the shapes.
         let fringes = [0, 1, 7, 8, 9, 16, 24, 31, 32, 33, 63];
-        let all = fringes.map(|f| [4, 5, 6, 7].map(|m| (m, 128 + f)));
+        let all = fringes.map(|f| [4, 5, 6, 7, 11, 12, 13, 25].map(|m| (m, 128 + f)));
         let shapes = if cfg!(miri) { &[(5, 73), (7, 95)][..] } else { all.as_flattened() };
         for (case, &(m, n)) in shapes.iter().enumerate() {
             let k = [9, 33, 5, 0][case % 4];

@@ -124,6 +124,12 @@ fn shapes() -> Vec<(usize, usize, usize)> {
     all
 }
 
+/// Row counts at every edge of the block kernel's tile heights: one and
+/// around each full tile (4, 6 and 12 rows) and a few of them stacked
+/// (23–25, 63–65), the paper's table lengths (28, 31), and the two-table
+/// stacked group (63) whose remainder runs a shorter tile.
+const TILE_EDGE_MS: [usize; 16] = [1, 5, 6, 7, 8, 11, 12, 13, 23, 24, 25, 28, 31, 63, 64, 65];
+
 /// Shapes for the two orientations of `matmul_nt`: every `m` crosses a
 /// wide `n` (`m < n`: `Cᵀ = B · Aᵀ` over the panel padded to a multiple of
 /// 8 — exact, one short and one over), a narrow `n < 8` (`m ≥ n` or the
@@ -132,7 +138,7 @@ fn shapes() -> Vec<(usize, usize, usize)> {
 /// 32-row chunk of the `m < n` orientation).
 fn nt_shapes() -> Vec<(usize, usize, usize)> {
     let mut all = Vec::new();
-    for m in [1, 7, 8, 28, 31, 64] {
+    for m in TILE_EDGE_MS {
         all.extend([(m, 90, 200), (m, 37, 5), (m, 1, 70), (m, 1, 3), (m, 50, m)]);
     }
     all.extend([(28, 1200, 312), (31, 312, 1200), (64, 50, 31), (63, 1200, 312), (63, 312, 1200)]);
@@ -173,11 +179,56 @@ fn matmul_nt_matches_naive_at_every_width() {
     pool::set_threads(saved);
 }
 
+/// `(m, k, n)` for [`TILE_EDGE_MS`] against a wide `n` (every fringe
+/// panel of the widest cascade, the column split) and a narrow one (the
+/// row split once `m ≥ n`).
+fn tile_edge_shapes() -> Vec<(usize, usize, usize)> {
+    TILE_EDGE_MS.into_iter().flat_map(|m| [(m, 45, 64 + 32 + 16 + 8 + 3), (m, 37, 19)]).collect()
+}
+
+#[test]
+fn tile_edges_match_naive_at_every_width() {
+    // Every tile height and its remainder through each product that runs
+    // the block kernel: the dense forward, the batched one (three
+    // elements, each checked against its own naive product) and the int8.
+    let _g = lock();
+    let saved = pool::n_threads();
+    for (m, k, n) in tile_edge_shapes() {
+        let a = fill(vec![m, k], 21);
+        let b = fill(vec![k, n], 22);
+        let want = naive_matmul(&a, &b);
+        let qb = fill(vec![k, n], 23).quantize_i8();
+        let want_q8 = naive_matmul(&a, &qb.dequantize());
+        let blocks = qb.quantized().expect("quantize_i8 yields quantized storage");
+        let bs = 3;
+        let (ba, bb) = (fill(vec![bs, m, k], 24), fill(vec![bs, k, n], 25));
+        let slice = |t: &Tensor, i: usize, rows: usize, cols: usize| {
+            let len = rows * cols;
+            Tensor::from_vec(vec![rows, cols], t.data()[i * len..(i + 1) * len].to_vec())
+        };
+        let want_bmm: Vec<f32> = (0..bs)
+            .flat_map(|i| naive_matmul(&slice(&ba, i, m, k), &slice(&bb, i, k, n)).data().to_vec())
+            .collect();
+        let want_bmm = Tensor::from_vec(vec![bs, m, n], want_bmm);
+        for &w in WIDTHS {
+            pool::set_threads(w);
+            let ctx = format!("{m}x{k}x{n} @{w}t");
+            assert_bits_eq(&ops::matmul(&a, &b), &want, &format!("matmul {ctx}"));
+            assert_bits_eq(&ops::bmm(&ba, &bb), &want_bmm, &format!("bmm {bs}x{ctx}"));
+            let mut out = vec![f32::NAN; m * n];
+            ops::matmul_q8_into(a.data(), blocks, &mut out, m, k, n);
+            let got = Tensor::from_vec(vec![m, n], out);
+            assert_bits_eq(&got, &want_q8, &format!("matmul_q8 {ctx}"));
+        }
+    }
+    pool::set_threads(saved);
+}
+
 #[test]
 fn matmul_tn_matches_naive_at_every_width() {
     let _g = lock();
     let saved = pool::n_threads();
-    for (m, k, n) in shapes() {
+    for (m, k, n) in shapes().into_iter().chain(tile_edge_shapes()) {
         let a = fill(vec![k, m], 5);
         let b = fill(vec![k, n], 6);
         let want = naive_matmul_tn(&a, &b);
@@ -203,8 +254,8 @@ fn spiked(shape: Vec<usize>, salt: u32) -> Tensor {
 #[test]
 fn matmul_tn_acc_matches_ordered_tn_then_add_at_every_width() {
     // The weight-gradient reduce: `out += Σ AᵢᵀBᵢ` in one call must have
-    // the bits of `matmul_tn` per part followed by `add_assign` in part
-    // order. `(m, n)` from the `nt` shape set plus the paper's FFN weights;
+    // the bits of the naive `tn` loop per part followed by `add_assign` in
+    // part order. `(m, n)` from the `nt` shape set plus the paper's FFN weights;
     // 1–4 parts of unequal `k` (one of them a single row); the output
     // seeded with spiked values and with all `-0.0`.
     let _g = lock();
@@ -227,7 +278,7 @@ fn matmul_tn_acc_matches_ordered_tn_then_add_at_every_width() {
                 pool::set_threads(1);
                 let mut want = seed.clone();
                 for (a, b) in &operands[..n_parts] {
-                    want.add_assign(&ops::matmul_tn(a, b));
+                    want.add_assign(&naive_matmul_tn(a, b));
                 }
                 if n_parts == 0 {
                     assert_bits_eq(&want, &seed, "no parts leave the output untouched");
