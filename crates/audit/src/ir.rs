@@ -175,6 +175,28 @@ impl IrNode {
     }
 }
 
+/// One layer's multi-head self-attention in a lowered plan
+/// ([`Ir::attention_regions`]). The region's nodes — per table its row
+/// slices (when tables are stacked), head split, scores, scale, mask,
+/// softmax, context and merge, then the row concatenation of the
+/// tables — read only each other, the stacked
+/// projections and the tables' masks, and only the last of them is read
+/// from outside: an executor may run the region as one op (the tape's
+/// `Graph::attention`) and leave its interior unrecorded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AttentionRegion {
+    /// The stacked `[Σn, d]` query, key and value projections.
+    pub qkv: [TensorId; 3],
+    /// Per table, its `[n, n]` visibility mask source, if it has one.
+    pub masks: Vec<Option<TensorId>>,
+    /// Heads the `d` columns split into.
+    pub heads: usize,
+    /// The factor of the scores' `Scale` nodes, `1/√(d/heads)`.
+    pub scale: f64,
+    /// The region's nodes in tape order; the last is its `[Σn, d]` output.
+    pub nodes: Range<usize>,
+}
+
 /// An op-graph lowering of one forward plan, or of a group of them
 /// stacked as row segments ([`lower_group_plan`]), in topological order.
 #[derive(Debug, Clone)]
@@ -183,6 +205,7 @@ pub struct Ir {
     /// Per node, what [`Ir::grad_form`] answers.
     grad_forms: Vec<GradForm>,
     dropout_sites: Vec<TensorId>,
+    attention: Vec<AttentionRegion>,
     /// Row count of each table of the group.
     segments: Vec<usize>,
     /// The gathers that take one table's rows of a stacked node.
@@ -234,6 +257,12 @@ impl Ir {
     /// keep mask right after recording it.
     pub fn dropout_sites(&self) -> &[TensorId] {
         &self.dropout_sites
+    }
+
+    /// Each encoder layer's attention region, in tape order. Its dropout
+    /// site (the probabilities) is among [`dropout_sites`](Ir::dropout_sites).
+    pub fn attention_regions(&self) -> &[AttentionRegion] {
+        &self.attention
     }
 
     /// The form the tape hands over source `t`'s gradient in when `t`
@@ -387,6 +416,7 @@ fn infer_shape(kind: &OpKind, ins: &[&[usize]]) -> Result<Vec<usize>, AuditError
 pub struct IrBuilder {
     nodes: Vec<IrNode>,
     dropout_sites: Vec<TensorId>,
+    attention: Vec<AttentionRegion>,
     /// The table the next nodes belong to (`IrNode::seg`).
     seg: Option<usize>,
     slices: Vec<(TensorId, Range<usize>)>,
@@ -424,6 +454,7 @@ impl IrBuilder {
             nodes: self.nodes,
             grad_forms,
             dropout_sites: self.dropout_sites,
+            attention: self.attention,
             segments: Vec::new(),
             slices: self.slices,
             outputs: Vec::new(),
@@ -673,6 +704,7 @@ pub fn lower_group_plan(plans: &[ModelPlan]) -> Result<Ir, AuditError> {
         let q = b.linear(h, d, d, &format!("{blk}.att.wq"))?;
         let k = b.linear(h, d, d, &format!("{blk}.att.wk"))?;
         let v = b.linear(h, d, d, &format!("{blk}.att.wv"))?;
+        let first = b.nodes.len();
         let mut flats = Vec::with_capacity(plans.len());
         for (s, plan) in plans.iter().enumerate() {
             b.seg = Some(s);
@@ -708,6 +740,13 @@ pub fn lower_group_plan(plans: &[ModelPlan]) -> Result<Ir, AuditError> {
         } else {
             flats[0]
         };
+        b.attention.push(AttentionRegion {
+            qkv: [q, k, v],
+            masks: masks.clone(),
+            heads: p.n_heads,
+            scale: inv_sqrt_dh,
+            nodes: first..b.nodes.len(),
+        });
         let att = b.linear(flat, d, d, &format!("{blk}.att.wo"))?;
         let res1 = b.op(OpKind::Add, &[h, att], &format!("{blk}.res1"))?;
         let h1 = b.ln(res1, d, p.numerics.ln_eps, &format!("{blk}.ln1"))?;
@@ -1078,6 +1117,37 @@ mod tests {
         let ir = lower_group_plan(&headed).expect("group lowers");
         assert!(ir.find_in("encoder.rows", 0).is_some());
         assert_eq!(ir.find_in("encoder.rows", 1), None);
+    }
+
+    #[test]
+    fn an_attention_region_is_read_only_through_its_output() {
+        let unmasked = ModelPlan { n_tokens: 7, use_visibility: false, ..paper_plan() };
+        for plans in [vec![paper_plan()], vec![paper_plan(), unmasked, paper_plan()]] {
+            let ir = lower_group_plan(&plans).expect("plans lower");
+            let regions = ir.attention_regions();
+            assert_eq!(regions.len(), 4, "one per layer");
+            for r in regions {
+                assert_eq!((r.heads, r.masks.len()), (12, plans.len()));
+                assert_eq!(r.masks[0].is_some(), plans[0].use_visibility);
+                let mut inside: Vec<TensorId> = r.nodes.clone().map(TensorId).collect();
+                inside.extend(r.qkv);
+                inside.extend(r.masks.iter().flatten());
+                for i in r.nodes.clone() {
+                    let node = ir.node_at(i);
+                    assert!(!node.kind.is_source(), "`{}` is an op", node.label);
+                    assert!(node.inputs.iter().all(|t| inside.contains(t)), "`{}`", node.label);
+                    if let OpKind::Scale { factor } = node.kind {
+                        assert_eq!(factor, r.scale);
+                    }
+                }
+                let last = TensorId(r.nodes.end - 1);
+                assert_eq!(ir.node_at(last.0).shape, vec![ir.segments().iter().sum(), 312]);
+                for (i, node) in ir.nodes().iter().enumerate().skip(r.nodes.end) {
+                    let interior = |t: &TensorId| r.nodes.contains(&t.0) && *t != last;
+                    assert!(!node.inputs.iter().any(interior), "node {i} reads the interior");
+                }
+            }
+        }
     }
 
     #[test]

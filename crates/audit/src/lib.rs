@@ -39,7 +39,8 @@ pub mod visibility;
 
 pub use error::AuditError;
 pub use ir::{
-    lower_group_plan, lower_model_plan, Ir, IrBuilder, IrNode, OpKind, SourceKind, TensorId,
+    lower_group_plan, lower_model_plan, AttentionRegion, Ir, IrBuilder, IrNode, OpKind, SourceKind,
+    TensorId,
 };
 pub use liveness::{
     live_ranges, plan_arena, plan_layout, ArenaLayout, ArenaPlan, ArenaRequest, ArenaSlot,

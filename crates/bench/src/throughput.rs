@@ -11,18 +11,22 @@
 //! ```json
 //! {"op": "encoder_fwd_bwd", "size": "seq=94,d=64,layers=2",
 //!  "dtype": "f32", "body": "avx2", "threads": 4, "available_cores": 4,
-//!  "ns_per_iter": 1234567, "tokens_per_sec": 76123.4}
+//!  "ns_per_iter": 1234567, "tokens_per_sec": 76123.4,
+//!  "runq_wait_ns": 1200000, "involuntary_switches": 3, "minor_faults": 0}
 //! ```
 //!
 //! `body` is the compilation of the block kernel the recording process ran
 //! ([`ops::kernel_body`]): the tracked file holds one set of rows per body
 //! it was recorded under, and the regression gate compares like with like.
+//! The last three fields are the process's own contention over the row's
+//! window, read from `/proc`: what says whether a slow row was slow code
+//! or a busy host. The gate ignores them.
 //!
 //! `tokens_per_sec` is sequence rows (tokens + entity cells) per second
 //! for model-level ops, and output rows per second for raw kernels.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use turl_core::{encode_tables, EncodedInput, Pretrainer, TurlConfig};
@@ -32,7 +36,7 @@ use turl_kb::{
     PipelineConfig, WorldConfig,
 };
 use turl_nn::Forward;
-use turl_tensor::{normal_init, ops, pool, Tensor};
+use turl_tensor::{normal_init, ops, pool, AttentionTable, Graph, Tensor, Var};
 
 /// One measurement row of `BENCH_pretrain.json`.
 #[derive(Debug, Clone, Serialize)]
@@ -61,17 +65,31 @@ pub struct BenchEntry {
     /// Work rate: sequence rows per second for model ops, output rows per
     /// second for kernels.
     pub tokens_per_sec: f64,
+    /// Nanoseconds the process's threads spent runnable but waiting on a
+    /// run queue over the row's window: field 2 of every
+    /// `/proc/self/task/*/schedstat`, summed (`/proc/self/schedstat` is
+    /// the main thread's alone).
+    pub runq_wait_ns: u64,
+    /// Times a thread was switched out while it could still run, over the
+    /// window: `nonvoluntary_ctxt_switches` of every
+    /// `/proc/self/task/*/status`, summed.
+    pub involuntary_switches: u64,
+    /// Minor page faults of the process over the window: field 10 of
+    /// `/proc/self/stat`.
+    pub minor_faults: u64,
 }
 
 // Manual impl (the vendored serde derive has no `default` attribute):
 // baseline files written before the dtype and body columns existed
 // deserialize with `dtype: "f32"` and `body: "avx2"`, which is what every
-// such row in this repository measured.
+// such row in this repository measured; rows written before the
+// contention columns, with zeros there.
 impl Deserialize for BenchEntry {
     fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
         let field = |key: &str| {
             v.get(key).ok_or_else(|| serde::DeError::new(format!("missing field `{key}`")))
         };
+        let count = |key: &str| v.get(key).map_or(Ok(0), Deserialize::from_value);
         Ok(Self {
             op: Deserialize::from_value(field("op")?)?,
             size: Deserialize::from_value(field("size")?)?,
@@ -87,8 +105,59 @@ impl Deserialize for BenchEntry {
             available_cores: Deserialize::from_value(field("available_cores")?)?,
             ns_per_iter: Deserialize::from_value(field("ns_per_iter")?)?,
             tokens_per_sec: Deserialize::from_value(field("tokens_per_sec")?)?,
+            runq_wait_ns: count("runq_wait_ns")?,
+            involuntary_switches: count("involuntary_switches")?,
+            minor_faults: count("minor_faults")?,
         })
     }
+}
+
+/// The process's own contention counters behind a [`BenchEntry`]'s last
+/// three fields, read from `/proc` (zeros where a file cannot be read):
+/// nothing here tunes or samples the host, it only reads what the kernel
+/// keeps for this process.
+#[derive(Clone, Copy, Default)]
+struct Contention {
+    runq_wait_ns: u64,
+    involuntary_switches: u64,
+    minor_faults: u64,
+}
+
+impl Contention {
+    /// The counters now. Threads that exited take their counts with them,
+    /// so a window's difference covers the threads alive at its end.
+    fn read() -> Self {
+        let mut c = Self::default();
+        for task in std::fs::read_dir("/proc/self/task").into_iter().flatten().flatten() {
+            let read = |file: &str| std::fs::read_to_string(task.path().join(file));
+            let schedstat = read("schedstat").unwrap_or_default();
+            c.runq_wait_ns += schedstat.split_whitespace().nth(1).map_or(0, parse);
+            let status = read("status").unwrap_or_default();
+            let switches =
+                status.lines().find_map(|l| l.strip_prefix("nonvoluntary_ctxt_switches:"));
+            c.involuntary_switches += switches.map_or(0, parse);
+        }
+        // The fields after the parenthesised command name start at field 3.
+        let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+        let after_name = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+        c.minor_faults = after_name.split_whitespace().nth(10 - 3).map_or(0, parse);
+        c
+    }
+
+    /// What the counters grew by since `before`.
+    fn since(self, before: Self) -> Self {
+        Self {
+            runq_wait_ns: self.runq_wait_ns.saturating_sub(before.runq_wait_ns),
+            involuntary_switches: self
+                .involuntary_switches
+                .saturating_sub(before.involuntary_switches),
+            minor_faults: self.minor_faults.saturating_sub(before.minor_faults),
+        }
+    }
+}
+
+fn parse(field: &str) -> u64 {
+    field.trim().parse().unwrap_or(0)
 }
 
 /// Rows of the forward-shape kernel measurements: the benchmark corpus's
@@ -99,19 +168,40 @@ const FWD_ROWS: usize = 28;
 /// linearized length of the benchmark's 4-table batches).
 const WGRAD_ROWS: usize = 31;
 
+/// The tables of the `attention` rows: the corpus's median linearized
+/// length and a long one, stacked as a pool worker's tape stacks them.
+const ATT_TABLES: [usize; 2] = [28, 46];
+
+/// Heads of the paper encoder (§4.3), whose `d = 312` they split into 26
+/// columns each.
+const ATT_HEADS: usize = 12;
+
+/// Batches each `pretrain_step` row cycles through: one batch is bounded
+/// by its longest table, so a row that timed one would time that table.
+const STEP_CYCLE: usize = 4;
+
 /// Rows of the stacked-group kernel measurements: two tables' worth, as
 /// the training step stacks them per pool worker at the benchmark's
 /// 4-table batches on two threads. 63 is not a multiple of any tile
 /// height, so a remainder tile runs too.
 const STACKED_ROWS: usize = 63;
 
-/// Time `f` and return the median ns of one call: one warmup call, then
-/// timed calls until `min_total_ms` elapses (at least 3). The median, not
-/// the mean, is what the regression gate compares, so one slow call (a
-/// cold page cache, a preempted thread) does not trip it.
-fn time_ns<F: FnMut()>(mut f: F, min_total_ms: u64) -> u64 {
+/// One row's window: the median ns of one call, and the process's
+/// contention over the timed calls.
+#[derive(Clone, Copy)]
+struct Window {
+    ns: u64,
+    contention: Contention,
+}
+
+/// Time `f`: one warmup call, then timed calls until `min_total_ms`
+/// elapses (at least 3). The median, not the mean, is what the regression
+/// gate compares, so one slow call (a cold page cache, a preempted
+/// thread) does not trip it.
+fn time_ns<F: FnMut()>(mut f: F, min_total_ms: u64) -> Window {
     f(); // warmup
     let min_total = std::time::Duration::from_millis(min_total_ms);
+    let before = Contention::read();
     let start = Instant::now();
     let mut samples = Vec::new();
     while start.elapsed() < min_total || samples.len() < 3 {
@@ -119,12 +209,13 @@ fn time_ns<F: FnMut()>(mut f: F, min_total_ms: u64) -> u64 {
         f();
         samples.push(call.elapsed().as_nanos() as u64);
     }
+    let contention = Contention::read().since(before);
     samples.sort_unstable();
-    samples[samples.len() / 2]
+    Window { ns: samples[samples.len() / 2], contention }
 }
 
-fn entry(op: &str, size: String, threads: usize, ns: u64, rows_per_iter: usize) -> BenchEntry {
-    entry_dtyped(op, size, "f32", threads, ns, rows_per_iter)
+fn entry(op: &str, size: String, threads: usize, w: Window, rows_per_iter: usize) -> BenchEntry {
+    entry_dtyped(op, size, "f32", threads, w, rows_per_iter)
 }
 
 fn entry_dtyped(
@@ -132,7 +223,7 @@ fn entry_dtyped(
     size: String,
     dtype: &str,
     threads: usize,
-    ns: u64,
+    w: Window,
     rows_per_iter: usize,
 ) -> BenchEntry {
     BenchEntry {
@@ -142,8 +233,53 @@ fn entry_dtyped(
         body: ops::kernel_body().to_string(),
         threads,
         available_cores: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        ns_per_iter: ns,
-        tokens_per_sec: rows_per_iter as f64 * 1e9 / ns.max(1) as f64,
+        ns_per_iter: w.ns,
+        tokens_per_sec: rows_per_iter as f64 * 1e9 / w.ns.max(1) as f64,
+        runq_wait_ns: w.contention.runq_wait_ns,
+        involuntary_switches: w.contention.involuntary_switches,
+        minor_faults: w.contention.minor_faults,
+    }
+}
+
+/// The paper encoder's attention at its own shape: `q`, `k`, `v` over the
+/// stacked [`ATT_TABLES`] at `d = 312`, each table under a visibility mask
+/// (about 40 % of its pairs hidden), and per table the dropout keep-mask
+/// of a training step (`p = 0.1`).
+struct AttentionStack {
+    qkv: [Tensor; 3],
+    masks: Vec<Tensor>,
+    keeps: Vec<Tensor>,
+}
+
+impl AttentionStack {
+    fn new(rng: &mut StdRng) -> Self {
+        let rows = ATT_TABLES.iter().sum();
+        let qkv = [0, 1, 2].map(|_| normal_init(rng, vec![rows, 312], 0.0, 1.0));
+        let mut draw = |shape: Vec<usize>, hit: f32, value: f32| {
+            let len = shape.iter().product();
+            let x = (0..len).map(|_| if rng.gen::<f32>() < hit { value } else { 0.0 }).collect();
+            Tensor::from_vec(shape, x)
+        };
+        let masks = ATT_TABLES.iter().map(|&n| draw(vec![n, n], 0.4, -1e9)).collect();
+        let keeps =
+            ATT_TABLES.iter().map(|&n| draw(vec![ATT_HEADS, n, n], 0.9, 1.0 / 0.9)).collect();
+        Self { qkv, masks, keeps }
+    }
+
+    /// Record the stack's attention on `g` as one node. `train` records a
+    /// training step's: `q`, `k`, `v` need a gradient and each table's
+    /// probabilities are multiplied by its keep-mask.
+    fn record(&self, g: &mut Graph, train: bool) -> Var {
+        let qkv = self.qkv.clone().map(|t| g.leaf(t, train));
+        let mut start = 0;
+        let tables = (ATT_TABLES.iter().zip(&self.masks).zip(&self.keeps))
+            .map(|((&n, mask), keep)| {
+                start += n;
+                let mask = Some(g.constant(mask.clone()));
+                AttentionTable { rows: start - n..start, mask, keep: train.then(|| keep.clone()) }
+            })
+            .collect();
+        g.attention(qkv, ATT_HEADS, 1.0 / (26.0f32).sqrt(), tables)
     }
 }
 
@@ -225,10 +361,22 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
         .iter()
         .map(|(_, w, _)| normal_init(&mut rng, vec![STACKED_ROWS, w.shape()[0]], 0.0, 1.0))
         .collect();
+    let attention = AttentionStack::new(&mut rng);
+    let att_size = format!("tables={}+{},d=312,heads={ATT_HEADS}", ATT_TABLES[0], ATT_TABLES[1]);
+    let att_rows: usize = ATT_TABLES.iter().sum();
 
     let mut world = build_world(quick);
-    let batch: Vec<(TableInstance, EncodedInput)> = world.data.iter().take(8).cloned().collect();
-    let batch_rows: usize = world.rows.iter().take(8).sum();
+    // The batches the `pretrain_step` rows cycle through, and their mean
+    // rows per batch.
+    let cycle = |size: usize| {
+        let batches: Vec<Vec<(TableInstance, EncodedInput)>> =
+            world.data.chunks_exact(size).take(STEP_CYCLE).map(<[_]>::to_vec).collect();
+        assert_eq!(batches.len(), STEP_CYCLE, "the corpus holds {STEP_CYCLE} batches of {size}");
+        let rows: usize = world.rows[..STEP_CYCLE * size].iter().sum();
+        (batches, rows / STEP_CYCLE)
+    };
+    let (step_batches, batch_rows) = cycle(8);
+    let (paper_batches, paper_rows) = cycle(4);
     let enc_input = world.data[0].1.clone();
     let enc_rows = world.rows[0];
     let cfg = world.pt.cfg;
@@ -358,6 +506,29 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
             let size = format!("m={rows},k={},n={}", w.shape()[1], w.shape()[0]);
             out.push(entry("matmul_nt", size, t, ns, rows));
         }
+        // The paper encoder's attention layer as the training tape records
+        // it, one node over the stacked tables: forward, then forward and
+        // backward under dropout.
+        let ns = time_ns(
+            || {
+                let mut g = Graph::new();
+                let out = attention.record(&mut g, false);
+                std::hint::black_box(g.value(out).data()[0]);
+            },
+            window_ms,
+        );
+        out.push(entry("attention", att_size.clone(), t, ns, att_rows));
+        let ns = time_ns(
+            || {
+                let mut g = Graph::new();
+                let out = attention.record(&mut g, true);
+                let l = g.mean_all(out);
+                g.backward(l);
+                std::hint::black_box(g.len());
+            },
+            window_ms,
+        );
+        out.push(entry("attention_fwd_bwd", att_size.clone(), t, ns, att_rows));
         let bmm_size = format!("b={heads},m={hd},k={hd},n={hd}");
         let bkernels: [(&str, Kern); 3] =
             [("bmm", ops::bmm), ("bmm_nt", ops::bmm_nt), ("bmm_tn", ops::bmm_tn)];
@@ -483,31 +654,35 @@ pub fn run_suite(quick: bool, thread_counts: &[usize]) -> Vec<BenchEntry> {
         );
         out.push(entry_dtyped("encoder_fwd_compiled", paper_size, "i8b32", t, ns, enc_rows));
 
-        // Full data-parallel pre-training step over an 8-table batch.
-        let step_size = format!("batch={},d={}", batch.len(), cfg.encoder.d_model);
+        // Full data-parallel pre-training steps over 8-table batches, one
+        // call per batch of the cycle in turn.
+        let step_size = format!("batch=8,cycle={STEP_CYCLE},d={}", cfg.encoder.d_model);
         let pt = &mut world.pt;
         let cooccur = &world.cooccur;
+        let mut steps = step_batches.iter().cycle();
         let ns = time_ns(
             || {
-                std::hint::black_box(pt.train_step(&batch, cooccur));
+                let batch = steps.next().expect("a cycle");
+                std::hint::black_box(pt.train_step(batch, cooccur));
             },
             window_ms,
         );
         out.push(entry("pretrain_step", step_size, t, ns, batch_rows));
 
-        // The same step at the paper's dimensions over a 4-table batch,
+        // The same steps at the paper's dimensions over 4-table batches,
         // the benchmark of record's `pretrain` workload in miniature.
         let paper_step = format!(
-            "batch=4,d={},layers={}",
+            "batch=4,cycle={STEP_CYCLE},d={},layers={}",
             paper_cfg.encoder.d_model, paper_cfg.encoder.n_layers
         );
+        let mut steps = paper_batches.iter().cycle();
         let ns = time_ns(
             || {
-                std::hint::black_box(paper_pt.train_step(&batch[..4], cooccur));
+                let batch = steps.next().expect("a cycle");
+                std::hint::black_box(paper_pt.train_step(batch, cooccur));
             },
             window_ms,
         );
-        let paper_rows = world.rows.iter().take(4).sum();
         out.push(entry("pretrain_step", paper_step, t, ns, paper_rows));
 
         // Per-request tracing overhead (the `turl serve` telemetry hot
@@ -717,6 +892,9 @@ mod tests {
             available_cores: cores,
             ns_per_iter: ns,
             tokens_per_sec: 1.0,
+            runq_wait_ns: 0,
+            involuntary_switches: 0,
+            minor_faults: 0,
         }
     }
 
@@ -822,6 +1000,8 @@ mod tests {
             "infer_step_batched",
             "encoder_fwd_compiled",
             "pretrain_step",
+            "attention",
+            "attention_fwd_bwd",
         ];
         for op in ops {
             assert!(entries.iter().any(|e| e.op == op && e.threads == 1), "missing op {op}");

@@ -243,7 +243,7 @@ mod tests {
             let mut rngs: Vec<StdRng> = (0..inputs.len()).map(|_| StdRng::seed_from_u64(0)).collect();
             let mut f = Forward::inference(dense);
             let vars = model.run_ir(&mut f, dense, &mut rngs, &ir, &tables);
-            let tape = f.graph.value(*vars.last().expect("a group has nodes"));
+            let tape = f.graph.value(vars.last().copied().flatten().expect("the stacked output"));
 
             for (s, input) in inputs.iter().enumerate() {
                 let solo = cf.encode(model, store, input).expect("solo encode");

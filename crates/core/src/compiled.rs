@@ -445,7 +445,8 @@ mod tests {
         let mut f = Forward::inference(&store);
         let tables = [crate::model::TapeTable { input: &input, heads: &heads }];
         let vars = model.run_ir(&mut f, &store, std::slice::from_mut(&mut rng), &ir, &tables);
-        let want = f.graph.value(vars[ir.find("mer.logits").expect("MER head").index()]);
+        let logits = vars[ir.find("mer.logits").expect("MER head").index()];
+        let want = f.graph.value(logits.expect("recorded"));
 
         let mut cf = model.compiled();
         let hc = cf.encode(&model, &store, &input).expect("compiled encode");

@@ -6,11 +6,11 @@ use crate::config::TurlConfig;
 use crate::input::{EncodedInput, InputBinding};
 use rand::Rng;
 use std::sync::OnceLock;
-use turl_audit::{lower_model_plan, Ir, ModelPlan, OpKind, SourceKind, TensorId};
+use turl_audit::{lower_model_plan, AttentionRegion, Ir, ModelPlan, OpKind, SourceKind, TensorId};
 use turl_exec::ExecError;
 use turl_nn::{Dropout, Embedding, Forward, Linear, ParamId, ParamStore};
 use turl_obs::{metrics_enabled, op_timer, register_op, OpId};
-use turl_tensor::{GradForm, Tensor, Var};
+use turl_tensor::{AttentionTable, GradForm, Tensor, Var};
 
 /// Store name of the parameter an IR source stands for; `None` for the
 /// sources built per input (mask, mention-averaging matrix, zeros).
@@ -45,19 +45,20 @@ fn tape_ops(kind: &OpKind) -> [Option<OpId>; 2] {
         OpKind::Gather => tape_slots!("gather"),
         OpKind::MatMul => tape_slots!("matmul"),
         OpKind::MatMulNT => tape_slots!("matmul_nt"),
-        OpKind::Bmm => tape_slots!("bmm"),
-        OpKind::BmmNT => tape_slots!("bmm_nt"),
         OpKind::Add => tape_slots!("add"),
-        OpKind::Mask => tape_slots!("mask"),
-        OpKind::Scale { .. } => tape_slots!("scale"),
         OpKind::Gelu => tape_slots!("gelu"),
-        OpKind::Softmax => tape_slots!("softmax"),
         OpKind::LayerNorm { .. } => tape_slots!("layer_norm"),
         OpKind::ConcatCols => tape_slots!("concat_cols"),
         OpKind::ConcatRows => tape_slots!("concat_rows"),
-        OpKind::Reshape => tape_slots!("reshape"),
-        OpKind::Permute { .. } => tape_slots!("permute"),
         OpKind::CrossEntropy => tape_slots!("cross_entropy"),
+        // Lowered only inside an attention region: `tape.attention`.
+        OpKind::Bmm
+        | OpKind::BmmNT
+        | OpKind::Mask
+        | OpKind::Scale { .. }
+        | OpKind::Softmax
+        | OpKind::Reshape
+        | OpKind::Permute { .. } => [None; 2],
     }
 }
 
@@ -259,12 +260,15 @@ impl TurlModel {
             .unwrap_or_else(|e| panic!("forward plan does not lower: {e}"));
         let tables = [TapeTable { input, heads: &[] }];
         let vars = self.run_ir(f, store, std::slice::from_mut(rng), &ir, &tables);
-        *vars.last().expect("a lowered plan has nodes")
+        vars.last().copied().flatten().expect("a lowered plan ends on a recorded node")
     }
 
     /// The tape executor: record `ir` on `f`'s tape, one graph op per
-    /// node in IR order, and return the tape var each node's readers see
-    /// (indexed like [`Ir::nodes`]). [`encode`](TurlModel::encode) runs an
+    /// node in IR order and one [`Graph::attention`] node per
+    /// [attention region](Ir::attention_regions), and return the tape var
+    /// each node's readers see (indexed like [`Ir::nodes`]; `None` for a
+    /// region's interior, which nothing outside it reads and the tape does
+    /// not record). [`encode`](TurlModel::encode) runs an
     /// encode-only plan through here, `Pretrainer::train_step` a group of
     /// tables with the MLM/MER heads and losses (Eqns. 5–6), stacked as
     /// the row segments of `turl_audit::lower_group_plan`: `tables[s]`
@@ -283,12 +287,17 @@ impl TurlModel {
     /// shifted candidate ids, targets) and are empty for an encode-only
     /// plan. In a training-mode pass each of [`Ir::dropout_sites`] is
     /// multiplied by a fresh keep mask right after it is recorded, a
-    /// stacked site's rows drawn from each table's own stream.
+    /// stacked site's rows drawn from each table's own stream; a region's
+    /// site (its probabilities) is a keep-mask per table the attention
+    /// node multiplies by, drawn from the table's stream where the region
+    /// is recorded.
     ///
     /// With metrics on, each node's recording is timed under
     /// `tape.<kind>` and its backward closures under `tape.<kind>.bwd`
-    /// (dropout under `tape.dropout`), the names the kernel profile of
-    /// `turl report` lists.
+    /// (dropout under `tape.dropout`, a region under `tape.attention`),
+    /// the names the kernel profile of `turl report` lists.
+    ///
+    /// [`Graph::attention`]: turl_tensor::Graph::attention
     ///
     /// # Panics
     /// Panics when `ir` was not lowered for this model at the tables'
@@ -301,7 +310,7 @@ impl TurlModel {
         rngs: &mut [R],
         ir: &Ir,
         tables: &[TapeTable],
-    ) -> Vec<Var> {
+    ) -> Vec<Option<Var>> {
         let segments = ir.segments();
         assert!(tables.len() == segments.len() && rngs.len() == segments.len(), "one per table");
         let bound: Vec<InputBinding> = (tables.iter())
@@ -313,14 +322,49 @@ impl TurlModel {
             .collect();
         let dropout = Dropout::new(self.cfg.encoder.dropout);
         let mut sites = ir.dropout_sites().iter().map(|t| t.index()).peekable();
-        let mut vars: Vec<Var> = Vec::with_capacity(ir.len());
+        let mut regions = ir.attention_regions().iter().peekable();
+        let mut vars: Vec<Option<Var>> = Vec::with_capacity(ir.len());
         // A stacked node's per-table parameter leaves, by source node.
         let mut per_table: Vec<Vec<Var>> = vec![Vec::new(); ir.len()];
         for (i, node) in ir.nodes().iter().enumerate() {
+            if let Some(region) = regions.next_if(|r| r.nodes.end == i + 1) {
+                // The probabilities' dropout site: in a training-mode pass
+                // a keep-mask over each table's `[heads, n, n]`
+                // probabilities, drawn from its own stream.
+                let keeps = timed(
+                    f,
+                    || tape_slots!("dropout"),
+                    |f| {
+                        let active = dropout.active(f);
+                        (segments.iter().zip(rngs.iter_mut()))
+                            .map(|(&n, rng)| {
+                                active.then(|| {
+                                    let mut keep = Tensor::zeros(vec![region.heads, n, n]);
+                                    dropout.fill_mask(rng, keep.data_mut());
+                                    keep
+                                })
+                            })
+                            .collect()
+                    },
+                );
+                let v = timed(
+                    f,
+                    || tape_slots!("attention"),
+                    |f| Self::record_attention(f, region, &vars, segments, keeps),
+                );
+                while sites.next_if(|&s| s <= i).is_some() {}
+                vars.push(Some(v));
+                continue;
+            }
+            if regions.peek().is_some_and(|r| r.nodes.contains(&i)) {
+                vars.push(None);
+                continue;
+            }
             let t = TensorId::from_index(i);
-            let arg = |slot: usize| vars[node.inputs[slot].index()];
+            let var = |t: &TensorId| vars[t.index()].expect("no node outside a region reads in");
+            let arg = |slot: usize| var(&node.inputs[slot]);
             let leaves = |slot: usize| &per_table[node.inputs[slot].index()];
-            let args = || node.inputs.iter().map(|t| vars[t.index()]).collect::<Vec<Var>>();
+            let args = || node.inputs.iter().map(var).collect::<Vec<Var>>();
             let seg = node.seg.unwrap_or(0);
             let indices = || {
                 let label = node.label.as_str();
@@ -377,15 +421,11 @@ impl TurlModel {
                         }
                         OpKind::MatMul => f.graph.matmul(arg(0), arg(1)),
                         OpKind::MatMulNT => f.graph.matmul_nt(arg(0), arg(1)),
-                        OpKind::Bmm => f.graph.bmm(arg(0), arg(1)),
-                        OpKind::BmmNT => f.graph.bmm_nt(arg(0), arg(1)),
                         OpKind::Add if !leaves(1).is_empty() => {
                             f.graph.add_stacked(arg(0), leaves(1), segments)
                         }
-                        OpKind::Add | OpKind::Mask => f.graph.add(arg(0), arg(1)),
-                        OpKind::Scale { factor } => f.graph.scale(arg(0), *factor as f32),
+                        OpKind::Add => f.graph.add(arg(0), arg(1)),
                         OpKind::Gelu => f.graph.gelu(arg(0)),
-                        OpKind::Softmax => f.graph.softmax_last(arg(0)),
                         OpKind::LayerNorm { eps } if !leaves(1).is_empty() => {
                             f.graph.layer_norm_stacked(
                                 arg(0),
@@ -400,9 +440,16 @@ impl TurlModel {
                         }
                         OpKind::ConcatCols => f.graph.concat_cols(&args()),
                         OpKind::ConcatRows => f.graph.concat_rows(&args()),
-                        OpKind::Reshape => f.graph.reshape(arg(0), node.shape.clone()),
-                        OpKind::Permute { axes } => f.graph.permute(arg(0), axes),
                         OpKind::CrossEntropy => f.graph.cross_entropy(arg(0), indices()),
+                        OpKind::Bmm
+                        | OpKind::BmmNT
+                        | OpKind::Mask
+                        | OpKind::Scale { .. }
+                        | OpKind::Softmax
+                        | OpKind::Reshape
+                        | OpKind::Permute { .. } => {
+                            unreachable!("`{}` is lowered only in an attention region", node.label)
+                        }
                     };
                     (v, leaves_bound)
                 },
@@ -430,9 +477,31 @@ impl TurlModel {
                     },
                 );
             }
-            vars.push(v);
+            vars.push(Some(v));
         }
         vars
+    }
+
+    /// Record `region` as one [`Graph::attention`] node over the tape vars
+    /// of its projections and masks, table `s` under `keeps[s]`.
+    ///
+    /// [`Graph::attention`]: turl_tensor::Graph::attention
+    fn record_attention(
+        f: &mut Forward,
+        region: &AttentionRegion,
+        vars: &[Option<Var>],
+        segments: &[usize],
+        keeps: Vec<Option<Tensor>>,
+    ) -> Var {
+        let var = |t: TensorId| vars[t.index()].expect("a region reads recorded nodes");
+        let mut start = 0;
+        let tables = (segments.iter().zip(&region.masks).zip(keeps))
+            .map(|((&n, mask), keep)| {
+                start += n;
+                AttentionTable { rows: start - n..start, mask: mask.map(var), keep }
+            })
+            .collect();
+        f.graph.attention(region.qkv.map(var), region.heads, region.scale as f32, tables)
     }
 
     /// Frozen entity-embedding matrix (value snapshot), for inspection and
@@ -534,13 +603,83 @@ mod tests {
     fn tape_op_slots_are_named_after_the_ir_op_kinds() {
         let (_, model, _) = tiny_model();
         let (ir, _) = training_and_encode_irs(&model);
-        let registered = ir.nodes().iter().all(|n| tape_ops(&n.kind).iter().all(Option::is_some));
-        assert!(registered, "every kind gets both op slots");
+        // A kind recorded outside the attention regions gets both slots;
+        // one lowered only inside them none: the region is one
+        // `tape.attention` node.
+        let regions = ir.attention_regions();
+        let (interior, outside): (Vec<_>, Vec<_>) = (ir.nodes().iter().enumerate())
+            .partition(|(i, _)| regions.iter().any(|r| r.nodes.contains(i)));
+        let registered = outside.iter().all(|(_, n)| tape_ops(&n.kind).iter().all(Option::is_some));
+        assert!(registered, "every kind recorded outside a region gets both op slots");
+        let only_inside = (interior.iter())
+            .filter(|(_, n)| !outside.iter().any(|(_, o)| o.kind.name() == n.kind.name()));
+        for (_, n) in only_inside {
+            assert_eq!(tape_ops(&n.kind), [None; 2], "`{}` is never recorded", n.kind.name());
+        }
         let names: HashSet<&str> =
             turl_obs::profile::op_snapshot().into_iter().map(|(name, ..)| name).collect();
-        for kind in ir.nodes().iter().map(|n| n.kind.name()) {
+        for kind in outside.iter().map(|(_, n)| n.kind.name()) {
             for name in [format!("tape.{kind}"), format!("tape.{kind}.bwd")] {
                 assert!(names.contains(name.as_str()), "`{name}` is not registered");
+            }
+        }
+    }
+
+    #[test]
+    fn a_two_table_training_tape_records_one_attention_node_per_layer() {
+        // The paper config, two tables of unequal length stacked as one
+        // pre-training tape with both heads, in training mode (dropout on).
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut store = ParamStore::new();
+        let model = TurlModel::new(&mut store, &mut rng, TurlConfig::paper(), 50, 20);
+        assert!(model.cfg.encoder.dropout > 0.0);
+        let n = |input: &EncodedInput| input.seq_len();
+        let mut short = toy_input();
+        short.mask = Some(Tensor::zeros(vec![n(&short), n(&short)]));
+        let mut long = toy_input();
+        long.token_ids.extend([7, 8, 9]);
+        long.token_types.extend([1, 1, 1]);
+        long.token_pos.extend([1, 2, 3]);
+        long.mask = Some(Tensor::zeros(vec![n(&long), n(&long)]));
+        let inputs = [&short, &long];
+        let plans: Vec<ModelPlan> = (inputs.iter())
+            .map(|input| ModelPlan {
+                n_mlm_targets: 1,
+                n_mer_targets: 1,
+                n_candidates: 2,
+                ..model.forward_plan(input)
+            })
+            .collect();
+        let ir = turl_audit::lower_group_plan(&plans).expect("plans lower");
+        let heads: [(&str, &[usize]); 5] = [
+            ("mlm.rows", &[0]),
+            ("mlm.loss", &[1]),
+            ("mer.rows", &[4]),
+            ("mer.candidates", &[3, 5]),
+            ("mer.loss", &[0]),
+        ];
+        let tables = inputs.map(|input| TapeTable { input, heads: &heads });
+        let mut f = Forward::new(&store);
+        let mut rngs = [1, 2].map(StdRng::seed_from_u64);
+        let vars = model.run_ir(&mut f, &store, &mut rngs, &ir, &tables);
+
+        let regions = ir.attention_regions();
+        assert_eq!(regions.len(), model.cfg.encoder.n_layers);
+        for r in regions {
+            let [q, k, v] = r.qkv.map(|t| vars[t.index()].expect("projections are recorded"));
+            let att = vars[r.nodes.end - 1].expect("the region's output is recorded");
+            assert!(r.nodes.clone().take(r.nodes.len() - 1).all(|i| vars[i].is_none()));
+            // Nothing between the value projection and the attention node,
+            // and the projections read by it alone.
+            assert_eq!(att.index(), v.index() + 1, "one tape node for the region");
+            let masks: Vec<Var> =
+                r.masks.iter().map(|m| vars[m.unwrap().index()].unwrap()).collect();
+            assert_eq!(f.graph.parents(att), [vec![q, k, v], masks].concat());
+            let graph = &f.graph;
+            for x in [q, k, v] {
+                let readers: Vec<Var> =
+                    graph.vars().filter(|&n| graph.parents(n).contains(&x)).collect();
+                assert_eq!(readers, [att]);
             }
         }
     }
@@ -645,10 +784,11 @@ mod tests {
         model.cfg.encoder.dropout = 0.0;
         let (ops0, leaves0, plain) = run(&model, 1);
 
-        // One keep-mask constant and one multiply per site: the embedding
-        // layer norm, and each block's attention probabilities and
-        // feed-forward output.
-        let sites = 1 + 2 * model.cfg.encoder.n_layers;
+        // One keep-mask constant and one multiply per site recorded as a
+        // node: the embedding layer norm and each block's feed-forward
+        // output. Each block's attention probabilities are multiplied
+        // inside its attention node, by a keep-mask the node holds.
+        let sites = 1 + model.cfg.encoder.n_layers;
         assert_eq!((ops - ops0, leaves - leaves0), (sites, sites));
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b), "same seed, same masks, same bits");
@@ -666,7 +806,7 @@ mod tests {
         mlm_rows: &[usize],
         mer_rows: &[usize],
         candidates: &[usize],
-    ) -> (Ir, Vec<Var>) {
+    ) -> (Ir, Vec<Option<Var>>) {
         let plan = ModelPlan {
             n_mlm_targets: mlm_rows.len(),
             n_mer_targets: mer_rows.len(),
@@ -692,7 +832,7 @@ mod tests {
         let (store, model, _) = tiny_model();
         let mut f = Forward::inference(&store);
         let (ir, vars) = run_heads(&model, &store, &mut f, &toy_input(), &[0, 2], &[4], &[0, 5, 9]);
-        let shape_of = |label| f.graph.value(vars[ir.find(label).unwrap().index()]).shape();
+        let shape_of = |label| f.graph.shape(vars[ir.find(label).unwrap().index()].unwrap());
         assert_eq!(shape_of("mlm.logits"), &[2, 50]);
         assert_eq!(shape_of("mer.logits"), &[1, 3]);
     }
@@ -704,7 +844,7 @@ mod tests {
         // MER only: the plan's root is `mer.loss` itself, no `loss` sum.
         let (ir, vars) = run_heads(&model, &store, &mut f, &toy_input(), &[], &[4], &[2, 3, 4]);
         assert_eq!(ir.find("mer.loss").map(|t| t.index()), Some(ir.len() - 1));
-        f.graph.backward(*vars.last().unwrap());
+        f.graph.backward(vars.last().unwrap().unwrap());
         store.reduce(&[f.take_grads()]);
         // Every block's linear weights reach the store too, as `Product`
         // parts.

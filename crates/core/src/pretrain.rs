@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
 use std::path::PathBuf;
-use turl_audit::{lower_group_plan, ModelPlan};
+use turl_audit::{lower_group_plan, ModelPlan, TensorId};
 use turl_data::TableInstance;
 use turl_kb::CooccurrenceIndex;
 use turl_nn::{
@@ -483,12 +483,13 @@ impl Pretrainer {
                 .map(|(t, heads)| TapeTable { input: &t.enc, heads })
                 .collect();
             let vars = model.run_ir(f, store, &mut rngs, &ir, &tape_tables);
+            let var = |t: TensorId| vars[t.index()].expect("heads and losses are recorded");
             let mut losses = Vec::with_capacity(tables.len());
             for (s, t) in tables.iter().enumerate() {
-                let mut loss = vars[ir.loss(s).expect("a table with targets has a head").index()];
+                let mut loss = var(ir.loss(s).expect("a table with targets has a head"));
                 if let Some(aux) = aux {
                     f.set_segment(s);
-                    let h = vars[ir.encoder_output(s).index()];
+                    let h = var(ir.encoder_output(s));
                     if let Some(l) = aux.loss(f, store, h, &batch[t.batch_idx].0, &t.enc) {
                         loss = f.graph.add(loss, l);
                     }
@@ -501,7 +502,7 @@ impl Pretrainer {
                     // effects; the MLM/MER split powers the per-step
                     // breakdown.
                     let item = |label: &str| {
-                        ir.find_in(label, s).map_or(0.0, |v| f.graph.value(vars[v.index()]).item())
+                        ir.find_in(label, s).map_or(0.0, |v| f.graph.value(var(v)).item())
                     };
                     let head_losses =
                         if obs_on { (item("mlm.loss"), item("mer.loss")) } else { (0.0, 0.0) };

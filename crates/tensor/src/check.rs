@@ -82,6 +82,7 @@ pub fn gradcheck(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::graph::AttentionTable;
 
     #[test]
     fn finite_difference_on_quadratic() {
@@ -145,6 +146,40 @@ mod tests {
             (g, xv, l)
         });
         assert!(report.passes(5e-2), "masked attention gradcheck failed: {report:?}");
+    }
+
+    #[test]
+    fn gradcheck_fused_attention_with_visibility_matrix() {
+        // The same layer with its attention as the one node the training
+        // tape records (`Graph::attention`), over two stacked tables: the
+        // six elements above under their §4.3 mask, and three more under
+        // one hiding (0, 2) and (2, 0).
+        let (d, heads) = (4usize, 2usize);
+        let mut masks = [Tensor::zeros(vec![6, 6]), Tensor::zeros(vec![3, 3])];
+        for (i, j) in [(1, 5), (5, 1), (2, 4), (4, 2)] {
+            masks[0].data_mut()[i * 6 + j] = -1e9;
+        }
+        for i in [2, 6] {
+            masks[1].data_mut()[i] = -1e9;
+        }
+        let x = det_weights(vec![9, d], 0.3);
+        let report = gradcheck(&x, 1e-2, |t| {
+            let mut g = Graph::new();
+            let xv = g.leaf(t.clone(), true);
+            let [wq, wk, wv, wo] =
+                [1.0, 2.0, 3.0, 4.0].map(|salt| g.constant(det_weights(vec![d, d], salt)));
+            let qkv = [wq, wk, wv].map(|w| g.matmul(xv, w));
+            let [m0, m1] = masks.clone().map(|m| Some(g.constant(m)));
+            let tables = vec![
+                AttentionTable { rows: 0..6, mask: m0, keep: None },
+                AttentionTable { rows: 6..9, mask: m1, keep: None },
+            ];
+            let att = g.attention(qkv, heads, 1.0 / ((d / heads) as f32).sqrt(), tables);
+            let out = g.matmul(att, wo);
+            let l = g.sum_all(out);
+            (g, xv, l)
+        });
+        assert!(report.passes(5e-2), "fused attention gradcheck failed: {report:?}");
     }
 
     #[test]

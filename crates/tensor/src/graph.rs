@@ -194,6 +194,30 @@ enum Factor {
     Indices(Vec<usize>),
 }
 
+/// One table of a [`Graph::attention`] stack.
+pub struct AttentionTable {
+    /// The table's rows of the stacked operands.
+    pub rows: Range<usize>,
+    /// Its additive `[n, n]` visibility mask, if it has one.
+    pub mask: Option<Var>,
+    /// Its dropout keep-mask over the `[heads, n, n]` probabilities, drawn
+    /// by the caller; `None` without dropout.
+    pub keep: Option<Tensor>,
+}
+
+/// [`ops`]'s view of one table's elements `span` of the stacked `q`, `k`,
+/// `v` ([`Graph::attention`]).
+fn attention_rows(
+    [q, k, v]: [&Tensor; 3],
+    span: Range<usize>,
+    heads: usize,
+    scale: f32,
+) -> ops::AttentionRows<'_> {
+    let d = q.shape()[1];
+    let [q, k, v] = [q, k, v].map(|x| &x.data()[span.clone()]);
+    ops::AttentionRows { q, k, v, d, heads, scale }
+}
+
 /// A dynamic computation graph (autograd tape).
 #[derive(Default)]
 pub struct Graph {
@@ -840,6 +864,76 @@ impl Graph {
                     }
                 }
                 vec![Some(dx)]
+            }),
+        )
+    }
+
+    /// Multi-head self-attention over stacked tables, as one node: `q`,
+    /// `k`, `v` are `[R, d]` and `tables` cover their rows in order. Per
+    /// table and head (`d / heads` columns, read in place), `P =
+    /// softmax(Q·Kᵀ · scale + mask)` and the output rows are `(P ⊙ keep) ·
+    /// V`, written into the stacked `[R, d]` output ([`ops`]'s
+    /// `attention_into`). The node keeps each table's `P` and keep-mask for
+    /// its backward, nothing else; the backward forms the chain's products
+    /// in the chain's order. It has the bits of the chain that slices each
+    /// table's rows (when the stack holds more than one), splits heads
+    /// (reshape, permute), scores (`bmm_nt`, `scale`, mask `add`,
+    /// `softmax_last`, dropout `mul`), contracts (`bmm`), merges (permute,
+    /// reshape) and stacks the tables (`concat_rows`) — forward and every
+    /// gradient. (The slice backward's `+0.0 + g` is the identity here:
+    /// every gradient element is a fused multiply-add chain from `+0.0`,
+    /// which never ends on `-0.0`.)
+    pub fn attention(
+        &mut self,
+        [q, k, v]: [Var; 3],
+        heads: usize,
+        scale: f32,
+        tables: Vec<AttentionTable>,
+    ) -> Var {
+        let shape = self.shape(q).to_vec();
+        assert!(shape.len() == 2 && self.shape(k) == shape && self.shape(v) == shape, "q, k, v");
+        let d = shape[1];
+        assert!(heads > 0 && d.is_multiple_of(heads), "{heads} heads of {d} columns");
+        let covered =
+            tables.iter().try_fold(0, |end, t| (t.rows.start == end).then_some(t.rows.end));
+        assert_eq!(covered, Some(shape[0]), "the tables must cover the rows in order");
+        let mut out = Tensor::zeros(shape);
+        let mut probs = Vec::with_capacity(tables.len());
+        for t in &tables {
+            let (n, span) = (t.rows.len(), t.rows.start * d..t.rows.end * d);
+            let mask = t.mask.map(|m| self.value(m).data());
+            assert!(mask.is_none_or(|m| m.len() == n * n), "an [n, n] mask per table");
+            let keep = t.keep.as_ref().map(|k| k.data());
+            assert!(keep.is_none_or(|k| k.len() == heads * n * n), "a [heads, n, n] keep-mask");
+            let qkv = [q, k, v].map(|x| self.value(x));
+            let rows = attention_rows(qkv, span.clone(), heads, scale);
+            let mut p = vec![0.0f32; rows.probs_len()];
+            ops::attention_into(rows, mask, keep, &mut p, &mut out.data_mut()[span]);
+            probs.push(p);
+        }
+        let mut parents = vec![q, k, v];
+        parents.extend(tables.iter().filter_map(|t| t.mask));
+        let saved: Vec<(Range<usize>, Vec<f32>, Option<Tensor>)> =
+            tables.into_iter().zip(probs).map(|(t, p)| (t.rows, p, t.keep)).collect();
+        self.push(
+            out,
+            parents,
+            Box::new(move |g, _, pv, needs| {
+                // q, k, v's gradients; a mask is a constant.
+                let mut grads: [Option<Tensor>; 3] =
+                    std::array::from_fn(|i| needs[i].then(|| Tensor::zeros(g.shape().to_vec())));
+                for (rows, p, keep) in &saved {
+                    let span = rows.start * d..rows.end * d;
+                    let table = attention_rows([pv[0], pv[1], pv[2]], span.clone(), heads, scale);
+                    let [dq, dk, dv] = &mut grads;
+                    let slots =
+                        [dq, dk, dv].map(|x| x.as_mut().map(|x| &mut x.data_mut()[span.clone()]));
+                    let (keep, dout) = (keep.as_ref().map(Tensor::data), &g.data()[span.clone()]);
+                    ops::attention_backward(table, p, keep, dout, slots);
+                }
+                let mut grads = Vec::from(grads);
+                grads.resize_with(needs.len(), || None);
+                grads
             }),
         )
     }

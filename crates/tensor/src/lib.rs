@@ -34,7 +34,7 @@ mod tensor;
 
 pub use check::{finite_difference_grad, gradcheck, GradCheckReport};
 pub use dtype::{quant_rows_cols, DType, QuantBlocks, Storage, QBLOCK, QBLOCK_SHIFT};
-pub use graph::{GradForm, GradPart, Graph, Var};
+pub use graph::{AttentionTable, GradForm, GradPart, Graph, Var};
 pub use init::{kaiming_bound, kaiming_uniform, normal_init, normal_init_bound, uniform_init};
 pub use shape::{broadcast_shape, num_elements, strides_for, ShapeError};
 pub use tensor::Tensor;

@@ -292,6 +292,40 @@ impl<'a> Lhs<'a> for KMajor<'a> {
     }
 }
 
+/// A `rows × cols` row-major matrix read in place through its row stride
+/// `ld ≥ cols` (a `Shape{dims, strides}` view): one attention head's
+/// columns of a table's `[n, d]` rows, as the lhs (`A[i, kk]`) or the rhs
+/// (`B[kk, j]`) of the block kernel, with no copy of the head.
+#[derive(Clone, Copy)]
+struct Strided<'a> {
+    a: &'a [f32],
+    ld: usize,
+    rows: usize,
+    cols: usize,
+}
+
+impl<'a> Strided<'a> {
+    fn view(a: &'a [f32], rows: usize, cols: usize, ld: usize) -> Self {
+        assert!(cols <= ld && a.len() >= rows.saturating_sub(1) * ld + cols, "strided view size");
+        Self { a, ld, rows, cols }
+    }
+}
+
+impl<'a> Lhs<'a> for Strided<'a> {
+    fn new(a: &'a [f32], m: usize, k: usize) -> Self {
+        Self::view(a, m, k, k)
+    }
+    #[inline(always)]
+    fn steps<const R: usize>(self, i0: usize) -> impl Iterator<Item = impl Fn(usize) -> f32> {
+        let Strided { a, ld, cols, .. } = self;
+        let mut rows: [&[f32]; R] = [&a[..0]; R];
+        for (r, row) in rows.iter_mut().enumerate() {
+            *row = &a[(i0 + r) * ld..][..cols];
+        }
+        (0..cols).map(move |kk| move |r: usize| rows[r][kk])
+    }
+}
+
 /// How the block kernel obtains the `W`-wide fragment `B[kk, j0..j0 + W]`
 /// of a `k × n` right operand.
 trait Rhs: Copy + Sync {
@@ -339,6 +373,20 @@ impl Rhs for F32<'_> {
     }
 }
 
+impl Rhs for Strided<'_> {
+    #[inline(always)]
+    fn nr(body: Body) -> usize {
+        F32::nr(body)
+    }
+    #[inline(always)]
+    fn steps<const W: usize>(self, j0: usize) -> impl Iterator<Item = [f32; W]> {
+        (0..self.rows).map(move |kk| {
+            let vals = &self.a[kk * self.ld + j0..][..W];
+            from_fn(|c| vals[c])
+        })
+    }
+}
+
 /// Block-quantized `B`, dequantized in register: `q as f32 * scale` right
 /// before the multiply, which is exactly `dequantize()`'s value. The
 /// kernel's fragments start at a multiple of their width `W`, and every
@@ -367,11 +415,12 @@ impl Rhs for &QuantBlocks {
     }
 }
 
-/// The output matrix as the block kernel sees it: a raw base pointer and
-/// the row stride `n`, copied into every pool task of one call.
+/// The output matrix as the block kernel sees it: a raw base pointer, the
+/// row stride `n` and the columns a row holds (`n`, or fewer for a
+/// [`window`](OutPtr::window)), copied into every pool task of one call.
 ///
 /// Disjointness, stated once for every `unsafe` below: a call partitions
-/// `out[m,n]` into rectangles (one per task: a row range × a column
+/// `out[m,n]` (a window's `[m, cols]` cells) into rectangles (one per task: a row range × a column
 /// range) and each rectangle into register tiles, and a tile touches
 /// exactly its own `R × W` cells: it writes them through
 /// [`OutPtr::store`], and an accumulating tile ([`Accumulate`]) first
@@ -386,7 +435,10 @@ impl Rhs for &QuantBlocks {
 struct OutPtr<'a> {
     base: *mut f32,
     len: usize,
+    /// The row stride.
     n: usize,
+    /// Columns per row the product writes: `n`, or fewer in a window.
+    cols: usize,
     _out: PhantomData<&'a mut [f32]>,
 }
 
@@ -398,7 +450,14 @@ unsafe impl Sync for OutPtr<'_> {}
 impl<'a> OutPtr<'a> {
     fn new(out: &'a mut [f32], m: usize, n: usize) -> Self {
         assert_eq!(out.len(), m * n, "matmul out size");
-        Self { base: out.as_mut_ptr(), len: out.len(), n, _out: PhantomData }
+        Self { base: out.as_mut_ptr(), len: out.len(), n, cols: n, _out: PhantomData }
+    }
+
+    /// An `[m, cols]` output whose rows lie `ld` apart in `out`: one
+    /// head's columns of a stacked `[m, ld]` tensor, written in place.
+    fn window(out: &'a mut [f32], m: usize, cols: usize, ld: usize) -> Self {
+        assert!(cols <= ld && out.len() >= m.saturating_sub(1) * ld + cols, "window out size");
+        Self { base: out.as_mut_ptr(), len: out.len(), n: ld, cols, _out: PhantomData }
     }
 
     /// The `i`-th `[m, n]` matrix of a batched output.
@@ -414,7 +473,10 @@ impl<'a> OutPtr<'a> {
     /// No other task or tile may access those cells (type docs).
     #[inline(always)]
     unsafe fn store<const W: usize>(self, i: usize, j: usize, vals: [f32; W]) {
-        assert!(j + W <= self.n && (i + 1) * self.n <= self.len, "tile outside the output");
+        assert!(
+            j + W <= self.cols && i * self.n + self.cols <= self.len,
+            "tile outside the output"
+        );
         // SAFETY: in bounds by the assert, `f32`-aligned, and exclusively
         // this tile's cells by the caller's contract.
         unsafe { self.base.add(i * self.n + j).cast::<[f32; W]>().write(vals) }
@@ -426,7 +488,10 @@ impl<'a> OutPtr<'a> {
     /// No other task or tile may access those cells (type docs).
     #[inline(always)]
     unsafe fn load<const W: usize>(self, i: usize, j: usize) -> [f32; W] {
-        assert!(j + W <= self.n && (i + 1) * self.n <= self.len, "tile outside the output");
+        assert!(
+            j + W <= self.cols && i * self.n + self.cols <= self.len,
+            "tile outside the output"
+        );
         // SAFETY: in bounds by the assert, `f32`-aligned, initialised (the
         // pointer came from a `&mut [f32]`), and exclusively this tile's
         // cells by the caller's contract.
@@ -1351,6 +1416,197 @@ pub fn fused_mask_softmax(
     }
 }
 
+/// One table's operands of multi-head attention: its `[n, d]` rows of the
+/// stacked `q`, `k` and `v`, split into `heads` heads of `dh = d / heads`
+/// columns, the scores scaled by `scale`.
+///
+/// No product over a head runs a column alone. A head's `[n, n]` scores
+/// are kept with their rows [`MIN_PANEL`]-aligned
+/// ([`probs_len`](AttentionRows::probs_len)), their pad columns the
+/// products of zero columns of the transposed operand, never read. A
+/// product whose output is a head's columns of an `[n, d]` tensor is as
+/// wide as whole panels reach while the next head's columns follow: it
+/// writes that head's first columns too, which the next head's product
+/// then overwrites, heads running in ascending order. Every element
+/// anyone reads is one chain over its own operands, so neither changes a
+/// bit.
+#[derive(Clone, Copy)]
+pub(crate) struct AttentionRows<'a> {
+    pub q: &'a [f32],
+    pub k: &'a [f32],
+    pub v: &'a [f32],
+    pub d: usize,
+    pub heads: usize,
+    pub scale: f32,
+}
+
+impl AttentionRows<'_> {
+    /// `(n, dh, s)`: rows, head width, and the row stride of a head's
+    /// scores.
+    fn dims(&self) -> (usize, usize, usize) {
+        let n = self.q.len() / self.d;
+        (n, self.d / self.heads, n.next_multiple_of(MIN_PANEL))
+    }
+
+    /// Elements of the `[heads, n, s]` probabilities the forward writes
+    /// and the backward reads.
+    pub(crate) fn probs_len(&self) -> usize {
+        let (n, _, s) = self.dims();
+        self.heads * n * s
+    }
+
+    /// Head `h`'s `dh` columns of `x`'s `[n, d]` rows, read in place: a
+    /// product's lhs.
+    fn head<'x>(&self, x: &'x [f32], h: usize) -> Strided<'x> {
+        let (n, dh, _) = self.dims();
+        Strided::view(&x[h * dh..], n, dh, self.d)
+    }
+
+    /// Columns a product over head `h` computes (type docs).
+    fn width(&self, h: usize) -> usize {
+        let dh = self.d / self.heads;
+        if h + 1 < self.heads {
+            dh.next_multiple_of(MIN_PANEL).min(self.d - h * dh)
+        } else {
+            dh
+        }
+    }
+
+    /// Head `h`'s columns of `x`'s `[n, d]` rows as a product's rhs, as
+    /// wide as [`width`](AttentionRows::width).
+    fn wide<'x>(&self, x: &'x [f32], h: usize) -> Strided<'x> {
+        let (n, dh, _) = self.dims();
+        Strided::view(&x[h * dh..], n, self.width(h), self.d)
+    }
+
+    /// Where a product over head `h` writes into `x`'s `[n, d]` rows.
+    fn window<'x>(&self, x: &'x mut [f32], h: usize) -> OutPtr<'x> {
+        let (n, dh, _) = self.dims();
+        OutPtr::window(&mut x[h * dh..], n, self.width(h), self.d)
+    }
+
+    /// `xᵀ` as `[d, s]`, zero past column `n`: head `h`'s rows
+    /// `h·dh..(h+1)·dh` of it are that head's `[dh, s]` rhs of an `nt`
+    /// product, contiguous.
+    fn transposed(&self, x: &[f32]) -> Vec<f32> {
+        let (n, _, s) = self.dims();
+        let mut t = vec![0.0f32; self.d * s];
+        transpose_strided(x, &mut t, n, self.d, self.d, s);
+        t
+    }
+}
+
+/// `P ⊙ keep` of one head into `buf`, or `P` itself without dropout:
+/// `p` and `buf` hold `[n, s]`, `keep` `[n, n]`.
+fn dropped<'b>(p: &'b [f32], keep: Option<&[f32]>, n: usize, buf: &'b mut [f32]) -> &'b [f32] {
+    let Some(keep) = keep else { return p };
+    let s = p.len() / n;
+    for ((o, x), m) in buf.chunks_exact_mut(s).zip(p.chunks_exact(s)).zip(keep.chunks_exact(n)) {
+        for ((o, &x), &m) in o.iter_mut().zip(x).zip(m) {
+            *o = x * m;
+        }
+    }
+    buf
+}
+
+/// Multi-head attention over one table's rows, every head read in place
+/// through the row stride `d`: per head `h`, `probs[h]` receives `P =
+/// softmax(Q_h·K_hᵀ · scale + mask)` (the additive `[n, n]` `mask` shared
+/// by the heads; rows of stride `s`, see [`AttentionRows`]) and columns
+/// `h·dh..(h+1)·dh` of `out` (`[n, d]`) receive `(P ⊙ keep[h]) · V_h`
+/// (`keep`, `[heads, n, n]`, is the dropout keep-mask). Every product
+/// element is one fused multiply-add chain from `+0.0` in ascending `k`,
+/// the scale, mask and softmax run [`fused_mask_softmax`]'s per-element
+/// steps, so the result has the bits of the head-split, `bmm_nt`,
+/// `scale`, `add`, `softmax`, dropout, `bmm`, merge chain.
+pub(crate) fn attention_into(
+    t: AttentionRows,
+    mask: Option<&[f32]>,
+    keep: Option<&[f32]>,
+    probs: &mut [f32],
+    out: &mut [f32],
+) {
+    let (n, dh, s) = t.dims();
+    assert!(t.k.len() == t.q.len() && t.v.len() == t.q.len() && out.len() == t.q.len());
+    assert_eq!(probs.len(), t.probs_len(), "attention probs size");
+    let kt = t.transposed(t.k);
+    let mut buf = vec![0.0f32; if keep.is_some() { n * s } else { 0 }];
+    for (h, p) in probs.chunks_exact_mut(n * s).enumerate() {
+        let kt_h = F32::new(&kt[h * dh * s..][..dh * s], dh, s);
+        gemm((t.head(t.q, h), kt_h), OutPtr::new(p, n, s), n, dh, s);
+        for (r, row) in p.chunks_exact_mut(s).enumerate() {
+            let row = &mut row[..n];
+            match mask {
+                Some(m) => row.iter_mut().zip(&m[r * n..][..n]).for_each(|(x, &m)| {
+                    *x = *x * t.scale + m;
+                }),
+                None => row.iter_mut().for_each(|x| *x *= t.scale),
+            }
+            softmax_row_inplace(row);
+        }
+        let p = dropped(p, keep.map(|k| &k[h * n * n..][..n * n]), n, &mut buf);
+        let w = t.width(h);
+        gemm((Strided::view(p, n, n, s), t.wide(t.v, h)), t.window(out, h), n, n, w);
+    }
+}
+
+/// The backward of [`attention_into`] given the gradient `dout` of its
+/// output and the `probs` it wrote: writes the gradients of the table's
+/// rows of `q`, `k`, `v` into those of `grads` that are `Some`. Per head,
+/// with `P' = P ⊙ keep`: `dV = P'ᵀ·dO`, `dP = (dO·Vᵀ) ⊙ keep`, the
+/// softmax backward `dS = (dP − Σ dP⊙P)·P` row by row (the sum one chain
+/// from `+0.0`) then `· scale`, `dQ = dS·K`, `dK = dSᵀ·Q` — the products
+/// and elementwise steps of the unfused chain's backward closures, in
+/// their order, so every gradient has their bits.
+pub(crate) fn attention_backward(
+    t: AttentionRows,
+    probs: &[f32],
+    keep: Option<&[f32]>,
+    dout: &[f32],
+    grads: [Option<&mut [f32]>; 3],
+) {
+    let (n, dh, s) = t.dims();
+    assert_eq!(dout.len(), t.q.len(), "attention dout size");
+    let [mut dq, mut dk, mut dv] = grads;
+    let scores = dq.is_some() || dk.is_some();
+    let vt = if scores { t.transposed(t.v) } else { Vec::new() };
+    let mut buf = vec![0.0f32; if keep.is_some() { n * s } else { 0 }];
+    let mut ds = vec![0.0f32; if scores { n * s } else { 0 }];
+    for (h, p) in probs.chunks_exact(n * s).enumerate() {
+        let keep_h = keep.map(|k| &k[h * n * n..][..n * n]);
+        let w = t.width(h);
+        if let Some(dv) = dv.as_deref_mut() {
+            let pd = dropped(p, keep_h, n, &mut buf);
+            gemm((KMajor::new(pd, s, n), t.wide(dout, h)), t.window(dv, h), n, n, w);
+        }
+        if !scores {
+            continue;
+        }
+        let vt_h = F32::new(&vt[h * dh * s..][..dh * s], dh, s);
+        gemm((t.head(dout, h), vt_h), OutPtr::new(&mut ds, n, s), n, dh, s);
+        for (r, (row, y)) in ds.chunks_exact_mut(s).zip(p.chunks_exact(s)).enumerate() {
+            let (row, y) = (&mut row[..n], &y[..n]);
+            if let Some(keep_h) = keep_h {
+                row.iter_mut().zip(&keep_h[r * n..][..n]).for_each(|(g, &m)| *g *= m);
+            }
+            let mut dot = 0.0f32;
+            for (&g, &y) in row.iter().zip(y) {
+                dot += g * y;
+            }
+            for (g, &y) in row.iter_mut().zip(y) {
+                *g = (*g - dot) * y * t.scale;
+            }
+        }
+        let ds_rows = Strided::view(&ds, n, n, s);
+        if let Some(dq) = dq.as_deref_mut() {
+            gemm((ds_rows, t.wide(t.k, h)), t.window(dq, h), n, n, w);
+        }
+        if let Some(dk) = dk.as_deref_mut() {
+            gemm((KMajor::new(&ds, s, n), t.wide(t.q, h)), t.window(dk, h), n, n, w);
+        }
+    }
+}
+
 /// Eight add chains side by side: `acc[l] += term(l, j)` for `j` in
 /// `0..n`, each lane's chain in ascending `j`, so a lane's sum has the
 /// bits of its own one-chain loop while the eight adds of a step overlap
@@ -2007,6 +2263,63 @@ mod tests {
         let got: Vec<u32> = sums_of_squares(&slices).iter().map(|x| x.to_bits()).collect();
         assert_eq!(got, want);
         assert!(sums_of_squares(&[]).is_empty());
+    }
+
+    #[test]
+    fn attention_reads_heads_in_place_like_the_element_loop() {
+        // Five rows of d = 12 in three heads of four: every product over a
+        // head but the last writes eight columns, half of them the next
+        // head's, which that head then overwrites.
+        let (n, d, heads, scale) = (5usize, 12usize, 3usize, 0.5f32);
+        let dh = d / heads;
+        let val = |salt: f32| -> Vec<f32> {
+            (0..n * d).map(|i| ((i as f32) * 0.37 + salt).sin()).collect()
+        };
+        let (q, k, v, dout) = (val(0.1), val(0.2), val(0.3), val(0.4));
+        let mask: Vec<f32> = (0..n * n).map(|i| if i % 7 == 3 { -1e9 } else { 0.0 }).collect();
+        let keep: Vec<f32> =
+            (0..heads * n * n).map(|i| if i % 5 == 1 { 0.0 } else { 1.25 }).collect();
+        let t = AttentionRows { q: &q, k: &k, v: &v, d, heads, scale };
+        let mut probs = vec![0.0f32; t.probs_len()];
+        let mut out = vec![0.0f32; n * d];
+        attention_into(t, Some(&mask), Some(&keep), &mut probs, &mut out);
+        let mut dq = vec![0.0f32; n * d];
+        attention_backward(t, &probs, Some(&keep), &dout, [Some(&mut dq), None, None]);
+
+        let dot = |a: &[f32], b: &[f32], i: usize, j: usize, h: usize| {
+            (0..dh).fold(0.0f32, |acc, c| a[i * d + h * dh + c].mul_add(b[j * d + h * dh + c], acc))
+        };
+        for h in 0..heads {
+            let keep = &keep[h * n * n..][..n * n];
+            let mut p = vec![0.0f32; n * n];
+            for (i, row) in p.chunks_exact_mut(n).enumerate() {
+                for (j, x) in row.iter_mut().enumerate() {
+                    *x = dot(&q, &k, i, j, h) * scale + mask[i * n + j];
+                }
+                softmax_row_inplace(row);
+            }
+            let dropped: Vec<f32> = p.iter().zip(keep).map(|(x, m)| x * m).collect();
+            let mut ds = vec![0.0f32; n * n];
+            for i in 0..n {
+                let row = &mut ds[i * n..][..n];
+                for (j, g) in row.iter_mut().enumerate() {
+                    *g = dot(&dout, &v, i, j, h) * keep[i * n + j];
+                }
+                let sum = (0..n).fold(0.0f32, |acc, j| acc + row[j] * p[i * n + j]);
+                for (j, g) in row.iter_mut().enumerate() {
+                    *g = (*g - sum) * p[i * n + j] * scale;
+                }
+            }
+            for i in 0..n {
+                for c in h * dh..(h + 1) * dh {
+                    let ctx =
+                        (0..n).fold(0.0f32, |acc, j| dropped[i * n + j].mul_add(v[j * d + c], acc));
+                    assert_eq!(out[i * d + c].to_bits(), ctx.to_bits(), "out[{i}, {c}]");
+                    let g = (0..n).fold(0.0f32, |acc, j| ds[i * n + j].mul_add(k[j * d + c], acc));
+                    assert_eq!(dq[i * d + c].to_bits(), g.to_bits(), "dq[{i}, {c}]");
+                }
+            }
+        }
     }
 
     #[test]
