@@ -13,9 +13,11 @@
 //!
 //! The compiled pass is **bit-exact** against `encode` under an
 //! inference-mode `Forward` (every fused kernel is reassociation-free;
-//! see `turl_tensor::ops`), which the `compiled_parity` test suite
-//! asserts down to `f32::to_bits`. Several tables run as one batch the
-//! way the pre-trainer runs a group (see [`TableBatch`]).
+//! see `turl_tensor::ops`). The executor contract table
+//! (`tests/contract.rs`) asserts it down to `f32::to_bits` on every case
+//! of the fixture corpus, for a single table, a batch, a reloaded
+//! artifact, an int8 store and both pool widths. Several tables run as
+//! one batch the way the pre-trainer runs a group (see [`TableBatch`]).
 //!
 //! [`TableBatch`]: crate::TableBatch
 //!
@@ -249,7 +251,7 @@ impl CompiledForward {
     /// each against the candidate entity embeddings. Runs the kernels of
     /// the plan's `mer.rows … mer.logits` nodes in the same order, so the
     /// logits are bit-exact with that node on the tape (the one mirrored
-    /// pair left, pinned by `mer_head_is_bit_exact_vs_graph`).
+    /// pair left, pinned by the contract table's `mer_head` row).
     ///
     /// Out-of-range `rows` (≥ the encoded sequence length) or
     /// `candidates` (≥ the entity vocabulary) are typed
@@ -423,42 +425,6 @@ mod tests {
     }
 
     #[test]
-    fn mer_head_is_bit_exact_vs_graph() {
-        let cfg = TurlConfig::small(77);
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(77);
-        let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
-        let input = build_input(5, 3, true, 11);
-        let rows = [input.entity_row(0), input.entity_row(2), input.entity_row(0)];
-        let candidates = [0usize, 3, 7, 19, 12];
-
-        // The plan's own MER head: the `mer.logits` node, run on the tape.
-        let plan = ModelPlan {
-            n_mer_targets: rows.len(),
-            n_candidates: candidates.len(),
-            ..model.forward_plan(&input)
-        };
-        let ir = turl_audit::lower_model_plan(&plan).expect("plan lowers");
-        let shifted = candidates.map(|c| c + 1);
-        let heads: [(&str, &[usize]); 3] =
-            [("mer.rows", &rows), ("mer.candidates", &shifted), ("mer.loss", &[0; 3])];
-        let mut f = Forward::inference(&store);
-        let tables = [crate::model::TapeTable { input: &input, heads: &heads }];
-        let vars = model.run_ir(&mut f, &store, std::slice::from_mut(&mut rng), &ir, &tables);
-        let logits = vars[ir.find("mer.logits").expect("MER head").index()];
-        let want = f.graph.value(logits.expect("recorded"));
-
-        let mut cf = model.compiled();
-        let hc = cf.encode(&model, &store, &input).expect("compiled encode");
-        let got = cf.mer_logits(&model, &store, &hc, &rows, &candidates).expect("compiled mer");
-        assert_eq!(got.shape(), want.shape());
-        assert_eq!(got.shape(), &[3, 5]);
-        for (a, b) in got.data().iter().zip(want.data().iter()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "MER head diverged from the plan's");
-        }
-    }
-
-    #[test]
     fn plan_cache_reuses_shapes() {
         let cfg = TurlConfig::tiny(1);
         let mut store = ParamStore::new();
@@ -472,32 +438,5 @@ mod tests {
         let other = build_input(5, 2, true, 2);
         cf.encode(&model, &store, &other).expect("third");
         assert_eq!(cf.compiled_shapes(), 2);
-    }
-
-    #[test]
-    fn a_batch_of_one_is_the_solo_plan() {
-        let cfg = TurlConfig::tiny(3);
-        let mut store = ParamStore::new();
-        let mut rng = StdRng::seed_from_u64(3);
-        let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
-        let mut cf = model.compiled();
-        let input = build_input(4, 2, true, 1);
-        let solo = cf.encode(&model, &store, &input).expect("solo");
-        let one = crate::TableBatch::build(&[&input]).expect("batch of one");
-        let batched = cf.encode(&model, &store, one.input()).expect("batch of one");
-        assert_eq!(cf.compiled_shapes(), 1, "a batch of one must reuse the solo plan");
-        assert!(solo.data().iter().zip(batched.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
-        // Same-shape batches: one plan per member count, whatever the
-        // members hold.
-        let (a, b) = (build_input(4, 2, true, 2), build_input(4, 2, true, 3));
-        for pair in [[&a, &b], [&b, &input]] {
-            let batch = crate::TableBatch::build(&pair).expect("pair");
-            cf.encode(&model, &store, batch.input()).expect("pair encode");
-        }
-        assert_eq!(cf.compiled_shapes(), 2);
-        // An empty member fails the batch with a typed error.
-        let empty = build_input(0, 0, false, 4);
-        let batch = crate::TableBatch::build(&[&input, &empty]).expect("batch builds");
-        assert!(matches!(cf.encode(&model, &store, batch.input()), Err(ExecError::Binding(_))));
     }
 }

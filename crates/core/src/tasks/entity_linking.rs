@@ -1,12 +1,11 @@
 //! Entity linking (§6.2): disambiguate cell mentions against candidate
 //! entities represented by their KB name, description and types (Eqn. 8).
 
-use super::{encode_table_with_channels, InputChannels};
+use super::{encode_table_with_channels, group_by_table, InputChannels};
 use crate::finetune::{train_batched, FinetuneConfig, FinetuneStats};
 use crate::model::TurlModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use turl_data::{EntityPosition, Table, TableInstance, Vocab};
 use turl_kb::tasks::metrics::PrfAccumulator;
 use turl_kb::tasks::ElMention;
@@ -138,17 +137,9 @@ impl EntityLinkingModel {
         cfg: &FinetuneConfig,
     ) -> FinetuneStats {
         // group mentions by table so each table is encoded once per step
-        let mut groups: HashMap<usize, Vec<&ElMention>> = HashMap::new();
-        for m in mentions {
-            if m.candidates.len() > 1 {
-                groups.entry(m.table_idx).or_default().push(m);
-            }
-        }
-        let groups: Vec<(usize, Vec<&ElMention>)> = {
-            let mut g: Vec<_> = groups.into_iter().collect();
-            g.sort_by_key(|(t, _)| *t);
-            g
-        };
+        let groups = group_by_table(
+            mentions.iter().filter(|m| m.candidates.len() > 1).map(|m| (m.table_idx, m)),
+        );
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0xE2);
         let d = self.model.d_model();
         let mut store = std::mem::take(&mut self.store);
@@ -202,13 +193,10 @@ impl EntityLinkingModel {
     ) -> Vec<Option<u32>> {
         let mut rng = StdRng::seed_from_u64(0);
         let d = self.model.d_model();
-        // group by table for one encode per table
-        let mut by_table: HashMap<usize, Vec<(usize, &ElMention)>> = HashMap::new();
-        for (i, m) in mentions.iter().enumerate() {
-            by_table.entry(m.table_idx).or_default().push((i, m));
-        }
         let mut out: Vec<Option<u32>> = vec![None; mentions.len()];
-        for (table_idx, ms) in by_table {
+        for (table_idx, ms) in
+            group_by_table(mentions.iter().enumerate().map(|(i, m)| (m.table_idx, (i, m))))
+        {
             let (inst, enc) = encode_table_with_channels(
                 &tables[table_idx],
                 vocab,

@@ -16,6 +16,7 @@ use crate::input::EncodedInput;
 use crate::model::TurlModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::BTreeMap;
 use turl_data::{Cell, LinearizeConfig, Table, TableInstance, Vocab};
 use turl_nn::{Forward, ParamStore};
 use turl_tensor::{Tensor, Var};
@@ -117,6 +118,19 @@ pub fn encode_table_with_channels(
         }
     }
     (inst, enc)
+}
+
+/// `items` grouped by the table index each is paired with, in ascending
+/// table order, each group keeping its items' order: one encode per
+/// table, in an order that does not depend on a hash.
+pub(crate) fn group_by_table<T>(
+    items: impl IntoIterator<Item = (usize, T)>,
+) -> Vec<(usize, Vec<T>)> {
+    let mut groups: BTreeMap<usize, Vec<T>> = BTreeMap::new();
+    for (table_idx, item) in items {
+        groups.entry(table_idx).or_default().push(item);
+    }
+    groups.into_iter().collect()
 }
 
 /// A task query (§6.5–§6.7) as the partial table the model reads through

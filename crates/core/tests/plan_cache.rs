@@ -2,29 +2,14 @@
 //! arbitrary table shapes must hold at most `plan_cache_cap` resident
 //! compiled plans, no matter how many distinct shapes pass through.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use turl_core::{EncodedInput, EntityInput, TurlConfig, TurlModel};
-use turl_nn::ParamStore;
+mod support;
 
-fn shape_input(tokens: usize, ents: usize) -> EncodedInput {
-    EncodedInput {
-        token_ids: (0..tokens).map(|i| i % 50).collect(),
-        token_types: (0..tokens).map(|i| i % 2).collect(),
-        token_pos: (0..tokens).collect(),
-        entities: (0..ents)
-            .map(|i| EntityInput { emb_index: i % 21, mention: vec![i % 50], type_idx: i % 3 })
-            .collect(),
-        mask: None,
-    }
-}
+use support::Shape;
+use turl_core::{TableBatch, TurlConfig};
 
 #[test]
 fn thousand_distinct_shapes_stay_at_the_cap() {
-    let cfg = TurlConfig::tiny(2);
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(2);
-    let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
+    let (store, model) = support::model(TurlConfig::tiny(2), 2);
     let mut cf = model.compiled();
     assert_eq!(cf.plan_cache_cap(), turl_core::DEFAULT_PLAN_CACHE_CAP);
     cf.set_plan_cache_cap(8);
@@ -35,7 +20,7 @@ fn thousand_distinct_shapes_stay_at_the_cap() {
     let mut fed = 0usize;
     for tokens in 1..=100usize {
         for ents in 0..10usize {
-            let input = shape_input(tokens, ents);
+            let input = support::input(0, &Shape::new(tokens, ents));
             cf.plan_for(&model, &store, &input).expect("plan compiles");
             fed += 1;
             assert!(
@@ -52,16 +37,13 @@ fn thousand_distinct_shapes_stay_at_the_cap() {
 
 #[test]
 fn lru_keeps_hot_shapes_and_evicts_cold_ones() {
-    let cfg = TurlConfig::tiny(3);
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(3);
-    let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
+    let (store, model) = support::model(TurlConfig::tiny(3), 3);
     let mut cf = model.compiled();
     cf.set_plan_cache_cap(2);
 
-    let a = shape_input(3, 1);
-    let b = shape_input(4, 1);
-    let c = shape_input(5, 1);
+    let a = support::input(0, &Shape::new(3, 1));
+    let b = support::input(0, &Shape::new(4, 1));
+    let c = support::input(0, &Shape::new(5, 1));
     cf.plan_for(&model, &store, &a).expect("a");
     cf.plan_for(&model, &store, &b).expect("b");
     // Touch `a` so `b` is the LRU entry, then insert `c`: `b` evicts.
@@ -80,13 +62,10 @@ fn lru_keeps_hot_shapes_and_evicts_cold_ones() {
 
 #[test]
 fn shrinking_the_cap_evicts_immediately() {
-    let cfg = TurlConfig::tiny(4);
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(4);
-    let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
+    let (store, model) = support::model(TurlConfig::tiny(4), 4);
     let mut cf = model.compiled();
     for tokens in 1..=6usize {
-        cf.plan_for(&model, &store, &shape_input(tokens, 1)).expect("plan");
+        cf.plan_for(&model, &store, &support::input(0, &Shape::new(tokens, 1))).expect("plan");
     }
     assert_eq!(cf.compiled_shapes(), 6);
     cf.set_plan_cache_cap(3);
@@ -95,13 +74,29 @@ fn shrinking_the_cap_evicts_immediately() {
 }
 
 #[test]
-fn empty_input_is_a_typed_error() {
-    let cfg = TurlConfig::tiny(5);
-    let mut store = ParamStore::new();
-    let mut rng = StdRng::seed_from_u64(5);
-    let model = TurlModel::new(&mut store, &mut rng, cfg, 50, 20);
+fn a_batch_of_one_is_the_solo_plan() {
+    let (store, model) = support::model(TurlConfig::tiny(3), 3);
     let mut cf = model.compiled();
-    let empty = shape_input(0, 0);
+    let shape = Shape { masked: true, ..Shape::new(4, 2) };
+    let [a, b, c] = [1, 2, 3].map(|seed| support::input(seed, &shape));
+    cf.plan_for(&model, &store, &a).expect("solo");
+    let one = TableBatch::build(&[&a]).expect("a batch of one");
+    cf.plan_for(&model, &store, one.input()).expect("a batch of one");
+    assert_eq!(cf.compiled_shapes(), 1, "a batch of one must reuse the solo plan");
+    // Same-shape batches: one plan per member count, whatever the members
+    // hold.
+    for pair in [[&b, &c], [&c, &a]] {
+        let batch = TableBatch::build(&pair).expect("a pair");
+        cf.plan_for(&model, &store, batch.input()).expect("a pair");
+    }
+    assert_eq!(cf.compiled_shapes(), 2);
+}
+
+#[test]
+fn empty_input_is_a_typed_error() {
+    let (store, model) = support::model(TurlConfig::tiny(5), 5);
+    let mut cf = model.compiled();
+    let empty = support::input(0, &Shape::new(0, 0));
     let err = cf.encode(&model, &store, &empty).expect_err("empty input must not compile");
     assert!(format!("{err}").contains("empty input"), "unexpected error: {err}");
 }

@@ -2,8 +2,10 @@
 //! forward pass, every concrete value of every tensor must lie within
 //! the abstract range predicted for its IR node.
 //!
-//! The harness builds a `TurlModel`, lowers the forward the pre-trainer
-//! runs (encode + MLM head + MER head + summed loss), executes that IR
+//! The harness takes the freshly initialized models and inputs of the
+//! fixture corpus (`support`, the cases the executor contract table
+//! runs), lowers the forward the pre-trainer runs (encode, the MLM and
+//! MER heads the input has rows for, summed loss), executes that IR
 //! on the autograd tape with the reference executor
 //! (`TurlModel::run_ir`, which returns one tape var per IR node outside
 //! the attention regions, and one per region) and checks containment
@@ -16,90 +18,59 @@
 //! against the analysis's masked-weight bound. Any transfer function
 //! that under-approximates (a bound tighter than reality) fails here.
 
-use proptest::prelude::*;
+mod support;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::{Case, N_ENTITIES, N_WORDS};
 use turl_audit::{analyze_ranges, lower_model_plan, Ir, ModelPlan, OpKind, TensorId};
 use turl_core::audit::{model_plan, plan_for_input};
-use turl_core::{EncodedInput, EntityInput, TapeTable, TurlConfig, TurlModel};
+use turl_core::{EncodedInput, TapeTable, TurlModel};
 use turl_nn::{Forward, ParamStore};
 use turl_tensor::{ops, Tensor};
 
-const N_WORDS: usize = 50;
-const N_KB_ENTITIES: usize = 20;
-const N_TOKENS: usize = 5;
-const N_SEQ_ENTITIES: usize = 3;
-const N_MLM: usize = 2;
-const N_MER: usize = 2;
 const CANDIDATES: [usize; 3] = [0, 5, 9];
 
-/// Deterministic input covering both embedding branches: `seed` varies
-/// ids, mention lengths and the visibility pattern.
-fn build_input(seed: u64, use_mask: bool) -> EncodedInput {
-    let s = seed as usize;
-    let entities: Vec<EntityInput> = (0..N_SEQ_ENTITIES)
-        .map(|i| EntityInput {
-            emb_index: (i * 7 + s) % (N_KB_ENTITIES + 1),
-            mention: (0..(i + s) % 3).map(|k| (i * 3 + k + s) % N_WORDS).collect(),
-            type_idx: i % 3,
-        })
-        .collect();
-    let n = N_TOKENS + N_SEQ_ENTITIES;
-    let mask = use_mask.then(|| {
-        let mut m = Tensor::full(vec![n, n], -1e9);
-        for i in 0..n {
-            for j in 0..n {
-                if i == j || (i + j + s).is_multiple_of(3) {
-                    m.set2(i, j, 0.0);
-                }
-            }
-        }
-        m
-    });
-    EncodedInput {
-        token_ids: (0..N_TOKENS).map(|i| (i * 11 + s) % N_WORDS).collect(),
-        token_types: (0..N_TOKENS).map(|i| i % 2).collect(),
-        token_pos: (0..N_TOKENS).collect(),
-        entities,
-        mask,
-    }
-}
-
-/// Execute the pre-trainer's forward (encode, both heads, summed loss)
+/// Execute the pre-trainer's forward (encode, the heads the input has
+/// rows for — up to two MLM and two MER targets — and their summed loss)
 /// for `input` on the tape and assert every node's concrete values sit
 /// inside the abstract prediction. `training` records the tape under
 /// `Forward::new` and backpropagates through it. The ranges describe
 /// the inference function, so a training case keeps dropout at zero:
 /// an active keep mask rescales its site by `1/keep`.
-fn assert_forward_within_ranges(cfg: TurlConfig, seed: u64, input: &EncodedInput, training: bool) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut store = ParamStore::new();
-    let model = TurlModel::new(&mut store, &mut rng, cfg, N_WORDS, N_KB_ENTITIES);
-
+fn assert_forward_within_ranges(
+    model: &TurlModel,
+    store: &mut ParamStore,
+    input: &EncodedInput,
+    training: bool,
+) {
+    let n_mlm = input.token_ids.len().min(2);
+    let n_mer = input.entities.len().min(2);
     let plan = ModelPlan {
-        n_mlm_targets: N_MLM,
-        n_mer_targets: N_MER,
-        n_candidates: CANDIDATES.len(),
-        ..plan_for_input(model_plan(&cfg, N_WORDS, N_KB_ENTITIES), input)
+        n_mlm_targets: n_mlm,
+        n_mer_targets: n_mer,
+        n_candidates: if n_mer > 0 { CANDIDATES.len() } else { 0 },
+        ..plan_for_input(model_plan(&model.cfg, N_WORDS, N_ENTITIES), input)
     };
     let ir = lower_model_plan(&plan).expect("plan lowers");
     let analysis = analyze_ranges(&ir);
     assert!(analysis.errors.is_empty(), "plan must analyze clean, got {:?}", analysis.errors);
 
-    let mlm_rows = [0, 1];
-    let mer_rows = [input.entity_row(0), input.entity_row(1)];
+    let mlm_rows: Vec<usize> = (0..n_mlm).collect();
+    let mer_rows: Vec<usize> = (0..n_mer).map(|e| input.entity_row(e)).collect();
     // Candidate ids sit one past the entity `[MASK]` row.
     let shifted = CANDIDATES.map(|c| c + 1);
     let heads: [(&str, &[usize]); 5] = [
         ("mlm.rows", &mlm_rows),
-        ("mlm.loss", &[3, 4]),
+        ("mlm.loss", &[3, 4][..n_mlm]),
         ("mer.rows", &mer_rows),
         ("mer.candidates", &shifted),
-        ("mer.loss", &[0, 1]),
+        ("mer.loss", &[0, 1][..n_mer]),
     ];
-    let mut f = if training { Forward::new(&store) } else { Forward::inference(&store) };
+    let mut f = if training { Forward::new(store) } else { Forward::inference(store) };
     let tables = [TapeTable { input, heads: &heads }];
-    let vars = model.run_ir(&mut f, &store, std::slice::from_mut(&mut rng), &ir, &tables);
+    let mut rngs = [StdRng::seed_from_u64(0)];
+    let vars = model.run_ir(&mut f, store, &mut rngs, &ir, &tables);
     assert_eq!(vars.len(), ir.len(), "one entry per IR node");
 
     // Every node's value: the tape's, or for an attention region's
@@ -126,20 +97,22 @@ fn assert_forward_within_ranges(cfg: TurlConfig, seed: u64, input: &EncodedInput
         let value = values[i].as_ref().expect("every node has a value");
         assert_eq!(value.shape(), node.shape, "`{}`", node.label);
         for (e, &v) in value.data().iter().enumerate() {
-            assert!(
-                range.contains(v),
-                "seed {seed}: `{}` element {e} = {v:e} escapes {range}",
-                node.label
-            );
+            assert!(range.contains(v), "`{}` element {e} = {v:e} escapes {range}", node.label);
         }
         // A masked pair's attention weight stays under the analysis's
-        // bound for it.
+        // bound for it, in every row that sees some element (the bound's
+        // premise, which the linearizer's masks meet by keeping the
+        // diagonal visible; a fully masked row degrades to uniform
+        // weights).
         let masked = |t: &TensorId| ir.node_at(t.index()).kind == OpKind::Mask;
         let Some(logits) = node.inputs.first().filter(|t| masked(t)) else { continue };
         let mask = values[ir.node_at(logits.index()).inputs[1].index()].as_ref().expect("mask");
+        let n = mask.shape()[0];
         let bound = analysis.masked_weight_bound.expect("a masked softmax has a bound");
         for (e, &v) in value.data().iter().enumerate() {
-            if mask.data()[e % mask.len()] == penalty {
+            let (row, col) = ((e / n) % n, e % n);
+            let sees = |r: usize| mask.data()[r * n..(r + 1) * n].iter().any(|&m| m != penalty);
+            if mask.data()[row * n + col] == penalty && sees(row) {
                 assert!(
                     f64::from(v) <= bound,
                     "`{}` masked weight {v:e} above {bound:e}",
@@ -189,40 +162,42 @@ fn interior_value(ir: &Ir, i: usize, values: &[Option<Tensor>]) -> Tensor {
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn concrete_forward_stays_within_abstract_ranges(
-        seed in 0u64..1000, use_mask in any::<bool>()
-    ) {
-        let cfg = TurlConfig { use_visibility: use_mask, ..TurlConfig::tiny(seed) };
-        assert_forward_within_ranges(cfg, seed, &build_input(seed, use_mask), false);
+/// Every member of every case of the fixture corpus: the named corners
+/// and the config-space sweep (heads, layers, `ln_eps`, masks).
+#[test]
+fn concrete_forward_stays_within_abstract_ranges() {
+    for mut case in support::corpus() {
+        for input in &case.inputs {
+            assert_forward_within_ranges(&case.model, &mut case.store, input, false);
+        }
     }
 }
 
 #[test]
 fn empty_mentions_are_sound_too() {
-    // All-empty mentions exercise the ZeroConst lowering branch: a
+    // Mention-less cells exercise the ZeroConst lowering branch: a
     // constant-zeros source in place of the averaging matmul.
-    let cfg = TurlConfig { use_visibility: false, ..TurlConfig::tiny(7) };
-    let mut input = build_input(7, false);
-    for e in &mut input.entities {
-        e.mention.clear();
-    }
-    assert_forward_within_ranges(cfg, 7, &input, false);
+    let mut case = support::case_named("no mention token (ZeroConst branch)");
+    let input = &case.inputs[0];
+    assert!(input.entities.iter().all(|e| e.mention.is_empty()));
+    assert_forward_within_ranges(&case.model, &mut case.store, input, false);
 }
 
 #[test]
 fn tiny_training_forward_matches_adapted_plan() {
     // `Forward::new` + backprop: the tape a pre-training step records.
-    let cfg = TurlConfig::tiny(3);
-    assert_eq!(cfg.encoder.dropout, 0.0, "ranges describe the dropout-free function");
-    assert_forward_within_ranges(cfg, 3, &build_input(3, true), true);
+    let mut case = support::case_named("a fully masked row");
+    assert_eq!(case.model.cfg.encoder.dropout, 0.0, "ranges describe the dropout-free function");
+    assert_forward_within_ranges(&case.model, &mut case.store, &case.inputs[0], true);
 }
 
 #[test]
 fn small_inference_forward_matches_adapted_plan() {
     // The experiment harness's config: wider, deeper, more heads.
-    assert_forward_within_ranges(TurlConfig::small(5), 5, &build_input(5, true), false);
+    let Case { model, mut store, inputs, .. } =
+        support::case_named("small config: the kernels fan out at pool width 2");
+    assert_eq!(model.cfg.encoder.d_model, turl_core::TurlConfig::small(0).encoder.d_model);
+    for input in &inputs {
+        assert_forward_within_ranges(&model, &mut store, input, false);
+    }
 }

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Lines added, removed and net under crates/*/src (inline #[cfg(test)]
-# modules included, crates/*/tests not) against a base revision: the
-# number every simplicity change reports.
+# modules included) and, on a second line, under crates/*/tests, against
+# a base revision: the numbers every simplicity change reports. Moving an
+# inline test module out of src into tests shrinks the first line and
+# grows the second by as much; only the two together say whether code
+# went.
 #
 #   scripts/net_src_lines.sh [base]
 #
@@ -20,6 +23,8 @@ else
 fi
 
 # Binary files count `-`, which awk reads as 0.
-git diff --numstat "$base" -- ':(glob)crates/*/src/**' | awk -v base="$base" '
-  { added += $1; removed += $2 }
-  END { printf "crates/*/src vs %s: added %d, removed %d, net %+d\n", base, added, removed, added - removed }'
+for dir in src tests; do
+  git diff --numstat "$base" -- ":(glob)crates/*/$dir/**" | awk -v what="crates/*/$dir" -v base="$base" '
+    { added += $1; removed += $2 }
+    END { printf "%s vs %s: added %d, removed %d, net %+d\n", what, base, added, removed, added - removed }'
+done
